@@ -55,7 +55,7 @@ func main() {
 		drainTO     = flag.Duration("drain-timeout", 0, "grace period for in-flight connections on shutdown (0 = immediate)")
 		acceptors   = flag.Int("acceptors", 1, "parallel accept loops (SO_REUSEPORT listener shards on Linux)")
 		splice      = flag.Bool("splice", true, "zero-copy splice(2) relay on Linux (falls back to buffer copies elsewhere)")
-		netpoll     = flag.Bool("netpoll", false, "event-driven epoll dataplane on Linux: O(acceptors) relay goroutines instead of 2 per connection (falls back to goroutine relays elsewhere)")
+		netpoll     = flag.Bool("netpoll", true, "event-driven epoll dataplane on Linux: O(acceptors) relay goroutines instead of 2 per connection (false, or a platform without epoll: goroutine relays)")
 		poolIdle    = flag.Int("pool-idle", 0, "max idle pooled connections per backend (0 = pooling off)")
 		poolMaxAge  = flag.Duration("pool-max-age", 30*time.Second, "evict pooled backend connections older than this (0 = no cap)")
 		congSignals = flag.Bool("congestion-signals", false, "sample TCP_INFO retransmissions per relayed backend connection and feed them to the passive detector as transport-distress evidence (Linux; no-op elsewhere)")
@@ -142,6 +142,11 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("lbproxy: %s on %s -> %v\n", pol.Name(), proxy.Addr(), addrs)
+	if mode, reason := proxy.Dataplane(); reason == "" {
+		fmt.Printf("lbproxy: dataplane %s\n", mode)
+	} else {
+		fmt.Printf("lbproxy: dataplane %s (%s)\n", mode, reason)
+	}
 
 	if *statusAddr != "" {
 		go func() {

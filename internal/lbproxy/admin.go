@@ -106,6 +106,8 @@ func (p *Proxy) writeMetrics(w io.Writer) {
 		v          uint64
 	}{
 		{"lbproxy_accepted_total", "Connections accepted.", st.Accepted},
+		{"lbproxy_accept_errors_total", "Accept failures the acceptors backed off from and retried.", st.AcceptErrors},
+		{"lbproxy_dataplane_fallback_connections_total", "Connections the event relay could not take, relayed by goroutines instead.", st.NetpollFallbacks},
 		{"lbproxy_dial_errors_total", "Connections that failed every dial attempt.", st.DialErrors},
 		{"lbproxy_dropped_total", "Connections dropped for lack of any admitted backend.", st.Dropped},
 		{"lbproxy_fallbacks_total", "Connections rerouted away from an ejected backend.", st.Fallbacks},
@@ -133,6 +135,11 @@ func (p *Proxy) writeMetrics(w io.Writer) {
 		m.sample(c.name, "", float64(c.v))
 	}
 
+	mode, _ := p.Dataplane()
+	m.family("lbproxy_dataplane", "1 for the relay new connections run on.", "gauge")
+	for _, name := range []string{"netpoll", "goroutine"} {
+		m.sample("lbproxy_dataplane", `mode="`+name+`"`, boolMetric(name == mode))
+	}
 	m.family("lbproxy_active_connections", "Currently relayed connections.", "gauge")
 	m.sample("lbproxy_active_connections", "", float64(st.Active))
 	m.family("lbproxy_tracked_flows", "Live flow-table population.", "gauge")

@@ -139,6 +139,9 @@ func TestAdminMetricsValidPrometheus(t *testing.T) {
 
 	for _, want := range []string{
 		"lbproxy_accepted_total",
+		"lbproxy_accept_errors_total",
+		"lbproxy_dataplane",
+		"lbproxy_dataplane_fallback_connections_total",
 		"lbproxy_backend_connections_total",
 		"lbproxy_backend_health_state",
 		"lbproxy_backend_admission",
@@ -155,6 +158,10 @@ func TestAdminMetricsValidPrometheus(t *testing.T) {
 	}
 	if !strings.Contains(body.String(), `state="healthy"`) {
 		t.Error("backend health state missing")
+	}
+	if !strings.Contains(body.String(), `lbproxy_dataplane{mode="goroutine"} 1`) ||
+		!strings.Contains(body.String(), `lbproxy_dataplane{mode="netpoll"} 0`) {
+		t.Error("dataplane gauge does not name the goroutine relay this proxy was configured with")
 	}
 }
 

@@ -17,8 +17,7 @@ import (
 // The loop owns all entry mutation under congMu; syscalls happen outside
 // the lock so a slow socket never stalls registration. An entry whose
 // sample fails (connection closed, wrapped, or TCP_INFO latched broken) is
-// dropped — that is also how netpoll-owned connections, which have no
-// teardown hook in handle(), leave the registry.
+// dropped.
 
 // congEntry is one registered backend connection.
 type congEntry struct {
@@ -43,8 +42,8 @@ func (p *Proxy) congRegister(server net.Conn, backend int, hash uint64) {
 }
 
 // congFinal takes one last sample and removes the connection from the
-// registry; the goroutine-relay teardown calls it so a burst of
-// retransmissions in the final sampling window is still attributed.
+// registry; both relays' teardown calls it so a burst of retransmissions in
+// the final sampling window is still attributed.
 func (p *Proxy) congFinal(server net.Conn) {
 	if p.cong == nil {
 		return
@@ -111,8 +110,7 @@ func (p *Proxy) congSweep() {
 		e, present := p.cong[c]
 		switch {
 		case !ok:
-			// Closed, wrapped, or TCP_INFO broken: stop tracking. This is
-			// the only cleanup path for netpoll-owned connections.
+			// Closed, wrapped, or TCP_INFO broken: stop tracking.
 			delete(p.cong, c)
 		case present:
 			p.congCharge(e, total)

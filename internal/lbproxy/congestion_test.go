@@ -305,6 +305,7 @@ func TestProxyCongestionSignalsStress(t *testing.T) {
 			CongestionPerTick: 1,
 			CongestionTicks:   3,
 		},
+		Netpoll: *netpollDefault,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"net"
 	"time"
 
+	"inbandlb/internal/netpoll"
 	"inbandlb/internal/packet"
 )
 
@@ -15,7 +16,7 @@ import (
 
 type npShard struct{}
 
-func (p *Proxy) netpollInit() {}
+func (p *Proxy) netpollInit() error { return netpoll.ErrUnsupported }
 
 func (p *Proxy) netpollStop() {}
 

@@ -20,9 +20,9 @@ import (
 // states mirror the goroutine path exactly:
 //
 //	awaiting-first-byte ──client chunk──▶ relaying (validation write for
-//	   │                                  pooled conns; first chunk always
-//	   │ idle timer                       through userspace: first-byte
-//	   ▼                                  observation + estimator sample)
+//	   │                                  pooled conns; first-byte
+//	   │ idle timer                       observation + estimator sample)
+//	   ▼
 //	teardown ◀─error/idle─ relaying ──clean client EOF──▶ draining
 //	                           │                             │ quiesce
 //	                           └──clean server EOF──▶ FIN    ▼ silence
@@ -30,44 +30,55 @@ import (
 //
 // All relay state is owned by the poller's loop goroutine — readiness
 // callbacks, posted tasks, and wheel timers are serialized there — so the
-// state machine uses plain fields, no locks, no atomics. Raw socket I/O goes
-// through syscall.RawConn.Control (never RawConn.Read/Write, which would
-// park the loop on the runtime netpoller): Control refcounts the fd against
-// a concurrent Close from the proxy's force-close sweep, and every syscall
-// inside is nonblocking, so the loop never sleeps in I/O.
+// state machine uses plain fields, no locks, no atomics. The relay also owns
+// both sockets outright: the handoff takes them out of the proxy's
+// force-close set and only finalize (on the loop) closes them, so the loop
+// makes its nonblocking read/write/splice calls straight on the cached fds
+// with no per-call guard against a concurrent Close.
 //
-// Copy buffers and splice pipes are attached lazily per readiness event and
-// released before every park, exactly like the goroutine path: an idle
-// connection pins its npRelay (~a few hundred bytes) and two registered fds,
-// nothing else — versus two goroutine stacks plus their relay frames.
+// The drain rule: a message costs two syscalls per direction. Edge-triggered
+// epoll raises a new edge for whatever arrives after a read, so a read that
+// comes back shorter than the buffer has drained the socket and the pump
+// parks without asking again for an EAGAIN. Two cases still read on: a full
+// read (more may be queued — and a full buffer says bulk, so the rest of the
+// burst is spliced, until EAGAIN: a short splice proves nothing, the pipe
+// may have run out of slots, not the socket out of bytes), and a hang-up
+// seen on the source (netpoll.Event.Hangup): a FIN queued together with the
+// last bytes raises no further edge, so the pump reads to EOF.
 //
-// Estimator equivalence: the first request chunk stays in userspace
-// (first-byte observation, pooled-conn validation), every later
-// request-direction readiness event fires ObserveHashed once (copy chunk or
-// splice batch — the same granularity as one Read on the goroutine path),
-// and the response direction stays timestamp-free. Teardown settles the same
-// accounting as handle(): exactly one of PerBackend/DialErrors per handed-off
-// connection, FlowClosed only while charged, ForgetHashed always.
+// Loop-owned resources: every chunk passes through the shard's one read
+// buffer or its one splice pipe. Only a blocked write leaves anything with a
+// connection — the unwritten tail is copied out, or the pipe holding it is
+// detached and the shard takes a fresh one — so an idle connection pins its
+// npRelay (a few hundred bytes) and two registered fds, nothing else.
+//
+// Estimator equivalence: every request-direction chunk (one read or one
+// splice — the same granularity as one Read on the goroutine path) fires
+// ObserveHashed once, the first one after the pooled path's validation
+// write settles, and the response direction stays timestamp-free. Teardown
+// settles the same accounting as the goroutine relay: exactly one of
+// PerBackend/DialErrors per handed-off connection, FlowClosed only while
+// charged, ForgetHashed always.
 
 // npPumpBudget bounds chunks moved per pump invocation so one hot connection
 // cannot starve its shard; an exhausted pump reposts itself (edge-triggered
 // epoll will not re-fire for data that already arrived).
 const npPumpBudget = 32
 
-// npShard pairs one poller with its loop-owned set of live relays (the set
-// exists so shutdown can finalize relays that are idle and will never see
-// another readiness event).
+// npShard pairs one poller with what its loop goroutine owns: the set of
+// live relays (shutdown must finalize idle ones, which will never see
+// another event), the read buffer, and the splice pipe (nil until first
+// used, and again whenever a blocked write walks off with it).
 type npShard struct {
 	pol  *netpoll.Poller
 	live map[*npRelay]struct{}
+	buf  []byte
+	pipe *spipe
 }
 
-// npEnd is one side of a relay: the connection, its raw-syscall handle, and
-// the cached fd (used only for epoll registration bookkeeping — all I/O
-// re-enters through rc.Control, which guards against fd reuse after Close).
+// npEnd is one side of a relay: the connection and its fd.
 type npEnd struct {
 	conn       net.Conn
-	rc         syscall.RawConn
 	fd         int
 	registered bool
 }
@@ -75,33 +86,26 @@ type npEnd struct {
 // newNPEnd wraps a connection for raw readiness-driven I/O. Only *net.TCPConn
 // qualifies — chaos wrappers and pipe test conns make the caller fall back to
 // the goroutine path.
-func newNPEnd(c net.Conn) (*npEnd, bool) {
-	tc, ok := c.(*net.TCPConn)
-	if !ok {
-		return nil, false
+func newNPEnd(c net.Conn) (npEnd, bool) {
+	e := npEnd{conn: c, fd: -1}
+	if tc, ok := c.(*net.TCPConn); ok {
+		if rc, err := tc.SyscallConn(); err == nil {
+			_ = rc.Control(func(fd uintptr) { e.fd = int(fd) }) // fails on a closed conn
+		}
 	}
-	rc, err := tc.SyscallConn()
-	if err != nil {
-		return nil, false
-	}
-	e := &npEnd{conn: c, rc: rc, fd: -1}
-	if cerr := rc.Control(func(fd uintptr) { e.fd = int(fd) }); cerr != nil || e.fd < 0 {
-		return nil, false
-	}
-	return e, true
+	return e, e.fd >= 0
 }
 
 // npRelay is the per-connection state machine. Every field is loop-owned.
 type npRelay struct {
-	p        *Proxy
-	shard    *npShard
-	cEnd     *npEnd
-	sEnd     *npEnd // nil while a revalidation redial is in flight
-	backend  int
-	acceptor int
-	hash     uint64
-	key      packet.FlowKey
-	born     time.Time
+	p          *Proxy
+	shard      *npShard
+	cEnd, sEnd npEnd // sEnd.conn is nil while a revalidation redial is in flight
+	backend    int
+	acceptor   int
+	hash       uint64
+	key        packet.FlowKey
+	born       time.Time
 
 	fromPool        bool
 	charged         bool // policy holds an open-flow debit for backend
@@ -121,26 +125,25 @@ type npDir struct {
 	rel       *npRelay
 	src, dst  *npEnd
 	observe   bool // request direction: chunk arrivals feed the estimator
-	first     bool // next chunk is the stream's first (userspace, validation)
 	done      bool
+	hup       bool // src's peer hung up: a short read no longer means drained
 	moved     bool // any byte ever spliced on this stream (fallback gate)
 	splice    bool // splice still eligible for this direction
 	waitWrite bool // parked on dst EPOLLOUT
 
-	buf    *[]byte // lazy copy buffer; released before every park
-	pend   []byte  // written-but-blocked tail (aliases buf, or a revalidation chunk)
-	pp     *spipe  // lazy splice pipe; released before every park
-	inPipe int     // bytes sitting in pp, not yet spliced out
+	pend   []byte // tail a blocked write left behind (this direction's own copy)
+	pp     *spipe // the shard's pipe, detached with inPipe bytes a blocked write left in it
+	inPipe int
 
 	idle *netpoll.Timer // idle deadline / quiesce grace on the wheel
 }
 
 // netpollInit creates one poller per acceptor shard. Any failure (including
-// the process-wide ENOSYS latch) leaves p.np nil and the proxy on the
-// goroutine-per-connection dataplane.
-func (p *Proxy) netpollInit() {
+// the process-wide ENOSYS latch) is returned, leaving p.np nil and the proxy
+// on the goroutine-per-connection dataplane.
+func (p *Proxy) netpollInit() error {
 	if !netpoll.Available() {
-		return
+		return netpoll.ErrUnsupported
 	}
 	shards := make([]*npShard, 0, p.cfg.Acceptors)
 	for i := 0; i < p.cfg.Acceptors; i++ {
@@ -149,11 +152,13 @@ func (p *Proxy) netpollInit() {
 			for _, s := range shards {
 				_ = s.pol.Close()
 			}
-			return
+			return err
 		}
-		shards = append(shards, &npShard{pol: pol, live: make(map[*npRelay]struct{})})
+		shards = append(shards, &npShard{pol: pol, live: make(map[*npRelay]struct{}),
+			buf: make([]byte, p.cfg.BufferSize)})
 	}
 	p.np = shards
+	return nil
 }
 
 // netpollStop finalizes every live relay (idle ones never get another event,
@@ -166,6 +171,10 @@ func (p *Proxy) netpollStop() {
 		s.pol.Post(func() {
 			for rel := range s.live {
 				rel.finalize()
+			}
+			if s.pipe != nil {
+				putPipe(s.pipe)
+				s.pipe = nil
 			}
 		})
 		_ = s.pol.Close()
@@ -192,9 +201,10 @@ func (p *Proxy) netpollStats() []NetpollShardStats {
 
 // netpollHandoff moves a routed connection pair onto the acceptor's poller
 // shard. Returns false when the event path cannot take it (netpoll off,
-// non-TCP ends from chaos wrappers or tests) — the caller continues on the
-// goroutine path with nothing consumed. On true, ownership of both
-// connections and all remaining accounting belongs to the poller loop.
+// non-TCP ends from chaos wrappers or tests, proxy closing) — the caller
+// continues on the goroutine path with nothing consumed. On true, ownership
+// of both connections and all remaining accounting belongs to the poller
+// loop.
 func (p *Proxy) netpollHandoff(client, server net.Conn, backend, acceptor int,
 	hash uint64, key packet.FlowKey, charged, fromPool bool, born time.Time) bool {
 	if len(p.np) == 0 {
@@ -208,6 +218,19 @@ func (p *Proxy) netpollHandoff(client, server net.Conn, backend, acceptor int,
 	if !ok {
 		return false
 	}
+	// Both conns leave the force-close set: from here the loop is their only
+	// closer, which is what makes raw syscalls on the cached fds safe. Once
+	// Close has begun its sweep may already have closed them — stay out.
+	p.connMu.Lock()
+	if p.closed.Load() {
+		p.connMu.Unlock()
+		return false
+	}
+	delete(p.open, client)
+	delete(p.open, server)
+	p.connMu.Unlock()
+	p.relays.Add(1)
+
 	shard := p.np[acceptor%len(p.np)]
 	rel := &npRelay{
 		p: p, shard: shard, cEnd: cEnd, sEnd: sEnd,
@@ -216,23 +239,23 @@ func (p *Proxy) netpollHandoff(client, server net.Conn, backend, acceptor int,
 		validated: !fromPool,
 	}
 	splice := p.cfg.Splice && spliceAvailable()
-	rel.req = npDir{rel: rel, src: cEnd, dst: sEnd, observe: true, first: true, splice: splice}
-	rel.resp = npDir{rel: rel, src: sEnd, dst: cEnd, splice: splice}
+	rel.req = npDir{rel: rel, src: &rel.cEnd, dst: &rel.sEnd, observe: true, splice: splice}
+	rel.resp = npDir{rel: rel, src: &rel.sEnd, dst: &rel.cEnd, splice: splice}
 	shard.pol.Post(rel.start)
 	return true
 }
 
-// start runs on the loop: registers fds, commits accounting for non-pooled
-// conns (pooled ones commit when validation settles, like handle does), and
-// runs the initial pumps — edge-triggered registration reports an edge for
-// already-ready fds, but a direct pump is the guarantee.
+// start runs on the loop: registers fds and commits accounting for
+// non-pooled conns (pooled ones commit when validation settles, like the
+// goroutine relay does). No first pump: registration reports an fd that is
+// already readable — hang-up bit included — as its first event.
 func (rel *npRelay) start() {
 	rel.shard.live[rel] = struct{}{}
 	if !rel.fromPool {
 		rel.commit(rel.backend)
 	}
 	if err := rel.shard.pol.Register(rel.cEnd.fd, rel.onClientEvent); err != nil {
-		rel.finalize() // fd already closed (shutdown race) or epoll pressure
+		rel.finalize() // epoll pressure
 		return
 	}
 	rel.cEnd.registered = true
@@ -240,7 +263,6 @@ func (rel *npRelay) start() {
 		return
 	}
 	rel.req.rearmIdle()
-	rel.req.pump()
 }
 
 // registerServer attaches the server end to the poller. For pooled conns
@@ -257,36 +279,27 @@ func (rel *npRelay) registerServer() bool {
 	}
 	rel.sEnd.registered = true
 	rel.resp.rearmIdle()
-	rel.resp.pump()
-	return !rel.finalized
+	return true
 }
 
-func (rel *npRelay) onClientEvent(ev netpoll.Event) {
-	if rel.finalized {
-		return
-	}
-	if ev.Writable && rel.resp.waitWrite {
-		rel.resp.pump()
-	}
-	if ev.Readable && !rel.finalized {
-		rel.req.pump()
-	}
-}
+func (rel *npRelay) onClientEvent(ev netpoll.Event) { rel.onEvent(ev, &rel.req, &rel.resp) }
+func (rel *npRelay) onServerEvent(ev netpoll.Event) { rel.onEvent(ev, &rel.resp, &rel.req) }
 
-func (rel *npRelay) onServerEvent(ev netpoll.Event) {
-	if rel.finalized {
-		return
+// onEvent handles readiness on one end: in reads from it, out writes to it.
+func (rel *npRelay) onEvent(ev netpoll.Event, in, out *npDir) {
+	if ev.Hangup {
+		in.hup = true // sticky: nothing arrives after a FIN, so nothing re-raises it
 	}
-	if ev.Writable && rel.req.waitWrite {
-		rel.req.pump()
+	if ev.Writable && out.waitWrite {
+		out.pump()
 	}
-	if ev.Readable && !rel.finalized {
-		rel.resp.pump()
+	if ev.Readable {
+		in.pump()
 	}
 }
 
 // commit lands the connection in PerBackend and the live gauges — the same
-// point of no return as handle()'s post-validation counter block.
+// point of no return as the goroutine relay's post-validation counter block.
 func (rel *npRelay) commit(backend int) {
 	p := rel.p
 	rel.backend = backend
@@ -297,27 +310,23 @@ func (rel *npRelay) commit(backend int) {
 }
 
 // pump is the readiness engine for one direction: flush whatever write was
-// blocked, then move chunks until EAGAIN, EOF, error, a blocked write, or
-// budget exhaustion (then repost — ET delivers no reminder edges).
+// blocked, then move chunks until the socket is drained (see the drain rule
+// above), EOF, error, a blocked write, or budget exhaustion (then repost —
+// ET delivers no reminder edges).
 func (d *npDir) pump() {
 	rel := d.rel
-	if d.done || rel.finalized || rel.revalidating {
+	if d.done || rel.finalized || rel.revalidating || !d.flushPending() {
 		return
 	}
-	if !d.flushPending() {
-		return
-	}
+	bulk := false // a read filled the buffer: the rest of this burst is spliced
 	for budget := npPumpBudget; budget > 0; budget-- {
-		if d.done || rel.finalized || rel.revalidating {
-			return
+		var more bool
+		if bulk && d.splice && spliceAvailable() {
+			more = d.pumpSplice()
+		} else {
+			more, bulk = d.pumpCopy()
 		}
-		if d.splice && !d.first && spliceAvailable() {
-			if !d.pumpSplice() {
-				return
-			}
-			continue
-		}
-		if !d.pumpCopy() {
+		if !more || d.done || rel.finalized || rel.revalidating {
 			return
 		}
 	}
@@ -325,127 +334,106 @@ func (d *npDir) pump() {
 }
 
 // pumpSplice moves one zero-copy chunk src→pipe→dst. Returns false when the
-// pump must stop (parked, blocked, EOF, error); switching splice off (first
-// splice says "not here") returns true so the copy loop takes over from a
-// clean stream.
+// pump must stop (EAGAIN, blocked, EOF, error); switching splice off (first
+// splice says "not here", or no pipe to be had) returns true so the copy
+// loop takes over from a clean stream.
 func (d *npDir) pumpSplice() bool {
-	rel := d.rel
-	p := rel.p
-	d.releaseBuf() // the first-chunk buffer, once the stream goes zero-copy
-	if d.pp == nil {
-		if d.pp = getPipe(); d.pp == nil {
+	sh := d.rel.shard
+	if sh.pipe == nil {
+		if sh.pipe = getPipe(); sh.pipe == nil {
 			d.splice = false // fd exhaustion: copy path
 			return true
 		}
 	}
-	var n int64
-	var errno error
-	cerr := d.src.rc.Control(func(fd uintptr) {
-		for {
-			n, errno = syscall.Splice(int(fd), nil, d.pp.w, nil, spliceChunk, spliceFlags)
-			if errno != syscall.EINTR {
-				return
-			}
-		}
-	})
-	p.sysSplices.Add(1)
-	if cerr != nil {
-		d.releasePipe()
-		d.srcFailed(net.ErrClosed)
+	n, errno := d.spliceNB(d.src.fd, sh.pipe.w, spliceChunk)
+	switch {
+	case errno == syscall.EAGAIN:
 		return false
-	}
-	if errno == syscall.EAGAIN {
-		d.releasePipe() // park with nothing pinned
-		return false
-	}
-	if errno != nil {
+	case errno != nil:
 		if !d.moved && spliceFallbackErrno(errno) {
 			if errno == syscall.ENOSYS || errno == syscall.EPERM {
 				spliceBroken.Store(true)
 			}
-			d.releasePipe()
 			d.splice = false
-			return true // nothing consumed: copy loop from a clean stream
+			return true // nothing consumed
 		}
-		d.releasePipe()
 		d.srcFailed(errno)
 		return false
-	}
-	if n == 0 {
-		d.releasePipe()
+	case n == 0:
 		d.srcEOF()
 		return false
 	}
 	d.moved = true
-	d.inPipe = int(n)
 	d.chunkArrived()
-	return d.flushPipe()
-}
-
-// pumpCopy moves one userspace chunk src→dst (the first-chunk path and the
-// splice fallback). Returns false when the pump must stop.
-func (d *npDir) pumpCopy() bool {
-	p := d.rel.p
-	if d.buf == nil {
-		d.buf = p.getBuf()
-	}
-	n, again, err := d.rawRead(*d.buf)
-	if again {
-		d.releaseBuf() // park with nothing pinned
-		return false
-	}
-	if err != nil {
-		d.releaseBuf()
-		if err == io.EOF {
-			d.srcEOF()
-		} else {
-			d.srcFailed(err)
+	left, err := d.drainPipe(sh.pipe, n)
+	if left > 0 {
+		// Bytes a pipe holds are unrecoverable: it leaves the shard with
+		// them, and comes back (or is destroyed) once they are settled.
+		d.pp, sh.pipe, d.inPipe = sh.pipe, nil, left
+		if err != nil {
+			d.dstFailed(err)
+			return false
 		}
+		d.waitWrite = true
 		return false
 	}
-	chunk := (*d.buf)[:n]
-	if d.first {
-		return d.firstChunk(chunk)
-	}
-	d.chunkArrived()
-	return d.writeChunk(chunk)
+	return true
 }
 
-// firstChunk relays the stream's first request chunk through userspace —
-// the first-byte estimator observation and the pooled path's validation
-// write live here, exactly as on the goroutine path.
-func (d *npDir) firstChunk(b []byte) bool {
+// pumpCopy moves one chunk src→dst through the shard's buffer. more=false
+// when the pump must stop; full reports a read that filled the buffer.
+func (d *npDir) pumpCopy() (more, full bool) {
+	buf := d.rel.shard.buf
+	n, err := d.rawRead(buf)
+	switch {
+	case err == syscall.EAGAIN:
+		return false, false
+	case err == io.EOF:
+		d.srcEOF()
+		return false, false
+	case err != nil:
+		d.srcFailed(err)
+		return false, false
+	}
+	full = n == len(buf)
+	if rel := d.rel; d.observe && rel.fromPool && !rel.validated {
+		more = d.validateChunk(buf[:n])
+	} else {
+		d.chunkArrived()
+		more = d.writeChunk(buf[:n])
+	}
+	return more && (full || d.hup), full // the drain rule
+}
+
+// validateChunk relays a pooled connection's first request chunk: the write
+// is the connection's validation, and the first-byte observation is
+// attributed only once it settles (the backend changes if the pooled conn
+// turns out dead), exactly as on the goroutine path.
+func (d *npDir) validateChunk(b []byte) bool {
 	rel := d.rel
 	p := rel.p
-	d.first = false
 	ts := p.now() // arrival time, attributed after the write settles
 	d.rearmIdle()
-	if rel.fromPool && !rel.validated {
-		n, blocked, err := d.rawWrite(b)
-		if err != nil {
-			rel.beginRevalidate(b, ts)
-			return false
-		}
-		rel.validated = true
-		p.observeAt(rel.hash, rel.key, rel.backend, ts)
-		rel.commit(rel.backend)
-		if !rel.registerServer() {
-			return false
-		}
-		if blocked {
-			d.pend = b[n:]
-			d.waitWrite = true
-			return false
-		}
-		return true
+	n, blocked, err := d.rawWrite(b)
+	if err != nil {
+		rel.beginRevalidate(b, ts)
+		return false
 	}
+	rel.validated = true
 	p.observeAt(rel.hash, rel.key, rel.backend, ts)
-	return d.writeChunk(b)
+	rel.commit(rel.backend)
+	if !rel.registerServer() {
+		return false
+	}
+	if blocked {
+		d.strand(b[n:])
+	}
+	return !blocked
 }
 
 // chunkArrived timestamps a request-direction arrival into the estimator
-// (once per readiness event — identical granularity to one Read on the
-// goroutine path) and re-arms this direction's deadline.
+// (once per chunk — identical granularity to one Read on the goroutine
+// path) and re-arms this direction's deadline.
 func (d *npDir) chunkArrived() {
 	rel := d.rel
 	if d.observe {
@@ -454,8 +442,7 @@ func (d *npDir) chunkArrived() {
 	d.rearmIdle()
 }
 
-// writeChunk forwards a userspace chunk, parking on EPOLLOUT if dst blocks
-// (the unwritten tail stays pinned in buf until flushPending drains it).
+// writeChunk forwards a userspace chunk, parking on EPOLLOUT if dst blocks.
 func (d *npDir) writeChunk(b []byte) bool {
 	n, blocked, err := d.rawWrite(b)
 	if err != nil {
@@ -463,19 +450,33 @@ func (d *npDir) writeChunk(b []byte) bool {
 		return false
 	}
 	if blocked {
-		d.pend = b[n:]
-		d.waitWrite = true
-		return false
+		d.strand(b[n:])
 	}
-	return true
+	return !blocked
+}
+
+// strand keeps the tail a blocked write left behind. It is copied out: b
+// aliases the shard's buffer, which the next connection's read will reuse.
+func (d *npDir) strand(tail []byte) {
+	d.pend = append(d.pend[:0], tail...)
+	d.waitWrite = true
 }
 
 // flushPending resumes whatever a previous pump left blocked: first the
 // splice pipe, then the userspace tail. True means the direction is clear
 // to read again.
 func (d *npDir) flushPending() bool {
-	if d.inPipe > 0 && !d.flushPipe() {
-		return false
+	if d.inPipe > 0 {
+		left, err := d.drainPipe(d.pp, d.inPipe)
+		d.inPipe = left
+		if err != nil {
+			d.dstFailed(err)
+			return false
+		}
+		if left > 0 {
+			return false
+		}
+		d.releasePipe()
 	}
 	if len(d.pend) > 0 {
 		n, blocked, err := d.rawWrite(d.pend)
@@ -485,140 +486,97 @@ func (d *npDir) flushPending() bool {
 			return false
 		}
 		if blocked {
-			d.waitWrite = true
 			return false
 		}
 		d.pend = nil
-		d.waitWrite = false
-		d.releaseBuf()
-	}
-	return true
-}
-
-// flushPipe drains the splice pipe into dst, parking on EPOLLOUT if dst
-// blocks (the pipe stays attached: its contents are unrecoverable).
-func (d *npDir) flushPipe() bool {
-	p := d.rel.p
-	for d.inPipe > 0 {
-		var n int64
-		var errno error
-		cerr := d.dst.rc.Control(func(fd uintptr) {
-			for {
-				n, errno = syscall.Splice(d.pp.r, nil, int(fd), nil, d.inPipe, spliceFlags)
-				if errno != syscall.EINTR {
-					return
-				}
-			}
-		})
-		p.sysSplices.Add(1)
-		if cerr != nil {
-			d.dstFailed(net.ErrClosed)
-			return false
-		}
-		if errno == syscall.EAGAIN {
-			d.waitWrite = true
-			return false
-		}
-		if errno != nil {
-			d.dstFailed(errno)
-			return false
-		}
-		if n <= 0 {
-			d.dstFailed(io.ErrUnexpectedEOF)
-			return false
-		}
-		d.inPipe -= int(n)
 	}
 	d.waitWrite = false
-	d.releasePipe()
 	return true
 }
 
-// rawRead does one nonblocking read via Control (EINTR-retried). again=true
-// means EAGAIN: park until the next readiness edge.
-func (d *npDir) rawRead(buf []byte) (int, bool, error) {
-	var n int
-	var errno error
-	cerr := d.src.rc.Control(func(fd uintptr) {
-		for {
-			n, errno = syscall.Read(int(fd), buf)
-			if errno != syscall.EINTR {
-				return
-			}
+// drainPipe splices n bytes pp→dst and returns how many are left in the
+// pipe: all moved, dst pushed back (EAGAIN, err nil), or dst failed.
+func (d *npDir) drainPipe(pp *spipe, n int) (left int, err error) {
+	for n > 0 {
+		m, errno := d.spliceNB(pp.r, d.dst.fd, n)
+		switch {
+		case errno == syscall.EAGAIN:
+			return n, nil
+		case errno != nil:
+			return n, errno
+		case m <= 0:
+			return n, io.ErrUnexpectedEOF
 		}
-	})
+		n -= m
+	}
+	return 0, nil
+}
+
+// spliceNB is one counted nonblocking splice(2), EINTR-retried.
+func (d *npDir) spliceNB(rfd, wfd, n int) (int, error) {
+	d.rel.p.sysSplices.Add(1)
+	for {
+		m, errno := syscall.Splice(rfd, nil, wfd, nil, n, spliceFlags)
+		if errno != syscall.EINTR {
+			return int(m), errno
+		}
+	}
+}
+
+// rawRead does one nonblocking read (EINTR-retried). EAGAIN comes back as
+// the error: park until the next readiness edge.
+func (d *npDir) rawRead(buf []byte) (int, error) {
 	d.rel.p.sysReads.Add(1)
-	if cerr != nil {
-		return 0, false, net.ErrClosed
+	for {
+		n, errno := syscall.Read(d.src.fd, buf)
+		switch {
+		case errno == syscall.EINTR:
+			continue
+		case errno != nil:
+			return 0, errno
+		case n <= 0:
+			return 0, io.EOF
+		}
+		return n, nil
 	}
-	if errno == syscall.EAGAIN {
-		return 0, true, nil
-	}
-	if errno != nil {
-		return 0, false, errno
-	}
-	if n <= 0 {
-		return 0, false, io.EOF
-	}
-	return n, false, nil
 }
 
 // rawWrite writes as much of b as dst accepts without blocking. Returns
 // bytes written and whether the socket pushed back (EAGAIN) first.
-func (d *npDir) rawWrite(b []byte) (int, bool, error) {
-	p := d.rel.p
-	total := 0
-	blocked := false
-	var werr error
-	cerr := d.dst.rc.Control(func(fd uintptr) {
-		for total < len(b) {
-			n, errno := syscall.Write(int(fd), b[total:])
-			p.sysWrites.Add(1)
-			if errno == syscall.EINTR {
-				continue
-			}
-			if errno == syscall.EAGAIN {
-				blocked = true
-				return
-			}
-			if errno != nil {
-				werr = errno
-				return
-			}
-			if n <= 0 {
-				werr = io.ErrUnexpectedEOF
-				return
-			}
-			total += n
+func (d *npDir) rawWrite(b []byte) (total int, blocked bool, err error) {
+	for total < len(b) {
+		n, errno := syscall.Write(d.dst.fd, b[total:])
+		d.rel.p.sysWrites.Add(1)
+		switch {
+		case errno == syscall.EINTR:
+			continue
+		case errno == syscall.EAGAIN:
+			return total, true, nil
+		case errno != nil:
+			return total, false, errno
+		case n <= 0:
+			return total, false, io.ErrUnexpectedEOF
 		}
-	})
-	if cerr != nil && werr == nil {
-		werr = net.ErrClosed
+		total += n
 	}
-	return total, blocked, werr
+	return total, false, nil
 }
 
-// releaseBuf returns the copy buffer to the pool (pend must be drained).
-func (d *npDir) releaseBuf() {
-	if d.buf != nil {
-		d.rel.p.putBuf(d.buf)
-		d.buf = nil
-	}
-}
-
-// releasePipe returns a drained pipe to the pool, or destroys one holding
-// unrecoverable bytes (teardown mid-drain).
+// releasePipe settles a detached pipe: one still holding bytes (teardown
+// mid-drain) is destroyed, a drained one goes back to the shard, or to the
+// pool if the shard has taken another meanwhile.
 func (d *npDir) releasePipe() {
-	if d.pp == nil {
+	switch sh := d.rel.shard; {
+	case d.pp == nil:
 		return
-	}
-	if d.inPipe == 0 {
-		putPipe(d.pp)
-	} else {
+	case d.inPipe > 0:
 		d.pp.destroy()
+	case sh.pipe == nil:
+		sh.pipe = d.pp
+	default:
+		putPipe(d.pp)
 	}
-	d.pp = nil
-	d.inPipe = 0
+	d.pp, d.inPipe = nil, 0
 }
 
 // srcEOF handles a clean EOF, preserving the goroutine path's half-close
@@ -749,14 +707,9 @@ func (rel *npRelay) beginRevalidate(chunk []byte, ts time.Duration) {
 	p := rel.p
 	rel.revalidating = true
 	pending := append([]byte(nil), chunk...)
-	rel.req.releaseBuf()
-	dead := rel.sEnd // never registered: pooled ends register post-validation
-	rel.sEnd = nil
-	rel.req.dst, rel.resp.src = nil, nil
-	p.connMu.Lock()
-	delete(p.open, dead.conn)
-	p.connMu.Unlock()
-	_ = dead.conn.Close()
+	p.congFinal(rel.sEnd.conn)
+	_ = rel.sEnd.conn.Close() // never registered: pooled ends register post-validation
+	rel.sEnd = npEnd{fd: -1}
 	p.poolFirstWriteFails.Add(1)
 	p.ctrl.ReportDialError(rel.backend, ts)
 	rel.fromPool, rel.born = false, time.Time{}
@@ -769,16 +722,6 @@ func (rel *npRelay) beginRevalidate(chunk []byte, ts time.Duration) {
 			rel.finishRevalidate(server, newBackend, charged, pending, ts)
 		})
 	}()
-}
-
-// redial makes one fresh dial to the same backend — the pooled conn's death
-// is often stale news — then takes the failover path.
-func (p *Proxy) redial(backend int, charged *bool) (net.Conn, int) {
-	fresh, err := p.dial(p.cfg.Backends[backend], p.cfg.DialTimeout)
-	if err == nil {
-		return fresh, backend
-	}
-	return p.dialFailover(backend, charged)
 }
 
 // finishRevalidate resumes (or buries) a relay whose pooled server died on
@@ -805,30 +748,19 @@ func (rel *npRelay) finishRevalidate(server net.Conn, backend int, charged bool,
 		rel.finalize()
 		return
 	}
-	p.connMu.Lock()
-	p.open[server] = struct{}{}
-	p.connMu.Unlock()
-	if p.closed.Load() {
-		_ = server.Close()
-	}
-	end, ok := newNPEnd(server)
-	if !ok {
-		// The replacement lacks raw access (chaos wrapper): this relay
-		// cannot continue event-driven. Count it, then retire it like an
-		// immediate relay failure on the fresh conn.
-		rel.sEnd = &npEnd{conn: server, fd: -1}
-		rel.req.dst, rel.resp.src = rel.sEnd, rel.sEnd
-		rel.validated = true
-		p.observeAt(rel.hash, rel.key, backend, ts)
-		rel.commit(backend)
-		rel.finalize()
-		return
-	}
-	rel.sEnd = end
-	rel.req.dst, rel.resp.src = end, end
+	var raw bool
+	rel.sEnd, raw = newNPEnd(server)
+	p.congRegister(server, backend, rel.hash)
 	rel.validated = true
 	p.observeAt(rel.hash, rel.key, backend, ts)
 	rel.commit(backend)
+	if !raw {
+		// The replacement lacks raw access (chaos wrapper): this relay
+		// cannot continue event-driven. It is counted, then retired like an
+		// immediate relay failure on the fresh conn.
+		rel.finalize()
+		return
+	}
 	// The swapped connection still owes the first chunk.
 	n, blocked, err := rel.req.rawWrite(pending)
 	if err != nil {
@@ -840,19 +772,18 @@ func (rel *npRelay) finishRevalidate(server net.Conn, backend int, charged bool,
 		return
 	}
 	if blocked {
-		rel.req.pend = pending[n:]
-		rel.req.waitWrite = true
+		rel.req.strand(pending[n:])
 		return
 	}
 	rel.req.rearmIdle()
-	rel.req.pump()
+	rel.req.pump() // client edges that fired during the redial were swallowed
 }
 
 // finalize is the single teardown point: idempotent, loop-only. It releases
-// lazily-attached resources, unregisters both fds, settles the accounting
-// identity (exactly one of PerBackend/DialErrors for every handed-off
-// connection; FlowClosed only while charged; ForgetHashed always), and
-// retires or recycles the server connection.
+// what a blocked write left with the relay, unregisters both fds, settles
+// the accounting identity (exactly one of PerBackend/DialErrors for every
+// handed-off connection; FlowClosed only while charged; ForgetHashed
+// always), and retires or recycles the server connection.
 func (rel *npRelay) finalize() {
 	if rel.finalized {
 		return
@@ -860,15 +791,17 @@ func (rel *npRelay) finalize() {
 	rel.finalized = true
 	p := rel.p
 	delete(rel.shard.live, rel)
-	rel.req.cleanup()
-	rel.resp.cleanup()
-	if rel.cEnd.registered {
-		rel.shard.pol.Unregister(rel.cEnd.fd)
-		rel.cEnd.registered = false
+	for _, d := range []*npDir{&rel.req, &rel.resp} {
+		d.done = true
+		d.stopTimer()
+		d.pend = nil
+		d.releasePipe()
 	}
-	if rel.sEnd != nil && rel.sEnd.registered {
-		rel.shard.pol.Unregister(rel.sEnd.fd)
-		rel.sEnd.registered = false
+	for _, e := range []*npEnd{&rel.cEnd, &rel.sEnd} {
+		if e.registered {
+			rel.shard.pol.Unregister(e.fd)
+			e.registered = false
+		}
 	}
 	if !rel.counted && !rel.dialErrTerminal {
 		// Relay died before its commit point (register failure, shutdown):
@@ -884,13 +817,8 @@ func (rel *npRelay) finalize() {
 	if rel.counted {
 		p.active.Add(-1)
 	}
-	p.connMu.Lock()
-	delete(p.open, rel.cEnd.conn)
-	if rel.sEnd != nil {
-		delete(p.open, rel.sEnd.conn)
-	}
-	p.connMu.Unlock()
-	if rel.sEnd != nil {
+	if rel.sEnd.conn != nil {
+		p.congFinal(rel.sEnd.conn) // last sample, before the conn can be recycled
 		if rel.recycled && !p.closed.Load() && p.pool != nil &&
 			p.pool.Put(rel.backend, rel.acceptor, rel.sEnd.conn, rel.born) {
 			p.poolRecycled.Add(1)
@@ -899,13 +827,5 @@ func (rel *npRelay) finalize() {
 		}
 	}
 	_ = rel.cEnd.conn.Close()
-}
-
-// cleanup releases one direction's lazily-attached resources.
-func (d *npDir) cleanup() {
-	d.done = true
-	d.stopTimer()
-	d.pend = nil
-	d.releaseBuf()
-	d.releasePipe()
+	p.relays.Done()
 }

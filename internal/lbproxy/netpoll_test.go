@@ -49,6 +49,10 @@ func TestProxyNetpollRelayMemcache(t *testing.T) {
 				Policy:   control.NewRoundRobin(1),
 				Splice:   mode.splice,
 				Netpoll:  true,
+				// Smaller than the 4 KiB values below: only a read that
+				// fills the buffer sends the rest of a burst down the splice
+				// path (or, in copy mode, back for another read).
+				BufferSize: 1 << 10,
 			})
 			requireNetpoll(t, proxy)
 

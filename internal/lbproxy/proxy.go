@@ -52,6 +52,7 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,16 +140,16 @@ type Config struct {
 	// unchanged — every request-direction chunk arrival is still
 	// timestamped, it just is not copied.
 	Splice bool
-	// Netpoll enables the event-driven dataplane on Linux: one epoll
-	// readiness loop per acceptor shard drives every relayed connection as
-	// a compact state machine (O(shards) goroutines instead of O(2·conns)),
-	// with idle/drain deadlines on a per-shard timing wheel instead of
-	// per-conn SetDeadline. Non-Linux builds, kernels without epoll
-	// (latched on ENOSYS), and connections without raw-fd access (chaos
-	// wrappers, test pipes) fall back to the goroutine-per-connection path
-	// transparently. Estimator semantics are unchanged: the first request
-	// chunk stays in userspace and every request-direction readiness event
-	// is observed exactly as a Read on the goroutine path would be.
+	// Netpoll enables the event-driven dataplane on Linux (cmd/lbproxy turns
+	// it on by default): one epoll readiness loop per acceptor shard drives
+	// every relayed connection as a compact state machine (O(shards)
+	// goroutines instead of O(2·conns)), with idle/drain deadlines on a
+	// per-shard timing wheel instead of per-conn SetDeadline. Non-Linux
+	// builds, kernels without epoll (latched on ENOSYS), and connections
+	// without raw-fd access (chaos wrappers, test pipes) fall back to the
+	// goroutine-per-connection path — Dataplane and Stats.NetpollFallbacks
+	// say when. Estimator semantics are unchanged: every request-direction
+	// chunk is observed exactly as a Read on the goroutine path would be.
 	Netpoll bool
 	// PoolIdle enables backend connection pooling when > 0: up to PoolIdle
 	// idle connections are kept per backend (probed live at checkout) so a
@@ -237,8 +238,14 @@ type Stats struct {
 	// retransmitted segments attributed to backends through them.
 	CongSamples, CongRetrans uint64
 	// Netpoll holds per-shard poller counters when the event-driven
-	// dataplane is active; nil otherwise.
-	Netpoll []NetpollShardStats
+	// dataplane is active; nil otherwise. NetpollFallbacks counts connections
+	// it could not take (an end without raw-fd access) and that ran on the
+	// goroutine relay instead.
+	Netpoll          []NetpollShardStats
+	NetpollFallbacks uint64
+	// AcceptErrors counts Accept failures the acceptors backed off from and
+	// retried (EMFILE, ECONNABORTED, ...).
+	AcceptErrors uint64
 }
 
 // NetpollShardStats are one poller shard's counters: epoll_wait wakeups,
@@ -258,6 +265,7 @@ type Proxy struct {
 	ctrl  *control.Controller
 	pool  *dialpool.Pool // nil unless Config.PoolIdle > 0
 	np    []*npShard     // event-loop shards; nil unless Config.Netpoll works here
+	npErr error          // why Config.Netpoll did not bring the shards up
 	start time.Time
 
 	// bufs recycles relay buffers (up to two per connection,
@@ -266,16 +274,18 @@ type Proxy struct {
 	// themselves allocation-free. Relays on the splice path never touch it.
 	bufs sync.Pool
 
-	accepted   atomic.Uint64
-	active     atomic.Int64
-	dialErrors atomic.Uint64
-	dropped    atomic.Uint64
-	samples    atomic.Uint64
-	fallbacks  atomic.Uint64
-	failovers  atomic.Uint64
-	perBackend []atomic.Uint64
-	down       []atomic.Bool // probe layer's own view (streak bookkeeping)
-	stop       chan struct{}
+	accepted     atomic.Uint64
+	acceptErrors atomic.Uint64
+	npFallbacks  atomic.Uint64
+	active       atomic.Int64
+	dialErrors   atomic.Uint64
+	dropped      atomic.Uint64
+	samples      atomic.Uint64
+	fallbacks    atomic.Uint64
+	failovers    atomic.Uint64
+	perBackend   []atomic.Uint64
+	down         []atomic.Bool // probe layer's own view (streak bookkeeping)
+	stop         chan struct{}
 
 	// Syscall-diet accounting; see Stats.RelayReads et al.
 	sysReads            atomic.Uint64
@@ -292,9 +302,10 @@ type Proxy struct {
 	congRetrans atomic.Uint64
 
 	closed atomic.Bool
-	wg     sync.WaitGroup
+	wg     sync.WaitGroup // accepted connections still on a goroutine
+	relays sync.WaitGroup // connections owned by a poller shard
 	connMu sync.Mutex
-	open   map[net.Conn]struct{}
+	open   map[net.Conn]struct{} // goroutine-owned conns, for Close's force-close sweep
 }
 
 // New creates a proxy.
@@ -378,9 +389,21 @@ func New(cfg Config) (*Proxy, error) {
 		})
 	}
 	if cfg.Netpoll {
-		p.netpollInit() // leaves p.np nil (goroutine dataplane) if epoll is unusable
+		p.npErr = p.netpollInit() // on error p.np stays nil: goroutine dataplane
 	}
 	return p, nil
+}
+
+// Dataplane names the relay new connections run on — "netpoll" or
+// "goroutine" — and, when that is not the event relay, why.
+func (p *Proxy) Dataplane() (mode, reason string) {
+	switch {
+	case len(p.np) > 0:
+		return "netpoll", ""
+	case p.npErr != nil:
+		return "goroutine", p.npErr.Error()
+	}
+	return "goroutine", "netpoll disabled"
 }
 
 // poolQuiesce is the response-silence window that closes a pooled
@@ -418,6 +441,8 @@ func (p *Proxy) Stats() Stats {
 		CongSamples:         p.congSamples.Load(),
 		CongRetrans:         p.congRetrans.Load(),
 		Netpoll:             p.netpollStats(),
+		NetpollFallbacks:    p.npFallbacks.Load(),
+		AcceptErrors:        p.acceptErrors.Load(),
 	}
 	if p.pool != nil {
 		ps := p.pool.Stats()
@@ -502,22 +527,44 @@ func (p *Proxy) Serve() error {
 	return first
 }
 
-// acceptLoop accepts from one listener shard until it closes.
+// acceptLoop accepts from one listener shard until it closes. Any other
+// Accept error (EMFILE, ECONNABORTED, ...) is counted and retried after a
+// 5 ms→1 s backoff: a proxy that holds thousands of fds will run out of
+// them some day, and that must cost a pause, not the acceptor.
 func (p *Proxy) acceptLoop(lis net.Listener, idx int) error {
+	var backoff time.Duration
 	for {
 		conn, err := lis.Accept()
 		if err != nil {
 			if p.closed.Load() {
 				return nil
 			}
-			return err
+			if errors.Is(err, net.ErrClosed) {
+				return err
+			}
+			p.acceptErrors.Add(1)
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			select {
+			case <-p.stop:
+				return nil
+			case <-time.After(backoff):
+			}
+			continue
 		}
+		backoff = 0
 		p.accepted.Add(1)
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
 			p.handle(conn, idx)
 		}()
+		// Let the connection just admitted — and handlers whose backend dial
+		// has completed, which wait in the global run queue — run before the
+		// next accept. An acceptor that never yields during a burst keeps
+		// most of the burst's handlers parked in their dials at once, 8 KiB
+		// of stack each: that transient, not the held connections, was the
+		// process's peak RSS.
+		runtime.Gosched()
 	}
 }
 
@@ -549,7 +596,8 @@ func (p *Proxy) Close() error {
 	if p.cfg.DrainTimeout > 0 {
 		drained := make(chan struct{})
 		go func() {
-			p.wg.Wait()
+			p.wg.Wait() // first: handoffs (relays.Add) happen under wg
+			p.relays.Wait()
 			close(drained)
 		}()
 		select {
@@ -563,10 +611,11 @@ func (p *Proxy) Close() error {
 	}
 	p.connMu.Unlock()
 	p.wg.Wait()
-	// Netpoll relays are owned by the pollers, not wg: every handoff Post
-	// happened-before wg.Wait returned, so stopping the pollers here
-	// finalizes every relay (idle ones included) with all samples flushed
-	// into the aggregator before the controller's final tick below.
+	// Netpoll relays are owned by the pollers, not wg or the sweep above:
+	// every handoff Post happened-before wg.Wait returned, so stopping the
+	// pollers here finalizes every relay (idle ones included) with all
+	// samples flushed into the aggregator before the controller's final
+	// tick below.
 	p.netpollStop()
 	if p.pool != nil {
 		p.pool.Close()
@@ -581,15 +630,25 @@ func (p *Proxy) now() time.Duration { return time.Since(p.start) }
 // flowKeyFor derives the estimator flow key from the connection 4-tuple.
 func flowKeyFor(conn net.Conn) packet.FlowKey {
 	key := packet.FlowKey{Proto: packet.ProtoTCP}
-	if ap, err := netip.ParseAddrPort(conn.RemoteAddr().String()); err == nil {
-		key.SrcIP = ap.Addr().Unmap().As4()
-		key.SrcPort = ap.Port()
-	}
-	if ap, err := netip.ParseAddrPort(conn.LocalAddr().String()); err == nil {
-		key.DstIP = ap.Addr().Unmap().As4()
-		key.DstPort = ap.Port()
-	}
+	key.SrcIP, key.SrcPort = ip4Port(conn.RemoteAddr())
+	key.DstIP, key.DstPort = ip4Port(conn.LocalAddr())
 	return key
+}
+
+// ip4Port splits an address into the flow key's IPv4 + port. A *net.TCPAddr
+// (every accepted socket) converts directly; anything else takes the string
+// round trip. An address with no IPv4 form keeps a zero IP.
+func ip4Port(a net.Addr) (ip [4]byte, port uint16) {
+	var ap netip.AddrPort
+	if ta, ok := a.(*net.TCPAddr); ok {
+		ap = ta.AddrPort()
+	} else if parsed, err := netip.ParseAddrPort(a.String()); err == nil {
+		ap = parsed
+	}
+	if addr := ap.Addr().Unmap(); addr.Is4() {
+		ip = addr.As4()
+	}
+	return ip, ap.Port()
 }
 
 // dialFailover handles a failed attempt to reach `backend` — a refused
@@ -615,42 +674,49 @@ func (p *Proxy) dialFailover(backend int, charged *bool) (net.Conn, int) {
 	return nil, -1
 }
 
-func (p *Proxy) handle(client net.Conn, acceptor int) {
-	// handedOff flips when the connection pair moves to a poller shard: the
-	// npRelay owns both conns and all remaining accounting from then on, so
-	// this goroutine's cleanup must not touch them.
-	handedOff := false
-	defer func() {
-		if handedOff {
-			return
-		}
-		client.Close()
-		p.connMu.Lock()
-		delete(p.open, client)
-		p.connMu.Unlock()
-	}()
-	// Register the client with the force-close sweep before anything that
-	// can block on it (the pooled path reads the first chunk below).
+// track adds c to the set Close force-closes. A connection that raced the
+// sweep is closed here, so no work starts that Close will never see.
+func (p *Proxy) track(c net.Conn) {
 	p.connMu.Lock()
-	p.open[client] = struct{}{}
+	p.open[c] = struct{}{}
 	p.connMu.Unlock()
 	if p.closed.Load() {
-		// Raced Close's force-close sweep: tear down now rather than start
-		// work Close will never see.
-		client.Close()
+		_ = c.Close()
 	}
+}
 
+func (p *Proxy) untrack(c net.Conn) {
+	p.connMu.Lock()
+	delete(p.open, c)
+	p.connMu.Unlock()
+}
+
+// retire closes a tracked connection this goroutine is done with.
+func (p *Proxy) retire(c net.Conn) {
+	_ = c.Close()
+	p.untrack(c)
+}
+
+// handle admits one accepted connection: route, acquire a backend
+// connection, hand the pair to the acceptor's poller shard. It is all a
+// connection costs before it parks on the event relay, and a burst of
+// accepts keeps one of these goroutines per connection blocked in the
+// backend dial — so the frame stays small; everything the goroutine relay
+// needs lives in relayBlocking.
+func (p *Proxy) handle(client net.Conn, acceptor int) {
+	// Tracked before anything can block on it.
+	p.track(client)
 	key := flowKeyFor(client)
 	hash := key.Hash() // hashed once; reused for routing, sharding, sampling
-	now := p.now()
 
 	// Route applies health ejection inline: for table-based policies it is
 	// a pure snapshot read; for stateful ones the controller undoes the
 	// original pick's occupancy accounting before falling back, so nothing
 	// leaks when the pick lands on an ejected backend.
-	backend, fellBack := p.ctrl.RouteHashed(hash, key, now)
+	backend, fellBack := p.ctrl.RouteHashed(hash, key, p.now())
 	if backend < 0 || backend >= len(p.cfg.Backends) {
 		p.dropped.Add(1) // whole pool ejected (or policy misbehaved)
+		p.retire(client)
 		return
 	}
 	if fellBack {
@@ -677,32 +743,34 @@ func (p *Proxy) handle(client net.Conn, acceptor int) {
 		server, err = p.dial(p.cfg.Backends[backend], p.cfg.DialTimeout)
 		if err != nil {
 			server, backend = p.dialFailover(backend, &charged)
-			if server == nil {
-				p.dialErrors.Add(1) // terminal: no backend accepted the dial
-				return
-			}
 		}
 	}
-	p.connMu.Lock()
-	p.open[server] = struct{}{}
-	p.connMu.Unlock()
-	if p.closed.Load() {
-		server.Close()
-	}
-	// Congestion sampling follows the backend connection from here. The
-	// netpoll path has no teardown hook in this goroutine; its entries
-	// leave the registry when sampling the closed fd fails.
-	p.congRegister(server, backend, hash)
-
-	// Event-driven dataplane: hand the pair to this acceptor's poller shard.
-	// The handoff point is before pooled validation — the npRelay runs the
-	// validation write itself when the first chunk arrives, so until then the
-	// connection pins no goroutine at all.
-	if p.netpollHandoff(client, server, backend, acceptor, hash, key, charged, fromPool, born) {
-		handedOff = true
+	if server == nil {
+		p.dialErrors.Add(1) // terminal: no backend accepted the dial
+		p.retire(client)
 		return
 	}
+	p.track(server)
+	// Congestion sampling follows the backend connection from here until
+	// its relay's teardown takes the final sample.
+	p.congRegister(server, backend, hash)
+	// The handoff point is before pooled validation — the npRelay runs the
+	// validation write itself when the first chunk arrives, so until then
+	// the connection pins no goroutine at all.
+	if p.netpollHandoff(client, server, backend, acceptor, hash, key, charged, fromPool, born) {
+		return
+	}
+	if len(p.np) > 0 {
+		p.npFallbacks.Add(1)
+	}
+	p.relayBlocking(client, server, backend, acceptor, hash, key, charged, fromPool, born)
+	p.retire(client)
+}
 
+// relayBlocking is the goroutine-per-connection relay: this goroutine runs
+// the request direction, a second one the response direction.
+func (p *Proxy) relayBlocking(client, server net.Conn, backend, acceptor int,
+	hash uint64, key packet.FlowKey, charged, fromPool bool, born time.Time) {
 	// Pooled-connection validation: relay the first client chunk through
 	// userspace before committing counters. The checkout probe proved the
 	// socket open, but the backend can die between checkout and first use
@@ -731,32 +799,17 @@ func (p *Proxy) handle(client net.Conn, acceptor int) {
 			ts := p.now() // arrival time, attributed after the write settles
 			p.sysWrites.Add(1)
 			if _, werr := server.Write(pending); werr != nil {
-				p.connMu.Lock()
-				delete(p.open, server)
-				p.connMu.Unlock()
+				p.untrack(server)
 				p.congFinal(server)
 				_ = server.Close()
 				p.poolFirstWriteFails.Add(1)
 				p.ctrl.ReportDialError(backend, ts)
 				fromPool, born = false, time.Time{}
-				// One fresh dial to the same backend — the pooled conn's
-				// death is often stale news — then the failover path.
-				fresh, derr := p.dial(p.cfg.Backends[backend], p.cfg.DialTimeout)
-				if derr == nil {
-					server = fresh
-				} else {
-					server, backend = p.dialFailover(backend, &charged)
-					if server == nil {
-						p.dialErrors.Add(1)
-						return
-					}
+				if server, backend = p.redial(backend, &charged); server == nil {
+					p.dialErrors.Add(1)
+					return
 				}
-				p.connMu.Lock()
-				p.open[server] = struct{}{}
-				p.connMu.Unlock()
-				if p.closed.Load() {
-					server.Close()
-				}
+				p.track(server)
 				p.congRegister(server, backend, hash)
 				// The swapped connection still owes the first chunk: the
 				// request loop writes `pending` before relaying.
@@ -772,11 +825,7 @@ func (p *Proxy) handle(client net.Conn, acceptor int) {
 	p.perBackend[backend].Add(1)
 	p.active.Add(1)
 	defer p.active.Add(-1)
-	defer func() {
-		p.connMu.Lock()
-		delete(p.open, server)
-		p.connMu.Unlock()
-	}()
+	defer p.untrack(server)
 
 	st := &relay{p: p, client: client, server: server, backend: backend, hash: hash, key: key}
 
@@ -812,6 +861,16 @@ func (p *Proxy) handle(client net.Conn, acceptor int) {
 	} else {
 		_ = server.Close()
 	}
+}
+
+// redial makes one fresh dial to the same backend — a pooled conn's death
+// on first write is often stale news — then takes the failover path.
+func (p *Proxy) redial(backend int, charged *bool) (net.Conn, int) {
+	fresh, err := p.dial(p.cfg.Backends[backend], p.cfg.DialTimeout)
+	if err == nil {
+		return fresh, backend
+	}
+	return p.dialFailover(backend, charged)
 }
 
 // armIdle sets the connection's read deadline IdleTimeout into the future,

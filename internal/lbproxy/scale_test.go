@@ -19,11 +19,17 @@ import (
 // RLIMIT_NOFILE can actually hold (testbed.MaxProxiedConns).
 var stressConns = flag.Int("stress.conns", 0, "target concurrent connections for the ConnScaleStress tests (0 = skip; capped by RLIMIT_NOFILE/4)")
 
+// netpollDefault picks the dataplane of the default-configuration stress
+// tests (conn-scale, chaos flapping, congestion signals): the event relay,
+// as cmd/lbproxy runs it, unless -netpoll=false asks for the goroutine
+// relay's leg.
+var netpollDefault = flag.Bool("netpoll", true, "run the default-configuration stress tests on the event relay (false: goroutine relay)")
+
 // TestProxyConnScaleStress holds N concurrent connections open through
-// the full syscall-diet dataplane at once — splice relays parked on
-// readiness (an idle connection pins no pipe), acceptor shards, and the
-// sharded estimator path — then tears everything down and checks the
-// books balance exactly:
+// the full dataplane at once — the event relay by default (-netpoll=false:
+// splice relays on two goroutines per connection, parked on readiness),
+// acceptor shards, and the sharded estimator path — then tears everything
+// down and checks the books balance exactly:
 //
 //   - every connection was accepted, routed, and observed (Accepted ==
 //     sum(PerBackend), one estimator observation each),
@@ -33,20 +39,12 @@ var stressConns = flag.Int("stress.conns", 0, "target concurrent connections for
 // Clients dial from rotating loopback source addresses (127.0.0.2-9) so
 // the ephemeral-port space per (src,dst) tuple is never the binding
 // constraint; in this harness the fd rlimit is.
+//
+// On the event relay, O(acceptor shards) poller goroutines own every relay,
+// so the test also asserts the goroutine count stays far below the
+// connection count while the fleet is parked.
 func TestProxyConnScaleStress(t *testing.T) {
-	runConnScaleStress(t, false)
-}
-
-// TestProxyConnScaleStressNetpoll is the same fleet held by the
-// event-driven dataplane: O(acceptor shards) poller goroutines own every
-// relay instead of two goroutines per connection. Beyond the shared
-// accounting identities it asserts the goroutine count stays far below
-// the connection count while the fleet is parked.
-func TestProxyConnScaleStressNetpoll(t *testing.T) {
-	runConnScaleStress(t, true)
-}
-
-func runConnScaleStress(t *testing.T, netpoll bool) {
+	netpoll := *netpollDefault
 	if *stressConns == 0 {
 		t.Skip("scale stress: set -stress.conns=N to run")
 	}

@@ -20,6 +20,10 @@ type StatusSnapshot struct {
 	FlowTableShards int   `json:"flow_table_shards"`
 	TrackedFlows    int   `json:"tracked_flows"`
 	Stats           Stats `json:"stats"`
+	// Dataplane is the relay new connections run on ("netpoll" or
+	// "goroutine"); DataplaneFallback says why it is not the event relay.
+	Dataplane         string `json:"dataplane"`
+	DataplaneFallback string `json:"dataplane_fallback,omitempty"`
 	// Goroutines is a live runtime.NumGoroutine gauge. Under the netpoll
 	// dataplane it stays O(shards) regardless of connection count; on the
 	// goroutine-per-connection path it tracks 2x the active relays.
@@ -59,6 +63,7 @@ func (p *Proxy) Snapshot() StatusSnapshot {
 		Goroutines:         runtime.NumGoroutine(),
 		SnapshotGeneration: p.ctrl.Generation(),
 	}
+	snap.Dataplane, snap.DataplaneFallback = p.Dataplane()
 	// Policy state is read under the controller's serialization lock so the
 	// snapshot cannot race a control tick.
 	p.ctrl.Do(func(pol control.Policy) {

@@ -252,6 +252,9 @@ func TestProxyChaosFlappingStress(t *testing.T) {
 		Dial:         chaosDial,
 		IdleTimeout:  150 * time.Millisecond,
 		DrainTimeout: 500 * time.Millisecond,
+		// Chaos-wrapped backend conns fall back to goroutine relays one by
+		// one; undisturbed dials ride the event relay.
+		Netpoll: *netpollDefault,
 	})
 	if err != nil {
 		t.Fatal(err)

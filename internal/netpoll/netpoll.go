@@ -11,11 +11,13 @@
 // ENOSYS, which latches a process-wide fallback — New returns ErrUnsupported
 // and callers keep the goroutine-per-connection path.
 //
-// Concurrency contract: Register, Unregister, Post, Stats, and Close are safe
-// from any goroutine. Readiness callbacks, posted tasks, and timer callbacks
-// all run on the loop goroutine, serialized — state touched only from
-// callbacks needs no locks. Timer methods (AfterFunc, StopTimer, ResetTimer)
-// must be called from the loop goroutine.
+// Concurrency contract: Post, Stats, and Close are safe from any goroutine.
+// Readiness callbacks, posted tasks, and timer callbacks all run on the loop
+// goroutine, serialized — state touched only from callbacks needs no locks.
+// Register, Unregister and the timer methods (AfterFunc, StopTimer,
+// ResetTimer) must be called from the loop goroutine (Post gets you there):
+// the callback table and the wheel are loop-owned, which is what keeps event
+// dispatch free of locks.
 package netpoll
 
 import (
@@ -33,6 +35,12 @@ var ErrUnsupported = errors.New("netpoll: not supported on this platform")
 type Event struct {
 	Readable bool
 	Writable bool
+	// Hangup reports EPOLLRDHUP, EPOLLHUP or EPOLLERR: the peer has sent its
+	// FIN (or a reset). An owner that stops reading at the first short read —
+	// edge-triggered epoll guarantees a short read drained the socket — must
+	// keep reading to EOF once it has seen Hangup: a FIN queued together with
+	// the last bytes raises no further edge.
+	Hangup bool
 }
 
 // Stats is a snapshot of one poller's counters.

@@ -46,12 +46,14 @@ type Poller struct {
 	wheel        *Wheel
 	done         chan struct{}
 
-	mu          sync.Mutex
-	cbs         map[int]func(Event)
-	tasks       []func()
-	wakePending bool
+	cbs []func(Event) // fd-indexed callback table; loop goroutine only
 
-	closing bool // loop-goroutine only; set via posted task
+	mu          sync.Mutex
+	tasks       []func()
+	wakePending atomic.Bool // a wake byte is (about to be) in the pipe
+
+	closing bool   // loop-goroutine only; set via posted task
+	armed   uint64 // loop-goroutine only: wheel tick epf's read deadline is set for (0: none)
 	closed  atomic.Bool
 
 	wakeups    atomic.Uint64
@@ -103,7 +105,6 @@ func New(cfg Config) (*Poller, error) {
 		start: time.Now(),
 		wheel: NewWheel(cfg.Tick),
 		done:  make(chan struct{}),
-		cbs:   make(map[int]func(Event)),
 	}
 	// The wake pipe is level-triggered: the loop fully drains it every wake.
 	ev := syscall.EpollEvent{Events: uint32(syscall.EPOLLIN), Fd: int32(p.wakeR)}
@@ -118,35 +119,32 @@ func New(cfg Config) (*Poller, error) {
 }
 
 // Register adds fd to the epoll set (edge-triggered, both directions) and
-// routes its readiness events to cb on the loop goroutine. Edge-triggered
-// registration delivers an initial event if the fd is already ready, but
-// owners that need a guaranteed first pump should run it themselves.
+// routes its readiness events to cb. Loop goroutine only. EPOLL_CTL_ADD
+// checks current readiness, so an fd that is already ready (a connected
+// socket is at least writable) gets its first event on the next batch.
 func (p *Poller) Register(fd int, cb func(Event)) error {
-	p.mu.Lock()
-	p.cbs[fd] = cb
-	p.mu.Unlock()
 	ev := syscall.EpollEvent{Events: epollMask, Fd: int32(fd)}
 	if err := syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_ADD, fd, &ev); err != nil {
-		p.mu.Lock()
-		delete(p.cbs, fd)
-		p.mu.Unlock()
 		return err
 	}
+	if fd >= len(p.cbs) {
+		grown := make([]func(Event), max(fd+1, 2*len(p.cbs)))
+		copy(grown, p.cbs)
+		p.cbs = grown
+	}
+	p.cbs[fd] = cb
 	p.registered.Add(1)
 	return nil
 }
 
-// Unregister removes fd from the epoll set. Safe to call for an fd that was
-// never registered (or whose registration already ended); events already
-// dequeued for this fd are dropped at dispatch.
+// Unregister removes fd from the epoll set. Loop goroutine only. A no-op for
+// an fd that is not registered; events already dequeued for this fd are
+// dropped at dispatch.
 func (p *Poller) Unregister(fd int) {
-	p.mu.Lock()
-	_, ok := p.cbs[fd]
-	delete(p.cbs, fd)
-	p.mu.Unlock()
-	if !ok {
+	if uint(fd) >= uint(len(p.cbs)) || p.cbs[fd] == nil {
 		return
 	}
+	p.cbs[fd] = nil
 	// Ignore the error: the fd may already be closed, which removed it.
 	_ = syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_DEL, fd, nil)
 	p.registered.Add(-1)
@@ -157,10 +155,8 @@ func (p *Poller) Unregister(fd int) {
 func (p *Poller) Post(fn func()) {
 	p.mu.Lock()
 	p.tasks = append(p.tasks, fn)
-	wake := !p.wakePending
-	p.wakePending = true
 	p.mu.Unlock()
-	if wake {
+	if p.wakePending.CompareAndSwap(false, true) {
 		var b [1]byte
 		_, _ = syscall.Write(p.wakeW, b[:]) // EAGAIN: pipe full, loop is waking anyway
 	}
@@ -210,55 +206,69 @@ func (p *Poller) nowTick() uint64 {
 func (p *Poller) loop() {
 	defer close(p.done)
 	events := make([]syscall.EpollEvent, 128)
-	for {
-		if d := p.wheel.NextDelay(); d >= 0 {
-			_ = p.epf.SetReadDeadline(time.Now().Add(d))
-		} else {
-			_ = p.epf.SetReadDeadline(time.Time{})
-		}
-		fatal := false
+	for exit := false; !exit; {
 		// Park in the runtime netpoller until the epoll ready list goes
-		// non-empty or the wheel deadline expires; every epoll_wait below is
-		// msec=0 (never blocking in a raw syscall). The callback must drain
-		// the ready list to empty before parking: the runtime's nested-epoll
-		// subscription is edge-triggered, so the only guaranteed future
-		// notification is the empty→non-empty transition.
+		// non-empty or the wheel deadline expires; every epoll_wait is msec=0
+		// (never blocking in a raw syscall). The callback runs once on entry
+		// and once per runtime wakeup, and does the whole turn — harvest,
+		// tasks, timers — before returning false to park again: re-entering
+		// Read would reset the runtime's readiness flag and lose an edge that
+		// arrived since the harvest. That flag is what makes one epoll_wait
+		// per wakeup enough: a batch shorter than the event buffer emptied
+		// the ready list (the drain rule the relays apply to read(2)), and
+		// the runtime's edge-triggered nested-epoll subscription reports the
+		// next empty→non-empty transition.
 		err := p.eprc.Read(func(uintptr) bool {
-			got := false
 			for {
 				n, werr := syscall.EpollWait(p.epfd, events, 0)
 				if werr == syscall.EINTR {
 					continue
 				}
 				if werr != nil {
-					// EBADF and friends: only plausible mid-shutdown.
-					fatal = true
-					return true
+					exit = true // EBADF and friends: only plausible mid-shutdown
+					break
 				}
-				if n == 0 {
-					return got // drained: proceed if we dispatched, else park
-				}
-				got = true
 				p.dispatch(events[:n])
+				if n < len(events) {
+					break
+				}
 			}
+			exit = p.turn() || exit
+			return exit
 		})
-		p.wakeups.Add(1)
-		p.runTasks()
-		p.wheel.Advance(p.nowTick())
-		p.timerFires.Store(p.wheel.Fired())
-		if p.closing {
-			p.runTasks() // drain anything queued by the final batch
-			return
-		}
-		if fatal || (err != nil && !errors.Is(err, os.ErrDeadlineExceeded)) {
-			// Closed under us without the closing task having run yet: a
-			// shutdown race. One more task sweep, then exit rather than spin.
-			p.runTasks()
-			return
+		if err != nil {
+			// The wheel deadline expired (and stays expired until turn sets
+			// another) — or epf was closed under us without the closing task
+			// having run: exit rather than spin.
+			p.armed = ^uint64(0)
+			exit = p.turn() || !errors.Is(err, os.ErrDeadlineExceeded)
 		}
 	}
+	p.runTasks() // anything queued by the final batch
 }
 
+// turn runs what follows every harvest — posted tasks, due timers — and
+// re-arms the park deadline if the wheel's next expiry moved. It reports
+// whether Close has asked the loop to exit.
+func (p *Poller) turn() bool {
+	p.wakeups.Add(1)
+	p.runTasks()
+	p.wheel.Advance(p.nowTick())
+	p.timerFires.Store(p.wheel.Fired())
+	if d := p.wheel.NextDelay(); d < 0 {
+		if p.armed != 0 {
+			_ = p.epf.SetReadDeadline(time.Time{})
+			p.armed = 0
+		}
+	} else if at := p.wheel.Now() + uint64(d/p.wheel.Tick()); at != p.armed {
+		_ = p.epf.SetReadDeadline(time.Now().Add(d))
+		p.armed = at
+	}
+	return p.closing
+}
+
+// dispatch routes one batch of events through the loop-owned callback table:
+// no lock, no map, no allocation per event.
 func (p *Poller) dispatch(events []syscall.EpollEvent) {
 	for i := range events {
 		fd := int(events[i].Fd)
@@ -266,17 +276,16 @@ func (p *Poller) dispatch(events []syscall.EpollEvent) {
 			p.drainWake()
 			continue
 		}
-		p.mu.Lock()
-		cb := p.cbs[fd]
-		p.mu.Unlock()
-		if cb == nil {
+		if fd >= len(p.cbs) || p.cbs[fd] == nil {
 			continue // unregistered after the event was queued
 		}
 		bits := events[i].Events
 		errish := bits&uint32(syscall.EPOLLERR|syscall.EPOLLHUP) != 0
-		cb(Event{
-			Readable: errish || bits&uint32(syscall.EPOLLIN|syscall.EPOLLRDHUP) != 0,
+		hangup := errish || bits&uint32(syscall.EPOLLRDHUP) != 0
+		p.cbs[fd](Event{
+			Readable: hangup || bits&uint32(syscall.EPOLLIN) != 0,
 			Writable: errish || bits&uint32(syscall.EPOLLOUT) != 0,
+			Hangup:   hangup,
 		})
 	}
 }
@@ -291,16 +300,16 @@ func (p *Poller) drainWake() {
 	}
 }
 
+// runTasks runs posted tasks until none are queued. wakePending is cleared
+// under mu together with taking the queue, so a Post that lands after the
+// take always writes a fresh wake byte.
 func (p *Poller) runTasks() {
-	for {
+	for p.wakePending.Load() {
 		p.mu.Lock()
 		tasks := p.tasks
 		p.tasks = nil
-		p.wakePending = false
+		p.wakePending.Store(false)
 		p.mu.Unlock()
-		if len(tasks) == 0 {
-			return
-		}
 		for _, fn := range tasks {
 			fn()
 		}

@@ -7,6 +7,7 @@
 package perf
 
 import (
+	"io"
 	"net"
 	"net/netip"
 	"testing"
@@ -395,6 +396,77 @@ func TestRelayPoolCyclesZeroAlloc(t *testing.T) {
 	}
 	cycle := func() { lbproxy.PipeCycle() }
 	assertZeroAllocs(t, "splice pipe pool cycle", cycle, cycle)
+}
+
+// TestEventRelayMessageCycleZeroAlloc pins the default dataplane's
+// steady-state message cycle — readiness event, estimator observation,
+// forward, park — for a request and its response: through real sockets,
+// with an echo backend and this goroutine as the client, a whole exchange
+// allocates nothing anywhere in the process. (That the cycle also leaves
+// Proxy.bufs and the pipe pool alone is pinned next to the relay, by
+// lbproxy's TestNetpollLoopOwnedResources; the poller's share by netpoll's
+// TestDispatchZeroAllocLockFree.)
+func TestEventRelayMessageCycleZeroAlloc(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	go func() {
+		c, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		buf := make([]byte, 4096)
+		for {
+			n, err := c.Read(buf)
+			if err != nil {
+				return
+			}
+			if _, err := c.Write(buf[:n]); err != nil {
+				return
+			}
+		}
+	}()
+	p, err := lbproxy.New(lbproxy.Config{
+		Backends: []string{lis.Addr().String()},
+		Policy:   control.NewRoundRobin(1),
+		Splice:   true,
+		Netpoll:  true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if mode, reason := p.Dataplane(); mode != "netpoll" {
+		t.Skipf("event relay unavailable: %s", reason)
+	}
+	if err := p.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = p.Serve() }()
+	c, err := net.DialTimeout("tcp", p.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_ = c.SetDeadline(time.Now().Add(30 * time.Second))
+	msg, back := make([]byte, 64), make([]byte, 64)
+	exchange := func() {
+		if _, err := c.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(c, back); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warmup := func() {
+		for i := 0; i < 100; i++ {
+			exchange()
+		}
+	}
+	assertZeroAllocs(t, "event relay request/response cycle", warmup, exchange)
 }
 
 // TestDialPoolCycleAllocCeiling pins the backend-connection pool's
