@@ -5,7 +5,7 @@
 //	go test -bench=. -benchmem
 //
 // The figure benches report their headline shape metrics via
-// b.ReportMetric, so `bench_output.txt` doubles as the reproduction record.
+// b.ReportMetric, so the benchmark output doubles as the reproduction record.
 package inbandlb_test
 
 import (

@@ -55,7 +55,7 @@ func main() {
 		drainTO     = flag.Duration("drain-timeout", 0, "grace period for in-flight connections on shutdown (0 = immediate)")
 		acceptors   = flag.Int("acceptors", 1, "parallel accept loops (SO_REUSEPORT listener shards on Linux)")
 		splice      = flag.Bool("splice", true, "zero-copy splice(2) relay on Linux (falls back to buffer copies elsewhere)")
-		netpoll     = flag.Bool("netpoll", true, "event-driven epoll dataplane on Linux: O(acceptors) relay goroutines instead of 2 per connection (false, or a platform without epoll: goroutine relays)")
+		netpoll     = flag.Bool("netpoll", true, "event-driven epoll dataplane on Linux: connections live on O(acceptors) event loops from accept to close, no goroutine per connection (false or no epoll: goroutine relays; -pool-idle > 0 or a hostname backend: goroutines accept and dial, the loops relay; the second start-up line says what is in effect)")
 		poolIdle    = flag.Int("pool-idle", 0, "max idle pooled connections per backend (0 = pooling off)")
 		poolMaxAge  = flag.Duration("pool-max-age", 30*time.Second, "evict pooled backend connections older than this (0 = no cap)")
 		congSignals = flag.Bool("congestion-signals", false, "sample TCP_INFO retransmissions per relayed backend connection and feed them to the passive detector as transport-distress evidence (Linux; no-op elsewhere)")

@@ -109,6 +109,7 @@ func (p *Proxy) writeMetrics(w io.Writer) {
 		{"lbproxy_accept_errors_total", "Accept failures the acceptors backed off from and retried.", st.AcceptErrors},
 		{"lbproxy_dataplane_fallback_connections_total", "Connections the event relay could not take, relayed by goroutines instead.", st.NetpollFallbacks},
 		{"lbproxy_dial_errors_total", "Connections that failed every dial attempt.", st.DialErrors},
+		{"lbproxy_backend_connect_timeouts_total", "Backend connects ended by the dial timeout.", st.ConnectTimeouts},
 		{"lbproxy_dropped_total", "Connections dropped for lack of any admitted backend.", st.Dropped},
 		{"lbproxy_fallbacks_total", "Connections rerouted away from an ejected backend.", st.Fallbacks},
 		{"lbproxy_failovers_total", "Connections rescued by the post-dial-error retry.", st.Failovers},
@@ -142,6 +143,8 @@ func (p *Proxy) writeMetrics(w io.Writer) {
 	}
 	m.family("lbproxy_active_connections", "Currently relayed connections.", "gauge")
 	m.sample("lbproxy_active_connections", "", float64(st.Active))
+	m.family("lbproxy_backend_connects_inflight", "Backend connects in progress: connections accepted and routed but not relaying yet.", "gauge")
+	m.sample("lbproxy_backend_connects_inflight", "", float64(st.ConnectsInflight))
 	m.family("lbproxy_tracked_flows", "Live flow-table population.", "gauge")
 	m.sample("lbproxy_tracked_flows", "", float64(p.flows.Len()))
 

@@ -143,6 +143,8 @@ func TestAdminMetricsValidPrometheus(t *testing.T) {
 		"lbproxy_dataplane",
 		"lbproxy_dataplane_fallback_connections_total",
 		"lbproxy_backend_connections_total",
+		"lbproxy_backend_connects_inflight",
+		"lbproxy_backend_connect_timeouts_total",
 		"lbproxy_backend_health_state",
 		"lbproxy_backend_admission",
 		"lbproxy_audit_written_total",

@@ -18,6 +18,11 @@ import (
 // the lock so a slow socket never stalls registration. An entry whose
 // sample fails (connection closed, wrapped, or TCP_INFO latched broken) is
 // dropped.
+//
+// That registry serves the goroutine relay. On the event relay a backend
+// socket is an fd its shard's loop owns: the npRelay carries its own
+// congEntry and the shard samples its live relays from a wheel timer
+// (npShard.congTick), with no registry and no lock.
 
 // congEntry is one registered backend connection.
 type congEntry struct {
@@ -59,8 +64,9 @@ func (p *Proxy) congFinal(server net.Conn) {
 }
 
 // congCharge folds one cumulative reading into an entry, forwarding the
-// growth to the controller. Called with congMu held — the lock serializes
-// the sampling loop against congFinal racing the same entry. The
+// growth to the controller. For a registry entry it is called with congMu
+// held — the lock serializes the sampling loop against congFinal racing the
+// same entry; a relay's own entry is touched by its loop alone. The
 // controller's congestion channel shards under its own locks and never
 // takes congMu, so the ordering is acyclic.
 func (p *Proxy) congCharge(e *congEntry, total uint32) {

@@ -285,6 +285,17 @@ func TestProxyCongestionSignalsStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-socket stress test")
 	}
+	// Pooling on: the final sample must race pool recycling too (goroutines
+	// admit; a socket alternates between a loop's fd and the pool's
+	// net.Conn). Pooling off: the loops admit. Either way each shard samples
+	// its own sockets from its wheel; with -netpoll=false it is the registry
+	// and congFinal throughout.
+	for _, poolIdle := range []int{4, 0} {
+		t.Run(fmt.Sprintf("pool-idle-%d", poolIdle), func(t *testing.T) { congestionStress(t, poolIdle) })
+	}
+}
+
+func congestionStress(t *testing.T, poolIdle int) {
 	const nBackends = 3
 	backends := make([]string, nBackends)
 	for i := range backends {
@@ -292,11 +303,10 @@ func TestProxyCongestionSignalsStress(t *testing.T) {
 	}
 
 	proxy, err := New(Config{
-		Backends:        backends,
-		Policy:          control.NewRoundRobin(nBackends),
-		ControlInterval: time.Millisecond,
-		// Pooling on: congFinal must race pool recycling too.
-		PoolIdle:                 4,
+		Backends:                 backends,
+		Policy:                   control.NewRoundRobin(nBackends),
+		ControlInterval:          time.Millisecond,
+		PoolIdle:                 poolIdle,
 		CongestionSignals:        true,
 		CongestionSampleInterval: time.Millisecond,
 		FlowTable:                core.FlowTableConfig{IdleTimeout: 100 * time.Millisecond},

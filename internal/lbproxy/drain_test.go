@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -331,16 +332,7 @@ func TestAcceptLoopSurvivesAcceptErrors(t *testing.T) {
 	go func() { served <- p.Serve() }()
 	defer p.Close()
 
-	c, err := net.DialTimeout("tcp", p.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_ = c.SetDeadline(time.Now().Add(5 * time.Second))
-	pingPong(t, c, 1)
-	if st := p.Stats(); st.AcceptErrors != 3 || st.Accepted != 1 {
-		t.Errorf("acceptErrors = %d, accepted = %d; want 3 and 1", st.AcceptErrors, st.Accepted)
-	}
+	acceptAfterErrors(t, p)
 	select {
 	case err := <-served:
 		t.Fatalf("Serve returned on a retryable accept error: %v", err)
@@ -354,6 +346,23 @@ func TestAcceptLoopSurvivesAcceptErrors(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve still running after its listener closed")
+	}
+}
+
+// acceptAfterErrors connects once through a proxy whose acceptor fails its
+// first three accepts, and expects the connection served and the failures
+// counted.
+func acceptAfterErrors(t *testing.T, p *Proxy) {
+	t.Helper()
+	c, err := net.DialTimeout("tcp", p.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+	pingPong(t, c, 1)
+	if st := p.Stats(); st.AcceptErrors != 3 || st.Accepted != 1 {
+		t.Errorf("acceptErrors = %d, accepted = %d; want 3 and 1", st.AcceptErrors, st.Accepted)
 	}
 }
 
@@ -400,13 +409,39 @@ func TestFlowKeyForDirectMatchesStringPath(t *testing.T) {
 // wrappedConn hides the *net.TCPConn: the event relay cannot take it.
 type wrappedConn struct{ net.Conn }
 
-// TestDataplaneReported: the proxy names its live dataplane and why it is
-// not the event relay, and counts the connections that fell back one by one.
+// TestDataplaneReported: the proxy names its live dataplane, why it is not
+// the event relay or why goroutines still admit for it, and counts the
+// connections that fell back one by one.
 func TestDataplaneReported(t *testing.T) {
 	baddr := echoBackend(t)
-	off, _ := startProxyCfg(t, Config{Backends: []string{baddr}, Policy: control.NewRoundRobin(1)})
-	if mode, reason := off.Dataplane(); mode != "goroutine" || reason == "" {
-		t.Errorf("Netpoll unset: dataplane %q (%q), want goroutine with a reason", mode, reason)
+	_, port, _ := net.SplitHostPort(baddr)
+	for _, tc := range []struct {
+		name       string
+		cfg        Config
+		mode, word string // word: what the reason must mention ("" = no reason)
+	}{
+		{"netpoll unset", Config{Backends: []string{baddr}}, "goroutine", "disabled"},
+		{"default", Config{Backends: []string{baddr}, Netpoll: true}, "netpoll", ""},
+		{"hostname backend", Config{Backends: []string{"localhost:" + port}, Netpoll: true}, "netpoll", "goroutine admit"},
+		{"dial pool", Config{Backends: []string{baddr}, Netpoll: true, PoolIdle: 1}, "netpoll", "goroutine admit: the dial pool"},
+		{"dial pool, hostname backend", Config{Backends: []string{"localhost:" + port}, Netpoll: true, PoolIdle: 1}, "goroutine", "on-loop redials"},
+	} {
+		tc.cfg.Policy = control.NewRoundRobin(1)
+		p, paddr := startProxyCfg(t, tc.cfg)
+		if tc.mode == "netpoll" {
+			requireNetpoll(t, p)
+		}
+		mode, reason := p.Dataplane()
+		if mode != tc.mode || (tc.word == "") != (reason == "") || !strings.Contains(reason, tc.word) {
+			t.Errorf("%s: dataplane %q (%q), want %q mentioning %q", tc.name, mode, reason, tc.mode, tc.word)
+		}
+		c, err := net.DialTimeout("tcp", paddr, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+		pingPong(t, c, 2) // every admit serves
+		_ = c.Close()
 	}
 
 	var wrap sync.Once // first backend conn only
@@ -423,8 +458,8 @@ func TestDataplaneReported(t *testing.T) {
 		},
 	})
 	requireNetpoll(t, on)
-	if mode, reason := on.Dataplane(); mode != "netpoll" || reason != "" {
-		t.Errorf("dataplane %q (%q), want netpoll", mode, reason)
+	if mode, reason := on.Dataplane(); mode != "netpoll" || !strings.Contains(reason, "Config.Dial") {
+		t.Errorf("dataplane %q (%q), want netpoll with the Dial hook named", mode, reason)
 	}
 	for i := 0; i < 2; i++ {
 		c, err := net.DialTimeout("tcp", paddr, time.Second)
@@ -438,7 +473,7 @@ func TestDataplaneReported(t *testing.T) {
 	if st := on.Stats(); st.NetpollFallbacks != 1 || st.Accepted != 2 {
 		t.Errorf("fallbacks = %d of %d accepted, want 1 of 2", st.NetpollFallbacks, st.Accepted)
 	}
-	if snap := on.Snapshot(); snap.Dataplane != "netpoll" || snap.DataplaneFallback != "" {
+	if snap := on.Snapshot(); snap.Dataplane != "netpoll" || !strings.Contains(snap.DataplaneFallback, "Config.Dial") {
 		t.Errorf("status page: dataplane %q fallback %q", snap.Dataplane, snap.DataplaneFallback)
 	}
 }

@@ -1,0 +1,692 @@
+//go:build linux
+
+package lbproxy
+
+import (
+	"bytes"
+	"io"
+	"net"
+	"os"
+	"runtime"
+	"sync/atomic"
+	"syscall"
+	"testing"
+	"time"
+
+	"inbandlb/internal/control"
+	"inbandlb/internal/testbed"
+)
+
+// The lifecycle suite checks the on-loop connection lifecycle one connection
+// at a time, as oracles rather than stress: every test drives a single
+// transition of accept → connecting → relaying → draining → closed and then
+// requires the accounting identity, the counters that name the transition,
+// and the process's fd table back at its baseline.
+
+// fdSet is what the process's descriptors point at ("socket:[inode]", ...).
+type fdSet map[string]bool
+
+// openFDs snapshots the fd table.
+func openFDs(t *testing.T) fdSet {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	set := fdSet{}
+	for _, e := range ents {
+		if target, err := os.Readlink("/proc/self/fd/" + e.Name()); err == nil { // ReadDir's own fd is gone by now
+			set[target] = true
+		}
+	}
+	return set
+}
+
+// waitFDs waits until nothing is open that was not open at base — the loop
+// closes what a turn retired when the turn ends. Descriptors that went away
+// since (an earlier test's connection the GC finalized) are not its concern.
+func waitFDs(t *testing.T, base fdSet) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		var leaked []string
+		for target := range openFDs(t) {
+			if !base[target] {
+				leaked = append(leaked, target)
+			}
+		}
+		if len(leaked) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("descriptors opened since the baseline and still open: %v", leaked)
+			return
+		}
+	}
+}
+
+// waitSettled waits until no connection is connecting or relaying.
+func waitSettled(t *testing.T, p *Proxy, accepted uint64) Stats {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := p.Stats()
+		var routed uint64
+		for _, n := range st.PerBackend {
+			routed += n
+		}
+		done := st.Accepted == accepted && st.Active == 0 && st.ConnectsInflight == 0 &&
+			st.Accepted == routed+st.DialErrors+st.Dropped
+		if done || time.Now().After(deadline) {
+			if !done {
+				t.Errorf("proxy did not settle: %+v", st)
+			}
+			return st
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// plainEcho is echoBackend without io.Copy: between two TCP sockets that
+// splices through pipes package net keeps pooled, which would show in the fd
+// table these tests hold to a baseline.
+func plainEcho(t *testing.T) string {
+	return serveOnce(t, func(c net.Conn) {
+		buf := make([]byte, 4096)
+		for {
+			n, err := c.Read(buf)
+			if err != nil {
+				return
+			}
+			if _, err := c.Write(buf[:n]); err != nil {
+				return
+			}
+		}
+	})
+}
+
+// loopProxy starts a proxy whose loops admit, and fails the test if they
+// do not.
+func loopProxy(t *testing.T, cfg Config) (*Proxy, string) {
+	t.Helper()
+	cfg.Netpoll = true
+	if cfg.Policy == nil {
+		cfg.Policy = control.NewRoundRobin(len(cfg.Backends))
+	}
+	p, paddr := startProxyCfg(t, cfg)
+	requireNetpoll(t, p)
+	if mode, reason := p.Dataplane(); mode != "netpoll" || reason != "" {
+		t.Fatalf("dataplane %q (%q): the loops do not admit", mode, reason)
+	}
+	return p, paddr
+}
+
+// waitConnecting waits for the one connection's backend connect to show in
+// the in-flight gauge.
+func waitConnecting(t *testing.T, p *Proxy) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); p.Stats().ConnectsInflight != 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("connect never showed as in flight: %+v", p.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// expectClosed reads until the proxy ends the connection.
+func expectClosed(t *testing.T, c net.Conn) {
+	t.Helper()
+	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := c.Read(make([]byte, 1)); err == nil || os.IsTimeout(err) {
+		t.Fatalf("connection still open: read %d bytes, err=%v", n, err)
+	}
+}
+
+// TestLoopAdmitDialOutcomes: a refused connect fails over, two refused
+// connects are a DialError, an ejected pool is a Drop — each lands in exactly
+// one bucket of Accepted == ΣPerBackend + DialErrors + Dropped and leaks no
+// fd.
+func TestLoopAdmitDialOutcomes(t *testing.T) {
+	live := plainEcho(t)
+	cases := []struct {
+		name                         string
+		backends                     []string
+		eject                        bool
+		serves                       bool
+		failovers, dialErrs, dropped uint64
+		perBackend                   []uint64
+	}{
+		{name: "connected", backends: []string{live, deadAddr(t)}, serves: true, perBackend: []uint64{1, 0}},
+		{name: "refused, failover rescues", backends: []string{deadAddr(t), live}, serves: true, failovers: 1, perBackend: []uint64{0, 1}},
+		{name: "both refuse", backends: []string{deadAddr(t), deadAddr(t)}, dialErrs: 1, perBackend: []uint64{0, 0}},
+		{name: "whole pool ejected", backends: []string{live, live}, eject: true, dropped: 1, perBackend: []uint64{0, 0}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, paddr := loopProxy(t, Config{Backends: tc.backends})
+			if tc.eject {
+				p.ctrl.SetEjected(0, true)
+				p.ctrl.SetEjected(1, true)
+			}
+			base := openFDs(t)
+			c, err := net.DialTimeout("tcp", paddr, time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+			if tc.serves {
+				pingPong(t, c, 2)
+			} else {
+				expectClosed(t, c)
+			}
+			_ = c.Close()
+			st := waitSettled(t, p, 1)
+			if st.Failovers != tc.failovers || st.DialErrors != tc.dialErrs || st.Dropped != tc.dropped {
+				t.Errorf("failovers=%d dialErrors=%d dropped=%d, want %d %d %d",
+					st.Failovers, st.DialErrors, st.Dropped, tc.failovers, tc.dialErrs, tc.dropped)
+			}
+			for i, want := range tc.perBackend {
+				if st.PerBackend[i] != want {
+					t.Errorf("perBackend = %v, want %v", st.PerBackend, tc.perBackend)
+					break
+				}
+			}
+			waitFDs(t, base)
+		})
+	}
+}
+
+// stalledBackend is a listening socket whose accept queue is full, so the
+// kernel drops further SYNs: a connect to it neither completes nor fails.
+// release starts accepting; the connecting side's next SYN retransmission
+// (about a second after the first) then completes.
+type stalledBackend struct {
+	addr    string
+	lis     net.Listener
+	fillers []net.Conn
+}
+
+func newStalledBackend(t *testing.T) *stalledBackend {
+	t.Helper()
+	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_STREAM|syscall.SOCK_CLOEXEC, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := syscall.Bind(fd, &syscall.SockaddrInet4{Addr: [4]byte{127, 0, 0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := syscall.Listen(fd, 1); err != nil {
+		t.Fatal(err)
+	}
+	f := os.NewFile(uintptr(fd), "stalled-backend")
+	lis, err := net.FileListener(f)
+	_ = f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = lis.Close() })
+	sb := &stalledBackend{addr: lis.Addr().String(), lis: lis}
+	// Fill the accept queue: dials succeed until it is full, then hang.
+	for i := 0; ; i++ {
+		c, err := net.DialTimeout("tcp", sb.addr, 150*time.Millisecond)
+		if err != nil {
+			return sb
+		}
+		sb.fillers = append(sb.fillers, c)
+		t.Cleanup(func() { _ = c.Close() })
+		if i == 16 {
+			t.Skip("this kernel never fills a listen(1) accept queue")
+		}
+	}
+}
+
+// release closes the connections that filled the queue and accepts from now
+// on, running fn on every connection — the fillers first (fn sees their EOF
+// at once) and then whatever was stalled.
+func (sb *stalledBackend) release(fn func(net.Conn)) {
+	for _, c := range sb.fillers {
+		_ = c.Close()
+	}
+	go func() {
+		for {
+			c, err := sb.lis.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				fn(c)
+			}()
+		}
+	}()
+}
+
+// TestLoopConnectTimeout: a connect that never completes is ended by the
+// wheel at DialTimeout, reported to the passive detector like any failed
+// dial (one strike ejects here), counted, and failed over — leaking no fd.
+func TestLoopConnectTimeout(t *testing.T) {
+	sb := newStalledBackend(t)
+	const dialTimeout = 150 * time.Millisecond
+	p, paddr := loopProxy(t, Config{
+		Backends: []string{sb.addr, plainEcho(t)}, DialTimeout: dialTimeout,
+		Detector: control.DetectorConfig{Enabled: true, FailureThreshold: 1},
+	})
+	base := openFDs(t)
+	start := time.Now()
+	c, err := net.DialTimeout("tcp", paddr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	waitConnecting(t, p)
+	_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+	pingPong(t, c, 1) // served by the failover target once the wheel gives up on the first
+	if el := time.Since(start); el < dialTimeout || el > dialTimeout+2*time.Second {
+		t.Errorf("first exchange took %v, want DialTimeout (%v) and a little", el, dialTimeout)
+	}
+	_ = c.Close()
+	st := waitSettled(t, p, 1)
+	if st.ConnectTimeouts != 1 || st.Failovers != 1 || st.DialErrors != 0 || st.PerBackend[0] != 0 || st.PerBackend[1] != 1 {
+		t.Errorf("connectTimeouts=%d failovers=%d dialErrors=%d perBackend=%v, want 1, 1, 0, [0 1]",
+			st.ConnectTimeouts, st.Failovers, st.DialErrors, st.PerBackend)
+	}
+	if n := p.ctrl.Ejections(0); n != 1 {
+		t.Errorf("detector ejections = %d, want 1: the timed-out connect was not reported", n)
+	}
+	waitFDs(t, base)
+}
+
+// TestLoopConnectAfterIdle: DialTimeout counts from the connect, however long
+// the loop sat parked before the accept — a connection that arrives after a
+// pause longer than DialTimeout must not be timed out on the spot.
+func TestLoopConnectAfterIdle(t *testing.T) {
+	const dialTimeout = 50 * time.Millisecond
+	p, paddr := loopProxy(t, Config{Backends: []string{plainEcho(t)}, DialTimeout: dialTimeout})
+	for i := 0; i < 3; i++ {
+		time.Sleep(3 * dialTimeout)
+		c, err := net.DialTimeout("tcp", paddr, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+		pingPong(t, c, 1)
+		_ = c.Close()
+	}
+	if st := waitSettled(t, p, 3); st.ConnectTimeouts != 0 || st.DialErrors != 0 || st.PerBackend[0] != 3 {
+		t.Errorf("connectTimeouts=%d dialErrors=%d perBackend=%v, want 0, 0, [3]",
+			st.ConnectTimeouts, st.DialErrors, st.PerBackend)
+	}
+}
+
+// TestLoopRequestAndFINBeforeConnect: the client's request and FIN both
+// arrive while the backend connect is still in flight. The client fd joins
+// the epoll set only once the backend is connected, and that registration
+// must deliver the bytes and the half-close.
+func TestLoopRequestAndFINBeforeConnect(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out a SYN retransmission")
+	}
+	sb := newStalledBackend(t)
+	p, paddr := loopProxy(t, Config{Backends: []string{sb.addr}, DialTimeout: 10 * time.Second})
+	base := openFDs(t)
+	c, err := net.DialTimeout("tcp", paddr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	req := []byte("request, then straight away a FIN\r\n")
+	if _, err := c.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	waitConnecting(t, p)
+	got := make(chan []byte, 1)
+	sb.release(func(bc net.Conn) {
+		b, _ := io.ReadAll(bc) // returns at the forwarded FIN
+		if len(b) > 0 {        // the fillers send nothing
+			got <- b
+			_, _ = bc.Write([]byte("ok"))
+		}
+	})
+	select {
+	case b := <-got:
+		if !bytes.Equal(b, req) {
+			t.Errorf("backend read %q, want %q", b, req)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("backend never saw the request and EOF")
+	}
+	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if reply, err := io.ReadAll(c); err != nil || string(reply) != "ok" {
+		t.Errorf("reply %q err=%v, want ok then EOF", reply, err)
+	}
+	_ = c.Close()
+	if st := waitSettled(t, p, 1); st.PerBackend[0] != 1 {
+		t.Errorf("perBackend = %v, want [1]", st.PerBackend)
+	}
+	waitFDs(t, base)
+}
+
+// TestLoopClientResetWhileConnecting: the client resets during the backend
+// connect. Nothing watches the client fd then; the connect completes, the
+// connection is counted, and the client fd's first event tears both sockets
+// down — nothing is lost from the identity, and no fd stays behind.
+func TestLoopClientResetWhileConnecting(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out a SYN retransmission")
+	}
+	sb := newStalledBackend(t)
+	p, paddr := loopProxy(t, Config{Backends: []string{sb.addr}, DialTimeout: 10 * time.Second})
+	base := openFDs(t)
+	c, err := net.DialTimeout("tcp", paddr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitConnecting(t, p)
+	_ = c.(*net.TCPConn).SetLinger(0)
+	_ = c.Close() // RST
+	closed := make(chan struct{}, 8)
+	sb.release(func(bc net.Conn) {
+		_, _ = io.Copy(io.Discard, bc)
+		closed <- struct{}{}
+	})
+	for range sb.fillers {
+		<-closed
+	}
+	st := waitSettled(t, p, 1)
+	if st.PerBackend[0] != 1 || st.DialErrors != 0 {
+		t.Errorf("perBackend=%v dialErrors=%d, want [1] and 0", st.PerBackend, st.DialErrors)
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Error("backend connection was not closed after the client reset")
+	}
+	waitFDs(t, base)
+}
+
+// TestLoopAcceptBurstGoroutinesFlat: admitting a connection creates no
+// goroutine at all — not a short-lived one either — so the count stays where
+// it was through a 1 000-connection burst.
+func TestLoopAcceptBurstGoroutinesFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live-socket scale test")
+	}
+	const nConns = 1000
+	if testbed.MaxProxiedConns() < nConns {
+		t.Skip("fd limit too low for the burst")
+	}
+	backends, stopBackends, err := testbed.StartAcceptBackends(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopBackends()
+	p, paddr := loopProxy(t, Config{Backends: backends, Acceptors: 2, Splice: true})
+
+	conns := make([]net.Conn, 0, nConns)
+	defer func() {
+		for _, c := range conns {
+			_ = c.Close()
+		}
+	}()
+	var base, peak int
+	for i := 0; i < nConns; i++ {
+		if i == 1 {
+			// The first connection is relaying: Serve and the background
+			// loops it starts are all up. Everything after this is burst.
+			for deadline := time.Now().Add(5 * time.Second); p.Stats().Active < 1 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			base = runtime.NumGoroutine()
+			peak = base
+		}
+		c, err := net.Dial("tcp", paddr) // a dial with a timeout runs a watcher goroutine of its own
+		if err != nil {
+			t.Fatalf("dial %d: %v", i, err)
+		}
+		conns = append(conns, c)
+		peak = max(peak, runtime.NumGoroutine())
+	}
+	for deadline := time.Now().Add(15 * time.Second); p.Stats().Active < nConns && time.Now().Before(deadline); {
+		peak = max(peak, runtime.NumGoroutine())
+		time.Sleep(time.Millisecond)
+	}
+	if a := p.Stats().Active; a != nConns {
+		t.Fatalf("active = %d, want %d", a, nConns)
+	}
+	if peak != base {
+		t.Errorf("goroutines peaked at %d during the burst, %d before it: want no goroutine per connection", peak, base)
+	}
+}
+
+// TestLoopAcceptorSurvivesAcceptErrors is TestAcceptLoopSurvivesAcceptErrors
+// for the on-loop acceptor, where the failure mode is worse: the connection
+// that EMFILE left in the backlog raises no new edge, so only the wheel's
+// re-arm ever accepts it.
+func TestLoopAcceptorSurvivesAcceptErrors(t *testing.T) {
+	p, err := New(Config{Backends: []string{echoBackend(t)}, Policy: control.NewRoundRobin(1), Netpoll: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireNetpoll(t, p)
+	if err := p.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	s := p.np[0]
+	real, fails := s.accept4, 3
+	s.accept4 = func(lfd int) (int, syscall.Sockaddr, error) { // loop-only once Serve runs
+		if fails > 0 {
+			fails--
+			return -1, nil, syscall.EMFILE
+		}
+		return real(lfd)
+	}
+	go func() { _ = p.Serve() }()
+	defer p.Close()
+	start := time.Now()
+	acceptAfterErrors(t, p)
+	if el := time.Since(start); el < 35*time.Millisecond {
+		t.Errorf("served after %v: three failures should have backed off 5+10+20 ms", el)
+	}
+}
+
+// TestLoopAcceptFloodYieldsToRelays: an acceptor that spends its whole budget
+// and reposts itself turn after turn — a backlog that never runs dry — takes
+// one run per turn, so a relay on the same shard still gets its events in
+// between. (EINTR stands in for the flood: it costs budget like a connection
+// does and leaves nothing to clean up.)
+func TestLoopAcceptFloodYieldsToRelays(t *testing.T) {
+	p, paddr := loopProxy(t, Config{Backends: []string{plainEcho(t)}})
+	c, err := net.DialTimeout("tcp", paddr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+	pingPong(t, c, 1) // established
+
+	s := p.np[0]
+	real := s.accept4
+	var calls atomic.Uint64
+	s.pol.Post(func() {
+		s.accept4 = func(int) (int, syscall.Sockaddr, error) {
+			calls.Add(1)
+			return -1, nil, syscall.EINTR
+		}
+		s.accept()
+	})
+	pingPong(t, c, 50)
+	if n := calls.Load(); n < 2*npAcceptBudget {
+		t.Fatalf("the acceptor made %d calls: it was not flooding while the relay ran", n)
+	}
+	before := calls.Load()
+	s.pol.Post(func() { s.accept4 = real })
+	c2, err := net.DialTimeout("tcp", paddr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	_ = c2.SetDeadline(time.Now().Add(5 * time.Second))
+	pingPong(t, c2, 1) // the reposted acceptor reaches the real backlog
+	if calls.Load() == before {
+		t.Error("the acceptor was not still reposting when the flood ended")
+	}
+}
+
+// TestLoopPooledLifecycle walks a backend socket through the dial pool's two
+// edges on the event relay — recycled after a quiet PoolQuiesce, checked out
+// unproven for the next client — and requires that the loop lets go of it in
+// between: out of the epoll set while the pool holds it, no descriptor left
+// over once the proxy is closed.
+func TestLoopPooledLifecycle(t *testing.T) {
+	backend := plainEcho(t)
+	base := openFDs(t)
+	p, err := New(Config{Backends: []string{backend}, Policy: control.NewRoundRobin(1),
+		Netpoll: true, PoolIdle: 2, PoolQuiesce: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireNetpoll(t, p)
+	if err := p.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = p.Serve() }()
+	session := func(exchanges int) {
+		t.Helper()
+		c, err := net.DialTimeout("tcp", p.Addr().String(), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+		pingPong(t, c, exchanges)
+		_ = c.(*net.TCPConn).CloseWrite()
+		expectClosed(t, c) // the held-back FIN: the proxy ends the session after the grace
+		_ = c.Close()
+	}
+	waitRecycled := func(want uint64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			st := p.Stats()
+			if st.PoolRecycled == want && st.Active == 0 {
+				if n := st.Netpoll[0].RegisteredFDs; n != 0 {
+					t.Fatalf("%d fds registered with every relay closed: a pooled socket is still in the epoll set", n)
+				}
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("PoolRecycled never reached %d: %+v", want, st)
+			}
+		}
+	}
+	session(3) // dialed fresh, recycled
+	waitRecycled(1)
+	session(3) // the pooled socket, validated by its first write, recycled again
+	waitRecycled(2)
+	session(0) // checked out and never written to: still a relayed connection
+	waitRecycled(3)
+	st := waitSettled(t, p, 3)
+	if st.PoolHits != 2 || st.PerBackend[0] != 3 || st.DialErrors != 0 || st.PoolFirstWriteFails != 0 {
+		t.Errorf("hits=%d perBackend=%v dialErrors=%d firstWriteFails=%d, want 2, [3], 0, 0",
+			st.PoolHits, st.PerBackend, st.DialErrors, st.PoolFirstWriteFails)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFDs(t, base)
+}
+
+// TestLoopCloseRetiresListener: Close takes the listener out of the loop's
+// callback table before its fd is closed, and a connection that arrives
+// afterwards is refused rather than admitted by a shard that is shutting
+// down.
+func TestLoopCloseRetiresListener(t *testing.T) {
+	backend := plainEcho(t)
+	base := openFDs(t)
+	p, err := New(Config{Backends: []string{backend}, Policy: control.NewRoundRobin(1), Netpoll: true, Acceptors: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireNetpoll(t, p)
+	if err := p.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = p.Serve() }()
+	c, err := net.DialTimeout("tcp", p.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+	pingPong(t, c, 1)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	expectClosed(t, c)
+	_ = c.Close()
+	if c2, err := net.DialTimeout("tcp", p.Addr().String(), time.Second); err == nil {
+		_ = c2.Close()
+		t.Error("dial succeeded after Close: a listener fd is still open")
+	}
+	assertIdentity(t, p.Stats())
+	waitFDs(t, base)
+}
+
+// TestLoopSocketOptions: sockets the loop makes carry what package net's
+// would — TCP_NODELAY and keep-alive — the accepted one by inheritance from
+// the listener, the backend one set before connect.
+func TestLoopSocketOptions(t *testing.T) {
+	p, paddr := loopProxy(t, Config{Backends: []string{echoBackend(t)}})
+	c, err := net.DialTimeout("tcp", paddr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+	pingPong(t, c, 1)
+	type opts struct{ nodelay, keepalive, idle int }
+	read := func(fd int) (o opts) {
+		o.nodelay, _ = syscall.GetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_NODELAY)
+		o.keepalive, _ = syscall.GetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_KEEPALIVE)
+		o.idle, _ = syscall.GetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_KEEPIDLE)
+		return o
+	}
+	got := make(chan [2]opts, 1)
+	p.np[0].pol.Post(func() {
+		for rel := range p.np[0].live {
+			got <- [2]opts{read(rel.cfd), read(rel.sfd)}
+		}
+	})
+	want := opts{1, 1, keepAliveSecs}
+	select {
+	case o := <-got:
+		if o[0] != want || o[1] != want {
+			t.Errorf("client socket %+v, backend socket %+v, want %+v on both", o[0], o[1], want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no live relay on the shard")
+	}
+}
+
+// TestSockaddrFlowKeyMatchesConnPath: the key the loop builds from kernel
+// sockaddrs equals the one flowKeyFor builds from a net.Conn's addresses, so
+// a flow hashes, routes and shards the same whichever driver admitted it.
+func TestSockaddrFlowKeyMatchesConnPath(t *testing.T) {
+	for _, a := range []*net.TCPAddr{
+		{IP: net.IP{192, 168, 7, 9}, Port: 65535},
+		{IP: net.IPv4(10, 1, 2, 3), Port: 40001},
+		{IP: net.ParseIP("::ffff:10.0.0.1"), Port: 1},
+		{IP: net.ParseIP("2001:db8::1"), Port: 4242},
+	} {
+		var sa syscall.Sockaddr
+		if ip4 := a.IP.To4(); ip4 != nil && len(a.IP) == net.IPv4len {
+			sa = &syscall.SockaddrInet4{Port: a.Port, Addr: [4]byte(ip4)}
+		} else {
+			sa = &syscall.SockaddrInet6{Port: a.Port, Addr: [16]byte(a.IP.To16())}
+		}
+		ip, port := sockaddrIP4Port(sa)
+		wantIP, wantPort := ip4Port(a)
+		if ip != wantIP || port != wantPort {
+			t.Errorf("%v: sockaddr path %v:%d, net.Addr path %v:%d", a, ip, port, wantIP, wantPort)
+		}
+	}
+}

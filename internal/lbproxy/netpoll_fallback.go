@@ -11,12 +11,18 @@ import (
 )
 
 // Non-Linux builds have no epoll: Config.Netpoll is accepted but inert, and
-// every connection stays on the goroutine-per-connection relay path. This
-// mirrors splice_fallback.go's shape so shared code compiles everywhere.
+// every connection is admitted and relayed by goroutines. This mirrors
+// splice_fallback.go's shape so shared code compiles everywhere.
 
 type npShard struct{}
 
 func (p *Proxy) netpollInit() error { return netpoll.ErrUnsupported }
+
+func (p *Proxy) netpollAdopt([]net.Listener) error { return netpoll.ErrUnsupported }
+
+func (p *Proxy) netpollStart() error { return nil }
+
+func (p *Proxy) netpollStopAccept() {}
 
 func (p *Proxy) netpollStop() {}
 

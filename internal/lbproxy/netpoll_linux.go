@@ -3,8 +3,10 @@
 package lbproxy
 
 import (
+	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"os"
 	"syscall"
 	"time"
@@ -14,27 +16,48 @@ import (
 )
 
 // Event-driven dataplane: with Config.Netpoll, each acceptor shard owns one
-// internal/netpoll poller (an edge-triggered epoll loop plus a timing wheel),
-// and every relayed connection becomes one compact heap-allocated state
-// machine (npRelay) instead of two blocked goroutines. The per-connection
-// states mirror the goroutine path exactly:
+// internal/netpoll poller (an edge-triggered epoll loop plus a timing wheel)
+// and a connection lives on that loop from its first syscall to its last, as
+// one compact heap-allocated state machine (npRelay) — no goroutine, no
+// net.Conn, no runtime-poller entry:
 //
-//	awaiting-first-byte ──client chunk──▶ relaying (validation write for
-//	   │                                  pooled conns; first-byte
-//	   │ idle timer                       observation + estimator sample)
-//	   ▼
-//	teardown ◀─error/idle─ relaying ──clean client EOF──▶ draining
-//	                           │                             │ quiesce
-//	                           └──clean server EOF──▶ FIN    ▼ silence
-//	                               to client, drain      recycle into pool
+//	accept4 on the shard's listener ─route─▶ connecting ──EPOLLOUT + SO_ERROR 0──▶ relaying
+//	   │ no backend admits: Dropped          │ refused / DialTimeout on the wheel        │
+//	   ▼                                     ▼                                           │
+//	 closed            dialFailed: report, undo the debit, one failover connect;         │
+//	                   that failing too (or no target): DialErrors ──▶ closed            │
+//	                                                                                     │
+//	closed ◀─error/idle─ relaying ──clean EOF one way──▶ draining ──EOF the other way──▶ closed
+//
+// While connecting only the backend fd is registered; the client fd joins
+// the epoll set once the backend is connected, and registration reports
+// whatever the client sent meanwhile (FIN included) as its first event. A
+// relay enters PerBackend at that point and nowhere else; one that never
+// gets there ends in DialErrors.
 //
 // All relay state is owned by the poller's loop goroutine — readiness
 // callbacks, posted tasks, and wheel timers are serialized there — so the
-// state machine uses plain fields, no locks, no atomics. The relay also owns
-// both sockets outright: the handoff takes them out of the proxy's
-// force-close set and only finalize (on the loop) closes them, so the loop
-// makes its nonblocking read/write/splice calls straight on the cached fds
-// with no per-call guard against a concurrent Close.
+// state machine uses plain fields, no locks, no atomics. The loop also holds
+// the only descriptor of every socket it drives: teardown is shutdown(2) and
+// close(2), and close alone takes an fd out of the epoll set.
+//
+// The goroutine admit (acceptLoop → handle → netpollHandoff) remains for the
+// configurations in which the loop cannot make the backend socket itself — a
+// Config.Dial hook, a backend address that is not an IP literal, a dial pool
+// (it holds net.Conns). It hands the loop duplicates of the two descriptors
+// and closes the net.Conns, so from there on a relay is the same fd-owning
+// machine either way.
+//
+// Pooled backend connections (PoolIdle > 0) add two edges to the machine. One
+// checked out of the pool arrives unproven: only the client fd is registered,
+// the first request chunk's write is the validation, and a failed one is
+// accounted like a failed dial and sends the relay — chunk in hand — through
+// connecting, on the loop like any other connect. And a clean client EOF
+// starts the PoolQuiesce grace on the response direction's timer instead of
+// forwarding the FIN; silence until it fires recycles the backend socket:
+//
+//	unproven ──first write ok──▶ relaying ──client EOF──▶ quiescing ──silence──▶ closed, socket pooled
+//	    └──write fails──▶ connecting (same backend, then the one failover)
 //
 // The drain rule: a message costs two syscalls per direction. Edge-triggered
 // epoll raises a new edge for whatever arrives after a read, so a read that
@@ -54,68 +77,68 @@ import (
 //
 // Estimator equivalence: every request-direction chunk (one read or one
 // splice — the same granularity as one Read on the goroutine path) fires
-// ObserveHashed once, the first one after the pooled path's validation
-// write settles, and the response direction stays timestamp-free. Teardown
-// settles the same accounting as the goroutine relay: exactly one of
-// PerBackend/DialErrors per handed-off connection, FlowClosed only while
-// charged, ForgetHashed always.
+// ObserveHashed once, and the response direction stays timestamp-free.
 
-// npPumpBudget bounds chunks moved per pump invocation so one hot connection
-// cannot starve its shard; an exhausted pump reposts itself (edge-triggered
-// epoll will not re-fire for data that already arrived).
-const npPumpBudget = 32
+const (
+	// npPumpBudget bounds chunks moved per pump invocation so one hot
+	// connection cannot starve its shard; an exhausted pump reposts itself
+	// (edge-triggered epoll will not re-fire for data that already arrived).
+	npPumpBudget = 32
+	// npAcceptBudget bounds connections admitted per acceptor turn the same
+	// way: a SYN flood waits in the backlog while the shard's relays run.
+	npAcceptBudget = 32
+)
 
-// npShard pairs one poller with what its loop goroutine owns: the set of
-// live relays (shutdown must finalize idle ones, which will never see
-// another event), the read buffer, and the splice pipe (nil until first
-// used, and again whenever a blocked write walks off with it).
+// npShard pairs one poller with what its loop goroutine owns: the listening
+// socket (loop admit only), the set of live relays (shutdown must finalize
+// idle ones, which will never see another event), the read buffer, and the
+// splice pipe (nil until first used, and again whenever a blocked write
+// walks off with it).
 type npShard struct {
+	p    *Proxy
+	idx  int // acceptor index: the dial pool's stripe
 	pol  *netpoll.Poller
 	live map[*npRelay]struct{}
 	buf  []byte
 	pipe *spipe
-}
 
-// npEnd is one side of a relay: the connection and its fd.
-type npEnd struct {
-	conn       net.Conn
-	fd         int
-	registered bool
-}
+	backends []syscall.Sockaddr // connect targets, by backend index
 
-// newNPEnd wraps a connection for raw readiness-driven I/O. Only *net.TCPConn
-// qualifies — chaos wrappers and pipe test conns make the caller fall back to
-// the goroutine path.
-func newNPEnd(c net.Conn) (npEnd, bool) {
-	e := npEnd{conn: c, fd: -1}
-	if tc, ok := c.(*net.TCPConn); ok {
-		if rc, err := tc.SyscallConn(); err == nil {
-			_ = rc.Control(func(fd uintptr) { e.fd = int(fd) }) // fails on a closed conn
-		}
-	}
-	return e, e.fd >= 0
+	lfd       int     // listening socket; -1 without one
+	localIP   [4]byte // the flow key's destination half, when the
+	localPort uint16  // listener is bound to one address
+	localAny  bool    // wildcard listener: ask each accepted socket
+	acceptFn  func()  // s.accept, bound once for Post and the wheel
+	accept4   func(lfd int) (int, syscall.Sockaddr, error)
+	backoff   time.Duration  // current accept-error pause
+	retry     *netpoll.Timer // re-arms accept after an error: the edge will not
+	congTimer *netpoll.Timer // TCP_INFO sampling cadence
 }
 
 // npRelay is the per-connection state machine. Every field is loop-owned.
 type npRelay struct {
-	p          *Proxy
-	shard      *npShard
-	cEnd, sEnd npEnd // sEnd.conn is nil while a revalidation redial is in flight
-	backend    int
-	acceptor   int
-	hash       uint64
-	key        packet.FlowKey
-	born       time.Time
+	p        *Proxy
+	shard    *npShard
+	cfd, sfd int // client and backend sockets; sfd is -1 between connect attempts
+	backend  int
+	hash     uint64
+	key      packet.FlowKey
 
-	fromPool        bool
-	charged         bool // policy holds an open-flow debit for backend
-	counted         bool // committed to PerBackend/Active
-	validated       bool // pooled first-write verdict settled (or not pooled)
-	revalidating    bool // redial helper goroutine in flight; pumps are parked
-	reuseWanted     bool // clean client EOF with the server pool-eligible
-	recycled        bool // quiesce elapsed in silence: server conn poolable
-	finalized       bool
-	dialErrTerminal bool // revalidation exhausted every backend: DialErrors bucket
+	connecting bool // sfd is registered and its connect has not settled
+	failover   bool // this connect is the one-shot failover attempt
+	charged    bool // policy holds an open-flow debit for backend
+	counted    bool // backend connected: committed to PerBackend/Active
+	clientOn   bool // cfd is registered
+	finalized  bool
+
+	// Dial pool only (Config.PoolIdle > 0).
+	unproven    bool          // sfd came from the pool and has not taken a write yet
+	reuseWanted bool          // clean client EOF: the response side is in its quiesce grace
+	recycled    bool          // the grace passed in silence: sfd goes back to the pool
+	born        time.Time     // when sfd first entered the pool (zero: dialed for this relay)
+	firstAt     time.Duration // arrival of the chunk req.pend holds across a revalidation connect
+
+	cong congEntry // TCP_INFO delta state for sfd (Config.CongestionSignals)
 
 	req, resp npDir
 }
@@ -123,7 +146,7 @@ type npRelay struct {
 // npDir is one relay direction's pump state.
 type npDir struct {
 	rel       *npRelay
-	src, dst  *npEnd
+	src, dst  int  // fds, set once the backend is connected
 	observe   bool // request direction: chunk arrivals feed the estimator
 	done      bool
 	hup       bool // src's peer hung up: a short read no longer means drained
@@ -135,15 +158,29 @@ type npDir struct {
 	pp     *spipe // the shard's pipe, detached with inPipe bytes a blocked write left in it
 	inPipe int
 
-	idle *netpoll.Timer // idle deadline / quiesce grace on the wheel
+	// idle is this direction's deadline on the wheel: the idle bound while
+	// relaying and, on the request direction, DialTimeout while connecting.
+	idle *netpoll.Timer
 }
 
-// netpollInit creates one poller per acceptor shard. Any failure (including
-// the process-wide ENOSYS latch) is returned, leaving p.np nil and the proxy
-// on the goroutine-per-connection dataplane.
+// netpollInit creates one poller per acceptor shard and decides who admits
+// connections. Any failure (including the process-wide ENOSYS latch) is
+// returned, leaving p.np nil and the proxy on the goroutine-per-connection
+// dataplane. So is a dial pool the loops could not redial for: a pooled
+// connection that dies on its first write is replaced by an on-loop connect.
 func (p *Proxy) netpollInit() error {
 	if !netpoll.Available() {
 		return netpoll.ErrUnsupported
+	}
+	targets, why := p.connectTargets()
+	if p.cfg.PoolIdle > 0 {
+		if why != "" {
+			return fmt.Errorf("the dial pool (PoolIdle > 0) needs on-loop redials, and %s", why)
+		}
+		why = "the dial pool (PoolIdle > 0) holds net.Conns"
+	}
+	if why != "" {
+		why = "goroutine admit: " + why
 	}
 	shards := make([]*npShard, 0, p.cfg.Acceptors)
 	for i := 0; i < p.cfg.Acceptors; i++ {
@@ -154,11 +191,123 @@ func (p *Proxy) netpollInit() error {
 			}
 			return err
 		}
-		shards = append(shards, &npShard{pol: pol, live: make(map[*npRelay]struct{}),
-			buf: make([]byte, p.cfg.BufferSize)})
+		s := &npShard{p: p, idx: i, pol: pol, live: make(map[*npRelay]struct{}),
+			buf: make([]byte, p.cfg.BufferSize), lfd: -1,
+			accept4: func(lfd int) (int, syscall.Sockaddr, error) {
+				return syscall.Accept4(lfd, syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC)
+			}}
+		s.acceptFn = s.accept
+		// A Sockaddr per shard: connect(2) through package syscall writes
+		// the kernel form into the value it is given.
+		for _, ap := range targets {
+			if a := ap.Addr(); a.Is4() {
+				s.backends = append(s.backends, &syscall.SockaddrInet4{Port: int(ap.Port()), Addr: a.As4()})
+			} else {
+				s.backends = append(s.backends, &syscall.SockaddrInet6{Port: int(ap.Port()), Addr: a.As16()})
+			}
+		}
+		shards = append(shards, s)
 	}
-	p.np = shards
+	p.np, p.goAdmit = shards, why
 	return nil
+}
+
+// connectTargets resolves what the loops need to connect on their own: every
+// backend as an IP and port. why says what keeps them from it — the goroutine
+// admit then produces the backend connections and hands them over.
+func (p *Proxy) connectTargets() (targets []netip.AddrPort, why string) {
+	if p.cfg.Dial != nil {
+		return nil, "Config.Dial is set"
+	}
+	for _, b := range p.cfg.Backends {
+		ap, err := netip.ParseAddrPort(b)
+		if err != nil || ap.Addr().Zone() != "" {
+			return nil, fmt.Sprintf("backend %q is not an IP literal", b)
+		}
+		targets = append(targets, netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()))
+	}
+	return targets, ""
+}
+
+// netpollAdopt moves the listening sockets onto the shards: each loop gets a
+// duplicate descriptor and the net.Listener is closed, which takes the
+// socket out of the runtime poller and leaves the duplicate its only handle.
+// TCP_NODELAY and keep-alive are set here once — accepted sockets inherit
+// them — matching what package net gives every connection it accepts.
+func (p *Proxy) netpollAdopt(ls []net.Listener) (err error) {
+	for i, l := range ls {
+		s := p.np[i]
+		tl, ok := l.(*net.TCPListener)
+		if !ok {
+			err = fmt.Errorf("lbproxy: listener %T has no descriptor", l)
+			break
+		}
+		if s.lfd, err = dupFD(tl); err != nil {
+			break
+		}
+		setConnOpts(s.lfd)
+		s.localIP, s.localPort = ip4Port(l.Addr())
+		s.localAny = tl.Addr().(*net.TCPAddr).IP.IsUnspecified()
+	}
+	for _, l := range ls {
+		_ = l.Close()
+	}
+	if err != nil {
+		p.netpollStopAccept() // give back the descriptors already adopted
+	}
+	return err
+}
+
+// netpollStart runs each shard's start-up on its loop: the listener joins
+// the epoll set (a connection already queued is its first event) and the
+// congestion sampler is armed.
+func (p *Proxy) netpollStart() error {
+	errc := make(chan error, len(p.np))
+	for _, s := range p.np {
+		s := s
+		if !s.pol.Post(func() { errc <- s.start() }) {
+			errc <- nil // closed already
+		}
+	}
+	var first error
+	for range p.np {
+		if err := <-errc; err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+func (s *npShard) start() error {
+	if iv := s.p.cfg.CongestionSampleInterval; s.p.cfg.CongestionSignals && s.congTimer == nil {
+		s.congTimer = s.pol.AfterFunc(iv, s.congTick)
+	}
+	if s.lfd < 0 {
+		return nil
+	}
+	return s.pol.Register(s.lfd, func(netpoll.Event) { s.accept() })
+}
+
+// netpollStopAccept closes every shard's listener on its loop and waits for
+// that: once it returns no connection is admitted, and the fd number is free
+// for reuse only after its callback slot is empty.
+func (p *Proxy) netpollStopAccept() {
+	for _, s := range p.np {
+		s := s
+		done := make(chan struct{})
+		if s.pol.Post(func() {
+			if s.lfd >= 0 {
+				s.pol.CloseFD(s.lfd)
+				s.lfd = -1
+			}
+			if s.retry != nil {
+				s.pol.StopTimer(s.retry)
+			}
+			close(done)
+		}) {
+			<-done
+		}
+	}
 }
 
 // netpollStop finalizes every live relay (idle ones never get another event,
@@ -199,91 +348,341 @@ func (p *Proxy) netpollStats() []NetpollShardStats {
 	return out
 }
 
-// netpollHandoff moves a routed connection pair onto the acceptor's poller
-// shard. Returns false when the event path cannot take it (netpoll off,
-// non-TCP ends from chaos wrappers or tests, proxy closing) — the caller
-// continues on the goroutine path with nothing consumed. On true, ownership
-// of both connections and all remaining accounting belongs to the poller
-// loop.
-func (p *Proxy) netpollHandoff(client, server net.Conn, backend, acceptor int,
-	hash uint64, key packet.FlowKey, charged, fromPool bool, born time.Time) bool {
-	if len(p.np) == 0 {
-		return false
+// accept admits connections from the shard's listener until it runs dry
+// (EAGAIN) or the turn's budget is spent (then it reposts itself: the edge
+// that brought it here will not come again). Any other error — EMFILE,
+// ENFILE, ENOBUFS, ECONNABORTED — is counted and retried from the wheel
+// after a 5 ms→1 s backoff, because an edge-triggered listener whose queue
+// stays non-empty raises no new edge either: a proxy that holds thousands of
+// fds will run out of them some day, and that must cost a pause, not the
+// acceptor.
+func (s *npShard) accept() {
+	p := s.p
+	for budget := npAcceptBudget; budget > 0 && s.lfd >= 0; budget-- {
+		fd, peer, err := s.accept4(s.lfd)
+		switch err {
+		case nil:
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return
+		default:
+			p.acceptErrors.Add(1)
+			s.backoff = nextAcceptBackoff(s.backoff)
+			if s.retry == nil {
+				s.retry = s.pol.AfterFunc(s.backoff, s.acceptFn)
+			} else {
+				s.pol.ResetTimer(s.retry, s.backoff)
+			}
+			return
+		}
+		s.backoff = 0
+		p.accepted.Add(1)
+		s.admit(fd, peer)
 	}
-	cEnd, ok := newNPEnd(client)
-	if !ok {
-		return false
+	if s.lfd >= 0 {
+		s.pol.Post(s.acceptFn)
 	}
-	sEnd, ok := newNPEnd(server)
-	if !ok {
-		return false
-	}
-	// Both conns leave the force-close set: from here the loop is their only
-	// closer, which is what makes raw syscalls on the cached fds safe. Once
-	// Close has begun its sweep may already have closed them — stay out.
-	p.connMu.Lock()
-	if p.closed.Load() {
-		p.connMu.Unlock()
-		return false
-	}
-	delete(p.open, client)
-	delete(p.open, server)
-	p.connMu.Unlock()
-	p.relays.Add(1)
+}
 
-	shard := p.np[acceptor%len(p.np)]
-	rel := &npRelay{
-		p: p, shard: shard, cEnd: cEnd, sEnd: sEnd,
-		backend: backend, acceptor: acceptor, hash: hash, key: key,
-		born: born, fromPool: fromPool, charged: charged,
-		validated: !fromPool,
+// admit routes one accepted socket and starts its backend connect.
+func (s *npShard) admit(cfd int, peer syscall.Sockaddr) {
+	p := s.p
+	key := packet.FlowKey{Proto: packet.ProtoTCP, DstIP: s.localIP, DstPort: s.localPort}
+	key.SrcIP, key.SrcPort = sockaddrIP4Port(peer)
+	if s.localAny {
+		if local, err := syscall.Getsockname(cfd); err == nil {
+			key.DstIP, key.DstPort = sockaddrIP4Port(local)
+		}
 	}
-	splice := p.cfg.Splice && spliceAvailable()
-	rel.req = npDir{rel: rel, src: &rel.cEnd, dst: &rel.sEnd, observe: true, splice: splice}
-	rel.resp = npDir{rel: rel, src: &rel.sEnd, dst: &rel.cEnd, splice: splice}
-	shard.pol.Post(rel.start)
+	hash := key.Hash() // hashed once; reused for routing, sharding, sampling
+	backend, charged := p.route(hash, key)
+	if backend < 0 {
+		s.pol.CloseFD(cfd)
+		return
+	}
+	p.relays.Add(1)
+	rel := s.newRelay(cfd, -1, backend, hash, key, charged)
+	s.live[rel] = struct{}{}
+	rel.connect(backend)
+}
+
+func (s *npShard) newRelay(cfd, sfd, backend int, hash uint64, key packet.FlowKey, charged bool) *npRelay {
+	rel := &npRelay{p: s.p, shard: s, cfd: cfd, sfd: sfd,
+		backend: backend, hash: hash, key: key, charged: charged}
+	splice := s.p.cfg.Splice && spliceAvailable()
+	rel.req = npDir{rel: rel, observe: true, splice: splice}
+	rel.resp = npDir{rel: rel, splice: splice}
+	return rel
+}
+
+// sockaddrIP4Port is ip4Port for a kernel socket address.
+func sockaddrIP4Port(sa syscall.Sockaddr) (ip [4]byte, port uint16) {
+	switch a := sa.(type) {
+	case *syscall.SockaddrInet4:
+		return a.Addr, uint16(a.Port)
+	case *syscall.SockaddrInet6:
+		return addrPort4(netip.AddrPortFrom(netip.AddrFrom16(a.Addr), uint16(a.Port)))
+	}
+	return ip, 0
+}
+
+// Go's TCP keep-alive defaults, which package net applies to every
+// connection it dials or accepts.
+const keepAliveSecs = 15
+
+// setConnOpts gives a socket what package net would have: TCP_NODELAY and
+// keep-alive probes. Best effort — a socket without them still relays.
+func setConnOpts(fd int) {
+	_ = syscall.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_NODELAY, 1)
+	_ = syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_KEEPALIVE, 1)
+	_ = syscall.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_KEEPIDLE, keepAliveSecs)
+	_ = syscall.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_KEEPINTVL, keepAliveSecs)
+}
+
+// dupFD returns a close-on-exec duplicate of c's descriptor. File status
+// flags live on the open file description, so the duplicate is nonblocking
+// like the original.
+func dupFD(c syscall.Conn) (fd int, err error) {
+	rc, err := c.SyscallConn()
+	if err != nil {
+		return -1, err
+	}
+	if cerr := rc.Control(func(orig uintptr) { fd, err = dupRaw(int(orig)) }); cerr != nil {
+		return -1, cerr
+	}
+	return fd, err
+}
+
+func dupRaw(fd int) (int, error) {
+	r, _, errno := syscall.Syscall(syscall.SYS_FCNTL, uintptr(fd), syscall.F_DUPFD_CLOEXEC, 0)
+	if errno != 0 {
+		return -1, errno
+	}
+	return int(r), nil
+}
+
+// fdConn is dupFD's inverse: a net.Conn on a duplicate of fd, which stays
+// the caller's. (Two duplicates are made on the way — an os.File cannot be
+// told to let go of a descriptor, and net.FileConn makes its own.)
+func fdConn(fd int) (net.Conn, error) {
+	dup, err := dupRaw(fd)
+	if err != nil {
+		return nil, err
+	}
+	f := os.NewFile(uintptr(dup), "backend")
+	defer f.Close()
+	return net.FileConn(f)
+}
+
+// connect starts a nonblocking connect to backend. Completion — at once or
+// later, it makes no difference — arrives as the fd's first writable event;
+// DialTimeout rides the request direction's wheel timer until then.
+func (rel *npRelay) connect(backend int) {
+	rel.backend = backend
+	sa := rel.shard.backends[backend]
+	family := syscall.AF_INET
+	if _, ok := sa.(*syscall.SockaddrInet6); ok {
+		family = syscall.AF_INET6
+	}
+	fd, err := syscall.Socket(family, syscall.SOCK_STREAM|syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC, syscall.IPPROTO_TCP)
+	if err == nil {
+		rel.sfd = fd
+		setConnOpts(fd)
+		// EINTR on a nonblocking connect: the handshake goes on regardless.
+		if err = syscall.Connect(fd, sa); err == syscall.EINPROGRESS || err == syscall.EINTR {
+			err = nil
+		}
+	}
+	if err == nil {
+		err = rel.shard.pol.Register(fd, rel.onServerEvent)
+	}
+	if err != nil {
+		rel.connectFailed() // refused outright, or out of fds / epoll watches
+		return
+	}
+	rel.connecting = true
+	rel.p.connecting.Add(1)
+	rel.req.arm(rel.p.cfg.DialTimeout)
+}
+
+// onConnect settles a connect: writable (error conditions report as that
+// too) with SO_ERROR clear means connected.
+func (rel *npRelay) onConnect(ev netpoll.Event) {
+	if !ev.Writable {
+		return
+	}
+	if soerr, err := syscall.GetsockoptInt(rel.sfd, syscall.SOL_SOCKET, syscall.SO_ERROR); err != nil || soerr != 0 {
+		rel.connectFailed()
+		return
+	}
+	rel.established()
+}
+
+// connectFailed gives up on the current backend socket and runs the shared
+// failed-dial accounting: one failover connect if there is a target, else
+// the connection ends (in DialErrors — finalize counts what never connected).
+func (rel *npRelay) connectFailed() {
+	rel.dropServer()
+	alt := rel.p.dialFailed(rel.backend, rel.failover, &rel.charged)
+	if alt < 0 {
+		rel.finalize()
+		return
+	}
+	rel.failover = true
+	rel.connect(alt)
+}
+
+// settled leaves the connecting state — gauge, DialTimeout timer — and
+// reports whether the relay was in it.
+func (rel *npRelay) settled() bool {
+	if !rel.connecting {
+		return false
+	}
+	rel.connecting = false
+	rel.p.connecting.Add(-1)
+	rel.req.stopTimer()
 	return true
 }
 
-// start runs on the loop: registers fds and commits accounting for
-// non-pooled conns (pooled ones commit when validation settles, like the
-// goroutine relay does). No first pump: registration reports an fd that is
-// already readable — hang-up bit included — as its first event.
-func (rel *npRelay) start() {
-	rel.shard.live[rel] = struct{}{}
-	if !rel.fromPool {
-		rel.commit(rel.backend)
+// dropServer closes the backend socket, if any.
+func (rel *npRelay) dropServer() {
+	rel.settled()
+	if rel.sfd >= 0 {
+		rel.shard.pol.CloseFD(rel.sfd)
+		rel.sfd = -1
 	}
-	if err := rel.shard.pol.Register(rel.cEnd.fd, rel.onClientEvent); err != nil {
-		rel.finalize() // epoll pressure
-		return
+}
+
+// established is the point of no return: the backend is connected, so the
+// connection lands in PerBackend and the live gauges, both fds are in the
+// epoll set, and the pumps take over. No first pump: registration reports an
+// fd that is already readable — hang-up bit included — as its first event.
+func (rel *npRelay) established() {
+	p, pol := rel.p, rel.shard.pol
+	registered := rel.settled() // a connect made on the loop registered sfd itself
+	if rel.failover {
+		p.failovers.Add(1)
 	}
-	rel.cEnd.registered = true
-	if !rel.fromPool && !rel.registerServer() {
+	// A pooled connection's replacement: the chunk that found the old one
+	// dead is still owed, and was held back from the estimator until the
+	// backend it goes to was known.
+	revalidated := len(rel.req.pend) > 0
+	if revalidated {
+		p.observeAt(rel.hash, rel.key, rel.backend, rel.firstAt)
+	}
+	rel.commit()
+	rel.req.src, rel.req.dst = rel.cfd, rel.sfd
+	rel.resp.src, rel.resp.dst = rel.sfd, rel.cfd
+	if !registered {
+		if err := pol.Register(rel.sfd, rel.onServerEvent); err != nil {
+			rel.finalize() // epoll pressure
+			return
+		}
+	}
+	if !rel.registerClient() {
 		return
 	}
 	rel.req.rearmIdle()
+	rel.resp.rearmIdle()
+	if revalidated {
+		rel.req.pump() // the held chunk, then whatever the client sent during the connect
+	}
 }
 
-// registerServer attaches the server end to the poller. For pooled conns
-// this is deferred until validation settles, so a stale pooled socket's
-// noise cannot reach the response pump before the goroutine path would have
-// started its response loop. Returns false if the relay died.
-func (rel *npRelay) registerServer() bool {
-	if rel.sEnd.registered {
-		return true
+// commit lands the connection in PerBackend and the live gauges.
+func (rel *npRelay) commit() {
+	p := rel.p
+	p.ctrl.ReportDialSuccess(rel.backend)
+	p.perBackend[rel.backend].Add(1)
+	p.active.Add(1)
+	rel.counted = true
+	rel.cong = congEntry{backend: rel.backend, hash: rel.hash}
+}
+
+// registerClient puts the client fd into the epoll set, once. False: the
+// relay died of epoll pressure.
+func (rel *npRelay) registerClient() bool {
+	if !rel.clientOn {
+		if err := rel.shard.pol.Register(rel.cfd, rel.onClientEvent); err != nil {
+			rel.finalize()
+			return false
+		}
+		rel.clientOn = true
 	}
-	if err := rel.shard.pol.Register(rel.sEnd.fd, rel.onServerEvent); err != nil {
-		rel.finalize()
+	return true
+}
+
+// adopt starts a handed-off relay on its loop. A pooled backend connection is
+// unproven: it stays out of the epoll set — a stale socket's noise must not
+// reach the response pump — and out of the counters until the first request
+// chunk's write has validated it (validateChunk).
+func (rel *npRelay) adopt() {
+	rel.shard.live[rel] = struct{}{}
+	if !rel.unproven {
+		rel.established()
+		return
+	}
+	rel.req.src, rel.req.dst = rel.cfd, rel.sfd
+	if rel.registerClient() {
+		rel.req.rearmIdle()
+	}
+}
+
+// netpollHandoff moves a connection pair the goroutine admit produced onto
+// the acceptor's poller shard. Returns false when the event path cannot take
+// it (netpoll off, non-TCP ends from chaos wrappers or tests, proxy closing)
+// — the caller continues on the goroutine path with nothing consumed. On
+// true both net.Conns are closed: the loop owns duplicates of their
+// descriptors, and all remaining accounting.
+func (p *Proxy) netpollHandoff(client, server net.Conn, backend, acceptor int,
+	hash uint64, key packet.FlowKey, charged, fromPool bool, born time.Time) bool {
+	ctc, cok := client.(*net.TCPConn)
+	stc, sok := server.(*net.TCPConn)
+	if len(p.np) == 0 || !cok || !sok {
 		return false
 	}
-	rel.sEnd.registered = true
-	rel.resp.rearmIdle()
+	cfd, err := dupFD(ctc)
+	if err != nil {
+		return false
+	}
+	sfd, err := dupFD(stc)
+	if err != nil {
+		_ = syscall.Close(cfd)
+		return false
+	}
+	// The client leaves the force-close set: from here the loop is the
+	// connection's only closer. Once Close has begun, its sweep may already
+	// have closed the client — stay out.
+	p.connMu.Lock()
+	if p.closed.Load() {
+		p.connMu.Unlock()
+		_ = syscall.Close(cfd)
+		_ = syscall.Close(sfd)
+		return false
+	}
+	delete(p.open, client)
+	p.connMu.Unlock()
+	p.relays.Add(1)
+	_ = client.Close() // out of the runtime poller; the duplicates carry the sockets on
+	_ = server.Close()
+
+	shard := p.np[acceptor%len(p.np)]
+	rel := shard.newRelay(cfd, sfd, backend, hash, key, charged)
+	rel.unproven, rel.born = fromPool, born
+	shard.pol.Post(rel.adopt)
 	return true
 }
 
 func (rel *npRelay) onClientEvent(ev netpoll.Event) { rel.onEvent(ev, &rel.req, &rel.resp) }
-func (rel *npRelay) onServerEvent(ev netpoll.Event) { rel.onEvent(ev, &rel.resp, &rel.req) }
+
+func (rel *npRelay) onServerEvent(ev netpoll.Event) {
+	if rel.connecting {
+		rel.onConnect(ev)
+		return
+	}
+	rel.onEvent(ev, &rel.resp, &rel.req)
+}
 
 // onEvent handles readiness on one end: in reads from it, out writes to it.
 func (rel *npRelay) onEvent(ev netpoll.Event, in, out *npDir) {
@@ -298,25 +697,14 @@ func (rel *npRelay) onEvent(ev netpoll.Event, in, out *npDir) {
 	}
 }
 
-// commit lands the connection in PerBackend and the live gauges — the same
-// point of no return as the goroutine relay's post-validation counter block.
-func (rel *npRelay) commit(backend int) {
-	p := rel.p
-	rel.backend = backend
-	p.ctrl.ReportDialSuccess(backend)
-	p.perBackend[backend].Add(1)
-	p.active.Add(1)
-	rel.counted = true
-}
-
 // pump is the readiness engine for one direction: flush whatever write was
 // blocked, then move chunks until the socket is drained (see the drain rule
 // above), EOF, error, a blocked write, or budget exhaustion (then repost —
 // ET delivers no reminder edges).
 func (d *npDir) pump() {
 	rel := d.rel
-	if d.done || rel.finalized || rel.revalidating || !d.flushPending() {
-		return
+	if d.done || rel.finalized || rel.connecting || !d.flushPending() {
+		return // connecting: a revalidation's client events wait for established
 	}
 	bulk := false // a read filled the buffer: the rest of this burst is spliced
 	for budget := npPumpBudget; budget > 0; budget-- {
@@ -326,7 +714,7 @@ func (d *npDir) pump() {
 		} else {
 			more, bulk = d.pumpCopy()
 		}
-		if !more || d.done || rel.finalized || rel.revalidating {
+		if !more || d.done || rel.finalized {
 			return
 		}
 	}
@@ -345,7 +733,7 @@ func (d *npDir) pumpSplice() bool {
 			return true
 		}
 	}
-	n, errno := d.spliceNB(d.src.fd, sh.pipe.w, spliceChunk)
+	n, errno := d.spliceNB(d.src, sh.pipe.w, spliceChunk)
 	switch {
 	case errno == syscall.EAGAIN:
 		return false
@@ -396,7 +784,7 @@ func (d *npDir) pumpCopy() (more, full bool) {
 		return false, false
 	}
 	full = n == len(buf)
-	if rel := d.rel; d.observe && rel.fromPool && !rel.validated {
+	if d.observe && d.rel.unproven {
 		more = d.validateChunk(buf[:n])
 	} else {
 		d.chunkArrived()
@@ -406,29 +794,41 @@ func (d *npDir) pumpCopy() (more, full bool) {
 }
 
 // validateChunk relays a pooled connection's first request chunk: the write
-// is the connection's validation, and the first-byte observation is
-// attributed only once it settles (the backend changes if the pooled conn
-// turns out dead), exactly as on the goroutine path.
+// is the connection's validation, and the chunk is attributed to the
+// estimator only once it settles (the backend changes if the pooled
+// connection turns out dead), exactly as on the goroutine relay.
 func (d *npDir) validateChunk(b []byte) bool {
-	rel := d.rel
-	p := rel.p
-	ts := p.now() // arrival time, attributed after the write settles
-	d.rearmIdle()
+	rel, p := d.rel, d.rel.p
+	ts := p.now()
+	rel.unproven = false
 	n, blocked, err := d.rawWrite(b)
 	if err != nil {
-		rel.beginRevalidate(b, ts)
+		rel.revalidate(b, ts)
 		return false
 	}
-	rel.validated = true
 	p.observeAt(rel.hash, rel.key, rel.backend, ts)
-	rel.commit(rel.backend)
-	if !rel.registerServer() {
+	if rel.established(); rel.finalized {
 		return false
 	}
 	if blocked {
 		d.strand(b[n:])
 	}
 	return !blocked
+}
+
+// revalidate replaces a pooled connection that died on its first write. The
+// death is accounted like a failed dial, then the relay goes through
+// connecting as a fresh one would — the same backend first (a pooled
+// connection's death is often stale news), then the one-shot failover — with
+// the chunk parked in req.pend and the pumps parked on rel.connecting.
+func (rel *npRelay) revalidate(chunk []byte, ts time.Duration) {
+	p := rel.p
+	p.poolFirstWriteFails.Add(1)
+	p.ctrl.ReportDialError(rel.backend, ts)
+	rel.born, rel.firstAt = time.Time{}, ts
+	rel.req.strand(chunk)
+	rel.dropServer()
+	rel.connect(rel.backend)
 }
 
 // chunkArrived timestamps a request-direction arrival into the estimator
@@ -498,7 +898,7 @@ func (d *npDir) flushPending() bool {
 // pipe: all moved, dst pushed back (EAGAIN, err nil), or dst failed.
 func (d *npDir) drainPipe(pp *spipe, n int) (left int, err error) {
 	for n > 0 {
-		m, errno := d.spliceNB(pp.r, d.dst.fd, n)
+		m, errno := d.spliceNB(pp.r, d.dst, n)
 		switch {
 		case errno == syscall.EAGAIN:
 			return n, nil
@@ -528,7 +928,7 @@ func (d *npDir) spliceNB(rfd, wfd, n int) (int, error) {
 func (d *npDir) rawRead(buf []byte) (int, error) {
 	d.rel.p.sysReads.Add(1)
 	for {
-		n, errno := syscall.Read(d.src.fd, buf)
+		n, errno := syscall.Read(d.src, buf)
 		switch {
 		case errno == syscall.EINTR:
 			continue
@@ -545,8 +945,8 @@ func (d *npDir) rawRead(buf []byte) (int, error) {
 // bytes written and whether the socket pushed back (EAGAIN) first.
 func (d *npDir) rawWrite(b []byte) (total int, blocked bool, err error) {
 	for total < len(b) {
-		n, errno := syscall.Write(d.dst.fd, b[total:])
-		d.rel.p.sysWrites.Add(1)
+		d.rel.p.sysWrites.Add(1) // before the call: the peer may read Stats the moment the bytes land
+		n, errno := syscall.Write(d.dst, b[total:])
 		switch {
 		case errno == syscall.EINTR:
 			continue
@@ -579,33 +979,29 @@ func (d *npDir) releasePipe() {
 	d.pp, d.inPipe = nil, 0
 }
 
-// srcEOF handles a clean EOF, preserving the goroutine path's half-close
-// contract: client EOF hands the server toward the pool (quiesce grace) or
-// forwards the FIN; server EOF forwards the FIN to the client (a pooled
-// conn that EOFs is dead — no recycle on this path).
+// srcEOF handles a clean EOF, preserving the half-close contract: the FIN is
+// forwarded and the other direction keeps relaying until its own EOF. With a
+// dial pool a client's FIN is held back instead: the response direction gets
+// the PoolQuiesce grace to stay silent, and then the backend socket is
+// recycled rather than closed (a backend's own EOF means it is dead — no
+// recycling from that side).
 func (d *npDir) srcEOF() {
 	rel := d.rel
+	if d.observe && rel.unproven {
+		// The client finished without sending a byte: the pooled connection
+		// was never tested. Commit it, as the goroutine relay does.
+		rel.unproven = false
+		if rel.established(); rel.finalized {
+			return
+		}
+	}
 	d.done = true
 	d.stopTimer()
-	if d.observe {
-		if rel.fromPool && !rel.validated {
-			// Client finished without sending a byte: the pooled conn was
-			// never tested. Commit like the goroutine path (its relay loops
-			// would see immediate EOF after the counters commit).
-			rel.validated = true
-			rel.commit(rel.backend)
-			if !rel.registerServer() {
-				return
-			}
-		}
-		if rel.wantRecycle() {
-			rel.reuseWanted = true
-			rel.resp.rearmIdle() // flips the response deadline to quiesce
-		} else {
-			closeWrite(rel.sEnd.conn)
-		}
+	if d.observe && rel.p.pool != nil && !rel.resp.done && !rel.p.closed.Load() {
+		rel.reuseWanted = true
+		rel.resp.rearmIdle() // now the quiesce grace
 	} else {
-		closeWrite(rel.cEnd.conn)
+		_ = syscall.Shutdown(d.dst, syscall.SHUT_WR)
 	}
 	rel.maybeFinish()
 }
@@ -632,35 +1028,31 @@ func (d *npDir) dstFailed(err error) {
 	rel.finalize()
 }
 
-// wantRecycle mirrors relay.wantRecycle: offer the drained server conn back
-// to the pool unless the response side already died or the proxy is closing.
-func (rel *npRelay) wantRecycle() bool {
-	return rel.p.pool != nil && !rel.resp.done && !rel.p.closed.Load()
-}
-
 func (rel *npRelay) maybeFinish() {
 	if rel.req.done && rel.resp.done {
 		rel.finalize()
 	}
 }
 
-// rearmIdle (re-)arms this direction's wheel timer: the idle deadline, or —
-// response direction after a clean client EOF — the PoolQuiesce grace.
+// rearmIdle (re-)arms this direction's deadline: the idle bound if one is
+// configured, or — response direction after a clean client EOF — the
+// PoolQuiesce grace.
 func (d *npDir) rearmIdle() {
-	rel := d.rel
-	var to time.Duration
-	if !d.observe && rel.reuseWanted {
-		to = rel.p.poolQuiesce()
-	} else {
-		to = rel.p.cfg.IdleTimeout
-		if to <= 0 {
-			return
-		}
+	to := d.rel.p.cfg.IdleTimeout
+	if !d.observe && d.rel.reuseWanted {
+		to = d.rel.p.cfg.PoolQuiesce
 	}
+	if to > 0 {
+		d.arm(to)
+	}
+}
+
+// arm sets this direction's wheel timer to fire onTimeout after to.
+func (d *npDir) arm(to time.Duration) {
 	if d.idle == nil {
-		d.idle = rel.shard.pol.AfterFunc(to, d.onTimeout)
+		d.idle = d.rel.shard.pol.AfterFunc(to, d.onTimeout)
 	} else {
-		rel.shard.pol.ResetTimer(d.idle, to)
+		d.rel.shard.pol.ResetTimer(d.idle, to)
 	}
 }
 
@@ -670,26 +1062,30 @@ func (d *npDir) stopTimer() {
 	}
 }
 
-// onTimeout fires for an expired idle deadline or an elapsed quiesce grace.
+// onTimeout fires for a connect that outlived DialTimeout, an elapsed
+// quiesce grace, or an expired idle deadline.
 func (d *npDir) onTimeout() {
 	rel := d.rel
-	if rel.finalized || d.done {
+	switch {
+	case rel.finalized || d.done:
 		return
-	}
-	if !d.observe && rel.reuseWanted {
+	case rel.connecting:
+		rel.p.connectTimeouts.Add(1)
+		rel.connectFailed()
+		return
+	case !d.observe && rel.reuseWanted:
 		if len(d.pend) > 0 || d.inPipe > 0 {
-			d.rearmIdle() // response tail still in flight to the client
+			d.rearmIdle() // response tail still on its way to the client
 			return
 		}
 		// A full PoolQuiesce of silence after the client's clean EOF: the
-		// exchange is over and the server connection is drained.
+		// exchange is over and the backend socket is drained.
 		rel.recycled = true
-		closeWrite(rel.cEnd.conn)
+		_ = syscall.Shutdown(rel.cfd, syscall.SHUT_WR)
 		d.done = true
 		rel.maybeFinish()
 		return
-	}
-	if !d.observe {
+	case !d.observe:
 		// Backend went silent past the idle bound: detector evidence, like
 		// runResponse's read-deadline expiry.
 		rel.p.reportRelayErr(rel.backend, os.ErrDeadlineExceeded)
@@ -697,93 +1093,10 @@ func (d *npDir) onTimeout() {
 	rel.finalize()
 }
 
-// beginRevalidate handles a pooled connection dying on its first write:
-// accounted exactly like a failed dial (ReportDialError, one fresh redial to
-// the same backend, then the failover path). The blocking dials run on a
-// one-shot helper goroutine — never the poller loop — and the relay stays
-// parked (revalidating) until the verdict is posted back. Charge ownership
-// moves to the helper so a concurrent teardown cannot double-settle it.
-func (rel *npRelay) beginRevalidate(chunk []byte, ts time.Duration) {
-	p := rel.p
-	rel.revalidating = true
-	pending := append([]byte(nil), chunk...)
-	p.congFinal(rel.sEnd.conn)
-	_ = rel.sEnd.conn.Close() // never registered: pooled ends register post-validation
-	rel.sEnd = npEnd{fd: -1}
-	p.poolFirstWriteFails.Add(1)
-	p.ctrl.ReportDialError(rel.backend, ts)
-	rel.fromPool, rel.born = false, time.Time{}
-	backend := rel.backend
-	charged := rel.charged
-	rel.charged = false
-	go func() {
-		server, newBackend := p.redial(backend, &charged)
-		rel.shard.pol.Post(func() {
-			rel.finishRevalidate(server, newBackend, charged, pending, ts)
-		})
-	}()
-}
-
-// finishRevalidate resumes (or buries) a relay whose pooled server died on
-// first write. Runs on the loop.
-func (rel *npRelay) finishRevalidate(server net.Conn, backend int, charged bool,
-	pending []byte, ts time.Duration) {
-	p := rel.p
-	if rel.finalized {
-		// Torn down while the helper dialed (idle expiry, client reset,
-		// shutdown): settle what the helper still owns.
-		if charged {
-			p.ctrl.FlowClosed(backend, p.now())
-		}
-		if server != nil {
-			_ = server.Close()
-		}
-		return
-	}
-	rel.revalidating = false
-	rel.charged = charged
-	if server == nil {
-		p.dialErrors.Add(1) // terminal: no backend accepted the dial
-		rel.dialErrTerminal = true
-		rel.finalize()
-		return
-	}
-	var raw bool
-	rel.sEnd, raw = newNPEnd(server)
-	p.congRegister(server, backend, rel.hash)
-	rel.validated = true
-	p.observeAt(rel.hash, rel.key, backend, ts)
-	rel.commit(backend)
-	if !raw {
-		// The replacement lacks raw access (chaos wrapper): this relay
-		// cannot continue event-driven. It is counted, then retired like an
-		// immediate relay failure on the fresh conn.
-		rel.finalize()
-		return
-	}
-	// The swapped connection still owes the first chunk.
-	n, blocked, err := rel.req.rawWrite(pending)
-	if err != nil {
-		p.reportRelayErr(backend, err)
-		rel.finalize()
-		return
-	}
-	if !rel.registerServer() {
-		return
-	}
-	if blocked {
-		rel.req.strand(pending[n:])
-		return
-	}
-	rel.req.rearmIdle()
-	rel.req.pump() // client edges that fired during the redial were swallowed
-}
-
 // finalize is the single teardown point: idempotent, loop-only. It releases
-// what a blocked write left with the relay, unregisters both fds, settles
-// the accounting identity (exactly one of PerBackend/DialErrors for every
-// handed-off connection; FlowClosed only while charged; ForgetHashed
-// always), and retires or recycles the server connection.
+// what a blocked write left with the relay, settles the accounting identity
+// (exactly one of PerBackend/DialErrors for every admitted connection;
+// FlowClosed only while charged; ForgetHashed always), and closes both fds.
 func (rel *npRelay) finalize() {
 	if rel.finalized {
 		return
@@ -797,35 +1110,64 @@ func (rel *npRelay) finalize() {
 		d.pend = nil
 		d.releasePipe()
 	}
-	for _, e := range []*npEnd{&rel.cEnd, &rel.sEnd} {
-		if e.registered {
-			rel.shard.pol.Unregister(e.fd)
-			e.registered = false
-		}
-	}
-	if !rel.counted && !rel.dialErrTerminal {
-		// Relay died before its commit point (register failure, shutdown):
-		// the goroutine path would have committed before its loops errored
-		// out, so the connection still lands in PerBackend.
-		rel.commit(rel.backend)
-	}
 	p.flows.ForgetHashed(rel.hash, rel.key)
 	if rel.charged {
 		p.ctrl.FlowClosed(rel.backend, p.now())
 		rel.charged = false
 	}
+	if rel.unproven {
+		// Ended before its first byte (idle bound, reset, shutdown): the
+		// pooled connection was never found wanting, so this is a relayed
+		// connection like the goroutine relay's, not a failed dial.
+		rel.commit()
+	}
 	if rel.counted {
 		p.active.Add(-1)
+		rel.congSample() // retransmissions of the last sampling window
+	} else {
+		p.dialErrors.Add(1) // terminal: no backend was reached (or the proxy closed first)
 	}
-	if rel.sEnd.conn != nil {
-		p.congFinal(rel.sEnd.conn) // last sample, before the conn can be recycled
-		if rel.recycled && !p.closed.Load() && p.pool != nil &&
-			p.pool.Put(rel.backend, rel.acceptor, rel.sEnd.conn, rel.born) {
-			p.poolRecycled.Add(1)
-		} else {
-			_ = rel.sEnd.conn.Close()
-		}
+	if rel.recycled {
+		rel.recycleServer()
 	}
-	_ = rel.cEnd.conn.Close()
+	rel.dropServer()
+	rel.shard.pol.CloseFD(rel.cfd)
 	p.relays.Done()
+}
+
+// recycleServer checks the drained backend socket into the dial pool, which
+// holds net.Conns: the pool gets a duplicate descriptor wrapped as one, and
+// the loop's own — closed by the caller — leaves the epoll set by hand,
+// since closing it no longer closes the socket.
+func (rel *npRelay) recycleServer() {
+	p := rel.p
+	if p.closed.Load() || rel.sfd < 0 {
+		return
+	}
+	c, err := fdConn(rel.sfd)
+	if err != nil {
+		return
+	}
+	rel.shard.pol.Unregister(rel.sfd)
+	if p.pool.Put(rel.backend, rel.shard.idx, c, rel.born) {
+		p.poolRecycled.Add(1)
+	}
+}
+
+// congTick samples TCP_INFO on every connected backend socket of the shard
+// — loop-owned fds and entries, so no registry and no lock — and re-arms.
+func (s *npShard) congTick() {
+	for rel := range s.live {
+		rel.congSample()
+	}
+	s.pol.ResetTimer(s.congTimer, s.p.cfg.CongestionSampleInterval)
+}
+
+func (rel *npRelay) congSample() {
+	if !rel.p.cfg.CongestionSignals || !rel.counted || rel.sfd < 0 {
+		return
+	}
+	if total, _, ok := tcpInfoFD(rel.sfd); ok {
+		rel.p.congCharge(&rel.cong, total)
+	}
 }

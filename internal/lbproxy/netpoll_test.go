@@ -426,8 +426,8 @@ func plantDeadPooledConn(t *testing.T, proxy *Proxy) {
 // dataplane: a pooled connection that fails its first write must be
 // accounted exactly like a failed dial — one redial to the same backend,
 // then the existing failover path — with the Accepted identity intact in
-// every outcome. The redial runs on a one-shot helper goroutine while the
-// relay stays parked on its shard.
+// every outcome. The redial is the relay's own connecting state, on the loop,
+// with the first chunk parked in the relay until it settles.
 func TestProxyNetpollPooledDeadBackend(t *testing.T) {
 	cases := []struct {
 		name          string

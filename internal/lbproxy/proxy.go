@@ -52,7 +52,6 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -141,15 +140,19 @@ type Config struct {
 	// timestamped, it just is not copied.
 	Splice bool
 	// Netpoll enables the event-driven dataplane on Linux (cmd/lbproxy turns
-	// it on by default): one epoll readiness loop per acceptor shard drives
-	// every relayed connection as a compact state machine (O(shards)
-	// goroutines instead of O(2·conns)), with idle/drain deadlines on a
-	// per-shard timing wheel instead of per-conn SetDeadline. Non-Linux
+	// it on by default): one epoll readiness loop per acceptor shard owns
+	// every connection from accept4 to close as a compact state machine on
+	// raw fds (no goroutine and no net.Conn per connection), with dial, idle
+	// and drain deadlines on a per-shard timing wheel. A Dial hook, a
+	// backend address that is not an IP literal, or a dial pool (PoolIdle >
+	// 0) keeps accept and dial on goroutines, which hand each connected pair
+	// to the loop; a dial pool together with one of the other two, non-Linux
 	// builds, kernels without epoll (latched on ENOSYS), and connections
-	// without raw-fd access (chaos wrappers, test pipes) fall back to the
-	// goroutine-per-connection path — Dataplane and Stats.NetpollFallbacks
-	// say when. Estimator semantics are unchanged: every request-direction
-	// chunk is observed exactly as a Read on the goroutine path would be.
+	// without raw-fd access (chaos wrappers, test pipes) stay on the
+	// goroutine-per-connection path — Dataplane and
+	// Stats.NetpollFallbacks say when. Estimator semantics are unchanged:
+	// every request-direction chunk is observed exactly as a Read on the
+	// goroutine path would be.
 	Netpoll bool
 	// PoolIdle enables backend connection pooling when > 0: up to PoolIdle
 	// idle connections are kept per backend (probed live at checkout) so a
@@ -246,6 +249,10 @@ type Stats struct {
 	// AcceptErrors counts Accept failures the acceptors backed off from and
 	// retried (EMFILE, ECONNABORTED, ...).
 	AcceptErrors uint64
+	// ConnectsInflight is the number of backend connects in progress right
+	// now; ConnectTimeouts counts those that DialTimeout ended.
+	ConnectsInflight int64
+	ConnectTimeouts  uint64
 }
 
 // NetpollShardStats are one poller shard's counters: epoll_wait wakeups,
@@ -259,14 +266,18 @@ type NetpollShardStats struct {
 // Proxy is a running load balancer instance.
 type Proxy struct {
 	cfg       Config
-	listeners []net.Listener // one per SO_REUSEPORT shard (len 1 otherwise)
+	addr      net.Addr       // bound address; nil before Listen
+	listeners []net.Listener // goroutine admit: one per SO_REUSEPORT shard (len 1 otherwise)
 
 	flows *core.ShardedFlowTable
 	ctrl  *control.Controller
 	pool  *dialpool.Pool // nil unless Config.PoolIdle > 0
 	np    []*npShard     // event-loop shards; nil unless Config.Netpoll works here
 	npErr error          // why Config.Netpoll did not bring the shards up
-	start time.Time
+	// goAdmit says why goroutines accept and dial although the shards are
+	// up; empty when the loops admit connections themselves.
+	goAdmit string
+	start   time.Time
 
 	// bufs recycles relay buffers (up to two per connection,
 	// Config.BufferSize each) so connection churn does not make the
@@ -274,18 +285,20 @@ type Proxy struct {
 	// themselves allocation-free. Relays on the splice path never touch it.
 	bufs sync.Pool
 
-	accepted     atomic.Uint64
-	acceptErrors atomic.Uint64
-	npFallbacks  atomic.Uint64
-	active       atomic.Int64
-	dialErrors   atomic.Uint64
-	dropped      atomic.Uint64
-	samples      atomic.Uint64
-	fallbacks    atomic.Uint64
-	failovers    atomic.Uint64
-	perBackend   []atomic.Uint64
-	down         []atomic.Bool // probe layer's own view (streak bookkeeping)
-	stop         chan struct{}
+	accepted        atomic.Uint64
+	acceptErrors    atomic.Uint64
+	connecting      atomic.Int64
+	connectTimeouts atomic.Uint64
+	npFallbacks     atomic.Uint64
+	active          atomic.Int64
+	dialErrors      atomic.Uint64
+	dropped         atomic.Uint64
+	samples         atomic.Uint64
+	fallbacks       atomic.Uint64
+	failovers       atomic.Uint64
+	perBackend      []atomic.Uint64
+	down            []atomic.Bool // probe layer's own view (streak bookkeeping)
+	stop            chan struct{}
 
 	// Syscall-diet accounting; see Stats.RelayReads et al.
 	sysReads            atomic.Uint64
@@ -395,11 +408,14 @@ func New(cfg Config) (*Proxy, error) {
 }
 
 // Dataplane names the relay new connections run on — "netpoll" or
-// "goroutine" — and, when that is not the event relay, why.
+// "goroutine" — and what keeps it short of the whole event dataplane: why
+// the relay is on goroutines, or, with the event relay up, why accept and
+// dial still are ("goroutine admit: ..."). "netpoll" with no reason means
+// connections live on the loops from accept to close.
 func (p *Proxy) Dataplane() (mode, reason string) {
 	switch {
 	case len(p.np) > 0:
-		return "netpoll", ""
+		return "netpoll", p.goAdmit
 	case p.npErr != nil:
 		return "goroutine", p.npErr.Error()
 	}
@@ -443,6 +459,8 @@ func (p *Proxy) Stats() Stats {
 		Netpoll:             p.netpollStats(),
 		NetpollFallbacks:    p.npFallbacks.Load(),
 		AcceptErrors:        p.acceptErrors.Load(),
+		ConnectsInflight:    p.connecting.Load(),
+		ConnectTimeouts:     p.connectTimeouts.Load(),
 	}
 	if p.pool != nil {
 		ps := p.pool.Stats()
@@ -468,6 +486,10 @@ func (p *Proxy) dial(addr string, timeout time.Duration) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, timeout)
 }
 
+// loopAdmits reports whether the poller shards accept and connect
+// themselves (see Config.Netpoll).
+func (p *Proxy) loopAdmits() bool { return len(p.np) > 0 && p.goAdmit == "" }
+
 // Listen binds addr — Config.Acceptors listener shards on Linux (one
 // SO_REUSEPORT socket each), a single listener elsewhere.
 func (p *Proxy) Listen(addr string) error {
@@ -475,25 +497,25 @@ func (p *Proxy) Listen(addr string) error {
 	if err != nil {
 		return err
 	}
+	p.addr = ls[0].Addr()
+	if p.loopAdmits() {
+		return p.netpollAdopt(ls)
+	}
 	p.listeners = ls
 	return nil
 }
 
 // Addr returns the bound address (nil before Listen). All listener shards
 // share one address.
-func (p *Proxy) Addr() net.Addr {
-	if len(p.listeners) == 0 {
-		return nil
-	}
-	return p.listeners[0].Addr()
-}
+func (p *Proxy) Addr() net.Addr { return p.addr }
 
-// Serve accepts and relays connections until Close, running
-// Config.Acceptors accept loops in parallel. Each loop owns one listener
-// shard (or a share of the single fallback listener) and passes its index
-// down as the connection's dial-pool stripe.
+// Serve accepts and relays connections until Close. Where the poller shards
+// admit, each registers its listener on its own loop and Serve only waits;
+// otherwise it runs Config.Acceptors accept loops in parallel, each owning
+// one listener shard (or a share of the single fallback listener) and
+// passing its index down as the connection's shard and dial-pool stripe.
 func (p *Proxy) Serve() error {
-	if len(p.listeners) == 0 {
+	if p.addr == nil {
 		return errors.New("lbproxy: Serve before Listen")
 	}
 	p.ctrl.Start()
@@ -505,6 +527,13 @@ func (p *Proxy) Serve() error {
 	}
 	if p.cong != nil {
 		go p.congLoop()
+	}
+	if err := p.netpollStart(); err != nil {
+		return err
+	}
+	if p.loopAdmits() {
+		<-p.stop
+		return nil
 	}
 	n := p.cfg.Acceptors
 	errCh := make(chan error, n)
@@ -543,7 +572,7 @@ func (p *Proxy) acceptLoop(lis net.Listener, idx int) error {
 				return err
 			}
 			p.acceptErrors.Add(1)
-			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			backoff = nextAcceptBackoff(backoff)
 			select {
 			case <-p.stop:
 				return nil
@@ -558,14 +587,13 @@ func (p *Proxy) acceptLoop(lis net.Listener, idx int) error {
 			defer p.wg.Done()
 			p.handle(conn, idx)
 		}()
-		// Let the connection just admitted — and handlers whose backend dial
-		// has completed, which wait in the global run queue — run before the
-		// next accept. An acceptor that never yields during a burst keeps
-		// most of the burst's handlers parked in their dials at once, 8 KiB
-		// of stack each: that transient, not the held connections, was the
-		// process's peak RSS.
-		runtime.Gosched()
 	}
+}
+
+// nextAcceptBackoff is the pause after one more consecutive accept failure:
+// 5 ms doubling to 1 s, for both acceptors.
+func nextAcceptBackoff(prev time.Duration) time.Duration {
+	return min(max(2*prev, 5*time.Millisecond), time.Second)
 }
 
 // ListenAndServe combines Listen and Serve.
@@ -593,6 +621,7 @@ func (p *Proxy) Close() error {
 			err = cerr
 		}
 	}
+	p.netpollStopAccept() // from here no shard admits: relays only ever leave
 	if p.cfg.DrainTimeout > 0 {
 		drained := make(chan struct{})
 		go func() {
@@ -612,10 +641,10 @@ func (p *Proxy) Close() error {
 	p.connMu.Unlock()
 	p.wg.Wait()
 	// Netpoll relays are owned by the pollers, not wg or the sweep above:
-	// every handoff Post happened-before wg.Wait returned, so stopping the
-	// pollers here finalizes every relay (idle ones included) with all
-	// samples flushed into the aggregator before the controller's final
-	// tick below.
+	// every handoff Post happened-before wg.Wait returned and the shards
+	// stopped admitting above, so stopping the pollers here finalizes every
+	// relay (idle and still-connecting ones included) with all samples
+	// flushed into the aggregator before the controller's final tick below.
 	p.netpollStop()
 	if p.pool != nil {
 		p.pool.Close()
@@ -637,7 +666,7 @@ func flowKeyFor(conn net.Conn) packet.FlowKey {
 
 // ip4Port splits an address into the flow key's IPv4 + port. A *net.TCPAddr
 // (every accepted socket) converts directly; anything else takes the string
-// round trip. An address with no IPv4 form keeps a zero IP.
+// round trip.
 func ip4Port(a net.Addr) (ip [4]byte, port uint16) {
 	var ap netip.AddrPort
 	if ta, ok := a.(*net.TCPAddr); ok {
@@ -645,32 +674,79 @@ func ip4Port(a net.Addr) (ip [4]byte, port uint16) {
 	} else if parsed, err := netip.ParseAddrPort(a.String()); err == nil {
 		ap = parsed
 	}
+	return addrPort4(ap)
+}
+
+// addrPort4 is the flow key's form of an address: a 4-in-6 mapped address is
+// unmapped, one with no IPv4 form keeps a zero IP.
+func addrPort4(ap netip.AddrPort) (ip [4]byte, port uint16) {
 	if addr := ap.Addr().Unmap(); addr.Is4() {
 		ip = addr.As4()
 	}
 	return ip, ap.Port()
 }
 
-// dialFailover handles a failed attempt to reach `backend` — a refused
-// dial, or a pooled connection dying on first write: it reports the
-// failure, undoes the policy's open-flow debit, and makes the existing
-// one-shot failover attempt against the next admitted backend. Returns
-// the rescue connection and its backend, or (nil, -1) when the
-// connection is terminally unreachable (the caller counts a DialError).
-func (p *Proxy) dialFailover(backend int, charged *bool) (net.Conn, int) {
+// route picks the backend for a new flow. Health ejection is applied inline:
+// for table-based policies it is a pure snapshot read; for stateful ones the
+// controller undoes the original pick's occupancy accounting before falling
+// back, so nothing leaks when the pick lands on an ejected backend. Returns
+// -1, having counted the connection as Dropped, when the whole pool is
+// ejected (or the policy misbehaved). charged reports whether the policy
+// holds an open-flow debit for backend: fallback and failover targets are
+// never charged, so the end-of-connection FlowClosed must be skipped for
+// them or occupancy goes negative.
+func (p *Proxy) route(hash uint64, key packet.FlowKey) (backend int, charged bool) {
+	backend, fellBack := p.ctrl.RouteHashed(hash, key, p.now())
+	if backend < 0 || backend >= len(p.cfg.Backends) {
+		p.dropped.Add(1)
+		return -1, false
+	}
+	if fellBack {
+		p.fallbacks.Add(1)
+	}
+	return backend, !fellBack
+}
+
+// dialFailed is the accounting of one failed attempt to reach backend — a
+// refused or timed-out connect, or a pooled connection dying on first write
+// — for both admit drivers. The failure goes to the passive detector; if it
+// was the connection's routed attempt, the policy's open-flow debit is
+// undone and the one-shot failover target returned. -1 means the connection
+// is terminally unreachable: the failover attempt itself failed, or there
+// is no target (the caller counts a DialError).
+func (p *Proxy) dialFailed(backend int, wasFailover bool, charged *bool) (alt int) {
 	p.ctrl.ReportDialError(backend, p.now())
+	if wasFailover {
+		return -1
+	}
 	if *charged {
 		p.ctrl.FlowClosed(backend, p.now())
 		*charged = false
 	}
-	if alt := p.ctrl.FailoverTarget(backend); alt >= 0 {
-		server, err := p.dial(p.cfg.Backends[alt], p.cfg.DialTimeout)
+	return p.ctrl.FailoverTarget(backend)
+}
+
+// dialBackend is the goroutine driver of a backend dial: the routed attempt,
+// then the one-shot failover. Returns the connection and the backend it
+// reached, or (nil, -1) with the connection counted in DialErrors.
+func (p *Proxy) dialBackend(backend int, charged *bool) (net.Conn, int) {
+	for failover := false; backend >= 0; failover = true {
+		p.connecting.Add(1)
+		server, err := p.dial(p.cfg.Backends[backend], p.cfg.DialTimeout)
+		p.connecting.Add(-1)
 		if err == nil {
-			p.failovers.Add(1)
-			return server, alt
+			if failover {
+				p.failovers.Add(1)
+			}
+			return server, backend
 		}
-		p.ctrl.ReportDialError(alt, p.now())
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			p.connectTimeouts.Add(1)
+		}
+		backend = p.dialFailed(backend, failover, charged)
 	}
+	p.dialErrors.Add(1) // terminal: no backend accepted the dial
 	return nil, -1
 }
 
@@ -697,36 +773,21 @@ func (p *Proxy) retire(c net.Conn) {
 	p.untrack(c)
 }
 
-// handle admits one accepted connection: route, acquire a backend
-// connection, hand the pair to the acceptor's poller shard. It is all a
-// connection costs before it parks on the event relay, and a burst of
-// accepts keeps one of these goroutines per connection blocked in the
-// backend dial — so the frame stays small; everything the goroutine relay
-// needs lives in relayBlocking.
+// handle is the goroutine admit: route one accepted connection, acquire a
+// backend connection, and hand the pair to the acceptor's poller shard — or,
+// without one, relay it here. A burst of accepts keeps one of these
+// goroutines per connection blocked in the backend dial, so the frame stays
+// small; everything the goroutine relay needs lives in relayBlocking.
 func (p *Proxy) handle(client net.Conn, acceptor int) {
 	// Tracked before anything can block on it.
 	p.track(client)
 	key := flowKeyFor(client)
 	hash := key.Hash() // hashed once; reused for routing, sharding, sampling
-
-	// Route applies health ejection inline: for table-based policies it is
-	// a pure snapshot read; for stateful ones the controller undoes the
-	// original pick's occupancy accounting before falling back, so nothing
-	// leaks when the pick lands on an ejected backend.
-	backend, fellBack := p.ctrl.RouteHashed(hash, key, p.now())
-	if backend < 0 || backend >= len(p.cfg.Backends) {
-		p.dropped.Add(1) // whole pool ejected (or policy misbehaved)
+	backend, charged := p.route(hash, key)
+	if backend < 0 {
 		p.retire(client)
 		return
 	}
-	if fellBack {
-		p.fallbacks.Add(1)
-	}
-	// charged tracks whether the policy holds an open-flow debit for
-	// `backend`. Fallback and failover targets are never charged (the
-	// controller undid the original pick's debit), so the end-of-connection
-	// FlowClosed must be skipped for them or occupancy goes negative.
-	charged := !fellBack
 
 	// Acquire a backend connection: pooled checkout first (probed live at
 	// checkout), otherwise a fresh dial with the one-shot failover.
@@ -739,30 +800,21 @@ func (p *Proxy) handle(client net.Conn, acceptor int) {
 		server, born, fromPool = p.pool.Get(backend, acceptor)
 	}
 	if server == nil {
-		var err error
-		server, err = p.dial(p.cfg.Backends[backend], p.cfg.DialTimeout)
-		if err != nil {
-			server, backend = p.dialFailover(backend, &charged)
+		if server, backend = p.dialBackend(backend, &charged); server == nil {
+			p.retire(client)
+			return
 		}
 	}
-	if server == nil {
-		p.dialErrors.Add(1) // terminal: no backend accepted the dial
-		p.retire(client)
-		return
-	}
-	p.track(server)
-	// Congestion sampling follows the backend connection from here until
-	// its relay's teardown takes the final sample.
-	p.congRegister(server, backend, hash)
-	// The handoff point is before pooled validation — the npRelay runs the
-	// validation write itself when the first chunk arrives, so until then
-	// the connection pins no goroutine at all.
 	if p.netpollHandoff(client, server, backend, acceptor, hash, key, charged, fromPool, born) {
 		return
 	}
 	if len(p.np) > 0 {
 		p.npFallbacks.Add(1)
 	}
+	p.track(server)
+	// Congestion sampling follows the backend connection from here until
+	// its relay's teardown takes the final sample.
+	p.congRegister(server, backend, hash)
 	p.relayBlocking(client, server, backend, acceptor, hash, key, charged, fromPool, born)
 	p.retire(client)
 }
@@ -805,8 +857,9 @@ func (p *Proxy) relayBlocking(client, server net.Conn, backend, acceptor int,
 				p.poolFirstWriteFails.Add(1)
 				p.ctrl.ReportDialError(backend, ts)
 				fromPool, born = false, time.Time{}
-				if server, backend = p.redial(backend, &charged); server == nil {
-					p.dialErrors.Add(1)
+				// One fresh dial to the same backend — a pooled conn's death
+				// on first write is often stale news — then the failover.
+				if server, backend = p.dialBackend(backend, &charged); server == nil {
 					return
 				}
 				p.track(server)
@@ -861,16 +914,6 @@ func (p *Proxy) relayBlocking(client, server net.Conn, backend, acceptor int,
 	} else {
 		_ = server.Close()
 	}
-}
-
-// redial makes one fresh dial to the same backend — a pooled conn's death
-// on first write is often stale news — then takes the failover path.
-func (p *Proxy) redial(backend int, charged *bool) (net.Conn, int) {
-	fresh, err := p.dial(p.cfg.Backends[backend], p.cfg.DialTimeout)
-	if err == nil {
-		return fresh, backend
-	}
-	return p.dialFailover(backend, charged)
 }
 
 // armIdle sets the connection's read deadline IdleTimeout into the future,

@@ -47,9 +47,6 @@ func tcpInfoAvailable() bool { return !tcpInfoBroken.Load() }
 // is not a raw TCP socket (chaos wrappers, test pipes), or TCP_INFO is
 // latched broken.
 func sampleTCPInfo(c net.Conn) (totalRetrans, rttMicros uint32, ok bool) {
-	if !tcpInfoAvailable() {
-		return 0, 0, false
-	}
 	sc, isSC := c.(syscall.Conn)
 	if !isSC {
 		return 0, 0, false
@@ -58,17 +55,22 @@ func sampleTCPInfo(c net.Conn) (totalRetrans, rttMicros uint32, ok bool) {
 	if err != nil {
 		return 0, 0, false
 	}
+	// A Control error means the connection is already closed.
+	_ = raw.Control(func(fd uintptr) { totalRetrans, rttMicros, ok = tcpInfoFD(int(fd)) })
+	return totalRetrans, rttMicros, ok
+}
+
+// tcpInfoFD is sampleTCPInfo on a descriptor the caller owns — the event
+// relay's backend sockets.
+func tcpInfoFD(fd int) (totalRetrans, rttMicros uint32, ok bool) {
+	if !tcpInfoAvailable() {
+		return 0, 0, false
+	}
 	var buf [256]byte
 	optlen := uint32(len(buf))
-	var errno syscall.Errno
-	cerr := raw.Control(func(fd uintptr) {
-		_, _, errno = syscall.Syscall6(syscall.SYS_GETSOCKOPT, fd,
-			uintptr(syscall.IPPROTO_TCP), uintptr(syscall.TCP_INFO),
-			uintptr(unsafe.Pointer(&buf[0])), uintptr(unsafe.Pointer(&optlen)), 0)
-	})
-	if cerr != nil {
-		return 0, 0, false // connection already closed
-	}
+	_, _, errno := syscall.Syscall6(syscall.SYS_GETSOCKOPT, uintptr(fd),
+		uintptr(syscall.IPPROTO_TCP), uintptr(syscall.TCP_INFO),
+		uintptr(unsafe.Pointer(&buf[0])), uintptr(unsafe.Pointer(&optlen)), 0)
 	if errno != 0 {
 		if errno == syscall.ENOPROTOOPT || errno == syscall.EINVAL || errno == syscall.ENOSYS {
 			tcpInfoBroken.Store(true)

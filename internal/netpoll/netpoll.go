@@ -14,7 +14,7 @@
 // Concurrency contract: Post, Stats, and Close are safe from any goroutine.
 // Readiness callbacks, posted tasks, and timer callbacks all run on the loop
 // goroutine, serialized — state touched only from callbacks needs no locks.
-// Register, Unregister and the timer methods (AfterFunc, StopTimer,
+// Register, Unregister, CloseFD and the timer methods (AfterFunc, StopTimer,
 // ResetTimer) must be called from the loop goroutine (Post gets you there):
 // the callback table and the wheel are loop-owned, which is what keeps event
 // dispatch free of locks.

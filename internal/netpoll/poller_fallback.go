@@ -16,12 +16,13 @@ type Poller struct{}
 func New(Config) (*Poller, error) { return nil, ErrUnsupported }
 
 func (p *Poller) Register(fd int, cb func(Event)) error { return ErrUnsupported }
+func (p *Poller) CloseFD(fd int)                        {}
 func (p *Poller) Unregister(fd int)                     {}
-func (p *Poller) Post(fn func())                        {}
+func (p *Poller) Post(fn func()) bool                   { return false }
 func (p *Poller) AfterFunc(d time.Duration, fn func()) *Timer {
 	return nil
 }
-func (p *Poller) StopTimer(t *Timer) bool            { return false }
+func (p *Poller) StopTimer(t *Timer) bool              { return false }
 func (p *Poller) ResetTimer(t *Timer, d time.Duration) {}
-func (p *Poller) Stats() Stats                       { return Stats{} }
-func (p *Poller) Close() error                       { return nil }
+func (p *Poller) Stats() Stats                         { return Stats{} }
+func (p *Poller) Close() error                         { return nil }

@@ -46,18 +46,19 @@ type Poller struct {
 	wheel        *Wheel
 	done         chan struct{}
 
-	cbs []func(Event) // fd-indexed callback table; loop goroutine only
+	cbs     []func(Event) // fd-indexed callback table; loop goroutine only
+	closing []int         // fds CloseFD took this turn; closed when it ends
 
 	mu          sync.Mutex
 	tasks       []func()
+	dead        bool        // under mu: the loop has exited, Post drops
 	wakePending atomic.Bool // a wake byte is (about to be) in the pipe
 
-	closing bool   // loop-goroutine only; set via posted task
+	exiting bool   // loop-goroutine only; set via posted task
 	armed   uint64 // loop-goroutine only: wheel tick epf's read deadline is set for (0: none)
 	closed  atomic.Bool
 
 	wakeups    atomic.Uint64
-	timerFires atomic.Uint64
 	registered atomic.Int64
 }
 
@@ -137,29 +138,52 @@ func (p *Poller) Register(fd int, cb func(Event)) error {
 	return nil
 }
 
-// Unregister removes fd from the epoll set. Loop goroutine only. A no-op for
-// an fd that is not registered; events already dequeued for this fd are
-// dropped at dispatch.
-func (p *Poller) Unregister(fd int) {
-	if uint(fd) >= uint(len(p.cbs)) || p.cbs[fd] == nil {
-		return
+// CloseFD ends the loop's ownership of fd: its callback is dropped now and
+// the fd is closed when the current turn ends. Loop goroutine only. The loop
+// must hold the only descriptor of that socket, so close(2) itself takes it
+// out of the epoll set — no EPOLL_CTL_DEL. Closing late is what makes fd
+// numbers safe to dispatch on: a number cannot be handed out again (by an
+// accept4 or socket call later in the same turn) while events harvested for
+// its previous owner are still queued, and those find an empty slot. An fd
+// that was never registered is closed the same way.
+func (p *Poller) CloseFD(fd int) {
+	if uint(fd) < uint(len(p.cbs)) && p.cbs[fd] != nil {
+		p.cbs[fd] = nil
+		p.registered.Add(-1)
 	}
-	p.cbs[fd] = nil
-	// Ignore the error: the fd may already be closed, which removed it.
-	_ = syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_DEL, fd, nil)
-	p.registered.Add(-1)
+	p.closing = append(p.closing, fd)
 }
 
-// Post schedules fn to run on the loop goroutine, waking the loop if needed.
-// Tasks run in FIFO order after the current event batch.
-func (p *Poller) Post(fn func()) {
+// Unregister takes fd out of the epoll set by hand, for the one case close(2)
+// cannot cover: the socket lives on under another descriptor (a backend
+// connection going back to the dial pool as a net.Conn), so closing the
+// loop's copy would leave its epoll entry behind, reporting events under a
+// number that is free for reuse. Loop goroutine only; CloseFD still retires
+// the descriptor itself.
+func (p *Poller) Unregister(fd int) {
+	_ = syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_DEL, fd, nil)
+	if uint(fd) < uint(len(p.cbs)) && p.cbs[fd] != nil {
+		p.cbs[fd] = nil
+		p.registered.Add(-1)
+	}
+}
+
+// Post schedules fn to run on the loop goroutine, waking the loop if needed,
+// and reports whether it will run: false once the loop has exited. Tasks run
+// in FIFO order after the current event batch; one posted from the loop runs
+// on its next turn, after a fresh harvest.
+func (p *Poller) Post(fn func()) bool {
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.dead {
+		return false
+	}
 	p.tasks = append(p.tasks, fn)
-	p.mu.Unlock()
 	if p.wakePending.CompareAndSwap(false, true) {
 		var b [1]byte
 		_, _ = syscall.Write(p.wakeW, b[:]) // EAGAIN: pipe full, loop is waking anyway
 	}
+	return true
 }
 
 // AfterFunc schedules fn on the timing wheel. Loop goroutine only.
@@ -177,7 +201,7 @@ func (p *Poller) ResetTimer(t *Timer, d time.Duration) { p.wheel.Reset(t, d) }
 func (p *Poller) Stats() Stats {
 	return Stats{
 		Wakeups:    p.wakeups.Load(),
-		TimerFires: p.timerFires.Load(),
+		TimerFires: p.wheel.Fired(),
 		Registered: p.registered.Load(),
 	}
 }
@@ -191,8 +215,11 @@ func (p *Poller) Close() error {
 		<-p.done
 		return nil
 	}
-	p.Post(func() { p.closing = true })
+	p.Post(func() { p.exiting = true })
 	<-p.done
+	p.mu.Lock() // no Post may touch the wake pipe once its fds are gone
+	p.dead = true
+	p.mu.Unlock()
 	_ = p.epf.Close() // owns epfd; also deregisters it from the runtime poller
 	syscall.Close(p.wakeR)
 	syscall.Close(p.wakeW)
@@ -219,6 +246,10 @@ func (p *Poller) loop() {
 		// the runtime's edge-triggered nested-epoll subscription reports the
 		// next empty→non-empty transition.
 		err := p.eprc.Read(func(uintptr) bool {
+			// The wheel's clock stood still while the loop was parked: bring
+			// it to now first, so a timer a callback arms below is measured
+			// from this wakeup and not from the last one.
+			p.wheel.Advance(p.nowTick())
 			for {
 				n, werr := syscall.EpollWait(p.epfd, events, 0)
 				if werr == syscall.EINTR {
@@ -245,16 +276,17 @@ func (p *Poller) loop() {
 		}
 	}
 	p.runTasks() // anything queued by the final batch
+	p.closeFDs()
 }
 
 // turn runs what follows every harvest — posted tasks, due timers — and
-// re-arms the park deadline if the wheel's next expiry moved. It reports
+// re-arms the park deadline if the wheel's next expiry moved, then closes the
+// fds the turn retired. It reports
 // whether Close has asked the loop to exit.
 func (p *Poller) turn() bool {
 	p.wakeups.Add(1)
 	p.runTasks()
 	p.wheel.Advance(p.nowTick())
-	p.timerFires.Store(p.wheel.Fired())
 	if d := p.wheel.NextDelay(); d < 0 {
 		if p.armed != 0 {
 			_ = p.epf.SetReadDeadline(time.Time{})
@@ -264,7 +296,16 @@ func (p *Poller) turn() bool {
 		_ = p.epf.SetReadDeadline(time.Now().Add(d))
 		p.armed = at
 	}
-	return p.closing
+	p.closeFDs()
+	return p.exiting
+}
+
+// closeFDs closes what CloseFD collected during the turn.
+func (p *Poller) closeFDs() {
+	for _, fd := range p.closing {
+		_ = syscall.Close(fd)
+	}
+	p.closing = p.closing[:0]
 }
 
 // dispatch routes one batch of events through the loop-owned callback table:
@@ -300,18 +341,23 @@ func (p *Poller) drainWake() {
 	}
 }
 
-// runTasks runs posted tasks until none are queued. wakePending is cleared
-// under mu together with taking the queue, so a Post that lands after the
-// take always writes a fresh wake byte.
+// runTasks runs the tasks queued when it is called, and only those: a task
+// that posts — a pump or an acceptor out of budget reposting itself — waits
+// for the next turn, behind a fresh harvest, due timers and deferred closes,
+// so no amount of reposting can keep the shard's other connections from
+// their events. wakePending is cleared under mu together with taking the
+// queue, so a Post that lands after the take always writes a fresh wake
+// byte, and that byte is what brings the next turn on at once.
 func (p *Poller) runTasks() {
-	for p.wakePending.Load() {
-		p.mu.Lock()
-		tasks := p.tasks
-		p.tasks = nil
-		p.wakePending.Store(false)
-		p.mu.Unlock()
-		for _, fn := range tasks {
-			fn()
-		}
+	if !p.wakePending.Load() {
+		return
+	}
+	p.mu.Lock()
+	tasks := p.tasks
+	p.tasks = nil
+	p.wakePending.Store(false)
+	p.mu.Unlock()
+	for _, fn := range tasks {
+		fn()
 	}
 }

@@ -28,10 +28,9 @@ func TestPollerReadReadiness(t *testing.T) {
 	if err := syscall.Pipe2(fds[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
 		t.Fatalf("pipe2: %v", err)
 	}
-	defer syscall.Close(fds[0])
 	defer syscall.Close(fds[1])
 
-	// Register and Unregister are loop-only: run them as posted tasks.
+	// Register and CloseFD are loop-only: run them as posted tasks.
 	onLoop := func(fn func()) {
 		done := make(chan struct{})
 		p.Post(func() { fn(); close(done) })
@@ -57,11 +56,16 @@ func TestPollerReadReadiness(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("no readiness event within 5s")
 	}
-	onLoop(func() { p.Unregister(fds[0]) })
+	// CloseFD drops the callback at once and closes the fd when the turn
+	// ends; the next posted task runs in a later turn, so it sees the close.
+	onLoop(func() { p.CloseFD(fds[0]) })
 	if st := p.Stats(); st.Registered != 0 {
-		t.Fatalf("Registered=%d after Unregister, want 0", st.Registered)
+		t.Fatalf("Registered=%d after CloseFD, want 0", st.Registered)
 	}
-	onLoop(func() { p.Unregister(fds[0]) }) // double-unregister is a no-op
+	onLoop(func() {})
+	if _, err := syscall.Write(fds[1], []byte("x")); err != syscall.EPIPE {
+		t.Fatalf("write after CloseFD: %v, want EPIPE (read end closed)", err)
+	}
 }
 
 func TestPollerPostAndTimers(t *testing.T) {
@@ -160,5 +164,97 @@ func TestDispatchZeroAllocLockFree(t *testing.T) {
 	}
 	if hits != 2*1001 {
 		t.Errorf("registered callback ran %d times, want %d", hits, 2*1001)
+	}
+}
+
+// TestTimerArmedFromEventAfterIdle: the loop parks for as long as nothing
+// happens, and the wheel's clock stands still meanwhile. A readiness callback
+// that arms a timer right after such a pause must get the delay it asked for
+// — measured from now, not from the tick at which the loop went to sleep.
+func TestTimerArmedFromEventAfterIdle(t *testing.T) {
+	p := newTestPoller(t)
+	var fds [2]int
+	if err := syscall.Pipe2(fds[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
+		t.Fatalf("pipe2: %v", err)
+	}
+	defer syscall.Close(fds[1])
+	const delay = 150 * time.Millisecond
+	armed, fired := make(chan time.Time, 1), make(chan time.Time, 1)
+	p.Post(func() {
+		_ = p.Register(fds[0], func(Event) {
+			armed <- time.Now()
+			p.AfterFunc(delay, func() { fired <- time.Now() })
+		})
+	})
+	time.Sleep(2 * delay) // idle, no timer pending: longer than the delay itself
+	if _, err := syscall.Write(fds[1], []byte("x")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	at := <-armed
+	select {
+	case f := <-fired:
+		if got := f.Sub(at); got < delay-time.Millisecond { // the wheel's clock is whole ticks
+			t.Fatalf("timer armed for %v fired after %v", delay, got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("timer never fired")
+	}
+	p.Post(func() { p.CloseFD(fds[0]) })
+}
+
+// TestRepostYieldsATurn: a task that reposts itself — a pump or an acceptor
+// out of budget — gets one run per turn. However long it keeps that up,
+// registered fds still get their events, timers still fire and CloseFD's
+// deferred closes still happen in between.
+func TestRepostYieldsATurn(t *testing.T) {
+	p := newTestPoller(t)
+	var fds [2]int
+	if err := syscall.Pipe2(fds[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
+		t.Fatalf("pipe2: %v", err)
+	}
+	defer syscall.Close(fds[1])
+
+	var stop atomic.Bool
+	var runs atomic.Uint64
+	var flood func()
+	flood = func() {
+		if runs.Add(1); !stop.Load() {
+			p.Post(flood)
+		}
+	}
+	defer stop.Store(true)
+	readable, fired := make(chan struct{}, 1), make(chan struct{})
+	p.Post(func() {
+		_ = p.Register(fds[0], func(Event) {
+			p.CloseFD(fds[0])
+			readable <- struct{}{}
+		})
+		p.AfterFunc(5*time.Millisecond, func() { close(fired) })
+		flood()
+	})
+	if _, err := syscall.Write(fds[1], []byte("x")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	for name, ch := range map[string]<-chan struct{}{"readiness event": readable, "timer": fired} {
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no %s while a task keeps reposting itself (%d runs)", name, runs.Load())
+		}
+	}
+	// The close CloseFD deferred needs a turn to end, which the old
+	// run-until-empty task loop never let happen.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, err := syscall.Write(fds[1], []byte("x")); err == syscall.EPIPE {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("deferred close never ran while a task keeps reposting itself")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if runs.Load() < 2 {
+		t.Fatalf("the reposting task ran %d times, want it to keep running", runs.Load())
 	}
 }

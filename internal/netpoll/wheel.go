@@ -1,6 +1,9 @@
 package netpoll
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // wheel.go implements the hierarchical (cascading) timing wheel each poller
 // shard uses in place of per-connection SetDeadline timers. The wheel is
@@ -86,7 +89,7 @@ type Wheel struct {
 	cur     uint64 // current tick (last advanced-to)
 	levels  [wheelLevels][wheelSlots]bucket
 	pending int
-	fired   uint64
+	fired   atomic.Uint64 // the one field other goroutines may read (Fired)
 }
 
 // NewWheel returns a wheel with the given tick granularity.
@@ -112,8 +115,10 @@ func (w *Wheel) Now() uint64 { return w.cur }
 // Pending returns the number of scheduled, un-fired timers.
 func (w *Wheel) Pending() int { return w.pending }
 
-// Fired returns the cumulative count of timer callbacks run.
-func (w *Wheel) Fired() uint64 { return w.fired }
+// Fired returns the cumulative count of timer callbacks run. Safe from any
+// goroutine; a callback is counted before it runs, so whoever it signals
+// already sees it.
+func (w *Wheel) Fired() uint64 { return w.fired.Load() }
 
 // Add schedules fn to run after delay (rounded up to a whole tick, minimum
 // one tick so a timer never fires on the tick it was added).
@@ -221,7 +226,7 @@ func (w *Wheel) expire(b *bucket) {
 		}
 		t.unlink()
 		w.pending--
-		w.fired++
+		w.fired.Add(1)
 		t.fn()
 	}
 }

@@ -106,8 +106,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	start := time.Now()
 	deadline := start.Add(cfg.Duration)
+	cut := false // the context's own deadline ends the run before Duration
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
+		deadline, cut = d, true
 	}
 
 	rep := &Report{
@@ -126,7 +127,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	wg.Wait()
 	rep.Elapsed = time.Since(start)
-	rep.Truncated = ctx.Err() != nil
+	// Workers stop on the clock, and the context's timer may not have fired
+	// yet when they do: a run that ended at the context's deadline is
+	// truncated whether or not ctx.Err() says so already.
+	rep.Truncated = cut || ctx.Err() != nil
 	return rep, nil
 }
 
@@ -179,10 +183,12 @@ func worker(ctx context.Context, cfg Config, id int, start, deadline time.Time, 
 		}
 		return err == nil
 	}
+	var unhook func() bool // detaches the live connection's cancel hook
 	closeConn := func(reopen bool) {
 		if client == nil {
 			return
 		}
+		unhook()
 		_ = client.Close()
 		client = nil
 		inflight = inflight[:0]
@@ -207,8 +213,14 @@ func worker(ctx context.Context, cfg Config, id int, start, deadline time.Time, 
 			}
 			client = c
 			reqOnConn = 0
+			// A cancelled context interrupts a blocked read or write at once,
+			// not a Timeout later.
+			unhook = context.AfterFunc(ctx, func() { _ = c.SetDeadline(time.Unix(1, 0)) })
 		}
 		_ = client.SetDeadline(time.Now().Add(cfg.Timeout))
+		if ctx.Err() != nil {
+			break // cancelled meanwhile: this deadline may have replaced the hook's
+		}
 
 		// Fill the pipeline window (respecting the per-conn budget).
 		for len(inflight) < pipeline &&
@@ -246,6 +258,9 @@ func worker(ctx context.Context, cfg Config, id int, start, deadline time.Time, 
 		} else {
 			err = client.RecvSet()
 		}
+		if err != nil && ctx.Err() != nil {
+			break // interrupted, not failed
+		}
 		if !record(p, err) {
 			closeConn(false)
 			continue
@@ -257,8 +272,8 @@ func worker(ctx context.Context, cfg Config, id int, start, deadline time.Time, 
 	}
 
 	// Deadline reached: drain responses already in flight so every request
-	// the server processed is accounted for.
-	for client != nil && len(inflight) > 0 {
+	// the server processed is accounted for. A cancelled run does not wait.
+	for client != nil && len(inflight) > 0 && ctx.Err() == nil {
 		p := inflight[0]
 		inflight = inflight[1:]
 		var err error

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"context"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -86,6 +88,41 @@ func TestRunHonoursContextCancel(t *testing.T) {
 	}
 	if !rep.Truncated {
 		t.Error("Truncated not set")
+	}
+}
+
+// TestRunCancelInterruptsBlockedRead: a server that swallows requests and
+// never answers leaves every worker blocked in a read bounded only by
+// Timeout; cancelling the context must end the run at once, and the
+// interrupted requests are not errors.
+func TestRunCancelInterruptsBlockedRead(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	go func() {
+		for {
+			c, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			go func() { _, _ = io.Copy(io.Discard, c); _ = c.Close() }()
+		}
+	}()
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(100*time.Millisecond, cancel)
+	start := time.Now()
+	rep, err := Run(ctx, Config{Addr: lis.Addr().String(), Duration: 30 * time.Second,
+		Timeout: 30 * time.Second, Connections: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Errorf("run took %v after a 100ms cancel", el)
+	}
+	if !rep.Truncated || rep.Errors != 0 || rep.Requests != 0 {
+		t.Errorf("truncated=%v errors=%d requests=%d, want true, 0, 0", rep.Truncated, rep.Errors, rep.Requests)
 	}
 }
 
