@@ -115,6 +115,7 @@ func runOutageLeg(policy string, seed int64, duration time.Duration) (OutageLeg,
 		return leg, err
 	}
 	ctrl := control.NewController(pol, control.ControllerConfig{
+		Shards:   1, // single-goroutine sim: results must not follow GOMAXPROCS
 		Interval: ctrlInterval,
 		Detector: arenaDetector(seed),
 	})

@@ -177,6 +177,42 @@ func TestDSTDeterminism(t *testing.T) {
 	}
 }
 
+// goldenDigests pins the report digest of the benchmark's sim_dst
+// population — Generate seeds 1…12, every third GenerateCongestion — from
+// one commit to the next. The values were taken at PR 14 with one
+// aggregator shard. A change to netsim, tcpsim, server, lb or control that
+// moves one of them reordered or changed a simulated event; only a change
+// that means to alter simulated behaviour may edit this table.
+var goldenDigests = [...]uint64{
+	0xfc575e030905bccf, 0x0c97bd2a1b46822d, 0x7ea25d4debe9ef04, 0x666b07d90f00e72a,
+	0x4bf9cc39c399040f, 0xed4cc87a5da35c79, 0x81dff626bac807f9, 0xbb36100afa79371a,
+	0x6cb2df19f841e1dc, 0x19a869cea75f6b54, 0x80fd296a60eed081, 0x77f6358d64c39af9,
+}
+
+// TestDSTGoldenDigests is the order-preservation oracle for the simulator:
+// TestDSTDeterminism compares two runs of one binary, this compares every
+// binary with PR 14's. CI runs it under GOMAXPROCS=1 and 4, so it also
+// holds the digest independent of the host's core count.
+func TestDSTGoldenDigests(t *testing.T) {
+	for i, want := range goldenDigests {
+		seed := int64(i + 1)
+		sc := Generate(seed)
+		if seed%3 == 0 {
+			sc = GenerateCongestion(seed)
+		}
+		rep, err := Run(sc)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if rep.Failed() {
+			t.Errorf("seed %d: %d violation(s), first: %v", seed, rep.Total, rep.Violations[0])
+		}
+		if rep.Digest != want {
+			t.Errorf("seed %d: digest %016x, golden %016x (sent %d)", seed, rep.Digest, want, rep.Stats.Sent)
+		}
+	}
+}
+
 // TestDSTGeneratorBounds property-checks the generator itself over many
 // seeds without running the simulator: documented ranges, fault windows
 // inside the band, and the always-routable protected backend.

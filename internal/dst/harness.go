@@ -129,7 +129,10 @@ func RunOpts(sc Scenario, opts RunOptions) (*Report, error) {
 	if mutate != nil {
 		pol = mutate(pol)
 	}
+	// Shards is pinned: left at zero it follows GOMAXPROCS, and the merge
+	// grouping (hence the digest) would differ from host to host.
 	ctrl := control.NewController(pol, control.ControllerConfig{
+		Shards:   1,
 		Interval: sc.ControlInterval,
 		Detector: detectorConfig(sc),
 		Audit:    opts.Audit,

@@ -137,6 +137,7 @@ func runCongestionLeg(cfg CongestionConfig, signals bool) (*congestionLeg, error
 		return nil, err
 	}
 	ctrl := control.NewController(maglev, control.ControllerConfig{
+		Shards:   1, // single-goroutine sim: results must not follow GOMAXPROCS
 		Interval: cfg.ControlInterval,
 		Detector: congestionDetector(cfg, signals),
 	})

@@ -121,7 +121,8 @@ func simDetector(cfg OutageConfig) control.DetectorConfig {
 
 func runOutageLeg(cfg OutageConfig, passive bool) (*outageLeg, error) {
 	name := "probe-only"
-	ctrlCfg := control.ControllerConfig{Interval: cfg.ControlInterval}
+	// Shards: 1 — single-goroutine sim: results must not follow GOMAXPROCS.
+	ctrlCfg := control.ControllerConfig{Shards: 1, Interval: cfg.ControlInterval}
 	if passive {
 		name = "passive"
 		ctrlCfg.Detector = simDetector(cfg)

@@ -2,15 +2,16 @@ package netsim
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 )
 
-// refHeap is the event queue this package used before the specialized
-// 4-ary queue: container/heap over a slice of events with the same
-// (at, seq) ordering. It is kept here verbatim as the determinism oracle —
-// the new queue must dispatch in exactly the order this one does.
+// refHeap is the event queue this package started with: container/heap over
+// a slice of events ordered by (at, seq). It is kept here verbatim as the
+// determinism oracle — whatever the queue's tiers do, it must dispatch in
+// exactly the order this one does.
 type refHeap []event
 
 func (h refHeap) Len() int { return len(h) }
@@ -24,50 +25,276 @@ func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *refHeap) Push(x any)   { *h = append(*h, x.(event)) }
 func (h *refHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
-// TestEventQueueMatchesReferenceHeap drives the new queue and the old
-// container/heap implementation with identical randomized schedules —
-// including bursts of simultaneous events to exercise the seq tie-break —
-// and asserts the pop sequences are identical.
+const (
+	epochWidth = time.Duration(1) << epochShift
+	ringSpan   = ringEpochs * epochWidth
+)
+
+// queuePair drives the queue and the reference heap with the same schedule
+// and fails on the first divergence.
+type queuePair struct {
+	t   testing.TB
+	q   eventQueue
+	ref refHeap
+	seq uint64
+}
+
+func (p *queuePair) push(at time.Duration) {
+	p.seq++
+	p.q.push(event{at: at, seq: p.seq})
+	heap.Push(&p.ref, event{at: at, seq: p.seq})
+	p.checkLen()
+}
+
+func (p *queuePair) checkLen() {
+	p.t.Helper()
+	if p.q.Len() != p.ref.Len() {
+		p.t.Fatalf("Len() = %d, reference holds %d", p.q.Len(), p.ref.Len())
+	}
+}
+
+// take pops the next event at or before limit, which the reference must
+// hold, from both and compares.
+func (p *queuePair) take(limit time.Duration) {
+	p.t.Helper()
+	before := p.q.now
+	got, ok := p.q.popUntil(limit)
+	want := heap.Pop(&p.ref).(event)
+	if !ok || got.at != want.at || got.seq != want.seq {
+		p.t.Fatalf("pop mismatch: got (%v,%d,%v) want (%v,%d)", got.at, got.seq, ok, want.at, want.seq)
+	}
+	if p.q.now < before || p.q.now < got.at {
+		p.t.Fatalf("clock at %v after popping %v (was %v)", p.q.now, got.at, before)
+	}
+	p.checkLen()
+}
+
+func (p *queuePair) pop() {
+	p.t.Helper()
+	p.take(math.MaxInt64)
+}
+
+// runUntil is Sim.RunUntil: dispatch everything at or before t, then move
+// the clock to t.
+func (p *queuePair) runUntil(t time.Duration) {
+	p.t.Helper()
+	for p.ref.Len() > 0 && p.ref[0].at <= t {
+		p.take(t)
+	}
+	if e, ok := p.q.popUntil(t); ok {
+		p.t.Fatalf("runUntil(%v) popped (%v,%d) past the bound", t, e.at, e.seq)
+	}
+	if p.q.now < t {
+		p.q.now = t
+	}
+}
+
+func (p *queuePair) drain() {
+	p.t.Helper()
+	for p.ref.Len() > 0 {
+		p.pop()
+	}
+	if _, ok := p.q.popUntil(math.MaxInt64); ok {
+		p.t.Fatal("queue popped an event the reference does not hold")
+	}
+}
+
+// TestEventQueueMatchesReferenceHeap drives the queue and the old
+// container/heap implementation with identical schedules — randomized ones
+// with bursts of simultaneous events, and constructed ones that reach every
+// tier and the seams between them — and asserts the pop sequences are
+// identical.
 func TestEventQueueMatchesReferenceHeap(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var q eventQueue
-		var ref refHeap
-		seq := uint64(0)
-		push := func(at time.Duration) {
-			seq++
-			q.push(event{at: at, seq: seq})
-			heap.Push(&ref, event{at: at, seq: seq})
-		}
-		// Interleave pushes and pops the way a simulation does: grow,
-		// drain a little, grow again. Coarse timestamps (mod 50) force
-		// many exact ties.
-		for round := 0; round < 50; round++ {
-			for i := 0; i < 40; i++ {
-				push(time.Duration(rng.Intn(50)) * time.Millisecond)
-			}
-			drains := rng.Intn(30)
-			for i := 0; i < drains && q.Len() > 0; i++ {
-				got := q.pop()
-				want := heap.Pop(&ref).(event)
-				if got.at != want.at || got.seq != want.seq {
-					t.Fatalf("seed %d: pop mismatch: got (%v,%d) want (%v,%d)",
-						seed, got.at, got.seq, want.at, want.seq)
+	t.Run("mixed", func(t *testing.T) {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			p := &queuePair{t: t}
+			// Interleave pushes and pops the way a simulation does: grow,
+			// drain a little, grow again. Coarse timestamps (mod 50) force
+			// many exact ties, and land behind the last pop as often as
+			// ahead of it: the queue orders those too.
+			for round := 0; round < 50; round++ {
+				for i := 0; i < 40; i++ {
+					p.push(time.Duration(rng.Intn(50)) * time.Millisecond)
+				}
+				drains := rng.Intn(30)
+				for i := 0; i < drains && p.ref.Len() > 0; i++ {
+					p.pop()
 				}
 			}
+			p.drain()
 		}
-		for q.Len() > 0 {
-			got := q.pop()
-			want := heap.Pop(&ref).(event)
-			if got.at != want.at || got.seq != want.seq {
-				t.Fatalf("seed %d: drain mismatch: got (%v,%d) want (%v,%d)",
-					seed, got.at, got.seq, want.at, want.seq)
+	})
+
+	// Every tier at once, always ahead of the clock as Sim pushes: the
+	// current instant (lane), the current epoch (near), the ring, and past
+	// the ring (overflow), with the clock walking through all of it.
+	t.Run("all tiers", func(t *testing.T) {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			p := &queuePair{t: t}
+			for round := 0; round < 200; round++ {
+				for i := rng.Intn(12); i > 0; i-- {
+					var d time.Duration
+					switch rng.Intn(5) {
+					case 0: // lane
+					case 1:
+						d = time.Duration(rng.Int63n(int64(epochWidth)))
+					case 2:
+						d = time.Duration(rng.Int63n(int64(ringSpan)))
+					case 3:
+						d = ringSpan + time.Duration(rng.Int63n(int64(3*ringSpan)))
+					case 4: // coarse, for ties across tiers
+						d = time.Duration(rng.Intn(8)) * ringSpan / 4
+					}
+					p.push(p.q.now + d)
+				}
+				for i := rng.Intn(10); i > 0 && p.ref.Len() > 0; i-- {
+					p.pop()
+				}
+			}
+			p.drain()
+		}
+	})
+
+	// Exact ties on both sides of an epoch boundary, pushed from far away
+	// (ring), from the epoch before (ring, one epoch ahead), and at the
+	// instant itself (lane): seq alone must order each group.
+	t.Run("ties straddling an epoch boundary", func(t *testing.T) {
+		p := &queuePair{t: t}
+		edge := 40 * epochWidth
+		last, first := edge-1, edge // last instant of epoch 39, first of 40
+		for i := 0; i < 8; i++ {
+			p.push(first)
+			p.push(last)
+		}
+		p.push(edge + ringSpan) // an overflow entry that joins the ring's window later
+		p.runUntil(last - epochWidth/2)
+		for i := 0; i < 8; i++ {
+			p.push(last)
+			p.push(first)
+		}
+		p.pop() // the clock is now at last: further pushes for it take the lane
+		for i := 0; i < 4; i++ {
+			p.push(last)
+			p.push(first)
+		}
+		p.runUntil(last)
+		for i := 0; i < 4; i++ {
+			p.push(first)
+		}
+		p.pop() // clock at first
+		p.push(first)
+		p.push(first + 1)
+		p.drain()
+	})
+
+	// RunUntil stops between epochs with only the far tier occupied: the
+	// look-ahead may load a later epoch, and events scheduled into the gap
+	// afterwards must still come first.
+	t.Run("bound between epochs", func(t *testing.T) {
+		p := &queuePair{t: t}
+		p.push(time.Millisecond)
+		p.push(100 * time.Millisecond)
+		p.push(2 * ringSpan)
+		p.runUntil(50 * time.Millisecond)
+		if p.q.now != 50*time.Millisecond || p.q.Len() != 2 {
+			t.Fatalf("after runUntil(50ms): now %v, %d pending", p.q.now, p.q.Len())
+		}
+		p.push(50 * time.Millisecond)
+		p.push(60 * time.Millisecond)
+		p.push(100 * time.Millisecond)
+		p.push(50 * time.Millisecond)
+		p.runUntil(99 * time.Millisecond)
+		p.push(99 * time.Millisecond)
+		p.push(2*ringSpan - 1)
+		p.drain()
+	})
+
+	// Idle gaps: the next event sits almost a full ring ahead, so the
+	// bitmap scan wraps around the ring's end, from every few start
+	// positions; then gaps longer than the ring, which only the overflow
+	// heap can hold.
+	t.Run("idle gaps", func(t *testing.T) {
+		p := &queuePair{t: t}
+		for i := 0; i < 300; i++ {
+			gap := ringSpan - epochWidth - time.Duration(i)*7*epochWidth/3
+			if i%3 == 2 {
+				gap = ringSpan + time.Duration(i)*epochWidth
+			}
+			p.push(p.q.now + gap)
+			p.push(p.q.now + gap)
+			for d := -epochWidth; d <= epochWidth; d += epochWidth {
+				p.push(p.q.now + ringSpan + d) // the ring's last epoch and the first past it
+			}
+			if i%2 == 0 {
+				p.runUntil(p.q.now + gap/2)
+				p.push(p.q.now + gap) // clock advanced past cur: beyond the first two
+			}
+			p.drain()
+		}
+	})
+}
+
+// TestPendingCountsEveryTier holds Pending() to the number of scheduled,
+// undispatched events wherever the queue keeps them.
+func TestPendingCountsEveryTier(t *testing.T) {
+	s := NewSim(1)
+	s.Schedule(0, s.Stop)                    // lane
+	s.Schedule(epochWidth/2, s.Stop)         // near
+	s.Schedule(10*epochWidth, s.Stop)        // ring
+	s.Schedule(ringSpan/2, s.Stop)           // ring
+	s.Schedule(3*ringSpan, s.Stop)           // overflow
+	s.Schedule(3*ringSpan+time.Hour, s.Stop) // overflow
+	for want := 6; want > 0; want-- {
+		if s.Pending() != want {
+			t.Fatalf("Pending() = %d, want %d", s.Pending(), want)
+		}
+		s.Run() // one event: each stops the loop
+		s.Resume()
+	}
+	if s.Pending() != 0 || s.Now() != 3*ringSpan+time.Hour {
+		t.Fatalf("drained: Pending() = %d at %v", s.Pending(), s.Now())
+	}
+}
+
+// FuzzEventQueueOrder decodes a byte stream into pushes (into every tier,
+// and behind the clock), pops and RunUntil-style advances, and compares the
+// queue with the reference heap after every step.
+func FuzzEventQueueOrder(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 200, 2, 9, 3, 4, 4, 1, 6, 6, 7, 3, 6, 6})
+	f.Add([]byte{3, 255, 3, 254, 7, 1, 0, 0, 0, 0, 6, 6, 6, 5, 9, 6})
+	f.Add([]byte{2, 0, 2, 0, 2, 1, 7, 0, 0, 0, 2, 0, 6, 6, 6, 6, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := &queuePair{t: t}
+		for len(data) >= 2 {
+			op, arg := data[0]%8, time.Duration(data[1])
+			data = data[2:]
+			switch op {
+			case 0: // the current instant
+				p.push(p.q.now)
+			case 1: // within an epoch or two
+				p.push(p.q.now + arg*epochWidth/128)
+			case 2: // an epoch boundary, a few epochs out
+				p.push((p.q.now/epochWidth + 1 + arg%4) * epochWidth)
+			case 3: // anywhere in the ring, and a little past it
+				p.push(p.q.now + arg*ringSpan/250)
+			case 4: // past the ring
+				p.push(p.q.now + ringSpan + arg*ringSpan/16)
+			case 5: // behind the clock
+				if at := p.q.now - arg*epochWidth/16; at >= 0 {
+					p.push(at)
+				}
+			case 6:
+				if p.ref.Len() > 0 {
+					p.pop()
+				}
+			case 7:
+				p.runUntil(p.q.now + arg*arg*epochWidth/64)
 			}
 		}
-		if ref.Len() != 0 {
-			t.Fatalf("seed %d: reference heap has %d leftover events", seed, ref.Len())
-		}
-	}
+		p.drain()
+	})
 }
 
 // TestSimDispatchTraceIdentical runs the same randomized self-scheduling

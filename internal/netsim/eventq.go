@@ -1,103 +1,293 @@
 package netsim
 
-// eventQueue is a hand-rolled 4-ary min-heap specialized to event. It
-// replaces container/heap, whose interface-based Push/Pop box every event
-// into an `any` — one heap allocation per scheduled event on the hottest
-// path in the simulator. Storing events by value in one slice removes the
-// boxing and keeps siblings adjacent in memory; the 4-ary shape halves the
-// tree depth of a binary heap, trading a few extra comparisons per level
-// (all within one or two cache lines) for fewer cache-missing levels on
-// deep queues.
+import (
+	"math/bits"
+	"time"
+)
+
+// eventQueue dispatches events in the strict total order (at, seq). seq is
+// unique and rises with every push, so the pop sequence is fully determined
+// by the schedule and independent of how the queue stores events — which is
+// what lets the storage below change without moving a digest.
 //
-// Ordering is the strict total order (at, seq): seq is unique per event, so
-// the pop sequence is fully determined by the schedule and independent of
-// the heap's internal shape. That is what makes swapping the binary heap
-// for this one bit-identical for determinism — both dispatch in exactly
-// (at, seq) order.
+// Callbacks live in a slab of slots; the queue's tiers hold slot indices:
+//
+//   - lane: events pushed for the current instant (at == now), a FIFO
+//     threaded through the slab. seq is monotonic, so such an event sorts
+//     after everything already queued for that instant and before
+//     everything later: appending keeps the order, no comparison needed.
+//     Link dequeue events, a third of a simulation's events, take this path.
+//
+//   - near: a 4-ary min-heap of pointer-free keys for events in the current
+//     epoch (and any earlier one). An epoch is a 2^epochShift ns slice of
+//     virtual time. Keys carry (at, seq) inline, so sifting touches neither
+//     the slab nor a GC write barrier, and the heap stays as small as one
+//     epoch's events however many timers stand further out.
+//
+//   - far: events in the next ringEpochs-1 epochs wait in one unordered
+//     list per epoch, threaded through the slab, with a bitmap of non-empty
+//     epochs. Pushing is O(1). When near and lane run dry the earliest
+//     non-empty epoch becomes current and its list is heapified into near.
+//     A request timeout parked 100 ms out costs two list operations until
+//     its epoch comes up, not a sift through every pop in between.
+//
+//   - overflow: a second key heap for events beyond the ring; its entries
+//     join near when their epoch becomes current.
+//
+// All tiers index the same slab, so memory is one slot per pending event
+// plus the fixed ring; per-epoch slices would keep every epoch's peak.
+//
+// The queue owns the virtual clock: the lane's invariant (every lane entry
+// is at now, and now does not move while the lane is occupied) ties the two
+// together.
 type eventQueue struct {
-	ev []event
+	now time.Duration
+	n   int // events pending across all tiers
+
+	slots []slot // slots[0] is unused: index 0 means "none"
+	free  int32  // free-slot list through slot.next
+
+	laneHead, laneTail int32
+
+	near keyHeap
+	cur  int64 // current epoch: near holds every pending event at or before it
+
+	ring     [ringEpochs]int32 // list head per far epoch, indexed by epoch & ringMask
+	occupied [ringEpochs / 64]uint64
+	overflow keyHeap
 }
 
-// before reports whether e dispatches before o: earlier time first, FIFO by
-// seq among simultaneous events.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
+const (
+	// epochShift sets the epoch width, 2^17 ns ≈ 131 µs: a few packet hops
+	// and service times, so near holds tens of events under the loads the
+	// experiments run.
+	epochShift = 17
+	// ringEpochs × width ≈ 268 ms covers request timeouts and RTOs; control
+	// ticks and fault schedules further out take the overflow heap.
+	ringEpochs = 2048
+	ringMask   = ringEpochs - 1
+)
+
+func epochOf(at time.Duration) int64 { return int64(at) >> epochShift }
+
+// slot is one pending event. next links the free list, the lane, or a far
+// epoch's list, whichever the slot is on.
+type slot struct {
+	fn   func()
+	at   time.Duration
+	seq  uint64
+	next int32
+}
+
+// key is a heap entry: the ordering fields inline, the callback by slot.
+type key struct {
+	at   time.Duration
+	seq  uint64
+	slot int32
+}
+
+func (k *key) before(o *key) bool {
+	if k.at != o.at {
+		return k.at < o.at
 	}
-	return e.seq < o.seq
+	return k.seq < o.seq
 }
 
-func (q *eventQueue) Len() int { return len(q.ev) }
+func (q *eventQueue) Len() int { return q.n }
 
-// min returns the next event to dispatch without removing it. It must not
-// be called on an empty queue.
-func (q *eventQueue) min() *event { return &q.ev[0] }
-
-// push inserts e. No allocation occurs beyond amortized slice growth.
+// push queues e. No allocation occurs beyond amortized slab and heap growth.
 func (q *eventQueue) push(e event) {
-	q.ev = append(q.ev, e)
-	q.siftUp(len(q.ev) - 1)
+	i := q.free
+	if i != 0 {
+		q.free = q.slots[i].next
+	} else {
+		if len(q.slots) == 0 {
+			q.slots = append(q.slots, slot{})
+		}
+		i = int32(len(q.slots))
+		q.slots = append(q.slots, slot{})
+	}
+	q.n++
+	s := &q.slots[i]
+	s.fn, s.at, s.seq, s.next = e.fn, e.at, e.seq, 0
+	switch ep := epochOf(e.at); {
+	case ep > q.cur:
+		if ep-q.cur >= ringEpochs {
+			q.overflow.push(key{e.at, e.seq, i})
+			break
+		}
+		r := ep & ringMask
+		s.next = q.ring[r]
+		q.ring[r] = i
+		q.occupied[r>>6] |= 1 << (r & 63)
+	case e.at == q.now:
+		if q.laneHead == 0 {
+			q.laneHead = i
+		} else {
+			q.slots[q.laneTail].next = i
+		}
+		q.laneTail = i
+	default:
+		q.near.push(key{e.at, e.seq, i})
+	}
 }
 
-// pop removes and returns the minimum event.
-func (q *eventQueue) pop() event {
-	ev := q.ev
-	root := ev[0]
-	n := len(ev) - 1
-	ev[0] = ev[n]
-	ev[n] = event{} // drop the fn reference so the closure can be collected
-	q.ev = ev[:n]
-	if n > 1 {
-		q.siftDown(0)
+// popUntil removes and returns the next event if there is one at or before
+// limit, and moves the clock to it.
+func (q *eventQueue) popUntil(limit time.Duration) (event, bool) {
+	if q.laneHead != 0 {
+		// A near entry at (or, for callers that push behind the clock,
+		// before) now was pushed before now took its value, hence before
+		// every lane entry: it goes first.
+		if len(q.near) == 0 || q.near[0].at > q.now {
+			if q.now > limit {
+				return event{}, false
+			}
+			i := q.laneHead
+			q.laneHead = q.slots[i].next
+			return q.release(i), true
+		}
+	} else if len(q.near) == 0 && !q.nextEpoch() {
+		return event{}, false
 	}
-	return root
+	k := q.near[0]
+	if k.at > limit {
+		return event{}, false
+	}
+	q.near.pop()
+	if k.at > q.now {
+		q.now = k.at
+	}
+	return q.release(k.slot), true
+}
+
+// release returns slot i's event and puts the slot on the free list.
+func (q *eventQueue) release(i int32) event {
+	s := &q.slots[i]
+	e := event{at: s.at, seq: s.seq, fn: s.fn}
+	s.fn = nil // drop the reference so the closure can be collected
+	s.next = q.free
+	q.free = i
+	q.n--
+	return e
+}
+
+// nextEpoch makes the earliest non-empty far epoch current and loads it
+// into near, which must be empty. It reports false when far is empty too.
+func (q *eventQueue) nextEpoch() bool {
+	ep, ok := q.nextRingEpoch()
+	if len(q.overflow) > 0 {
+		if o := epochOf(q.overflow[0].at); !ok || o < ep {
+			ep, ok = o, true
+		}
+	}
+	if !ok {
+		return false
+	}
+	// Everything left in far is later than ep, so the ring's window moves
+	// with cur: the slots it exposes are the empty ones behind ep.
+	q.cur = ep
+	r := ep & ringMask // holds ep's list, or nothing if ep came from overflow
+	for i := q.ring[r]; i != 0; i = q.slots[i].next {
+		s := &q.slots[i]
+		q.near = append(q.near, key{s.at, s.seq, i})
+	}
+	q.ring[r] = 0
+	q.occupied[r>>6] &^= 1 << (r & 63)
+	for len(q.overflow) > 0 && epochOf(q.overflow[0].at) == ep {
+		q.near = append(q.near, q.overflow[0])
+		q.overflow.pop()
+	}
+	q.near.heapify()
+	return true
+}
+
+// nextRingEpoch scans the occupancy bitmap forward from cur+1, wrapping.
+func (q *eventQueue) nextRingEpoch() (int64, bool) {
+	start := uint64(q.cur+1) & ringMask
+	w := start >> 6
+	word := q.occupied[w] &^ (1<<(start&63) - 1)
+	for i := 0; i <= len(q.occupied); i++ {
+		if word != 0 {
+			r := w<<6 + uint64(bits.TrailingZeros64(word))
+			return q.cur + 1 + int64((r-start)&ringMask), true
+		}
+		w = (w + 1) % uint64(len(q.occupied))
+		word = q.occupied[w]
+	}
+	return 0, false
+}
+
+// keyHeap is a 4-ary min-heap of keys: half a binary heap's depth for a few
+// more comparisons per level, all within the two cache lines four sibling
+// keys span.
+type keyHeap []key
+
+func (h *keyHeap) push(k key) {
+	*h = append(*h, k)
+	h.siftUp(len(*h) - 1)
+}
+
+// pop removes the minimum, (*h)[0].
+func (h *keyHeap) pop() {
+	ks := *h
+	n := len(ks) - 1
+	ks[0] = ks[n]
+	*h = ks[:n]
+	if n > 1 {
+		h.siftDown(0)
+	}
+}
+
+// heapify establishes the heap property over arbitrary, non-empty contents
+// in O(n).
+func (h keyHeap) heapify() {
+	for i := (len(h) - 2) / 4; i >= 0; i-- {
+		h.siftDown(i)
+	}
 }
 
 // siftUp restores the heap property from leaf i toward the root. The moved
-// element is held in a register and written once at its final slot (hole
+// key is held in a register and written once at its final position (hole
 // percolation) instead of swapping at every level.
-func (q *eventQueue) siftUp(i int) {
-	ev := q.ev
-	e := ev[i]
+func (h keyHeap) siftUp(i int) {
+	k := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !e.before(&ev[p]) {
+		if !k.before(&h[p]) {
 			break
 		}
-		ev[i] = ev[p]
+		h[i] = h[p]
 		i = p
 	}
-	ev[i] = e
+	h[i] = k
 }
 
-// siftDown restores the heap property from the root downward, again
-// percolating a hole rather than swapping.
-func (q *eventQueue) siftDown(i int) {
-	ev := q.ev
-	n := len(ev)
-	e := ev[i]
+// siftDown restores the heap property from i downward, again percolating a
+// hole rather than swapping.
+func (h keyHeap) siftDown(i int) {
+	n := len(h)
+	k := h[i]
 	for {
 		c := i*4 + 1 // first child
 		if c >= n {
 			break
 		}
-		// Find the least of up to four children; they are contiguous, so
-		// this scan stays within one or two cache lines.
 		m := c
 		hi := c + 4
 		if hi > n {
 			hi = n
 		}
 		for j := c + 1; j < hi; j++ {
-			if ev[j].before(&ev[m]) {
+			if h[j].before(&h[m]) {
 				m = j
 			}
 		}
-		if !ev[m].before(&e) {
+		if !h[m].before(&k) {
 			break
 		}
-		ev[i] = ev[m]
+		h[i] = h[m]
 		i = m
 	}
-	ev[i] = e
+	h[i] = k
 }

@@ -9,6 +9,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -16,8 +17,7 @@ import (
 // Sim is the event loop. All simulation activity happens in callbacks run by
 // Run/RunUntil on a single goroutine; no locking is needed inside handlers.
 type Sim struct {
-	now     time.Duration
-	events  eventQueue
+	events  eventQueue // holds the virtual clock as well
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -35,7 +35,7 @@ func NewSim(seed int64) *Sim {
 }
 
 // Now returns the current virtual time.
-func (s *Sim) Now() time.Duration { return s.now }
+func (s *Sim) Now() time.Duration { return s.events.now }
 
 // Rand returns the simulation's deterministic random source.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
@@ -48,8 +48,8 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // callback repeatedly should hold the func in a variable — or use a Timer —
 // so each call is allocation-free.
 func (s *Sim) Schedule(at time.Duration, fn func()) {
-	if at < s.now {
-		panic(fmt.Sprintf("netsim: scheduling event at %v before now %v", at, s.now))
+	if at < s.events.now {
+		panic(fmt.Sprintf("netsim: scheduling event at %v before now %v", at, s.events.now))
 	}
 	s.seq++
 	s.events.push(event{at: at, seq: s.seq, fn: fn})
@@ -86,7 +86,7 @@ func (s *Sim) After(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	s.Schedule(s.now+d, fn)
+	s.Schedule(s.events.now+d, fn)
 }
 
 // Every invokes fn at start and then every interval until fn returns false
@@ -122,20 +122,23 @@ func (s *Sim) Run() int {
 // events processed.
 func (s *Sim) RunUntil(t time.Duration) int {
 	n := s.run(t)
-	if !s.stopped && s.now < t {
-		s.now = t
+	if !s.stopped && s.events.now < t {
+		s.events.now = t // nothing is pending at or before t, so the lane is empty
 	}
 	return n
 }
 
+// run dispatches events at or before until; a negative until is no bound.
 func (s *Sim) run(until time.Duration) int {
+	if until < 0 {
+		until = math.MaxInt64
+	}
 	n := 0
-	for s.events.Len() > 0 && !s.stopped {
-		if until >= 0 && s.events.min().at > until {
+	for !s.stopped {
+		e, ok := s.events.popUntil(until)
+		if !ok {
 			break
 		}
-		e := s.events.pop()
-		s.now = e.at
 		e.fn()
 		n++
 	}

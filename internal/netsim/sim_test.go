@@ -156,18 +156,61 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// BenchmarkSimEventThroughput measures schedule+dispatch per event. The
+// shallow leg keeps one event pending, the burst leg a thousand in one
+// epoch. The deep leg has the shape request
+// workloads give the queue: every tick also parks a no-op timer 100 ms out
+// (a request deadline that its response beats), so ≈4,000 of them stand in
+// the queue while the ticks run 25 µs apart.
 func BenchmarkSimEventThroughput(b *testing.B) {
-	s := NewSim(1)
-	var tick func()
-	n := 0
-	tick = func() {
-		n++
-		if n < b.N {
-			s.After(time.Microsecond, tick)
+	b.Run("shallow", func(b *testing.B) {
+		s := NewSim(1)
+		var tick func()
+		n := 0
+		tick = func() {
+			n++
+			if n < b.N {
+				s.After(time.Microsecond, tick)
+			}
 		}
-	}
-	s.Schedule(0, tick)
-	b.ReportAllocs()
-	b.ResetTimer()
-	s.Run()
+		s.Schedule(0, tick)
+		b.ReportAllocs()
+		b.ResetTimer()
+		s.Run()
+	})
+	// The benchmark rig's netsim.events_per_s probe: bursts of 1,024 events
+	// one nanosecond apart, scheduled in order, then drained.
+	b.Run("burst", func(b *testing.B) {
+		s := NewSim(1)
+		tick := func() {}
+		b.ReportAllocs()
+		b.ResetTimer()
+		base := s.Now()
+		for i := 0; i < b.N; i++ {
+			s.Schedule(base+time.Duration(i&1023)*time.Nanosecond, tick)
+			if i&1023 == 1023 {
+				s.RunUntil(base + 1024*time.Nanosecond)
+				base = s.Now()
+			}
+		}
+		s.Run()
+	})
+	b.Run("deep", func(b *testing.B) {
+		s := NewSim(1)
+		deadline := func() {}
+		var tick func()
+		n := 0
+		tick = func() {
+			n++
+			if n < b.N {
+				s.After(100*time.Millisecond, deadline)
+				s.After(25*time.Microsecond, tick)
+			}
+		}
+		s.Schedule(0, tick)
+		b.ReportAllocs()
+		b.ResetTimer()
+		events := s.Run()
+		b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	})
 }

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -20,6 +21,9 @@ import (
 	"inbandlb/internal/lbproxy/dialpool"
 	"inbandlb/internal/netsim"
 	"inbandlb/internal/packet"
+	"inbandlb/internal/server"
+	"inbandlb/internal/tcpsim"
+	"inbandlb/internal/testbed"
 )
 
 // assertZeroAllocs runs fn through testing.AllocsPerRun and fails on any
@@ -51,6 +55,18 @@ func TestScheduleDispatchZeroAlloc(t *testing.T) {
 	if fired == 0 {
 		t.Fatal("callback never ran")
 	}
+	// Every tier of the queue, and the hand-over between them: the same
+	// instant, the current epoch, later epochs of the ring, and beyond the
+	// ring, drained through each epoch boundary on the way.
+	tiers := func() {
+		now := sim.Now()
+		for _, d := range []time.Duration{0, time.Microsecond, time.Millisecond, 40 * time.Millisecond, time.Second} {
+			sim.Schedule(now+d, fn)
+			sim.Schedule(now+d, fn)
+		}
+		sim.Run()
+	}
+	assertZeroAllocs(t, "Schedule+dispatch across epochs", tiers, tiers)
 }
 
 // TestTimerReArmZeroAlloc covers the reusable-event API periodic drivers
@@ -102,6 +118,56 @@ func TestLinkSendZeroAlloc(t *testing.T) {
 	assertZeroAllocs(t, "Link.Send+deliver", body, body)
 	if delivered == 0 {
 		t.Fatal("packet never delivered")
+	}
+}
+
+// TestSimRequestAllocCeiling pins the heap objects one simulated request
+// costs end to end — client, link, LB, server, DSR return — at exactly the
+// two packets it is made of (request and response). The client runs with
+// every per-request timer armed (deadline, RTO, think time), and the server
+// with a service time: each of those was a closure per request, 6 objects
+// in all, before the client and server kept their timers in a queue and in
+// recycled records.
+func TestSimRequestAllocCeiling(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const backends = 4
+	servers := make([]server.Config, backends)
+	for i := range servers {
+		servers[i] = server.Config{Workers: 4, Service: server.Deterministic(150 * time.Microsecond)}
+	}
+	cluster, err := testbed.NewCluster(testbed.ClusterConfig{
+		Seed:    1,
+		Policy:  control.NewRoundRobin(backends),
+		Servers: servers,
+		Workload: tcpsim.RequestConfig{
+			Connections:       16,
+			Pipeline:          2,
+			ThinkTime:         20 * time.Microsecond,
+			GetFraction:       0.5,
+			RequestTimeout:    100 * time.Millisecond,
+			RetransmitTimeout: 20 * time.Millisecond,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm-up: past the first deadlines, so every free list, the queue's
+	// slab and the connections' maps have reached their standing size.
+	cluster.Run(300 * time.Millisecond)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sent := cluster.Client.Stats().Sent
+	cluster.Sim.RunUntil(1300 * time.Millisecond)
+	runtime.ReadMemStats(&after)
+	sent = cluster.Client.Stats().Sent - sent
+	if sent < 50_000 {
+		t.Fatalf("only %d requests in the measured second", sent)
+	}
+	// Requests in flight at either end of the window contribute one of
+	// their two packets; two per connection slot bounds that.
+	objs := after.Mallocs - before.Mallocs
+	if slack := uint64(2 * 16 * 2); objs+slack < 2*sent || objs > 2*sent+slack {
+		t.Errorf("%d heap objects for %d requests = %.3f per request, want 2", objs, sent, float64(objs)/float64(sent))
 	}
 }
 

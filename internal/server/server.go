@@ -83,7 +83,38 @@ type Server struct {
 	queue []queued
 	// batch holds finished responses awaiting an incast flush (Config.Batch).
 	batch []*netsim.Packet
+	// free recycles service-completion events (each owns a prebuilt
+	// callback), so a request in service costs no allocation in steady
+	// state. Bounded by Workers.
+	free  []*job
 	stats Stats
+}
+
+// job is a reusable "service time elapsed" event for one request.
+type job struct {
+	p  *netsim.Packet
+	fn func()
+}
+
+// newJob takes a recycled job or builds one.
+func (s *Server) newJob(p *netsim.Packet) *job {
+	var j *job
+	if n := len(s.free); n > 0 {
+		j = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		j = &job{}
+		j.fn = func() {
+			p := j.p
+			// Recycle before finishing: finish starts the next queued
+			// request, which takes a job of its own.
+			j.p = nil
+			s.free = append(s.free, j)
+			s.serviced(p)
+		}
+	}
+	j.p = p
+	return j
 }
 
 type queued struct {
@@ -221,15 +252,18 @@ func (s *Server) start(p *netsim.Packet, wait time.Duration) {
 	d += s.cfg.Injected.DelayAt(now)
 	s.stats.Service.Record(d)
 	s.stats.QueueWait.Record(wait)
-	s.sim.After(d, func() {
-		if s.cfg.Dependency != nil && s.sim.Rand().Float64() < s.cfg.DependencyFraction {
-			// The local worker blocks on the downstream call, exactly as
-			// a synchronous RPC fan-out would.
-			s.cfg.Dependency.Call(func() { s.finish(p) })
-			return
-		}
-		s.finish(p)
-	})
+	s.sim.After(d, s.newJob(p).fn)
+}
+
+// serviced runs when p's local processing time has elapsed.
+func (s *Server) serviced(p *netsim.Packet) {
+	if s.cfg.Dependency != nil && s.sim.Rand().Float64() < s.cfg.DependencyFraction {
+		// The local worker blocks on the downstream call, exactly as
+		// a synchronous RPC fan-out would.
+		s.cfg.Dependency.Call(func() { s.finish(p) })
+		return
+	}
+	s.finish(p)
 }
 
 func (s *Server) finish(p *netsim.Packet) {

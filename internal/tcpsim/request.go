@@ -158,6 +158,19 @@ type RequestClient struct {
 	stopped  bool
 	zipf     *rand.Zipf
 
+	// deadlines holds the RequestTimeout checks pending, oldest first from
+	// deadlineHead. Every request arms one, with the same delay, so they
+	// fire in the order they were armed: one shared callback takes the
+	// oldest entry, and a check that almost always finds its response long
+	// arrived costs 16 bytes while it waits and no allocation.
+	deadlines    []deadline
+	deadlineHead int
+	onDeadline   func()
+	// free recycles the timers that do not fire in arming order (RTO, think
+	// time); each owns a prebuilt callback, so they cost no allocation in
+	// steady state either. Bounded by the peak number pending at once.
+	free []*reqTimer
+
 	// Zero-window burst tracking (ZeroWindowBurst): responses arriving
 	// within ZeroWindowGap of the previous one grow the burst.
 	lastRespAt time.Duration
@@ -212,6 +225,7 @@ func NewRequestClient(sim *netsim.Sim, cfg RequestConfig, out func(*netsim.Packe
 			SetLatency: stats.NewDefaultHistogram(),
 		},
 	}
+	c.onDeadline = c.deadlineFired // bound once: a method value allocates where it is taken
 	if cfg.Keys > 1 && cfg.KeyZipfS > 1 {
 		c.zipf = rand.NewZipf(sim.Rand(), cfg.KeyZipfS, 1, uint64(cfg.Keys-1))
 	}
@@ -319,49 +333,126 @@ func (c *RequestClient) sendRequest(cn *conn) {
 		SentAt: now,
 	})
 	if c.cfg.RequestTimeout > 0 {
-		c.sim.After(c.cfg.RequestTimeout, func() {
-			if cn.closed {
-				return
-			}
-			if _, waiting := cn.sendTimes[seq]; !waiting {
-				return
-			}
-			// Deadline fired with the response still outstanding: the
-			// application gives up on the whole socket and reconnects.
-			c.stats.Timeouts++
-			c.abortConn(cn)
-		})
+		c.deadlines = append(c.deadlines, deadline{cn, seq})
+		c.sim.After(c.cfg.RequestTimeout, c.onDeadline)
 	}
 	if c.cfg.RetransmitTimeout > 0 {
-		c.armRetransmit(cn, seq, op, key, 1, c.cfg.RetransmitTimeout)
+		t := c.newTimer(timerRTO, cn)
+		t.seq, t.op, t.key = seq, op, key
+		t.attempt, t.delay = 1, c.cfg.RetransmitTimeout
+		c.sim.After(t.delay, t.fn)
 	}
 }
 
-// armRetransmit schedules the RTO for one outstanding request: if the
-// response has not arrived by then, the same request (same sequence
-// number) is re-sent and the timer re-arms at double the delay, up to
-// RetransmitMax attempts. The re-send is a transport-layer event: Sent,
-// Outstanding, and the request's deadline are untouched.
-func (c *RequestClient) armRetransmit(cn *conn, seq uint64, op netsim.Op, key uint64, attempt int, delay time.Duration) {
-	c.sim.After(delay, func() {
-		if cn.closed || c.stopped || attempt > c.cfg.RetransmitMax {
+// deadline is one request's pending RequestTimeout check.
+type deadline struct {
+	cn  *conn
+	seq uint64
+}
+
+// deadlineFired is the expiry of the oldest pending deadline.
+func (c *RequestClient) deadlineFired() {
+	d := c.deadlines[c.deadlineHead]
+	c.deadlines[c.deadlineHead] = deadline{} // do not keep a closed connection reachable
+	c.deadlineHead++
+	if c.deadlineHead*2 >= len(c.deadlines) {
+		// Move the pending half down over the fired half: amortized O(1).
+		n := copy(c.deadlines, c.deadlines[c.deadlineHead:])
+		clear(c.deadlines[n:])
+		c.deadlines = c.deadlines[:n]
+		c.deadlineHead = 0
+	}
+	if d.cn.closed {
+		return
+	}
+	if _, waiting := d.cn.sendTimes[d.seq]; !waiting {
+		return
+	}
+	// Deadline fired with the response still outstanding: the application
+	// gives up on the whole socket and reconnects.
+	c.stats.Timeouts++
+	c.abortConn(d.cn)
+}
+
+// reqTimer is a pending client-side timer that is not a deadline. The
+// record and its callback are built once and recycled through
+// RequestClient.free (the pattern netsim.Link uses for deliveries) rather
+// than allocated as a closure per request.
+type reqTimer struct {
+	cn *conn
+	// RTO only: the request watched and what to re-send, the delay that
+	// armed the timer (doubled on each re-arm), and which attempt this is.
+	seq     uint64
+	key     uint64
+	delay   time.Duration
+	fn      func()
+	attempt int32
+	op      netsim.Op
+	kind    timerKind
+}
+
+type timerKind uint8
+
+const (
+	timerRTO   timerKind = iota // RetransmitTimeout for one request
+	timerThink                  // think time before a triggered send
+)
+
+// newTimer takes a recycled timer or builds one. The caller fills in the
+// kind's fields and schedules t.fn exactly once.
+func (c *RequestClient) newTimer(kind timerKind, cn *conn) *reqTimer {
+	var t *reqTimer
+	if n := len(c.free); n > 0 {
+		t = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		t = &reqTimer{}
+		t.fn = func() { c.fire(t) }
+	}
+	t.kind, t.cn = kind, cn
+	return t
+}
+
+// fire runs t's expiry. Unless t re-arms itself it goes back on the free
+// list before anything it triggers runs: a triggered send arms timers of
+// its own.
+func (c *RequestClient) fire(t *reqTimer) {
+	cn, seq := t.cn, t.seq
+	switch t.kind {
+	case timerRTO:
+		// If the response has not arrived, the same request (same sequence
+		// number) is re-sent and the timer re-arms at double the delay, up
+		// to RetransmitMax attempts. The re-send is a transport-layer event:
+		// Sent, Outstanding, and the request's deadline are untouched.
+		_, waiting := cn.sendTimes[seq]
+		if cn.closed || c.stopped || int(t.attempt) > c.cfg.RetransmitMax || !waiting {
+			c.recycle(t)
 			return
-		}
-		if _, waiting := cn.sendTimes[seq]; !waiting {
-			return // answered in time
 		}
 		c.stats.Retransmits++
 		c.out(&netsim.Packet{
 			Flow:   cn.flow,
 			Kind:   netsim.KindRequest,
-			Op:     op,
+			Op:     t.op,
 			Seq:    seq,
-			Key:    key,
+			Key:    t.key,
 			Size:   c.cfg.ReqSize,
 			SentAt: c.sim.Now(),
 		})
-		c.armRetransmit(cn, seq, op, key, attempt+1, delay*2)
-	})
+		t.attempt++
+		t.delay *= 2
+		c.sim.After(t.delay, t.fn)
+	case timerThink:
+		c.recycle(t)
+		if c.canSend(cn) {
+			c.sendRequest(cn)
+		}
+	}
+}
+
+func (c *RequestClient) recycle(t *reqTimer) {
+	t.cn = nil // do not keep a closed connection reachable
+	c.free = append(c.free, t)
 }
 
 // HandlePacket receives responses (and SYN-ACKs) from servers.
@@ -472,11 +563,7 @@ func (c *RequestClient) HandlePacket(p *netsim.Packet) {
 		// The triggered transmission: this response released pipeline quota.
 		think := c.thinkFor(cn)
 		if think > 0 {
-			c.sim.After(think, func() {
-				if c.canSend(cn) {
-					c.sendRequest(cn)
-				}
-			})
+			c.sim.After(think, c.newTimer(timerThink, cn).fn)
 		} else {
 			c.sendRequest(cn)
 		}

@@ -182,6 +182,63 @@ func TestRequestStop(t *testing.T) {
 	}
 }
 
+// TestRequestTimeoutAbortsItsOwnConnection blackholes one connection among
+// three busy ones: the pending deadlines are one queue served by one
+// callback, so the entry that fires must be the blackholed request's own —
+// exactly one timeout, on that connection, at its deadline, with every
+// healthy request's check in between a no-op.
+func TestRequestTimeoutAbortsItsOwnConnection(t *testing.T) {
+	const timeout = 5 * time.Millisecond
+	sim := netsim.NewSim(1)
+	var client *RequestClient
+	srv := server.New(sim, server.Config{Name: "s0", Service: server.Deterministic(200 * time.Microsecond), Workers: 16})
+	toClient := netsim.NewLink(sim, "srv->cli", 100*time.Microsecond, 0,
+		netsim.HandlerFunc(func(p *netsim.Packet) { client.HandlePacket(p) }))
+	srv.SetOutput(toClient.Send)
+	var dead packet.FlowKey // the second connection opened
+	toSrv := netsim.NewLink(sim, "cli->srv", 100*time.Microsecond, 0,
+		netsim.HandlerFunc(func(p *netsim.Packet) {
+			if p.Flow != dead {
+				srv.HandlePacket(p)
+			}
+		}))
+	client = NewRequestClient(sim, RequestConfig{
+		Connections: 3, Pipeline: 2, GetFraction: 0.5,
+		ThinkTime: 10 * time.Microsecond, ThinkJitter: 50 * time.Microsecond,
+		RequestTimeout: timeout,
+	}, toSrv.Send)
+	sim.Schedule(0, func() {
+		client.Start()
+		dead = client.conns[1].flow
+	})
+
+	sim.RunUntil(timeout - time.Microsecond)
+	if st := client.Stats(); st.Timeouts != 0 || st.Aborts != 0 || st.Responses == 0 {
+		t.Fatalf("before the deadline: %d timeouts, %d aborts, %d responses", st.Timeouts, st.Aborts, st.Responses)
+	}
+	sim.RunUntil(timeout)
+	if st := client.Stats(); st.Timeouts != 1 || st.Aborts != 1 || st.Abandoned != 2 || st.Opened != 4 {
+		t.Fatalf("at the deadline: %d timeouts, %d aborts, %d abandoned, %d opened; want 1, 1, 2 (the pipeline), 4",
+			st.Timeouts, st.Aborts, st.Abandoned, st.Opened)
+	}
+	if client.findConn(dead) != nil {
+		t.Error("the blackholed connection is still open")
+	}
+	sim.RunUntil(100 * time.Millisecond)
+	st := client.Stats()
+	if st.Timeouts != 1 || st.Aborts != 1 {
+		t.Errorf("healthy connections aborted: %d timeouts, %d aborts", st.Timeouts, st.Aborts)
+	}
+	if st.Sent != st.Responses+st.Abandoned+uint64(client.Outstanding()) {
+		t.Errorf("conservation: sent %d != responses %d + abandoned %d + outstanding %d",
+			st.Sent, st.Responses, st.Abandoned, client.Outstanding())
+	}
+	// The queue holds one timeout's worth of requests, not the run's.
+	if pending, sent := len(client.deadlines)-client.deadlineHead, int(st.Sent); pending == 0 || len(client.deadlines) > sent/4 {
+		t.Errorf("deadline queue: %d pending in %d entries after %d requests", pending, len(client.deadlines), sent)
+	}
+}
+
 func TestRequestIgnoresStaleResponses(t *testing.T) {
 	sim := netsim.NewSim(1)
 	client := NewRequestClient(sim, RequestConfig{Connections: 1, Pipeline: 1}, func(*netsim.Packet) {})

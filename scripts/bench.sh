@@ -28,9 +28,9 @@ delta_out="$out_dir/BENCH_${rev}.delta.txt"
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
-pattern='BenchmarkLBPacketPath$|BenchmarkEstimatorPerPacket$|BenchmarkSharedLadderPerPacket$|BenchmarkFig2|BenchmarkProxyConcurrentConns|BenchmarkProxyDietConcurrentConns|BenchmarkProxyNetpollConcurrentConns|BenchmarkProxySpliceRelay|BenchmarkProxyPooledDial|BenchmarkAcceptShardParallel|BenchmarkFlowTableParallel|BenchmarkMeasurementPathParallel|BenchmarkPickParallel|BenchmarkMaglevRebuild|BenchmarkControllerObserveSharded'
+pattern='BenchmarkLBPacketPath$|BenchmarkSimEventThroughput|BenchmarkEstimatorPerPacket$|BenchmarkSharedLadderPerPacket$|BenchmarkFig2|BenchmarkProxyConcurrentConns|BenchmarkProxyDietConcurrentConns|BenchmarkProxyNetpollConcurrentConns|BenchmarkProxySpliceRelay|BenchmarkProxyPooledDial|BenchmarkAcceptShardParallel|BenchmarkFlowTableParallel|BenchmarkMeasurementPathParallel|BenchmarkPickParallel|BenchmarkMaglevRebuild|BenchmarkControllerObserveSharded'
 
-go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" . ./internal/perf | tee "$raw"
+go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" . ./internal/perf ./internal/netsim | tee "$raw"
 
 # Find the baseline BEFORE writing the fresh file: the most recent
 # BENCH_*.json in OUT_DIR or in the committed results/bench history
