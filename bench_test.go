@@ -14,7 +14,6 @@ import (
 	"net"
 	"net/netip"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -263,30 +262,10 @@ func benchWorkerKeys(worker int) []packet.FlowKey {
 	return keys
 }
 
-// BenchmarkFlowTableParallel compares the measurement hot path under
-// parallel load: the pre-sharding design (one FlowTable behind one global
-// mutex, exactly what the proxy's per-read path used to serialize on)
-// against ShardedFlowTable with GOMAXPROCS lock stripes.
+// BenchmarkFlowTableParallel measures the measurement hot path under
+// parallel load: ShardedFlowTable with GOMAXPROCS lock stripes, observed by
+// key and, as the proxy calls it, by a precomputed hash.
 func BenchmarkFlowTableParallel(b *testing.B) {
-	b.Run("mutex-baseline", func(b *testing.B) {
-		ft, err := core.NewFlowTable(core.FlowTableConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var mu sync.Mutex
-		var workerIDs atomic.Int64
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			keys := benchWorkerKeys(int(workerIDs.Add(1)))
-			now := time.Duration(0)
-			for i := 0; pb.Next(); i++ {
-				now += 5 * time.Microsecond
-				mu.Lock()
-				ft.Observe(keys[i%len(keys)], now)
-				mu.Unlock()
-			}
-		})
-	})
 	b.Run("sharded", func(b *testing.B) {
 		tbl := core.MustSharded(core.FlowTableConfig{}, runtime.GOMAXPROCS(0))
 		var workerIDs atomic.Int64
@@ -324,16 +303,10 @@ func BenchmarkFlowTableParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkMeasurementPathParallel compares the proxy's full per-read
-// measurement pipeline before and after the concurrency rework. The
-// baseline reproduces the old design: one global mutex held across the
-// flow-table lookup, estimator update, AND the policy's sample handling
-// (EWMA update plus occasional Maglev table rebuild — all inline on the
-// read path). The funnel variant replaced that with a sharded table
-// observe plus a channel handoff to a consumer goroutine; the controller
-// variant — the current proxy path — batches samples in per-shard
-// accumulators merged once per control tick, with the flow hash computed
-// once and reused across both stages.
+// BenchmarkMeasurementPathParallel measures the proxy's full per-read
+// measurement pipeline under parallel load: one hash per packet reused for
+// flow-shard selection and sample aggregation, samples batched
+// shard-locally and merged into the policy once per control tick.
 func BenchmarkMeasurementPathParallel(b *testing.B) {
 	newLA := func(b *testing.B) *control.LatencyAware {
 		la, err := control.NewLatencyAware(control.LatencyAwareConfig{
@@ -355,52 +328,6 @@ func BenchmarkMeasurementPathParallel(b *testing.B) {
 		return now
 	}
 
-	b.Run("global-mutex", func(b *testing.B) {
-		ft, err := core.NewFlowTable(core.FlowTableConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		la := newLA(b)
-		var mu sync.Mutex
-		var workerIDs atomic.Int64
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			w := int(workerIDs.Add(1))
-			keys := benchWorkerKeys(w)
-			now := time.Duration(0)
-			for i := 0; pb.Next(); i++ {
-				now = step(now, i)
-				mu.Lock()
-				sample, ok := ft.Observe(keys[i%len(keys)], now)
-				if ok {
-					la.ObserveLatency(w%4, now, sample)
-				}
-				mu.Unlock()
-			}
-		})
-	})
-	b.Run("sharded-funnel", func(b *testing.B) {
-		tbl := core.MustSharded(core.FlowTableConfig{}, runtime.GOMAXPROCS(0))
-		funnel := control.NewFunnel(newLA(b), 0)
-		defer funnel.Close()
-		var workerIDs atomic.Int64
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			w := int(workerIDs.Add(1))
-			keys := benchWorkerKeys(w)
-			now := time.Duration(0)
-			for i := 0; pb.Next(); i++ {
-				now = step(now, i)
-				sample, ok := tbl.Observe(keys[i%len(keys)], now)
-				if ok {
-					funnel.ObserveLatency(w%4, now, sample)
-				}
-			}
-		})
-	})
-	// The current proxy path: one hash per packet reused for flow-shard
-	// selection and sample aggregation, samples batched shard-locally and
-	// merged by a background control tick instead of a channel handoff.
 	b.Run("sharded-controller", func(b *testing.B) {
 		tbl := core.MustSharded(core.FlowTableConfig{}, runtime.GOMAXPROCS(0))
 		ctrl := control.NewController(newLA(b), control.ControllerConfig{
@@ -501,15 +428,14 @@ func reportRelaySyscalls(b *testing.B, p *lbproxy.Proxy, ops int) {
 	b.ReportMetric(float64(st.RelaySplices)/float64(ops), "splices/op")
 }
 
-// dietProxy builds the full syscall-diet configuration: zero-copy splice,
-// backend connection pooling, and acceptor shards.
+// dietProxy builds the full syscall-diet configuration: backend connection
+// pooling and acceptor shards (splice is on wherever the kernel has it).
 func dietProxy(b *testing.B, backends []string, policy control.Policy) *lbproxy.Proxy {
 	proxy, err := lbproxy.New(lbproxy.Config{
 		Backends:    backends,
 		Policy:      policy,
 		Shards:      runtime.GOMAXPROCS(0),
 		Acceptors:   runtime.GOMAXPROCS(0),
-		Splice:      true,
 		PoolIdle:    64,
 		PoolQuiesce: 50 * time.Microsecond,
 	})
@@ -524,69 +450,60 @@ func dietProxy(b *testing.B, backends []string, policy control.Policy) *lbproxy.
 }
 
 // BenchmarkProxySpliceRelay measures bulk relay throughput: one client
-// streams 64 KiB writes through the proxy to a discard sink, with the
-// relay in userspace-copy mode and in zero-copy splice mode. The
-// relay-syscalls/op metric is the diet itself: copy pays a read+write
-// pair per chunk and touches every byte; splice moves page references.
+// streams 64 KiB writes through the proxy to a discard sink. Each write
+// overflows the 32 KiB read buffer, so the rest of every burst is spliced;
+// relay-syscalls/op is the diet itself.
 func BenchmarkProxySpliceRelay(b *testing.B) {
 	const chunk = 64 << 10
-	for _, mode := range []struct {
-		name   string
-		splice bool
-	}{{"copy", false}, {"splice", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			sink, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sink.Close()
-			go func() {
-				for {
-					c, err := sink.Accept()
-					if err != nil {
-						return
-					}
-					go func() { _, _ = io.Copy(io.Discard, c); _ = c.Close() }()
-				}
-			}()
-			proxy, err := lbproxy.New(lbproxy.Config{
-				Backends: []string{sink.Addr().String()},
-				Policy:   control.NewRoundRobin(1),
-				Splice:   mode.splice,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := proxy.Listen("127.0.0.1:0"); err != nil {
-				b.Fatal(err)
-			}
-			go func() { _ = proxy.Serve() }()
-			defer proxy.Close()
-
-			conn, err := net.DialTimeout("tcp", proxy.Addr().String(), 2*time.Second)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer conn.Close()
-			buf := make([]byte, chunk)
-			b.SetBytes(chunk)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := conn.Write(buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			// Drain the relay before reading its counters: half-close and
-			// wait for the proxied connection to finish.
-			_ = conn.(*net.TCPConn).CloseWrite()
-			deadline := time.Now().Add(5 * time.Second)
-			for time.Now().Before(deadline) && proxy.Stats().Active > 0 {
-				time.Sleep(time.Millisecond)
-			}
-			reportRelaySyscalls(b, proxy, b.N)
-		})
+	sink, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer sink.Close()
+	go func() {
+		for {
+			c, err := sink.Accept()
+			if err != nil {
+				return
+			}
+			go func() { _, _ = io.Copy(io.Discard, c); _ = c.Close() }()
+		}
+	}()
+	proxy, err := lbproxy.New(lbproxy.Config{
+		Backends: []string{sink.Addr().String()},
+		Policy:   control.NewRoundRobin(1),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := proxy.Listen("127.0.0.1:0"); err != nil {
+		b.Fatal(err)
+	}
+	go func() { _ = proxy.Serve() }()
+	defer proxy.Close()
+
+	conn, err := net.DialTimeout("tcp", proxy.Addr().String(), 2*time.Second)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	buf := make([]byte, chunk)
+	b.SetBytes(chunk)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := conn.Write(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	// Drain the relay before reading its counters: half-close and wait for
+	// the proxied connection to finish.
+	_ = conn.(*net.TCPConn).CloseWrite()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) && proxy.Stats().Active > 0 {
+		time.Sleep(time.Millisecond)
+	}
+	reportRelaySyscalls(b, proxy, b.N)
 }
 
 // BenchmarkProxyPooledDial measures the connection-per-operation shape —
@@ -608,7 +525,6 @@ func BenchmarkProxyPooledDial(b *testing.B) {
 			proxy, err := lbproxy.New(lbproxy.Config{
 				Backends:    []string{srv.Addr().String()},
 				Policy:      control.NewRoundRobin(1),
-				Splice:      true,
 				PoolIdle:    mode.idle,
 				PoolQuiesce: 50 * time.Microsecond,
 			})
@@ -648,7 +564,7 @@ func BenchmarkProxyPooledDial(b *testing.B) {
 }
 
 // BenchmarkAcceptShardParallel measures concurrent connection-per-op
-// admission with one accept loop versus SO_REUSEPORT listener shards.
+// admission with one event-loop shard versus SO_REUSEPORT listener shards.
 // (On a single-core host the shards mostly measure that the sharded path
 // adds no overhead; the contention win needs real parallelism.)
 func BenchmarkAcceptShardParallel(b *testing.B) {
@@ -664,7 +580,6 @@ func BenchmarkAcceptShardParallel(b *testing.B) {
 				Backends:  []string{srv.Addr().String()},
 				Policy:    control.NewRoundRobin(1),
 				Acceptors: acceptors,
-				Splice:    true,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -774,75 +689,6 @@ func BenchmarkProxyDietConcurrentConns(b *testing.B) {
 				}
 			})
 			b.StopTimer()
-			reportRelaySyscalls(b, proxy, b.N)
-		})
-	}
-}
-
-// BenchmarkProxyNetpollConcurrentConns runs the diet workload through both
-// dataplanes — goroutine-per-connection relays and the event-driven epoll
-// state machines — under the otherwise-identical full diet configuration.
-// The goroutines gauge is the scheduler diet itself: the netpoll mode holds
-// O(acceptor shards) relay goroutines regardless of client parallelism.
-func BenchmarkProxyNetpollConcurrentConns(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		netpoll bool
-	}{{"goroutine", false}, {"netpoll", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var backends []string
-			for i := 0; i < 2; i++ {
-				srv := memcache.NewServer()
-				if err := srv.Listen("127.0.0.1:0"); err != nil {
-					b.Fatal(err)
-				}
-				go func() { _ = srv.Serve() }()
-				defer srv.Close()
-				backends = append(backends, srv.Addr().String())
-			}
-			la, err := control.NewLatencyAware(control.LatencyAwareConfig{
-				Backends: []string{"b0", "b1"}, Alpha: 0.1, TableSize: 1021,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			proxy, err := lbproxy.New(lbproxy.Config{
-				Backends:    backends,
-				Policy:      la,
-				Shards:      runtime.GOMAXPROCS(0),
-				Acceptors:   runtime.GOMAXPROCS(0),
-				Splice:      true,
-				Netpoll:     mode.netpoll,
-				PoolIdle:    64,
-				PoolQuiesce: 50 * time.Microsecond,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := proxy.Listen("127.0.0.1:0"); err != nil {
-				b.Fatal(err)
-			}
-			go func() { _ = proxy.Serve() }()
-			defer proxy.Close()
-			addr := proxy.Addr().String()
-
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				cli, err := memcache.Dial(addr, 2*time.Second)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				defer cli.Close()
-				for pb.Next() {
-					if err := cli.Set("bench", []byte("v")); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(runtime.NumGoroutine()), "goroutines")
 			reportRelaySyscalls(b, proxy, b.N)
 		})
 	}

@@ -53,10 +53,8 @@ func main() {
 		slowStart   = flag.Int("slow-start-ticks", 0, "passive: control ticks to ramp a recovered backend to full traffic (0 = default 50)")
 		idleTO      = flag.Duration("idle-timeout", 0, "per-direction relay idle timeout (0 = none)")
 		drainTO     = flag.Duration("drain-timeout", 0, "grace period for in-flight connections on shutdown (0 = immediate)")
-		acceptors   = flag.Int("acceptors", 1, "parallel accept loops (SO_REUSEPORT listener shards on Linux)")
-		splice      = flag.Bool("splice", true, "zero-copy splice(2) relay on Linux (falls back to buffer copies elsewhere)")
-		netpoll     = flag.Bool("netpoll", true, "event-driven epoll dataplane on Linux: connections live on O(acceptors) event loops from accept to close, no goroutine per connection (false or no epoll: goroutine relays; -pool-idle > 0 or a hostname backend: goroutines accept and dial, the loops relay; the second start-up line says what is in effect)")
-		poolIdle    = flag.Int("pool-idle", 0, "max idle pooled connections per backend (0 = pooling off)")
+		acceptors   = flag.Int("acceptors", 1, "event-loop shards, each with its own SO_REUSEPORT listener (Linux)")
+		poolIdle    = flag.Int("pool-idle", 0, "max idle pooled connections per backend, Linux (0 = pooling off)")
 		poolMaxAge  = flag.Duration("pool-max-age", 30*time.Second, "evict pooled backend connections older than this (0 = no cap)")
 		congSignals = flag.Bool("congestion-signals", false, "sample TCP_INFO retransmissions per relayed backend connection and feed them to the passive detector as transport-distress evidence (Linux; no-op elsewhere)")
 		congEvery   = flag.Duration("congestion-sample-interval", 0, "TCP_INFO polling cadence (0 = default 25ms)")
@@ -113,8 +111,6 @@ func main() {
 		IdleTimeout:              *idleTO,
 		DrainTimeout:             *drainTO,
 		Acceptors:                *acceptors,
-		Splice:                   *splice,
-		Netpoll:                  *netpoll,
 		PoolIdle:                 *poolIdle,
 		PoolMaxAge:               *poolMaxAge,
 		CongestionSignals:        *congSignals,
@@ -142,11 +138,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("lbproxy: %s on %s -> %v\n", pol.Name(), proxy.Addr(), addrs)
-	if mode, reason := proxy.Dataplane(); reason == "" {
-		fmt.Printf("lbproxy: dataplane %s\n", mode)
-	} else {
-		fmt.Printf("lbproxy: dataplane %s (%s)\n", mode, reason)
-	}
 
 	if *statusAddr != "" {
 		go func() {

@@ -34,7 +34,8 @@ import (
 	"inbandlb/internal/trace"
 )
 
-// gitRev tags arena artifacts the way bench.sh tags bench deltas.
+// gitRev tags arena artifacts with the commit (and dirty state) they came
+// from.
 func gitRev() string {
 	out, err := exec.Command("git", "describe", "--always", "--dirty").Output()
 	if err != nil {

@@ -70,7 +70,7 @@ type ControllerConfig struct {
 //     slow-start state machine, expressed to the data plane purely as
 //     per-backend admission fractions in the published Snapshot.
 //
-// Controller implements Policy, so it drops in anywhere a Funnel did. The
+// Controller implements Policy, so it drops in anywhere a Policy does. The
 // wrapped policy never sees concurrent calls, exactly as the Policy
 // contract promises. FlowClosed and non-snapshot Picks are applied
 // synchronously under the internal mutex (they are per-connection, not
@@ -945,9 +945,9 @@ func (c *Controller) Do(fn func(Policy)) {
 // Delivered returns how many samples ticks have applied to the policy.
 func (c *Controller) Delivered() uint64 { return c.delivered.Load() }
 
-// Dropped returns 0: unlike the Funnel's bounded queue, shard aggregation
-// is lossless, so no sample is ever shed. Kept so callers migrating from
-// Funnel preserve their accounting identities.
+// Dropped returns 0: shard aggregation is lossless, so no sample is ever
+// shed. Kept so callers' accounting identities (Samples == Delivered +
+// Dropped) read the same whatever the aggregator.
 func (c *Controller) Dropped() uint64 { return 0 }
 
 // Start launches the background tick loop at the configured Interval.

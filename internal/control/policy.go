@@ -23,8 +23,8 @@ import (
 // batches the parallel measurement path's samples into per-shard
 // accumulators merged under one lock at control ticks, and serves routing
 // from immutable snapshots. New callers with concurrent flows must wrap
-// their policy in a Controller (or the legacy Funnel) rather than make
-// implementations lock internally.
+// their policy in a Controller rather than make implementations lock
+// internally.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string

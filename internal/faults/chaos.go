@@ -9,54 +9,14 @@ import (
 	"time"
 )
 
-// This file carries the live (real-socket) consumers of a ConnSchedule: a
-// dialer wrapper and a listener wrapper that inject the same faults the
-// simulated server injects, so one schedule drives sim and live experiments.
+// This file carries the live (real-socket) consumer of a ConnSchedule: a
+// listener wrapper that injects the same faults the simulated server
+// injects, so one schedule drives sim and live experiments.
 
 // Clock supplies the schedule's time base; live wrappers are handed the
 // proxy's or the test's monotonic since-start clock so wall time never
 // leaks into a schedule's coordinates.
 type Clock func() time.Duration
-
-// ErrInjectedRefuse is returned by a chaos dialer refusing a connection.
-var ErrInjectedRefuse = errors.New("faults: injected connection refusal")
-
-// DialFunc is the dial shape the proxy uses (net.DialTimeout compatible).
-type DialFunc func(addr string, timeout time.Duration) (net.Conn, error)
-
-// ChaosDialer wraps dial with sched: refused attempts fail immediately with
-// ErrInjectedRefuse, blackholed attempts return a connection that never
-// moves data, reset attempts return a connection that dies after
-// AfterBytes. Attempt ids are a per-dialer counter, so a Flaky schedule
-// fails a deterministic subsequence of attempts.
-func ChaosDialer(dial DialFunc, sched ConnSchedule, clock Clock) DialFunc {
-	if dial == nil {
-		dial = func(addr string, timeout time.Duration) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, timeout)
-		}
-	}
-	var seq atomic.Uint64
-	return func(addr string, timeout time.Duration) (net.Conn, error) {
-		f := sched.ConnFaultAt(clock(), seq.Add(1)-1)
-		switch f.Kind {
-		case ConnRefuse:
-			return nil, ErrInjectedRefuse
-		case ConnBlackhole:
-			conn, err := dial(addr, timeout)
-			if err != nil {
-				return nil, err
-			}
-			return newBlackholeConn(conn), nil
-		case ConnReset:
-			conn, err := dial(addr, timeout)
-			if err != nil {
-				return nil, err
-			}
-			return newResetConn(conn, f.AfterBytes), nil
-		}
-		return dial(addr, timeout)
-	}
-}
 
 // NewChaosListener wraps lis with sched: refused connections are closed at
 // accept (RST when the transport supports lingerless close) and never
@@ -210,4 +170,3 @@ func (r *resetConn) Write(p []byte) (int, error) {
 	r.spend(n)
 	return n, err
 }
-

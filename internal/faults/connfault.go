@@ -8,7 +8,7 @@ import (
 // ConnFaultKind classifies connection-level failures, the complement of the
 // delay Schedules: where a Schedule degrades a path, a ConnSchedule breaks
 // connections outright. The same schedule drives the simulated server, the
-// live chaos dialer/listener wrappers, and the failure-recovery experiments.
+// live chaos listener wrapper, and the failure-recovery experiments.
 type ConnFaultKind uint8
 
 const (

@@ -2,7 +2,6 @@ package faults
 
 import (
 	"errors"
-	"io"
 	"net"
 	"os"
 	"sync/atomic"
@@ -103,53 +102,31 @@ func TestConnStackFirstWins(t *testing.T) {
 	}
 }
 
-// echoListener accepts one connection at a time and echoes bytes back.
-func echoListener(t *testing.T) net.Listener {
+// chaosConn dials a chaos listener running sched and returns the server
+// side of the connection as Accept surfaced it.
+func chaosConn(t *testing.T, sched ConnSchedule) net.Conn {
 	t.Helper()
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				_, _ = io.Copy(conn, conn)
-			}()
-		}
-	}()
+	lis := NewChaosListener(inner, sched, func() time.Duration { return 0 })
 	t.Cleanup(func() { lis.Close() })
-	return lis
+	client, err := net.Dial("tcp", inner.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	conn, err := lis.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return conn
 }
 
-func TestChaosDialerRefuse(t *testing.T) {
-	lis := echoListener(t)
-	clock := func() time.Duration { return 0 }
-	dial := ChaosDialer(nil, Outage{}, clock) // refuse always
-	if _, err := dial(lis.Addr().String(), time.Second); !errors.Is(err, ErrInjectedRefuse) {
-		t.Fatalf("dial err = %v, want ErrInjectedRefuse", err)
-	}
-	// Outside the window the dialer passes through.
-	healthy := ChaosDialer(nil, Outage{Start: time.Hour}, clock)
-	conn, err := healthy(lis.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatalf("healthy dial: %v", err)
-	}
-	conn.Close()
-}
-
-func TestChaosDialerBlackhole(t *testing.T) {
-	lis := echoListener(t)
-	dial := ChaosDialer(nil, Outage{Blackhole: true}, func() time.Duration { return 0 })
-	conn, err := dial(lis.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
+func TestChaosListenerBlackhole(t *testing.T) {
+	conn := chaosConn(t, Outage{Blackhole: true})
 	if _, err := conn.Write([]byte("ping")); err != nil {
 		t.Fatalf("blackhole write: %v", err)
 	}
@@ -160,14 +137,8 @@ func TestChaosDialerBlackhole(t *testing.T) {
 	}
 }
 
-func TestChaosDialerReset(t *testing.T) {
-	lis := echoListener(t)
-	dial := ChaosDialer(nil, Reset{AfterBytes: 8}, func() time.Duration { return 0 })
-	conn, err := dial(lis.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
+func TestChaosListenerReset(t *testing.T) {
+	conn := chaosConn(t, Reset{AfterBytes: 8})
 	if _, err := conn.Write([]byte("01234567")); err != nil { // spends the budget
 		t.Fatalf("write within budget: %v", err)
 	}

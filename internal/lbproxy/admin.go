@@ -107,7 +107,6 @@ func (p *Proxy) writeMetrics(w io.Writer) {
 	}{
 		{"lbproxy_accepted_total", "Connections accepted.", st.Accepted},
 		{"lbproxy_accept_errors_total", "Accept failures the acceptors backed off from and retried.", st.AcceptErrors},
-		{"lbproxy_dataplane_fallback_connections_total", "Connections the event relay could not take, relayed by goroutines instead.", st.NetpollFallbacks},
 		{"lbproxy_dial_errors_total", "Connections that failed every dial attempt.", st.DialErrors},
 		{"lbproxy_backend_connect_timeouts_total", "Backend connects ended by the dial timeout.", st.ConnectTimeouts},
 		{"lbproxy_dropped_total", "Connections dropped for lack of any admitted backend.", st.Dropped},
@@ -115,9 +114,9 @@ func (p *Proxy) writeMetrics(w io.Writer) {
 		{"lbproxy_failovers_total", "Connections rescued by the post-dial-error retry.", st.Failovers},
 		{"lbproxy_samples_total", "Latency samples emitted by the in-band estimator.", st.Samples},
 		{"lbproxy_samples_delivered_total", "Estimator samples merged into the policy by control ticks.", st.SamplesDelivered},
-		{"lbproxy_relay_reads_total", "read(2) calls on the copy relay path.", st.RelayReads},
-		{"lbproxy_relay_writes_total", "write(2) calls on the copy relay path.", st.RelayWrites},
-		{"lbproxy_relay_splices_total", "splice(2) calls on the zero-copy relay path.", st.RelaySplices},
+		{"lbproxy_relay_reads_total", "read(2) calls by the relay.", st.RelayReads},
+		{"lbproxy_relay_writes_total", "write(2) calls by the relay.", st.RelayWrites},
+		{"lbproxy_relay_splices_total", "splice(2) calls by the relay's zero-copy path.", st.RelaySplices},
 		{"lbproxy_pool_hits_total", "Dial-pool checkouts served from an idle connection.", st.PoolHits},
 		{"lbproxy_pool_misses_total", "Dial-pool checkouts that required a fresh dial.", st.PoolMisses},
 		{"lbproxy_pool_dead_total", "Pooled connections found dead at checkout.", st.PoolDead},
@@ -136,11 +135,6 @@ func (p *Proxy) writeMetrics(w io.Writer) {
 		m.sample(c.name, "", float64(c.v))
 	}
 
-	mode, _ := p.Dataplane()
-	m.family("lbproxy_dataplane", "1 for the relay new connections run on.", "gauge")
-	for _, name := range []string{"netpoll", "goroutine"} {
-		m.sample("lbproxy_dataplane", `mode="`+name+`"`, boolMetric(name == mode))
-	}
 	m.family("lbproxy_active_connections", "Currently relayed connections.", "gauge")
 	m.sample("lbproxy_active_connections", "", float64(st.Active))
 	m.family("lbproxy_backend_connects_inflight", "Backend connects in progress: connections accepted and routed but not relaying yet.", "gauge")

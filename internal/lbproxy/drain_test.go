@@ -1,13 +1,12 @@
+//go:build linux
+
 package lbproxy
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
-	"strings"
-	"sync"
-	"sync/atomic"
-	"syscall"
 	"testing"
 	"time"
 
@@ -15,22 +14,32 @@ import (
 	"inbandlb/internal/packet"
 )
 
-// The drain-rule suite pins what both relays owe their callers no matter how
-// few syscalls they spend per message: every byte and every half-close gets
+// The drain-rule suite pins what the relay owes its callers no matter how
+// few syscalls it spends per message: every byte and every half-close gets
 // through, whatever was already queued when the relay first looked at the
 // socket.
 
-// relays are the two dataplanes of the shared contract.
-var relays = []struct {
-	name    string
-	netpoll bool
-}{{"netpoll", true}, {"goroutine", false}}
-
-// slowDial delays the backend dial, so whatever the client wrote right after
-// connecting is queued in full before the relay first reads.
-func slowDial(addr string, timeout time.Duration) (net.Conn, error) {
-	time.Sleep(30 * time.Millisecond)
-	return net.DialTimeout("tcp", addr, timeout)
+// stallLoops parks the proxy's event loops until release is called (at the
+// latest, when the test ends): whatever a client writes meanwhile — FIN
+// included — is queued in full before the relay first reads.
+func stallLoops(t *testing.T, p *Proxy) (release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	for _, s := range p.np {
+		running := make(chan struct{})
+		if s.pol.Post(func() { close(running); <-gate }) {
+			<-running
+		}
+	}
+	released := false
+	release = func() {
+		if !released {
+			released = true
+			close(gate)
+		}
+	}
+	t.Cleanup(release)
+	return release
 }
 
 // serveOnce accepts connections on a fresh listener and runs fn on each.
@@ -60,93 +69,101 @@ func echoBackend(t *testing.T) string {
 	return serveOnce(t, func(c net.Conn) { _, _ = io.Copy(c, c) })
 }
 
-func drainProxy(t *testing.T, cfg Config) string {
-	t.Helper()
-	cfg.Policy = control.NewRoundRobin(len(cfg.Backends))
-	proxy, paddr := startProxyCfg(t, cfg)
-	if cfg.Netpoll {
-		requireNetpoll(t, proxy)
-	}
-	return paddr
-}
-
 // TestRelayFINQueuedWithData: request bytes and FIN written back to back
 // before the relay first reads. The bytes and the half-close must both reach
 // the backend — with no idle timeout configured, a FIN left behind a short
-// read would strand the connection forever.
+// read would strand the connection forever. The leg is named for the
+// dataplane, the event loop on internal/netpoll; its cases put the FIN behind
+// a request that one read drains and behind a burst four times the read
+// buffer, whose rest is spliced (or, without splice, read on) to EOF.
 func TestRelayFINQueuedWithData(t *testing.T) {
-	for _, r := range relays {
-		t.Run(r.name, func(t *testing.T) {
-			got := make(chan []byte, 1)
-			baddr := serveOnce(t, func(c net.Conn) {
-				b, _ := io.ReadAll(c) // returns at the forwarded FIN
-				got <- b
-				_, _ = c.Write([]byte("ok"))
-			})
-			paddr := drainProxy(t, Config{Backends: []string{baddr}, Splice: true, Netpoll: r.netpoll, Dial: slowDial})
+	const bufSize = 1 << 10
+	t.Run("netpoll", func(t *testing.T) {
+		for _, tc := range []struct {
+			name string
+			req  []byte
+		}{
+			{"short", []byte("request, then straight away a FIN\r\n")},
+			{"bulk", bytes.Repeat([]byte("q"), 4*bufSize)},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				got := make(chan []byte, 1)
+				baddr := serveOnce(t, func(c net.Conn) {
+					b, _ := io.ReadAll(c) // returns at the forwarded FIN
+					got <- b
+					_, _ = c.Write([]byte("ok"))
+				})
+				p, paddr := startProxyCfg(t, Config{Backends: []string{baddr},
+					Policy: control.NewRoundRobin(1), BufferSize: bufSize})
+				release := stallLoops(t, p)
 
-			c, err := net.DialTimeout("tcp", paddr, time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			req := []byte("request, then straight away a FIN\r\n")
-			if _, err := c.Write(req); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.(*net.TCPConn).CloseWrite(); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case b := <-got:
-				if !bytes.Equal(b, req) {
-					t.Errorf("backend read %q, want %q", b, req)
+				c, err := net.DialTimeout("tcp", paddr, time.Second)
+				if err != nil {
+					t.Fatal(err)
 				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("backend never saw EOF: the FIN was stranded behind the data")
-			}
-			_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
-			if reply, err := io.ReadAll(c); err != nil || string(reply) != "ok" {
-				t.Errorf("reply %q err=%v, want ok then EOF", reply, err)
-			}
-		})
-	}
+				defer c.Close()
+				if _, err := c.Write(tc.req); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.(*net.TCPConn).CloseWrite(); err != nil {
+					t.Fatal(err)
+				}
+				release()
+				select {
+				case b := <-got:
+					if !bytes.Equal(b, tc.req) {
+						t.Errorf("backend read %d bytes, want the %d-byte request", len(b), len(tc.req))
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("backend never saw EOF: the FIN was stranded behind the data")
+				}
+				_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+				if reply, err := io.ReadAll(c); err != nil || string(reply) != "ok" {
+					t.Errorf("reply %q err=%v, want ok then EOF", reply, err)
+				}
+			})
+		}
+	})
 }
 
 // TestRelayBufferSizedMessages: a message of exactly BufferSize bytes fills
 // the read buffer, and one of BufferSize+1 leaves a single byte behind it —
-// a full read proves nothing about the socket, so the relay must read again.
+// a full read proves nothing about the socket, so the relay must read again
+// (or splice the rest).
 func TestRelayBufferSizedMessages(t *testing.T) {
 	const bufSize = 4096
-	for _, r := range relays {
-		for _, splice := range []bool{true, false} {
-			for _, n := range []int{bufSize, bufSize + 1} {
-				name := r.name + map[bool]string{true: "/splice", false: "/copy"}[splice]
-				t.Run(name, func(t *testing.T) {
-					paddr := drainProxy(t, Config{Backends: []string{echoBackend(t)}, BufferSize: bufSize,
-						Splice: splice, Netpoll: r.netpoll, Dial: slowDial})
-					c, err := net.DialTimeout("tcp", paddr, time.Second)
-					if err != nil {
+	for _, splice := range []bool{true, false} {
+		for _, n := range []int{bufSize, bufSize + 1} {
+			name := fmt.Sprintf("%s/%d", map[bool]string{true: "splice", false: "copy"}[splice], n)
+			t.Run(name, func(t *testing.T) {
+				if !splice {
+					withoutSplice(t)
+				}
+				p, paddr := startProxyCfg(t, Config{Backends: []string{echoBackend(t)},
+					Policy: control.NewRoundRobin(1), BufferSize: bufSize})
+				release := stallLoops(t, p)
+				c, err := net.DialTimeout("tcp", paddr, time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+				msg := bytes.Repeat([]byte("m"), n)
+				msg[n-1] = '!'
+				for round := 0; round < 3; round++ { // first round queued before the relay starts
+					if _, err := c.Write(msg); err != nil {
 						t.Fatal(err)
 					}
-					defer c.Close()
-					_ = c.SetDeadline(time.Now().Add(5 * time.Second))
-					msg := bytes.Repeat([]byte("m"), n)
-					msg[n-1] = '!'
-					for round := 0; round < 3; round++ { // first round queued before the relay starts
-						if _, err := c.Write(msg); err != nil {
-							t.Fatal(err)
-						}
-						back := make([]byte, n)
-						if _, err := io.ReadFull(c, back); err != nil {
-							t.Fatalf("round %d: %d-byte message not relayed whole: %v", round, n, err)
-						}
-						if !bytes.Equal(back, msg) {
-							t.Fatalf("round %d: echo differs", round)
-						}
+					release()
+					back := make([]byte, n)
+					if _, err := io.ReadFull(c, back); err != nil {
+						t.Fatalf("round %d: %d-byte message not relayed whole: %v", round, n, err)
 					}
-				})
-			}
+					if !bytes.Equal(back, msg) {
+						t.Fatalf("round %d: echo differs", round)
+					}
+				}
+			})
 		}
 	}
 }
@@ -167,14 +184,10 @@ func pingPong(t *testing.T, c net.Conn, n int) {
 }
 
 // TestNetpollSyscallsPerMessage is the deterministic form of the drain rule:
-// on the event relay a sub-buffer message costs one read and one write per
-// direction, so N request/response exchanges cost exactly 4·N relay
+// a sub-buffer message costs one read and one write per direction, so N request/response exchanges cost exactly 4·N relay
 // syscalls — no trailing EAGAIN probe, no splice for messages this small.
 func TestNetpollSyscallsPerMessage(t *testing.T) {
-	proxy, paddr := startProxyCfg(t, Config{
-		Backends: []string{echoBackend(t)}, Policy: control.NewRoundRobin(1), Splice: true, Netpoll: true,
-	})
-	requireNetpoll(t, proxy)
+	proxy, paddr := startProxyCfg(t, Config{Backends: []string{echoBackend(t)}, Policy: control.NewRoundRobin(1)})
 	c, err := net.DialTimeout("tcp", paddr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -196,32 +209,14 @@ func TestNetpollSyscallsPerMessage(t *testing.T) {
 	}
 }
 
-// TestNetpollLoopOwnedResources: steady-state traffic on the event relay —
-// small messages through the shard's buffer, bulk ones through its pipe —
-// touches neither Proxy.bufs nor pipePool: the buffer pool is never asked,
-// and the shard keeps the one pipe it took on first use.
+// TestNetpollLoopOwnedResources: steady-state traffic — small messages
+// through the shard's buffer, bulk ones through its pipe — allocates no
+// pipe: the shard keeps the one it took on first use.
 func TestNetpollLoopOwnedResources(t *testing.T) {
 	const bufSize = 4096
-	p, err := New(Config{
-		Backends: []string{echoBackend(t)}, Policy: control.NewRoundRobin(1),
-		BufferSize: bufSize, Splice: true, Netpoll: true,
+	p, _ := startProxyCfg(t, Config{
+		Backends: []string{echoBackend(t)}, Policy: control.NewRoundRobin(1), BufferSize: bufSize,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireNetpoll(t, p)
-	var bufGets atomic.Int64
-	p.bufs.New = func() any { // the pool starts empty, so every Get lands here
-		bufGets.Add(1)
-		b := make([]byte, bufSize)
-		return &b
-	}
-	if err := p.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = p.Serve() }()
-	defer p.Close()
-
 	c, err := net.DialTimeout("tcp", p.Addr().String(), time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -258,22 +253,19 @@ func TestNetpollLoopOwnedResources(t *testing.T) {
 	if n := pipesCreated.Load() - created; n != 0 {
 		t.Errorf("%d pipes created in steady state", n)
 	}
-	if n := bufGets.Load(); n != 0 {
-		t.Errorf("event relay took %d buffers from Proxy.bufs", n)
-	}
 }
 
-// TestProxyGracefulDrainNetpoll: connections owned by a poller shard get the
-// same DrainTimeout grace as goroutine relays.
+// TestProxyGracefulDrainNetpoll: a relay idle on its shard's loop — no event
+// pending — still gets the DrainTimeout grace, and Close returns as soon as
+// the last relay is done rather than sitting out the whole timeout.
 func TestProxyGracefulDrainNetpoll(t *testing.T) {
 	p, err := New(Config{
 		Backends: []string{echoBackend(t)}, Policy: control.NewRoundRobin(1),
-		Netpoll: true, DrainTimeout: 5 * time.Second,
+		DrainTimeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireNetpoll(t, p)
 	if err := p.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -300,70 +292,6 @@ func TestProxyGracefulDrainNetpoll(t *testing.T) {
 		t.Fatal("Close sat out the whole DrainTimeout after the last relay finished")
 	}
 	assertIdentity(t, p.Stats())
-}
-
-// flakyListener fails its first Accepts with EMFILE.
-type flakyListener struct {
-	net.Listener
-	fails atomic.Int32
-}
-
-func (l *flakyListener) Accept() (net.Conn, error) {
-	if l.fails.Add(-1) >= 0 {
-		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: syscall.EMFILE}
-	}
-	return l.Listener.Accept()
-}
-
-// TestAcceptLoopSurvivesAcceptErrors: EMFILE costs the acceptor a counted
-// back-off, not its life; only the listener closing ends the loop.
-func TestAcceptLoopSurvivesAcceptErrors(t *testing.T) {
-	p, err := New(Config{Backends: []string{echoBackend(t)}, Policy: control.NewRoundRobin(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	flaky := &flakyListener{Listener: p.listeners[0]}
-	flaky.fails.Store(3)
-	p.listeners[0] = flaky
-	served := make(chan error, 1)
-	go func() { served <- p.Serve() }()
-	defer p.Close()
-
-	acceptAfterErrors(t, p)
-	select {
-	case err := <-served:
-		t.Fatalf("Serve returned on a retryable accept error: %v", err)
-	default:
-	}
-	_ = flaky.Listener.Close() // the listener itself going away does end it
-	select {
-	case err := <-served:
-		if err == nil {
-			t.Error("Serve returned nil for a listener closed under it")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve still running after its listener closed")
-	}
-}
-
-// acceptAfterErrors connects once through a proxy whose acceptor fails its
-// first three accepts, and expects the connection served and the failures
-// counted.
-func acceptAfterErrors(t *testing.T, p *Proxy) {
-	t.Helper()
-	c, err := net.DialTimeout("tcp", p.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_ = c.SetDeadline(time.Now().Add(5 * time.Second))
-	pingPong(t, c, 1)
-	if st := p.Stats(); st.AcceptErrors != 3 || st.Accepted != 1 {
-		t.Errorf("acceptErrors = %d, accepted = %d; want 3 and 1", st.AcceptErrors, st.Accepted)
-	}
 }
 
 // addrConn is a net.Conn that has nothing but addresses.
@@ -403,77 +331,5 @@ func TestFlowKeyForDirectMatchesStringPath(t *testing.T) {
 		if ip4 := tc.remote.IP.To4(); ip4 != nil && !bytes.Equal(direct.SrcIP[:], ip4) {
 			t.Errorf("%v: SrcIP = %v", tc.remote, direct.SrcIP)
 		}
-	}
-}
-
-// wrappedConn hides the *net.TCPConn: the event relay cannot take it.
-type wrappedConn struct{ net.Conn }
-
-// TestDataplaneReported: the proxy names its live dataplane, why it is not
-// the event relay or why goroutines still admit for it, and counts the
-// connections that fell back one by one.
-func TestDataplaneReported(t *testing.T) {
-	baddr := echoBackend(t)
-	_, port, _ := net.SplitHostPort(baddr)
-	for _, tc := range []struct {
-		name       string
-		cfg        Config
-		mode, word string // word: what the reason must mention ("" = no reason)
-	}{
-		{"netpoll unset", Config{Backends: []string{baddr}}, "goroutine", "disabled"},
-		{"default", Config{Backends: []string{baddr}, Netpoll: true}, "netpoll", ""},
-		{"hostname backend", Config{Backends: []string{"localhost:" + port}, Netpoll: true}, "netpoll", "goroutine admit"},
-		{"dial pool", Config{Backends: []string{baddr}, Netpoll: true, PoolIdle: 1}, "netpoll", "goroutine admit: the dial pool"},
-		{"dial pool, hostname backend", Config{Backends: []string{"localhost:" + port}, Netpoll: true, PoolIdle: 1}, "goroutine", "on-loop redials"},
-	} {
-		tc.cfg.Policy = control.NewRoundRobin(1)
-		p, paddr := startProxyCfg(t, tc.cfg)
-		if tc.mode == "netpoll" {
-			requireNetpoll(t, p)
-		}
-		mode, reason := p.Dataplane()
-		if mode != tc.mode || (tc.word == "") != (reason == "") || !strings.Contains(reason, tc.word) {
-			t.Errorf("%s: dataplane %q (%q), want %q mentioning %q", tc.name, mode, reason, tc.mode, tc.word)
-		}
-		c, err := net.DialTimeout("tcp", paddr, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = c.SetDeadline(time.Now().Add(5 * time.Second))
-		pingPong(t, c, 2) // every admit serves
-		_ = c.Close()
-	}
-
-	var wrap sync.Once // first backend conn only
-	on, paddr := startProxyCfg(t, Config{
-		Backends: []string{baddr}, Policy: control.NewRoundRobin(1), Netpoll: true,
-		Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
-			c, err := net.DialTimeout("tcp", addr, timeout)
-			wrap.Do(func() {
-				if err == nil {
-					c = wrappedConn{c}
-				}
-			})
-			return c, err
-		},
-	})
-	requireNetpoll(t, on)
-	if mode, reason := on.Dataplane(); mode != "netpoll" || !strings.Contains(reason, "Config.Dial") {
-		t.Errorf("dataplane %q (%q), want netpoll with the Dial hook named", mode, reason)
-	}
-	for i := 0; i < 2; i++ {
-		c, err := net.DialTimeout("tcp", paddr, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = c.SetDeadline(time.Now().Add(5 * time.Second))
-		pingPong(t, c, 2)
-		_ = c.Close()
-	}
-	if st := on.Stats(); st.NetpollFallbacks != 1 || st.Accepted != 2 {
-		t.Errorf("fallbacks = %d of %d accepted, want 1 of 2", st.NetpollFallbacks, st.Accepted)
-	}
-	if snap := on.Snapshot(); snap.Dataplane != "netpoll" || !strings.Contains(snap.DataplaneFallback, "Config.Dial") {
-		t.Errorf("status page: dataplane %q fallback %q", snap.Dataplane, snap.DataplaneFallback)
 	}
 }

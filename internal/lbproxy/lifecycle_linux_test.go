@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -17,11 +18,12 @@ import (
 	"inbandlb/internal/testbed"
 )
 
-// The lifecycle suite checks the on-loop connection lifecycle one connection
-// at a time, as oracles rather than stress: every test drives a single
-// transition of accept → connecting → relaying → draining → closed and then
-// requires the accounting identity, the counters that name the transition,
-// and the process's fd table back at its baseline.
+// The lifecycle suite checks the connection lifecycle (the state table in
+// netpoll_linux.go) one connection at a time, as oracles rather than stress:
+// every test drives a single transition of accept → connecting/unproven →
+// established → half-closed/quiescing → closed and then requires the
+// accounting identity, the counters that name the transition, and the
+// process's fd table back at its baseline.
 
 // fdSet is what the process's descriptors point at ("socket:[inode]", ...).
 type fdSet map[string]bool
@@ -104,20 +106,13 @@ func plainEcho(t *testing.T) string {
 	})
 }
 
-// loopProxy starts a proxy whose loops admit, and fails the test if they
-// do not.
+// loopProxy starts a proxy, round robin unless cfg names a policy.
 func loopProxy(t *testing.T, cfg Config) (*Proxy, string) {
 	t.Helper()
-	cfg.Netpoll = true
 	if cfg.Policy == nil {
 		cfg.Policy = control.NewRoundRobin(len(cfg.Backends))
 	}
-	p, paddr := startProxyCfg(t, cfg)
-	requireNetpoll(t, p)
-	if mode, reason := p.Dataplane(); mode != "netpoll" || reason != "" {
-		t.Fatalf("dataplane %q (%q): the loops do not admit", mode, reason)
-	}
-	return p, paddr
+	return startProxyCfg(t, cfg)
 }
 
 // waitConnecting waits for the one connection's backend connect to show in
@@ -408,7 +403,9 @@ func TestLoopClientResetWhileConnecting(t *testing.T) {
 
 // TestLoopAcceptBurstGoroutinesFlat: admitting a connection creates no
 // goroutine at all — not a short-lived one either — so the count stays where
-// it was through a 1 000-connection burst.
+// it was through a 1 000-connection burst. That holds with the dial pool on
+// and for a backend named by host name too: both are states of the same
+// machine on the loop.
 func TestLoopAcceptBurstGoroutinesFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-socket scale test")
@@ -417,78 +414,151 @@ func TestLoopAcceptBurstGoroutinesFlat(t *testing.T) {
 	if testbed.MaxProxiedConns() < nConns {
 		t.Skip("fd limit too low for the burst")
 	}
-	backends, stopBackends, err := testbed.StartAcceptBackends(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stopBackends()
-	p, paddr := loopProxy(t, Config{Backends: backends, Acceptors: 2, Splice: true})
+	for _, tc := range []struct {
+		name     string
+		poolIdle int
+		hostname bool
+	}{{"default", 0, false}, {"pool-idle", 4, false}, {"hostname", 0, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			backends, stopBackends, err := testbed.StartAcceptBackends(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stopBackends()
+			if tc.hostname {
+				for i, b := range backends {
+					backends[i] = strings.Replace(b, "127.0.0.1", "localhost", 1)
+				}
+			}
+			p, paddr := loopProxy(t, Config{Backends: backends, Acceptors: 2, PoolIdle: tc.poolIdle})
 
-	conns := make([]net.Conn, 0, nConns)
-	defer func() {
-		for _, c := range conns {
-			_ = c.Close()
-		}
-	}()
-	var base, peak int
-	for i := 0; i < nConns; i++ {
-		if i == 1 {
-			// The first connection is relaying: Serve and the background
-			// loops it starts are all up. Everything after this is burst.
-			for deadline := time.Now().Add(5 * time.Second); p.Stats().Active < 1 && time.Now().Before(deadline); {
+			conns := make([]net.Conn, 0, nConns)
+			defer func() {
+				for _, c := range conns {
+					_ = c.Close()
+				}
+			}()
+			var base, peak int
+			for i := 0; i < nConns; i++ {
+				if i == 1 {
+					// The first connection is relaying: Serve and the
+					// background loops it starts are all up. Everything after
+					// this is burst.
+					for deadline := time.Now().Add(5 * time.Second); p.Stats().Active < 1 && time.Now().Before(deadline); {
+						time.Sleep(time.Millisecond)
+					}
+					base = runtime.NumGoroutine()
+					peak = base
+				}
+				c, err := net.Dial("tcp", paddr) // a dial with a timeout runs a watcher goroutine of its own
+				if err != nil {
+					t.Fatalf("dial %d: %v", i, err)
+				}
+				conns = append(conns, c)
+				peak = max(peak, runtime.NumGoroutine())
+			}
+			for deadline := time.Now().Add(15 * time.Second); p.Stats().Active < nConns && time.Now().Before(deadline); {
+				peak = max(peak, runtime.NumGoroutine())
 				time.Sleep(time.Millisecond)
 			}
-			base = runtime.NumGoroutine()
-			peak = base
-		}
-		c, err := net.Dial("tcp", paddr) // a dial with a timeout runs a watcher goroutine of its own
-		if err != nil {
-			t.Fatalf("dial %d: %v", i, err)
-		}
-		conns = append(conns, c)
-		peak = max(peak, runtime.NumGoroutine())
-	}
-	for deadline := time.Now().Add(15 * time.Second); p.Stats().Active < nConns && time.Now().Before(deadline); {
-		peak = max(peak, runtime.NumGoroutine())
-		time.Sleep(time.Millisecond)
-	}
-	if a := p.Stats().Active; a != nConns {
-		t.Fatalf("active = %d, want %d", a, nConns)
-	}
-	if peak != base {
-		t.Errorf("goroutines peaked at %d during the burst, %d before it: want no goroutine per connection", peak, base)
+			if a := p.Stats().Active; a != nConns {
+				t.Fatalf("active = %d, want %d", a, nConns)
+			}
+			if peak != base {
+				t.Errorf("goroutines peaked at %d during the burst, %d before it: want no goroutine per connection", peak, base)
+			}
+		})
 	}
 }
 
-// TestLoopAcceptorSurvivesAcceptErrors is TestAcceptLoopSurvivesAcceptErrors
-// for the on-loop acceptor, where the failure mode is worse: the connection
-// that EMFILE left in the backlog raises no new edge, so only the wheel's
-// re-arm ever accepts it.
-func TestLoopAcceptorSurvivesAcceptErrors(t *testing.T) {
-	p, err := New(Config{Backends: []string{echoBackend(t)}, Policy: control.NewRoundRobin(1), Netpoll: true})
+// TestLoopResolvesBackends: a backend named by host name is resolved once, in
+// New, and connected to on the loop like an IP literal; an address that does
+// not resolve is New's error, not a dial error per connection.
+func TestLoopResolvesBackends(t *testing.T) {
+	_, port, _ := net.SplitHostPort(plainEcho(t))
+	p, paddr := loopProxy(t, Config{Backends: []string{"localhost:" + port}})
+	c, err := net.DialTimeout("tcp", paddr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireNetpoll(t, p)
-	if err := p.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
+	_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+	pingPong(t, c, 1)
+	_ = c.Close()
+	if st := waitSettled(t, p, 1); st.PerBackend[0] != 1 {
+		t.Errorf("perBackend = %v, want [1]", st.PerBackend)
 	}
-	s := p.np[0]
-	real, fails := s.accept4, 3
-	s.accept4 = func(lfd int) (int, syscall.Sockaddr, error) { // loop-only once Serve runs
-		if fails > 0 {
-			fails--
-			return -1, nil, syscall.EMFILE
+	for _, bad := range []string{"127.0.0.1", "[fe80::1%no-such-interface]:" + port} {
+		if _, err := New(Config{Backends: []string{bad}, Policy: control.NewRoundRobin(1)}); err == nil {
+			t.Errorf("New accepted backend %q", bad)
+		}
+	}
+}
+
+// failAccepts makes the shard's next n accept4 calls fail with errno. Call it
+// before Serve: once the loop runs, the seam is the loop's.
+func failAccepts(s *npShard, errno syscall.Errno, n int) {
+	real := s.accept4
+	s.accept4 = func(lfd int) (int, syscall.Sockaddr, error) {
+		if n > 0 {
+			n--
+			return -1, nil, errno
 		}
 		return real(lfd)
 	}
-	go func() { _ = p.Serve() }()
-	defer p.Close()
-	start := time.Now()
-	acceptAfterErrors(t, p)
-	if el := time.Since(start); el < 35*time.Millisecond {
-		t.Errorf("served after %v: three failures should have backed off 5+10+20 ms", el)
+}
+
+// TestLoopAcceptorSurvivesAcceptErrors: EMFILE costs the acceptor a counted
+// back-off, not its life — and the backoff has to come from the wheel, since
+// the connection EMFILE left in the backlog raises no new edge. ECONNABORTED
+// is no failure of the proxy's (a client reset before accept4): it is
+// retried at once, uncounted, and the next connection is admitted in the
+// same turn.
+func TestLoopAcceptorSurvivesAcceptErrors(t *testing.T) {
+	serving := func(t *testing.T, errno syscall.Errno, n int) *Proxy {
+		p, err := New(Config{Backends: []string{echoBackend(t)}, Policy: control.NewRoundRobin(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		failAccepts(p.np[0], errno, n)
+		go func() { _ = p.Serve() }()
+		t.Cleanup(func() { _ = p.Close() })
+		return p
 	}
+	connect := func(t *testing.T, p *Proxy) {
+		c, err := net.DialTimeout("tcp", p.Addr().String(), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+		pingPong(t, c, 1)
+	}
+	t.Run("EMFILE", func(t *testing.T) {
+		p := serving(t, syscall.EMFILE, 3)
+		start := time.Now()
+		connect(t, p)
+		if el := time.Since(start); el < 35*time.Millisecond {
+			t.Errorf("served after %v: three failures should have backed off 5+10+20 ms", el)
+		}
+		if st := p.Stats(); st.AcceptErrors != 3 || st.Accepted != 1 {
+			t.Errorf("acceptErrors = %d, accepted = %d; want 3 and 1", st.AcceptErrors, st.Accepted)
+		}
+	})
+	t.Run("ECONNABORTED", func(t *testing.T) {
+		p := serving(t, syscall.ECONNABORTED, 1)
+		connect(t, p)
+		if st := p.Stats(); st.AcceptErrors != 0 || st.Accepted != 1 {
+			t.Errorf("acceptErrors = %d, accepted = %d; want 0 and 1", st.AcceptErrors, st.Accepted)
+		}
+		s, armed := p.np[0], make(chan bool)
+		s.pol.Post(func() { armed <- s.retry != nil })
+		if <-armed {
+			t.Error("ECONNABORTED armed the accept-retry timer: the shard backed off")
+		}
+	})
 }
 
 // TestLoopAcceptFloodYieldsToRelays: an acceptor that spends its whole budget
@@ -535,7 +605,7 @@ func TestLoopAcceptFloodYieldsToRelays(t *testing.T) {
 }
 
 // TestLoopPooledLifecycle walks a backend socket through the dial pool's two
-// edges on the event relay — recycled after a quiet PoolQuiesce, checked out
+// edges — recycled after a quiet PoolQuiesce, checked out
 // unproven for the next client — and requires that the loop lets go of it in
 // between: out of the epoll set while the pool holds it, no descriptor left
 // over once the proxy is closed.
@@ -543,11 +613,10 @@ func TestLoopPooledLifecycle(t *testing.T) {
 	backend := plainEcho(t)
 	base := openFDs(t)
 	p, err := New(Config{Backends: []string{backend}, Policy: control.NewRoundRobin(1),
-		Netpoll: true, PoolIdle: 2, PoolQuiesce: 5 * time.Millisecond})
+		PoolIdle: 2, PoolQuiesce: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireNetpoll(t, p)
 	if err := p.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -569,8 +638,8 @@ func TestLoopPooledLifecycle(t *testing.T) {
 		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 			st := p.Stats()
 			if st.PoolRecycled == want && st.Active == 0 {
-				if n := st.Netpoll[0].RegisteredFDs; n != 0 {
-					t.Fatalf("%d fds registered with every relay closed: a pooled socket is still in the epoll set", n)
+				if n := st.Netpoll[0].RegisteredFDs; n != 1 {
+					t.Fatalf("%d fds registered with every relay closed, want the listener's alone: a pooled socket is still in the epoll set", n)
 				}
 				return
 			}
@@ -603,11 +672,10 @@ func TestLoopPooledLifecycle(t *testing.T) {
 func TestLoopCloseRetiresListener(t *testing.T) {
 	backend := plainEcho(t)
 	base := openFDs(t)
-	p, err := New(Config{Backends: []string{backend}, Policy: control.NewRoundRobin(1), Netpoll: true, Acceptors: 2})
+	p, err := New(Config{Backends: []string{backend}, Policy: control.NewRoundRobin(1), Acceptors: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireNetpoll(t, p)
 	if err := p.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -668,8 +736,9 @@ func TestLoopSocketOptions(t *testing.T) {
 }
 
 // TestSockaddrFlowKeyMatchesConnPath: the key the loop builds from kernel
-// sockaddrs equals the one flowKeyFor builds from a net.Conn's addresses, so
-// a flow hashes, routes and shards the same whichever driver admitted it.
+// sockaddrs equals the one flowKeyFor builds from a net.Conn's addresses
+// (the portable relay's), so a flow hashes, routes and shards the same on
+// every platform.
 func TestSockaddrFlowKeyMatchesConnPath(t *testing.T) {
 	for _, a := range []*net.TCPAddr{
 		{IP: net.IP{192, 168, 7, 9}, Port: 65535},

@@ -8,56 +8,59 @@ import (
 	"net"
 	"net/netip"
 	"os"
+	"strconv"
 	"syscall"
 	"time"
 
+	"inbandlb/internal/lbproxy/dialpool"
 	"inbandlb/internal/netpoll"
 	"inbandlb/internal/packet"
 )
 
-// Event-driven dataplane: with Config.Netpoll, each acceptor shard owns one
-// internal/netpoll poller (an edge-triggered epoll loop plus a timing wheel)
-// and a connection lives on that loop from its first syscall to its last, as
-// one compact heap-allocated state machine (npRelay) — no goroutine, no
-// net.Conn, no runtime-poller entry:
+// The dataplane: each acceptor shard owns one internal/netpoll poller (an
+// edge-triggered epoll loop plus a timing wheel) and a connection lives on
+// that loop from its first syscall to its last, as one compact heap-allocated
+// state machine (npRelay) — no goroutine, no net.Conn, no runtime-poller
+// entry. The machine, state × event:
 //
-//	accept4 on the shard's listener ─route─▶ connecting ──EPOLLOUT + SO_ERROR 0──▶ relaying
-//	   │ no backend admits: Dropped          │ refused / DialTimeout on the wheel        │
-//	   ▼                                     ▼                                           │
-//	 closed            dialFailed: report, undo the debit, one failover connect;         │
-//	                   that failing too (or no target): DialErrors ──▶ closed            │
-//	                                                                                     │
-//	closed ◀─error/idle─ relaying ──clean EOF one way──▶ draining ──EOF the other way──▶ closed
+//	state        event                                  next         accounting
+//	(accept4)    no backend admits                      closed       Dropped
+//	(accept4)    routed; the dial pool has a socket     unproven     PoolHits
+//	(accept4)    routed; no pooled socket               connecting
+//	connecting   EPOLLOUT with SO_ERROR 0               established  PerBackend (Failovers on the failover)
+//	connecting   refused, DialTimeout (wheel), EMFILE   connecting   dialFailed: detector, debit undone, the one failover
+//	connecting   the failover fails too, or no target   closed       DialErrors
+//	unproven     first request chunk written            established  PerBackend
+//	unproven     first request write fails              connecting   PoolFirstWriteFails; same backend, then the failover
+//	unproven     client EOF before a byte               established  PerBackend, then as a clean client EOF
+//	unproven     reset, idle bound, Close               closed       PerBackend: never found wanting
+//	established  clean EOF one way, FIN forwarded       half-closed
+//	established  clean client EOF, pooling on           quiescing    FIN held back, PoolQuiesce on the response timer
+//	half-closed  clean EOF the other way                closed
+//	quiescing    response byte                          quiescing    grace re-armed
+//	quiescing    grace passes in silence                closed       PoolRecycled: the backend socket goes back to the pool
+//	any          read/write error, idle bound, Close    closed       backend-side failures to the passive detector
 //
-// While connecting only the backend fd is registered; the client fd joins
-// the epoll set once the backend is connected, and registration reports
-// whatever the client sent meanwhile (FIN included) as its first event. A
-// relay enters PerBackend at that point and nowhere else; one that never
-// gets there ends in DialErrors.
+// While connecting only the backend fd is registered; the client fd joins the
+// epoll set once the backend is connected, and registration reports whatever
+// the client sent meanwhile (FIN included) as its first event. An unproven
+// relay is the mirror image: only the client fd is registered — a stale
+// pooled socket's noise must not reach the response pump — until its first
+// request chunk's write has validated the socket. A pooled socket that dies on
+// that write takes the relay, chunk in hand (req.pend, its arrival time in
+// firstAt), through connecting like any other. closed is finalize, the single
+// teardown point: exactly one of PerBackend/DialErrors for every admitted
+// connection.
 //
 // All relay state is owned by the poller's loop goroutine — readiness
 // callbacks, posted tasks, and wheel timers are serialized there — so the
 // state machine uses plain fields, no locks, no atomics. The loop also holds
 // the only descriptor of every socket it drives: teardown is shutdown(2) and
-// close(2), and close alone takes an fd out of the epoll set.
-//
-// The goroutine admit (acceptLoop → handle → netpollHandoff) remains for the
-// configurations in which the loop cannot make the backend socket itself — a
-// Config.Dial hook, a backend address that is not an IP literal, a dial pool
-// (it holds net.Conns). It hands the loop duplicates of the two descriptors
-// and closes the net.Conns, so from there on a relay is the same fd-owning
-// machine either way.
-//
-// Pooled backend connections (PoolIdle > 0) add two edges to the machine. One
-// checked out of the pool arrives unproven: only the client fd is registered,
-// the first request chunk's write is the validation, and a failed one is
-// accounted like a failed dial and sends the relay — chunk in hand — through
-// connecting, on the loop like any other connect. And a clean client EOF
-// starts the PoolQuiesce grace on the response direction's timer instead of
-// forwarding the FIN; silence until it fires recycles the backend socket:
-//
-//	unproven ──first write ok──▶ relaying ──client EOF──▶ quiescing ──silence──▶ closed, socket pooled
-//	    └──write fails──▶ connecting (same backend, then the one failover)
+// close(2), and close alone takes an fd out of the epoll set. (The dial pool
+// holds net.Conns — its API is shared with the benchmark's probes — so a
+// checkout duplicates the pooled socket's descriptor and closes the net.Conn,
+// and a recycle wraps a duplicate as a net.Conn and takes the loop's own out
+// of the epoll set by hand.)
 //
 // The drain rule: a message costs two syscalls per direction. Edge-triggered
 // epoll raises a new edge for whatever arrives after a read, so a read that
@@ -75,9 +78,9 @@ import (
 // detached and the shard takes a fresh one — so an idle connection pins its
 // npRelay (a few hundred bytes) and two registered fds, nothing else.
 //
-// Estimator equivalence: every request-direction chunk (one read or one
-// splice — the same granularity as one Read on the goroutine path) fires
-// ObserveHashed once, and the response direction stays timestamp-free.
+// Estimator semantics: every request-direction chunk (one read or one
+// splice) fires ObserveHashed once, and the response direction stays
+// timestamp-free.
 
 const (
 	// npPumpBudget bounds chunks moved per pump invocation so one hot
@@ -89,11 +92,15 @@ const (
 	npAcceptBudget = 32
 )
 
+// dataplane is the Linux half of Proxy: one shard per acceptor.
+type dataplane struct {
+	np []*npShard
+}
+
 // npShard pairs one poller with what its loop goroutine owns: the listening
-// socket (loop admit only), the set of live relays (shutdown must finalize
-// idle ones, which will never see another event), the read buffer, and the
-// splice pipe (nil until first used, and again whenever a blocked write
-// walks off with it).
+// socket, the set of live relays (shutdown must finalize idle ones, which
+// will never see another event), the read buffer, and the splice pipe (nil
+// until first used, and again whenever a blocked write walks off with it).
 type npShard struct {
 	p    *Proxy
 	idx  int // acceptor index: the dial pool's stripe
@@ -163,33 +170,21 @@ type npDir struct {
 	idle *netpoll.Timer
 }
 
-// netpollInit creates one poller per acceptor shard and decides who admits
-// connections. Any failure (including the process-wide ENOSYS latch) is
-// returned, leaving p.np nil and the proxy on the goroutine-per-connection
-// dataplane. So is a dial pool the loops could not redial for: a pooled
-// connection that dies on its first write is replaced by an on-loop connect.
-func (p *Proxy) netpollInit() error {
-	if !netpoll.Available() {
-		return netpoll.ErrUnsupported
+// initDataplane resolves the backends and creates one poller per acceptor
+// shard (and the dial pool, with PoolIdle > 0). A kernel without epoll is
+// New's error: there is no other dataplane here.
+func (p *Proxy) initDataplane() error {
+	targets, err := resolveBackends(p.cfg.Backends)
+	if err != nil {
+		return err
 	}
-	targets, why := p.connectTargets()
-	if p.cfg.PoolIdle > 0 {
-		if why != "" {
-			return fmt.Errorf("the dial pool (PoolIdle > 0) needs on-loop redials, and %s", why)
-		}
-		why = "the dial pool (PoolIdle > 0) holds net.Conns"
-	}
-	if why != "" {
-		why = "goroutine admit: " + why
-	}
-	shards := make([]*npShard, 0, p.cfg.Acceptors)
 	for i := 0; i < p.cfg.Acceptors; i++ {
 		pol, err := netpoll.New(netpoll.Config{})
 		if err != nil {
-			for _, s := range shards {
+			for _, s := range p.np {
 				_ = s.pol.Close()
 			}
-			return err
+			return fmt.Errorf("lbproxy: %w", err)
 		}
 		s := &npShard{p: p, idx: i, pol: pol, live: make(map[*npRelay]struct{}),
 			buf: make([]byte, p.cfg.BufferSize), lfd: -1,
@@ -199,42 +194,69 @@ func (p *Proxy) netpollInit() error {
 		s.acceptFn = s.accept
 		// A Sockaddr per shard: connect(2) through package syscall writes
 		// the kernel form into the value it is given.
-		for _, ap := range targets {
-			if a := ap.Addr(); a.Is4() {
-				s.backends = append(s.backends, &syscall.SockaddrInet4{Port: int(ap.Port()), Addr: a.As4()})
-			} else {
-				s.backends = append(s.backends, &syscall.SockaddrInet6{Port: int(ap.Port()), Addr: a.As16()})
-			}
+		for _, ta := range targets {
+			s.backends = append(s.backends, sockaddr(ta))
 		}
-		shards = append(shards, s)
+		p.np = append(p.np, s)
 	}
-	p.np, p.goAdmit = shards, why
+	if p.cfg.PoolIdle > 0 {
+		p.pool = dialpool.New(dialpool.Config{
+			Backends:          len(p.cfg.Backends),
+			Stripes:           p.cfg.Acceptors,
+			MaxIdlePerBackend: p.cfg.PoolIdle,
+			MaxAge:            p.cfg.PoolMaxAge,
+		})
+	}
 	return nil
 }
 
-// connectTargets resolves what the loops need to connect on their own: every
-// backend as an IP and port. why says what keeps them from it — the goroutine
-// admit then produces the backend connections and hands them over.
-func (p *Proxy) connectTargets() (targets []netip.AddrPort, why string) {
-	if p.cfg.Dial != nil {
-		return nil, "Config.Dial is set"
-	}
-	for _, b := range p.cfg.Backends {
-		ap, err := netip.ParseAddrPort(b)
-		if err != nil || ap.Addr().Zone() != "" {
-			return nil, fmt.Sprintf("backend %q is not an IP literal", b)
+// resolveBackends resolves every backend address once: an IP literal as it
+// is, a host name through the resolver (its first address, IPv4 preferred).
+// An address that does not resolve is New's error.
+func resolveBackends(addrs []string) ([]*net.TCPAddr, error) {
+	out := make([]*net.TCPAddr, len(addrs))
+	for i, a := range addrs {
+		ta, err := net.ResolveTCPAddr("tcp", a)
+		if err != nil {
+			return nil, fmt.Errorf("lbproxy: backend %q: %w", a, err)
 		}
-		targets = append(targets, netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()))
+		if ta.Zone != "" && zoneID(ta.Zone) == 0 {
+			return nil, fmt.Errorf("lbproxy: backend %q: no interface %q", a, ta.Zone)
+		}
+		if ta.IP == nil { // ":port" is this host, as for net.Dial
+			ta.IP = net.IPv4zero
+		}
+		out[i] = ta
 	}
-	return targets, ""
+	return out, nil
 }
 
-// netpollAdopt moves the listening sockets onto the shards: each loop gets a
+// sockaddr is ta in the form connect(2) takes.
+func sockaddr(ta *net.TCPAddr) syscall.Sockaddr {
+	if ip4 := ta.IP.To4(); ip4 != nil {
+		return &syscall.SockaddrInet4{Port: ta.Port, Addr: [4]byte(ip4)}
+	}
+	return &syscall.SockaddrInet6{Port: ta.Port, Addr: [16]byte(ta.IP.To16()), ZoneId: zoneID(ta.Zone)}
+}
+
+// zoneID is the interface index an IPv6 zone names (by name or number), 0
+// for none or one that does not exist.
+func zoneID(zone string) uint32 {
+	if n, err := strconv.ParseUint(zone, 10, 32); err == nil {
+		return uint32(n)
+	}
+	if ifi, err := net.InterfaceByName(zone); err == nil {
+		return uint32(ifi.Index)
+	}
+	return 0
+}
+
+// adopt moves the listening sockets onto the shards: each loop gets a
 // duplicate descriptor and the net.Listener is closed, which takes the
 // socket out of the runtime poller and leaves the duplicate its only handle.
 // TCP_NODELAY and keep-alive are set here once — accepted sockets inherit
 // them — matching what package net gives every connection it accepts.
-func (p *Proxy) netpollAdopt(ls []net.Listener) (err error) {
+func (p *Proxy) adopt(ls []net.Listener) (err error) {
 	for i, l := range ls {
 		s := p.np[i]
 		tl, ok := l.(*net.TCPListener)
@@ -253,15 +275,16 @@ func (p *Proxy) netpollAdopt(ls []net.Listener) (err error) {
 		_ = l.Close()
 	}
 	if err != nil {
-		p.netpollStopAccept() // give back the descriptors already adopted
+		p.stopAccepting() // give back the descriptors already adopted
 	}
 	return err
 }
 
-// netpollStart runs each shard's start-up on its loop: the listener joins
-// the epoll set (a connection already queued is its first event) and the
-// congestion sampler is armed.
-func (p *Proxy) netpollStart() error {
+// serve runs each shard's start-up on its loop — the listener joins the
+// epoll set (a connection already queued is its first event) and the
+// congestion sampler is armed — and then waits for Close: the loops do the
+// rest.
+func (p *Proxy) serve() error {
 	errc := make(chan error, len(p.np))
 	for _, s := range p.np {
 		s := s
@@ -269,13 +292,13 @@ func (p *Proxy) netpollStart() error {
 			errc <- nil // closed already
 		}
 	}
-	var first error
 	for range p.np {
-		if err := <-errc; err != nil && first == nil {
-			first = err
+		if err := <-errc; err != nil {
+			return err
 		}
 	}
-	return first
+	<-p.stop
+	return nil
 }
 
 func (s *npShard) start() error {
@@ -288,10 +311,10 @@ func (s *npShard) start() error {
 	return s.pol.Register(s.lfd, func(netpoll.Event) { s.accept() })
 }
 
-// netpollStopAccept closes every shard's listener on its loop and waits for
+// stopAccepting closes every shard's listener on its loop and waits for
 // that: once it returns no connection is admitted, and the fd number is free
 // for reuse only after its callback slot is empty.
-func (p *Proxy) netpollStopAccept() {
+func (p *Proxy) stopAccepting() {
 	for _, s := range p.np {
 		s := s
 		done := make(chan struct{})
@@ -310,11 +333,11 @@ func (p *Proxy) netpollStopAccept() {
 	}
 }
 
-// netpollStop finalizes every live relay (idle ones never get another event,
-// so shutdown must visit them) and closes the pollers. Runs after wg.Wait —
-// every handoff Post happened-before this — and before ctrl.Close, so the
-// final controller flush sees every sample.
-func (p *Proxy) netpollStop() {
+// stopRelays finalizes every live relay (idle ones never get another event,
+// so shutdown must visit them) and closes the pollers. Runs after the shards
+// stopped admitting and before ctrl.Close, so the final controller flush sees
+// every sample.
+func (p *Proxy) stopRelays() {
 	for _, s := range p.np {
 		s := s
 		s.pol.Post(func() {
@@ -330,12 +353,8 @@ func (p *Proxy) netpollStop() {
 	}
 }
 
-// netpollStats snapshots per-shard poller counters (nil when the event
-// dataplane is off).
+// netpollStats snapshots per-shard poller counters.
 func (p *Proxy) netpollStats() []NetpollShardStats {
-	if len(p.np) == 0 {
-		return nil
-	}
 	out := make([]NetpollShardStats, len(p.np))
 	for i, s := range p.np {
 		st := s.pol.Stats()
@@ -350,11 +369,12 @@ func (p *Proxy) netpollStats() []NetpollShardStats {
 
 // accept admits connections from the shard's listener until it runs dry
 // (EAGAIN) or the turn's budget is spent (then it reposts itself: the edge
-// that brought it here will not come again). Any other error — EMFILE,
-// ENFILE, ENOBUFS, ECONNABORTED — is counted and retried from the wheel
-// after a 5 ms→1 s backoff, because an edge-triggered listener whose queue
-// stays non-empty raises no new edge either: a proxy that holds thousands of
-// fds will run out of them some day, and that must cost a pause, not the
+// that brought it here will not come again). ECONNABORTED — a client that
+// reset while queued — is retried at once, like EINTR. Any other error —
+// EMFILE, ENFILE, ENOBUFS — is counted and retried from the wheel after a
+// 5 ms→1 s backoff, because an edge-triggered listener whose queue stays
+// non-empty raises no new edge either: a proxy that holds thousands of fds
+// will run out of them some day, and that must cost a pause, not the
 // acceptor.
 func (s *npShard) accept() {
 	p := s.p
@@ -362,7 +382,7 @@ func (s *npShard) accept() {
 		fd, peer, err := s.accept4(s.lfd)
 		switch err {
 		case nil:
-		case syscall.EINTR:
+		case syscall.EINTR, syscall.ECONNABORTED:
 			continue
 		case syscall.EAGAIN:
 			return
@@ -385,7 +405,8 @@ func (s *npShard) accept() {
 	}
 }
 
-// admit routes one accepted socket and starts its backend connect.
+// admit routes one accepted socket and starts its relay: on a pooled backend
+// socket if the dial pool has one, else with a backend connect.
 func (s *npShard) admit(cfd int, peer syscall.Sockaddr) {
 	p := s.p
 	key := packet.FlowKey{Proto: packet.ProtoTCP, DstIP: s.localIP, DstPort: s.localPort}
@@ -402,18 +423,43 @@ func (s *npShard) admit(cfd int, peer syscall.Sockaddr) {
 		return
 	}
 	p.relays.Add(1)
-	rel := s.newRelay(cfd, -1, backend, hash, key, charged)
+	rel := &npRelay{p: p, shard: s, cfd: cfd, sfd: -1,
+		backend: backend, hash: hash, key: key, charged: charged}
+	rel.req = npDir{rel: rel, observe: true, splice: true}
+	rel.resp = npDir{rel: rel, splice: true}
 	s.live[rel] = struct{}{}
-	rel.connect(backend)
+	if !rel.checkout() {
+		rel.connect(backend)
+	}
 }
 
-func (s *npShard) newRelay(cfd, sfd, backend int, hash uint64, key packet.FlowKey, charged bool) *npRelay {
-	rel := &npRelay{p: s.p, shard: s, cfd: cfd, sfd: sfd,
-		backend: backend, hash: hash, key: key, charged: charged}
-	splice := s.p.cfg.Splice && spliceAvailable()
-	rel.req = npDir{rel: rel, observe: true, splice: splice}
-	rel.resp = npDir{rel: rel, splice: splice}
-	return rel
+// checkout starts the relay unproven on an idle backend socket from the dial
+// pool, if it has one — its probe is a one-shot nonblocking read, so it runs
+// on the loop. The relay takes a duplicate of the pooled socket's descriptor
+// and the pool's net.Conn is closed.
+func (rel *npRelay) checkout() bool {
+	pool := rel.p.pool
+	if pool == nil {
+		return false
+	}
+	c, born, ok := pool.Get(rel.backend, rel.shard.idx)
+	if !ok {
+		return false
+	}
+	sfd := -1
+	if sc, ok := c.(syscall.Conn); ok {
+		sfd, _ = dupFD(sc)
+	}
+	_ = c.Close()
+	if sfd < 0 {
+		return false
+	}
+	rel.sfd, rel.unproven, rel.born = sfd, true, born
+	rel.req.src, rel.req.dst = rel.cfd, rel.sfd
+	if rel.registerClient() {
+		rel.req.rearmIdle()
+	}
+	return true
 }
 
 // sockaddrIP4Port is ip4Port for a kernel socket address.
@@ -554,13 +600,14 @@ func (rel *npRelay) dropServer() {
 	}
 }
 
-// established is the point of no return: the backend is connected, so the
-// connection lands in PerBackend and the live gauges, both fds are in the
-// epoll set, and the pumps take over. No first pump: registration reports an
-// fd that is already readable — hang-up bit included — as its first event.
+// established is the point of no return: the backend is connected (or a
+// pooled socket proved itself), so the connection lands in PerBackend and the
+// live gauges, both fds are in the epoll set, and the pumps take over. No
+// first pump: registration reports an fd that is already readable — hang-up
+// bit included — as its first event.
 func (rel *npRelay) established() {
 	p, pol := rel.p, rel.shard.pol
-	registered := rel.settled() // a connect made on the loop registered sfd itself
+	registered := rel.settled() // a connect registered sfd itself; a pooled socket is not yet
 	if rel.failover {
 		p.failovers.Add(1)
 	}
@@ -610,67 +657,6 @@ func (rel *npRelay) registerClient() bool {
 		}
 		rel.clientOn = true
 	}
-	return true
-}
-
-// adopt starts a handed-off relay on its loop. A pooled backend connection is
-// unproven: it stays out of the epoll set — a stale socket's noise must not
-// reach the response pump — and out of the counters until the first request
-// chunk's write has validated it (validateChunk).
-func (rel *npRelay) adopt() {
-	rel.shard.live[rel] = struct{}{}
-	if !rel.unproven {
-		rel.established()
-		return
-	}
-	rel.req.src, rel.req.dst = rel.cfd, rel.sfd
-	if rel.registerClient() {
-		rel.req.rearmIdle()
-	}
-}
-
-// netpollHandoff moves a connection pair the goroutine admit produced onto
-// the acceptor's poller shard. Returns false when the event path cannot take
-// it (netpoll off, non-TCP ends from chaos wrappers or tests, proxy closing)
-// — the caller continues on the goroutine path with nothing consumed. On
-// true both net.Conns are closed: the loop owns duplicates of their
-// descriptors, and all remaining accounting.
-func (p *Proxy) netpollHandoff(client, server net.Conn, backend, acceptor int,
-	hash uint64, key packet.FlowKey, charged, fromPool bool, born time.Time) bool {
-	ctc, cok := client.(*net.TCPConn)
-	stc, sok := server.(*net.TCPConn)
-	if len(p.np) == 0 || !cok || !sok {
-		return false
-	}
-	cfd, err := dupFD(ctc)
-	if err != nil {
-		return false
-	}
-	sfd, err := dupFD(stc)
-	if err != nil {
-		_ = syscall.Close(cfd)
-		return false
-	}
-	// The client leaves the force-close set: from here the loop is the
-	// connection's only closer. Once Close has begun, its sweep may already
-	// have closed the client — stay out.
-	p.connMu.Lock()
-	if p.closed.Load() {
-		p.connMu.Unlock()
-		_ = syscall.Close(cfd)
-		_ = syscall.Close(sfd)
-		return false
-	}
-	delete(p.open, client)
-	p.connMu.Unlock()
-	p.relays.Add(1)
-	_ = client.Close() // out of the runtime poller; the duplicates carry the sockets on
-	_ = server.Close()
-
-	shard := p.np[acceptor%len(p.np)]
-	rel := shard.newRelay(cfd, sfd, backend, hash, key, charged)
-	rel.unproven, rel.born = fromPool, born
-	shard.pol.Post(rel.adopt)
 	return true
 }
 
@@ -796,7 +782,7 @@ func (d *npDir) pumpCopy() (more, full bool) {
 // validateChunk relays a pooled connection's first request chunk: the write
 // is the connection's validation, and the chunk is attributed to the
 // estimator only once it settles (the backend changes if the pooled
-// connection turns out dead), exactly as on the goroutine relay.
+// connection turns out dead).
 func (d *npDir) validateChunk(b []byte) bool {
 	rel, p := d.rel, d.rel.p
 	ts := p.now()
@@ -832,8 +818,7 @@ func (rel *npRelay) revalidate(chunk []byte, ts time.Duration) {
 }
 
 // chunkArrived timestamps a request-direction arrival into the estimator
-// (once per chunk — identical granularity to one Read on the goroutine
-// path) and re-arms this direction's deadline.
+// (once per chunk, read or spliced) and re-arms this direction's deadline.
 func (d *npDir) chunkArrived() {
 	rel := d.rel
 	if d.observe {
@@ -988,8 +973,8 @@ func (d *npDir) releasePipe() {
 func (d *npDir) srcEOF() {
 	rel := d.rel
 	if d.observe && rel.unproven {
-		// The client finished without sending a byte: the pooled connection
-		// was never tested. Commit it, as the goroutine relay does.
+		// The client finished without sending a byte: the pooled socket was
+		// never tested. Commit it; the response may still be owed.
 		rel.unproven = false
 		if rel.established(); rel.finalized {
 			return
@@ -1007,8 +992,8 @@ func (d *npDir) srcEOF() {
 }
 
 // srcFailed handles a read-side failure. Response-direction read failures
-// are backend evidence for the passive detector (mirroring runResponse);
-// request-direction ones are client-side noise.
+// are backend evidence for the passive detector; request-direction ones are
+// client-side noise.
 func (d *npDir) srcFailed(err error) {
 	rel := d.rel
 	if !d.observe {
@@ -1018,8 +1003,8 @@ func (d *npDir) srcFailed(err error) {
 }
 
 // dstFailed handles a write-side failure. Request-direction write failures
-// hit the server (backend evidence, mirroring runRequest's writeSide);
-// response-direction ones hit the client.
+// hit the backend (detector evidence); response-direction ones hit the
+// client.
 func (d *npDir) dstFailed(err error) {
 	rel := d.rel
 	if d.observe {
@@ -1086,8 +1071,7 @@ func (d *npDir) onTimeout() {
 		rel.maybeFinish()
 		return
 	case !d.observe:
-		// Backend went silent past the idle bound: detector evidence, like
-		// runResponse's read-deadline expiry.
+		// Backend went silent past the idle bound: detector evidence.
 		rel.p.reportRelayErr(rel.backend, os.ErrDeadlineExceeded)
 	}
 	rel.finalize()
@@ -1117,8 +1101,8 @@ func (rel *npRelay) finalize() {
 	}
 	if rel.unproven {
 		// Ended before its first byte (idle bound, reset, shutdown): the
-		// pooled connection was never found wanting, so this is a relayed
-		// connection like the goroutine relay's, not a failed dial.
+		// pooled socket was never found wanting, so this is a relayed
+		// connection, not a failed dial.
 		rel.commit()
 	}
 	if rel.counted {

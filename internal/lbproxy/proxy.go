@@ -4,11 +4,19 @@
 //
 // A userspace TCP proxy cannot do true direct server return — it must relay
 // response bytes — but the paper's constraint is about what the measurement
-// sees, and that is preserved structurally: response-direction relaying
-// happens in a plain copy loop with no timestamps taken, while every
-// request-direction read feeds the per-flow estimator exactly as the
-// simulated LB feeds it per packet. This is the substitution DESIGN.md
-// documents for the Cilium/XDP dataplane (repro band: userspace prototype).
+// sees, and that is preserved structurally: the response direction is
+// relayed with no timestamps taken, while every request-direction read feeds
+// the per-flow estimator exactly as the simulated LB feeds it per packet.
+// This is the substitution DESIGN.md documents for the Cilium/XDP dataplane
+// (repro band: userspace prototype).
+//
+// # Connection lifecycle
+//
+// On Linux a connection lives on one acceptor shard's event loop from
+// accept4 to close, as one state machine on raw fds (netpoll_linux.go, whose
+// header tabulates the states). Elsewhere a goroutine per connection relays
+// it with plain copies (relay_fallback.go) — no pooling, no splice, no
+// congestion sampling.
 //
 // # Concurrency model
 //
@@ -40,9 +48,6 @@
 //     from them, never aliasing mutable state.
 //   - Idle-flow sweeping uses ShardedFlowTable.SweepNext, one shard per
 //     tick, so no sweep ever stalls the whole table.
-//
-// The DSR constraint is unchanged: response-direction relaying remains
-// timestamp-free.
 package lbproxy
 
 import (
@@ -65,7 +70,9 @@ import (
 
 // Config parameterizes the proxy.
 type Config struct {
-	// Backends are the server addresses, in policy backend-index order.
+	// Backends are the server addresses, in policy backend-index order. On
+	// Linux a host name is resolved once, in New; one that does not resolve
+	// is New's error.
 	Backends []string
 	// Policy routes new connections; latency-aware policies receive the
 	// estimator's samples. Required. The proxy serializes all calls into
@@ -85,9 +92,12 @@ type Config struct {
 	// SweepInterval is the period of the incremental idle-flow sweeper
 	// (one shard per tick). Zero defaults to 1 s; negative disables it.
 	SweepInterval time.Duration
-	// DialTimeout bounds backend dials. Defaults to 2 s.
+	// DialTimeout bounds backend connects. Defaults to 2 s.
 	DialTimeout time.Duration
-	// BufferSize is the relay buffer size. Defaults to 32 KiB.
+	// BufferSize is the relay read buffer: one per event-loop shard on Linux,
+	// where a read that fills it sends the rest of the burst down the
+	// splice(2) path, and one per relay direction elsewhere. Defaults to
+	// 32 KiB.
 	BufferSize int
 	// HealthInterval enables active health probes (TCP dial) at this
 	// period, jittered ±10% so probes across instances do not synchronize.
@@ -109,56 +119,27 @@ type Config struct {
 	// aggregates eject without waiting for a probe, and recovery re-admits
 	// through half-open trials and slow-start. Zero value disables it.
 	Detector control.DetectorConfig
-	// Dial overrides the backend dial function (net.DialTimeout on "tcp"
-	// by default). Tests and chaos harnesses inject faults.ChaosDialer
-	// here; it also carries health-probe dials so the same fault schedule
-	// governs both.
-	Dial func(addr string, timeout time.Duration) (net.Conn, error)
 	// IdleTimeout bounds how long a relay direction may sit idle (no bytes)
 	// before the connection is torn down, so a blackholed backend cannot
-	// pin goroutines forever. A server-side idle expiry is reported to the
+	// pin a connection forever. A server-side idle expiry is reported to the
 	// passive detector as a relay failure. Zero disables deadlines.
 	IdleTimeout time.Duration
 	// DrainTimeout is the grace period Close gives in-flight relays before
 	// force-closing them. Zero force-closes immediately (the legacy
 	// behavior).
 	DrainTimeout time.Duration
-	// Acceptors is the number of parallel accept loops. On Linux each loop
-	// gets its own SO_REUSEPORT listener socket, so the kernel hashes
-	// incoming SYNs across independent accept queues; elsewhere the loops
-	// share one listener. The acceptor index doubles as the connection's
-	// dial-pool stripe, keeping a connection's accept→checkout→checkin
-	// path on one stripe's cache lines. Zero or 1 means the historical
-	// single-acceptor, plain-Listen behavior.
+	// Acceptors is the number of event-loop shards on Linux: each gets its
+	// own SO_REUSEPORT listener socket (the kernel hashes incoming SYNs
+	// across their accept queues), its own loop, and its own dial-pool
+	// stripe. Zero or 1 means one shard on a plain listener. Off Linux one
+	// goroutine accepts whatever the value.
 	Acceptors int
-	// Splice enables the zero-copy splice(2) relay on Linux: response
-	// bytes (and request bytes after the first-chunk observation) move
-	// socket→pipe→socket without entering userspace. Non-TCP connections,
-	// non-Linux builds, and kernels that refuse splice fall back to the
-	// pooled-buffer copy path transparently. Estimator semantics are
-	// unchanged — every request-direction chunk arrival is still
-	// timestamped, it just is not copied.
-	Splice bool
-	// Netpoll enables the event-driven dataplane on Linux (cmd/lbproxy turns
-	// it on by default): one epoll readiness loop per acceptor shard owns
-	// every connection from accept4 to close as a compact state machine on
-	// raw fds (no goroutine and no net.Conn per connection), with dial, idle
-	// and drain deadlines on a per-shard timing wheel. A Dial hook, a
-	// backend address that is not an IP literal, or a dial pool (PoolIdle >
-	// 0) keeps accept and dial on goroutines, which hand each connected pair
-	// to the loop; a dial pool together with one of the other two, non-Linux
-	// builds, kernels without epoll (latched on ENOSYS), and connections
-	// without raw-fd access (chaos wrappers, test pipes) stay on the
-	// goroutine-per-connection path — Dataplane and
-	// Stats.NetpollFallbacks say when. Estimator semantics are unchanged:
-	// every request-direction chunk is observed exactly as a Read on the
-	// goroutine path would be.
-	Netpoll bool
-	// PoolIdle enables backend connection pooling when > 0: up to PoolIdle
-	// idle connections are kept per backend (probed live at checkout) so a
-	// client connection does not always pay a fresh dial. Zero disables
-	// pooling, preserving the historical conn-per-client behavior,
-	// including immediate FIN propagation to the backend on client EOF.
+	// PoolIdle enables backend connection pooling when > 0 (Linux only): up
+	// to PoolIdle idle connections are kept per backend (probed live at
+	// checkout) so a client connection does not always pay a fresh connect.
+	// Zero disables pooling, preserving the historical conn-per-client
+	// behavior, including immediate FIN propagation to the backend on client
+	// EOF.
 	PoolIdle int
 	// PoolMaxAge evicts pooled connections this long after they first
 	// entered the pool. Zero means no age cap.
@@ -200,7 +181,7 @@ type Config struct {
 //
 //	Accepted == sum(PerBackend) + DialErrors + Dropped
 //
-// holds once in-flight handlers settle (always after Close).
+// holds once in-flight connections settle (always after Close).
 type Stats struct {
 	Accepted uint64
 	Active   int64
@@ -227,9 +208,8 @@ type Stats struct {
 	Down             []bool   // per backend: admits no traffic (probe or passive)
 	Health           []string // per backend: passive-detector state name
 	// Relay syscall accounting (one counter bump per kernel call): reads
-	// and writes on the userspace copy path, splice(2) calls on the
-	// zero-copy path (readiness probes included). strace without strace —
-	// benchmarks report these per op.
+	// and writes through the relay buffer, splice(2) calls on the zero-copy
+	// path. strace without strace — benchmarks report these per op.
 	RelayReads, RelayWrites, RelaySplices uint64
 	// Dial-pool counters (all zero with pooling disabled): checkout
 	// hits/misses, conns the checkout probe found dead, pooled conns that
@@ -240,14 +220,12 @@ type Stats struct {
 	// CongSamples counts successful TCP_INFO reads, CongRetrans the total
 	// retransmitted segments attributed to backends through them.
 	CongSamples, CongRetrans uint64
-	// Netpoll holds per-shard poller counters when the event-driven
-	// dataplane is active; nil otherwise. NetpollFallbacks counts connections
-	// it could not take (an end without raw-fd access) and that ran on the
-	// goroutine relay instead.
-	Netpoll          []NetpollShardStats
-	NetpollFallbacks uint64
-	// AcceptErrors counts Accept failures the acceptors backed off from and
-	// retried (EMFILE, ECONNABORTED, ...).
+	// Netpoll holds per-shard event-loop counters (nil off Linux).
+	Netpoll []NetpollShardStats
+	// AcceptErrors counts accept failures the acceptors backed off from and
+	// retried (EMFILE, ENFILE, ENOBUFS, ...). ECONNABORTED — a client that
+	// reset before its connection was accepted — is retried at once and not
+	// counted.
 	AcceptErrors uint64
 	// ConnectsInflight is the number of backend connects in progress right
 	// now; ConnectTimeouts counts those that DialTimeout ended.
@@ -265,31 +243,21 @@ type NetpollShardStats struct {
 
 // Proxy is a running load balancer instance.
 type Proxy struct {
-	cfg       Config
-	addr      net.Addr       // bound address; nil before Listen
-	listeners []net.Listener // goroutine admit: one per SO_REUSEPORT shard (len 1 otherwise)
-
+	cfg   Config
+	addr  net.Addr // bound address; nil before Listen
 	flows *core.ShardedFlowTable
 	ctrl  *control.Controller
-	pool  *dialpool.Pool // nil unless Config.PoolIdle > 0
-	np    []*npShard     // event-loop shards; nil unless Config.Netpoll works here
-	npErr error          // why Config.Netpoll did not bring the shards up
-	// goAdmit says why goroutines accept and dial although the shards are
-	// up; empty when the loops admit connections themselves.
-	goAdmit string
-	start   time.Time
+	pool  *dialpool.Pool // nil unless pooling runs
+	start time.Time
 
-	// bufs recycles relay buffers (up to two per connection,
-	// Config.BufferSize each) so connection churn does not make the
-	// allocator the bottleneck. It holds *[]byte to keep Put/Get
-	// themselves allocation-free. Relays on the splice path never touch it.
-	bufs sync.Pool
+	// dataplane is the platform's connection machinery: the event-loop
+	// shards on Linux, listeners and the force-close set elsewhere.
+	dataplane
 
 	accepted        atomic.Uint64
 	acceptErrors    atomic.Uint64
 	connecting      atomic.Int64
 	connectTimeouts atomic.Uint64
-	npFallbacks     atomic.Uint64
 	active          atomic.Int64
 	dialErrors      atomic.Uint64
 	dropped         atomic.Uint64
@@ -300,25 +268,17 @@ type Proxy struct {
 	down            []atomic.Bool // probe layer's own view (streak bookkeeping)
 	stop            chan struct{}
 
-	// Syscall-diet accounting; see Stats.RelayReads et al.
+	// Relay syscall and pool accounting; see Stats.RelayReads et al.
 	sysReads            atomic.Uint64
 	sysWrites           atomic.Uint64
 	sysSplices          atomic.Uint64
 	poolFirstWriteFails atomic.Uint64
 	poolRecycled        atomic.Uint64
-
-	// Congestion-signal registry (nil unless Config.CongestionSignals):
-	// live backend conns sampled for TCP_INFO by congLoop.
-	congMu      sync.Mutex
-	cong        map[net.Conn]*congEntry
-	congSamples atomic.Uint64
-	congRetrans atomic.Uint64
+	congSamples         atomic.Uint64
+	congRetrans         atomic.Uint64
 
 	closed atomic.Bool
-	wg     sync.WaitGroup // accepted connections still on a goroutine
-	relays sync.WaitGroup // connections owned by a poller shard
-	connMu sync.Mutex
-	open   map[net.Conn]struct{} // goroutine-owned conns, for Close's force-close sweep
+	relays sync.WaitGroup // admitted connections not yet torn down
 }
 
 // New creates a proxy.
@@ -371,10 +331,9 @@ func New(cfg Config) (*Proxy, error) {
 		perBackend: make([]atomic.Uint64, len(cfg.Backends)),
 		down:       make([]atomic.Bool, len(cfg.Backends)),
 		stop:       make(chan struct{}),
-		open:       make(map[net.Conn]struct{}),
 	}
-	if cfg.CongestionSignals {
-		p.cong = make(map[net.Conn]*congEntry)
+	if err := p.initDataplane(); err != nil {
+		return nil, err
 	}
 	// The controller stripes its sample aggregator like the flow table and
 	// ticks on the proxy's monotonic clock, so sample timestamps and merge
@@ -386,50 +345,8 @@ func New(cfg Config) (*Proxy, error) {
 		Detector: cfg.Detector,
 		Audit:    cfg.Audit,
 	})
-	// The pool is keyed to this proxy's BufferSize: every buffer it hands
-	// out has exactly that capacity, so relays never re-slice.
-	size := cfg.BufferSize
-	p.bufs.New = func() any {
-		b := make([]byte, size)
-		return &b
-	}
-	if cfg.PoolIdle > 0 {
-		p.pool = dialpool.New(dialpool.Config{
-			Backends:          len(cfg.Backends),
-			Stripes:           cfg.Acceptors,
-			MaxIdlePerBackend: cfg.PoolIdle,
-			MaxAge:            cfg.PoolMaxAge,
-		})
-	}
-	if cfg.Netpoll {
-		p.npErr = p.netpollInit() // on error p.np stays nil: goroutine dataplane
-	}
 	return p, nil
 }
-
-// Dataplane names the relay new connections run on — "netpoll" or
-// "goroutine" — and what keeps it short of the whole event dataplane: why
-// the relay is on goroutines, or, with the event relay up, why accept and
-// dial still are ("goroutine admit: ..."). "netpoll" with no reason means
-// connections live on the loops from accept to close.
-func (p *Proxy) Dataplane() (mode, reason string) {
-	switch {
-	case len(p.np) > 0:
-		return "netpoll", p.goAdmit
-	case p.npErr != nil:
-		return "goroutine", p.npErr.Error()
-	}
-	return "goroutine", "netpoll disabled"
-}
-
-// poolQuiesce is the response-silence window that closes a pooled
-// exchange; see Config.PoolQuiesce.
-func (p *Proxy) poolQuiesce() time.Duration { return p.cfg.PoolQuiesce }
-
-// getBuf takes a relay buffer from the pool (allocating only when the pool
-// is empty); putBuf returns it for the next connection.
-func (p *Proxy) getBuf() *[]byte  { return p.bufs.Get().(*[]byte) }
-func (p *Proxy) putBuf(b *[]byte) { p.bufs.Put(b) }
 
 // Stats returns a snapshot of the counters. The snapshot is a deep copy
 // assembled from atomics; it never aliases the proxy's mutable state, so
@@ -457,7 +374,6 @@ func (p *Proxy) Stats() Stats {
 		CongSamples:         p.congSamples.Load(),
 		CongRetrans:         p.congRetrans.Load(),
 		Netpoll:             p.netpollStats(),
-		NetpollFallbacks:    p.npFallbacks.Load(),
 		AcceptErrors:        p.acceptErrors.Load(),
 		ConnectsInflight:    p.connecting.Load(),
 		ConnectTimeouts:     p.connectTimeouts.Load(),
@@ -478,42 +394,23 @@ func (p *Proxy) Stats() Stats {
 	return st
 }
 
-// dial opens one backend connection through the configured dial hook.
-func (p *Proxy) dial(addr string, timeout time.Duration) (net.Conn, error) {
-	if p.cfg.Dial != nil {
-		return p.cfg.Dial(addr, timeout)
-	}
-	return net.DialTimeout("tcp", addr, timeout)
-}
-
-// loopAdmits reports whether the poller shards accept and connect
-// themselves (see Config.Netpoll).
-func (p *Proxy) loopAdmits() bool { return len(p.np) > 0 && p.goAdmit == "" }
-
 // Listen binds addr — Config.Acceptors listener shards on Linux (one
-// SO_REUSEPORT socket each), a single listener elsewhere.
+// SO_REUSEPORT socket each), a single listener elsewhere — and hands the
+// sockets to the dataplane.
 func (p *Proxy) Listen(addr string) error {
 	ls, err := listenShards(addr, p.cfg.Acceptors)
 	if err != nil {
 		return err
 	}
 	p.addr = ls[0].Addr()
-	if p.loopAdmits() {
-		return p.netpollAdopt(ls)
-	}
-	p.listeners = ls
-	return nil
+	return p.adopt(ls)
 }
 
 // Addr returns the bound address (nil before Listen). All listener shards
 // share one address.
 func (p *Proxy) Addr() net.Addr { return p.addr }
 
-// Serve accepts and relays connections until Close. Where the poller shards
-// admit, each registers its listener on its own loop and Serve only waits;
-// otherwise it runs Config.Acceptors accept loops in parallel, each owning
-// one listener shard (or a share of the single fallback listener) and
-// passing its index down as the connection's shard and dial-pool stripe.
+// Serve starts the control loops and admits connections until Close.
 func (p *Proxy) Serve() error {
 	if p.addr == nil {
 		return errors.New("lbproxy: Serve before Listen")
@@ -525,73 +422,11 @@ func (p *Proxy) Serve() error {
 	if p.cfg.SweepInterval > 0 {
 		go p.sweepLoop()
 	}
-	if p.cong != nil {
-		go p.congLoop()
-	}
-	if err := p.netpollStart(); err != nil {
-		return err
-	}
-	if p.loopAdmits() {
-		<-p.stop
-		return nil
-	}
-	n := p.cfg.Acceptors
-	errCh := make(chan error, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			errCh <- p.acceptLoop(p.listeners[i%len(p.listeners)], i)
-		}(i)
-	}
-	var first error
-	for i := 0; i < n; i++ {
-		if err := <-errCh; err != nil && first == nil {
-			first = err
-			// One shard failing takes the proxy down coherently rather
-			// than serving on a subset of accept queues.
-			for _, l := range p.listeners {
-				_ = l.Close()
-			}
-		}
-	}
-	return first
-}
-
-// acceptLoop accepts from one listener shard until it closes. Any other
-// Accept error (EMFILE, ECONNABORTED, ...) is counted and retried after a
-// 5 ms→1 s backoff: a proxy that holds thousands of fds will run out of
-// them some day, and that must cost a pause, not the acceptor.
-func (p *Proxy) acceptLoop(lis net.Listener, idx int) error {
-	var backoff time.Duration
-	for {
-		conn, err := lis.Accept()
-		if err != nil {
-			if p.closed.Load() {
-				return nil
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return err
-			}
-			p.acceptErrors.Add(1)
-			backoff = nextAcceptBackoff(backoff)
-			select {
-			case <-p.stop:
-				return nil
-			case <-time.After(backoff):
-			}
-			continue
-		}
-		backoff = 0
-		p.accepted.Add(1)
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.handle(conn, idx)
-		}()
-	}
+	return p.serve()
 }
 
 // nextAcceptBackoff is the pause after one more consecutive accept failure:
-// 5 ms doubling to 1 s, for both acceptors.
+// 5 ms doubling to 1 s.
 func nextAcceptBackoff(prev time.Duration) time.Duration {
 	return min(max(2*prev, 5*time.Millisecond), time.Second)
 }
@@ -615,17 +450,10 @@ func (p *Proxy) Close() error {
 		return nil
 	}
 	close(p.stop)
-	var err error
-	for _, l := range p.listeners {
-		if cerr := l.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	p.netpollStopAccept() // from here no shard admits: relays only ever leave
+	p.stopAccepting() // from here no connection is admitted: relays only ever leave
 	if p.cfg.DrainTimeout > 0 {
 		drained := make(chan struct{})
 		go func() {
-			p.wg.Wait() // first: handoffs (relays.Add) happen under wg
 			p.relays.Wait()
 			close(drained)
 		}()
@@ -634,23 +462,14 @@ func (p *Proxy) Close() error {
 		case <-time.After(p.cfg.DrainTimeout):
 		}
 	}
-	p.connMu.Lock()
-	for c := range p.open {
-		_ = c.Close()
-	}
-	p.connMu.Unlock()
-	p.wg.Wait()
-	// Netpoll relays are owned by the pollers, not wg or the sweep above:
-	// every handoff Post happened-before wg.Wait returned and the shards
-	// stopped admitting above, so stopping the pollers here finalizes every
-	// relay (idle and still-connecting ones included) with all samples
-	// flushed into the aggregator before the controller's final tick below.
-	p.netpollStop()
+	// Ends every relay still open, with its samples flushed into the
+	// aggregator before the controller's final tick below.
+	p.stopRelays()
 	if p.pool != nil {
 		p.pool.Close()
 	}
 	p.ctrl.Close()
-	return err
+	return nil
 }
 
 // now returns monotonic time since proxy start, the estimator clock.
@@ -708,12 +527,12 @@ func (p *Proxy) route(hash uint64, key packet.FlowKey) (backend int, charged boo
 }
 
 // dialFailed is the accounting of one failed attempt to reach backend — a
-// refused or timed-out connect, or a pooled connection dying on first write
-// — for both admit drivers. The failure goes to the passive detector; if it
-// was the connection's routed attempt, the policy's open-flow debit is
-// undone and the one-shot failover target returned. -1 means the connection
-// is terminally unreachable: the failover attempt itself failed, or there
-// is no target (the caller counts a DialError).
+// refused or timed-out connect, or a pooled connection dying on first write.
+// The failure goes to the passive detector; if it was the connection's routed
+// attempt, the policy's open-flow debit is undone and the one-shot failover
+// target returned. -1 means the connection is terminally unreachable: the
+// failover attempt itself failed, or there is no target (the caller counts a
+// DialError).
 func (p *Proxy) dialFailed(backend int, wasFailover bool, charged *bool) (alt int) {
 	p.ctrl.ReportDialError(backend, p.now())
 	if wasFailover {
@@ -726,207 +545,9 @@ func (p *Proxy) dialFailed(backend int, wasFailover bool, charged *bool) (alt in
 	return p.ctrl.FailoverTarget(backend)
 }
 
-// dialBackend is the goroutine driver of a backend dial: the routed attempt,
-// then the one-shot failover. Returns the connection and the backend it
-// reached, or (nil, -1) with the connection counted in DialErrors.
-func (p *Proxy) dialBackend(backend int, charged *bool) (net.Conn, int) {
-	for failover := false; backend >= 0; failover = true {
-		p.connecting.Add(1)
-		server, err := p.dial(p.cfg.Backends[backend], p.cfg.DialTimeout)
-		p.connecting.Add(-1)
-		if err == nil {
-			if failover {
-				p.failovers.Add(1)
-			}
-			return server, backend
-		}
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			p.connectTimeouts.Add(1)
-		}
-		backend = p.dialFailed(backend, failover, charged)
-	}
-	p.dialErrors.Add(1) // terminal: no backend accepted the dial
-	return nil, -1
-}
-
-// track adds c to the set Close force-closes. A connection that raced the
-// sweep is closed here, so no work starts that Close will never see.
-func (p *Proxy) track(c net.Conn) {
-	p.connMu.Lock()
-	p.open[c] = struct{}{}
-	p.connMu.Unlock()
-	if p.closed.Load() {
-		_ = c.Close()
-	}
-}
-
-func (p *Proxy) untrack(c net.Conn) {
-	p.connMu.Lock()
-	delete(p.open, c)
-	p.connMu.Unlock()
-}
-
-// retire closes a tracked connection this goroutine is done with.
-func (p *Proxy) retire(c net.Conn) {
-	_ = c.Close()
-	p.untrack(c)
-}
-
-// handle is the goroutine admit: route one accepted connection, acquire a
-// backend connection, and hand the pair to the acceptor's poller shard — or,
-// without one, relay it here. A burst of accepts keeps one of these
-// goroutines per connection blocked in the backend dial, so the frame stays
-// small; everything the goroutine relay needs lives in relayBlocking.
-func (p *Proxy) handle(client net.Conn, acceptor int) {
-	// Tracked before anything can block on it.
-	p.track(client)
-	key := flowKeyFor(client)
-	hash := key.Hash() // hashed once; reused for routing, sharding, sampling
-	backend, charged := p.route(hash, key)
-	if backend < 0 {
-		p.retire(client)
-		return
-	}
-
-	// Acquire a backend connection: pooled checkout first (probed live at
-	// checkout), otherwise a fresh dial with the one-shot failover.
-	var (
-		server   net.Conn
-		born     time.Time
-		fromPool bool
-	)
-	if p.pool != nil {
-		server, born, fromPool = p.pool.Get(backend, acceptor)
-	}
-	if server == nil {
-		if server, backend = p.dialBackend(backend, &charged); server == nil {
-			p.retire(client)
-			return
-		}
-	}
-	if p.netpollHandoff(client, server, backend, acceptor, hash, key, charged, fromPool, born) {
-		return
-	}
-	if len(p.np) > 0 {
-		p.npFallbacks.Add(1)
-	}
-	p.track(server)
-	// Congestion sampling follows the backend connection from here until
-	// its relay's teardown takes the final sample.
-	p.congRegister(server, backend, hash)
-	p.relayBlocking(client, server, backend, acceptor, hash, key, charged, fromPool, born)
-	p.retire(client)
-}
-
-// relayBlocking is the goroutine-per-connection relay: this goroutine runs
-// the request direction, a second one the response direction.
-func (p *Proxy) relayBlocking(client, server net.Conn, backend, acceptor int,
-	hash uint64, key packet.FlowKey, charged, fromPool bool, born time.Time) {
-	// Pooled-connection validation: relay the first client chunk through
-	// userspace before committing counters. The checkout probe proved the
-	// socket open, but the backend can die between checkout and first use
-	// — a pooled connection failing its first write here is accounted
-	// exactly like a failed dial (ReportDialError, fresh redial, then the
-	// failover path), so the
-	//
-	//	Accepted == sum(PerBackend) + DialErrors + Dropped
-	//
-	// identity holds with the dead pooled conn never reaching PerBackend.
-	var (
-		pending   []byte // first chunk read but not yet written
-		preBuf    *[]byte
-		firstDone bool  // first chunk fully relayed (observed + written)
-		firstErr  error // terminal result of the validation read, if any
-	)
-	if fromPool {
-		preBuf = p.getBuf()
-		defer p.putBuf(preBuf)
-		p.armIdle(client)
-		n, rerr := client.Read(*preBuf)
-		p.sysReads.Add(1)
-		firstErr = rerr
-		if n > 0 {
-			pending = (*preBuf)[:n]
-			ts := p.now() // arrival time, attributed after the write settles
-			p.sysWrites.Add(1)
-			if _, werr := server.Write(pending); werr != nil {
-				p.untrack(server)
-				p.congFinal(server)
-				_ = server.Close()
-				p.poolFirstWriteFails.Add(1)
-				p.ctrl.ReportDialError(backend, ts)
-				fromPool, born = false, time.Time{}
-				// One fresh dial to the same backend — a pooled conn's death
-				// on first write is often stale news — then the failover.
-				if server, backend = p.dialBackend(backend, &charged); server == nil {
-					return
-				}
-				p.track(server)
-				p.congRegister(server, backend, hash)
-				// The swapped connection still owes the first chunk: the
-				// request loop writes `pending` before relaying.
-			} else {
-				firstDone = true
-				pending = nil
-			}
-			p.observeAt(hash, key, backend, ts)
-		}
-	}
-
-	p.ctrl.ReportDialSuccess(backend)
-	p.perBackend[backend].Add(1)
-	p.active.Add(1)
-	defer p.active.Add(-1)
-	defer p.untrack(server)
-
-	st := &relay{p: p, client: client, server: server, backend: backend, hash: hash, key: key}
-
-	// Response direction: a blind relay (spliced when possible). No
-	// timestamps feed measurement here — the estimator must work without
-	// seeing this traffic, as under DSR. (Idle deadlines are liveness
-	// bounds, not measurement.)
-	respDone := make(chan struct{})
-	go func() {
-		st.runResponse()
-		close(respDone)
-	}()
-
-	// Request direction, in this goroutine: every chunk arrival is a
-	// client→server event whose timestamp feeds the in-band estimator.
-	// Lock-free up to shard striping: no proxy-global mutex is taken here.
-	st.runRequest(firstDone, pending, firstErr)
-	<-respDone
-
-	// Final congestion sample before the conn can be recycled: retrans
-	// growth in the last sampling window is charged to *this* exchange's
-	// flow, and a pooled conn re-enters the registry fresh on checkout.
-	p.congFinal(server)
-	p.flows.ForgetHashed(hash, key)
-	if charged {
-		p.ctrl.FlowClosed(backend, p.now())
-	}
-	// Retire or recycle the backend connection. Recycling hands it to the
-	// pool open — the next checkout's probe re-verifies it.
-	if st.recycled.Load() && !st.aborted.Load() && !p.closed.Load() &&
-		p.pool != nil && p.pool.Put(backend, acceptor, server, born) {
-		p.poolRecycled.Add(1)
-	} else {
-		_ = server.Close()
-	}
-}
-
-// armIdle sets the connection's read deadline IdleTimeout into the future,
-// bounding how long a relay direction can sit byteless.
-func (p *Proxy) armIdle(c net.Conn) {
-	if p.cfg.IdleTimeout > 0 {
-		_ = c.SetReadDeadline(time.Now().Add(p.cfg.IdleTimeout))
-	}
-}
-
 // reportRelayErr forwards an abnormal server-side relay failure to the
 // passive detector. Clean EOFs are normal teardown; net.ErrClosed means the
-// proxy itself (or the peer goroutine) tore the connection down.
+// proxy itself tore the connection down.
 func (p *Proxy) reportRelayErr(backend int, err error) {
 	if err == nil || errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || p.closed.Load() {
 		return
@@ -937,32 +558,23 @@ func (p *Proxy) reportRelayErr(backend int, err error) {
 // observe feeds one request-direction chunk arrival into the flow's
 // estimator shard and, when a latency sample pops out, into the
 // controller's matching aggregator stripe. Both sides stripe on the same
-// precomputed hash, so a relay goroutine touches one shard's cache lines
-// end to end. On the splice path this fires once per readiness event —
-// the same granularity as one Read on the copy path — so the estimator
-// sees identical arrival timestamps without the payload ever entering
-// userspace.
+// precomputed hash, so a relay touches one shard's cache lines end to end.
+// A spliced chunk fires it once, like a chunk read into the buffer: the
+// estimator sees the same arrival timestamps whether or not the payload
+// ever enters userspace.
 func (p *Proxy) observe(hash uint64, key packet.FlowKey, backend int) {
 	p.observeAt(hash, key, backend, p.now())
 }
 
-// observeAt is observe with an explicit arrival time: the pooled
-// validation phase timestamps the first chunk when it is read but
-// attributes it only after the write settles (the backend may change if
-// the pooled connection dies on first write).
+// observeAt is observe with an explicit arrival time: a pooled connection's
+// first chunk is timestamped when it is read but attributed only after the
+// write settles (the backend may change if the pooled connection dies on
+// first write).
 func (p *Proxy) observeAt(hash uint64, key packet.FlowKey, backend int, now time.Duration) {
 	sample, ok := p.flows.ObserveHashed(hash, key, now)
 	if ok {
 		p.samples.Add(1)
 		p.ctrl.ObserveSharded(hash, backend, now, sample)
-	}
-}
-
-// closeWrite half-closes the write side when the transport supports it,
-// propagating EOF to the peer like a forwarded FIN.
-func closeWrite(c net.Conn) {
-	if tc, ok := c.(*net.TCPConn); ok {
-		_ = tc.CloseWrite()
 	}
 }
 
@@ -987,7 +599,7 @@ func (p *Proxy) probeLoop() {
 		}
 		timer.Reset(p.jitteredProbePeriod(rng))
 		for i, addr := range p.cfg.Backends {
-			conn, err := p.dial(addr, p.cfg.HealthTimeout)
+			conn, err := net.DialTimeout("tcp", addr, p.cfg.HealthTimeout)
 			if err != nil {
 				oks[i] = 0
 				if fails[i]++; fails[i] >= p.cfg.HealthFailThreshold && !p.down[i].Load() {

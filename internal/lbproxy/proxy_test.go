@@ -2,16 +2,16 @@ package lbproxy
 
 import (
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"inbandlb/internal/control"
 	"inbandlb/internal/core"
-	"inbandlb/internal/faults"
 	"inbandlb/internal/memcache"
 	"inbandlb/internal/packet"
 )
@@ -31,7 +31,13 @@ func startBackend(t *testing.T) (*memcache.Server, string) {
 // startProxy runs a proxy over the given backends.
 func startProxy(t *testing.T, pol control.Policy, backends ...string) (*Proxy, string) {
 	t.Helper()
-	p, err := New(Config{Backends: backends, Policy: pol})
+	return startProxyCfg(t, Config{Backends: backends, Policy: pol})
+}
+
+// startProxyCfg runs a proxy with a full config (backends already set).
+func startProxyCfg(t *testing.T, cfg Config) (*Proxy, string) {
+	t.Helper()
+	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,6 +47,44 @@ func startProxy(t *testing.T, pol control.Policy, backends ...string) (*Proxy, s
 	go func() { _ = p.Serve() }()
 	t.Cleanup(func() { _ = p.Close() })
 	return p, p.Addr().String()
+}
+
+// assertIdentity checks the Accepted accounting identity on a settled proxy.
+func assertIdentity(t *testing.T, st Stats) {
+	t.Helper()
+	var routed uint64
+	for _, n := range st.PerBackend {
+		routed += n
+	}
+	if st.Accepted != routed+st.DialErrors+st.Dropped {
+		t.Errorf("identity violated: accepted %d != routed %d + dialErrors %d + dropped %d",
+			st.Accepted, routed, st.DialErrors, st.Dropped)
+	}
+}
+
+// deadAddr reserves a loopback port that refuses connections for the rest
+// of the test: a socket is bound to it but never listens, so a SYN meets a
+// reset, and no outgoing connection is handed the port meanwhile. A server
+// can still Listen on it (both sockets set SO_REUSEADDR) when the test
+// wants the backend to come up.
+func deadAddr(t *testing.T) string {
+	t.Helper()
+	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_STREAM, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = syscall.Close(fd) })
+	if err := syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_REUSEADDR, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := syscall.Bind(fd, &syscall.SockaddrInet4{Addr: [4]byte{127, 0, 0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	sa, err := syscall.Getsockname(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("127.0.0.1:%d", sa.(*syscall.SockaddrInet4).Port)
 }
 
 func TestProxyValidation(t *testing.T) {
@@ -408,8 +452,7 @@ func TestWholePoolEjectedUndoesPick(t *testing.T) {
 		_ = c.Close()
 	}
 
-	// handle() runs in per-connection goroutines; wait for the accounting
-	// to settle.
+	// Wait for the accounting to settle.
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) && proxy.Stats().Dropped < 4 {
 		time.Sleep(10 * time.Millisecond)
@@ -486,33 +529,18 @@ func TestProxyDialFailover(t *testing.T) {
 }
 
 // TestProxyPassiveOutageEjection is the acceptance scenario: active probes
-// OFF, a refuse-outage on one backend injected through the chaos dialer,
-// and only passive in-band signals available. The proxy must eject the
-// backend from dial errors alone, absorb subsequent picks via failover
-// with zero terminal dial errors, and re-admit through slow-start once the
-// outage lifts.
+// OFF, one backend refusing connections, and only passive in-band signals
+// available. The proxy must eject the backend from dial errors alone,
+// absorb subsequent picks via failover with zero terminal dial errors, and
+// re-admit through slow-start once the backend comes up.
 func TestProxyPassiveOutageEjection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-socket timing test")
 	}
-	_, addrA := startBackend(t)
+	addrA := deadAddr(t) // refuses until a server listens on it below
 	_, addrB := startBackend(t)
 
-	outageEnd := make(chan struct{})
-	var dialSeq atomic.Uint64
-	chaos := func(addr string, timeout time.Duration) (net.Conn, error) {
-		dialSeq.Add(1)
-		if addr == addrA {
-			select {
-			case <-outageEnd:
-			default:
-				return nil, faults.ErrInjectedRefuse
-			}
-		}
-		return net.DialTimeout("tcp", addr, timeout)
-	}
-
-	proxy, err := New(Config{
+	proxy, paddr := startProxyCfg(t, Config{
 		Backends:        []string{addrA, addrB},
 		Policy:          control.NewRoundRobin(2),
 		ControlInterval: 2 * time.Millisecond,
@@ -523,17 +551,7 @@ func TestProxyPassiveOutageEjection(t *testing.T) {
 			BackoffInitial:   150 * time.Millisecond,
 			SlowStartTicks:   20,
 		},
-		Dial: chaos,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := proxy.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = proxy.Serve() }()
-	t.Cleanup(func() { _ = proxy.Close() })
-	paddr := proxy.Addr().String()
 
 	doSet := func() error {
 		c, err := memcache.Dial(paddr, time.Second)
@@ -564,9 +582,7 @@ func TestProxyPassiveOutageEjection(t *testing.T) {
 		t.Errorf("terminal DialErrors = %d, want 0", st.DialErrors)
 	}
 
-	// After ejection no more dials reach A: routing avoids it entirely, so
-	// connections stop being refused at the dial layer too.
-	seqAtEject := dialSeq.Load()
+	// After ejection routing avoids A entirely.
 	for i := 0; i < 6; i++ {
 		if err := doSet(); err != nil {
 			t.Fatalf("request after ejection failed: %v", err)
@@ -575,11 +591,15 @@ func TestProxyPassiveOutageEjection(t *testing.T) {
 	if st := proxy.Stats(); st.DialErrors != 0 {
 		t.Errorf("post-ejection terminal DialErrors = %d, want 0", st.DialErrors)
 	}
-	_ = seqAtEject
 
-	// Lift the outage: the backoff expires, a half-open trial succeeds, and
+	// End the outage: the backoff expires, a half-open trial succeeds, and
 	// slow-start ramps A back to full admission.
-	close(outageEnd)
+	a := memcache.NewServer()
+	if err := a.Listen(addrA); err != nil {
+		t.Fatalf("bring up %s: %v", addrA, err)
+	}
+	go func() { _ = a.Serve() }()
+	t.Cleanup(func() { _ = a.Close() })
 	deadline = time.Now().Add(8 * time.Second)
 	for time.Now().Before(deadline) {
 		if !proxy.Stats().Down[0] && proxy.ctrl.HealthState(0) == control.Healthy {
@@ -647,37 +667,5 @@ func TestProxyGracefulDrain(t *testing.T) {
 	}
 	if st.Accepted != routed+st.DialErrors+st.Dropped {
 		t.Errorf("identity violated after drain: %+v", st)
-	}
-}
-
-// TestRelayBufferPool verifies the relay buffer pool hands out
-// Config.BufferSize buffers, recycles them, and that a get/put cycle is
-// allocation-free in steady state.
-func TestRelayBufferPool(t *testing.T) {
-	p, err := New(Config{
-		Backends:   []string{"127.0.0.1:1"},
-		Policy:     control.NewRoundRobin(1),
-		BufferSize: 8 << 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	b := p.getBuf()
-	if len(*b) != 8<<10 {
-		t.Fatalf("pooled buffer length %d, want %d", len(*b), 8<<10)
-	}
-	p.putBuf(b)
-
-	// Steady state: a connection's get/put pair must not hit the
-	// allocator. One stray GC clearing the pool mid-run shows up as a
-	// fraction well below 1; a real regression (fresh make per get) as >= 1.
-	allocs := testing.AllocsPerRun(1000, func() {
-		bp := p.getBuf()
-		p.putBuf(bp)
-	})
-	if allocs >= 1 {
-		t.Errorf("relay buffer get/put: %.2f allocs/op, want 0 (pool not reusing)", allocs)
 	}
 }

@@ -1,3 +1,5 @@
+//go:build linux
+
 package lbproxy
 
 import (
@@ -19,32 +21,24 @@ import (
 // RLIMIT_NOFILE can actually hold (testbed.MaxProxiedConns).
 var stressConns = flag.Int("stress.conns", 0, "target concurrent connections for the ConnScaleStress tests (0 = skip; capped by RLIMIT_NOFILE/4)")
 
-// netpollDefault picks the dataplane of the default-configuration stress
-// tests (conn-scale, chaos flapping, congestion signals): the event relay,
-// as cmd/lbproxy runs it, unless -netpoll=false asks for the goroutine
-// relay's leg.
-var netpollDefault = flag.Bool("netpoll", true, "run the default-configuration stress tests on the event relay (false: goroutine relay)")
-
 // TestProxyConnScaleStress holds N concurrent connections open through
-// the full dataplane at once — the event relay by default (-netpoll=false:
-// splice relays on two goroutines per connection, parked on readiness),
-// acceptor shards, and the sharded estimator path — then tears everything
-// down and checks the books balance exactly:
+// the full dataplane at once — acceptor shards' event loops and the sharded
+// estimator path — then tears everything down and checks the books balance
+// exactly:
 //
 //   - every connection was accepted, routed, and observed (Accepted ==
 //     sum(PerBackend), one estimator observation each),
 //   - zero estimator samples lost (Samples == SamplesDelivered, dropped 0),
-//   - Active returns to 0 and relay goroutines drain.
+//   - Active returns to 0.
 //
 // Clients dial from rotating loopback source addresses (127.0.0.2-9) so
 // the ephemeral-port space per (src,dst) tuple is never the binding
 // constraint; in this harness the fd rlimit is.
 //
-// On the event relay, O(acceptor shards) poller goroutines own every relay,
-// so the test also asserts the goroutine count stays far below the
-// connection count while the fleet is parked.
+// O(acceptor shards) poller goroutines own every relay, so the test also
+// asserts the goroutine count stays far below the connection count while
+// the fleet is parked.
 func TestProxyConnScaleStress(t *testing.T) {
-	netpoll := *netpollDefault
 	if *stressConns == 0 {
 		t.Skip("scale stress: set -stress.conns=N to run")
 	}
@@ -67,15 +61,9 @@ func TestProxyConnScaleStress(t *testing.T) {
 		Policy:    control.NewRoundRobin(nBackends),
 		Shards:    4,
 		Acceptors: 4,
-		Splice:    true,
-		Netpoll:   netpoll,
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if netpoll && len(proxy.np) == 0 {
-		_ = proxy.Close()
-		t.Skip("netpoll dataplane unavailable on this platform")
 	}
 	if err := proxy.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -88,7 +76,7 @@ func TestProxyConnScaleStress(t *testing.T) {
 	// estimator observes its first byte and the relay then parks.
 	// baseGoroutines is the pre-fleet floor; the hold backends add one
 	// swallow-loop goroutine per proxied connection on top of it, which the
-	// netpoll budget check below subtracts back out.
+	// goroutine budget check below subtracts back out.
 	baseGoroutines := runtime.NumGoroutine()
 	greeting := []byte("hold 0123456789abcdef 0123456789abcdef\r\n")
 	conns := make([]net.Conn, 0, target)
@@ -128,26 +116,24 @@ func TestProxyConnScaleStress(t *testing.T) {
 			Active                                 int64
 		}{
 			st.Accepted, st.Samples, st.DialErrors, st.Dropped, st.Active})
-	if netpoll {
-		t.Logf("netpoll shards: %+v", st.Netpoll)
-		// The event-driven dataplane's whole point: the fleet is parked on
-		// epoll, not on 2N relay goroutine stacks. The in-process hold
-		// backends pin one goroutine per connection; everything above that
-		// is the proxy's share, which must be O(shards), not O(conns).
-		relayGoroutines := goroutines - baseGoroutines - target
-		t.Logf("proxy-side goroutines beyond backends: %d (goroutine path would pin ~%d)",
-			relayGoroutines, 2*target)
-		if target >= 1000 && relayGoroutines > target/10 {
-			t.Errorf("netpoll fleet pinned %d proxy goroutines for %d conns, want O(shards)",
-				relayGoroutines, target)
-		}
-		var reg int64
-		for _, sh := range st.Netpoll {
-			reg += sh.RegisteredFDs
-		}
-		if reg < int64(target) {
-			t.Errorf("registered fds = %d across shards, want >= %d", reg, target)
-		}
+	t.Logf("netpoll shards: %+v", st.Netpoll)
+	// The event loop's whole point: the fleet is parked on epoll, not on
+	// 2N relay goroutine stacks. The in-process hold backends pin one
+	// goroutine per connection; everything above that is the proxy's share,
+	// which must be O(shards), not O(conns).
+	relayGoroutines := goroutines - baseGoroutines - target
+	t.Logf("proxy-side goroutines beyond backends: %d (two per connection would pin ~%d)",
+		relayGoroutines, 2*target)
+	if target >= 1000 && relayGoroutines > target/10 {
+		t.Errorf("the fleet pinned %d proxy goroutines for %d conns, want O(shards)",
+			relayGoroutines, target)
+	}
+	var reg int64
+	for _, sh := range st.Netpoll {
+		reg += sh.RegisteredFDs
+	}
+	if reg < int64(target) {
+		t.Errorf("registered fds = %d across shards, want >= %d", reg, target)
 	}
 	if st.Active != int64(target) {
 		t.Fatalf("active = %d, want %d", st.Active, target)
@@ -163,8 +149,8 @@ func TestProxyConnScaleStress(t *testing.T) {
 		t.Fatalf("routed %d != %d (perBackend %v)", routed, target, st.PerBackend)
 	}
 	// One observation per flow yields no inter-arrival sample; send a
-	// second round of greetings — these relay through the parked splice
-	// path — so every flow crosses a batch boundary and produces one.
+	// second round of greetings so every flow crosses a batch boundary and
+	// produces one.
 	for i, c := range conns {
 		if _, err := c.Write(greeting); err != nil {
 			t.Fatalf("second greeting %d/%d: %v", i, target, err)

@@ -20,13 +20,8 @@ type StatusSnapshot struct {
 	FlowTableShards int   `json:"flow_table_shards"`
 	TrackedFlows    int   `json:"tracked_flows"`
 	Stats           Stats `json:"stats"`
-	// Dataplane is the relay new connections run on ("netpoll" or
-	// "goroutine"); DataplaneFallback says why it is not the event relay.
-	Dataplane         string `json:"dataplane"`
-	DataplaneFallback string `json:"dataplane_fallback,omitempty"`
-	// Goroutines is a live runtime.NumGoroutine gauge. Under the netpoll
-	// dataplane it stays O(shards) regardless of connection count; on the
-	// goroutine-per-connection path it tracks 2x the active relays.
+	// Goroutines is a live runtime.NumGoroutine gauge. On Linux it stays
+	// O(shards) regardless of connection count.
 	Goroutines int `json:"goroutines"`
 	// SnapshotGeneration counts routing-snapshot publications (table
 	// rebuilds merged by control ticks plus health-eject flips); zero for
@@ -63,7 +58,6 @@ func (p *Proxy) Snapshot() StatusSnapshot {
 		Goroutines:         runtime.NumGoroutine(),
 		SnapshotGeneration: p.ctrl.Generation(),
 	}
-	snap.Dataplane, snap.DataplaneFallback = p.Dataplane()
 	// Policy state is read under the controller's serialization lock so the
 	// snapshot cannot race a control tick.
 	p.ctrl.Do(func(pol control.Policy) {

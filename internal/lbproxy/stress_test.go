@@ -194,12 +194,84 @@ func TestProxyConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestProxyChaosFlappingStress pours connections through a chaos dialer
-// whose Flaky schedules refuse, reset, and blackhole a deterministic slice
-// of dials while the passive detector flaps backends through ejection,
+// chaosBackends starts n memcached servers, each behind a faults chaos
+// listener running sched: a connection the schedule refuses is reset at
+// accept, a reset one dies after its byte budget, a blackholed one swallows
+// everything. The faults are on the backend side of the proxy, where it
+// meets them as it would real ones. stop closes the listeners and every
+// connection they surfaced, and waits for their goroutines.
+func chaosBackends(t *testing.T, n int, sched faults.ConnSchedule, clock faults.Clock) (addrs []string, stop func()) {
+	t.Helper()
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		open = map[net.Conn]struct{}{}
+		liss []net.Listener
+	)
+	for i := 0; i < n; i++ {
+		_, real := startBackend(t)
+		inner, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lis := faults.NewChaosListener(inner, sched, clock)
+		liss = append(liss, lis)
+		addrs = append(addrs, inner.Addr().String())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				c, err := lis.Accept()
+				if err != nil {
+					return
+				}
+				mu.Lock()
+				if open == nil { // stopping
+					_ = c.Close()
+				} else {
+					open[c] = struct{}{}
+				}
+				mu.Unlock()
+				wg.Add(1)
+				go func() { // c relayed to the real server, through the fault
+					defer wg.Done()
+					defer c.Close()
+					s, err := net.Dial("tcp", real)
+					if err != nil {
+						return
+					}
+					defer s.Close()
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						_, _ = io.Copy(s, c)
+						_ = s.(*net.TCPConn).CloseWrite()
+					}()
+					_, _ = io.Copy(c, s)
+				}()
+			}
+		}()
+	}
+	return addrs, func() {
+		for _, l := range liss {
+			_ = l.Close()
+		}
+		mu.Lock()
+		for c := range open {
+			_ = c.Close()
+		}
+		open = nil
+		mu.Unlock()
+		wg.Wait()
+	}
+}
+
+// TestProxyChaosFlappingStress pours connections through backends whose
+// chaos listeners reset, cut short, and blackhole a deterministic slice of
+// connections while the passive detector flaps backends through ejection,
 // half-open trials, and slow-start — the ejection-churn scenario. With the
 // race detector on, this is the proof that detector transitions, admission
-// republishes, failover retries, and deadline-bounded relays are all safe
+// republishes, relay failures, and deadline-bounded relays are all safe
 // together. Afterwards:
 //
 //   - no goroutine leaks (blackholed relays are bounded by IdleTimeout),
@@ -209,13 +281,6 @@ func TestProxyChaosFlappingStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-socket stress test")
 	}
-	const nBackends = 3
-	backends := make([]string, nBackends)
-	for i := range backends {
-		_, backends[i] = startBackend(t)
-	}
-	baseGoroutines := runtime.NumGoroutine()
-
 	seed := *chaosSeed
 	t.Logf("repro: go test -race ./internal/lbproxy -run TestProxyChaosFlappingStress -chaos.seed=%d", seed)
 	sched := faults.ConnStack{
@@ -224,7 +289,9 @@ func TestProxyChaosFlappingStress(t *testing.T) {
 		faults.Flaky{P: 0.04, Seed: uint64(seed) + 4, Fault: faults.ConnFault{Kind: faults.ConnBlackhole}},
 	}
 	testStart := time.Now()
-	chaosDial := faults.ChaosDialer(nil, sched, func() time.Duration { return time.Since(testStart) })
+	backends, stopBackends := chaosBackends(t, 3, sched, func() time.Duration { return time.Since(testStart) })
+	defer stopBackends()
+	baseGoroutines := runtime.NumGoroutine()
 
 	la, err := control.NewLatencyAware(control.LatencyAwareConfig{
 		Backends:  []string{"b0", "b1", "b2"},
@@ -249,12 +316,8 @@ func TestProxyChaosFlappingStress(t *testing.T) {
 			SlowStartTicks:   10,
 			Seed:             seed, // jittered backoff follows the test seed
 		},
-		Dial:         chaosDial,
 		IdleTimeout:  150 * time.Millisecond,
 		DrainTimeout: 500 * time.Millisecond,
-		// Chaos-wrapped backend conns fall back to goroutine relays one by
-		// one; undisturbed dials ride the event relay.
-		Netpoll: *netpollDefault,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +369,7 @@ func TestProxyChaosFlappingStress(t *testing.T) {
 				_ = cli.SetDeadline(time.Now().Add(time.Second))
 				for s := 0; s < 5; s++ {
 					if err := cli.Set(fmt.Sprintf("k-%d-%d", w, s), []byte("v")); err != nil {
-						break // refused/reset/blackholed mid-stream: fine
+						break // reset or blackholed behind the proxy: fine
 					}
 				}
 				_ = cli.Close()
@@ -347,7 +410,9 @@ func TestProxyChaosFlappingStress(t *testing.T) {
 		t.Errorf("chaos shed everything (accepted=%d routed=%d): schedule too hostile", st.Accepted, routed)
 	}
 
-	// No goroutine leaks: relays, probes, sweeper, ticker all wound down.
+	// No goroutine leaks: relays, probes, sweeper, ticker all wound down —
+	// and, once they are stopped, the backends' relays of the chaos faults.
+	stopBackends()
 	deadline = time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) && runtime.NumGoroutine() > baseGoroutines+4 {
 		time.Sleep(20 * time.Millisecond)

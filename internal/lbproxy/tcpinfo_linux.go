@@ -3,7 +3,6 @@
 package lbproxy
 
 import (
-	"net"
 	"sync/atomic"
 	"syscall"
 	"unsafe"
@@ -15,7 +14,13 @@ import (
 // mines from a simulated stream. TCP_INFO exposes the running total (and
 // the smoothed RTT) per socket, so the proxy can read real congestion off
 // its relay fds without touching payload bytes or adding any per-chunk
-// work: one getsockopt per connection per sampling tick.
+// work: one getsockopt per connection per sampling tick, from each shard's
+// wheel over the backend sockets its loop owns (npShard.congTick).
+// Retransmission *deltas* (the cumulative counter's growth since the last
+// visit) are fed to the controller's transport-distress channel, attributed
+// to the connection's backend and striped by its flow hash — exactly the
+// shape the simulated packet tracker produces, so the detector downstream
+// cannot tell live evidence from simulated.
 //
 // Only two fields are needed, both at fixed offsets in struct tcp_info
 // since Linux 2.6 (the struct only ever grows at the tail):
@@ -42,26 +47,9 @@ var tcpInfoBroken atomic.Bool
 // tcpInfoAvailable reports whether sampling is worth attempting.
 func tcpInfoAvailable() bool { return !tcpInfoBroken.Load() }
 
-// sampleTCPInfo reads the cumulative retransmission count and smoothed RTT
-// off one backend connection. ok is false when the connection is closed,
-// is not a raw TCP socket (chaos wrappers, test pipes), or TCP_INFO is
-// latched broken.
-func sampleTCPInfo(c net.Conn) (totalRetrans, rttMicros uint32, ok bool) {
-	sc, isSC := c.(syscall.Conn)
-	if !isSC {
-		return 0, 0, false
-	}
-	raw, err := sc.SyscallConn()
-	if err != nil {
-		return 0, 0, false
-	}
-	// A Control error means the connection is already closed.
-	_ = raw.Control(func(fd uintptr) { totalRetrans, rttMicros, ok = tcpInfoFD(int(fd)) })
-	return totalRetrans, rttMicros, ok
-}
-
-// tcpInfoFD is sampleTCPInfo on a descriptor the caller owns — the event
-// relay's backend sockets.
+// tcpInfoFD reads the cumulative retransmission count and smoothed RTT off
+// one socket the caller owns. ok is false when the read fails (a closed or
+// non-TCP descriptor) or TCP_INFO is latched broken.
 func tcpInfoFD(fd int) (totalRetrans, rttMicros uint32, ok bool) {
 	if !tcpInfoAvailable() {
 		return 0, 0, false
@@ -86,4 +74,31 @@ func tcpInfoFD(fd int) (totalRetrans, rttMicros uint32, ok bool) {
 	totalRetrans = *(*uint32)(unsafe.Pointer(&buf[tcpInfoRetransOff]))
 	rttMicros = *(*uint32)(unsafe.Pointer(&buf[tcpInfoRTTOff]))
 	return totalRetrans, rttMicros, true
+}
+
+// congEntry is one backend socket's sampling state.
+type congEntry struct {
+	backend int
+	hash    uint64
+	// lastRetrans is the cumulative tcpi_total_retrans at the previous
+	// visit; primed flips after the first successful sample so a pooled
+	// connection's history before this relay is never charged.
+	lastRetrans uint32
+	primed      bool
+}
+
+// congCharge folds one cumulative reading into an entry, forwarding the
+// growth to the controller. An entry belongs to its relay's loop alone.
+func (p *Proxy) congCharge(e *congEntry, total uint32) {
+	p.congSamples.Add(1)
+	if !e.primed {
+		e.primed = true
+		e.lastRetrans = total
+		return
+	}
+	if delta := total - e.lastRetrans; delta > 0 {
+		e.lastRetrans = total
+		p.congRetrans.Add(uint64(delta))
+		p.ctrl.ObserveCongestion(e.hash, e.backend, int(delta), 0, 0)
+	}
 }

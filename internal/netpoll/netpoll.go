@@ -1,15 +1,13 @@
 // Package netpoll provides sharded edge-triggered epoll(7) event loops for
-// the proxy's readiness-driven dataplane. One Poller per acceptor shard
-// replaces the two blocked goroutines per relayed connection: registered fds
-// deliver readiness callbacks on the poller's single loop goroutine, and a
-// hierarchical timing wheel owned by the loop replaces per-connection
-// SetDeadline timers.
+// the proxy's dataplane. One Poller per acceptor shard owns every
+// connection the shard admits: registered fds deliver readiness callbacks on
+// the poller's single loop goroutine, and a hierarchical timing wheel owned
+// by the loop carries every per-connection deadline.
 //
-// The Linux implementation uses raw epoll_create1/epoll_ctl/epoll_wait via
-// the stdlib syscall package (no x/sys dependency, mirroring
-// lbproxy/splice_linux.go). On other platforms — or when the kernel reports
-// ENOSYS, which latches a process-wide fallback — New returns ErrUnsupported
-// and callers keep the goroutine-per-connection path.
+// The Poller is Linux-only and uses raw epoll_create1/epoll_ctl/epoll_wait
+// via the stdlib syscall package (no x/sys dependency). When the kernel
+// reports ENOSYS — latched process-wide — New returns ErrUnsupported. The
+// timing wheel is portable.
 //
 // Concurrency contract: Post, Stats, and Close are safe from any goroutine.
 // Readiness callbacks, posted tasks, and timer callbacks all run on the loop
@@ -25,8 +23,7 @@ import (
 	"time"
 )
 
-// ErrUnsupported is returned by New when the platform (or this kernel) has no
-// epoll support. Callers fall back to the goroutine-per-connection dataplane.
+// ErrUnsupported is returned by New when this kernel has no epoll support.
 var ErrUnsupported = errors.New("netpoll: not supported on this platform")
 
 // Event describes readiness for a registered fd. Error and hangup conditions

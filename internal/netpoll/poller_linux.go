@@ -12,11 +12,8 @@ import (
 )
 
 // epollBroken latches process-wide when the kernel rejects epoll_create1 with
-// ENOSYS, so later shards skip straight to the goroutine-path fallback.
+// ENOSYS, so later calls fail at once.
 var epollBroken atomic.Bool
-
-// Available reports whether epoll pollers can be created on this host.
-func Available() bool { return !epollBroken.Load() }
 
 // epollET is EPOLLET as a uint32. The syscall package defines EPOLLET as a
 // negative untyped constant (-0x80000000), which cannot be converted to
@@ -63,8 +60,8 @@ type Poller struct {
 }
 
 // New creates a poller and starts its loop goroutine. Returns ErrUnsupported
-// when epoll is unavailable (non-Linux kernels reporting ENOSYS latch the
-// process-wide fallback).
+// when epoll is unavailable (a kernel reporting ENOSYS latches that
+// process-wide).
 func New(cfg Config) (*Poller, error) {
 	if epollBroken.Load() {
 		return nil, ErrUnsupported
@@ -80,8 +77,7 @@ func New(cfg Config) (*Poller, error) {
 	// Hand the epoll fd to the runtime netpoller (it must be nonblocking for
 	// os.NewFile to register it as pollable). If the runtime refuses it —
 	// SetReadDeadline only works on pollable files — there is no
-	// scheduler-integrated parking, and the goroutine dataplane is the
-	// better fallback.
+	// scheduler-integrated parking, and no poller.
 	_ = syscall.SetNonblock(epfd, true)
 	epf := os.NewFile(uintptr(epfd), "netpoll-epoll")
 	eprc, err := epf.SyscallConn()

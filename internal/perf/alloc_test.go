@@ -3,11 +3,10 @@
 // simulator, EnsembleTimeout.Observe, and the proxy's per-read measurement
 // path — at zero allocations per operation. These are tests, not
 // benchmarks, so CI fails loudly the day someone reintroduces a per-packet
-// allocation; scripts/bench.sh tracks the ns/op trajectory separately.
+// allocation; benchmark/ prices the end-to-end cost separately.
 package perf
 
 import (
-	"io"
 	"net"
 	"net/netip"
 	"runtime"
@@ -17,7 +16,6 @@ import (
 	"inbandlb/internal/control"
 	"inbandlb/internal/core"
 	"inbandlb/internal/lb"
-	"inbandlb/internal/lbproxy"
 	"inbandlb/internal/lbproxy/dialpool"
 	"inbandlb/internal/netsim"
 	"inbandlb/internal/packet"
@@ -243,17 +241,13 @@ func TestLBPacketPathZeroAlloc(t *testing.T) {
 	}, body)
 }
 
-// TestProxyMeasurementPathZeroAlloc covers what the live proxy runs on
-// every request-direction read in steady state: a sharded flow-table
-// observe plus the non-blocking funnel handoff. (The socket syscalls
-// around it are the kernel's business; this is everything the proxy itself
-// executes per read.) The funnel wraps a policy that ignores samples so
-// the consumer goroutine — whose allocations AllocsPerRun would also see —
-// stays quiet; policy-side costs are benchmarked, not gated.
+// TestProxyMeasurementPathZeroAlloc covers the flow-table half of what the
+// live proxy runs on every request-direction read in steady state: a
+// sharded flow-table observe. (The socket syscalls around it are the
+// kernel's business; the sample fold that follows it is gated by
+// TestControllerMeasurementPathZeroAlloc.)
 func TestProxyMeasurementPathZeroAlloc(t *testing.T) {
 	tbl := core.MustSharded(core.FlowTableConfig{}, 4)
-	funnel := control.NewFunnel(control.NewRoundRobin(4), 0)
-	defer funnel.Close()
 	keys := benchKeys()
 	now := time.Duration(0)
 	i := 0
@@ -262,10 +256,7 @@ func TestProxyMeasurementPathZeroAlloc(t *testing.T) {
 		if i%4 == 0 {
 			now += 500 * time.Microsecond
 		}
-		sample, ok := tbl.Observe(keys[i%len(keys)], now)
-		if ok {
-			funnel.ObserveLatency(i%4, now, sample)
-		}
+		tbl.Observe(keys[i%len(keys)], now)
 		i++
 	}
 	assertZeroAllocs(t, "proxy measurement path", func() {
@@ -390,11 +381,9 @@ func TestControllerTickZeroAllocWhenIdle(t *testing.T) {
 	})
 }
 
-// TestControllerMeasurementPathZeroAlloc is the proxy's current per-read
-// pipeline as a hard invariant: sharded flow-table observe (prehashed, as
-// the proxy calls it) plus the controller's shard-local sample fold. This
-// supersedes the funnel variant above as the path the live proxy actually
-// runs; both stay gated while the funnel remains supported.
+// TestControllerMeasurementPathZeroAlloc is the proxy's per-read pipeline
+// as a hard invariant: sharded flow-table observe (prehashed, as the proxy
+// calls it) plus the controller's shard-local sample fold.
 func TestControllerMeasurementPathZeroAlloc(t *testing.T) {
 	tbl := core.MustSharded(core.FlowTableConfig{}, 4)
 	ctrl := control.NewController(control.NewRoundRobin(4), control.ControllerConfig{Shards: 4})
@@ -436,103 +425,6 @@ func TestEnsembleConstructionSharesDefaultLadder(t *testing.T) {
 	if allocs > 3 {
 		t.Errorf("NewEnsembleTimeout(default): %.1f allocs, want <= 3 (shared default ladder)", allocs)
 	}
-}
-
-// TestRelayPoolCyclesZeroAlloc pins the dataplane's recycled resources:
-// a relay-buffer checkout/checkin against the proxy's sync.Pool, and (on
-// Linux) a splice-pipe checkout/checkin, are both allocation-free in
-// steady state. These are the per-connection costs the syscall-diet
-// dataplane pays on every relay; if either pool stops recycling, every
-// connection buys a 64 KiB buffer or a pipe() syscall pair again.
-func TestRelayPoolCyclesZeroAlloc(t *testing.T) {
-	p, err := lbproxy.New(lbproxy.Config{
-		Backends: []string{"127.0.0.1:1"},
-		Policy:   control.NewRoundRobin(1),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	assertZeroAllocs(t, "relay buffer pool cycle", p.BufCycle, p.BufCycle)
-
-	if !lbproxy.PipeCycle() {
-		t.Log("no splice pipe pool on this platform; pipe gate skipped")
-		return
-	}
-	cycle := func() { lbproxy.PipeCycle() }
-	assertZeroAllocs(t, "splice pipe pool cycle", cycle, cycle)
-}
-
-// TestEventRelayMessageCycleZeroAlloc pins the default dataplane's
-// steady-state message cycle — readiness event, estimator observation,
-// forward, park — for a request and its response: through real sockets,
-// with an echo backend and this goroutine as the client, a whole exchange
-// allocates nothing anywhere in the process. (That the cycle also leaves
-// Proxy.bufs and the pipe pool alone is pinned next to the relay, by
-// lbproxy's TestNetpollLoopOwnedResources; the poller's share by netpoll's
-// TestDispatchZeroAllocLockFree.)
-func TestEventRelayMessageCycleZeroAlloc(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	go func() {
-		c, err := lis.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		buf := make([]byte, 4096)
-		for {
-			n, err := c.Read(buf)
-			if err != nil {
-				return
-			}
-			if _, err := c.Write(buf[:n]); err != nil {
-				return
-			}
-		}
-	}()
-	p, err := lbproxy.New(lbproxy.Config{
-		Backends: []string{lis.Addr().String()},
-		Policy:   control.NewRoundRobin(1),
-		Splice:   true,
-		Netpoll:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if mode, reason := p.Dataplane(); mode != "netpoll" {
-		t.Skipf("event relay unavailable: %s", reason)
-	}
-	if err := p.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = p.Serve() }()
-	c, err := net.DialTimeout("tcp", p.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_ = c.SetDeadline(time.Now().Add(30 * time.Second))
-	msg, back := make([]byte, 64), make([]byte, 64)
-	exchange := func() {
-		if _, err := c.Write(msg); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := io.ReadFull(c, back); err != nil {
-			t.Fatal(err)
-		}
-	}
-	warmup := func() {
-		for i := 0; i < 100; i++ {
-			exchange()
-		}
-	}
-	assertZeroAllocs(t, "event relay request/response cycle", warmup, exchange)
 }
 
 // TestDialPoolCycleAllocCeiling pins the backend-connection pool's

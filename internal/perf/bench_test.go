@@ -21,25 +21,12 @@ func newBenchLA(b *testing.B) *control.LatencyAware {
 	return la
 }
 
-// BenchmarkPickParallel compares the two ways concurrent connections reach
-// a single-threaded routing policy: the legacy Funnel (every Pick takes the
-// serialization mutex) against the Controller's published snapshot (every
-// Pick is a lock-free table lookup). This is the tentpole's data-plane win:
-// the snapshot path has no shared mutable state on it at all.
+// BenchmarkPickParallel measures how concurrent connections reach a
+// single-threaded routing policy through the Controller: its published
+// snapshot makes every Pick a lock-free table lookup, with no shared
+// mutable state on the data plane at all.
 func BenchmarkPickParallel(b *testing.B) {
 	keys := benchKeys()
-	b.Run("funnel-mutex", func(b *testing.B) {
-		f := control.NewFunnel(newBenchLA(b), 0)
-		defer f.Close()
-		var workerIDs atomic.Int64
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			w := int(workerIDs.Add(1))
-			for i := 0; pb.Next(); i++ {
-				f.Pick(keys[(i+w)%len(keys)], 0)
-			}
-		})
-	})
 	b.Run("controller-snapshot", func(b *testing.B) {
 		c := control.NewController(newBenchLA(b), control.ControllerConfig{})
 		defer c.Close()

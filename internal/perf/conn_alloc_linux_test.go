@@ -4,8 +4,11 @@ package perf
 
 import (
 	"fmt"
+	"io"
+	"net"
 	"syscall"
 	"testing"
+	"time"
 
 	"inbandlb/internal/control"
 	"inbandlb/internal/lbproxy"
@@ -16,14 +19,11 @@ import (
 // six for the lifecycle — the npRelay, the two readiness callbacks bound to
 // it, the DialTimeout timer on the wheel and its callback, the accepted
 // peer's sockaddr out of syscall.Accept4 — and four for the estimator the
-// first byte creates (the flow-table entry and its timeout ensemble). The
-// parent commit — a goroutine, two net.TCPConns with their netFDs and
-// TCPAddrs, a dial context and its timer, the handoff closure, and then the
-// same npRelay and estimator — measured 44 with this harness.
+// first byte creates (the flow-table entry and its timeout ensemble).
 const connLifecycleAllocs = 10
 
 // TestEventPathConnectionAllocs pins the allocations of one admitted-and-
-// closed connection on the default dataplane. Client and backend are this
+// closed connection on the event loop. Client and backend are this
 // goroutine making raw blocking syscalls with prebuilt arguments, so every
 // allocation counted is the proxy's.
 func TestEventPathConnectionAllocs(t *testing.T) {
@@ -45,16 +45,11 @@ func TestEventPathConnectionAllocs(t *testing.T) {
 	p, err := lbproxy.New(lbproxy.Config{
 		Backends: []string{fmt.Sprintf("127.0.0.1:%d", bound.(*syscall.SockaddrInet4).Port)},
 		Policy:   control.NewRoundRobin(1),
-		Splice:   true,
-		Netpoll:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if mode, reason := p.Dataplane(); mode != "netpoll" || reason != "" {
-		t.Skipf("the event loops do not admit here: %s %s", mode, reason)
-	}
 	if err := p.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -98,4 +93,70 @@ func TestEventPathConnectionAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(500, cycle); allocs != connLifecycleAllocs {
 		t.Errorf("one connection through the event path: %.1f allocs, want exactly %d", allocs, connLifecycleAllocs)
 	}
+}
+
+// TestEventRelayMessageCycleZeroAlloc pins the event loop's steady-state
+// message cycle — readiness event, estimator observation,
+// forward, park — for a request and its response: through real sockets,
+// with an echo backend and this goroutine as the client, a whole exchange
+// allocates nothing anywhere in the process. (That the cycle also keeps to
+// the shard's one buffer and one pipe is pinned next to the relay, by
+// lbproxy's TestNetpollLoopOwnedResources; the poller's share by netpoll's
+// TestDispatchZeroAllocLockFree.)
+func TestEventRelayMessageCycleZeroAlloc(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	go func() {
+		c, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		buf := make([]byte, 4096)
+		for {
+			n, err := c.Read(buf)
+			if err != nil {
+				return
+			}
+			if _, err := c.Write(buf[:n]); err != nil {
+				return
+			}
+		}
+	}()
+	p, err := lbproxy.New(lbproxy.Config{
+		Backends: []string{lis.Addr().String()},
+		Policy:   control.NewRoundRobin(1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = p.Serve() }()
+	c, err := net.DialTimeout("tcp", p.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_ = c.SetDeadline(time.Now().Add(30 * time.Second))
+	msg, back := make([]byte, 64), make([]byte, 64)
+	exchange := func() {
+		if _, err := c.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(c, back); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warmup := func() {
+		for i := 0; i < 100; i++ {
+			exchange()
+		}
+	}
+	assertZeroAllocs(t, "event relay request/response cycle", warmup, exchange)
 }
