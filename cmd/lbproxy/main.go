@@ -6,17 +6,18 @@
 //
 //	lbproxy -listen 127.0.0.1:9000 \
 //	        -backends 127.0.0.1:11211,127.0.0.1:11212 \
-//	        -policy latency-aware -alpha 0.1 -report-every 1s
+//	        -policy latency-aware -alpha 0.1 -report-every 1s \
+//	        -admin 127.0.0.1:9002
 //
-// Policies: latency-aware (default), maglev, roundrobin, p2c.
+// -policy takes any name in control's policy registry (latency-aware by
+// default). -admin is the one HTTP listener: /metrics, /status, /decisions,
+// /config and /debug/pprof/.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"net/http"
-	_ "net/http/pprof" // registered on DefaultServeMux for -pprof
 	"os"
 	"os/signal"
 	"strings"
@@ -30,22 +31,15 @@ import (
 )
 
 func main() {
+	policySpec := policySpecFlags(flag.CommandLine)
 	var (
 		listen      = flag.String("listen", "127.0.0.1:9000", "listen address")
 		backends    = flag.String("backends", "", "comma-separated backend addresses (required)")
-		policyName  = flag.String("policy", "latency-aware", "routing policy (latency-aware|proportional|maglev|roundrobin|p2c)")
-		alpha       = flag.Float64("alpha", 0.10, "latency-aware: traffic fraction shifted per control action")
-		minWeight   = flag.Float64("min-weight", 0.02, "latency-aware: weight floor per backend")
-		cooldown    = flag.Duration("cooldown", 5*time.Millisecond, "latency-aware: minimum time between shifts")
-		hysteresis  = flag.Float64("hysteresis", 1.3, "latency-aware: worst/best ratio required to shift")
-		halfLife    = flag.Duration("half-life", 20*time.Millisecond, "per-server latency EWMA half-life")
-		seed        = flag.Int64("seed", 1, "random seed for randomized policies")
+		policyName  = flag.String("policy", "latency-aware", "routing policy ("+strings.Join(control.PolicyNames(), "|")+")")
 		shards      = flag.Int("shards", 0, "flow-table and sample-aggregator shard count (0 = GOMAXPROCS)")
 		ctrlEvery   = flag.Duration("control-interval", 0, "control tick period: sample merge + snapshot republish (0 = default 2ms)")
 		report      = flag.Duration("report-every", 0, "periodic stats report interval (0 = off)")
 		health      = flag.Duration("health-interval", time.Second, "active health-probe period (0 = disabled)")
-		healthFail  = flag.Int("health-fail", 0, "consecutive probe failures before ejection (0 = default 3)")
-		healthOK    = flag.Int("health-ok", 0, "consecutive probe successes before readmission (0 = default 2)")
 		passive     = flag.Bool("passive-detect", false, "enable passive in-band failure detection (ejection without probes)")
 		failThresh  = flag.Int("failure-threshold", 0, "passive: consecutive dial/relay failures before ejection (0 = default 3)")
 		backoff     = flag.Duration("eject-backoff", 0, "passive: initial re-probe backoff after ejection (0 = default 500ms)")
@@ -56,15 +50,12 @@ func main() {
 		acceptors   = flag.Int("acceptors", 1, "event-loop shards, each with its own SO_REUSEPORT listener (Linux)")
 		poolIdle    = flag.Int("pool-idle", 0, "max idle pooled connections per backend, Linux (0 = pooling off)")
 		poolMaxAge  = flag.Duration("pool-max-age", 30*time.Second, "evict pooled backend connections older than this (0 = no cap)")
-		congSignals = flag.Bool("congestion-signals", false, "sample TCP_INFO retransmissions per relayed backend connection and feed them to the passive detector as transport-distress evidence (Linux; no-op elsewhere)")
-		congEvery   = flag.Duration("congestion-sample-interval", 0, "TCP_INFO polling cadence (0 = default 25ms)")
+		congSignals = flag.Bool("congestion-signals", false, "sample TCP_INFO retransmissions per relayed backend connection every 25ms and feed them to the passive detector as transport-distress evidence (Linux; no-op elsewhere)")
 		congPerTick = flag.Int64("congestion-per-tick", 0, "congestion events per control tick that mark a backend hot (0 = default 1 when -congestion-signals)")
 		congTicks   = flag.Int("congestion-ticks", 0, "consecutive hot ticks before the congestion weight-down; 2x ejects (0 = default 4)")
-		statusAddr  = flag.String("status-addr", "", "serve JSON status at http://<addr>/ (empty = off)")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof at this address (e.g. localhost:6060; empty = off)")
 		auditPath   = flag.String("audit-log", "", "write a hash-chained decision audit log to this file (empty = off)")
 		auditBuffer = flag.Int("audit-buffer", 0, "audit ring capacity in records; decisions beyond it are shed, counted, and marked in the log (0 = default 1024)")
-		adminAddr   = flag.String("admin", "", "serve the admin surface (/metrics Prometheus text, /decisions audit tail, /config live detector reload) at this address (empty = off)")
+		adminAddr   = flag.String("admin", "", "serve the admin surface (/metrics Prometheus text, /status JSON, /decisions audit tail, /config live detector reload, /debug/pprof/) at this address (empty = off)")
 	)
 	flag.Parse()
 
@@ -74,7 +65,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	pol, la, err := buildPolicy(*policyName, addrs, *alpha, *minWeight, *cooldown, *hysteresis, *halfLife, *seed)
+	spec := policySpec(addrs)
+	pol, err := control.BuildPolicy(*policyName, spec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lbproxy: %v\n", err)
 		os.Exit(2)
@@ -101,28 +93,25 @@ func main() {
 	}
 
 	proxy, err := lbproxy.New(lbproxy.Config{
-		Backends:                 addrs,
-		Policy:                   pol,
-		Shards:                   *shards,
-		ControlInterval:          *ctrlEvery,
-		HealthInterval:           *health,
-		HealthFailThreshold:      *healthFail,
-		HealthRecoverThreshold:   *healthOK,
-		IdleTimeout:              *idleTO,
-		DrainTimeout:             *drainTO,
-		Acceptors:                *acceptors,
-		PoolIdle:                 *poolIdle,
-		PoolMaxAge:               *poolMaxAge,
-		CongestionSignals:        *congSignals,
-		CongestionSampleInterval: *congEvery,
-		Audit:                    auditSinkOrNil(auditSink),
+		Backends:          addrs,
+		Policy:            pol,
+		Shards:            *shards,
+		ControlInterval:   *ctrlEvery,
+		HealthInterval:    *health,
+		IdleTimeout:       *idleTO,
+		DrainTimeout:      *drainTO,
+		Acceptors:         *acceptors,
+		PoolIdle:          *poolIdle,
+		PoolMaxAge:        *poolMaxAge,
+		CongestionSignals: *congSignals,
+		Audit:             auditSinkOrNil(auditSink),
 		Detector: control.DetectorConfig{
 			Enabled:          *passive || *congSignals,
 			FailureThreshold: *failThresh,
 			BackoffInitial:   *backoff,
 			BackoffMax:       *backoffMax,
 			SlowStartTicks:   *slowStart,
-			Seed:             *seed,
+			Seed:             spec.Seed,
 			// The congestion channel arms only when sampling feeds it;
 			// otherwise zero keeps the legacy detector bit-for-bit.
 			CongestionPerTick: congestionPerTick(*congSignals, *congPerTick),
@@ -139,34 +128,13 @@ func main() {
 	}
 	fmt.Printf("lbproxy: %s on %s -> %v\n", pol.Name(), proxy.Addr(), addrs)
 
-	if *statusAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*statusAddr, proxy.StatusHandler()); err != nil {
-				fmt.Fprintf(os.Stderr, "lbproxy: status server: %v\n", err)
-			}
-		}()
-		fmt.Printf("lbproxy: status at http://%s/\n", *statusAddr)
-	}
-
 	if *adminAddr != "" {
 		go func() {
 			if err := http.ListenAndServe(*adminAddr, proxy.AdminHandler()); err != nil {
 				fmt.Fprintf(os.Stderr, "lbproxy: admin server: %v\n", err)
 			}
 		}()
-		fmt.Printf("lbproxy: admin at http://%s/metrics (also /decisions, /config)\n", *adminAddr)
-	}
-
-	if *pprofAddr != "" {
-		// A dedicated listener on the DefaultServeMux (where the
-		// net/http/pprof import registers), separate from -status-addr so
-		// the profiling surface is never exposed on the status port.
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "lbproxy: pprof listener: %v\n", err)
-			}
-		}()
-		fmt.Printf("lbproxy: pprof at http://%s/debug/pprof/\n", *pprofAddr)
+		fmt.Printf("lbproxy: admin at http://%s/metrics (also /status, /decisions, /config, /debug/pprof/)\n", *adminAddr)
 	}
 
 	if *report > 0 {
@@ -178,8 +146,8 @@ func main() {
 				// consumer; touching the policy directly would race it.
 				snap := proxy.Snapshot()
 				st := snap.Stats
-				line := fmt.Sprintf("conns=%d active=%d samples=%d dropped=%d failovers=%d shed=%d per-backend=%v down=%v",
-					st.Accepted, st.Active, st.Samples, st.SamplesDropped, st.Failovers, st.Dropped, st.PerBackend, st.Down)
+				line := fmt.Sprintf("conns=%d active=%d samples=%d dropped=%d failovers=%d per-backend=%v down=%v",
+					st.Accepted, st.Active, st.Samples, st.Dropped, st.Failovers, st.PerBackend, st.Down)
 				if *passive {
 					line += fmt.Sprintf(" health=%v", st.Health)
 				}
@@ -218,46 +186,40 @@ func main() {
 		}
 	}
 	st := proxy.Stats()
-	fmt.Printf("lbproxy: relayed %d connections (%d estimator samples, %d dropped)\n",
-		st.Accepted, st.Samples, st.SamplesDropped)
-	if la != nil {
+	var relayed uint64
+	for _, n := range st.PerBackend {
+		relayed += n
+	}
+	fmt.Printf("lbproxy: relayed %d of %d accepted connections (%d estimator samples)\n",
+		relayed, st.Accepted, st.Samples)
+	if la, ok := pol.(*control.LatencyAware); ok {
 		fmt.Printf("lbproxy: controller made %d table updates, final weights %.3v\n",
 			la.Updates(), la.Weights())
 	}
 }
 
-func buildPolicy(name string, addrs []string, alpha, minWeight float64,
-	cooldown time.Duration, hysteresis float64, halfLife time.Duration, seed int64,
-) (control.Policy, *control.LatencyAware, error) {
-	latCfg := core.ServerLatencyConfig{HalfLife: halfLife}
-	switch name {
-	case "latency-aware":
-		la, err := control.NewLatencyAware(control.LatencyAwareConfig{
-			Backends:        addrs,
-			Alpha:           alpha,
-			MinWeight:       minWeight,
-			Cooldown:        cooldown,
-			HysteresisRatio: hysteresis,
-			Latency:         latCfg,
-		})
-		return la, la, err
-	case "proportional":
-		pr, err := control.NewProportional(control.ProportionalConfig{
-			Backends:  addrs,
-			MinWeight: minWeight,
-			Interval:  cooldown,
-			Latency:   latCfg,
-		})
-		return pr, nil, err
-	case "maglev":
-		m, err := control.NewMaglevStatic(addrs, 0x10001) // 65537
-		return m, nil, err
-	case "roundrobin":
-		return control.NewRoundRobin(len(addrs)), nil, nil
-	case "p2c":
-		return control.NewP2C(len(addrs), rand.New(rand.NewSource(seed)), latCfg), nil, nil
+// policySpecFlags registers the policy-tuning flags on fs and returns the
+// spec they describe for a backend list, to be read once fs is parsed.
+func policySpecFlags(fs *flag.FlagSet) func(backends []string) control.PolicySpec {
+	var (
+		alpha      = fs.Float64("alpha", 0.10, "latency-aware: traffic fraction shifted per control action")
+		minWeight  = fs.Float64("min-weight", 0.02, "weight floor per backend for weighted policies")
+		cooldown   = fs.Duration("cooldown", 5*time.Millisecond, "latency-aware: minimum time between shifts (proportional, knapsack: solve period)")
+		hysteresis = fs.Float64("hysteresis", 1.3, "latency-aware: worst/best ratio required to shift")
+		halfLife   = fs.Duration("half-life", 20*time.Millisecond, "per-server latency EWMA half-life")
+		seed       = fs.Int64("seed", 1, "random seed for randomized policies and detector jitter")
+	)
+	return func(backends []string) control.PolicySpec {
+		return control.PolicySpec{
+			Backends:        backends,
+			Alpha:           *alpha,
+			MinWeight:       *minWeight,
+			Interval:        *cooldown,
+			HysteresisRatio: *hysteresis,
+			Seed:            *seed,
+			Latency:         core.ServerLatencyConfig{HalfLife: *halfLife},
+		}
 	}
-	return nil, nil, fmt.Errorf("unknown policy %q", name)
 }
 
 // auditSinkOrNil avoids the typed-nil interface trap: a nil *auditlog.Log

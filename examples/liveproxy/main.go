@@ -155,7 +155,7 @@ func run() error {
 	st := proxy.Stats()
 	fmt.Println("\n---")
 	fmt.Println(rep.String())
-	fmt.Printf("proxy: %d connections relayed, %d estimator samples, per-backend %v\n",
+	fmt.Printf("proxy: %d connections accepted, %d estimator samples, per-backend %v\n",
 		st.Accepted, st.Samples, st.PerBackend)
 	fmt.Printf("controller: %d table updates, final weights %.3v\n", policy.Updates(), policy.Weights())
 	return nil

@@ -945,11 +945,6 @@ func (c *Controller) Do(fn func(Policy)) {
 // Delivered returns how many samples ticks have applied to the policy.
 func (c *Controller) Delivered() uint64 { return c.delivered.Load() }
 
-// Dropped returns 0: shard aggregation is lossless, so no sample is ever
-// shed. Kept so callers' accounting identities (Samples == Delivered +
-// Dropped) read the same whatever the aggregator.
-func (c *Controller) Dropped() uint64 { return 0 }
-
 // Start launches the background tick loop at the configured Interval.
 // Idempotent; Close stops it.
 func (c *Controller) Start() {

@@ -206,9 +206,9 @@ func TestControllerSerializesPolicy(t *testing.T) {
 	}
 }
 
-// TestControllerLosslessAccounting: shard aggregation sheds nothing — after Close every observed sample has been
-// applied and Dropped is zero. (Batching means the policy sees fewer calls
-// than samples; Delivered counts samples, not calls.)
+// TestControllerLosslessAccounting: shard aggregation sheds nothing — after
+// Close every observed sample has been applied. (Batching means the policy
+// sees fewer calls than samples; Delivered counts samples, not calls.)
 func TestControllerLosslessAccounting(t *testing.T) {
 	pol := &reentrancyPolicy{n: 2}
 	c := NewController(pol, ControllerConfig{Shards: 4})
@@ -227,9 +227,6 @@ func TestControllerLosslessAccounting(t *testing.T) {
 	c.Close()
 	if c.Delivered() != sent {
 		t.Errorf("delivered %d != sent %d", c.Delivered(), sent)
-	}
-	if c.Dropped() != 0 {
-		t.Errorf("dropped %d != 0 (aggregation is lossless)", c.Dropped())
 	}
 	// With 4 shards x 2 backends, one closing tick applies at most 8 calls.
 	if calls := pol.observed.Load(); calls == 0 || calls > sent {

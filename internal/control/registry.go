@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"inbandlb/internal/core"
+	"inbandlb/internal/maglev"
 )
 
 // PolicySpec is the policy-agnostic parameter set a builder turns into a
@@ -26,6 +27,9 @@ type PolicySpec struct {
 	// Interval is the control period (cooldown for the α-shift, solve
 	// period for knapsack/proportional).
 	Interval time.Duration
+	// HysteresisRatio is the latency-aware policy's worst/best EWMA ratio
+	// required to shift (≤ 1 disables it).
+	HysteresisRatio float64
 	// Seed supplies determinism for randomized policies (P2C).
 	Seed int64
 	// Latency configures per-server aggregation for adaptive policies.
@@ -50,11 +54,15 @@ func RegisterPolicy(name string, build PolicyBuilder) {
 }
 
 // BuildPolicy constructs the named policy from spec. Unknown names report
-// the registered alternatives.
+// the registered alternatives; an empty pool is an error for every policy,
+// so builders may assume at least one backend.
 func BuildPolicy(name string, spec PolicySpec) (Policy, error) {
 	build, ok := policyRegistry[name]
 	if !ok {
 		return nil, fmt.Errorf("control: unknown policy %q (registered: %v)", name, PolicyNames())
+	}
+	if len(spec.Backends) == 0 {
+		return nil, fmt.Errorf("control: %s needs >= 1 backend", name)
 	}
 	return build(spec)
 }
@@ -76,12 +84,13 @@ func init() {
 			alpha = 0.10
 		}
 		return NewLatencyAware(LatencyAwareConfig{
-			Backends:  s.Backends,
-			TableSize: s.TableSize,
-			Alpha:     alpha,
-			MinWeight: s.MinWeight,
-			Cooldown:  s.Interval,
-			Latency:   s.Latency,
+			Backends:        s.Backends,
+			TableSize:       s.TableSize,
+			Alpha:           alpha,
+			MinWeight:       s.MinWeight,
+			Cooldown:        s.Interval,
+			HysteresisRatio: s.HysteresisRatio,
+			Latency:         s.Latency,
 		})
 	})
 	RegisterPolicy("proportional", func(s PolicySpec) (Policy, error) {
@@ -103,25 +112,19 @@ func init() {
 		})
 	})
 	RegisterPolicy("maglev", func(s PolicySpec) (Policy, error) {
-		if len(s.Backends) == 0 {
-			return nil, fmt.Errorf("control: maglev needs >= 1 backend")
-		}
 		size := s.TableSize
 		if size == 0 {
-			size = 4093
+			size = maglev.DefaultTableSize
 		}
 		return NewMaglevStatic(s.Backends, size)
 	})
+	RegisterPolicy("roundrobin", func(s PolicySpec) (Policy, error) {
+		return NewRoundRobin(len(s.Backends)), nil
+	})
 	RegisterPolicy("p2c", func(s PolicySpec) (Policy, error) {
-		if len(s.Backends) == 0 {
-			return nil, fmt.Errorf("control: p2c needs >= 1 backend")
-		}
 		return NewP2C(len(s.Backends), rand.New(rand.NewSource(s.Seed)), s.Latency), nil
 	})
 	RegisterPolicy("wlc", func(s PolicySpec) (Policy, error) {
-		if len(s.Backends) == 0 {
-			return nil, fmt.Errorf("control: wlc needs >= 1 backend")
-		}
 		return NewWeightedLeastConn(len(s.Backends), s.Latency), nil
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 	"time"
 
@@ -12,12 +13,15 @@ import (
 	"inbandlb/internal/control"
 )
 
-// The admin surface is the operational control plane for a running proxy:
+// The admin surface is the operational control plane for a running proxy,
+// and its one HTTP listener:
 //
 //	GET  /metrics    Prometheus text exposition: every Stats counter plus
 //	                 per-backend routing state (connections, down bit,
 //	                 health-state, admission fraction, weight) and audit
 //	                 sink health (records written, records shed).
+//	GET  /status     The Snapshot document as JSON: counters, weights,
+//	                 per-backend latencies, goroutines.
 //	GET  /decisions  The most recent audit-log decisions (JSON, newest
 //	                 last), straight from the async sink's in-memory tail —
 //	                 available even while the on-disk log is mid-write.
@@ -26,11 +30,12 @@ import (
 //	POST /config     Live reload: JSON fields overlay the current detector
 //	                 configuration and apply without restarting the proxy or
 //	                 resetting in-flight recovery state machines.
+//	GET  /debug/pprof/  net/http/pprof's profiles.
 //
 // All of it is stdlib-only, served off the data path: /metrics reads
 // atomics and one RCU snapshot, /decisions copies a bounded tail under its
-// own mutex, /config serializes with the controller like any other
-// control-plane caller.
+// own mutex, /status and /config serialize with the controller like any
+// other control-plane caller.
 
 // auditTailer is the slice of the async audit sink the admin endpoints
 // need. *auditlog.Log implements it; other sinks just get "audit tail
@@ -39,13 +44,6 @@ type auditTailer interface {
 	Tail(n int) []auditlog.Record
 	Sheds() uint64
 	Written() uint64
-}
-
-// SetDetectorConfig live-reloads the passive detector's tuning; see
-// control.(*Controller).SetDetectorConfig. Returns false for a no-op
-// (disabling an already-disabled detector).
-func (p *Proxy) SetDetectorConfig(cfg control.DetectorConfig) bool {
-	return p.ctrl.SetDetectorConfig(cfg)
 }
 
 // DetectorConfig returns the live detector configuration (defaults
@@ -58,9 +56,23 @@ func (p *Proxy) DetectorConfig() (control.DetectorConfig, bool) {
 func (p *Proxy) AdminHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", p.handleMetrics)
+	mux.HandleFunc("/status", p.handleStatus)
 	mux.HandleFunc("/decisions", p.handleDecisions)
 	mux.HandleFunc("/config", p.handleConfig)
+	mux.HandleFunc("/debug/pprof/", pprof.Index) // and every named profile under it
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// writeJSON sends v as indented JSON.
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 }
 
 func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -273,10 +285,7 @@ func (p *Proxy) handleDecisions(w http.ResponseWriter, r *http.Request) {
 	for _, rec := range recs {
 		out.Decisions = append(out.Decisions, renderDecision(rec))
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(out)
+	writeJSON(w, out)
 }
 
 // detectorConfigJSON is the wire form of control.DetectorConfig: durations
@@ -370,9 +379,5 @@ func (p *Proxy) handleConfig(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET or POST", http.StatusMethodNotAllowed)
 		return
 	}
-	cfg, enabled := p.ctrl.DetectorConfigView()
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(toConfigJSON(cfg, enabled))
+	writeJSON(w, toConfigJSON(p.ctrl.DetectorConfigView()))
 }

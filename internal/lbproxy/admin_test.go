@@ -161,6 +161,87 @@ func TestAdminMetricsValidPrometheus(t *testing.T) {
 	}
 }
 
+// TestAdminStatusAndPprof: the admin mux serves the Snapshot document at
+// /status and net/http/pprof's index at /debug/pprof/.
+func TestAdminStatusAndPprof(t *testing.T) {
+	_, b0 := startBackend(t)
+	_, b1 := startBackend(t)
+	la, err := control.NewLatencyAware(control.LatencyAwareConfig{
+		Backends: []string{"a", "b"}, Alpha: 0.1, TableSize: 1021,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy, paddr := startProxy(t, la, b0, b1)
+
+	// Generate a little traffic so counters are non-zero.
+	c, err := memcache.Dial(paddr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = c.Set("k", []byte("v"))
+	_ = c.Close()
+
+	srv := httptest.NewServer(proxy.AdminHandler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	_, err = body.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("content type %q", ct)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(body.Bytes(), &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{"uptime_seconds", "policy", "backends", "flow_table_shards", "tracked_flows",
+		"stats", "goroutines", "snapshot_generation", "weights", "latencies_ms"} {
+		if _, ok := fields[f]; !ok {
+			t.Errorf("/status lacks %q", f)
+		}
+	}
+	var snap StatusSnapshot
+	if err := json.Unmarshal(body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Policy != "latency-aware" {
+		t.Errorf("policy = %q", snap.Policy)
+	}
+	if len(snap.Backends) != 2 || len(snap.Weights) != 2 || len(snap.LatenciesMs) != 2 {
+		t.Errorf("snapshot shape: backends=%d weights=%d latencies=%d",
+			len(snap.Backends), len(snap.Weights), len(snap.LatenciesMs))
+	}
+	if snap.Stats.Accepted != 1 {
+		t.Errorf("accepted = %d", snap.Stats.Accepted)
+	}
+	if snap.UptimeSeconds <= 0 {
+		t.Error("uptime not positive")
+	}
+
+	resp, err = http.Get(srv.URL + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/debug/pprof/: status %d", resp.StatusCode)
+	}
+
+	// A weightless policy omits the optional fields.
+	proxy2, _ := startProxy(t, control.NewRoundRobin(2), b0, b1)
+	snap2 := proxy2.Snapshot()
+	if snap2.Weights != nil || snap2.LatenciesMs != nil {
+		t.Error("round robin should not report weights/latencies")
+	}
+}
+
 // TestAdminDecisionsTail: the /decisions endpoint serves the audit tail,
 // including the initial snapshot publish and a manual ejection flip.
 func TestAdminDecisionsTail(t *testing.T) {

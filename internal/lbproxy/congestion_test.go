@@ -295,13 +295,12 @@ func congestionStress(t *testing.T, poolIdle int) {
 	}
 
 	proxy, err := New(Config{
-		Backends:                 backends,
-		Policy:                   control.NewRoundRobin(nBackends),
-		ControlInterval:          time.Millisecond,
-		PoolIdle:                 poolIdle,
-		CongestionSignals:        true,
-		CongestionSampleInterval: time.Millisecond,
-		FlowTable:                core.FlowTableConfig{IdleTimeout: 100 * time.Millisecond},
+		Backends:          backends,
+		Policy:            control.NewRoundRobin(nBackends),
+		ControlInterval:   time.Millisecond,
+		PoolIdle:          poolIdle,
+		CongestionSignals: true,
+		FlowTable:         core.FlowTableConfig{IdleTimeout: 100 * time.Millisecond},
 		Detector: control.DetectorConfig{
 			Enabled:           true,
 			CongestionPerTick: 1,

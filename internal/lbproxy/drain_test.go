@@ -42,6 +42,18 @@ func stallLoops(t *testing.T, p *Proxy) (release func()) {
 	return release
 }
 
+// shrinkReadBuffers cuts every shard's read buffer to n bytes, so small
+// messages fill it and bursts overflow it into the splice path. Call it
+// before the first connection.
+func shrinkReadBuffers(p *Proxy, n int) {
+	for _, s := range p.np {
+		done := make(chan struct{})
+		if s.pol.Post(func() { s.buf = s.buf[:n]; close(done) }) {
+			<-done
+		}
+	}
+}
+
 // serveOnce accepts connections on a fresh listener and runs fn on each.
 func serveOnce(t *testing.T, fn func(net.Conn)) string {
 	t.Helper()
@@ -93,8 +105,8 @@ func TestRelayFINQueuedWithData(t *testing.T) {
 					got <- b
 					_, _ = c.Write([]byte("ok"))
 				})
-				p, paddr := startProxyCfg(t, Config{Backends: []string{baddr},
-					Policy: control.NewRoundRobin(1), BufferSize: bufSize})
+				p, paddr := startProxy(t, control.NewRoundRobin(1), baddr)
+				shrinkReadBuffers(p, bufSize)
 				release := stallLoops(t, p)
 
 				c, err := net.DialTimeout("tcp", paddr, time.Second)
@@ -126,8 +138,8 @@ func TestRelayFINQueuedWithData(t *testing.T) {
 	})
 }
 
-// TestRelayBufferSizedMessages: a message of exactly BufferSize bytes fills
-// the read buffer, and one of BufferSize+1 leaves a single byte behind it —
+// TestRelayBufferSizedMessages: a message of exactly the read buffer's size
+// fills it, and one a byte longer leaves a single byte behind it —
 // a full read proves nothing about the socket, so the relay must read again
 // (or splice the rest).
 func TestRelayBufferSizedMessages(t *testing.T) {
@@ -139,8 +151,8 @@ func TestRelayBufferSizedMessages(t *testing.T) {
 				if !splice {
 					withoutSplice(t)
 				}
-				p, paddr := startProxyCfg(t, Config{Backends: []string{echoBackend(t)},
-					Policy: control.NewRoundRobin(1), BufferSize: bufSize})
+				p, paddr := startProxy(t, control.NewRoundRobin(1), echoBackend(t))
+				shrinkReadBuffers(p, bufSize)
 				release := stallLoops(t, p)
 				c, err := net.DialTimeout("tcp", paddr, time.Second)
 				if err != nil {
@@ -214,9 +226,8 @@ func TestNetpollSyscallsPerMessage(t *testing.T) {
 // pipe: the shard keeps the one it took on first use.
 func TestNetpollLoopOwnedResources(t *testing.T) {
 	const bufSize = 4096
-	p, _ := startProxyCfg(t, Config{
-		Backends: []string{echoBackend(t)}, Policy: control.NewRoundRobin(1), BufferSize: bufSize,
-	})
+	p, _ := startProxy(t, control.NewRoundRobin(1), echoBackend(t))
+	shrinkReadBuffers(p, bufSize)
 	c, err := net.DialTimeout("tcp", p.Addr().String(), time.Second)
 	if err != nil {
 		t.Fatal(err)

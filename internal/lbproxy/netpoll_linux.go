@@ -187,7 +187,7 @@ func (p *Proxy) initDataplane() error {
 			return fmt.Errorf("lbproxy: %w", err)
 		}
 		s := &npShard{p: p, idx: i, pol: pol, live: make(map[*npRelay]struct{}),
-			buf: make([]byte, p.cfg.BufferSize), lfd: -1,
+			buf: make([]byte, relayBufferSize), lfd: -1,
 			accept4: func(lfd int) (int, syscall.Sockaddr, error) {
 				return syscall.Accept4(lfd, syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC)
 			}}
@@ -302,8 +302,8 @@ func (p *Proxy) serve() error {
 }
 
 func (s *npShard) start() error {
-	if iv := s.p.cfg.CongestionSampleInterval; s.p.cfg.CongestionSignals && s.congTimer == nil {
-		s.congTimer = s.pol.AfterFunc(iv, s.congTick)
+	if s.p.cfg.CongestionSignals && s.congTimer == nil {
+		s.congTimer = s.pol.AfterFunc(congSampleInterval, s.congTick)
 	}
 	if s.lfd < 0 {
 		return nil
@@ -1144,7 +1144,7 @@ func (s *npShard) congTick() {
 	for rel := range s.live {
 		rel.congSample()
 	}
-	s.pol.ResetTimer(s.congTimer, s.p.cfg.CongestionSampleInterval)
+	s.pol.ResetTimer(s.congTimer, congSampleInterval)
 }
 
 func (rel *npRelay) congSample() {

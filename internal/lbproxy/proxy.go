@@ -94,26 +94,14 @@ type Config struct {
 	SweepInterval time.Duration
 	// DialTimeout bounds backend connects. Defaults to 2 s.
 	DialTimeout time.Duration
-	// BufferSize is the relay read buffer: one per event-loop shard on Linux,
-	// where a read that fills it sends the rest of the burst down the
-	// splice(2) path, and one per relay direction elsewhere. Defaults to
-	// 32 KiB.
-	BufferSize int
 	// HealthInterval enables active health probes (TCP dial) at this
 	// period, jittered ±10% so probes across instances do not synchronize.
 	// Probe results flip ejection only after consecutive-result thresholds
-	// (HealthFailThreshold / HealthRecoverThreshold), so one lost SYN does
-	// not flap routing. Zero disables probing — with passive detection
+	// (3 failures eject, 2 successes readmit), so one lost SYN does not
+	// flap routing. Each probe dial is bounded by min(1 s, HealthInterval).
+	// Zero disables probing — with passive detection
 	// enabled (Detector) probes are a backstop, not the primary signal.
 	HealthInterval time.Duration
-	// HealthTimeout bounds each probe dial. Defaults to min(1s,
-	// HealthInterval).
-	HealthTimeout time.Duration
-	// HealthFailThreshold is how many consecutive probe failures eject a
-	// backend; HealthRecoverThreshold how many consecutive successes
-	// readmit it. Defaults 3 and 2.
-	HealthFailThreshold    int
-	HealthRecoverThreshold int
 	// Detector configures passive in-band failure detection in the
 	// controller: dial errors, relay resets, and per-tick latency
 	// aggregates eject without waiting for a probe, and recovery re-admits
@@ -162,10 +150,6 @@ type Config struct {
 	// surfaces counters in Stats. No-op off Linux and on kernels where
 	// TCP_INFO fails (latched, like splice).
 	CongestionSignals bool
-	// CongestionSampleInterval is the TCP_INFO polling cadence (default
-	// 25 ms — one getsockopt per backend conn per tick, far below the
-	// distress timescales the detector integrates over).
-	CongestionSampleInterval time.Duration
 	// Audit receives every control-plane decision (snapshot publishes,
 	// weight changes, detector transitions, manual flips, config reloads)
 	// as hash-chained records. Use an auditlog.Log for the production
@@ -173,6 +157,23 @@ type Config struct {
 	// Nil disables decision auditing.
 	Audit auditlog.Sink
 }
+
+const (
+	// relayBufferSize is the relay read buffer: one per event-loop shard on
+	// Linux, where a read that fills it sends the rest of the burst down the
+	// splice(2) path, and one per relay direction elsewhere.
+	relayBufferSize = 32 << 10
+	// healthTimeout bounds each probe dial, or HealthInterval does if shorter.
+	healthTimeout = time.Second
+	// healthFailThreshold consecutive probe failures eject a backend;
+	// healthRecoverThreshold consecutive successes readmit it.
+	healthFailThreshold    = 3
+	healthRecoverThreshold = 2
+	// congSampleInterval is the TCP_INFO polling cadence: one getsockopt per
+	// backend connection per tick, far below the distress timescales the
+	// detector integrates over.
+	congSampleInterval = 25 * time.Millisecond
+)
 
 // Stats are cumulative proxy counters. Every accepted connection ends in
 // exactly one of three buckets — relayed through some backend
@@ -194,14 +195,11 @@ type Stats struct {
 	// any traffic (whole pool ejected).
 	Dropped uint64
 	// Samples counts estimator outputs; SamplesDelivered those merged into
-	// the policy by controller ticks. SamplesDropped is always zero —
-	// shard aggregation is lossless — and is kept so the accounting
-	// identity Samples == SamplesDelivered + SamplesDropped (which holds
-	// after Close; while relays are hot, up to one tick's worth of samples
-	// is in flight in the aggregator) reads the same as before.
+	// the policy by controller ticks. Shard aggregation is lossless, so the
+	// two are equal after Close; while relays are hot, up to one tick's
+	// worth of samples is in flight in the aggregator.
 	Samples          uint64
 	SamplesDelivered uint64
-	SamplesDropped   uint64
 	Fallbacks        uint64   // connections rerouted away from an ejected backend
 	Failovers        uint64   // connections rescued by the post-dial-error retry
 	PerBackend       []uint64 // connections routed per backend
@@ -293,32 +291,14 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 2 * time.Second
 	}
-	if cfg.BufferSize <= 0 {
-		cfg.BufferSize = 32 << 10
-	}
 	if cfg.SweepInterval == 0 {
 		cfg.SweepInterval = time.Second
-	}
-	if cfg.HealthInterval > 0 && cfg.HealthTimeout <= 0 {
-		cfg.HealthTimeout = time.Second
-		if cfg.HealthTimeout > cfg.HealthInterval {
-			cfg.HealthTimeout = cfg.HealthInterval
-		}
-	}
-	if cfg.HealthFailThreshold <= 0 {
-		cfg.HealthFailThreshold = 3
-	}
-	if cfg.HealthRecoverThreshold <= 0 {
-		cfg.HealthRecoverThreshold = 2
 	}
 	if cfg.Acceptors < 1 {
 		cfg.Acceptors = 1
 	}
 	if cfg.PoolIdle > 0 && cfg.PoolQuiesce <= 0 {
 		cfg.PoolQuiesce = 2 * time.Millisecond
-	}
-	if cfg.CongestionSignals && cfg.CongestionSampleInterval <= 0 {
-		cfg.CongestionSampleInterval = 25 * time.Millisecond
 	}
 	flows, err := core.NewShardedFlowTable(cfg.FlowTable, cfg.Shards)
 	if err != nil {
@@ -359,7 +339,6 @@ func (p *Proxy) Stats() Stats {
 		Dropped:          p.dropped.Load(),
 		Samples:          p.samples.Load(),
 		SamplesDelivered: p.ctrl.Delivered(),
-		SamplesDropped:   p.ctrl.Dropped(),
 		Fallbacks:        p.fallbacks.Load(),
 		Failovers:        p.failovers.Load(),
 		PerBackend:       make([]uint64, len(p.perBackend)),
@@ -431,19 +410,11 @@ func nextAcceptBackoff(prev time.Duration) time.Duration {
 	return min(max(2*prev, 5*time.Millisecond), time.Second)
 }
 
-// ListenAndServe combines Listen and Serve.
-func (p *Proxy) ListenAndServe(addr string) error {
-	if err := p.Listen(addr); err != nil {
-		return err
-	}
-	return p.Serve()
-}
-
 // Close stops the proxy: it stops accepting, gives in-flight relays up to
 // Config.DrainTimeout to finish on their own (graceful drain), force-closes
 // whatever remains, and runs a final controller tick so every aggregated
 // latency sample is merged into the policy (post-Close Stats satisfy
-// Samples == SamplesDelivered + SamplesDropped and the Accepted identity).
+// Samples == SamplesDelivered and the Accepted identity).
 func (p *Proxy) Close() error {
 	if p.closed.Swap(true) {
 		p.ctrl.Close() // idempotent; runs the final flush tick
@@ -580,8 +551,8 @@ func (p *Proxy) observeAt(hash uint64, key packet.FlowKey, backend int, now time
 
 // probeLoop actively dials each backend roughly every HealthInterval
 // (jittered ±10% so many proxies' probes do not synchronize) and flips its
-// ejection bit only after HealthFailThreshold consecutive failures or
-// HealthRecoverThreshold consecutive successes — one lost SYN no longer
+// ejection bit only after healthFailThreshold consecutive failures or
+// healthRecoverThreshold consecutive successes — one lost SYN no longer
 // flaps routing. State changes go to the controller, which republishes the
 // routing snapshot immediately — ejections take effect on the next
 // accepted connection, not the next control tick.
@@ -589,6 +560,7 @@ func (p *Proxy) probeLoop() {
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	fails := make([]int, len(p.cfg.Backends))
 	oks := make([]int, len(p.cfg.Backends))
+	timeout := min(healthTimeout, p.cfg.HealthInterval)
 	timer := time.NewTimer(p.jitteredProbePeriod(rng))
 	defer timer.Stop()
 	for {
@@ -599,10 +571,10 @@ func (p *Proxy) probeLoop() {
 		}
 		timer.Reset(p.jitteredProbePeriod(rng))
 		for i, addr := range p.cfg.Backends {
-			conn, err := net.DialTimeout("tcp", addr, p.cfg.HealthTimeout)
+			conn, err := net.DialTimeout("tcp", addr, timeout)
 			if err != nil {
 				oks[i] = 0
-				if fails[i]++; fails[i] >= p.cfg.HealthFailThreshold && !p.down[i].Load() {
+				if fails[i]++; fails[i] >= healthFailThreshold && !p.down[i].Load() {
 					p.down[i].Store(true)
 					p.ctrl.SetEjected(i, true)
 				}
@@ -610,7 +582,7 @@ func (p *Proxy) probeLoop() {
 			}
 			_ = conn.Close()
 			fails[i] = 0
-			if oks[i]++; oks[i] >= p.cfg.HealthRecoverThreshold && p.down[i].Load() {
+			if oks[i]++; oks[i] >= healthRecoverThreshold && p.down[i].Load() {
 				p.down[i].Store(false)
 				p.ctrl.SetEjected(i, false)
 			}

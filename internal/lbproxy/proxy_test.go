@@ -1,11 +1,8 @@
 package lbproxy
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
-	"net/http"
-	"net/http/httptest"
 	"syscall"
 	"testing"
 	"time"
@@ -283,7 +280,6 @@ func TestProxyHealthEjection(t *testing.T) {
 		Backends:       []string{addrA, addrB},
 		Policy:         control.NewRoundRobin(2),
 		HealthInterval: 50 * time.Millisecond,
-		HealthTimeout:  100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -344,58 +340,6 @@ func TestProxyHealthEjection(t *testing.T) {
 	}
 	if err := doSet(); err != nil {
 		t.Fatalf("after recovery: %v", err)
-	}
-}
-
-func TestStatusHandler(t *testing.T) {
-	_, b0 := startBackend(t)
-	_, b1 := startBackend(t)
-	la, err := control.NewLatencyAware(control.LatencyAwareConfig{
-		Backends: []string{"a", "b"}, Alpha: 0.1, TableSize: 1021,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy, paddr := startProxy(t, la, b0, b1)
-
-	// Generate a little traffic so counters are non-zero.
-	c, err := memcache.Dial(paddr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = c.Set("k", []byte("v"))
-	_ = c.Close()
-
-	srv := httptest.NewServer(proxy.StatusHandler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap StatusSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Policy != "latency-aware" {
-		t.Errorf("policy = %q", snap.Policy)
-	}
-	if len(snap.Backends) != 2 || len(snap.Weights) != 2 || len(snap.LatenciesMs) != 2 {
-		t.Errorf("snapshot shape: backends=%d weights=%d latencies=%d",
-			len(snap.Backends), len(snap.Weights), len(snap.LatenciesMs))
-	}
-	if snap.Stats.Accepted != 1 {
-		t.Errorf("accepted = %d", snap.Stats.Accepted)
-	}
-	if snap.UptimeSeconds <= 0 {
-		t.Error("uptime not positive")
-	}
-
-	// A weightless policy omits the optional fields.
-	proxy2, _ := startProxy(t, control.NewRoundRobin(2), b0, b1)
-	snap2 := proxy2.Snapshot()
-	if snap2.Weights != nil || snap2.LatenciesMs != nil {
-		t.Error("round robin should not report weights/latencies")
 	}
 }
 

@@ -157,7 +157,7 @@ func (p *Proxy) relay(client net.Conn) {
 	// end closes both sockets so the other direction unblocks too.
 	// Backend-side failures go to the passive detector.
 	copyDir := func(dst, src net.Conn, request bool) {
-		buf := make([]byte, p.cfg.BufferSize)
+		buf := make([]byte, relayBufferSize)
 		for {
 			if p.cfg.IdleTimeout > 0 {
 				_ = src.SetReadDeadline(time.Now().Add(p.cfg.IdleTimeout))

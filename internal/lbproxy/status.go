@@ -1,7 +1,6 @@
 package lbproxy
 
 import (
-	"encoding/json"
 	"net/http"
 	"runtime"
 	"time"
@@ -10,7 +9,7 @@ import (
 	"inbandlb/internal/core"
 )
 
-// StatusSnapshot is the JSON document served by the status handler.
+// StatusSnapshot is the JSON document the admin surface serves at /status.
 type StatusSnapshot struct {
 	UptimeSeconds float64  `json:"uptime_seconds"`
 	Policy        string   `json:"policy"`
@@ -35,11 +34,6 @@ type StatusSnapshot struct {
 	LatenciesMs []float64 `json:"latencies_ms,omitempty"`
 }
 
-// weighted is implemented by policies that expose a weight vector.
-type weighted interface {
-	Weights() []float64
-}
-
 // latencied is implemented by policies that expose per-server latency
 // aggregation (LatencyAware, Proportional).
 type latencied interface {
@@ -61,7 +55,7 @@ func (p *Proxy) Snapshot() StatusSnapshot {
 	// Policy state is read under the controller's serialization lock so the
 	// snapshot cannot race a control tick.
 	p.ctrl.Do(func(pol control.Policy) {
-		if w, ok := pol.(weighted); ok {
+		if w, ok := pol.(control.Weighted); ok {
 			snap.Weights = w.Weights()
 		}
 		if l, ok := pol.(latencied); ok {
@@ -73,13 +67,6 @@ func (p *Proxy) Snapshot() StatusSnapshot {
 	return snap
 }
 
-// StatusHandler serves the proxy's live state as JSON — weights, per-backend
-// latencies, health, and counters — for dashboards and debugging.
-func (p *Proxy) StatusHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(p.Snapshot())
-	})
+func (p *Proxy) handleStatus(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, p.Snapshot())
 }

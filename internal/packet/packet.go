@@ -305,11 +305,6 @@ func ChecksumTCP(src, dst [4]byte, hdr, payload []byte) uint16 {
 	return checksumTransport(src, dst, ProtoTCP, hdr, payload)
 }
 
-// ChecksumUDP computes the UDP checksum over the IPv4 pseudo-header.
-func ChecksumUDP(src, dst [4]byte, hdr, payload []byte) uint16 {
-	return checksumTransport(src, dst, ProtoUDP, hdr, payload)
-}
-
 func checksumTransport(src, dst [4]byte, proto uint8, hdr, payload []byte) uint16 {
 	var pseudo [12]byte
 	copy(pseudo[0:4], src[:])

@@ -169,9 +169,6 @@ func (s *Server) SetOutput(out func(*netsim.Packet)) { s.out = out }
 // Stats returns a shallow copy of the counters (histograms are shared).
 func (s *Server) Stats() Stats { return s.stats }
 
-// QueueLen returns the current number of requests waiting for a worker.
-func (s *Server) QueueLen() int { return len(s.queue) }
-
 // HandlePacket implements netsim.Handler. KindOpen packets (SYNs) are
 // answered immediately with a SYN-ACK toward the client (kernel handshake
 // processing, no worker involvement); other non-request packets are

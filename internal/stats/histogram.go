@@ -186,9 +186,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return h.max
 }
 
-// Percentile is shorthand for Quantile(p/100).
-func (h *Histogram) Percentile(p float64) time.Duration { return h.Quantile(p / 100) }
-
 // Reset clears all recorded observations.
 func (h *Histogram) Reset() {
 	for i := range h.counts {
