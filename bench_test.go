@@ -9,12 +9,9 @@
 package inbandlb_test
 
 import (
-	"fmt"
 	"io"
 	"net"
 	"net/netip"
-	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -247,175 +244,6 @@ func BenchmarkLBPacketPath(b *testing.B) {
 	}
 }
 
-// ---- Concurrency benchmarks -------------------------------------------------
-
-// benchWorkerKeys builds a worker-private key set: each parallel worker
-// owns a disjoint key range so per-flow timestamps stay monotonic, and the
-// keys are premade so the measured loop is only Observe plus locking.
-func benchWorkerKeys(worker int) []packet.FlowKey {
-	keys := make([]packet.FlowKey, 64)
-	for i := range keys {
-		keys[i] = packet.NewFlowKey(
-			netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.1.0.1"),
-			uint16(worker*64+i), 11211, packet.ProtoTCP)
-	}
-	return keys
-}
-
-// BenchmarkFlowTableParallel measures the measurement hot path under
-// parallel load: ShardedFlowTable with GOMAXPROCS lock stripes, observed by
-// key and, as the proxy calls it, by a precomputed hash.
-func BenchmarkFlowTableParallel(b *testing.B) {
-	b.Run("sharded", func(b *testing.B) {
-		tbl := core.MustSharded(core.FlowTableConfig{}, runtime.GOMAXPROCS(0))
-		var workerIDs atomic.Int64
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			keys := benchWorkerKeys(int(workerIDs.Add(1)))
-			now := time.Duration(0)
-			for i := 0; pb.Next(); i++ {
-				now += 5 * time.Microsecond
-				tbl.Observe(keys[i%len(keys)], now)
-			}
-		})
-	})
-	// The proxy hashes each flow key once and reuses the hash for shard
-	// selection, sample aggregation, and routing; this variant measures
-	// that path, where the sharded table's only overhead over the raw
-	// FlowTable call is one mask-and-index.
-	b.Run("sharded-prehashed", func(b *testing.B) {
-		tbl := core.MustSharded(core.FlowTableConfig{}, runtime.GOMAXPROCS(0))
-		var workerIDs atomic.Int64
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			keys := benchWorkerKeys(int(workerIDs.Add(1)))
-			hashes := make([]uint64, len(keys))
-			for i, k := range keys {
-				hashes[i] = k.Hash()
-			}
-			now := time.Duration(0)
-			for i := 0; pb.Next(); i++ {
-				now += 5 * time.Microsecond
-				j := i % len(keys)
-				tbl.ObserveHashed(hashes[j], keys[j], now)
-			}
-		})
-	})
-}
-
-// BenchmarkMeasurementPathParallel measures the proxy's full per-read
-// measurement pipeline under parallel load: one hash per packet reused for
-// flow-shard selection and sample aggregation, samples batched
-// shard-locally and merged into the policy once per control tick.
-func BenchmarkMeasurementPathParallel(b *testing.B) {
-	newLA := func(b *testing.B) *control.LatencyAware {
-		la, err := control.NewLatencyAware(control.LatencyAwareConfig{
-			Backends: []string{"b0", "b1", "b2", "b3"}, Alpha: 0.1, TableSize: 1021,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return la
-	}
-	// Timing pattern from BenchmarkEstimatorPerPacket: mostly 5 µs gaps
-	// with a 500 µs batch boundary every 4th packet, so the estimator
-	// actually produces samples and the policy actually does work.
-	step := func(now time.Duration, i int) time.Duration {
-		now += 5 * time.Microsecond
-		if i%4 == 0 {
-			now += 500 * time.Microsecond
-		}
-		return now
-	}
-
-	b.Run("sharded-controller", func(b *testing.B) {
-		tbl := core.MustSharded(core.FlowTableConfig{}, runtime.GOMAXPROCS(0))
-		ctrl := control.NewController(newLA(b), control.ControllerConfig{
-			Shards: runtime.GOMAXPROCS(0), Interval: 2 * time.Millisecond,
-		})
-		ctrl.Start()
-		defer ctrl.Close()
-		var workerIDs atomic.Int64
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			w := int(workerIDs.Add(1))
-			keys := benchWorkerKeys(w)
-			hashes := make([]uint64, len(keys))
-			for i, k := range keys {
-				hashes[i] = k.Hash()
-			}
-			now := time.Duration(0)
-			for i := 0; pb.Next(); i++ {
-				now = step(now, i)
-				j := i % len(keys)
-				sample, ok := tbl.ObserveHashed(hashes[j], keys[j], now)
-				if ok {
-					ctrl.ObserveSharded(hashes[j], w%4, now, sample)
-				}
-			}
-		})
-	})
-}
-
-// BenchmarkProxyConcurrentConns drives the live proxy end to end (real
-// sockets, real memcached backends) with parallel persistent clients, at
-// one flow-table shard (≈ the old single-mutex layout) and at GOMAXPROCS
-// shards. Each iteration is one SET round trip through the proxy.
-func BenchmarkProxyConcurrentConns(b *testing.B) {
-	shardCounts := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		shardCounts = append(shardCounts, n)
-	}
-	for _, shards := range shardCounts {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			var backends []string
-			for i := 0; i < 2; i++ {
-				srv := memcache.NewServer()
-				if err := srv.Listen("127.0.0.1:0"); err != nil {
-					b.Fatal(err)
-				}
-				go func() { _ = srv.Serve() }()
-				defer srv.Close()
-				backends = append(backends, srv.Addr().String())
-			}
-			la, err := control.NewLatencyAware(control.LatencyAwareConfig{
-				Backends: []string{"b0", "b1"}, Alpha: 0.1, TableSize: 1021,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			proxy, err := lbproxy.New(lbproxy.Config{
-				Backends: backends, Policy: la, Shards: shards,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := proxy.Listen("127.0.0.1:0"); err != nil {
-				b.Fatal(err)
-			}
-			go func() { _ = proxy.Serve() }()
-			defer proxy.Close()
-			addr := proxy.Addr().String()
-
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				cli, err := memcache.Dial(addr, 2*time.Second)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				defer cli.Close()
-				for pb.Next() {
-					if err := cli.Set("bench", []byte("v")); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
-}
-
 // ---- Syscall-diet dataplane benchmarks --------------------------------------
 
 // reportRelaySyscalls attaches the proxy's own relay syscall counters as
@@ -426,27 +254,6 @@ func reportRelaySyscalls(b *testing.B, p *lbproxy.Proxy, ops int) {
 	total := st.RelayReads + st.RelayWrites + st.RelaySplices
 	b.ReportMetric(float64(total)/float64(ops), "relay-syscalls/op")
 	b.ReportMetric(float64(st.RelaySplices)/float64(ops), "splices/op")
-}
-
-// dietProxy builds the full syscall-diet configuration: backend connection
-// pooling and acceptor shards (splice is on wherever the kernel has it).
-func dietProxy(b *testing.B, backends []string, policy control.Policy) *lbproxy.Proxy {
-	proxy, err := lbproxy.New(lbproxy.Config{
-		Backends:    backends,
-		Policy:      policy,
-		Shards:      runtime.GOMAXPROCS(0),
-		Acceptors:   runtime.GOMAXPROCS(0),
-		PoolIdle:    64,
-		PoolQuiesce: 50 * time.Microsecond,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := proxy.Listen("127.0.0.1:0"); err != nil {
-		b.Fatal(err)
-	}
-	go func() { _ = proxy.Serve() }()
-	return proxy
 }
 
 // BenchmarkProxySpliceRelay measures bulk relay throughput: one client
@@ -559,137 +366,6 @@ func BenchmarkProxyPooledDial(b *testing.B) {
 			if st.Accepted > 0 {
 				b.ReportMetric(float64(st.PoolHits)/float64(st.Accepted), "pool-hits/conn")
 			}
-		})
-	}
-}
-
-// BenchmarkAcceptShardParallel measures concurrent connection-per-op
-// admission with one event-loop shard versus SO_REUSEPORT listener shards.
-// (On a single-core host the shards mostly measure that the sharded path
-// adds no overhead; the contention win needs real parallelism.)
-func BenchmarkAcceptShardParallel(b *testing.B) {
-	for _, acceptors := range []int{1, 4} {
-		b.Run(fmt.Sprintf("acceptors=%d", acceptors), func(b *testing.B) {
-			srv := memcache.NewServer()
-			if err := srv.Listen("127.0.0.1:0"); err != nil {
-				b.Fatal(err)
-			}
-			go func() { _ = srv.Serve() }()
-			defer srv.Close()
-			proxy, err := lbproxy.New(lbproxy.Config{
-				Backends:  []string{srv.Addr().String()},
-				Policy:    control.NewRoundRobin(1),
-				Acceptors: acceptors,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := proxy.Listen("127.0.0.1:0"); err != nil {
-				b.Fatal(err)
-			}
-			go func() { _ = proxy.Serve() }()
-			defer proxy.Close()
-			addr := proxy.Addr().String()
-
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					cli, err := memcache.Dial(addr, 2*time.Second)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					if err := cli.Set("bench", []byte("v")); err != nil {
-						b.Error(err)
-						_ = cli.Close()
-						return
-					}
-					_ = cli.Close()
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkProxyDietConcurrentConns is the syscall-diet counterpart of
-// BenchmarkProxyConcurrentConns (which is kept unchanged as the committed
-// baseline shape): the same persistent-client SET round trips through the
-// full diet configuration, plus a pipelined variant. Pipelining is where
-// the diet compounds: a burst of k SETs crosses the proxy as one or two
-// spliced readiness events instead of k read+write pairs, and the backend
-// answers the burst with one flush.
-func BenchmarkProxyDietConcurrentConns(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		depth int
-	}{{"serial", 1}, {"pipelined=8", 8}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var backends []string
-			for i := 0; i < 2; i++ {
-				srv := memcache.NewServer()
-				if err := srv.Listen("127.0.0.1:0"); err != nil {
-					b.Fatal(err)
-				}
-				go func() { _ = srv.Serve() }()
-				defer srv.Close()
-				backends = append(backends, srv.Addr().String())
-			}
-			la, err := control.NewLatencyAware(control.LatencyAwareConfig{
-				Backends: []string{"b0", "b1"}, Alpha: 0.1, TableSize: 1021,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			proxy := dietProxy(b, backends, la)
-			defer proxy.Close()
-			addr := proxy.Addr().String()
-
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				cli, err := memcache.Dial(addr, 2*time.Second)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				defer cli.Close()
-				pending := 0
-				drain := func() bool {
-					if err := cli.Flush(); err != nil {
-						b.Error(err)
-						return false
-					}
-					for ; pending > 0; pending-- {
-						if err := cli.RecvSet(); err != nil {
-							b.Error(err)
-							return false
-						}
-					}
-					return true
-				}
-				for pb.Next() {
-					if mode.depth == 1 {
-						if err := cli.Set("bench", []byte("v")); err != nil {
-							b.Error(err)
-							return
-						}
-						continue
-					}
-					if err := cli.SendSet("bench", []byte("v")); err != nil {
-						b.Error(err)
-						return
-					}
-					if pending++; pending == mode.depth {
-						if !drain() {
-							return
-						}
-					}
-				}
-				if pending > 0 {
-					drain()
-				}
-			})
-			b.StopTimer()
-			reportRelaySyscalls(b, proxy, b.N)
 		})
 	}
 }

@@ -36,7 +36,6 @@ func main() {
 		listen      = flag.String("listen", "127.0.0.1:9000", "listen address")
 		backends    = flag.String("backends", "", "comma-separated backend addresses (required)")
 		policyName  = flag.String("policy", "latency-aware", "routing policy ("+strings.Join(control.PolicyNames(), "|")+")")
-		shards      = flag.Int("shards", 0, "flow-table and sample-aggregator shard count (0 = GOMAXPROCS)")
 		ctrlEvery   = flag.Duration("control-interval", 0, "control tick period: sample merge + snapshot republish (0 = default 2ms)")
 		report      = flag.Duration("report-every", 0, "periodic stats report interval (0 = off)")
 		health      = flag.Duration("health-interval", time.Second, "active health-probe period (0 = disabled)")
@@ -95,7 +94,6 @@ func main() {
 	proxy, err := lbproxy.New(lbproxy.Config{
 		Backends:          addrs,
 		Policy:            pol,
-		Shards:            *shards,
 		ControlInterval:   *ctrlEvery,
 		HealthInterval:    *health,
 		IdleTimeout:       *idleTO,

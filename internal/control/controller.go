@@ -18,9 +18,9 @@ type Weighted interface {
 // ControllerConfig parameterizes a Controller.
 type ControllerConfig struct {
 	// Shards is the sample-aggregator stripe count, rounded up to a power
-	// of two. Zero defaults to runtime.GOMAXPROCS(0). Use the same value
-	// as the flow-table shard count so a dataplane thread feeding flow
-	// shard i aggregates into sample shard i.
+	// of two. Zero defaults to runtime.GOMAXPROCS(0). Give each dataplane
+	// thread its own stripe (the live proxy passes one per event-loop
+	// shard) so threads do not contend on one stripe's lock.
 	Shards int
 	// Interval is the control tick period used by Start: how often queued
 	// samples are merged into the policy and the routing snapshot is
@@ -206,9 +206,8 @@ func (c *Controller) Route(key packet.FlowKey, now time.Duration) (backend int, 
 	return c.RouteHashed(key.Hash(), key, now)
 }
 
-// RouteHashed is Route for callers that already computed key.Hash() — the
-// proxy hashes each flow key once and reuses it for routing, flow-shard
-// selection, and sample aggregation. hash must equal key.Hash().
+// RouteHashed is Route for callers that already computed key.Hash().
+// hash must equal key.Hash().
 func (c *Controller) RouteHashed(hash uint64, key packet.FlowKey, now time.Duration) (backend int, fellBack bool) {
 	if s := c.snap.Load(); s != nil {
 		return s.RouteHash(hash)
@@ -259,9 +258,9 @@ func (c *Controller) ObserveLatency(b int, now, sample time.Duration) {
 	c.agg.observe(uint64(now)*0x9e3779b97f4a7c15, b, now, sample)
 }
 
-// ObserveSharded folds a latency sample using the flow's hash to select
-// the aggregation stripe — the proxy passes the same hash that selected
-// the flow-table shard, so the per-read path touches one stripe's cache
+// ObserveSharded folds a latency sample into the aggregation stripe that
+// hash selects (modulo the stripe count) — the proxy passes its event-loop
+// shard's index, so each loop's per-read path touches one stripe's cache
 // lines. Never blocks, never allocates, never drops.
 func (c *Controller) ObserveSharded(hash uint64, b int, now, sample time.Duration) {
 	c.agg.observe(hash, b, now, sample)

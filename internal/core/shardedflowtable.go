@@ -24,6 +24,10 @@ import (
 // by briefly locking each shard in turn — stats are read a few times per
 // second, packets arrive millions of times per second, so the cost lives on
 // the right side.
+//
+// Nothing outside the benchmark rig's probes and this package's own tests
+// calls it: the live proxy keeps each connection's estimator in the
+// connection itself.
 type ShardedFlowTable struct {
 	shards []flowShard
 	mask   uint64 // len(shards)-1; shard count is a power of two

@@ -151,8 +151,8 @@ func (p *Proxy) writeMetrics(w io.Writer) {
 	m.sample("lbproxy_active_connections", "", float64(st.Active))
 	m.family("lbproxy_backend_connects_inflight", "Backend connects in progress: connections accepted and routed but not relaying yet.", "gauge")
 	m.sample("lbproxy_backend_connects_inflight", "", float64(st.ConnectsInflight))
-	m.family("lbproxy_tracked_flows", "Live flow-table population.", "gauge")
-	m.sample("lbproxy_tracked_flows", "", float64(p.flows.Len()))
+	m.family("lbproxy_tracked_flows", "Connections holding a live estimator.", "gauge")
+	m.sample("lbproxy_tracked_flows", "", float64(p.estimators.Load()))
 
 	m.family("lbproxy_backend_connections_total", "Connections routed per backend.", "counter")
 	for i, v := range st.PerBackend {

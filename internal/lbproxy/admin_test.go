@@ -201,7 +201,7 @@ func TestAdminStatusAndPprof(t *testing.T) {
 	if err := json.Unmarshal(body.Bytes(), &fields); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{"uptime_seconds", "policy", "backends", "flow_table_shards", "tracked_flows",
+	for _, f := range []string{"uptime_seconds", "policy", "backends", "tracked_flows",
 		"stats", "goroutines", "snapshot_generation", "weights", "latencies_ms"} {
 		if _, ok := fields[f]; !ok {
 			t.Errorf("/status lacks %q", f)

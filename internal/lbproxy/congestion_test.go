@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"inbandlb/internal/control"
-	"inbandlb/internal/core"
 	"inbandlb/internal/memcache"
 	"inbandlb/internal/packet"
 )
@@ -99,10 +98,10 @@ func TestCongChargeDelta(t *testing.T) {
 	}
 	defer p.Close()
 
-	e := &congEntry{backend: 1, hash: 42}
-	p.congCharge(e, 7) // primes: 7 retransmits before this relay are history
-	p.congCharge(e, 7) // flat: nothing to forward
-	p.congCharge(e, 12)
+	e := &congEntry{backend: 1}
+	p.congCharge(e, 0, 7) // primes: 7 retransmits before this relay are history
+	p.congCharge(e, 0, 7) // flat: nothing to forward
+	p.congCharge(e, 0, 12)
 
 	if got := p.congSamples.Load(); got != 3 {
 		t.Errorf("congSamples = %d, want 3", got)
@@ -147,7 +146,6 @@ func TestProxyBackendChurn(t *testing.T) {
 		Backends:        backends,
 		Policy:          maglev,
 		ControlInterval: time.Millisecond,
-		FlowTable:       core.FlowTableConfig{IdleTimeout: 100 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +298,6 @@ func congestionStress(t *testing.T, poolIdle int) {
 		ControlInterval:   time.Millisecond,
 		PoolIdle:          poolIdle,
 		CongestionSignals: true,
-		FlowTable:         core.FlowTableConfig{IdleTimeout: 100 * time.Millisecond},
 		Detector: control.DetectorConfig{
 			Enabled:           true,
 			CongestionPerTick: 1,

@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"net/netip"
 	"os"
 	"runtime"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"inbandlb/internal/control"
+	"inbandlb/internal/packet"
 	"inbandlb/internal/testbed"
 )
 
@@ -665,6 +667,53 @@ func TestLoopPooledLifecycle(t *testing.T) {
 	waitFDs(t, base)
 }
 
+// TestLoopPoolAgeSweep: a pooled backend socket older than PoolMaxAge is
+// closed by the shard's wheel sweep with no further traffic, not left for the
+// next checkout to find.
+func TestLoopPoolAgeSweep(t *testing.T) {
+	closed := make(chan struct{}, 1)
+	backend := serveOnce(t, func(c net.Conn) {
+		buf := make([]byte, 4096)
+		for {
+			n, err := c.Read(buf)
+			if err != nil {
+				closed <- struct{}{}
+				return
+			}
+			if _, err := c.Write(buf[:n]); err != nil {
+				return
+			}
+		}
+	})
+	p, _ := loopProxy(t, Config{Backends: []string{backend},
+		PoolIdle: 2, PoolQuiesce: 5 * time.Millisecond, PoolMaxAge: 50 * time.Millisecond})
+	c, err := net.DialTimeout("tcp", p.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+	pingPong(t, c, 1)
+	_ = c.(*net.TCPConn).CloseWrite()
+	expectClosed(t, c)
+	_ = c.Close()
+	for deadline := time.Now().Add(5 * time.Second); p.Stats().PoolRecycled != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("backend socket never recycled: %+v", p.Stats())
+		}
+	}
+	select {
+	case <-closed:
+	case <-time.After(3 * poolSweepPeriod):
+		t.Fatalf("pooled socket still open %v after PoolMaxAge: no sweep closed it", 3*poolSweepPeriod)
+	}
+	if n := p.pool.Idle(0); n != 0 {
+		t.Errorf("%d idle pooled sockets after the sweep, want 0", n)
+	}
+	if st := p.Stats(); st.PoolHits != 0 || st.Accepted != 1 {
+		t.Errorf("hits=%d accepted=%d: the socket must have gone without a checkout", st.PoolHits, st.Accepted)
+	}
+}
+
 // TestLoopCloseRetiresListener: Close takes the listener out of the loop's
 // callback table before its fd is closed, and a connection that arrives
 // afterwards is refused rather than admitted by a shard that is shutting
@@ -756,6 +805,35 @@ func TestSockaddrFlowKeyMatchesConnPath(t *testing.T) {
 		wantIP, wantPort := ip4Port(a)
 		if ip != wantIP || port != wantPort {
 			t.Errorf("%v: sockaddr path %v:%d, net.Addr path %v:%d", a, ip, port, wantIP, wantPort)
+		}
+	}
+}
+
+// TestIPv6FlowKeys: an IPv6 peer's address is folded into the flow key, so
+// two IPv6 clients on the same source port key and hash apart, on both the
+// sockaddr path and the net.Addr path. IPv4 and 4-in-6 keys are the IPv4
+// address itself.
+func TestIPv6FlowKeys(t *testing.T) {
+	key := func(sa *syscall.SockaddrInet6) packet.FlowKey {
+		k := packet.FlowKey{Proto: packet.ProtoTCP, DstIP: [4]byte{127, 0, 0, 1}, DstPort: 9000}
+		k.SrcIP, k.SrcPort = sockaddrIP4Port(sa)
+		return k
+	}
+	a := &syscall.SockaddrInet6{Port: 4242, Addr: [16]byte(net.ParseIP("2001:db8::1"))}
+	b := &syscall.SockaddrInet6{Port: 4242, Addr: [16]byte(net.ParseIP("2001:db8::2"))}
+	ka, kb := key(a), key(b)
+	if ka == kb || ka.Hash() == kb.Hash() {
+		t.Errorf("2001:db8::1 and 2001:db8::2 on one port: keys %+v and %+v, hashes %x and %x", ka, kb, ka.Hash(), kb.Hash())
+	}
+	if ip, _ := addrPort4(netip.MustParseAddrPort("[2001:db8::1]:4242")); ip != ka.SrcIP {
+		t.Errorf("net.Addr path %v, sockaddr path %v", ip, ka.SrcIP)
+	}
+	for addr, want := range map[string][4]byte{
+		"10.1.2.3:40001":          {10, 1, 2, 3},
+		"[::ffff:10.0.0.1]:40001": {10, 0, 0, 1},
+	} {
+		if ip, port := addrPort4(netip.MustParseAddrPort(addr)); ip != want || port != 40001 {
+			t.Errorf("%s: key %v:%d, want %v:40001", addr, ip, port, want)
 		}
 	}
 }

@@ -79,8 +79,8 @@ import (
 // npRelay (a few hundred bytes) and two registered fds, nothing else.
 //
 // Estimator semantics: every request-direction chunk (one read or one
-// splice) fires ObserveHashed once, and the response direction stays
-// timestamp-free.
+// splice) is observed once by the relay's own estimator (npRelay.est), and
+// the response direction stays timestamp-free.
 
 const (
 	// npPumpBudget bounds chunks moved per pump invocation so one hot
@@ -90,6 +90,9 @@ const (
 	// npAcceptBudget bounds connections admitted per acceptor turn the same
 	// way: a SYN flood waits in the backlog while the shard's relays run.
 	npAcceptBudget = 32
+	// poolSweepPeriod is the cadence of each shard's dial-pool age sweep:
+	// one pool stripe per tick, on the shard's wheel.
+	poolSweepPeriod = time.Second
 )
 
 // dataplane is the Linux half of Proxy: one shard per acceptor.
@@ -120,6 +123,7 @@ type npShard struct {
 	backoff   time.Duration  // current accept-error pause
 	retry     *netpoll.Timer // re-arms accept after an error: the edge will not
 	congTimer *netpoll.Timer // TCP_INFO sampling cadence
+	poolTimer *netpoll.Timer // dial-pool age sweep cadence
 }
 
 // npRelay is the per-connection state machine. Every field is loop-owned.
@@ -128,8 +132,7 @@ type npRelay struct {
 	shard    *npShard
 	cfd, sfd int // client and backend sockets; sfd is -1 between connect attempts
 	backend  int
-	hash     uint64
-	key      packet.FlowKey
+	est      flowEstimator // created by the first request chunk
 
 	connecting bool // sfd is registered and its connect has not settled
 	failover   bool // this connect is the one-shot failover attempt
@@ -281,9 +284,9 @@ func (p *Proxy) adopt(ls []net.Listener) (err error) {
 }
 
 // serve runs each shard's start-up on its loop — the listener joins the
-// epoll set (a connection already queued is its first event) and the
-// congestion sampler is armed — and then waits for Close: the loops do the
-// rest.
+// epoll set (a connection already queued is its first event), and the
+// congestion sampler and the pool's age sweep are armed — and then waits for
+// Close: the loops do the rest.
 func (p *Proxy) serve() error {
 	errc := make(chan error, len(p.np))
 	for _, s := range p.np {
@@ -304,6 +307,9 @@ func (p *Proxy) serve() error {
 func (s *npShard) start() error {
 	if s.p.cfg.CongestionSignals && s.congTimer == nil {
 		s.congTimer = s.pol.AfterFunc(congSampleInterval, s.congTick)
+	}
+	if s.p.pool != nil && s.p.cfg.PoolMaxAge > 0 && s.poolTimer == nil {
+		s.poolTimer = s.pol.AfterFunc(poolSweepPeriod, s.poolSweep)
 	}
 	if s.lfd < 0 {
 		return nil
@@ -416,15 +422,13 @@ func (s *npShard) admit(cfd int, peer syscall.Sockaddr) {
 			key.DstIP, key.DstPort = sockaddrIP4Port(local)
 		}
 	}
-	hash := key.Hash() // hashed once; reused for routing, sharding, sampling
-	backend, charged := p.route(hash, key)
+	backend, charged := p.route(key)
 	if backend < 0 {
 		s.pol.CloseFD(cfd)
 		return
 	}
 	p.relays.Add(1)
-	rel := &npRelay{p: p, shard: s, cfd: cfd, sfd: -1,
-		backend: backend, hash: hash, key: key, charged: charged}
+	rel := &npRelay{p: p, shard: s, cfd: cfd, sfd: -1, backend: backend, charged: charged}
 	rel.req = npDir{rel: rel, observe: true, splice: true}
 	rel.resp = npDir{rel: rel, splice: true}
 	s.live[rel] = struct{}{}
@@ -616,7 +620,7 @@ func (rel *npRelay) established() {
 	// backend it goes to was known.
 	revalidated := len(rel.req.pend) > 0
 	if revalidated {
-		p.observeAt(rel.hash, rel.key, rel.backend, rel.firstAt)
+		rel.observe(rel.firstAt)
 	}
 	rel.commit()
 	rel.req.src, rel.req.dst = rel.cfd, rel.sfd
@@ -644,7 +648,7 @@ func (rel *npRelay) commit() {
 	p.perBackend[rel.backend].Add(1)
 	p.active.Add(1)
 	rel.counted = true
-	rel.cong = congEntry{backend: rel.backend, hash: rel.hash}
+	rel.cong = congEntry{backend: rel.backend}
 }
 
 // registerClient puts the client fd into the epoll set, once. False: the
@@ -792,7 +796,7 @@ func (d *npDir) validateChunk(b []byte) bool {
 		rel.revalidate(b, ts)
 		return false
 	}
-	p.observeAt(rel.hash, rel.key, rel.backend, ts)
+	rel.observe(ts)
 	if rel.established(); rel.finalized {
 		return false
 	}
@@ -820,11 +824,16 @@ func (rel *npRelay) revalidate(chunk []byte, ts time.Duration) {
 // chunkArrived timestamps a request-direction arrival into the estimator
 // (once per chunk, read or spliced) and re-arms this direction's deadline.
 func (d *npDir) chunkArrived() {
-	rel := d.rel
 	if d.observe {
-		rel.p.observe(rel.hash, rel.key, rel.backend)
+		d.rel.observe(d.rel.p.now())
 	}
 	d.rearmIdle()
+}
+
+// observe feeds one request chunk, arrived at now, into the relay's
+// estimator; its samples go to the aggregator stripe of the relay's shard.
+func (rel *npRelay) observe(now time.Duration) {
+	rel.p.observe(&rel.est, uint64(rel.shard.idx), rel.backend, now)
 }
 
 // writeChunk forwards a userspace chunk, parking on EPOLLOUT if dst blocks.
@@ -1080,7 +1089,7 @@ func (d *npDir) onTimeout() {
 // finalize is the single teardown point: idempotent, loop-only. It releases
 // what a blocked write left with the relay, settles the accounting identity
 // (exactly one of PerBackend/DialErrors for every admitted connection;
-// FlowClosed only while charged; ForgetHashed always), and closes both fds.
+// FlowClosed only while charged), drops the estimator, and closes both fds.
 func (rel *npRelay) finalize() {
 	if rel.finalized {
 		return
@@ -1094,7 +1103,7 @@ func (rel *npRelay) finalize() {
 		d.pend = nil
 		d.releasePipe()
 	}
-	p.flows.ForgetHashed(rel.hash, rel.key)
+	p.forget(&rel.est)
 	if rel.charged {
 		p.ctrl.FlowClosed(rel.backend, p.now())
 		rel.charged = false
@@ -1152,6 +1161,13 @@ func (rel *npRelay) congSample() {
 		return
 	}
 	if total, _, ok := tcpInfoFD(rel.sfd); ok {
-		rel.p.congCharge(&rel.cong, total)
+		rel.p.congCharge(&rel.cong, uint64(rel.shard.idx), total)
 	}
+}
+
+// poolSweep evicts PoolMaxAge-expired idle connections from one dial-pool
+// stripe and re-arms.
+func (s *npShard) poolSweep() {
+	s.p.pool.Sweep()
+	s.pol.ResetTimer(s.poolTimer, poolSweepPeriod)
 }

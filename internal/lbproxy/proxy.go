@@ -23,12 +23,12 @@
 // The data plane and the control plane are split RCU-style around a
 // control.Controller, mirroring a per-CPU dataplane feeding one controller:
 //
-//   - Per-flow estimator state lives in a core.ShardedFlowTable
-//     (GOMAXPROCS lock-striped shards by default), so concurrent
-//     connections' request-direction reads only contend when their flows
-//     hash to the same shard. Each flow's key is hashed exactly once, at
-//     accept; the hash is reused for routing, flow-shard selection, and
-//     sample aggregation. No global lock is taken on the read path.
+//   - Per-connection estimator state lives in the connection: the event
+//     loop's npRelay, or the fallback relay's goroutine. It is created at
+//     the connection's first request chunk and dropped at teardown, and its
+//     one writer is the loop (or goroutine) relaying the connection's
+//     requests, so it sits in no map and takes no lock. Each flow's key is
+//     hashed exactly once, at accept, to route it.
 //   - Routing reads an immutable control.Snapshot through an atomic
 //     pointer: for table-based policies (maglev, latency-aware,
 //     proportional) a new connection's pick — including health-eject
@@ -36,18 +36,20 @@
 //     Stateful policies (roundrobin, leastconn, p2c) fall back to a mutex
 //     around the policy.
 //   - Packet-rate latency samples are folded into the Controller's
-//     per-shard, cache-line-padded accumulators and merged into the policy
-//     once per control tick (Config.ControlInterval). Aggregation is
-//     lossless — nothing is shed under load — so routing state lags the
-//     freshest sample by at most one control interval.
+//     per-shard, cache-line-padded accumulators — each event-loop shard
+//     writes its own stripe — and merged into the policy once per control
+//     tick (Config.ControlInterval). Aggregation is lossless — nothing is
+//     shed under load — so routing state lags the freshest sample by at
+//     most one control interval.
 //   - control.Policy implementations stay single-threaded (their
 //     documented contract): the Controller serializes every policy call.
 //     Connection-rate calls (FlowClosed, stateful Picks) are applied
 //     synchronously under its mutex.
 //   - All Stats counters are atomics; Stats() returns a deep copy built
 //     from them, never aliasing mutable state.
-//   - Idle-flow sweeping uses ShardedFlowTable.SweepNext, one shard per
-//     tick, so no sweep ever stalls the whole table.
+//   - Nothing sweeps estimators: one whose connection sat silent longer
+//     than estimatorIdleReset starts its ladder over at the next chunk,
+//     exactly as a fresh flow would.
 package lbproxy
 
 import (
@@ -78,20 +80,11 @@ type Config struct {
 	// estimator's samples. Required. The proxy serializes all calls into
 	// it (see the package comment), so it needs no internal locking.
 	Policy control.Policy
-	// FlowTable configures per-connection estimators.
-	FlowTable core.FlowTableConfig
-	// Shards is the lock-stripe width for both the flow table and the
-	// controller's sample aggregator (they stripe on the same flow hash),
-	// rounded up to a power of two. Zero defaults to runtime.GOMAXPROCS(0).
-	Shards int
 	// ControlInterval is the controller tick period: how often aggregated
 	// latency samples are merged into the policy and the routing snapshot
 	// is republished. It bounds how stale routing can be relative to the
 	// newest sample. Zero defaults to 2 ms.
 	ControlInterval time.Duration
-	// SweepInterval is the period of the incremental idle-flow sweeper
-	// (one shard per tick). Zero defaults to 1 s; negative disables it.
-	SweepInterval time.Duration
 	// DialTimeout bounds backend connects. Defaults to 2 s.
 	DialTimeout time.Duration
 	// HealthInterval enables active health probes (TCP dial) at this
@@ -118,9 +111,10 @@ type Config struct {
 	DrainTimeout time.Duration
 	// Acceptors is the number of event-loop shards on Linux: each gets its
 	// own SO_REUSEPORT listener socket (the kernel hashes incoming SYNs
-	// across their accept queues), its own loop, and its own dial-pool
-	// stripe. Zero or 1 means one shard on a plain listener. Off Linux one
-	// goroutine accepts whatever the value.
+	// across their accept queues), its own loop, its own dial-pool stripe
+	// and its own stripe of the controller's sample aggregator. Zero or 1
+	// means one shard on a plain listener. Off Linux one goroutine accepts
+	// whatever the value.
 	Acceptors int
 	// PoolIdle enables backend connection pooling when > 0 (Linux only): up
 	// to PoolIdle idle connections are kept per backend (probed live at
@@ -173,6 +167,10 @@ const (
 	// backend connection per tick, far below the distress timescales the
 	// detector integrates over.
 	congSampleInterval = 25 * time.Millisecond
+	// estimatorIdleReset is how long a connection's request direction may
+	// stay silent before its estimator starts over at the next chunk: a gap
+	// that long says nothing about the backend's service time.
+	estimatorIdleReset = 10 * time.Second
 )
 
 // Stats are cumulative proxy counters. Every accepted connection ends in
@@ -243,7 +241,6 @@ type NetpollShardStats struct {
 type Proxy struct {
 	cfg   Config
 	addr  net.Addr // bound address; nil before Listen
-	flows *core.ShardedFlowTable
 	ctrl  *control.Controller
 	pool  *dialpool.Pool // nil unless pooling runs
 	start time.Time
@@ -260,6 +257,7 @@ type Proxy struct {
 	dialErrors      atomic.Uint64
 	dropped         atomic.Uint64
 	samples         atomic.Uint64
+	estimators      atomic.Int64 // connections holding a live estimator
 	fallbacks       atomic.Uint64
 	failovers       atomic.Uint64
 	perBackend      []atomic.Uint64
@@ -291,22 +289,14 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 2 * time.Second
 	}
-	if cfg.SweepInterval == 0 {
-		cfg.SweepInterval = time.Second
-	}
 	if cfg.Acceptors < 1 {
 		cfg.Acceptors = 1
 	}
 	if cfg.PoolIdle > 0 && cfg.PoolQuiesce <= 0 {
 		cfg.PoolQuiesce = 2 * time.Millisecond
 	}
-	flows, err := core.NewShardedFlowTable(cfg.FlowTable, cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
 	p := &Proxy{
 		cfg:        cfg,
-		flows:      flows,
 		start:      time.Now(),
 		perBackend: make([]atomic.Uint64, len(cfg.Backends)),
 		down:       make([]atomic.Bool, len(cfg.Backends)),
@@ -315,11 +305,11 @@ func New(cfg Config) (*Proxy, error) {
 	if err := p.initDataplane(); err != nil {
 		return nil, err
 	}
-	// The controller stripes its sample aggregator like the flow table and
-	// ticks on the proxy's monotonic clock, so sample timestamps and merge
-	// timestamps share a timebase.
+	// The controller's sample aggregator has one stripe per event-loop
+	// shard, and it ticks on the proxy's monotonic clock, so sample
+	// timestamps and merge timestamps share a timebase.
 	p.ctrl = control.NewController(cfg.Policy, control.ControllerConfig{
-		Shards:   flows.Shards(),
+		Shards:   cfg.Acceptors,
 		Interval: cfg.ControlInterval,
 		Now:      p.now,
 		Detector: cfg.Detector,
@@ -398,9 +388,6 @@ func (p *Proxy) Serve() error {
 	if p.cfg.HealthInterval > 0 {
 		go p.probeLoop()
 	}
-	if p.cfg.SweepInterval > 0 {
-		go p.sweepLoop()
-	}
 	return p.serve()
 }
 
@@ -446,7 +433,7 @@ func (p *Proxy) Close() error {
 // now returns monotonic time since proxy start, the estimator clock.
 func (p *Proxy) now() time.Duration { return time.Since(p.start) }
 
-// flowKeyFor derives the estimator flow key from the connection 4-tuple.
+// flowKeyFor derives the routing flow key from the connection 4-tuple.
 func flowKeyFor(conn net.Conn) packet.FlowKey {
 	key := packet.FlowKey{Proto: packet.ProtoTCP}
 	key.SrcIP, key.SrcPort = ip4Port(conn.RemoteAddr())
@@ -468,10 +455,15 @@ func ip4Port(a net.Addr) (ip [4]byte, port uint16) {
 }
 
 // addrPort4 is the flow key's form of an address: a 4-in-6 mapped address is
-// unmapped, one with no IPv4 form keeps a zero IP.
+// unmapped, and one with no IPv4 form is folded into four bytes by XOR of its
+// four 32-bit words, so distinct IPv6 peers hash apart.
 func addrPort4(ap netip.AddrPort) (ip [4]byte, port uint16) {
-	if addr := ap.Addr().Unmap(); addr.Is4() {
-		ip = addr.As4()
+	addr := ap.Addr().Unmap()
+	if addr.Is4() {
+		return addr.As4(), ap.Port()
+	}
+	for i, b := range addr.As16() {
+		ip[i%4] ^= b
 	}
 	return ip, ap.Port()
 }
@@ -485,8 +477,8 @@ func addrPort4(ap netip.AddrPort) (ip [4]byte, port uint16) {
 // holds an open-flow debit for backend: fallback and failover targets are
 // never charged, so the end-of-connection FlowClosed must be skipped for
 // them or occupancy goes negative.
-func (p *Proxy) route(hash uint64, key packet.FlowKey) (backend int, charged bool) {
-	backend, fellBack := p.ctrl.RouteHashed(hash, key, p.now())
+func (p *Proxy) route(key packet.FlowKey) (backend int, charged bool) {
+	backend, fellBack := p.ctrl.Route(key, p.now())
 	if backend < 0 || backend >= len(p.cfg.Backends) {
 		p.dropped.Add(1)
 		return -1, false
@@ -526,26 +518,40 @@ func (p *Proxy) reportRelayErr(backend int, err error) {
 	p.ctrl.ReportRelayError(backend, p.now())
 }
 
-// observe feeds one request-direction chunk arrival into the flow's
-// estimator shard and, when a latency sample pops out, into the
-// controller's matching aggregator stripe. Both sides stripe on the same
-// precomputed hash, so a relay touches one shard's cache lines end to end.
-// A spliced chunk fires it once, like a chunk read into the buffer: the
-// estimator sees the same arrival timestamps whether or not the payload
-// ever enters userspace.
-func (p *Proxy) observe(hash uint64, key packet.FlowKey, backend int) {
-	p.observeAt(hash, key, backend, p.now())
+// flowEstimator is one connection's in-band estimator: created at its first
+// request chunk, dropped at teardown, and written only by the goroutine that
+// relays the connection's requests (its shard's loop on Linux).
+type flowEstimator struct {
+	est  *core.EnsembleTimeout // nil until the first request chunk
+	last time.Duration         // arrival of the previous request chunk
 }
 
-// observeAt is observe with an explicit arrival time: a pooled connection's
-// first chunk is timestamped when it is read but attributed only after the
-// write settles (the backend may change if the pooled connection dies on
-// first write).
-func (p *Proxy) observeAt(hash uint64, key packet.FlowKey, backend int, now time.Duration) {
-	sample, ok := p.flows.ObserveHashed(hash, key, now)
-	if ok {
+// observe feeds one request-direction chunk, arrived at now, into the
+// connection's estimator and, when a latency sample pops out, into the
+// controller's aggregator stripe. The first chunk creates the estimator; a
+// chunk after more than estimatorIdleReset of silence starts its ladder over,
+// as a fresh flow's would. A spliced chunk fires it once, like a chunk read
+// into the buffer: the estimator sees the same arrival timestamps whether or
+// not the payload ever enters userspace.
+func (p *Proxy) observe(f *flowEstimator, stripe uint64, backend int, now time.Duration) {
+	if f.est == nil {
+		f.est = core.MustEnsemble(core.EnsembleConfig{})
+		p.estimators.Add(1)
+	} else if now-f.last > estimatorIdleReset {
+		f.est.Reset()
+	}
+	f.last = now
+	if sample, ok := f.est.Observe(now); ok {
 		p.samples.Add(1)
-		p.ctrl.ObserveSharded(hash, backend, now, sample)
+		p.ctrl.ObserveSharded(stripe, backend, now, sample)
+	}
+}
+
+// forget drops a closing connection's estimator, if it ever made one.
+func (p *Proxy) forget(f *flowEstimator) {
+	if f.est != nil {
+		f.est = nil
+		p.estimators.Add(-1)
 	}
 }
 
@@ -594,23 +600,4 @@ func (p *Proxy) probeLoop() {
 func (p *Proxy) jitteredProbePeriod(rng *rand.Rand) time.Duration {
 	base := float64(p.cfg.HealthInterval)
 	return time.Duration(base * (0.9 + 0.2*rng.Float64()))
-}
-
-// sweepLoop incrementally expires idle flows, one shard per tick, so
-// connections that vanished without a clean close (and thus without
-// Forget) do not pin estimator state forever.
-func (p *Proxy) sweepLoop() {
-	t := time.NewTicker(p.cfg.SweepInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-t.C:
-			p.flows.SweepNext(p.now())
-			if p.pool != nil {
-				p.pool.Sweep() // one stripe per tick, like the flow table
-			}
-		}
-	}
 }

@@ -3,6 +3,7 @@ package lbproxy
 import (
 	"fmt"
 	"net"
+	"slices"
 	"syscall"
 	"testing"
 	"time"
@@ -91,12 +92,73 @@ func TestProxyValidation(t *testing.T) {
 	if _, err := New(Config{Policy: control.NewRoundRobin(2), Backends: []string{"x"}}); err == nil {
 		t.Error("backend mismatch accepted")
 	}
-	if _, err := New(Config{
-		Policy:    control.NewRoundRobin(1),
-		Backends:  []string{"x"},
-		FlowTable: core.FlowTableConfig{Ensemble: core.EnsembleConfig{Timeouts: []time.Duration{2, 1}}},
-	}); err == nil {
-		t.Error("bad flow table accepted")
+}
+
+// TestEstimatorIdleReset drives a connection's observe step on synthetic
+// timestamps, reading each sample back from the controller's next tick. The
+// first request chunk creates the estimator and teardown drops it. A chunk
+// after a silence shorter than estimatorIdleReset yields the gap since the
+// previous batch head. A chunk after a longer silence yields no sample and
+// starts the ladder over, so the estimator then tracks a fresh one chunk for
+// chunk.
+func TestEstimatorIdleReset(t *testing.T) {
+	p, err := New(Config{Backends: []string{"127.0.0.1:1"}, Policy: control.NewRoundRobin(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var f flowEstimator
+	observe := func(now time.Duration) (time.Duration, bool) {
+		p.observe(&f, 0, 0, now)
+		p.ctrl.Tick(now)
+		st := p.ctrl.LastTick()[0]
+		return st.Mean, st.Count == 1
+	}
+
+	// batches feeds 4-chunk batches (100 µs apart, 2 ms between batches) for
+	// 200 ms from start: enough epochs for the cliff to leave rung 0.
+	batches := func(observe func(time.Duration) (time.Duration, bool), start time.Duration) (out []time.Duration) {
+		for now := start; now < start+200*time.Millisecond; now += 2 * time.Millisecond {
+			for i := time.Duration(0); i < 4; i++ {
+				if sample, ok := observe(now + i*100*time.Microsecond); ok {
+					out = append(out, sample)
+				}
+			}
+		}
+		return out
+	}
+
+	t0 := time.Hour
+	if sample, ok := observe(t0); ok || f.est == nil || p.estimators.Load() != 1 {
+		t.Fatalf("first chunk: sample %v ok=%v est=%v estimators=%d, want an estimator and no sample",
+			sample, ok, f.est, p.estimators.Load())
+	}
+	quiet := estimatorIdleReset - time.Second
+	if sample, ok := observe(t0 + quiet); !ok || sample != quiet {
+		t.Errorf("chunk after %v of silence: sample %v ok=%v, want the batch-head gap %v", quiet, sample, ok, quiet)
+	}
+	t1 := t0 + quiet
+	batches(observe, t1+time.Millisecond)
+	if f.est.CurrentIndex() == 0 {
+		t.Fatal("setup: the cliff never left rung 0")
+	}
+
+	t2 := t1 + 2*estimatorIdleReset
+	if sample, ok := observe(t2); ok {
+		t.Errorf("chunk after %v of silence yielded sample %v, want none", 2*estimatorIdleReset, sample)
+	}
+	if f.est.CurrentIndex() != 0 || f.est.Epochs() != 0 {
+		t.Errorf("after the idle reset: rung %d, %d epochs, want the ladder restarted", f.est.CurrentIndex(), f.est.Epochs())
+	}
+	fresh := core.MustEnsemble(core.EnsembleConfig{})
+	fresh.Observe(t2)
+	if got, want := batches(observe, t2+time.Millisecond), batches(fresh.Observe, t2+time.Millisecond); !slices.Equal(got, want) {
+		t.Errorf("reset estimator's samples %v, a fresh one's %v", got, want)
+	}
+
+	p.forget(&f)
+	if f.est != nil || p.estimators.Load() != 0 {
+		t.Errorf("after forget: est=%v estimators=%d", f.est, p.estimators.Load())
 	}
 }
 

@@ -120,8 +120,7 @@ func (p *Proxy) relay(client net.Conn) {
 	defer p.relays.Done()
 	defer p.retire(client)
 	key := flowKeyFor(client)
-	hash := key.Hash()
-	backend, charged := p.route(hash, key)
+	backend, charged := p.route(key)
 	if backend < 0 {
 		return // Dropped
 	}
@@ -151,11 +150,13 @@ func (p *Proxy) relay(client net.Conn) {
 	p.perBackend[backend].Add(1)
 	p.active.Add(1)
 
-	// copyDir relays src→dst until EOF or error; the request direction
-	// timestamps every read into the estimator. A clean EOF is forwarded as
+	// copyDir relays src→dst until EOF or error; the request direction,
+	// which runs on this goroutine, timestamps every read into est (one
+	// aggregator stripe: there is one acceptor). A clean EOF is forwarded as
 	// a half-close and the other direction finishes on its own; any other
 	// end closes both sockets so the other direction unblocks too.
 	// Backend-side failures go to the passive detector.
+	var est flowEstimator
 	copyDir := func(dst, src net.Conn, request bool) {
 		buf := make([]byte, relayBufferSize)
 		for {
@@ -166,7 +167,7 @@ func (p *Proxy) relay(client net.Conn) {
 			p.sysReads.Add(1)
 			if n > 0 {
 				if request {
-					p.observe(hash, key, backend)
+					p.observe(&est, 0, backend, p.now())
 				}
 				p.sysWrites.Add(1)
 				if _, werr := dst.Write(buf[:n]); werr != nil {
@@ -199,7 +200,7 @@ func (p *Proxy) relay(client net.Conn) {
 	<-done
 
 	p.retire(server)
-	p.flows.ForgetHashed(hash, key)
+	p.forget(&est)
 	if charged {
 		p.ctrl.FlowClosed(backend, p.now())
 	}

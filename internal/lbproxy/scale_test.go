@@ -59,7 +59,6 @@ func TestProxyConnScaleStress(t *testing.T) {
 	proxy, err := New(Config{
 		Backends:  backends,
 		Policy:    control.NewRoundRobin(nBackends),
-		Shards:    4,
 		Acceptors: 4,
 	})
 	if err != nil {

@@ -14,11 +14,9 @@ type StatusSnapshot struct {
 	UptimeSeconds float64  `json:"uptime_seconds"`
 	Policy        string   `json:"policy"`
 	Backends      []string `json:"backends"`
-	// FlowTableShards is the measurement path's lock-stripe width;
-	// TrackedFlows the current flow-table population.
-	FlowTableShards int   `json:"flow_table_shards"`
-	TrackedFlows    int   `json:"tracked_flows"`
-	Stats           Stats `json:"stats"`
+	// TrackedFlows counts connections holding a live estimator.
+	TrackedFlows int   `json:"tracked_flows"`
+	Stats        Stats `json:"stats"`
 	// Goroutines is a live runtime.NumGoroutine gauge. On Linux it stays
 	// O(shards) regardless of connection count.
 	Goroutines int `json:"goroutines"`
@@ -46,8 +44,7 @@ func (p *Proxy) Snapshot() StatusSnapshot {
 		UptimeSeconds:      time.Since(p.start).Seconds(),
 		Policy:             p.cfg.Policy.Name(),
 		Backends:           append([]string(nil), p.cfg.Backends...),
-		FlowTableShards:    p.flows.Shards(),
-		TrackedFlows:       p.flows.Len(),
+		TrackedFlows:       int(p.estimators.Load()),
 		Stats:              p.Stats(),
 		Goroutines:         runtime.NumGoroutine(),
 		SnapshotGeneration: p.ctrl.Generation(),

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"inbandlb/internal/control"
-	"inbandlb/internal/core"
 	"inbandlb/internal/faults"
 	"inbandlb/internal/memcache"
 	"inbandlb/internal/packet"
@@ -56,14 +55,12 @@ func TestProxyConcurrentStress(t *testing.T) {
 	proxy, err := New(Config{
 		Backends: backends,
 		Policy:   la,
-		// Small shard count and a fast control tick to maximize contention
-		// between the data plane and snapshot publication under the race
-		// detector.
-		Shards:          4,
+		// Four event loops writing their own aggregator stripes and a fast
+		// control tick to maximize contention between the data plane and
+		// snapshot publication under the race detector.
+		Acceptors:       4,
 		ControlInterval: time.Millisecond,
-		SweepInterval:   20 * time.Millisecond,
 		HealthInterval:  25 * time.Millisecond,
-		FlowTable:       core.FlowTableConfig{IdleTimeout: 100 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -300,10 +297,7 @@ func TestProxyChaosFlappingStress(t *testing.T) {
 	proxy, err := New(Config{
 		Backends:        backends,
 		Policy:          la,
-		Shards:          4,
 		ControlInterval: time.Millisecond,
-		SweepInterval:   20 * time.Millisecond,
-		FlowTable:       core.FlowTableConfig{IdleTimeout: 100 * time.Millisecond},
 		Detector: control.DetectorConfig{
 			Enabled:          true,
 			FailureThreshold: 2,
@@ -405,7 +399,7 @@ func TestProxyChaosFlappingStress(t *testing.T) {
 		t.Errorf("chaos shed everything (accepted=%d routed=%d): schedule too hostile", st.Accepted, routed)
 	}
 
-	// No goroutine leaks: relays, probes, sweeper, ticker all wound down —
+	// No goroutine leaks: relays, probes, ticker all wound down —
 	// and, once they are stopped, the backends' relays of the chaos faults.
 	stopBackends()
 	deadline = time.Now().Add(5 * time.Second)

@@ -18,7 +18,7 @@ import (
 // wheel over the backend sockets its loop owns (npShard.congTick).
 // Retransmission *deltas* (the cumulative counter's growth since the last
 // visit) are fed to the controller's transport-distress channel, attributed
-// to the connection's backend and striped by its flow hash — exactly the
+// to the connection's backend on its shard's aggregator stripe — exactly the
 // shape the simulated packet tracker produces, so the detector downstream
 // cannot tell live evidence from simulated.
 //
@@ -79,7 +79,6 @@ func tcpInfoFD(fd int) (totalRetrans, rttMicros uint32, ok bool) {
 // congEntry is one backend socket's sampling state.
 type congEntry struct {
 	backend int
-	hash    uint64
 	// lastRetrans is the cumulative tcpi_total_retrans at the previous
 	// visit; primed flips after the first successful sample so a pooled
 	// connection's history before this relay is never charged.
@@ -88,8 +87,9 @@ type congEntry struct {
 }
 
 // congCharge folds one cumulative reading into an entry, forwarding the
-// growth to the controller. An entry belongs to its relay's loop alone.
-func (p *Proxy) congCharge(e *congEntry, total uint32) {
+// growth to the controller's aggregator stripe. An entry belongs to its
+// relay's loop alone.
+func (p *Proxy) congCharge(e *congEntry, stripe uint64, total uint32) {
 	p.congSamples.Add(1)
 	if !e.primed {
 		e.primed = true
@@ -99,6 +99,6 @@ func (p *Proxy) congCharge(e *congEntry, total uint32) {
 	if delta := total - e.lastRetrans; delta > 0 {
 		e.lastRetrans = total
 		p.congRetrans.Add(uint64(delta))
-		p.ctrl.ObserveCongestion(e.hash, e.backend, int(delta), 0, 0)
+		p.ctrl.ObserveCongestion(stripe, e.backend, int(delta), 0, 0)
 	}
 }

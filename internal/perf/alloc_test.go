@@ -241,14 +241,14 @@ func TestLBPacketPathZeroAlloc(t *testing.T) {
 	}, body)
 }
 
-// TestProxyMeasurementPathZeroAlloc covers the flow-table half of what the
-// live proxy runs on every request-direction read in steady state: a
-// sharded flow-table observe. (The socket syscalls around it are the
-// kernel's business; the sample fold that follows it is gated by
+// TestProxyMeasurementPathZeroAlloc covers the estimator half of what the
+// live proxy runs on every request-direction read in steady state: the
+// connection's own estimator observes the chunk, interleaved across many
+// connections as one loop serves them. (The socket syscalls around it are
+// the kernel's business; the sample fold that follows it is gated by
 // TestControllerMeasurementPathZeroAlloc.)
 func TestProxyMeasurementPathZeroAlloc(t *testing.T) {
-	tbl := core.MustSharded(core.FlowTableConfig{}, 4)
-	keys := benchKeys()
+	conns := connEstimators()
 	now := time.Duration(0)
 	i := 0
 	body := func() {
@@ -256,11 +256,11 @@ func TestProxyMeasurementPathZeroAlloc(t *testing.T) {
 		if i%4 == 0 {
 			now += 500 * time.Microsecond
 		}
-		tbl.Observe(keys[i%len(keys)], now)
+		conns[i%len(conns)].Observe(now)
 		i++
 	}
 	assertZeroAllocs(t, "proxy measurement path", func() {
-		for j := 0; j < 4*len(keys); j++ {
+		for j := 0; j < 4*len(conns); j++ {
 			body()
 		}
 	}, body)
@@ -382,17 +382,14 @@ func TestControllerTickZeroAllocWhenIdle(t *testing.T) {
 }
 
 // TestControllerMeasurementPathZeroAlloc is the proxy's per-read pipeline
-// as a hard invariant: sharded flow-table observe (prehashed, as the proxy
-// calls it) plus the controller's shard-local sample fold.
+// as a hard invariant: the connection's estimator observes the chunk, and a
+// sample it yields is folded into the aggregator stripe of the connection's
+// event-loop shard — one stripe, as one loop writes it.
 func TestControllerMeasurementPathZeroAlloc(t *testing.T) {
-	tbl := core.MustSharded(core.FlowTableConfig{}, 4)
+	conns := connEstimators()
 	ctrl := control.NewController(control.NewRoundRobin(4), control.ControllerConfig{Shards: 4})
 	defer ctrl.Close()
-	keys := benchKeys()
-	hashes := make([]uint64, len(keys))
-	for i, k := range keys {
-		hashes[i] = k.Hash()
-	}
+	const stripe = 2
 	now := time.Duration(0)
 	i := 0
 	body := func() {
@@ -400,15 +397,13 @@ func TestControllerMeasurementPathZeroAlloc(t *testing.T) {
 		if i%4 == 0 {
 			now += 500 * time.Microsecond
 		}
-		j := i % len(keys)
-		sample, ok := tbl.ObserveHashed(hashes[j], keys[j], now)
-		if ok {
-			ctrl.ObserveSharded(hashes[j], i%4, now, sample)
+		if sample, ok := conns[i%len(conns)].Observe(now); ok {
+			ctrl.ObserveSharded(stripe, i%4, now, sample)
 		}
 		i++
 	}
 	assertZeroAllocs(t, "controller measurement path", func() {
-		for j := 0; j < 4*len(keys); j++ {
+		for j := 0; j < 4*len(conns); j++ {
 			body()
 		}
 	}, body)
@@ -481,4 +476,14 @@ func benchKeys() []packet.FlowKey {
 			uint16(20000+i), 11211, packet.ProtoTCP)
 	}
 	return keys
+}
+
+// connEstimators builds one estimator per connection, as the proxy's relays
+// hold them, for as many connections as benchKeys has flows.
+func connEstimators() []*core.EnsembleTimeout {
+	ests := make([]*core.EnsembleTimeout, len(benchKeys()))
+	for i := range ests {
+		ests[i] = core.MustEnsemble(core.EnsembleConfig{})
+	}
+	return ests
 }
