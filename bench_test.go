@@ -12,6 +12,7 @@ import (
 	"io"
 	"net"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -24,6 +25,9 @@ import (
 	"inbandlb/internal/memcache"
 	"inbandlb/internal/netsim"
 	"inbandlb/internal/packet"
+	"inbandlb/internal/server"
+	"inbandlb/internal/tcpsim"
+	"inbandlb/internal/testbed"
 )
 
 // ---- Figure regenerations -------------------------------------------------
@@ -242,6 +246,50 @@ func BenchmarkLBPacketPath(b *testing.B) {
 			sim.RunUntil(sim.Now() + time.Microsecond) // drain forwarded events
 		}
 	}
+}
+
+// BenchmarkSimRequest measures one simulated request end to end — client,
+// link, LB, server, DSR return — on the cluster TestSimRequestAllocCeiling
+// (internal/perf) pins: every per-request client timer armed, a service
+// time at the server. It reports wall time, heap objects and dispatched
+// events per request.
+func BenchmarkSimRequest(b *testing.B) {
+	const backends = 4
+	servers := make([]server.Config, backends)
+	for i := range servers {
+		servers[i] = server.Config{Workers: 4, Service: server.Deterministic(150 * time.Microsecond)}
+	}
+	cluster, err := testbed.NewCluster(testbed.ClusterConfig{
+		Seed:    1,
+		Policy:  control.NewRoundRobin(backends),
+		Servers: servers,
+		Workload: tcpsim.RequestConfig{
+			Connections:       16,
+			Pipeline:          2,
+			ThinkTime:         20 * time.Microsecond,
+			GetFraction:       0.5,
+			RequestTimeout:    100 * time.Millisecond,
+			RetransmitTimeout: 20 * time.Millisecond,
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cluster.Run(300 * time.Millisecond) // warm-up: free lists and pool at standing size
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	first := cluster.Client.Stats().Sent
+	events := 0
+	b.ResetTimer()
+	for cluster.Client.Stats().Sent-first < uint64(b.N) {
+		events += cluster.Sim.RunUntil(cluster.Sim.Now() + 100*time.Microsecond)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	reqs := float64(cluster.Client.Stats().Sent - first)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/reqs, "ns/request")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/reqs, "allocs/request")
+	b.ReportMetric(float64(events)/reqs, "events/request")
 }
 
 // ---- Syscall-diet dataplane benchmarks --------------------------------------

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"time"
 
 	"inbandlb/internal/packet"
@@ -106,14 +107,14 @@ func (t *FlowTable) Sweep(now time.Duration) int {
 	return n
 }
 
-// evictOldest removes the longest-idle flow; it reports false when the
-// table is empty.
+// evictOldest removes the longest-idle flow, the smallest key among equally
+// idle ones; it reports false when the table is empty.
 func (t *FlowTable) evictOldest() bool {
 	var oldestKey packet.FlowKey
 	var oldest time.Duration = -1
 	found := false
 	for k, e := range t.flows {
-		if !found || e.lastSeen < oldest {
+		if !found || e.lastSeen < oldest || e.lastSeen == oldest && flowKeyLess(k, oldestKey) {
 			found = true
 			oldest = e.lastSeen
 			oldestKey = k
@@ -125,4 +126,23 @@ func (t *FlowTable) evictOldest() bool {
 	delete(t.flows, oldestKey)
 	t.evictions++
 	return true
+}
+
+// flowKeyLess orders flow keys field by field. Eviction breaks ties on
+// lastSeen with it, so which flow goes does not depend on map iteration
+// order and a simulation replays from its seed.
+func flowKeyLess(a, b packet.FlowKey) bool {
+	if a.SrcIP != b.SrcIP {
+		return bytes.Compare(a.SrcIP[:], b.SrcIP[:]) < 0
+	}
+	if a.DstIP != b.DstIP {
+		return bytes.Compare(a.DstIP[:], b.DstIP[:]) < 0
+	}
+	if a.SrcPort != b.SrcPort {
+		return a.SrcPort < b.SrcPort
+	}
+	if a.DstPort != b.DstPort {
+		return a.DstPort < b.DstPort
+	}
+	return a.Proto < b.Proto
 }

@@ -66,6 +66,37 @@ func TestFlowTableEvictionOnFull(t *testing.T) {
 	}
 }
 
+// TestFlowTableEvictionTieBreak: among flows idle equally long the
+// smallest key goes, whatever order the map iterates in.
+func TestFlowTableEvictionTieBreak(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		ft, err := NewFlowTable(FlowTableConfig{MaxFlows: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{3, 1, 2, 0} {
+			ft.Observe(flowN(n), time.Millisecond)
+		}
+		ft.Observe(flowN(9), 2*time.Millisecond)
+		if ft.Estimator(flowN(0)) != nil {
+			t.Fatalf("run %d: evicted a flow other than the smallest key", run)
+		}
+	}
+	for run := 0; run < 20; run++ {
+		h := NewHandshakeTable(FlowTableConfig{MaxFlows: 4})
+		for _, n := range []int{3, 1, 2, 0} {
+			h.Observe(flowN(n), time.Millisecond)
+		}
+		h.Observe(flowN(9), 2*time.Millisecond)
+		// A surviving flow's second packet is its handshake sample.
+		for _, n := range []int{1, 2, 3} {
+			if _, ok := h.Observe(flowN(n), 3*time.Millisecond); !ok {
+				t.Fatalf("run %d: flow %d was evicted, want flow 0", run, n)
+			}
+		}
+	}
+}
+
 func TestFlowTableSweep(t *testing.T) {
 	ft, err := NewFlowTable(FlowTableConfig{IdleTimeout: time.Second})
 	if err != nil {

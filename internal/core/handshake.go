@@ -96,12 +96,14 @@ func (t *HandshakeTable) Sweep(now time.Duration) int {
 	return n
 }
 
+// evictOldest removes the longest-idle flow, the smallest key among equally
+// idle ones.
 func (t *HandshakeTable) evictOldest() {
 	var oldestKey packet.FlowKey
 	var oldest time.Duration = -1
 	found := false
 	for k, st := range t.flows {
-		if !found || st.lastSeen < oldest {
+		if !found || st.lastSeen < oldest || st.lastSeen == oldest && flowKeyLess(k, oldestKey) {
 			found = true
 			oldest = st.lastSeen
 			oldestKey = k

@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"inbandlb/internal/netsim"
+	"inbandlb/internal/testbed"
 )
 
 // The repro contract: a violation anywhere prints
@@ -209,6 +212,34 @@ func TestDSTGoldenDigests(t *testing.T) {
 		}
 		if rep.Digest != want {
 			t.Errorf("seed %d: digest %016x, golden %016x (sent %d)", seed, rep.Digest, want, rep.Stats.Sent)
+		}
+	}
+}
+
+// TestDSTPacketOwnershipOracle gives the packet-ownership oracle teeth: the
+// same scenario passes as built and fails on that oracle alone when an
+// endpoint takes one pooled packet and neither sends nor releases it.
+func TestDSTPacketOwnershipOracle(t *testing.T) {
+	sc := Generate(1)
+	leak := func(c *testbed.Cluster) {
+		c.Sim.Schedule(time.Millisecond, func() {
+			c.Sim.NewPacket(netsim.Packet{Kind: netsim.KindAck})
+		})
+	}
+	for _, tc := range []struct {
+		name string
+		wire func(*testbed.Cluster)
+		want int
+	}{{"clean", nil, 0}, {"leak", leak, 1}} {
+		rep, err := RunOpts(sc, RunOptions{wire: tc.wire})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rep.Total != tc.want {
+			t.Fatalf("%s: %d violations %v, want %d", tc.name, rep.Total, rep.Violations, tc.want)
+		}
+		if tc.want > 0 && rep.Violations[0].Oracle != "packet-ownership" {
+			t.Errorf("%s: caught by %v, want the packet-ownership oracle", tc.name, rep.Violations[0])
 		}
 	}
 }

@@ -83,6 +83,10 @@ type RunOptions struct {
 	// recording passes an auditlog.SyncWriter so the decision log is a
 	// deterministic function of the scenario; replay passes a Collector.
 	Audit auditlog.Sink
+
+	// wire, when set, runs on the assembled cluster before the run: the
+	// package's tests use it to break an ownership rule on purpose.
+	wire func(*testbed.Cluster)
 }
 
 // Run executes the scenario with the real controller and returns its
@@ -222,6 +226,10 @@ func RunOpts(sc Scenario, opts RunOptions) (*Report, error) {
 		}
 	}
 
+	if opts.wire != nil {
+		opts.wire(cluster)
+	}
+
 	_, hasTable := pol.(control.TableSource)
 	_, weighted := pol.(control.Weighted)
 	h := &harness{
@@ -341,6 +349,9 @@ type harness struct {
 		Write([]byte) (int, error)
 		Sum64() uint64
 	}
+	// foldBuf stages fold's bytes; on the stack it would escape through
+	// the digest's interface and cost an allocation per value.
+	foldBuf [8]byte
 
 	lastGen   uint64
 	samples   [][]time.Duration // clean in-band samples per backend
@@ -367,7 +378,7 @@ func (h *harness) violate(oracle, format string, args ...any) {
 
 // fold mixes values into the trace digest.
 func (h *harness) fold(vals ...uint64) {
-	var buf [8]byte
+	buf := &h.foldBuf
 	for _, v := range vals {
 		buf[0] = byte(v)
 		buf[1] = byte(v >> 8)
@@ -522,6 +533,11 @@ func (h *harness) checkFinal() {
 	if served != cs.Responses+cs.Stale {
 		h.violate("conservation-drain", "sum(Served)=%d != Responses=%d + Stale=%d",
 			served, cs.Responses, cs.Stale)
+	}
+	// Packet ownership: with nothing left in flight, every pooled packet
+	// has met its last owner, which must have released it.
+	if n := h.cluster.Sim.LivePackets(); n != 0 {
+		h.violate("packet-ownership", "%d pooled packets never released after drain", n)
 	}
 
 	// Estimator bounds: on clean stretches the in-band median per backend

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -230,6 +231,17 @@ func TestAblationChurn(t *testing.T) {
 	}
 	if res.Metrics["evictions_m256"] != 0 {
 		t.Error("evictions despite ample capacity")
+	}
+}
+
+// TestAblationChurnReproducible: an undersized table evicts among flows
+// idle equally long on every admission, so the experiment replays from its
+// seed only if eviction does not depend on map iteration order.
+func TestAblationChurnReproducible(t *testing.T) {
+	a := AblationChurn(1, 500*time.Millisecond)
+	b := AblationChurn(1, 500*time.Millisecond)
+	if !reflect.DeepEqual(a.Metrics, b.Metrics) {
+		t.Errorf("same seed, different metrics:\n%v\n%v", a.Metrics, b.Metrics)
 	}
 }
 

@@ -62,6 +62,8 @@ func runMultiLB(seed int64, duration time.Duration, k int) (time.Duration, uint6
 		netsim.HandlerFunc(func(p *netsim.Packet) {
 			if c, ok := clients[p.Flow.SrcIP]; ok {
 				c.HandlePacket(p)
+			} else {
+				sim.ReleasePacket(p)
 			}
 		}))
 	for _, s := range servers {

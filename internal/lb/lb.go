@@ -252,7 +252,9 @@ func (l *LB) AffinityAudit(pick func(packet.FlowKey) int) (total, moved int) {
 	return total, moved
 }
 
-// HandlePacket implements netsim.Handler for client→server traffic.
+// HandlePacket implements netsim.Handler for client→server traffic. The
+// packet is forwarded (the uplink takes ownership) or, when it is dropped,
+// released here.
 func (l *LB) HandlePacket(p *netsim.Packet) {
 	now := l.sim.Now()
 	l.stats.Packets++
@@ -296,6 +298,7 @@ func (l *LB) HandlePacket(p *netsim.Packet) {
 		}
 		if b < 0 || b >= l.cfg.Policy.NumBackends() {
 			l.stats.NoBackend++
+			l.sim.ReleasePacket(p)
 			return
 		}
 		entry = connEntry{backend: b, charged: charged}
@@ -326,6 +329,7 @@ func (l *LB) HandlePacket(p *netsim.Packet) {
 	}
 
 	if l.cfg.EstimateOnly {
+		l.sim.ReleasePacket(p)
 		return
 	}
 

@@ -16,7 +16,7 @@ import (
 //     threaded through the slab. seq is monotonic, so such an event sorts
 //     after everything already queued for that instant and before
 //     everything later: appending keeps the order, no comparison needed.
-//     Link dequeue events, a third of a simulation's events, take this path.
+//     Zero-delay hand-offs and a bounded link's dequeue events take it.
 //
 //   - near: a 4-ary min-heap of pointer-free keys for events in the current
 //     epoch (and any earlier one). An epoch is a 2^epochShift ns slice of

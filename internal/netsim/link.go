@@ -25,16 +25,19 @@ type Link struct {
 	// Rate is the line rate in bytes per second (0 = infinite).
 	Rate float64
 	// QueueLimit bounds packets waiting for transmission (0 = unlimited).
-	// Packets arriving at a full queue are dropped (tail drop).
+	// Packets arriving at a full queue are dropped (tail drop). The limit
+	// counts only packets sent while it is set — an unbounded link keeps no
+	// queue count — so set it before the run starts.
 	QueueLimit int
 
 	dst       Handler
 	busyUntil time.Duration // when the transmitter frees up
-	queued    int           // packets waiting to start transmission
+	queued    int           // packets sent under QueueLimit waiting to start transmission
 	stats     LinkStats
 
-	// dequeue is the shared "transmission started" callback; allocated
-	// once so Send schedules it without constructing a closure per packet.
+	// dequeue is the shared "transmission started" callback of a bounded
+	// link; allocated once so Send schedules it without constructing a
+	// closure per packet.
 	dequeue func()
 	// free recycles delivery events (each owns a preallocated closure), so
 	// a packet in flight costs no allocation in steady state. Bounded by
@@ -94,6 +97,9 @@ func (l *Link) newDelivery(p *Packet) *delivery {
 		d = &delivery{l: l}
 		d.fn = func() {
 			pk := d.p
+			if pk.Kind == kindReleased {
+				panic("netsim: packet released while in flight on " + d.l.name)
+			}
 			// Recycle before dispatch: the handler may immediately Send
 			// again on this link and reuse d for the next packet.
 			d.p = nil
@@ -131,18 +137,24 @@ func (l *Link) SetRateAt(fn func(now time.Duration) float64) {
 	l.rateAt = fn
 }
 
-// Send enqueues p for transmission at the current virtual time. Delivery is
-// FIFO while the injected extra delay and jitter are constant; a decreasing
-// extra delay can reorder packets across the change, just as real
-// route-change reordering would.
+// Send enqueues p for transmission at the current virtual time and takes
+// ownership of it: the destination handler owns it on delivery, and a
+// tail-dropped packet is released here. Sending a released packet panics.
+// Delivery is FIFO while the injected extra delay and jitter are constant;
+// a decreasing extra delay can reorder packets across the change, just as
+// real route-change reordering would.
 func (l *Link) Send(p *Packet) {
+	if p.Kind == kindReleased {
+		panic("netsim: released packet sent on " + l.name)
+	}
 	now := l.sim.Now()
-	if l.QueueLimit > 0 && l.queued >= l.QueueLimit {
+	bounded := l.QueueLimit > 0
+	if bounded && l.queued >= l.QueueLimit {
 		l.stats.Dropped++
+		l.sim.ReleasePacket(p)
 		return
 	}
 	l.stats.Sent++
-	l.queued++
 
 	start := l.busyUntil
 	if start < now {
@@ -160,8 +172,12 @@ func (l *Link) Send(p *Packet) {
 	}
 	l.busyUntil = start + tx
 
-	// The packet leaves the queue when its transmission begins.
-	l.sim.Schedule(start, l.dequeue)
+	// The packet leaves the queue when its transmission begins. Only a
+	// bounded link reads the queue length, so only it pays for the event.
+	if bounded {
+		l.queued++
+		l.sim.Schedule(start, l.dequeue)
+	}
 
 	arrival := l.busyUntil + l.Delay
 	if l.extraDelay != nil {

@@ -25,6 +25,10 @@ const (
 	KindOpen
 	// KindClose marks connection teardown (FIN-equivalent).
 	KindClose
+
+	// kindReleased poisons a packet back on its simulator's free list, so a
+	// second release or a send after release is caught (see Packet).
+	kindReleased Kind = 0xff
 )
 
 // String names the kind for traces.
@@ -72,8 +76,18 @@ func (o Op) String() string {
 	}
 }
 
-// Packet is the unit the simulator moves around. Packets are allocated per
-// send; handlers must not retain them past the callback unless they own them.
+// Packet is the unit the simulator moves around.
+//
+// Endpoints take packets from their simulator's pool (Sim.NewPacket) and
+// ownership travels with the packet: a handler owns the packet it is given,
+// Link.Send passes ownership on to the link, and whoever consumes the packet
+// for good — the endpoint that handled it, or a drop path (link tail-drop,
+// load balancer without a backend, server refusal or overflow) — gives it
+// back with Sim.ReleasePacket. After that the packet is poisoned: releasing
+// it again or sending it panics, and Sim.LivePackets counts packets taken
+// and not yet returned, which must reach zero once a run drains. Packets
+// built with a composite literal are not pooled; releasing one does
+// nothing, so tests and probes may keep and reuse them.
 type Packet struct {
 	// Flow identifies the connection (client-side 5-tuple for both
 	// directions of application traffic; see FlowKey.Reverse for ACKs).
@@ -102,7 +116,46 @@ type Packet struct {
 	// it — only the congestion tracker, which treats it as the TCP
 	// window-field transition to zero.
 	ZeroWindow bool
+
+	// pooled marks packets taken from Sim.NewPacket.
+	pooled bool
 }
+
+// NewPacket returns a pooled packet holding v's fields. Its owner gives it
+// back with ReleasePacket once the packet is consumed.
+func (s *Sim) NewPacket(v Packet) *Packet {
+	var p *Packet
+	if n := len(s.packets); n > 0 {
+		p = s.packets[n-1]
+		s.packets = s.packets[:n-1]
+	} else {
+		p = new(Packet)
+	}
+	*p = v
+	p.pooled = true
+	s.livePackets++
+	return p
+}
+
+// ReleasePacket ends p's life: a pooled packet is poisoned and goes back on
+// the free list; a packet not from NewPacket is left alone. Releasing a
+// packet twice panics.
+func (s *Sim) ReleasePacket(p *Packet) {
+	if p.Kind == kindReleased {
+		panic("netsim: packet released twice")
+	}
+	if !p.pooled {
+		return
+	}
+	p.Kind = kindReleased
+	s.packets = append(s.packets, p)
+	s.livePackets--
+}
+
+// LivePackets returns the number of pooled packets taken and not yet
+// released: packets in flight, queued or held by an endpoint. After a run
+// drains it is zero unless an owner lost a packet.
+func (s *Sim) LivePackets() int { return s.livePackets }
 
 // Handler consumes packets delivered by links.
 type Handler interface {

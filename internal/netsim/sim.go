@@ -21,6 +21,11 @@ type Sim struct {
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
+
+	// packets is the free list behind NewPacket; livePackets counts packets
+	// taken from it and not yet released.
+	packets     []*Packet
+	livePackets int
 }
 
 type event struct {

@@ -173,7 +173,10 @@ func (s *Server) Stats() Stats { return s.stats }
 // answered immediately with a SYN-ACK toward the client (kernel handshake
 // processing, no worker involvement); other non-request packets are
 // dropped — a DSR server never sees ACK-only traffic from the LB in this
-// model.
+// model. The server is the last owner of every packet it is given: it
+// releases a request when the response is sent (or the request dropped),
+// and anything else at once. Its responses, SYN-ACKs and RSTs are taken
+// from the simulator's packet pool.
 func (s *Server) HandlePacket(p *netsim.Packet) {
 	if p.Kind == netsim.KindOpen || p.Kind == netsim.KindRequest {
 		switch s.cfg.ConnFaults.ConnFaultAt(s.sim.Now(), p.Flow.Hash()).Kind {
@@ -182,37 +185,23 @@ func (s *Server) HandlePacket(p *netsim.Packet) {
 			// refused, established flows are reset mid-stream. Either way
 			// the client learns in one RTT and must reconnect.
 			s.stats.Refused++
-			if s.out != nil {
-				s.out(&netsim.Packet{
-					Flow:      p.Flow,
-					Kind:      netsim.KindClose,
-					Size:      64,
-					SentAt:    s.sim.Now(),
-					ReqSentAt: p.SentAt,
-				})
-			}
+			s.reply(p, netsim.KindClose)
 			return
 		case faults.ConnBlackhole:
 			// Silent drop: the client sees nothing until its own timeout,
 			// and the LB sees the in-band sample stream go quiet.
 			s.stats.Blackholed++
+			s.sim.ReleasePacket(p)
 			return
 		}
 	}
 	if p.Kind == netsim.KindOpen {
-		if s.out != nil {
-			s.out(&netsim.Packet{
-				Flow:      p.Flow,
-				Kind:      netsim.KindOpen,
-				Size:      64,
-				SentAt:    s.sim.Now(),
-				ReqSentAt: p.SentAt,
-			})
-		}
+		s.reply(p, netsim.KindOpen)
 		return
 	}
 	if p.Kind != netsim.KindRequest {
 		s.stats.Dropped++
+		s.sim.ReleasePacket(p)
 		return
 	}
 	if s.busy < s.cfg.Workers {
@@ -221,12 +210,26 @@ func (s *Server) HandlePacket(p *netsim.Packet) {
 	}
 	if s.cfg.QueueLimit > 0 && len(s.queue) >= s.cfg.QueueLimit {
 		s.stats.Dropped++
+		s.sim.ReleasePacket(p)
 		return
 	}
 	s.queue = append(s.queue, queued{p: p, at: s.sim.Now()})
 	if len(s.queue) > s.stats.MaxQueue {
 		s.stats.MaxQueue = len(s.queue)
 	}
+}
+
+// reply answers p at once with a 64-byte packet of the given kind (a
+// SYN-ACK or an RST) and releases p.
+func (s *Server) reply(p *netsim.Packet, kind netsim.Kind) {
+	s.emit(s.sim.NewPacket(netsim.Packet{
+		Flow:      p.Flow,
+		Kind:      kind,
+		Size:      64,
+		SentAt:    s.sim.Now(),
+		ReqSentAt: p.SentAt,
+	}))
+	s.sim.ReleasePacket(p)
 }
 
 // start begins processing p, which waited in queue for wait.
@@ -265,7 +268,7 @@ func (s *Server) serviced(p *netsim.Packet) {
 
 func (s *Server) finish(p *netsim.Packet) {
 	s.stats.Served++
-	resp := &netsim.Packet{
+	resp := s.sim.NewPacket(netsim.Packet{
 		Flow:      p.Flow,
 		Kind:      netsim.KindResponse,
 		Op:        p.Op,
@@ -274,7 +277,8 @@ func (s *Server) finish(p *netsim.Packet) {
 		Size:      s.cfg.ResponseSize,
 		SentAt:    s.sim.Now(),
 		ReqSentAt: p.SentAt,
-	}
+	})
+	s.sim.ReleasePacket(p)
 	s.send(resp)
 	s.busy--
 	if len(s.queue) > 0 {
@@ -297,9 +301,7 @@ func (s *Server) send(resp *netsim.Packet) {
 			return
 		}
 	}
-	if s.out != nil {
-		s.out(resp)
-	}
+	s.emit(resp)
 }
 
 // flushBatch releases every held response back-to-back.
@@ -307,8 +309,15 @@ func (s *Server) flushBatch() {
 	b := s.batch
 	s.batch = nil
 	for _, r := range b {
-		if s.out != nil {
-			s.out(r)
-		}
+		s.emit(r)
+	}
+}
+
+// emit hands a packet to the output, or releases it when none is wired.
+func (s *Server) emit(resp *netsim.Packet) {
+	if s.out != nil {
+		s.out(resp)
+	} else {
+		s.sim.ReleasePacket(resp)
 	}
 }

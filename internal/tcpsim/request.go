@@ -166,6 +166,8 @@ type RequestClient struct {
 	deadlines    []deadline
 	deadlineHead int
 	onDeadline   func()
+	// onReopen is openConn bound once, for the reopen after ReopenDelay.
+	onReopen func()
 	// free recycles the timers that do not fire in arming order (RTO, think
 	// time); each owns a prebuilt callback, so they cost no allocation in
 	// steady state either. Bounded by the peak number pending at once.
@@ -182,14 +184,32 @@ type RequestClient struct {
 }
 
 type conn struct {
-	flow      packet.FlowKey
-	sent      int // requests sent on this connection
-	done      int // responses received on this connection
-	inflight  int
-	nextSeq   uint64
-	sendTimes map[uint64]time.Duration
-	ops       map[uint64]netsim.Op
-	closed    bool
+	flow    packet.FlowKey
+	sent    int // requests sent on this connection
+	done    int // responses received on this connection
+	nextSeq uint64
+	// pending holds the requests awaiting a response, in send order (so
+	// oldest first). The pipeline bounds it at Pipeline entries, so a
+	// linear scan finds a response's request.
+	pending []pending
+	closed  bool
+}
+
+// pending is one outstanding request.
+type pending struct {
+	seq uint64
+	at  time.Duration // send time
+	op  netsim.Op
+}
+
+// find returns the index of seq in cn.pending, or -1.
+func (cn *conn) find(seq uint64) int {
+	for i := range cn.pending {
+		if cn.pending[i].seq == seq {
+			return i
+		}
+	}
+	return -1
 }
 
 // NewRequestClient creates the client; call Start to begin.
@@ -226,6 +246,7 @@ func NewRequestClient(sim *netsim.Sim, cfg RequestConfig, out func(*netsim.Packe
 		},
 	}
 	c.onDeadline = c.deadlineFired // bound once: a method value allocates where it is taken
+	c.onReopen = c.openConn
 	if cfg.Keys > 1 && cfg.KeyZipfS > 1 {
 		c.zipf = rand.NewZipf(sim.Rand(), cfg.KeyZipfS, 1, uint64(cfg.Keys-1))
 	}
@@ -265,8 +286,7 @@ func (c *RequestClient) openConn() {
 	cn := &conn{
 		flow: packet.NewFlowKey(
 			c.cfg.ClientIP, c.cfg.VIP, port, c.cfg.VPort, packet.ProtoTCP),
-		sendTimes: make(map[uint64]time.Duration),
-		ops:       make(map[uint64]netsim.Op),
+		pending: make([]pending, 0, c.cfg.Pipeline),
 	}
 	c.conns = append(c.conns, cn)
 	c.stats.Opened++
@@ -281,19 +301,19 @@ func (c *RequestClient) openConn() {
 	if c.cfg.EmitOpen {
 		// Send the SYN; fill happens when the SYN-ACK arrives (see
 		// HandlePacket), exactly one handshake RTT later.
-		c.out(&netsim.Packet{
+		c.out(c.sim.NewPacket(netsim.Packet{
 			Flow:   cn.flow,
 			Kind:   netsim.KindOpen,
 			Size:   64,
 			SentAt: c.sim.Now(),
-		})
+		}))
 		return
 	}
 	fill()
 }
 
 func (c *RequestClient) canSend(cn *conn) bool {
-	if c.stopped || cn.closed || cn.inflight >= c.cfg.Pipeline {
+	if c.stopped || cn.closed || len(cn.pending) >= c.cfg.Pipeline {
 		return false
 	}
 	if c.cfg.RequestsPerConn > 0 && cn.sent >= c.cfg.RequestsPerConn {
@@ -307,13 +327,11 @@ func (c *RequestClient) sendRequest(cn *conn) {
 	seq := cn.nextSeq
 	cn.nextSeq++
 	cn.sent++
-	cn.inflight++
 	op := netsim.OpSet
 	if c.sim.Rand().Float64() < c.cfg.GetFraction {
 		op = netsim.OpGet
 	}
-	cn.sendTimes[seq] = now
-	cn.ops[seq] = op
+	cn.pending = append(cn.pending, pending{seq: seq, at: now, op: op})
 	c.stats.Sent++
 	var key uint64
 	if c.cfg.Keys > 0 {
@@ -323,7 +341,7 @@ func (c *RequestClient) sendRequest(cn *conn) {
 			key = uint64(c.sim.Rand().Intn(c.cfg.Keys)) + 1
 		}
 	}
-	c.out(&netsim.Packet{
+	c.out(c.sim.NewPacket(netsim.Packet{
 		Flow:   cn.flow,
 		Kind:   netsim.KindRequest,
 		Op:     op,
@@ -331,7 +349,7 @@ func (c *RequestClient) sendRequest(cn *conn) {
 		Key:    key,
 		Size:   c.cfg.ReqSize,
 		SentAt: now,
-	})
+	}))
 	if c.cfg.RequestTimeout > 0 {
 		c.deadlines = append(c.deadlines, deadline{cn, seq})
 		c.sim.After(c.cfg.RequestTimeout, c.onDeadline)
@@ -365,7 +383,7 @@ func (c *RequestClient) deadlineFired() {
 	if d.cn.closed {
 		return
 	}
-	if _, waiting := d.cn.sendTimes[d.seq]; !waiting {
+	if d.cn.find(d.seq) < 0 {
 		return
 	}
 	// Deadline fired with the response still outstanding: the application
@@ -424,13 +442,12 @@ func (c *RequestClient) fire(t *reqTimer) {
 		// number) is re-sent and the timer re-arms at double the delay, up
 		// to RetransmitMax attempts. The re-send is a transport-layer event:
 		// Sent, Outstanding, and the request's deadline are untouched.
-		_, waiting := cn.sendTimes[seq]
-		if cn.closed || c.stopped || int(t.attempt) > c.cfg.RetransmitMax || !waiting {
+		if cn.closed || c.stopped || int(t.attempt) > c.cfg.RetransmitMax || cn.find(seq) < 0 {
 			c.recycle(t)
 			return
 		}
 		c.stats.Retransmits++
-		c.out(&netsim.Packet{
+		c.out(c.sim.NewPacket(netsim.Packet{
 			Flow:   cn.flow,
 			Kind:   netsim.KindRequest,
 			Op:     t.op,
@@ -438,7 +455,7 @@ func (c *RequestClient) fire(t *reqTimer) {
 			Key:    t.key,
 			Size:   c.cfg.ReqSize,
 			SentAt: c.sim.Now(),
-		})
+		}))
 		t.attempt++
 		t.delay *= 2
 		c.sim.After(t.delay, t.fn)
@@ -455,8 +472,14 @@ func (c *RequestClient) recycle(t *reqTimer) {
 	c.free = append(c.free, t)
 }
 
-// HandlePacket receives responses (and SYN-ACKs) from servers.
+// HandlePacket receives responses (and SYN-ACKs) from servers. The client
+// is every such packet's last owner and releases it once handled.
 func (c *RequestClient) HandlePacket(p *netsim.Packet) {
+	c.handle(p)
+	c.sim.ReleasePacket(p)
+}
+
+func (c *RequestClient) handle(p *netsim.Packet) {
 	if p.Kind == netsim.KindOpen {
 		// SYN-ACK: the connection is established, fill the pipeline.
 		cn := c.findConn(p.Flow)
@@ -508,25 +531,23 @@ func (c *RequestClient) HandlePacket(p *netsim.Packet) {
 		if c.burstLen >= c.cfg.ZeroWindowBurst {
 			c.burstLen = 0
 			c.stats.ZeroWindows++
-			c.out(&netsim.Packet{
+			c.out(c.sim.NewPacket(netsim.Packet{
 				Flow:       cn.flow,
 				Kind:       netsim.KindAck,
 				Seq:        p.Seq,
 				Size:       64,
 				SentAt:     now,
 				ZeroWindow: true,
-			})
+			}))
 		}
 	}
-	sentAt, ok := cn.sendTimes[p.Seq]
-	if !ok {
+	i := cn.find(p.Seq)
+	if i < 0 {
 		c.stats.Stale++
 		return
 	}
-	delete(cn.sendTimes, p.Seq)
-	op := cn.ops[p.Seq]
-	delete(cn.ops, p.Seq)
-	cn.inflight--
+	sentAt, op := cn.pending[i].at, cn.pending[i].op
+	cn.pending = append(cn.pending[:i], cn.pending[i+1:]...)
 	cn.done++
 	lat := now - sentAt
 	c.stats.Responses++
@@ -536,13 +557,13 @@ func (c *RequestClient) HandlePacket(p *netsim.Packet) {
 		// sequence point — a duplicate ACK toward the server.
 		if oldest, at, ok := cn.oldestOutstanding(); ok && oldest < p.Seq && now-at >= c.cfg.DupAckAge {
 			c.stats.DupAcks++
-			c.out(&netsim.Packet{
+			c.out(c.sim.NewPacket(netsim.Packet{
 				Flow:   cn.flow,
 				Kind:   netsim.KindAck,
 				Seq:    oldest,
 				Size:   64,
 				SentAt: now,
-			})
+			}))
 		}
 	}
 	switch op {
@@ -609,17 +630,10 @@ func (c *RequestClient) Thunder() {
 // oldestOutstanding returns the lowest outstanding sequence number on the
 // connection and its send time.
 func (cn *conn) oldestOutstanding() (uint64, time.Duration, bool) {
-	var (
-		oldest uint64
-		at     time.Duration
-		found  bool
-	)
-	for s, t := range cn.sendTimes {
-		if !found || s < oldest {
-			oldest, at, found = s, t, true
-		}
+	if len(cn.pending) == 0 {
+		return 0, 0, false
 	}
-	return oldest, at, found
+	return cn.pending[0].seq, cn.pending[0].at, true
 }
 
 // abortConn tears a connection down before its workload completed —
@@ -637,15 +651,15 @@ func (c *RequestClient) closeConn(cn *conn) {
 	cn.closed = true
 	// Requests still awaiting responses are given up on; any response that
 	// arrives later is counted as Stale, never as a completion.
-	c.stats.Abandoned += uint64(len(cn.sendTimes))
+	c.stats.Abandoned += uint64(len(cn.pending))
 	// Tell the path (and thus the LB's connection tracker) that this flow
 	// is done — the FIN of the modelled TCP connection.
-	c.out(&netsim.Packet{
+	c.out(c.sim.NewPacket(netsim.Packet{
 		Flow:   cn.flow,
 		Kind:   netsim.KindClose,
 		Size:   64,
 		SentAt: c.sim.Now(),
-	})
+	}))
 	for i, x := range c.conns {
 		if x == cn {
 			c.conns = append(c.conns[:i], c.conns[i+1:]...)
@@ -656,7 +670,7 @@ func (c *RequestClient) closeConn(cn *conn) {
 		return
 	}
 	if c.cfg.ReopenDelay > 0 {
-		c.sim.After(c.cfg.ReopenDelay, c.openConn)
+		c.sim.After(c.cfg.ReopenDelay, c.onReopen)
 	} else {
 		c.openConn()
 	}
@@ -681,7 +695,7 @@ func (c *RequestClient) OpenConns() int { return len(c.conns) }
 func (c *RequestClient) Outstanding() int {
 	n := 0
 	for _, cn := range c.conns {
-		n += len(cn.sendTimes)
+		n += len(cn.pending)
 	}
 	return n
 }
