@@ -164,7 +164,8 @@ type LatencyAwareConfig struct {
 	// per-server windowed q-quantile instead of the EWMA: the controller
 	// then optimizes the tail directly. Zero keeps the EWMA signal.
 	SignalQuantile float64
-	// Latency configures the per-server aggregation.
+	// Latency configures the per-server aggregation. With SignalQuantile in
+	// (0,1) and no WindowSlices, the windows default to 8 × 125 ms.
 	Latency core.ServerLatencyConfig
 }
 
@@ -207,6 +208,9 @@ func NewLatencyAware(cfg LatencyAwareConfig) (*LatencyAware, error) {
 	}
 	if cfg.MinWeight < 0 || cfg.MinWeight*float64(len(cfg.Backends)) >= 1 {
 		return nil, fmt.Errorf("control: min weight %v infeasible for %d backends", cfg.MinWeight, len(cfg.Backends))
+	}
+	if q := cfg.SignalQuantile; q > 0 && q < 1 && cfg.Latency.WindowSlices <= 0 {
+		cfg.Latency.WindowSlices = 8 // the quantile signal reads the windows
 	}
 	n := len(cfg.Backends)
 	weights := make([]float64, n)

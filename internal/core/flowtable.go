@@ -25,6 +25,7 @@ type FlowTableConfig struct {
 type FlowTable struct {
 	cfg   FlowTableConfig
 	flows map[packet.FlowKey]*flowEntry
+	free  []*flowEntry // entries of dropped flows, estimators and all
 
 	evictions uint64
 	rejected  uint64
@@ -62,15 +63,37 @@ func (t *FlowTable) Observe(key packet.FlowKey, now time.Duration) (time.Duratio
 			t.rejected++
 			return 0, false
 		}
-		e = &flowEntry{est: MustEnsemble(t.cfg.Ensemble)}
+		e = t.newEntry()
 		t.flows[key] = e
 	}
 	e.lastSeen = now
 	return e.est.Observe(now)
 }
 
+// newEntry takes a dropped flow's entry, its estimator reset and its
+// OnEpoch hook cleared, or builds one.
+func (t *FlowTable) newEntry() *flowEntry {
+	n := len(t.free)
+	if n == 0 {
+		return &flowEntry{est: MustEnsemble(t.cfg.Ensemble)}
+	}
+	e := t.free[n-1]
+	t.free = t.free[:n-1]
+	e.est.Reset()
+	e.est.OnEpoch = nil
+	return e
+}
+
+// drop removes a tracked flow and keeps its entry for reuse.
+func (t *FlowTable) drop(key packet.FlowKey, e *flowEntry) {
+	delete(t.flows, key)
+	t.free = append(t.free, e)
+}
+
 // Estimator exposes the per-flow estimator for instrumentation (nil when
-// the flow is not tracked).
+// the flow is not tracked). The pointer is the flow's only while the flow
+// is tracked: once it is forgotten, swept or evicted, the table reuses the
+// estimator for a later flow.
 func (t *FlowTable) Estimator(key packet.FlowKey) *EnsembleTimeout {
 	if e, ok := t.flows[key]; ok {
 		return e.est
@@ -80,7 +103,9 @@ func (t *FlowTable) Estimator(key packet.FlowKey) *EnsembleTimeout {
 
 // Forget drops a flow (connection closed).
 func (t *FlowTable) Forget(key packet.FlowKey) {
-	delete(t.flows, key)
+	if e, ok := t.flows[key]; ok {
+		t.drop(key, e)
+	}
 }
 
 // Len returns the number of tracked flows.
@@ -100,7 +125,7 @@ func (t *FlowTable) Sweep(now time.Duration) int {
 	n := 0
 	for k, e := range t.flows {
 		if e.lastSeen < cutoff {
-			delete(t.flows, k)
+			t.drop(k, e)
 			n++
 		}
 	}
@@ -111,19 +136,17 @@ func (t *FlowTable) Sweep(now time.Duration) int {
 // idle ones; it reports false when the table is empty.
 func (t *FlowTable) evictOldest() bool {
 	var oldestKey packet.FlowKey
-	var oldest time.Duration = -1
-	found := false
+	var oldestEntry *flowEntry
 	for k, e := range t.flows {
-		if !found || e.lastSeen < oldest || e.lastSeen == oldest && flowKeyLess(k, oldestKey) {
-			found = true
-			oldest = e.lastSeen
-			oldestKey = k
+		if oldestEntry == nil || e.lastSeen < oldestEntry.lastSeen ||
+			e.lastSeen == oldestEntry.lastSeen && flowKeyLess(k, oldestKey) {
+			oldestEntry, oldestKey = e, k
 		}
 	}
-	if !found {
+	if oldestEntry == nil {
 		return false
 	}
-	delete(t.flows, oldestKey)
+	t.drop(oldestKey, oldestEntry)
 	t.evictions++
 	return true
 }

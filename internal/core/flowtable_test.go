@@ -162,3 +162,43 @@ func BenchmarkFlowTableObserve(b *testing.B) {
 		ft.Observe(keys[i%len(keys)], now)
 	}
 }
+
+// TestFlowTableReusesDroppedEstimators: a forgotten flow's estimator is
+// handed to the next new flow reset, with its OnEpoch hook cleared, so the
+// new flow's samples are those of a fresh estimator.
+func TestFlowTableReusesDroppedEstimators(t *testing.T) {
+	ft, err := NewFlowTable(FlowTableConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A flow long enough to finish epochs and move its cliff choice.
+	now := time.Duration(0)
+	for b := 0; b < 3000; b++ {
+		ft.Observe(flowN(1), now)
+		ft.Observe(flowN(1), now+5*time.Microsecond)
+		now += 700 * time.Microsecond
+	}
+	old := ft.Estimator(flowN(1))
+	hooked := 0
+	old.OnEpoch = func(time.Duration, []uint64, int) { hooked++ }
+	ft.Forget(flowN(1))
+
+	fresh := MustEnsemble(EnsembleConfig{})
+	for b := 0; b < 3000; b++ {
+		at := now + time.Duration(b)*300*time.Microsecond
+		for p := 0; p < 3; p++ {
+			got, gotOK := ft.Observe(flowN(2), at+time.Duration(p)*7*time.Microsecond)
+			want, wantOK := fresh.Observe(at + time.Duration(p)*7*time.Microsecond)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("batch %d packet %d: reused estimator gave (%v, %v), a fresh one (%v, %v)",
+					b, p, got, gotOK, want, wantOK)
+			}
+		}
+	}
+	if ft.Estimator(flowN(2)) != old {
+		t.Error("the new flow did not reuse the forgotten flow's estimator")
+	}
+	if hooked != 0 {
+		t.Errorf("the forgotten flow's OnEpoch hook ran %d times for the new flow", hooked)
+	}
+}

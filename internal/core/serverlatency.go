@@ -15,8 +15,13 @@ type ServerLatencyConfig struct {
 	// Staleness bounds how old a server's most recent sample may be for
 	// the server to participate in Worst(). Defaults to 1 s.
 	Staleness time.Duration
-	// WindowSlices and WindowSliceWidth configure the sliding-window
-	// percentile tracker per server. Defaults: 8 × 125 ms = 1 s window.
+	// WindowSlices and WindowSliceWidth configure a sliding-window
+	// percentile tracker per server, which the Quantile methods read. Zero
+	// WindowSlices keeps no windows: a window is WindowSlices+1 histograms
+	// of 15 KiB per server plus a record per sample, so only a caller that
+	// reads quantiles asks for one. Without windows Quantile returns 0 and
+	// WorstQuantile and BestQuantile return -1. WindowSliceWidth defaults to
+	// 125 ms (8 × 125 ms is a 1 s window).
 	WindowSlices     int
 	WindowSliceWidth time.Duration
 }
@@ -28,21 +33,19 @@ func (c *ServerLatencyConfig) applyDefaults() {
 	if c.Staleness <= 0 {
 		c.Staleness = time.Second
 	}
-	if c.WindowSlices <= 0 {
-		c.WindowSlices = 8
-	}
 	if c.WindowSliceWidth <= 0 {
 		c.WindowSliceWidth = 125 * time.Millisecond
 	}
 }
 
 // ServerLatency aggregates the estimator's per-flow samples into
-// per-server latency signals the controller consumes: an EWMA for the
-// control decision and a sliding-window histogram for reporting.
+// per-server latency signals the controller consumes: an EWMA, and when
+// configured (WindowSlices) a sliding-window histogram for controllers that
+// act on a quantile.
 type ServerLatency struct {
 	cfg     ServerLatencyConfig
 	ewmas   []*stats.EWMA
-	windows []*stats.WindowedHistogram
+	windows []*stats.WindowedHistogram // nil without WindowSlices
 	lastAt  []time.Duration
 	samples []uint64
 }
@@ -56,14 +59,18 @@ func NewServerLatency(n int, cfg ServerLatencyConfig) *ServerLatency {
 	s := &ServerLatency{
 		cfg:     cfg,
 		ewmas:   make([]*stats.EWMA, n),
-		windows: make([]*stats.WindowedHistogram, n),
 		lastAt:  make([]time.Duration, n),
 		samples: make([]uint64, n),
 	}
 	for i := 0; i < n; i++ {
 		s.ewmas[i] = stats.NewEWMA(cfg.HalfLife)
-		s.windows[i] = stats.NewWindowedHistogram(cfg.WindowSlices, cfg.WindowSliceWidth)
 		s.lastAt[i] = -1
+	}
+	if cfg.WindowSlices > 0 {
+		s.windows = make([]*stats.WindowedHistogram, n)
+		for i := range s.windows {
+			s.windows[i] = stats.NewWindowedHistogram(cfg.WindowSlices, cfg.WindowSliceWidth)
+		}
 	}
 	return s
 }
@@ -74,7 +81,9 @@ func (s *ServerLatency) NumServers() int { return len(s.ewmas) }
 // Observe folds a latency sample for server i at time now.
 func (s *ServerLatency) Observe(i int, now, sample time.Duration) {
 	s.ewmas[i].Update(now, float64(sample))
-	s.windows[i].Record(now, sample)
+	if s.windows != nil {
+		s.windows[i].Record(now, sample)
+	}
 	s.lastAt[i] = now
 	s.samples[i]++
 }
@@ -84,8 +93,12 @@ func (s *ServerLatency) Latency(i int) time.Duration {
 	return time.Duration(s.ewmas[i].Value())
 }
 
-// Quantile returns server i's q-quantile over the sliding window.
+// Quantile returns server i's q-quantile over the sliding window, or 0
+// without windows.
 func (s *ServerLatency) Quantile(i int, now time.Duration, q float64) time.Duration {
+	if s.windows == nil {
+		return 0
+	}
 	return s.windows[i].Quantile(now, q)
 }
 
@@ -120,9 +133,10 @@ func (s *ServerLatency) Worst(now time.Duration) int {
 }
 
 // WorstQuantile returns the fresh server with the highest q-quantile
-// latency over the sliding window, or -1 when no server is fresh. Control
-// on a windowed quantile optimizes the tail directly, where the EWMA
-// optimizes the mean — the two can disagree on bimodal servers.
+// latency over the sliding window, or -1 when no server is fresh or there
+// are no windows. Control on a windowed quantile optimizes the tail
+// directly, where the EWMA optimizes the mean — the two can disagree on
+// bimodal servers.
 func (s *ServerLatency) WorstQuantile(now time.Duration, q float64) int {
 	worst := -1
 	var worstLat time.Duration
@@ -139,7 +153,8 @@ func (s *ServerLatency) WorstQuantile(now time.Duration, q float64) int {
 	return worst
 }
 
-// BestQuantile is WorstQuantile's counterpart: the lowest q-quantile.
+// BestQuantile is WorstQuantile's counterpart: the lowest q-quantile, or
+// -1 when no server is fresh or there are no windows.
 func (s *ServerLatency) BestQuantile(now time.Duration, q float64) int {
 	best := -1
 	var bestLat time.Duration

@@ -94,7 +94,7 @@ func TestServerLatencyReactsToStep(t *testing.T) {
 }
 
 func TestServerLatencyQuantile(t *testing.T) {
-	sl := NewServerLatency(1, ServerLatencyConfig{})
+	sl := NewServerLatency(1, ServerLatencyConfig{WindowSlices: 8})
 	now := time.Duration(0)
 	for i := 1; i <= 100; i++ {
 		now += time.Millisecond
@@ -103,6 +103,25 @@ func TestServerLatencyQuantile(t *testing.T) {
 	p95 := sl.Quantile(0, now, 0.95)
 	if p95 < 90*time.Microsecond || p95 > 100*time.Microsecond {
 		t.Errorf("p95 = %v, want ~95µs", p95)
+	}
+}
+
+// TestServerLatencyWithoutWindows pins the documented results of the
+// quantile methods when no window was asked for: the EWMA signal is kept,
+// Quantile reads 0 and no server is worst or best by quantile.
+func TestServerLatencyWithoutWindows(t *testing.T) {
+	sl := NewServerLatency(2, ServerLatencyConfig{})
+	sl.Observe(0, time.Millisecond, 100*time.Microsecond)
+	sl.Observe(1, time.Millisecond, 300*time.Microsecond)
+	now := time.Millisecond
+	if q := sl.Quantile(0, now, 0.95); q != 0 {
+		t.Errorf("Quantile without windows = %v, want 0", q)
+	}
+	if w, b := sl.WorstQuantile(now, 0.95), sl.BestQuantile(now, 0.95); w != -1 || b != -1 {
+		t.Errorf("WorstQuantile, BestQuantile without windows = %d, %d; want -1, -1", w, b)
+	}
+	if w, b := sl.Worst(now), sl.Best(now); w != 1 || b != 0 {
+		t.Errorf("Worst, Best = %d, %d; want 1, 0", w, b)
 	}
 }
 

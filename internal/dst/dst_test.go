@@ -2,6 +2,10 @@ package dst
 
 import (
 	"flag"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -29,11 +33,37 @@ var (
 	congSweep  = flag.Int("dst.congsweep", 40, "number of seeds TestDSTCongestionSweep covers")
 )
 
+// seedRun is one scenario's outcome: its report, and the failure lines a
+// test prints for it, in order. fatal ends the test.
+type seedRun struct {
+	rep    *Report
+	errors []string
+	fatal  string
+}
+
 // runSeed executes one scenario under the named policy (empty = default),
 // shrinks on failure, and reports the minimal repro. keep (nil = all)
 // selects a fault subset first.
 func runSeed(t *testing.T, seed int64, keep []int, policy string, mutated, congestion bool) *Report {
 	t.Helper()
+	return report(t, execSeed(seed, keep, policy, mutated, congestion))
+}
+
+// report prints r's failure lines on t and returns its report.
+func report(t *testing.T, r seedRun) *Report {
+	t.Helper()
+	for _, e := range r.errors {
+		t.Error(e)
+	}
+	if r.fatal != "" {
+		t.Fatal(r.fatal)
+	}
+	return r.rep
+}
+
+// execSeed is runSeed without a testing.T, so seeds can run on several
+// goroutines and still report in seed order.
+func execSeed(seed int64, keep []int, policy string, mutated, congestion bool) (r seedRun) {
 	gen := Generate
 	if congestion {
 		gen = GenerateCongestion
@@ -44,7 +74,8 @@ func runSeed(t *testing.T, seed int64, keep []int, policy string, mutated, conge
 		sub := make([]FaultSpec, len(keep))
 		for i, k := range keep {
 			if k < 0 || k >= len(sc.Faults) {
-				t.Fatalf("seed %d: -dst.keep index %d outside schedule of %d faults", seed, k, len(sc.Faults))
+				r.fatal = fmt.Sprintf("seed %d: -dst.keep index %d outside schedule of %d faults", seed, k, len(sc.Faults))
+				return r
 			}
 			sub[i] = sc.Faults[k]
 		}
@@ -55,19 +86,23 @@ func runSeed(t *testing.T, seed int64, keep []int, policy string, mutated, conge
 	if mutated {
 		trigger, ok := MutationTrigger(gen(seed))
 		if !ok {
-			t.Fatalf("seed %d: no latency fault tall enough for -dst.mutate", seed)
+			r.fatal = fmt.Sprintf("seed %d: no latency fault tall enough for -dst.mutate", seed)
+			return r
 		}
 		runner = func(s Scenario) (*Report, error) { return RunMutated(s, Mutate(trigger)) }
 	}
 	rep, err := runner(sc)
 	if err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
+		r.fatal = fmt.Sprintf("seed %d: %v", seed, err)
+		return r
 	}
+	r.rep = rep
 	if !rep.Failed() {
-		return rep
+		return r
 	}
+	errorf := func(format string, args ...any) { r.errors = append(r.errors, fmt.Sprintf(format, args...)) }
 	for _, v := range rep.Violations {
-		t.Errorf("seed %d: %v", seed, v)
+		errorf("seed %d: %v", seed, v)
 	}
 	if shrunk := Shrink(sc, runner); shrunk != nil {
 		kept := shrunk.Kept
@@ -78,15 +113,47 @@ func runSeed(t *testing.T, seed int64, keep []int, policy string, mutated, conge
 			}
 			kept = orig
 		}
-		t.Errorf("seed %d: shrunk to %d fault(s) in %d runs; minimal schedule:", seed, len(shrunk.Kept), shrunk.Runs)
+		errorf("seed %d: shrunk to %d fault(s) in %d runs; minimal schedule:", seed, len(shrunk.Kept), shrunk.Runs)
 		for _, f := range shrunk.Scenario.Faults {
-			t.Errorf("  %v", f)
+			errorf("  %v", f)
 		}
-		t.Errorf("repro: %s", ReproLine(seed, policy, kept, mutated, congestion))
+		errorf("repro: %s", ReproLine(seed, policy, kept, mutated, congestion))
 	} else {
-		t.Errorf("repro: %s", ReproLine(seed, policy, nil, mutated, congestion))
+		errorf("repro: %s", ReproLine(seed, policy, nil, mutated, congestion))
 	}
-	return rep
+	return r
+}
+
+// sweep runs seeds base … base+n-1 on GOMAXPROCS workers and hands each
+// outcome to visit in seed order, as soon as it and every earlier seed are
+// done. Scenarios share no state, so a seed's report does not depend on
+// which worker ran it or alongside what.
+func sweep(n int, base int64, run func(seed int64) seedRun, visit func(seedRun)) {
+	workers := runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
+	}
+	done := make([]chan seedRun, n)
+	for i := range done {
+		done[i] = make(chan seedRun, 1)
+	}
+	next := make(chan int)
+	go func() {
+		for i := 0; i < n; i++ {
+			next <- i
+		}
+		close(next)
+	}()
+	for w := 0; w < workers; w++ {
+		go func() {
+			for i := range next {
+				done[i] <- run(base + int64(i))
+			}
+		}()
+	}
+	for i := range done {
+		visit(<-done[i])
+	}
 }
 
 // TestDST replays a single seed when -dst.seed is given (the repro path)
@@ -120,18 +187,20 @@ func TestDST(t *testing.T) {
 }
 
 // TestDSTSweep is the wide randomized gate: -dst.sweep seeds (default 60,
-// a few hundred in the nightly job), every oracle on every tick.
+// a thousand in the nightly job), every oracle on every tick, run across
+// GOMAXPROCS workers and reported in seed order.
 func TestDSTSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping seed sweep in -short mode")
 	}
 	var requests, violations uint64
-	for i := 0; i < *sweepFlag; i++ {
-		seed := *baseFlag + int64(i)
-		rep := runSeed(t, seed, nil, *policyFlag, false, false)
+	sweep(*sweepFlag, *baseFlag, func(seed int64) seedRun {
+		return execSeed(seed, nil, *policyFlag, false, false)
+	}, func(r seedRun) {
+		rep := report(t, r)
 		requests += rep.Stats.Sent
 		violations += uint64(rep.Total)
-	}
+	})
 	t.Logf("swept %d seeds (policy %q): %d requests, %d violations",
 		*sweepFlag, *policyFlag, requests, violations)
 }
@@ -456,15 +525,16 @@ func TestDSTCongestionSweep(t *testing.T) {
 		t.Skip("skipping congestion sweep in -short mode")
 	}
 	var requests, violations, emitted, observed, congEj uint64
-	for i := 0; i < *congSweep; i++ {
-		seed := *baseFlag + int64(i)
-		rep := runSeed(t, seed, nil, *policyFlag, false, true)
+	sweep(*congSweep, *baseFlag, func(seed int64) seedRun {
+		return execSeed(seed, nil, *policyFlag, false, true)
+	}, func(r seedRun) {
+		rep := report(t, r)
 		requests += rep.Stats.Sent
 		violations += uint64(rep.Total)
 		emitted += rep.Stats.Retransmits + rep.Stats.DupAcks + rep.Stats.ZeroWindows
 		observed += rep.Stats.CongObserved
 		congEj += rep.Stats.CongEjections
-	}
+	})
 	if emitted == 0 {
 		t.Errorf("no run in %d seeds emitted any transport distress; fault kinds are inert", *congSweep)
 	}
@@ -569,6 +639,33 @@ func TestDSTCongestionGeneratorBounds(t *testing.T) {
 		}
 		if len(starved) >= sc.Backends {
 			t.Fatalf("seed %d: every backend collapse/autoscale-targeted; pool can be starved", seed)
+		}
+	}
+}
+
+// TestMedianSelectsSortedMiddle holds the estimator-bounds oracle's
+// in-place selection to the element a sort puts at len/2, on inputs with
+// runs of duplicates, sorted and reversed orders, and a single element.
+func TestMedianSelectsSortedMiddle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(300)
+		s := make([]time.Duration, n)
+		spread := 1 + rng.Intn(n+5)
+		for i := range s {
+			s[i] = time.Duration(rng.Intn(spread))
+		}
+		switch trial % 3 {
+		case 1:
+			slices.Sort(s)
+		case 2:
+			slices.Sort(s)
+			slices.Reverse(s)
+		}
+		want := slices.Clone(s)
+		slices.Sort(want)
+		if got := median(s); got != want[n/2] {
+			t.Fatalf("trial %d (n=%d): median %v, sorted middle %v", trial, n, got, want[n/2])
 		}
 	}
 }

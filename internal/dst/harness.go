@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 	"time"
 
 	"inbandlb/internal/auditlog"
@@ -657,8 +656,35 @@ func weightOf(snap *control.Snapshot, i int) float64 {
 	return 0
 }
 
-func median(samples []time.Duration) time.Duration {
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[len(s)/2]
+// median returns the upper median of samples, which it reorders: a
+// quickselect (Hoare partition around the middle element) in place.
+func median(s []time.Duration) time.Duration {
+	k := len(s) / 2
+	lo, hi := 0, len(s)-1
+	for lo < hi {
+		pivot := s[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < pivot {
+				i++
+			}
+			for s[j] > pivot {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return s[k]
+		}
+	}
+	return s[k]
 }

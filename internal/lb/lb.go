@@ -61,9 +61,11 @@ type Config struct {
 	// non-request packets of the flow still follow the flow's pinned
 	// backend. Latency samples are attributed to the flow's most recent
 	// backend — an approximation, since a flow's requests may now span
-	// servers. Use L7 only with stateless consistent-hash policies
-	// (MaglevStatic, LatencyAware, Proportional): per-request Pick calls
-	// would distort stateful policies like RoundRobin or LeastConn.
+	// servers. A request's pick is not a connection: its occupancy
+	// accounting is undone at once (FlowClosed), and the flow's own charge
+	// is released against the backend that took it. L7 suits stateless
+	// consistent-hash policies (MaglevStatic, LatencyAware, Proportional);
+	// RoundRobin, LeastConn and P2C would spread keys, not pin them.
 	L7 bool
 }
 
@@ -90,8 +92,9 @@ type LB struct {
 	sim       *netsim.Sim
 	cfg       Config
 	flows     core.Observer
-	conns     map[packet.FlowKey]connEntry
-	open      []int // live per-backend connection-table occupancy
+	conns     map[packet.FlowKey]*connEntry
+	free      []*connEntry // recycled entries of closed and swept flows
+	open      []int        // live per-backend connection-table occupancy
 	uplink    []*netsim.Link
 	stats     Stats
 	lastSweep time.Duration
@@ -124,12 +127,13 @@ type LB struct {
 }
 
 type connEntry struct {
-	backend  int
+	backend  int // where the flow's packets go; open counts it here
 	lastSeen time.Duration
-	// charged records whether the policy's occupancy was incremented for
-	// this flow. Fallback targets chosen by Route are never charged, so
-	// FlowClosed must not decrement them (mirrors the live proxy).
-	charged bool
+	// charged is the backend whose policy occupancy was incremented for
+	// this flow, or -1. Fallback targets chosen by Route are never charged,
+	// so FlowClosed must not decrement them (mirrors the live proxy); an L7
+	// re-dispatch moves backend, not charged.
+	charged int
 }
 
 // New creates a load balancer forwarding to uplinks (one per backend, in
@@ -163,7 +167,7 @@ func New(sim *netsim.Sim, cfg Config, uplinks []*netsim.Link) (*LB, error) {
 		sim:    sim,
 		cfg:    cfg,
 		flows:  obs,
-		conns:  make(map[packet.FlowKey]connEntry),
+		conns:  make(map[packet.FlowKey]*connEntry),
 		open:   make([]int, n),
 		uplink: uplinks,
 		stats: Stats{
@@ -230,7 +234,7 @@ func (l *LB) Observer() core.Observer { return l.flows }
 
 // Backend returns the backend pinned for a flow, or -1.
 func (l *LB) Backend(key packet.FlowKey) int {
-	if e, ok := l.conns[key]; ok {
+	if e := l.conns[key]; e != nil {
 		return e.backend
 	}
 	return -1
@@ -282,8 +286,8 @@ func (l *LB) HandlePacket(p *netsim.Packet) {
 	sample, haveSample := l.flows.Observe(p.Flow, now)
 
 	// Connection affinity: existing flows stick to their backend.
-	entry, known := l.conns[p.Flow]
-	if !known {
+	entry := l.conns[p.Flow]
+	if entry == nil {
 		var b int
 		charged := true
 		if l.router != nil {
@@ -301,13 +305,17 @@ func (l *LB) HandlePacket(p *netsim.Packet) {
 			l.sim.ReleasePacket(p)
 			return
 		}
-		entry = connEntry{backend: b, charged: charged}
+		entry = l.newEntry()
+		entry.backend, entry.charged = b, -1
+		if charged {
+			entry.charged = b
+		}
+		l.conns[p.Flow] = entry
 		l.stats.NewFlows++
 		l.stats.NewPerBack[b]++
 		l.open[b]++
 	}
 	entry.lastSeen = now
-	l.conns[p.Flow] = entry
 
 	if haveSample {
 		l.stats.Samples++
@@ -322,6 +330,7 @@ func (l *LB) HandlePacket(p *netsim.Packet) {
 		l.observeCongestion(p, entry.backend, now)
 	}
 
+	target := entry.backend
 	if p.Kind == netsim.KindClose {
 		l.closeFlow(p.Flow, entry, now)
 		// The close itself is still forwarded so the server could clean
@@ -333,9 +342,11 @@ func (l *LB) HandlePacket(p *netsim.Packet) {
 		return
 	}
 
-	target := entry.backend
 	if l.cfg.L7 && p.Kind == netsim.KindRequest && p.Key != 0 {
 		if b := l.cfg.Policy.Pick(keyFlow(p.Key), now); b >= 0 && b < l.cfg.Policy.NumBackends() {
+			// A request is not a connection: undo the pick's occupancy
+			// accounting, as Controller.Route does for a fallback.
+			l.cfg.Policy.FlowClosed(b, now)
 			target = b
 			// Track the latest dispatch so samples and the connection
 			// table follow the flow's current server.
@@ -343,7 +354,6 @@ func (l *LB) HandlePacket(p *netsim.Packet) {
 				l.open[entry.backend]--
 				l.open[target]++
 				entry.backend = target
-				l.conns[p.Flow] = entry
 			}
 		}
 	}
@@ -433,14 +443,31 @@ func keyFlow(key uint64) packet.FlowKey {
 	}
 }
 
-func (l *LB) closeFlow(key packet.FlowKey, e connEntry, now time.Duration) {
+// newEntry takes a recycled connection entry or allocates one.
+func (l *LB) newEntry() *connEntry {
+	if n := len(l.free); n > 0 {
+		e := l.free[n-1]
+		l.free = l.free[:n-1]
+		return e
+	}
+	return new(connEntry)
+}
+
+// dropFlow removes a flow from the connection table, releases its policy
+// charge, and recycles its entry.
+func (l *LB) dropFlow(key packet.FlowKey, e *connEntry, now time.Duration) {
 	delete(l.conns, key)
 	l.open[e.backend]--
+	if e.charged >= 0 {
+		l.cfg.Policy.FlowClosed(e.charged, now)
+	}
+	l.free = append(l.free, e)
+}
+
+func (l *LB) closeFlow(key packet.FlowKey, e *connEntry, now time.Duration) {
+	l.dropFlow(key, e, now)
 	l.flows.Forget(key)
 	l.stats.Closed++
-	if e.charged {
-		l.cfg.Policy.FlowClosed(e.backend, now)
-	}
 }
 
 // sweep evicts idle connections and estimator flows.
@@ -449,12 +476,8 @@ func (l *LB) sweep() {
 	cutoff := now - l.cfg.ConnIdleTimeout
 	for k, e := range l.conns {
 		if e.lastSeen < cutoff {
-			delete(l.conns, k)
-			l.open[e.backend]--
+			l.dropFlow(k, e, now)
 			l.stats.Swept++
-			if e.charged {
-				l.cfg.Policy.FlowClosed(e.backend, now)
-			}
 		}
 	}
 	l.flows.Sweep(now)

@@ -37,13 +37,36 @@ type queuePair struct {
 	q   eventQueue
 	ref refHeap
 	seq uint64
+	// reserved holds ranks taken by reserve and not yet pushed, oldest
+	// first, as Sim.ReserveSeq hands them out.
+	reserved []uint64
 }
 
 func (p *queuePair) push(at time.Duration) {
 	p.seq++
-	p.q.push(event{at: at, seq: p.seq})
+	p.q.push(event{at: at, seq: p.seq}, true)
 	heap.Push(&p.ref, event{at: at, seq: p.seq})
 	p.checkLen()
+}
+
+// reserve takes a rank for a later pushReserved, as Sim.ReserveSeq does.
+func (p *queuePair) reserve() {
+	p.seq++
+	p.reserved = append(p.reserved, p.seq)
+}
+
+// pushReserved schedules an event at with the oldest reserved rank, as
+// Sim.ScheduleReserved does; it reports false when no rank is reserved.
+func (p *queuePair) pushReserved(at time.Duration) bool {
+	if len(p.reserved) == 0 {
+		return false
+	}
+	seq := p.reserved[0]
+	p.reserved = p.reserved[1:]
+	p.q.push(event{at: at, seq: seq}, false)
+	heap.Push(&p.ref, event{at: at, seq: seq})
+	p.checkLen()
+	return true
 }
 
 func (p *queuePair) checkLen() {
@@ -234,6 +257,79 @@ func TestEventQueueMatchesReferenceHeap(t *testing.T) {
 			p.drain()
 		}
 	})
+
+	// Reserved ranks: events scheduled later than their rank was taken,
+	// as a client arming only its oldest deadline does. They land in every
+	// tier, including the current instant while the lane holds fresher
+	// events (they must still go first), and in an epoch whose run was
+	// sorted before they arrived (they merge from the heap).
+	t.Run("reserved ranks", func(t *testing.T) {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			p := &queuePair{t: t}
+			for round := 0; round < 200; round++ {
+				for i := rng.Intn(8); i > 0; i-- {
+					switch rng.Intn(4) {
+					case 0:
+						p.reserve()
+					case 1:
+						p.push(p.q.now)
+					case 2:
+						p.push(p.q.now + time.Duration(rng.Int63n(int64(4*epochWidth))))
+					case 3:
+						var d time.Duration
+						switch rng.Intn(4) {
+						case 1:
+							d = time.Duration(rng.Int63n(int64(epochWidth)))
+						case 2:
+							d = time.Duration(rng.Int63n(int64(ringSpan)))
+						case 3:
+							d = ringSpan + time.Duration(rng.Int63n(int64(ringSpan)))
+						}
+						p.pushReserved(p.q.now + d)
+					}
+				}
+				for i := rng.Intn(6); i > 0 && p.ref.Len() > 0; i-- {
+					p.pop()
+				}
+			}
+			p.drain()
+		}
+	})
+
+	t.Run("reserved rank at now behind the lane", func(t *testing.T) {
+		p := &queuePair{t: t}
+		p.reserve()
+		p.reserve()
+		p.push(epochWidth / 2)
+		p.pop()         // clock at epochWidth/2
+		p.push(p.q.now) // lane
+		p.push(p.q.now) // lane
+		p.pushReserved(p.q.now)
+		p.reserve()
+		p.push(p.q.now)         // lane, after the third rank
+		p.pushReserved(p.q.now) // ahead of every lane entry
+		p.pushReserved(p.q.now) // between the second and third lane entry
+		p.drain()
+	})
+
+	t.Run("run and heap in one epoch", func(t *testing.T) {
+		p := &queuePair{t: t}
+		for i := 0; i < 4; i++ {
+			p.reserve()
+		}
+		base := 10 * epochWidth
+		for i := 0; i < 100; i++ { // from the ring into one run, with ties
+			p.push(base + time.Duration(i%7)*epochWidth/8)
+		}
+		p.take(base) // the epoch is current: its run is sorted
+		for i := 0; i < 4; i++ {
+			p.pushReserved(base + time.Duration(i)*epochWidth/8) // heap, ahead of the run's ties
+			p.push(base + time.Duration(i)*epochWidth/8)         // heap, behind them
+			p.pop()
+		}
+		p.drain()
+	})
 }
 
 // TestPendingCountsEveryTier holds Pending() to the number of scheduled,
@@ -259,16 +355,19 @@ func TestPendingCountsEveryTier(t *testing.T) {
 }
 
 // FuzzEventQueueOrder decodes a byte stream into pushes (into every tier,
-// and behind the clock), pops and RunUntil-style advances, and compares the
-// queue with the reference heap after every step.
+// and behind the clock), reserved ranks scheduled later, pops and
+// RunUntil-style advances, and compares the queue with the reference heap
+// after every step.
 func FuzzEventQueueOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 200, 2, 9, 3, 4, 4, 1, 6, 6, 7, 3, 6, 6})
 	f.Add([]byte{3, 255, 3, 254, 7, 1, 0, 0, 0, 0, 6, 6, 6, 5, 9, 6})
 	f.Add([]byte{2, 0, 2, 0, 2, 1, 7, 0, 0, 0, 2, 0, 6, 6, 6, 6, 6})
+	f.Add([]byte{8, 0, 8, 0, 1, 3, 6, 0, 0, 0, 0, 0, 9, 0, 9, 1, 6, 0, 6, 0, 6, 0, 6, 0})
+	f.Add([]byte{8, 0, 8, 0, 8, 0, 3, 40, 3, 40, 3, 41, 6, 0, 9, 2, 9, 200, 9, 0, 6, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := &queuePair{t: t}
 		for len(data) >= 2 {
-			op, arg := data[0]%8, time.Duration(data[1])
+			op, arg := data[0]%10, time.Duration(data[1])
 			data = data[2:]
 			switch op {
 			case 0: // the current instant
@@ -291,6 +390,10 @@ func FuzzEventQueueOrder(f *testing.F) {
 				}
 			case 7:
 				p.runUntil(p.q.now + arg*arg*epochWidth/64)
+			case 8: // take a rank for later
+				p.reserve()
+			case 9: // schedule later with an earlier rank: now (behind the lane), near, ring
+				p.pushReserved(p.q.now + (arg%3)*arg*epochWidth/64)
 			}
 		}
 		p.drain()

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/bits"
+	"slices"
 	"time"
 )
 
@@ -12,27 +13,32 @@ import (
 //
 // Callbacks live in a slab of slots; the queue's tiers hold slot indices:
 //
-//   - lane: events pushed for the current instant (at == now), a FIFO
-//     threaded through the slab. seq is monotonic, so such an event sorts
-//     after everything already queued for that instant and before
-//     everything later: appending keeps the order, no comparison needed.
-//     Zero-delay hand-offs and a bounded link's dequeue events take it.
+//   - lane: events pushed with a fresh seq for the current instant
+//     (at == now), a FIFO threaded through the slab. A fresh seq is the
+//     highest yet, so such an event sorts after everything already queued
+//     for that instant and before everything later: appending keeps the
+//     order, no comparison needed. Zero-delay hand-offs and a bounded
+//     link's dequeue events take it. An event pushed with a seq reserved
+//     earlier never does: it may rank ahead of the lane's entries.
 //
-//   - near: a 4-ary min-heap of pointer-free keys for events in the current
-//     epoch (and any earlier one). An epoch is a 2^epochShift ns slice of
-//     virtual time. Keys carry (at, seq) inline, so sifting touches neither
-//     the slab nor a GC write barrier, and the heap stays as small as one
-//     epoch's events however many timers stand further out.
+//   - near: the events of the current epoch (and any earlier one), as two
+//     sorted sources of pointer-free keys merged at pop. An epoch is a
+//     2^epochShift ns slice of virtual time. The run holds what the epoch
+//     had when it became current, sorted once, latest first, so a pop is a
+//     slice shrink. The 4-ary min-heap takes what is pushed into the epoch
+//     after that. Keys carry (at, seq) inline, so neither sorting nor
+//     sifting touches the slab or a GC write barrier, and both stay as
+//     small as one epoch's events however many timers stand further out.
 //
 //   - far: events in the next ringEpochs-1 epochs wait in one unordered
 //     list per epoch, threaded through the slab, with a bitmap of non-empty
 //     epochs. Pushing is O(1). When near and lane run dry the earliest
-//     non-empty epoch becomes current and its list is heapified into near.
-//     A request timeout parked 100 ms out costs two list operations until
-//     its epoch comes up, not a sift through every pop in between.
+//     non-empty epoch becomes current and its list is sorted into the run.
+//     A timer parked 100 ms out costs two list operations until its epoch
+//     comes up, not a sift through every pop in between.
 //
 //   - overflow: a second key heap for events beyond the ring; its entries
-//     join near when their epoch becomes current.
+//     join the run when their epoch becomes current.
 //
 // All tiers index the same slab, so memory is one slot per pending event
 // plus the fixed ring; per-epoch slices would keep every epoch's peak.
@@ -49,8 +55,9 @@ type eventQueue struct {
 
 	laneHead, laneTail int32
 
+	run  []key // near's sorted part, latest first: the next is the last
 	near keyHeap
-	cur  int64 // current epoch: near holds every pending event at or before it
+	cur  int64 // current epoch: run and near hold every pending event at or before it
 
 	ring     [ringEpochs]int32 // list head per far epoch, indexed by epoch & ringMask
 	occupied [ringEpochs / 64]uint64
@@ -95,8 +102,10 @@ func (k *key) before(o *key) bool {
 
 func (q *eventQueue) Len() int { return q.n }
 
-// push queues e. No allocation occurs beyond amortized slab and heap growth.
-func (q *eventQueue) push(e event) {
+// push queues e. fresh says e.seq is higher than every seq pushed before,
+// which lets an event for the current instant take the lane. No allocation
+// occurs beyond amortized slab and heap growth.
+func (q *eventQueue) push(e event, fresh bool) {
 	i := q.free
 	if i != 0 {
 		q.free = q.slots[i].next
@@ -120,7 +129,7 @@ func (q *eventQueue) push(e event) {
 		s.next = q.ring[r]
 		q.ring[r] = i
 		q.occupied[r>>6] |= 1 << (r & 63)
-	case e.at == q.now:
+	case e.at == q.now && fresh:
 		if q.laneHead == 0 {
 			q.laneHead = i
 		} else {
@@ -135,11 +144,12 @@ func (q *eventQueue) push(e event) {
 // popUntil removes and returns the next event if there is one at or before
 // limit, and moves the clock to it.
 func (q *eventQueue) popUntil(limit time.Duration) (event, bool) {
+	k, inRun := q.nearMin()
 	if q.laneHead != 0 {
-		// A near entry at (or, for callers that push behind the clock,
-		// before) now was pushed before now took its value, hence before
-		// every lane entry: it goes first.
-		if len(q.near) == 0 || q.near[0].at > q.now {
+		// Every lane entry is at now. A near entry before now, or at now
+		// with a lower seq, goes first: it was pushed before now took its
+		// value, or with a seq reserved before then.
+		if k == nil || k.at > q.now || k.at == q.now && k.seq > q.slots[q.laneHead].seq {
 			if q.now > limit {
 				return event{}, false
 			}
@@ -147,18 +157,38 @@ func (q *eventQueue) popUntil(limit time.Duration) (event, bool) {
 			q.laneHead = q.slots[i].next
 			return q.release(i), true
 		}
-	} else if len(q.near) == 0 && !q.nextEpoch() {
-		return event{}, false
+	} else if k == nil {
+		if !q.nextEpoch() {
+			return event{}, false
+		}
+		k, inRun = q.nearMin()
 	}
-	k := q.near[0]
 	if k.at > limit {
 		return event{}, false
 	}
-	q.near.pop()
-	if k.at > q.now {
-		q.now = k.at
+	at, i := k.at, k.slot
+	if inRun {
+		q.run = q.run[:len(q.run)-1]
+	} else {
+		q.near.pop()
 	}
-	return q.release(k.slot), true
+	if at > q.now {
+		q.now = at
+	}
+	return q.release(i), true
+}
+
+// nearMin returns the earlier of the run's next key and the heap's root, and
+// whether it is the run's; nil when both are empty.
+func (q *eventQueue) nearMin() (*key, bool) {
+	var k *key
+	if n := len(q.run); n > 0 {
+		k = &q.run[n-1]
+	}
+	if len(q.near) > 0 && (k == nil || q.near[0].before(k)) {
+		return &q.near[0], false
+	}
+	return k, k != nil
 }
 
 // release returns slot i's event and puts the slot on the free list.
@@ -172,8 +202,9 @@ func (q *eventQueue) release(i int32) event {
 	return e
 }
 
-// nextEpoch makes the earliest non-empty far epoch current and loads it
-// into near, which must be empty. It reports false when far is empty too.
+// nextEpoch makes the earliest non-empty far epoch current and sorts it into
+// the run; run and near must be empty. It reports false when far is empty
+// too.
 func (q *eventQueue) nextEpoch() bool {
 	ep, ok := q.nextRingEpoch()
 	if len(q.overflow) > 0 {
@@ -188,18 +219,50 @@ func (q *eventQueue) nextEpoch() bool {
 	// with cur: the slots it exposes are the empty ones behind ep.
 	q.cur = ep
 	r := ep & ringMask // holds ep's list, or nothing if ep came from overflow
+	run := q.run[:0]
 	for i := q.ring[r]; i != 0; i = q.slots[i].next {
 		s := &q.slots[i]
-		q.near = append(q.near, key{s.at, s.seq, i})
+		run = append(run, key{s.at, s.seq, i})
 	}
 	q.ring[r] = 0
 	q.occupied[r>>6] &^= 1 << (r & 63)
 	for len(q.overflow) > 0 && epochOf(q.overflow[0].at) == ep {
-		q.near = append(q.near, q.overflow[0])
+		run = append(run, q.overflow[0])
 		q.overflow.pop()
 	}
-	q.near.heapify()
+	sortLatestFirst(run)
+	q.run = run
 	return true
+}
+
+// insertionSortMax bounds the runs sorted by insertion; longer ones go to
+// slices.SortFunc. The DST population's runs hold 3–30 keys. An epoch's
+// list is pushed at its head, so timers armed in time order arrive latest
+// first already and cost one comparison each.
+const insertionSortMax = 48
+
+// sortLatestFirst sorts keys in descending (at, seq) order.
+func sortLatestFirst(ks []key) {
+	if len(ks) > insertionSortMax {
+		slices.SortFunc(ks, func(a, b key) int {
+			switch {
+			case b.before(&a):
+				return -1
+			case a.before(&b):
+				return 1
+			}
+			return 0
+		})
+		return
+	}
+	for i := 1; i < len(ks); i++ {
+		k := ks[i]
+		j := i
+		for ; j > 0 && ks[j-1].before(&k); j-- {
+			ks[j] = ks[j-1]
+		}
+		ks[j] = k
+	}
 }
 
 // nextRingEpoch scans the occupancy bitmap forward from cur+1, wrapping.
@@ -236,14 +299,6 @@ func (h *keyHeap) pop() {
 	*h = ks[:n]
 	if n > 1 {
 		h.siftDown(0)
-	}
-}
-
-// heapify establishes the heap property over arbitrary, non-empty contents
-// in O(n).
-func (h keyHeap) heapify() {
-	for i := (len(h) - 2) / 4; i >= 0; i-- {
-		h.siftDown(i)
 	}
 }
 

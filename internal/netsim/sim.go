@@ -57,7 +57,31 @@ func (s *Sim) Schedule(at time.Duration, fn func()) {
 		panic(fmt.Sprintf("netsim: scheduling event at %v before now %v", at, s.events.now))
 	}
 	s.seq++
-	s.events.push(event{at: at, seq: s.seq, fn: fn})
+	s.events.push(event{at: at, seq: s.seq, fn: fn}, true)
+}
+
+// ReserveSeq takes the rank Schedule would give an event scheduled now,
+// for a callback scheduled later with ScheduleReserved. The rank is the
+// tie-break among events due at the same instant. A client that arms only
+// its oldest pending timer reserves a rank for each timer when it starts
+// one, so each timer fires exactly where it would have had every one been
+// queued at its start.
+func (s *Sim) ReserveSeq() uint64 {
+	s.seq++
+	return s.seq
+}
+
+// ScheduleReserved runs fn at virtual time at with a rank taken earlier by
+// ReserveSeq. Use each rank once. Like Schedule it panics on a time before
+// now, and also on a rank ReserveSeq never returned.
+func (s *Sim) ScheduleReserved(at time.Duration, seq uint64, fn func()) {
+	if at < s.events.now {
+		panic(fmt.Sprintf("netsim: scheduling event at %v before now %v", at, s.events.now))
+	}
+	if seq == 0 || seq > s.seq {
+		panic(fmt.Sprintf("netsim: rank %d was never reserved", seq))
+	}
+	s.events.push(event{at: at, seq: seq, fn: fn}, false)
 }
 
 // Timer is a reusable scheduled event: the callback is allocated once, at

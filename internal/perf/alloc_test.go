@@ -129,6 +129,12 @@ func TestLinkSendZeroAlloc(t *testing.T) {
 // per request, 6 objects in all, before the client and server kept their
 // timers in a queue and in recycled records; the request and response
 // packets were 2 more before they came from the simulator's packet pool.
+//
+// It also pins the events dispatched per request at 5: two link
+// deliveries to the server, its service completion, the delivery back and
+// the think timer. The client queues a deadline check and a first-RTO
+// check only for its oldest outstanding request, so the checks responses
+// beat dispatch nothing.
 func TestSimRequestAllocCeiling(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const backends = 4
@@ -158,11 +164,14 @@ func TestSimRequestAllocCeiling(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	sent := cluster.Client.Stats().Sent
-	cluster.Sim.RunUntil(1300 * time.Millisecond)
+	events := cluster.Sim.RunUntil(1300 * time.Millisecond)
 	runtime.ReadMemStats(&after)
 	sent = cluster.Client.Stats().Sent - sent
 	if sent < 50_000 {
 		t.Fatalf("only %d requests in the measured second", sent)
+	}
+	if perReq := float64(events) / float64(sent); perReq > 5.01 {
+		t.Errorf("%d events for %d requests = %.3f per request, want 5", events, sent, perReq)
 	}
 	// A free list may still grow by a few entries when the window sees a
 	// new peak of requests in flight; two per connection slot bounds that.

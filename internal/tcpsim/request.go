@@ -158,19 +158,16 @@ type RequestClient struct {
 	stopped  bool
 	zipf     *rand.Zipf
 
-	// deadlines holds the RequestTimeout checks pending, oldest first from
-	// deadlineHead. Every request arms one, with the same delay, so they
-	// fire in the order they were armed: one shared callback takes the
-	// oldest entry, and a check that almost always finds its response long
-	// arrived costs 16 bytes while it waits and no allocation.
-	deadlines    []deadline
-	deadlineHead int
-	onDeadline   func()
+	// deadlines holds every request's RequestTimeout check, rtos its first
+	// RetransmitTimeout check.
+	deadlines checkQueue
+	rtos      checkQueue
 	// onReopen is openConn bound once, for the reopen after ReopenDelay.
 	onReopen func()
-	// free recycles the timers that do not fire in arming order (RTO, think
-	// time); each owns a prebuilt callback, so they cost no allocation in
-	// steady state either. Bounded by the peak number pending at once.
+	// free recycles the timers that do not fire in arming order (later
+	// RTO attempts, think time); each owns a prebuilt callback, so they
+	// cost no allocation in steady state either. Bounded by the peak number
+	// pending at once.
 	free []*reqTimer
 
 	// Zero-window burst tracking (ZeroWindowBurst): responses arriving
@@ -198,6 +195,7 @@ type conn struct {
 // pending is one outstanding request.
 type pending struct {
 	seq uint64
+	key uint64
 	at  time.Duration // send time
 	op  netsim.Op
 }
@@ -210,6 +208,12 @@ func (cn *conn) find(seq uint64) int {
 		}
 	}
 	return -1
+}
+
+// outstanding reports whether request seq still awaits its response on an
+// open connection.
+func (cn *conn) outstanding(seq uint64) bool {
+	return !cn.closed && cn.find(seq) >= 0
 }
 
 // NewRequestClient creates the client; call Start to begin.
@@ -245,7 +249,9 @@ func NewRequestClient(sim *netsim.Sim, cfg RequestConfig, out func(*netsim.Packe
 			SetLatency: stats.NewDefaultHistogram(),
 		},
 	}
-	c.onDeadline = c.deadlineFired // bound once: a method value allocates where it is taken
+	// Callbacks bound once: a method value allocates where it is taken.
+	c.deadlines = checkQueue{delay: cfg.RequestTimeout, fn: c.deadlineFired}
+	c.rtos = checkQueue{delay: cfg.RetransmitTimeout, fn: c.rtoFired}
 	c.onReopen = c.openConn
 	if cfg.Keys > 1 && cfg.KeyZipfS > 1 {
 		c.zipf = rand.NewZipf(sim.Rand(), cfg.KeyZipfS, 1, uint64(cfg.Keys-1))
@@ -290,14 +296,6 @@ func (c *RequestClient) openConn() {
 	}
 	c.conns = append(c.conns, cn)
 	c.stats.Opened++
-	fill := func() {
-		for i := 0; i < c.cfg.Pipeline; i++ {
-			if !c.canSend(cn) {
-				break
-			}
-			c.sendRequest(cn)
-		}
-	}
 	if c.cfg.EmitOpen {
 		// Send the SYN; fill happens when the SYN-ACK arrives (see
 		// HandlePacket), exactly one handshake RTT later.
@@ -309,7 +307,17 @@ func (c *RequestClient) openConn() {
 		}))
 		return
 	}
-	fill()
+	c.fill(cn)
+}
+
+// fill sends requests on cn until its pipeline is full.
+func (c *RequestClient) fill(cn *conn) {
+	for i := 0; i < c.cfg.Pipeline; i++ {
+		if !c.canSend(cn) {
+			break
+		}
+		c.sendRequest(cn)
+	}
 }
 
 func (c *RequestClient) canSend(cn *conn) bool {
@@ -331,7 +339,6 @@ func (c *RequestClient) sendRequest(cn *conn) {
 	if c.sim.Rand().Float64() < c.cfg.GetFraction {
 		op = netsim.OpGet
 	}
-	cn.pending = append(cn.pending, pending{seq: seq, at: now, op: op})
 	c.stats.Sent++
 	var key uint64
 	if c.cfg.Keys > 0 {
@@ -341,6 +348,7 @@ func (c *RequestClient) sendRequest(cn *conn) {
 			key = uint64(c.sim.Rand().Intn(c.cfg.Keys)) + 1
 		}
 	}
+	cn.pending = append(cn.pending, pending{seq: seq, key: key, at: now, op: op})
 	c.out(c.sim.NewPacket(netsim.Packet{
 		Flow:   cn.flow,
 		Kind:   netsim.KindRequest,
@@ -351,68 +359,142 @@ func (c *RequestClient) sendRequest(cn *conn) {
 		SentAt: now,
 	}))
 	if c.cfg.RequestTimeout > 0 {
-		c.deadlines = append(c.deadlines, deadline{cn, seq})
-		c.sim.After(c.cfg.RequestTimeout, c.onDeadline)
+		c.deadlines.add(c.sim, cn, seq)
 	}
 	if c.cfg.RetransmitTimeout > 0 {
-		t := c.newTimer(timerRTO, cn)
-		t.seq, t.op, t.key = seq, op, key
-		t.attempt, t.delay = 1, c.cfg.RetransmitTimeout
+		c.rtos.add(c.sim, cn, seq)
+	}
+}
+
+// checkQueue holds one check per request sent, all with the same delay, so
+// they fall due in send order. Only the oldest whose request is still
+// outstanding is queued in the simulator, at the rank reserved when its
+// request was sent: it fires exactly where it would have fired had every
+// check been queued, and the checks whose responses arrived first (nearly
+// all of them) never become events.
+type checkQueue struct {
+	delay   time.Duration
+	fn      func() // the simulator callback; it calls fired, then arm
+	entries []check
+	head    int // entries before head are gone
+	armed   bool
+}
+
+// check is one request's pending check.
+type check struct {
+	cn   *conn
+	seq  uint64        // the request's sequence number
+	at   time.Duration // when the check falls due
+	rank uint64        // the event rank reserved when the request was sent
+}
+
+// add queues the check of request seq on cn, sent now.
+func (q *checkQueue) add(sim *netsim.Sim, cn *conn, seq uint64) {
+	q.entries = append(q.entries, check{cn, seq, sim.Now() + q.delay, sim.ReserveSeq()})
+	q.arm(sim)
+}
+
+// arm schedules the oldest check whose request is still outstanding, unless
+// one is scheduled already. Checks ahead of it go: their event would find
+// nothing to do.
+func (q *checkQueue) arm(sim *netsim.Sim) {
+	if q.armed {
+		return
+	}
+	for q.head < len(q.entries) {
+		e := &q.entries[q.head]
+		if e.cn.outstanding(e.seq) {
+			sim.ScheduleReserved(e.at, e.rank, q.fn)
+			q.armed = true
+			return
+		}
+		q.pop()
+	}
+}
+
+// fired takes the scheduled check, whose event is running, off the queue.
+func (q *checkQueue) fired() check {
+	e := q.entries[q.head]
+	q.pop()
+	q.armed = false
+	return e
+}
+
+// pop drops the oldest check.
+func (q *checkQueue) pop() {
+	q.entries[q.head] = check{} // do not keep a closed connection reachable
+	q.head++
+	if q.head*2 >= len(q.entries) {
+		// Move the pending half down over the dropped half: amortized O(1).
+		n := copy(q.entries, q.entries[q.head:])
+		clear(q.entries[n:])
+		q.entries = q.entries[:n]
+		q.head = 0
+	}
+}
+
+// deadlineFired is a RequestTimeout expiry.
+func (c *RequestClient) deadlineFired() {
+	e := c.deadlines.fired()
+	if e.cn.outstanding(e.seq) {
+		// Deadline fired with the response still outstanding: the
+		// application gives up on the whole socket and reconnects.
+		c.stats.Timeouts++
+		c.abortConn(e.cn)
+	}
+	c.deadlines.arm(c.sim)
+}
+
+// rtoFired is a request's first RetransmitTimeout expiry. If the response
+// has not arrived, the request is re-sent and a timer takes the later
+// attempts.
+func (c *RequestClient) rtoFired() {
+	e := c.rtos.fired()
+	if !c.stopped && e.cn.outstanding(e.seq) {
+		c.retransmit(e.cn, e.seq)
+		t := c.newTimer(timerRTO, e.cn)
+		t.seq, t.attempt, t.delay = e.seq, 2, 2*c.cfg.RetransmitTimeout
 		c.sim.After(t.delay, t.fn)
 	}
+	c.rtos.arm(c.sim)
 }
 
-// deadline is one request's pending RequestTimeout check.
-type deadline struct {
-	cn  *conn
-	seq uint64
+// retransmit re-sends outstanding request seq on cn with the same sequence
+// number. The re-send is a transport-layer event: Sent, Outstanding, and
+// the request's deadline are untouched.
+func (c *RequestClient) retransmit(cn *conn, seq uint64) {
+	p := &cn.pending[cn.find(seq)]
+	c.stats.Retransmits++
+	c.out(c.sim.NewPacket(netsim.Packet{
+		Flow:   cn.flow,
+		Kind:   netsim.KindRequest,
+		Op:     p.op,
+		Seq:    seq,
+		Key:    p.key,
+		Size:   c.cfg.ReqSize,
+		SentAt: c.sim.Now(),
+	}))
 }
 
-// deadlineFired is the expiry of the oldest pending deadline.
-func (c *RequestClient) deadlineFired() {
-	d := c.deadlines[c.deadlineHead]
-	c.deadlines[c.deadlineHead] = deadline{} // do not keep a closed connection reachable
-	c.deadlineHead++
-	if c.deadlineHead*2 >= len(c.deadlines) {
-		// Move the pending half down over the fired half: amortized O(1).
-		n := copy(c.deadlines, c.deadlines[c.deadlineHead:])
-		clear(c.deadlines[n:])
-		c.deadlines = c.deadlines[:n]
-		c.deadlineHead = 0
-	}
-	if d.cn.closed {
-		return
-	}
-	if d.cn.find(d.seq) < 0 {
-		return
-	}
-	// Deadline fired with the response still outstanding: the application
-	// gives up on the whole socket and reconnects.
-	c.stats.Timeouts++
-	c.abortConn(d.cn)
-}
-
-// reqTimer is a pending client-side timer that is not a deadline. The
-// record and its callback are built once and recycled through
+// reqTimer is a pending client-side timer that does not fire in arming
+// order. The record and its callback are built once and recycled through
 // RequestClient.free (the pattern netsim.Link uses for deliveries) rather
 // than allocated as a closure per request.
 type reqTimer struct {
 	cn *conn
-	// RTO only: the request watched and what to re-send, the delay that
-	// armed the timer (doubled on each re-arm), and which attempt this is.
+	// RTO only: the request watched, the delay that armed the timer
+	// (doubled on each re-arm), and which attempt this is.
 	seq     uint64
-	key     uint64
 	delay   time.Duration
 	fn      func()
 	attempt int32
-	op      netsim.Op
 	kind    timerKind
 }
 
 type timerKind uint8
 
 const (
-	timerRTO   timerKind = iota // RetransmitTimeout for one request
+	timerRTO   timerKind = iota // a request's second and later RetransmitTimeouts
 	timerThink                  // think time before a triggered send
 )
 
@@ -440,22 +522,12 @@ func (c *RequestClient) fire(t *reqTimer) {
 	case timerRTO:
 		// If the response has not arrived, the same request (same sequence
 		// number) is re-sent and the timer re-arms at double the delay, up
-		// to RetransmitMax attempts. The re-send is a transport-layer event:
-		// Sent, Outstanding, and the request's deadline are untouched.
-		if cn.closed || c.stopped || int(t.attempt) > c.cfg.RetransmitMax || cn.find(seq) < 0 {
+		// to RetransmitMax attempts.
+		if c.stopped || int(t.attempt) > c.cfg.RetransmitMax || !cn.outstanding(seq) {
 			c.recycle(t)
 			return
 		}
-		c.stats.Retransmits++
-		c.out(c.sim.NewPacket(netsim.Packet{
-			Flow:   cn.flow,
-			Kind:   netsim.KindRequest,
-			Op:     t.op,
-			Seq:    seq,
-			Key:    t.key,
-			Size:   c.cfg.ReqSize,
-			SentAt: c.sim.Now(),
-		}))
+		c.retransmit(cn, seq)
 		t.attempt++
 		t.delay *= 2
 		c.sim.After(t.delay, t.fn)
@@ -486,18 +558,10 @@ func (c *RequestClient) handle(p *netsim.Packet) {
 		if cn == nil || cn.sent > 0 {
 			return
 		}
-		fill := func() {
-			for i := 0; i < c.cfg.Pipeline; i++ {
-				if !c.canSend(cn) {
-					break
-				}
-				c.sendRequest(cn)
-			}
-		}
 		if c.cfg.OpenDelay > 0 {
-			c.sim.After(c.cfg.OpenDelay, fill)
+			c.sim.After(c.cfg.OpenDelay, func() { c.fill(cn) })
 		} else {
-			fill()
+			c.fill(cn)
 		}
 		return
 	}
@@ -676,9 +740,12 @@ func (c *RequestClient) closeConn(cn *conn) {
 	}
 }
 
+// findConn returns the open connection of flow f, or nil. The source port
+// alone tells open connections apart until ports wrap, so it is compared
+// before the whole key.
 func (c *RequestClient) findConn(f packet.FlowKey) *conn {
 	for _, cn := range c.conns {
-		if cn.flow == f {
+		if cn.flow.SrcPort == f.SrcPort && cn.flow == f {
 			return cn
 		}
 	}

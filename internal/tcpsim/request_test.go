@@ -186,7 +186,7 @@ func TestRequestStop(t *testing.T) {
 // three busy ones: the pending deadlines are one queue served by one
 // callback, so the entry that fires must be the blackholed request's own —
 // exactly one timeout, on that connection, at its deadline, with every
-// healthy request's check in between a no-op.
+// healthy request's check in between passed over.
 func TestRequestTimeoutAbortsItsOwnConnection(t *testing.T) {
 	const timeout = 5 * time.Millisecond
 	sim := netsim.NewSim(1)
@@ -234,8 +234,109 @@ func TestRequestTimeoutAbortsItsOwnConnection(t *testing.T) {
 			st.Sent, st.Responses, st.Abandoned, client.Outstanding())
 	}
 	// The queue holds one timeout's worth of requests, not the run's.
-	if pending, sent := len(client.deadlines)-client.deadlineHead, int(st.Sent); pending == 0 || len(client.deadlines) > sent/4 {
-		t.Errorf("deadline queue: %d pending in %d entries after %d requests", pending, len(client.deadlines), sent)
+	if pending, sent := len(client.deadlines.entries)-client.deadlines.head, int(st.Sent); pending == 0 || len(client.deadlines.entries) > sent/4 {
+		t.Errorf("deadline queue: %d pending in %d entries after %d requests", pending, len(client.deadlines.entries), sent)
+	}
+}
+
+// lateSecondConn runs a client whose requests all get their response 100µs
+// after they are sent, except the second connection's first request, whose
+// response lands exactly late after it. The server turns each request round
+// in an event of its own, after the client has finished sending it (and so
+// ranked its checks).
+func lateSecondConn(cfg RequestConfig, late time.Duration) (*netsim.Sim, *RequestClient) {
+	sim := netsim.NewSim(1)
+	var client *RequestClient
+	requests := 0
+	client = NewRequestClient(sim, cfg, func(p *netsim.Packet) {
+		if p.Kind != netsim.KindRequest {
+			sim.ReleasePacket(p)
+			return
+		}
+		requests++
+		delay := 100 * time.Microsecond
+		if requests == 2 {
+			delay = late
+		}
+		sim.After(0, func() {
+			p.Kind = netsim.KindResponse
+			sim.After(delay, func() { client.HandlePacket(p) })
+		})
+	})
+	sim.Schedule(0, client.Start)
+	return sim, client
+}
+
+// TestRequestResponseAtDeadlineIsStale lands a response at exactly its
+// request's deadline instant. The deadline check was ranked when the
+// request was sent, before the response was scheduled, so it runs first:
+// the connection is aborted and the response counts as Stale. The check is
+// armed only when the one ahead of it fires, after the response was
+// scheduled; taking a fresh rank then would let the response win.
+func TestRequestResponseAtDeadlineIsStale(t *testing.T) {
+	const timeout = time.Millisecond
+	sim, client := lateSecondConn(RequestConfig{Connections: 2, Pipeline: 1, RequestTimeout: timeout}, timeout)
+	sim.RunUntil(timeout - 1)
+	if st := client.Stats(); st.Timeouts != 0 || st.Stale != 0 {
+		t.Fatalf("before the deadline: %d timeouts, %d stale", st.Timeouts, st.Stale)
+	}
+	sim.RunUntil(timeout)
+	if st := client.Stats(); st.Timeouts != 1 || st.Aborts != 1 || st.Stale != 1 || st.Abandoned != 1 {
+		t.Fatalf("at the deadline: %d timeouts, %d aborts, %d stale, %d abandoned; want 1 each",
+			st.Timeouts, st.Aborts, st.Stale, st.Abandoned)
+	}
+}
+
+// TestRequestResponseAtRTORetransmits is the same race for the first
+// retransmission timeout: the RTO check ranks ahead of a response landing
+// at its instant, so the request is re-sent once before the response
+// completes it.
+func TestRequestResponseAtRTORetransmits(t *testing.T) {
+	const rto = time.Millisecond
+	sim, client := lateSecondConn(RequestConfig{Connections: 2, Pipeline: 1, RetransmitTimeout: rto}, rto)
+	sim.RunUntil(rto)
+	if st := client.Stats(); st.Retransmits != 1 || st.Stale != 0 {
+		t.Fatalf("at the RTO: %d retransmits, %d stale; want 1, 0", st.Retransmits, st.Stale)
+	}
+}
+
+// TestRequestArmsOneCheckPerTimer holds the client to one queued deadline
+// event and one queued first-RTO event however many requests are in
+// flight: with every request blackholed those are the only events, across
+// the timeouts and the reopened connections' requests, and the one RTO
+// event still re-sends every request when they fall due.
+func TestRequestArmsOneCheckPerTimer(t *testing.T) {
+	sim := netsim.NewSim(1)
+	client := NewRequestClient(sim, RequestConfig{
+		Connections: 8, Pipeline: 4,
+		RequestTimeout: 20 * time.Millisecond, RetransmitTimeout: 8 * time.Millisecond,
+	}, sim.ReleasePacket)
+	sim.Schedule(0, client.Start)
+	sim.RunUntil(8*time.Millisecond - 1)
+	if out, n := client.Outstanding(), sim.Pending(); out != 32 || n != 2 {
+		t.Fatalf("before the first RTO: %d events queued for %d outstanding requests, want 2 for 32", n, out)
+	}
+	sim.RunUntil(8 * time.Millisecond)
+	if r := client.Stats().Retransmits; r != 32 {
+		t.Fatalf("%d retransmits when every request's first RTO fell due, want 32", r)
+	}
+
+	sim = netsim.NewSim(1)
+	client = NewRequestClient(sim, RequestConfig{
+		Connections: 8, Pipeline: 4, RequestTimeout: 20 * time.Millisecond,
+	}, sim.ReleasePacket)
+	sim.Schedule(0, client.Start)
+	for now := time.Millisecond; now < 100*time.Millisecond; now += 3 * time.Millisecond {
+		sim.RunUntil(now)
+		if out := client.Outstanding(); out != 32 {
+			t.Fatalf("at %v: %d requests outstanding, want 32", now, out)
+		}
+		if n := sim.Pending(); n != 1 {
+			t.Fatalf("at %v: %d events queued for 32 outstanding requests, want 1", now, n)
+		}
+	}
+	if st := client.Stats(); st.Timeouts != 4*8 {
+		t.Errorf("%d timeouts in four deadline periods, want 32 (one per connection)", st.Timeouts)
 	}
 }
 

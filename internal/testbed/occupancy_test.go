@@ -49,3 +49,37 @@ func TestClusterOccupancyMirrorsConnTable(t *testing.T) {
 		}
 	}
 }
+
+// TestL7RequestPicksChargeNoConnection: with layer-7 routing every keyed
+// request is dispatched by its own Pick, and a stateful policy counts a
+// connection on each. Those picks must be undone, and a flow's own charge
+// released against the backend that took it even after a request moved the
+// flow elsewhere, so once the workload drains the policy counts exactly the
+// connections the LB still holds — with L7 as without it.
+func TestL7RequestPicksChargeNoConnection(t *testing.T) {
+	for _, l7 := range []bool{false, true} {
+		lc := control.NewLeastConn(4)
+		cfg := defaultClusterConfig(lc, 4)
+		cfg.L7 = l7
+		cfg.Workload.Connections = 8
+		cfg.Workload.Keys = 64
+		c, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Run(200 * time.Millisecond)
+		c.Client.Stop()
+		c.Sim.Run()
+		if c.Client.Stats().Responses < 1000 {
+			t.Fatalf("L7=%v: only %d responses", l7, c.Client.Stats().Responses)
+		}
+		active := 0
+		for b := 0; b < 4; b++ {
+			active += lc.Active(b)
+		}
+		if active != c.LB.ConnCount() || active == 0 {
+			t.Errorf("L7=%v: leastconn counts %d active connections, the LB holds %d",
+				l7, active, c.LB.ConnCount())
+		}
+	}
+}
