@@ -9,6 +9,7 @@ import (
 	"net/netip"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"inbandlb/internal/control"
+	"inbandlb/internal/netpoll/rawsys"
 	"inbandlb/internal/packet"
 	"inbandlb/internal/testbed"
 )
@@ -500,10 +502,10 @@ func TestLoopResolvesBackends(t *testing.T) {
 // before Serve: once the loop runs, the seam is the loop's.
 func failAccepts(s *npShard, errno syscall.Errno, n int) {
 	real := s.accept4
-	s.accept4 = func(lfd int) (int, syscall.Sockaddr, error) {
+	s.accept4 = func(lfd int) (int, netip.AddrPort, error) {
 		if n > 0 {
 			n--
-			return -1, nil, errno
+			return -1, netip.AddrPort{}, errno
 		}
 		return real(lfd)
 	}
@@ -582,9 +584,9 @@ func TestLoopAcceptFloodYieldsToRelays(t *testing.T) {
 	real := s.accept4
 	var calls atomic.Uint64
 	s.pol.Post(func() {
-		s.accept4 = func(int) (int, syscall.Sockaddr, error) {
+		s.accept4 = func(int) (int, netip.AddrPort, error) {
 			calls.Add(1)
-			return -1, nil, syscall.EINTR
+			return -1, netip.AddrPort{}, syscall.EINTR
 		}
 		s.accept()
 	})
@@ -784,28 +786,62 @@ func TestLoopSocketOptions(t *testing.T) {
 	}
 }
 
-// TestSockaddrFlowKeyMatchesConnPath: the key the loop builds from kernel
-// sockaddrs equals the one flowKeyFor builds from a net.Conn's addresses
-// (the portable relay's), so a flow hashes, routes and shards the same on
-// every platform.
+// TestSockaddrFlowKeyMatchesConnPath: the key the loop builds from the
+// kernel's sockaddrs — the peer address accept4 wrote, the local one
+// getsockname did — equals the one flowKeyFor builds from a net.Conn's
+// addresses (the portable relay's), so a flow hashes, routes and shards the
+// same on every platform. An IPv4 client of a dual-stack wildcard listener
+// arrives 4-in-6 mapped and keys as its IPv4 address.
 func TestSockaddrFlowKeyMatchesConnPath(t *testing.T) {
-	for _, a := range []*net.TCPAddr{
-		{IP: net.IP{192, 168, 7, 9}, Port: 65535},
-		{IP: net.IPv4(10, 1, 2, 3), Port: 40001},
-		{IP: net.ParseIP("::ffff:10.0.0.1"), Port: 1},
-		{IP: net.ParseIP("2001:db8::1"), Port: 4242},
+	for _, tc := range []struct{ listen, dial string }{
+		{"127.0.0.1:0", "127.0.0.1"},
+		{"[::1]:0", "::1"},
+		{"[::]:0", "127.0.0.1"},
 	} {
-		var sa syscall.Sockaddr
-		if ip4 := a.IP.To4(); ip4 != nil && len(a.IP) == net.IPv4len {
-			sa = &syscall.SockaddrInet4{Port: a.Port, Addr: [4]byte(ip4)}
-		} else {
-			sa = &syscall.SockaddrInet6{Port: a.Port, Addr: [16]byte(a.IP.To16())}
+		lis, err := net.Listen("tcp", tc.listen)
+		if err != nil {
+			t.Logf("%s: %v (skipped)", tc.listen, err)
+			continue
 		}
-		ip, port := sockaddrIP4Port(sa)
-		wantIP, wantPort := ip4Port(a)
-		if ip != wantIP || port != wantPort {
-			t.Errorf("%v: sockaddr path %v:%d, net.Addr path %v:%d", a, ip, port, wantIP, wantPort)
+		lfd, err := dupFD(lis.(*net.TCPListener))
+		_ = lis.Close()
+		if err != nil {
+			t.Fatal(err)
 		}
+		port := lis.Addr().(*net.TCPAddr).Port
+		c, err := net.DialTimeout("tcp", net.JoinHostPort(tc.dial, strconv.Itoa(port)), time.Second)
+		if err != nil {
+			_ = syscall.Close(lfd)
+			t.Logf("dial %s: %v (skipped)", tc.dial, err)
+			continue
+		}
+		fd, peer, err := rawsys.Accept4(lfd, syscall.SOCK_CLOEXEC)
+		for deadline := time.Now().Add(5 * time.Second); err == syscall.EAGAIN && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+			fd, peer, err = rawsys.Accept4(lfd, syscall.SOCK_CLOEXEC)
+		}
+		if err != nil {
+			t.Fatalf("%s: accept4: %v", tc.listen, err)
+		}
+		local, err := rawsys.Getsockname(fd)
+		if err != nil {
+			t.Fatalf("%s: getsockname: %v", tc.listen, err)
+		}
+		for _, pair := range []struct {
+			name    string
+			raw     netip.AddrPort
+			viaConn net.Addr
+		}{{"peer", peer, c.LocalAddr()}, {"local", local, c.RemoteAddr()}} {
+			ip, port := addrPort4(pair.raw)
+			wantIP, wantPort := ip4Port(pair.viaConn)
+			if ip != wantIP || port != wantPort {
+				t.Errorf("%s dialed at %s: %s key %v:%d from the sockaddr (%v), %v:%d from the net.Conn",
+					tc.listen, tc.dial, pair.name, ip, port, pair.raw, wantIP, wantPort)
+			}
+		}
+		_ = c.Close()
+		_ = syscall.Close(fd)
+		_ = syscall.Close(lfd)
 	}
 }
 
@@ -814,18 +850,16 @@ func TestSockaddrFlowKeyMatchesConnPath(t *testing.T) {
 // sockaddr path and the net.Addr path. IPv4 and 4-in-6 keys are the IPv4
 // address itself.
 func TestIPv6FlowKeys(t *testing.T) {
-	key := func(sa *syscall.SockaddrInet6) packet.FlowKey {
+	key := func(peer string) packet.FlowKey {
 		k := packet.FlowKey{Proto: packet.ProtoTCP, DstIP: [4]byte{127, 0, 0, 1}, DstPort: 9000}
-		k.SrcIP, k.SrcPort = sockaddrIP4Port(sa)
+		k.SrcIP, k.SrcPort = addrPort4(netip.MustParseAddrPort(peer))
 		return k
 	}
-	a := &syscall.SockaddrInet6{Port: 4242, Addr: [16]byte(net.ParseIP("2001:db8::1"))}
-	b := &syscall.SockaddrInet6{Port: 4242, Addr: [16]byte(net.ParseIP("2001:db8::2"))}
-	ka, kb := key(a), key(b)
+	ka, kb := key("[2001:db8::1]:4242"), key("[2001:db8::2]:4242")
 	if ka == kb || ka.Hash() == kb.Hash() {
 		t.Errorf("2001:db8::1 and 2001:db8::2 on one port: keys %+v and %+v, hashes %x and %x", ka, kb, ka.Hash(), kb.Hash())
 	}
-	if ip, _ := addrPort4(netip.MustParseAddrPort("[2001:db8::1]:4242")); ip != ka.SrcIP {
+	if ip, _ := ip4Port(&net.TCPAddr{IP: net.ParseIP("2001:db8::1"), Port: 4242}); ip != ka.SrcIP {
 		t.Errorf("net.Addr path %v, sockaddr path %v", ip, ka.SrcIP)
 	}
 	for addr, want := range map[string][4]byte{

@@ -14,6 +14,7 @@ import (
 
 	"inbandlb/internal/lbproxy/dialpool"
 	"inbandlb/internal/netpoll"
+	"inbandlb/internal/netpoll/rawsys"
 	"inbandlb/internal/packet"
 )
 
@@ -81,6 +82,10 @@ import (
 // Estimator semantics: every request-direction chunk (one read or one
 // splice) is observed once by the relay's own estimator (npRelay.est), and
 // the response direction stays timestamp-free.
+//
+// Syscalls: every call the loop makes on these fds goes through rawsys, as a
+// raw nonblocking syscall that never enters the scheduler; EINTR is retried
+// where a call can see it. TestEventLoopSyscallsStayRaw keeps it that way.
 
 const (
 	// npPumpBudget bounds chunks moved per pump invocation so one hot
@@ -95,9 +100,12 @@ const (
 	poolSweepPeriod = time.Second
 )
 
-// dataplane is the Linux half of Proxy: one shard per acceptor.
+// dataplane is the Linux half of Proxy: one shard per acceptor, and the
+// backends in the form connect(2) takes, by backend index (read-only once
+// built, so the shards share them).
 type dataplane struct {
-	np []*npShard
+	np       []*npShard
+	backends []rawsys.Sockaddr
 }
 
 // npShard pairs one poller with what its loop goroutine owns: the listening
@@ -112,14 +120,12 @@ type npShard struct {
 	buf  []byte
 	pipe *spipe
 
-	backends []syscall.Sockaddr // connect targets, by backend index
-
 	lfd       int     // listening socket; -1 without one
 	localIP   [4]byte // the flow key's destination half, when the
 	localPort uint16  // listener is bound to one address
 	localAny  bool    // wildcard listener: ask each accepted socket
 	acceptFn  func()  // s.accept, bound once for Post and the wheel
-	accept4   func(lfd int) (int, syscall.Sockaddr, error)
+	accept4   func(lfd int) (int, netip.AddrPort, error)
 	backoff   time.Duration  // current accept-error pause
 	retry     *netpoll.Timer // re-arms accept after an error: the edge will not
 	congTimer *netpoll.Timer // TCP_INFO sampling cadence
@@ -181,6 +187,9 @@ func (p *Proxy) initDataplane() error {
 	if err != nil {
 		return err
 	}
+	for _, ta := range targets {
+		p.backends = append(p.backends, rawsys.NewSockaddr(ta.AddrPort(), zoneID(ta.Zone)))
+	}
 	for i := 0; i < p.cfg.Acceptors; i++ {
 		pol, err := netpoll.New(netpoll.Config{})
 		if err != nil {
@@ -191,15 +200,10 @@ func (p *Proxy) initDataplane() error {
 		}
 		s := &npShard{p: p, idx: i, pol: pol, live: make(map[*npRelay]struct{}),
 			buf: make([]byte, relayBufferSize), lfd: -1,
-			accept4: func(lfd int) (int, syscall.Sockaddr, error) {
-				return syscall.Accept4(lfd, syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC)
+			accept4: func(lfd int) (int, netip.AddrPort, error) {
+				return rawsys.Accept4(lfd, syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC)
 			}}
 		s.acceptFn = s.accept
-		// A Sockaddr per shard: connect(2) through package syscall writes
-		// the kernel form into the value it is given.
-		for _, ta := range targets {
-			s.backends = append(s.backends, sockaddr(ta))
-		}
 		p.np = append(p.np, s)
 	}
 	if p.cfg.PoolIdle > 0 {
@@ -232,14 +236,6 @@ func resolveBackends(addrs []string) ([]*net.TCPAddr, error) {
 		out[i] = ta
 	}
 	return out, nil
-}
-
-// sockaddr is ta in the form connect(2) takes.
-func sockaddr(ta *net.TCPAddr) syscall.Sockaddr {
-	if ip4 := ta.IP.To4(); ip4 != nil {
-		return &syscall.SockaddrInet4{Port: ta.Port, Addr: [4]byte(ip4)}
-	}
-	return &syscall.SockaddrInet6{Port: ta.Port, Addr: [16]byte(ta.IP.To16()), ZoneId: zoneID(ta.Zone)}
 }
 
 // zoneID is the interface index an IPv6 zone names (by name or number), 0
@@ -413,13 +409,13 @@ func (s *npShard) accept() {
 
 // admit routes one accepted socket and starts its relay: on a pooled backend
 // socket if the dial pool has one, else with a backend connect.
-func (s *npShard) admit(cfd int, peer syscall.Sockaddr) {
+func (s *npShard) admit(cfd int, peer netip.AddrPort) {
 	p := s.p
 	key := packet.FlowKey{Proto: packet.ProtoTCP, DstIP: s.localIP, DstPort: s.localPort}
-	key.SrcIP, key.SrcPort = sockaddrIP4Port(peer)
+	key.SrcIP, key.SrcPort = addrPort4(peer)
 	if s.localAny {
-		if local, err := syscall.Getsockname(cfd); err == nil {
-			key.DstIP, key.DstPort = sockaddrIP4Port(local)
+		if local, err := rawsys.Getsockname(cfd); err == nil {
+			key.DstIP, key.DstPort = addrPort4(local)
 		}
 	}
 	backend, charged := p.route(key)
@@ -466,17 +462,6 @@ func (rel *npRelay) checkout() bool {
 	return true
 }
 
-// sockaddrIP4Port is ip4Port for a kernel socket address.
-func sockaddrIP4Port(sa syscall.Sockaddr) (ip [4]byte, port uint16) {
-	switch a := sa.(type) {
-	case *syscall.SockaddrInet4:
-		return a.Addr, uint16(a.Port)
-	case *syscall.SockaddrInet6:
-		return addrPort4(netip.AddrPortFrom(netip.AddrFrom16(a.Addr), uint16(a.Port)))
-	}
-	return ip, 0
-}
-
 // Go's TCP keep-alive defaults, which package net applies to every
 // connection it dials or accepts.
 const keepAliveSecs = 15
@@ -484,10 +469,10 @@ const keepAliveSecs = 15
 // setConnOpts gives a socket what package net would have: TCP_NODELAY and
 // keep-alive probes. Best effort — a socket without them still relays.
 func setConnOpts(fd int) {
-	_ = syscall.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_NODELAY, 1)
-	_ = syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_KEEPALIVE, 1)
-	_ = syscall.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_KEEPIDLE, keepAliveSecs)
-	_ = syscall.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_KEEPINTVL, keepAliveSecs)
+	_ = rawsys.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_NODELAY, 1)
+	_ = rawsys.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_KEEPALIVE, 1)
+	_ = rawsys.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_KEEPIDLE, keepAliveSecs)
+	_ = rawsys.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_KEEPINTVL, keepAliveSecs)
 }
 
 // dupFD returns a close-on-exec duplicate of c's descriptor. File status
@@ -504,13 +489,7 @@ func dupFD(c syscall.Conn) (fd int, err error) {
 	return fd, err
 }
 
-func dupRaw(fd int) (int, error) {
-	r, _, errno := syscall.Syscall(syscall.SYS_FCNTL, uintptr(fd), syscall.F_DUPFD_CLOEXEC, 0)
-	if errno != 0 {
-		return -1, errno
-	}
-	return int(r), nil
-}
+func dupRaw(fd int) (int, error) { return rawsys.Fcntl(fd, syscall.F_DUPFD_CLOEXEC, 0) }
 
 // fdConn is dupFD's inverse: a net.Conn on a duplicate of fd, which stays
 // the caller's. (Two duplicates are made on the way — an os.File cannot be
@@ -530,17 +509,13 @@ func fdConn(fd int) (net.Conn, error) {
 // DialTimeout rides the request direction's wheel timer until then.
 func (rel *npRelay) connect(backend int) {
 	rel.backend = backend
-	sa := rel.shard.backends[backend]
-	family := syscall.AF_INET
-	if _, ok := sa.(*syscall.SockaddrInet6); ok {
-		family = syscall.AF_INET6
-	}
-	fd, err := syscall.Socket(family, syscall.SOCK_STREAM|syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC, syscall.IPPROTO_TCP)
+	sa := &rel.p.backends[backend]
+	fd, err := rawsys.Socket(sa.Family(), syscall.SOCK_STREAM|syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC, syscall.IPPROTO_TCP)
 	if err == nil {
 		rel.sfd = fd
 		setConnOpts(fd)
 		// EINTR on a nonblocking connect: the handshake goes on regardless.
-		if err = syscall.Connect(fd, sa); err == syscall.EINPROGRESS || err == syscall.EINTR {
+		if err = rawsys.Connect(fd, sa); err == syscall.EINPROGRESS || err == syscall.EINTR {
 			err = nil
 		}
 	}
@@ -562,7 +537,7 @@ func (rel *npRelay) onConnect(ev netpoll.Event) {
 	if !ev.Writable {
 		return
 	}
-	if soerr, err := syscall.GetsockoptInt(rel.sfd, syscall.SOL_SOCKET, syscall.SO_ERROR); err != nil || soerr != 0 {
+	if soerr, err := rawsys.GetsockoptInt(rel.sfd, syscall.SOL_SOCKET, syscall.SO_ERROR); err != nil || soerr != 0 {
 		rel.connectFailed()
 		return
 	}
@@ -910,9 +885,9 @@ func (d *npDir) drainPipe(pp *spipe, n int) (left int, err error) {
 func (d *npDir) spliceNB(rfd, wfd, n int) (int, error) {
 	d.rel.p.sysSplices.Add(1)
 	for {
-		m, errno := syscall.Splice(rfd, nil, wfd, nil, n, spliceFlags)
-		if errno != syscall.EINTR {
-			return int(m), errno
+		m, err := rawsys.Splice(rfd, wfd, n, spliceFlags)
+		if err != syscall.EINTR {
+			return m, err
 		}
 	}
 }
@@ -922,7 +897,7 @@ func (d *npDir) spliceNB(rfd, wfd, n int) (int, error) {
 func (d *npDir) rawRead(buf []byte) (int, error) {
 	d.rel.p.sysReads.Add(1)
 	for {
-		n, errno := syscall.Read(d.src, buf)
+		n, errno := rawsys.Read(d.src, buf)
 		switch {
 		case errno == syscall.EINTR:
 			continue
@@ -940,7 +915,7 @@ func (d *npDir) rawRead(buf []byte) (int, error) {
 func (d *npDir) rawWrite(b []byte) (total int, blocked bool, err error) {
 	for total < len(b) {
 		d.rel.p.sysWrites.Add(1) // before the call: the peer may read Stats the moment the bytes land
-		n, errno := syscall.Write(d.dst, b[total:])
+		n, errno := rawsys.Write(d.dst, b[total:])
 		switch {
 		case errno == syscall.EINTR:
 			continue
@@ -995,7 +970,7 @@ func (d *npDir) srcEOF() {
 		rel.reuseWanted = true
 		rel.resp.rearmIdle() // now the quiesce grace
 	} else {
-		_ = syscall.Shutdown(d.dst, syscall.SHUT_WR)
+		_ = rawsys.Shutdown(d.dst, syscall.SHUT_WR)
 	}
 	rel.maybeFinish()
 }
@@ -1075,7 +1050,7 @@ func (d *npDir) onTimeout() {
 		// A full PoolQuiesce of silence after the client's clean EOF: the
 		// exchange is over and the backend socket is drained.
 		rel.recycled = true
-		_ = syscall.Shutdown(rel.cfd, syscall.SHUT_WR)
+		_ = rawsys.Shutdown(rel.cfd, syscall.SHUT_WR)
 		d.done = true
 		rel.maybeFinish()
 		return

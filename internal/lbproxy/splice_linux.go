@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
+
+	"inbandlb/internal/netpoll/rawsys"
 )
 
 // Zero-copy relay: a burst that overflows the shard's read buffer moves
@@ -58,11 +60,11 @@ var pipesCreated atomic.Uint64
 var pipePool = sync.Pool{
 	New: func() any {
 		var fds [2]int
-		if err := syscall.Pipe2(fds[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
+		if err := rawsys.Pipe2(&fds, syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
 			return (*spipe)(nil)
 		}
 		// Enlarge best-effort; the default 64 KiB pipe still works.
-		_, _, _ = syscall.Syscall(syscall.SYS_FCNTL, uintptr(fds[0]), fSetPipeSz, uintptr(pipeCapacity))
+		_, _ = rawsys.Fcntl(fds[0], fSetPipeSz, pipeCapacity)
 		pipesCreated.Add(1)
 		sp := &spipe{r: fds[0], w: fds[1]}
 		runtime.SetFinalizer(sp, (*spipe).destroy)
@@ -84,8 +86,8 @@ func (sp *spipe) destroy() {
 		return
 	}
 	runtime.SetFinalizer(sp, nil)
-	_ = syscall.Close(sp.r)
-	_ = syscall.Close(sp.w)
+	_ = rawsys.Close(sp.r)
+	_ = rawsys.Close(sp.w)
 	sp.r, sp.w = -1, -1
 }
 

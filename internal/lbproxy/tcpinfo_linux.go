@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"unsafe"
+
+	"inbandlb/internal/netpoll/rawsys"
 )
 
 // Live transport-distress sampling: the kernel already runs the congestion
@@ -55,12 +57,9 @@ func tcpInfoFD(fd int) (totalRetrans, rttMicros uint32, ok bool) {
 		return 0, 0, false
 	}
 	var buf [256]byte
-	optlen := uint32(len(buf))
-	_, _, errno := syscall.Syscall6(syscall.SYS_GETSOCKOPT, uintptr(fd),
-		uintptr(syscall.IPPROTO_TCP), uintptr(syscall.TCP_INFO),
-		uintptr(unsafe.Pointer(&buf[0])), uintptr(unsafe.Pointer(&optlen)), 0)
-	if errno != 0 {
-		if errno == syscall.ENOPROTOOPT || errno == syscall.EINVAL || errno == syscall.ENOSYS {
+	optlen, err := rawsys.Getsockopt(fd, syscall.IPPROTO_TCP, syscall.TCP_INFO, buf[:])
+	if err != nil {
+		if err == syscall.ENOPROTOOPT || err == syscall.EINVAL || err == syscall.ENOSYS {
 			tcpInfoBroken.Store(true)
 		}
 		return 0, 0, false

@@ -371,3 +371,50 @@ func TestMaxValueRejected(t *testing.T) {
 		t.Errorf("err = %v, want CLIENT_ERROR", err)
 	}
 }
+
+// TestServerCloseWhileAccepting: Close racing a stream of new connections
+// returns promptly and leaves no connection open behind it. A connection
+// Serve admits after Close took its snapshot of the open set must be turned
+// away, not tracked: nothing would close it, and Close would wait for its
+// handler until the client hung up. (Under -race this also checks that
+// Serve's WaitGroup Add cannot run concurrently with Close's Wait.)
+func TestServerCloseWhileAccepting(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		s := NewServer()
+		if err := s.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		go func() { _ = s.Serve() }()
+		addr := s.Addr().String()
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for d := 0; d < 4; d++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					c, err := net.DialTimeout("tcp", addr, time.Second)
+					if err != nil {
+						continue
+					}
+					defer c.Close() // held open: only the server may end it
+				}
+			}()
+		}
+		time.Sleep(2 * time.Millisecond)
+		closed := make(chan struct{})
+		go func() { _ = s.Close(); close(closed) }()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: Close still waiting on a connection it never closed", i)
+		}
+		close(stop)
+		wg.Wait()
+	}
+}

@@ -125,11 +125,19 @@ func (s *Server) Serve() error {
 			}
 			return err
 		}
-		s.conns.Add(1)
+		// Admission and Close's sweep of the open set are ordered by
+		// connsMu: a connection accepted after Close has swept is turned
+		// away here, and no Add can race Close's Wait.
 		s.connsMu.Lock()
+		if s.closed.Load() {
+			s.connsMu.Unlock()
+			_ = conn.Close()
+			return nil
+		}
+		s.conns.Add(1)
 		s.open[conn] = struct{}{}
-		s.connsMu.Unlock()
 		s.wg.Add(1)
+		s.connsMu.Unlock()
 		go func() {
 			defer s.wg.Done()
 			s.handle(conn)

@@ -4,10 +4,11 @@
 // the poller's single loop goroutine, and a hierarchical timing wheel owned
 // by the loop carries every per-connection deadline.
 //
-// The Poller is Linux-only and uses raw epoll_create1/epoll_ctl/epoll_wait
-// via the stdlib syscall package (no x/sys dependency). When the kernel
-// reports ENOSYS — latched process-wide — New returns ErrUnsupported. The
-// timing wheel is portable.
+// The Poller is Linux-only. Its set-up (epoll_create1, the wake pipe) goes
+// through package syscall; every call the loop makes goes through rawsys,
+// as a raw syscall (no x/sys dependency). When the kernel reports ENOSYS —
+// latched process-wide — New returns ErrUnsupported. The timing wheel is
+// portable.
 //
 // Concurrency contract: Post, Stats, and Close are safe from any goroutine.
 // Readiness callbacks, posted tasks, and timer callbacks all run on the loop

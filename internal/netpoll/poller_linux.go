@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"inbandlb/internal/netpoll/rawsys"
 )
 
 // epollBroken latches process-wide when the kernel rejects epoll_create1 with
@@ -34,6 +36,10 @@ const epollMask = uint32(syscall.EPOLLIN|syscall.EPOLLOUT|syscall.EPOLLRDHUP|
 // retakes it (up to ~10ms on an otherwise-idle scheduler), adding
 // scheduler-stall latency to every wakeup — worst on GOMAXPROCS=1.
 // Parking on the runtime poller makes wakeups ordinary goroutine wakeups.
+//
+// The converse holds for everything the loop does between parks: each
+// syscall is nonblocking and raw (rawsys), so none of them wakes sysmon or
+// gives up the P. Only New's set-up uses package syscall's wrappers.
 type Poller struct {
 	epfd         int
 	epf          *os.File        // epfd wrapped for runtime-netpoller parking
@@ -121,7 +127,7 @@ func New(cfg Config) (*Poller, error) {
 // socket is at least writable) gets its first event on the next batch.
 func (p *Poller) Register(fd int, cb func(Event)) error {
 	ev := syscall.EpollEvent{Events: epollMask, Fd: int32(fd)}
-	if err := syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_ADD, fd, &ev); err != nil {
+	if err := rawsys.EpollCtl(p.epfd, syscall.EPOLL_CTL_ADD, fd, &ev); err != nil {
 		return err
 	}
 	if fd >= len(p.cbs) {
@@ -157,7 +163,7 @@ func (p *Poller) CloseFD(fd int) {
 // number that is free for reuse. Loop goroutine only; CloseFD still retires
 // the descriptor itself.
 func (p *Poller) Unregister(fd int) {
-	_ = syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_DEL, fd, nil)
+	_ = rawsys.EpollCtl(p.epfd, syscall.EPOLL_CTL_DEL, fd, nil)
 	if uint(fd) < uint(len(p.cbs)) && p.cbs[fd] != nil {
 		p.cbs[fd] = nil
 		p.registered.Add(-1)
@@ -177,7 +183,7 @@ func (p *Poller) Post(fn func()) bool {
 	p.tasks = append(p.tasks, fn)
 	if p.wakePending.CompareAndSwap(false, true) {
 		var b [1]byte
-		_, _ = syscall.Write(p.wakeW, b[:]) // EAGAIN: pipe full, loop is waking anyway
+		_, _ = rawsys.Write(p.wakeW, b[:]) // EAGAIN: pipe full, loop is waking anyway
 	}
 	return true
 }
@@ -217,8 +223,8 @@ func (p *Poller) Close() error {
 	p.dead = true
 	p.mu.Unlock()
 	_ = p.epf.Close() // owns epfd; also deregisters it from the runtime poller
-	syscall.Close(p.wakeR)
-	syscall.Close(p.wakeW)
+	_ = rawsys.Close(p.wakeR)
+	_ = rawsys.Close(p.wakeW)
 	return nil
 }
 
@@ -247,7 +253,7 @@ func (p *Poller) loop() {
 			// from this wakeup and not from the last one.
 			p.wheel.Advance(p.nowTick())
 			for {
-				n, werr := syscall.EpollWait(p.epfd, events, 0)
+				n, werr := rawsys.EpollWait(p.epfd, events)
 				if werr == syscall.EINTR {
 					continue
 				}
@@ -299,7 +305,7 @@ func (p *Poller) turn() bool {
 // closeFDs closes what CloseFD collected during the turn.
 func (p *Poller) closeFDs() {
 	for _, fd := range p.closing {
-		_ = syscall.Close(fd)
+		_ = rawsys.Close(fd)
 	}
 	p.closing = p.closing[:0]
 }
@@ -330,7 +336,7 @@ func (p *Poller) dispatch(events []syscall.EpollEvent) {
 func (p *Poller) drainWake() {
 	var buf [64]byte
 	for {
-		n, err := syscall.Read(p.wakeR, buf[:])
+		n, err := rawsys.Read(p.wakeR, buf[:])
 		if n < len(buf) || err != nil {
 			return
 		}

@@ -16,12 +16,12 @@ import (
 
 // connLifecycleAllocs is what one connection that carries one request byte
 // costs the heap on the event path, accept to close, counted process-wide:
-// six for the lifecycle — the npRelay, the two readiness callbacks bound to
-// it, the DialTimeout timer on the wheel and its callback, the accepted
-// peer's sockaddr out of syscall.Accept4 — and three for the estimator the
-// first byte creates (the timeout ensemble, its batch heads and its counts,
-// held by the npRelay itself).
-const connLifecycleAllocs = 9
+// five for the lifecycle — the npRelay, the two readiness callbacks bound to
+// it, the DialTimeout timer on the wheel and its callback (the peer's
+// address comes out of accept4 by value, into the flow key) — and three for
+// the estimator the first byte creates (the timeout ensemble, its batch
+// heads and its counts, held by the npRelay itself).
+const connLifecycleAllocs = 8
 
 // TestEventPathConnectionAllocs pins the allocations of one admitted-and-
 // closed connection on the event loop. Client and backend are this
