@@ -428,7 +428,7 @@ func (c *Controller) refreshAdmitLocked() {
 // outlier, sample starvation, timer-driven state advances), then republish
 // the routing snapshot if the policy replaced its table or health state
 // changed. Safe to call concurrently with the data plane; single-threaded
-// drivers (the simulator, via the Ticker interface) call it directly with
+// drivers (the simulator's lb.LB) call it directly with
 // their own clock.
 func (c *Controller) Tick(now time.Duration) {
 	c.mu.Lock()

@@ -20,10 +20,6 @@ type KnapsackConfig struct {
 	MinWeight float64
 	// Interval is the solve period. Defaults to 5 ms.
 	Interval time.Duration
-	// Quanta is how many equal increments the greedy fill distributes the
-	// above-floor weight mass in; more quanta give a finer allocation at
-	// linear solve cost. Defaults to 64.
-	Quanta int
 	// Beta in (0,1] smooths each solve toward its target allocation:
 	// w += Beta·(target−w). 1 jumps straight to the target. Defaults to 0.5.
 	Beta float64
@@ -34,6 +30,11 @@ type KnapsackConfig struct {
 	// Latency configures per-server freshness tracking.
 	Latency core.ServerLatencyConfig
 }
+
+// knapQuanta is how many equal increments the greedy fill distributes the
+// above-floor weight mass in; more quanta give a finer allocation at
+// linear solve cost.
+const knapQuanta = 64
 
 // knapCurve holds one backend's exponentially-decayed least-squares fit of
 // latency (y, nanoseconds) against the weight the backend held when each
@@ -129,9 +130,6 @@ func NewKnapsackGreedy(cfg KnapsackConfig) (*KnapsackGreedy, error) {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Millisecond
-	}
-	if cfg.Quanta <= 0 {
-		cfg.Quanta = 64
 	}
 	if cfg.Beta == 0 {
 		cfg.Beta = 0.5
@@ -257,8 +255,8 @@ func (k *KnapsackGreedy) solve(now time.Duration) {
 		target[i] = k.cfg.MinWeight
 	}
 	remain := 1 - float64(n)*k.cfg.MinWeight
-	dq := remain / float64(k.cfg.Quanta)
-	for q := 0; q < k.cfg.Quanta; q++ {
+	dq := remain / knapQuanta
+	for q := 0; q < knapQuanta; q++ {
 		best, bestCost := 0, 0.0
 		for i := 0; i < n; i++ {
 			cost := a[i] + c[i]*(target[i]+dq/2)

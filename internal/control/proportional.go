@@ -24,19 +24,21 @@ type ProportionalConfig struct {
 	MinWeight float64
 	// Interval is the control period. Defaults to 5 ms.
 	Interval time.Duration
-	// Deadband is the relative latency deviation below which no
-	// corrective action is taken — persistent small differences must not
-	// compound into a full drain. Defaults to 0.05 (5 %).
-	Deadband float64
-	// Restore is the per-period leak toward uniform weights applied when
-	// a server sits inside the deadband: it rebalances load after a
-	// degraded server recovers (a drained server whose latency has
-	// equalized would otherwise stay at the floor forever). Defaults to
-	// 0.02.
-	Restore float64
 	// Latency configures per-server aggregation.
 	Latency core.ServerLatencyConfig
 }
+
+const (
+	// propDeadband is the relative latency deviation below which no
+	// corrective action is taken — persistent small differences must not
+	// compound into a full drain.
+	propDeadband = 0.05
+	// propRestore is the per-period leak toward uniform weights applied
+	// when a server sits inside the deadband: it rebalances load after a
+	// degraded server recovers (a drained server whose latency has
+	// equalized would otherwise stay at the floor forever).
+	propRestore = 0.02
+)
 
 // Proportional is a step beyond the paper's simple strategy (its §5 Q4
 // asks for "more sophisticated control loops"): instead of moving a fixed
@@ -83,18 +85,6 @@ func NewProportional(cfg ProportionalConfig) (*Proportional, error) {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Millisecond
-	}
-	if cfg.Deadband == 0 {
-		cfg.Deadband = 0.05
-	}
-	if cfg.Deadband < 0 || cfg.Deadband >= 1 {
-		return nil, fmt.Errorf("control: deadband %v outside [0,1)", cfg.Deadband)
-	}
-	if cfg.Restore == 0 {
-		cfg.Restore = 0.02
-	}
-	if cfg.Restore < 0 || cfg.Restore > 1 {
-		return nil, fmt.Errorf("control: restore %v outside [0,1]", cfg.Restore)
 	}
 	n := len(cfg.Backends)
 	builder, err := maglev.NewBuilder(cfg.TableSize, cfg.Backends)
@@ -182,7 +172,7 @@ func (p *Proportional) step(now time.Duration) {
 		if !fresh[i] {
 			continue
 		}
-		if dev := (lats[i] - mean) / mean; math.Abs(dev) > p.cfg.Deadband {
+		if dev := (lats[i] - mean) / mean; math.Abs(dev) > propDeadband {
 			allInBand = false
 			break
 		}
@@ -196,13 +186,13 @@ func (p *Proportional) step(now time.Duration) {
 		}
 		dev := (lats[i] - mean) / mean
 		var next float64
-		if math.Abs(dev) <= p.cfg.Deadband {
+		if math.Abs(dev) <= propDeadband {
 			next = p.weights[i]
 			if allInBand {
 				// Equalized pool: leak toward uniform so recovered
 				// servers regain load and small persistent deviations do
 				// not compound.
-				next += p.cfg.Restore * (uniform - p.weights[i])
+				next += propRestore * (uniform - p.weights[i])
 			}
 		} else {
 			factor := math.Exp(-p.cfg.Gain * dev)

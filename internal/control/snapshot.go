@@ -1,8 +1,6 @@
 package control
 
 import (
-	"time"
-
 	"inbandlb/internal/maglev"
 	"inbandlb/internal/packet"
 )
@@ -159,14 +157,4 @@ type TableSource interface {
 	// Table returns the current routing table. The returned table must be
 	// immutable; the policy replaces (never mutates) it on weight changes.
 	Table() *maglev.Table
-}
-
-// Ticker is implemented by policy wrappers that batch control work behind
-// a periodic tick (the Controller). Single-threaded drivers with their own
-// clock — the simulator — call Tick directly instead of starting the
-// wrapper's wall-clock ticker.
-type Ticker interface {
-	// Tick applies all latency samples observed since the previous Tick
-	// and republishes the routing snapshot if the policy changed it.
-	Tick(now time.Duration)
 }

@@ -140,23 +140,16 @@ func (c *EnsembleConfig) applyDefaults() error {
 // The ladder is stored flat — parallel slices indexed by rung — rather
 // than as k boxed *FixedTimeout objects. Because every rung observes the
 // same packet stream, the per-rung lastPkt timestamps are always equal, so
-// one shared lastPkt plus a per-rung batch-head slice is the complete
-// state. Observe walks lastBatch/counts sequentially (contiguous memory,
-// no pointer chasing) and exits at the first rung whose δ exceeds the gap:
-// the ladder is strictly increasing, so no later rung can fire either.
+// one shared lastPkt plus a per-rung batch-head slice (a LadderFlow) is the
+// complete flow state. Observe walks lastBatch/counts sequentially
+// (contiguous memory, no pointer chasing) and exits at the first rung whose
+// δ exceeds the gap: the ladder is strictly increasing, so no later rung
+// can fire either.
 //
 // Construct with NewEnsembleTimeout.
 type EnsembleTimeout struct {
-	cfg       EnsembleConfig
-	lastBatch []time.Duration // per-rung batch-head timestamp
-	counts    []uint64        // per-rung samples this epoch
-	lastPkt   time.Duration   // shared across rungs: all see the same stream
-	started   bool
-	current   int // index of δe, the timeout whose samples are emitted
-
-	epochStart   time.Duration
-	epochStarted bool
-	epochs       uint64
+	cliff
+	flow LadderFlow
 
 	// OnEpoch, when set, observes each cliff decision: the epoch-end
 	// time, per-timeout sample counts for the finished epoch, and the
@@ -164,23 +157,49 @@ type EnsembleTimeout struct {
 	OnEpoch func(now time.Duration, counts []uint64, chosen int)
 }
 
-// NewEnsembleTimeout creates the estimator for one flow.
-func NewEnsembleTimeout(cfg EnsembleConfig) (*EnsembleTimeout, error) {
+// LadderFlow is one flow's batch state on a timeout ladder: the last
+// packet's arrival, shared by every rung, and each rung's batch head. An
+// EnsembleTimeout holds one; with a SharedLadder, obtain one from
+// SharedLadder.NewFlow per connection and discard it on close.
+type LadderFlow struct {
+	lastPkt   time.Duration
+	lastBatch []time.Duration // per-rung batch-head timestamp
+	started   bool
+}
+
+// cliff is Algorithm 2's sample-cliff selector over a timeout ladder: the
+// per-rung sample counts of the running epoch, the rung the last epoch
+// chose, and the epoch clock. An EnsembleTimeout runs one over its own
+// flow; a SharedLadder runs one over every flow routed to a server.
+type cliff struct {
+	cfg     EnsembleConfig
+	counts  []uint64 // per-rung samples this epoch
+	current int      // index of δe, the timeout whose samples are emitted
+
+	epochStart   time.Duration
+	epochStarted bool
+	epochs       uint64
+}
+
+func newCliff(cfg EnsembleConfig) (cliff, error) {
 	if err := cfg.applyDefaults(); err != nil {
-		return nil, err
-	}
-	e := &EnsembleTimeout{
-		cfg:       cfg,
-		lastBatch: make([]time.Duration, len(cfg.Timeouts)),
-		counts:    make([]uint64, len(cfg.Timeouts)),
+		return cliff{}, err
 	}
 	// Start from the smallest timeout: with no information yet it is the
 	// only choice guaranteed to produce samples (a too-low δ oversamples,
 	// a too-high δ can be silent forever), so even flows shorter than one
 	// epoch — e.g. a closed-loop connection sending a hundred requests —
 	// yield usable latency estimates. The first epoch's cliff corrects it.
-	e.current = 0
-	return e, nil
+	return cliff{cfg: cfg, counts: make([]uint64, len(cfg.Timeouts)), current: 0}, nil
+}
+
+// NewEnsembleTimeout creates the estimator for one flow.
+func NewEnsembleTimeout(cfg EnsembleConfig) (*EnsembleTimeout, error) {
+	c, err := newCliff(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &EnsembleTimeout{cliff: c, flow: c.newFlow()}, nil
 }
 
 // MustEnsemble is NewEnsembleTimeout for configurations known to be valid;
@@ -193,16 +212,20 @@ func MustEnsemble(cfg EnsembleConfig) *EnsembleTimeout {
 	return e
 }
 
+func (c *cliff) newFlow() LadderFlow {
+	return LadderFlow{lastBatch: make([]time.Duration, len(c.cfg.Timeouts))}
+}
+
 // CurrentTimeout returns δe, the timeout selected for the current epoch.
-func (e *EnsembleTimeout) CurrentTimeout() time.Duration {
-	return e.cfg.Timeouts[e.current]
+func (c *cliff) CurrentTimeout() time.Duration {
+	return c.cfg.Timeouts[c.current]
 }
 
 // CurrentIndex returns the ladder index of δe.
-func (e *EnsembleTimeout) CurrentIndex() int { return e.current }
+func (c *cliff) CurrentIndex() int { return c.current }
 
 // Epochs returns the number of completed epochs.
-func (e *EnsembleTimeout) Epochs() uint64 { return e.epochs }
+func (c *cliff) Epochs() uint64 { return c.epochs }
 
 // Observe processes one packet arrival. It feeds all k ladder rungs,
 // counts their samples for cliff detection, rotates the epoch when this
@@ -210,27 +233,36 @@ func (e *EnsembleTimeout) Epochs() uint64 { return e.epochs }
 // currently selected timeout (ok=false when that timeout produced none for
 // this packet).
 func (e *EnsembleTimeout) Observe(now time.Duration) (time.Duration, bool) {
-	if !e.epochStarted {
-		e.epochStarted = true
-		e.epochStart = now
-	} else if now-e.epochStart >= e.cfg.Epoch {
-		e.rotateEpoch(now)
+	return e.observe(&e.flow, now, e.OnEpoch)
+}
+
+// observe feeds one packet arrival of flow f to every rung. It rotates the
+// epoch first when this packet is the first of a new one, reporting the
+// decision to onEpoch, then counts each rung on which the packet opens a
+// new batch and returns the selected rung's sample. Timestamps must be
+// non-decreasing across every flow the cliff serves.
+func (c *cliff) observe(f *LadderFlow, now time.Duration, onEpoch func(time.Duration, []uint64, int)) (time.Duration, bool) {
+	if !c.epochStarted {
+		c.epochStarted = true
+		c.epochStart = now
+	} else if now-c.epochStart >= c.cfg.Epoch {
+		c.rotateEpoch(now, onEpoch)
 	}
 
-	if !e.started {
-		e.started = true
-		e.lastPkt = now
-		for i := range e.lastBatch {
-			e.lastBatch[i] = now
+	if !f.started {
+		f.started = true
+		f.lastPkt = now
+		for i := range f.lastBatch {
+			f.lastBatch[i] = now
 		}
 		return 0, false
 	}
 
-	gap := now - e.lastPkt
-	e.lastPkt = now
+	gap := now - f.lastPkt
+	f.lastPkt = now
 	var sample time.Duration
 	ok := false
-	for i, d := range e.cfg.Timeouts {
+	for i, d := range c.cfg.Timeouts {
 		if gap <= d {
 			// Strictly increasing ladder: no later rung fires either. In
 			// steady state (intra-batch packets) this exits at rung 0.
@@ -238,12 +270,12 @@ func (e *EnsembleTimeout) Observe(now time.Duration) (time.Duration, bool) {
 		}
 		// New batch on rung i: the gap between batch heads is rung i's
 		// latency estimate.
-		e.counts[i]++
-		if i == e.current {
-			sample = now - e.lastBatch[i]
+		c.counts[i]++
+		if i == c.current {
+			sample = now - f.lastBatch[i]
 			ok = true
 		}
-		e.lastBatch[i] = now
+		f.lastBatch[i] = now
 	}
 	return sample, ok
 }
@@ -255,12 +287,12 @@ func (e *EnsembleTimeout) Observe(now time.Duration) (time.Duration, bool) {
 // (one → zero) cannot outrank a real drop such as 128 → 1. With no samples
 // at all, the previous selection is retained. Ties break to the smallest
 // timeout.
-func (e *EnsembleTimeout) rotateEpoch(now time.Duration) {
-	e.epochs++
+func (c *cliff) rotateEpoch(now time.Duration, onEpoch func(time.Duration, []uint64, int)) {
+	c.epochs++
 	bestIdx := -1
 	bestRatio := 0.0
-	for i := 0; i+1 < len(e.counts); i++ {
-		ni, nj := e.counts[i], e.counts[i+1]
+	for i := 0; i+1 < len(c.counts); i++ {
+		ni, nj := c.counts[i], c.counts[i+1]
 		if ni == 0 {
 			continue
 		}
@@ -274,32 +306,26 @@ func (e *EnsembleTimeout) rotateEpoch(now time.Duration) {
 		}
 	}
 	if bestIdx >= 0 {
-		e.current = bestIdx
+		c.current = bestIdx
 	}
-	if e.OnEpoch != nil {
+	if onEpoch != nil {
 		// Copy only when a hook is installed: the hook may retain the
 		// slice, but hookless estimators (every proxy flow) must not pay
 		// an allocation per epoch.
-		counts := make([]uint64, len(e.counts))
-		copy(counts, e.counts)
-		e.OnEpoch(now, counts, e.current)
+		counts := make([]uint64, len(c.counts))
+		copy(counts, c.counts)
+		onEpoch(now, counts, c.current)
 	}
-	for i := range e.counts {
-		e.counts[i] = 0
-	}
-	e.epochStart = now
+	clear(c.counts)
+	c.epochStart = now
 }
 
 // Reset clears all flow and epoch state.
 func (e *EnsembleTimeout) Reset() {
-	e.started = false
-	e.lastPkt = 0
-	for i := range e.lastBatch {
-		e.lastBatch[i] = 0
-	}
-	for i := range e.counts {
-		e.counts[i] = 0
-	}
+	e.flow.started = false
+	e.flow.lastPkt = 0
+	clear(e.flow.lastBatch)
+	clear(e.counts)
 	e.current = 0
 	e.epochStarted = false
 	e.epochs = 0

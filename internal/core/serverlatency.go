@@ -15,16 +15,18 @@ type ServerLatencyConfig struct {
 	// Staleness bounds how old a server's most recent sample may be for
 	// the server to participate in Worst(). Defaults to 1 s.
 	Staleness time.Duration
-	// WindowSlices and WindowSliceWidth configure a sliding-window
-	// percentile tracker per server, which the Quantile methods read. Zero
-	// WindowSlices keeps no windows: a window is WindowSlices+1 histograms
-	// of 15 KiB per server plus a record per sample, so only a caller that
-	// reads quantiles asks for one. Without windows Quantile returns 0 and
-	// WorstQuantile and BestQuantile return -1. WindowSliceWidth defaults to
-	// 125 ms (8 × 125 ms is a 1 s window).
-	WindowSlices     int
-	WindowSliceWidth time.Duration
+	// WindowSlices configures a sliding-window percentile tracker per
+	// server of that many windowSliceWidth slices, which the Quantile
+	// methods read. Zero keeps no windows: a window is WindowSlices+1
+	// histograms of 15 KiB per server plus a record per sample, so only a
+	// caller that reads quantiles asks for one. Without windows Quantile
+	// returns 0 and WorstQuantile and BestQuantile return -1.
+	WindowSlices int
 }
+
+// windowSliceWidth is one slice of a quantile window: 8 slices make a
+// 1 s window.
+const windowSliceWidth = 125 * time.Millisecond
 
 func (c *ServerLatencyConfig) applyDefaults() {
 	if c.HalfLife <= 0 {
@@ -32,9 +34,6 @@ func (c *ServerLatencyConfig) applyDefaults() {
 	}
 	if c.Staleness <= 0 {
 		c.Staleness = time.Second
-	}
-	if c.WindowSliceWidth <= 0 {
-		c.WindowSliceWidth = 125 * time.Millisecond
 	}
 }
 
@@ -69,7 +68,7 @@ func NewServerLatency(n int, cfg ServerLatencyConfig) *ServerLatency {
 	if cfg.WindowSlices > 0 {
 		s.windows = make([]*stats.WindowedHistogram, n)
 		for i := range s.windows {
-			s.windows[i] = stats.NewWindowedHistogram(cfg.WindowSlices, cfg.WindowSliceWidth)
+			s.windows[i] = stats.NewWindowedHistogram(cfg.WindowSlices, windowSliceWidth)
 		}
 	}
 	return s

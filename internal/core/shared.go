@@ -1,8 +1,6 @@
 package core
 
-import (
-	"time"
-)
+import "time"
 
 // SharedLadder is a per-server variant of Algorithm 2, an extension beyond
 // the paper: the timeout ladder's epoch counters and cliff selection are
@@ -16,38 +14,19 @@ import (
 // sample counts lets even 5 ms-lived flows benefit from a δ learned across
 // the population.
 type SharedLadder struct {
-	cfg     EnsembleConfig
-	counts  []uint64
-	current int
-
-	epochStart   time.Duration
-	epochStarted bool
-	epochs       uint64
+	cliff
 
 	// OnEpoch mirrors EnsembleTimeout.OnEpoch.
 	OnEpoch func(now time.Duration, counts []uint64, chosen int)
 }
 
-// LadderFlow is the per-flow batch state used with a SharedLadder. Obtain
-// one from SharedLadder.NewFlow per connection and discard it on close.
-type LadderFlow struct {
-	lastPkt   time.Duration
-	lastBatch []time.Duration
-	started   bool
-}
-
 // NewSharedLadder creates the shared selector.
 func NewSharedLadder(cfg EnsembleConfig) (*SharedLadder, error) {
-	if err := cfg.applyDefaults(); err != nil {
+	c, err := newCliff(cfg)
+	if err != nil {
 		return nil, err
 	}
-	return &SharedLadder{
-		cfg:    cfg,
-		counts: make([]uint64, len(cfg.Timeouts)),
-		// Same rationale as EnsembleTimeout: the smallest rung is the only
-		// one guaranteed to produce samples with no information.
-		current: 0,
-	}, nil
+	return &SharedLadder{cliff: c}, nil
 }
 
 // MustSharedLadder panics on config error; for known-valid configurations.
@@ -61,87 +40,13 @@ func MustSharedLadder(cfg EnsembleConfig) *SharedLadder {
 
 // NewFlow allocates per-flow batch state.
 func (s *SharedLadder) NewFlow() *LadderFlow {
-	return &LadderFlow{lastBatch: make([]time.Duration, len(s.cfg.Timeouts))}
+	f := s.newFlow()
+	return &f
 }
-
-// CurrentTimeout returns the shared δ selection.
-func (s *SharedLadder) CurrentTimeout() time.Duration { return s.cfg.Timeouts[s.current] }
-
-// CurrentIndex returns the shared ladder index.
-func (s *SharedLadder) CurrentIndex() int { return s.current }
-
-// Epochs returns the number of completed epochs.
-func (s *SharedLadder) Epochs() uint64 { return s.epochs }
 
 // Observe processes one packet arrival of flow f at time now, sharing
 // sample counting and epoch rotation across all flows. Packet timestamps
 // must be non-decreasing overall (they are: the caller is a single LB).
 func (s *SharedLadder) Observe(f *LadderFlow, now time.Duration) (time.Duration, bool) {
-	if !s.epochStarted {
-		s.epochStarted = true
-		s.epochStart = now
-	} else if now-s.epochStart >= s.cfg.Epoch {
-		s.rotateEpoch(now)
-	}
-
-	if !f.started {
-		f.started = true
-		f.lastPkt = now
-		for i := range f.lastBatch {
-			f.lastBatch[i] = now
-		}
-		return 0, false
-	}
-
-	var sample time.Duration
-	ok := false
-	gap := now - f.lastPkt
-	for i, d := range s.cfg.Timeouts {
-		if gap <= d {
-			// Strictly increasing ladder: no later rung fires either.
-			break
-		}
-		s.counts[i]++
-		if i == s.current {
-			sample = now - f.lastBatch[i]
-			ok = true
-		}
-		f.lastBatch[i] = now
-	}
-	f.lastPkt = now
-	return sample, ok
-}
-
-// rotateEpoch applies the same guarded argmax cliff rule as
-// EnsembleTimeout.rotateEpoch, over the pooled counts.
-func (s *SharedLadder) rotateEpoch(now time.Duration) {
-	s.epochs++
-	bestIdx := -1
-	bestRatio := 0.0
-	for i := 0; i+1 < len(s.counts); i++ {
-		ni, nj := s.counts[i], s.counts[i+1]
-		if ni == 0 {
-			continue
-		}
-		if nj == 0 {
-			nj = 1
-		}
-		r := float64(ni) / float64(nj)
-		if r > bestRatio {
-			bestRatio = r
-			bestIdx = i
-		}
-	}
-	if bestIdx >= 0 {
-		s.current = bestIdx
-	}
-	if s.OnEpoch != nil {
-		counts := make([]uint64, len(s.counts))
-		copy(counts, s.counts)
-		s.OnEpoch(now, counts, s.current)
-	}
-	for i := range s.counts {
-		s.counts[i] = 0
-	}
-	s.epochStart = now
+	return s.observe(f, now, s.OnEpoch)
 }

@@ -94,10 +94,6 @@ func AblationAlpha(seed int64, duration time.Duration) *Result {
 			Duration: duration,
 			InjectAt: duration / 2,
 			Alpha:    alpha,
-			// Field defaults for the rest.
-			InjectExtra: time.Millisecond, Servers: 2, Cooldown: time.Millisecond,
-			HysteresisRatio: 1.15, MinWeight: 0.02, Connections: 8, Pipeline: 1,
-			RequestsPerConn: 100, WindowSample: 100 * time.Millisecond,
 		}, "latency-aware")
 		if err != nil {
 			res.addNote("alpha %.2f failed: %v", alpha, err)

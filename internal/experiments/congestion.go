@@ -22,64 +22,21 @@ import (
 type CongestionConfig struct {
 	Seed     int64
 	Duration time.Duration
-	// CollapseAt / CollapseEnd bound the collapse window on server 0's
-	// link. Defaults: Duration/3 and 2·Duration/3.
-	CollapseAt  time.Duration
-	CollapseEnd time.Duration
-	// Rate is the collapsed line rate in bytes/second (default 40 KB/s —
-	// tight enough that a loaded request window serializes into RTO range
-	// within tens of milliseconds).
-	Rate float64
-	// QueueLimit bounds the collapsed link's queue (default 64): sustained
-	// overload tail-drops instead of buffering forever, which is what turns
-	// a collapse into client-visible timeouts.
-	QueueLimit int
-	// Servers is the pool size (default 3; the collapse hits server 0).
-	Servers int
-	// ControlInterval drives the Controller tick (default 2 ms).
-	ControlInterval time.Duration
-	// RequestTimeout is the client's per-request deadline (default 250 ms).
-	RequestTimeout time.Duration
-	// Connections and RequestsPerConn shape the closed-loop workload.
-	Connections     int
-	RequestsPerConn int
-	// WindowSample is the p95 series sampling period (default 100 ms).
-	WindowSample time.Duration
 }
+
+// The collapsed link's shape. The rate in bytes/second is tight enough
+// that a loaded request window serializes into RTO range within tens of
+// milliseconds. The queue bound makes sustained overload tail-drop
+// instead of buffering forever, which is what turns a collapse into
+// client-visible timeouts.
+const (
+	collapseRate       = 40e3
+	collapseQueueLimit = 64
+)
 
 func (c *CongestionConfig) applyDefaults() {
 	if c.Duration <= 0 {
 		c.Duration = 30 * time.Second
-	}
-	if c.CollapseAt <= 0 {
-		c.CollapseAt = c.Duration / 3
-	}
-	if c.CollapseEnd <= 0 {
-		c.CollapseEnd = 2 * c.Duration / 3
-	}
-	if c.Rate <= 0 {
-		c.Rate = 40e3
-	}
-	if c.QueueLimit <= 0 {
-		c.QueueLimit = 64
-	}
-	if c.Servers < 2 {
-		c.Servers = 3
-	}
-	if c.ControlInterval <= 0 {
-		c.ControlInterval = 2 * time.Millisecond
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 250 * time.Millisecond
-	}
-	if c.Connections <= 0 {
-		c.Connections = 16
-	}
-	if c.RequestsPerConn <= 0 {
-		c.RequestsPerConn = 50
-	}
-	if c.WindowSample <= 0 {
-		c.WindowSample = 100 * time.Millisecond
 	}
 }
 
@@ -132,17 +89,19 @@ func runCongestionLeg(cfg CongestionConfig, signals bool) (*congestionLeg, error
 	if signals {
 		name = "congestion-signal"
 	}
-	maglev, err := control.NewMaglevStatic(serverNames(cfg.Servers), 4093)
+	// The collapse hits server 0's link for the middle third of the run.
+	collapseAt, collapseEnd := cfg.Duration/3, 2*cfg.Duration/3
+	maglev, err := control.NewMaglevStatic(serverNames(faultServers), 4093)
 	if err != nil {
 		return nil, err
 	}
 	ctrl := control.NewController(maglev, control.ControllerConfig{
 		Shards:   1, // single-goroutine sim: results must not follow GOMAXPROCS
-		Interval: cfg.ControlInterval,
+		Interval: faultControlInterval,
 		Detector: congestionDetector(cfg, signals),
 	})
 
-	servers := make([]server.Config, cfg.Servers)
+	servers := make([]server.Config, faultServers)
 	for i := range servers {
 		servers[i] = server.Config{
 			Name:    fmt.Sprintf("server-%d", i),
@@ -155,14 +114,14 @@ func runCongestionLeg(cfg CongestionConfig, signals bool) (*congestionLeg, error
 		Seed:            cfg.Seed,
 		Policy:          ctrl,
 		Servers:         servers,
-		ControlInterval: cfg.ControlInterval,
+		ControlInterval: faultControlInterval,
 		// Both legs run the tracker so the dataplane is identical; the legs
 		// differ only in whether the detector acts on what it reports.
 		Congestion: true,
 		Workload: tcpsim.RequestConfig{
-			Connections:     cfg.Connections,
-			RequestsPerConn: cfg.RequestsPerConn,
-			RequestTimeout:  cfg.RequestTimeout,
+			Connections:     faultConnections,
+			RequestsPerConn: faultRequestsPerConn,
+			RequestTimeout:  faultRequestTimeout,
 			ReopenDelay:     500 * time.Microsecond,
 			ThinkTime:       50 * time.Microsecond,
 			ThinkJitter:     50 * time.Microsecond,
@@ -180,9 +139,9 @@ func runCongestionLeg(cfg CongestionConfig, signals bool) (*congestionLeg, error
 	if err != nil {
 		return nil, err
 	}
-	collapse := faults.Collapse{Start: cfg.CollapseAt, End: cfg.CollapseEnd, Rate: cfg.Rate}
+	collapse := faults.Collapse{Start: collapseAt, End: collapseEnd, Rate: collapseRate}
 	cluster.ServerLinks[0].SetRateAt(collapse.RateAt)
-	cluster.ServerLinks[0].QueueLimit = cfg.QueueLimit
+	cluster.ServerLinks[0].QueueLimit = collapseQueueLimit
 
 	leg := &congestionLeg{
 		p95:             stats.NewSeries("p95 " + name),
@@ -194,10 +153,10 @@ func runCongestionLeg(cfg CongestionConfig, signals bool) (*congestionLeg, error
 	// after the collapse where server 0 is no longer fully admitted is when
 	// the detector acted (congestion weight-down/eject on the signal leg,
 	// latency-outlier ejection on the baseline).
-	cluster.Sim.Every(cfg.ControlInterval, cfg.ControlInterval, func() bool {
+	cluster.Sim.Every(faultControlInterval, faultControlInterval, func() bool {
 		now := cluster.Sim.Now()
-		if leg.reactDelay < 0 && now >= cfg.CollapseAt && ctrl.Admission(0) < 1 {
-			leg.reactDelay = now - cfg.CollapseAt
+		if leg.reactDelay < 0 && now >= collapseAt && ctrl.Admission(0) < 1 {
+			leg.reactDelay = now - collapseAt
 		}
 		return now < cfg.Duration
 	})
@@ -225,20 +184,20 @@ func runCongestionLeg(cfg CongestionConfig, signals bool) (*congestionLeg, error
 		if len(ring) < medianWindow {
 			return
 		}
-		if now < cfg.CollapseAt {
+		if now < collapseAt {
 			baseline = winMed()
 			return
 		}
 		if baseline > 0 && winMed() > 3*baseline {
-			leg.medianMoveDelay = now - cfg.CollapseAt
+			leg.medianMoveDelay = now - collapseAt
 		}
 	}
 
-	window := stats.NewWindowedHistogram(10, cfg.WindowSample)
+	window := stats.NewWindowedHistogram(10, windowSample)
 	cluster.Client.OnResponse = func(now time.Duration, op netsim.Op, lat time.Duration) {
 		window.Record(now, lat)
 	}
-	cluster.Sim.Every(cfg.WindowSample, cfg.WindowSample, func() bool {
+	cluster.Sim.Every(windowSample, windowSample, func() bool {
 		now := cluster.Sim.Now()
 		if window.Count(now) > 0 {
 			leg.p95.AddDuration(now, window.Quantile(now, 0.95))

@@ -22,25 +22,33 @@ type Fig2Config struct {
 	Duration time.Duration
 	// StepAt is when the true RTT increases (paper: t = 3 s).
 	StepAt time.Duration
-	// StepExtra is the one-way delay added at StepAt (applied on the
-	// tap→server link, so it is part of the LB-controllable delay).
-	StepExtra time.Duration
-	// FixedTimeouts are the δ values for Fig. 2(a) (paper: 64 µs, 1024 µs).
-	FixedTimeouts []time.Duration
-	// RefTimeout is a well-placed δ (between the intra-batch gap and the
-	// inter-batch pause) whose sample count serves as the per-epoch count
-	// of true RTTs — the paper's E/T_LB yardstick.
-	RefTimeout time.Duration
 	// Ensemble configures Fig. 2(b)'s Algorithm 2.
 	Ensemble core.EnsembleConfig
-	// Window and SegSize shape the flow; LinkRate sets intra-batch gaps.
-	Window   int
-	SegSize  int
-	LinkRate float64
 	// Trace, when non-nil, records every packet observed at the tap
 	// (exportable as CSV or pcap via internal/trace).
 	Trace *trace.Recorder
 }
+
+// The Fig. 2 flow and its step.
+const (
+	// fig2StepExtra is the one-way delay added at StepAt, applied on the
+	// tap→server link so it is part of the LB-controllable delay.
+	fig2StepExtra = 1600 * time.Microsecond
+	// fig2RefTimeout is a well-placed δ (between the intra-batch gap and
+	// the inter-batch pause) whose sample count serves as the per-epoch
+	// count of true RTTs — the paper's E/T_LB yardstick.
+	fig2RefTimeout = 400 * time.Microsecond
+	// fig2Window segments of fig2SegSize bytes shape the flow.
+	fig2Window  = 4
+	fig2SegSize = 1500
+	// fig2LinkRate is 12.5 MB/s (100 Mb/s): a 1500 B segment serializes
+	// in 120 µs, so δ = 64 µs sits below the intra-batch gap (too low)
+	// while the inter-batch pause stays well above 120 µs.
+	fig2LinkRate = 12.5e6
+)
+
+// fig2FixedTimeouts are the δ values for Fig. 2(a) (paper: 64 µs, 1024 µs).
+var fig2FixedTimeouts = []time.Duration{64 * time.Microsecond, 1024 * time.Microsecond}
 
 func (c *Fig2Config) applyDefaults() {
 	if c.Duration <= 0 {
@@ -48,27 +56,6 @@ func (c *Fig2Config) applyDefaults() {
 	}
 	if c.StepAt <= 0 {
 		c.StepAt = c.Duration / 2
-	}
-	if c.StepExtra <= 0 {
-		c.StepExtra = 1600 * time.Microsecond
-	}
-	if len(c.FixedTimeouts) == 0 {
-		c.FixedTimeouts = []time.Duration{64 * time.Microsecond, 1024 * time.Microsecond}
-	}
-	if c.RefTimeout <= 0 {
-		c.RefTimeout = 400 * time.Microsecond
-	}
-	if c.Window <= 0 {
-		c.Window = 4
-	}
-	if c.SegSize <= 0 {
-		c.SegSize = 1500
-	}
-	if c.LinkRate == 0 {
-		// 12.5 MB/s (100 Mb/s): a 1500 B segment serializes in 120 µs, so
-		// δ = 64 µs sits below the intra-batch gap (too low) while the
-		// inter-batch pause stays well above 120 µs.
-		c.LinkRate = 12.5e6
 	}
 }
 
@@ -81,14 +68,14 @@ func pathForFig2(cfg Fig2Config) *testbed.Path {
 		ClientToTap:    250 * time.Microsecond,
 		TapToServer:    250 * time.Microsecond,
 		ServerToClient: 500 * time.Microsecond,
-		LinkRate:       cfg.LinkRate,
-		RTTSchedule:    faults.Step{Start: cfg.StepAt, Extra: cfg.StepExtra},
+		LinkRate:       fig2LinkRate,
+		RTTSchedule:    faults.Step{Start: cfg.StepAt, Extra: fig2StepExtra},
 		Bulk: tcpsim.BulkConfig{
 			Flow: packet.NewFlowKey(
 				netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.1.0.1"),
 				40000, 5001, packet.ProtoTCP),
-			Window:     cfg.Window,
-			SegSize:    cfg.SegSize,
+			Window:     fig2Window,
+			SegSize:    fig2SegSize,
 			HiccupProb: 0.01,
 			HiccupMin:  2 * time.Millisecond,
 			HiccupMax:  6 * time.Millisecond,
@@ -136,8 +123,8 @@ func Fig2a(cfg Fig2Config) *Result {
 		series    *stats.Series
 		pre, post phaseStats
 	}
-	runs := make([]*ftRun, len(cfg.FixedTimeouts))
-	for i, d := range cfg.FixedTimeouts {
+	runs := make([]*ftRun, len(fig2FixedTimeouts))
+	for i, d := range fig2FixedTimeouts {
 		runs[i] = &ftRun{
 			est:    core.NewFixedTimeout(d),
 			series: stats.NewSeries("T_LB δ=" + d.String()),
@@ -145,7 +132,7 @@ func Fig2a(cfg Fig2Config) *Result {
 	}
 	// Reference estimator: counts true batches (one per RTT), the paper's
 	// E/T_LB baseline for judging over- and under-sampling.
-	ref := &ftRun{est: core.NewFixedTimeout(cfg.RefTimeout)}
+	ref := &ftRun{est: core.NewFixedTimeout(fig2RefTimeout)}
 	all := make([]*ftRun, 0, len(runs)+1)
 	all = append(all, runs...)
 	all = append(all, ref)
@@ -180,7 +167,7 @@ func Fig2a(cfg Fig2Config) *Result {
 		addPhase(r.series.Name, &r.post, &truthPost)
 	}
 
-	res.addRow("T_LB δ="+cfg.RefTimeout.String()+" (ref)", "pre-step", itoa(ref.pre.count), usStr(ref.pre.median()), usStr(truthPre.median()), itoa(truthPre.count))
+	res.addRow("T_LB δ="+fig2RefTimeout.String()+" (ref)", "pre-step", itoa(ref.pre.count), usStr(ref.pre.median()), usStr(truthPre.median()), itoa(truthPre.count))
 
 	// Shape metrics for benches and tests. The reference estimator's
 	// count approximates the number of true RTT batches per phase.

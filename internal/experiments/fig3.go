@@ -23,31 +23,27 @@ type Fig3Config struct {
 	// InjectAt is when the extra delay starts (paper: t = 100 s at 200 s
 	// total; the default scales to the simulated duration's midpoint).
 	InjectAt time.Duration
-	// InjectExtra is the injected one-way delay (paper: 1 ms).
-	InjectExtra time.Duration
-	// Servers is the pool size (paper: 2). The delay is injected on
-	// server 0.
-	Servers int
 	// Alpha is the controller's shift fraction (paper: 0.10).
 	Alpha float64
-	// Cooldown and HysteresisRatio temper the controller (0 / ≤1 for the
-	// paper's literal shift-on-every-sample behaviour).
-	Cooldown        time.Duration
-	HysteresisRatio float64
-	// MinWeight floors the degraded server's traffic share so the
-	// controller keeps probing it (default 0.02).
-	MinWeight float64
-	// Connections, Pipeline, RequestsPerConn shape the memtier-like load.
-	// Pipeline defaults to 1, memtier's default: a closed loop per
-	// connection, whose inter-request gap is exactly the response latency
-	// the estimator measures.
-	Connections     int
-	Pipeline        int
-	RequestsPerConn int
-	// WindowSample is how often the sliding-window p95 is sampled into
-	// the output series.
-	WindowSample time.Duration
 }
+
+// The Fig. 3 cluster: two servers (paper: 2), with the paper's 1 ms of
+// one-way delay injected on server 0. The controller is tempered by a
+// 1 ms cooldown and a 1.15 hysteresis ratio, and floors the degraded
+// server's share at 0.02 so it keeps probing it. The memtier-like load is
+// 8 connections × 100 requests at pipeline depth 1, memtier's default: a
+// closed loop per connection, whose inter-request gap is exactly the
+// response latency the estimator measures.
+const (
+	fig3Servers         = 2
+	fig3InjectExtra     = time.Millisecond
+	fig3Cooldown        = time.Millisecond
+	fig3Hysteresis      = 1.15
+	fig3MinWeight       = 0.02
+	fig3Connections     = 8
+	fig3Pipeline        = 1
+	fig3RequestsPerConn = 100
+)
 
 func (c *Fig3Config) applyDefaults() {
 	if c.Duration <= 0 {
@@ -56,35 +52,8 @@ func (c *Fig3Config) applyDefaults() {
 	if c.InjectAt <= 0 {
 		c.InjectAt = c.Duration / 2
 	}
-	if c.InjectExtra <= 0 {
-		c.InjectExtra = time.Millisecond
-	}
-	if c.Servers < 2 {
-		c.Servers = 2
-	}
 	if c.Alpha <= 0 {
 		c.Alpha = 0.10
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = time.Millisecond
-	}
-	if c.HysteresisRatio == 0 {
-		c.HysteresisRatio = 1.15
-	}
-	if c.MinWeight <= 0 {
-		c.MinWeight = 0.02
-	}
-	if c.Connections <= 0 {
-		c.Connections = 8
-	}
-	if c.Pipeline <= 0 {
-		c.Pipeline = 1
-	}
-	if c.RequestsPerConn <= 0 {
-		c.RequestsPerConn = 100
-	}
-	if c.WindowSample <= 0 {
-		c.WindowSample = 100 * time.Millisecond
 	}
 }
 
@@ -119,19 +88,19 @@ func runFig3Leg(cfg Fig3Config, policyName string) (*fig3Run, error) {
 	var prop *control.Proportional
 	switch policyName {
 	case "maglev":
-		m, err := control.NewMaglevStatic(serverNames(cfg.Servers), 4093)
+		m, err := control.NewMaglevStatic(serverNames(fig3Servers), 4093)
 		if err != nil {
 			return nil, err
 		}
 		pol = m
 	case "latency-aware":
 		l, err := control.NewLatencyAware(control.LatencyAwareConfig{
-			Backends:        serverNames(cfg.Servers),
+			Backends:        serverNames(fig3Servers),
 			Alpha:           cfg.Alpha,
 			TableSize:       4093,
-			MinWeight:       cfg.MinWeight,
-			Cooldown:        cfg.Cooldown,
-			HysteresisRatio: cfg.HysteresisRatio,
+			MinWeight:       fig3MinWeight,
+			Cooldown:        fig3Cooldown,
+			HysteresisRatio: fig3Hysteresis,
 		})
 		if err != nil {
 			return nil, err
@@ -140,10 +109,10 @@ func runFig3Leg(cfg Fig3Config, policyName string) (*fig3Run, error) {
 		pol = l
 	case "proportional":
 		pr, err := control.NewProportional(control.ProportionalConfig{
-			Backends:  serverNames(cfg.Servers),
+			Backends:  serverNames(fig3Servers),
 			TableSize: 4093,
-			MinWeight: cfg.MinWeight,
-			Interval:  cfg.Cooldown,
+			MinWeight: fig3MinWeight,
+			Interval:  fig3Cooldown,
 		})
 		if err != nil {
 			return nil, err
@@ -154,13 +123,13 @@ func runFig3Leg(cfg Fig3Config, policyName string) (*fig3Run, error) {
 		return nil, fmt.Errorf("experiments: unknown policy %q", policyName)
 	}
 
-	schedules := make([]faults.Schedule, cfg.Servers)
-	schedules[0] = faults.Step{Start: cfg.InjectAt, Extra: cfg.InjectExtra}
-	for i := 1; i < cfg.Servers; i++ {
+	schedules := make([]faults.Schedule, fig3Servers)
+	schedules[0] = faults.Step{Start: cfg.InjectAt, Extra: fig3InjectExtra}
+	for i := 1; i < fig3Servers; i++ {
 		schedules[i] = faults.None
 	}
 
-	servers := make([]server.Config, cfg.Servers)
+	servers := make([]server.Config, fig3Servers)
 	for i := range servers {
 		servers[i] = server.Config{
 			Name:    fmt.Sprintf("server-%d", i),
@@ -181,9 +150,9 @@ func runFig3Leg(cfg Fig3Config, policyName string) (*fig3Run, error) {
 		Servers:             servers,
 		ServerPathSchedules: schedules,
 		Workload: tcpsim.RequestConfig{
-			Connections:     cfg.Connections,
-			Pipeline:        cfg.Pipeline,
-			RequestsPerConn: cfg.RequestsPerConn,
+			Connections:     fig3Connections,
+			Pipeline:        fig3Pipeline,
+			RequestsPerConn: fig3RequestsPerConn,
 			ReopenDelay:     500 * time.Microsecond,
 			ThinkTime:       50 * time.Microsecond,
 			ThinkJitter:     50 * time.Microsecond,
@@ -211,7 +180,7 @@ func runFig3Leg(cfg Fig3Config, policyName string) (*fig3Run, error) {
 		}
 	}
 	if prop != nil {
-		var prevW0 float64 = 1.0 / float64(cfg.Servers)
+		var prevW0 float64 = 1.0 / fig3Servers
 		prop.OnUpdate = func(now time.Duration, weights []float64) {
 			run.shifts++
 			if now >= steadyFrom {
@@ -226,7 +195,7 @@ func runFig3Leg(cfg Fig3Config, policyName string) (*fig3Run, error) {
 
 	// Sliding-window p95 of GET latency, sampled periodically like the
 	// paper's client-side statistics — but from the client's ground truth.
-	window := stats.NewWindowedHistogram(10, cfg.WindowSample)
+	window := stats.NewWindowedHistogram(10, windowSample)
 	var preHist, postHist *stats.Histogram
 	preHist = stats.NewDefaultHistogram()
 	postHist = stats.NewDefaultHistogram()
@@ -245,7 +214,7 @@ func runFig3Leg(cfg Fig3Config, policyName string) (*fig3Run, error) {
 		}
 	}
 
-	cluster.Sim.Every(cfg.WindowSample, cfg.WindowSample, func() bool {
+	cluster.Sim.Every(windowSample, windowSample, func() bool {
 		now := cluster.Sim.Now()
 		if window.Count(now) > 0 {
 			run.p95.AddDuration(now, window.Quantile(now, 0.95))

@@ -20,63 +20,35 @@ import (
 type OutageConfig struct {
 	Seed     int64
 	Duration time.Duration
-	// OutageAt / OutageEnd bound the fault window on server 0. Defaults:
-	// Duration/3 and 2·Duration/3, mirroring the mid-run step of Fig. 3.
-	OutageAt  time.Duration
-	OutageEnd time.Duration
-	// Refuse makes the outage fail fast (RST on every packet) instead of
-	// the default blackhole (silent drop) — the blackhole is the harder
-	// case, visible only through missing in-band samples and client
-	// timeouts.
-	Refuse bool
-	// Servers is the pool size (default 3; the outage hits server 0).
-	Servers int
-	// ControlInterval drives the Controller tick (default 2 ms).
-	ControlInterval time.Duration
 	// ProbeInterval is the probe-only leg's health-check period (default
 	// Duration/15 — out-of-band detection is orders of magnitude slower
 	// than the in-band signal at any realistic probe rate).
 	ProbeInterval time.Duration
-	// RequestTimeout is the client's per-request deadline (default 250 ms);
-	// it is what makes the blackhole survivable at all.
-	RequestTimeout time.Duration
-	// Connections and RequestsPerConn shape the closed-loop workload.
-	Connections     int
-	RequestsPerConn int
-	// WindowSample is the p95 series sampling period (default 100 ms).
-	WindowSample time.Duration
 }
+
+// The outage and congestion experiments share one cluster shape: a pool
+// of three servers whose fault hits server 0, a 2 ms control tick, and a
+// closed loop of 16 connections × 50 requests. The client's 250 ms
+// per-request deadline is what makes a blackholed server survivable at
+// all.
+const (
+	faultServers         = 3
+	faultControlInterval = 2 * time.Millisecond
+	faultRequestTimeout  = 250 * time.Millisecond
+	faultConnections     = 16
+	faultRequestsPerConn = 50
+)
+
+// windowSample is how often the outage, congestion and Fig. 3 experiments
+// sample their sliding-window p95 into a series.
+const windowSample = 100 * time.Millisecond
 
 func (c *OutageConfig) applyDefaults() {
 	if c.Duration <= 0 {
 		c.Duration = 30 * time.Second
 	}
-	if c.OutageAt <= 0 {
-		c.OutageAt = c.Duration / 3
-	}
-	if c.OutageEnd <= 0 {
-		c.OutageEnd = 2 * c.Duration / 3
-	}
-	if c.Servers < 2 {
-		c.Servers = 3
-	}
-	if c.ControlInterval <= 0 {
-		c.ControlInterval = 2 * time.Millisecond
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = c.Duration / 15
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 250 * time.Millisecond
-	}
-	if c.Connections <= 0 {
-		c.Connections = 16
-	}
-	if c.RequestsPerConn <= 0 {
-		c.RequestsPerConn = 50
-	}
-	if c.WindowSample <= 0 {
-		c.WindowSample = 100 * time.Millisecond
 	}
 }
 
@@ -121,20 +93,26 @@ func simDetector(cfg OutageConfig) control.DetectorConfig {
 
 func runOutageLeg(cfg OutageConfig, passive bool) (*outageLeg, error) {
 	name := "probe-only"
+	// The outage window is the middle third of the run, mirroring the
+	// mid-run step of Fig. 3.
+	outageAt, outageEnd := cfg.Duration/3, 2*cfg.Duration/3
 	// Shards: 1 — single-goroutine sim: results must not follow GOMAXPROCS.
-	ctrlCfg := control.ControllerConfig{Shards: 1, Interval: cfg.ControlInterval}
+	ctrlCfg := control.ControllerConfig{Shards: 1, Interval: faultControlInterval}
 	if passive {
 		name = "passive"
 		ctrlCfg.Detector = simDetector(cfg)
 	}
-	maglev, err := control.NewMaglevStatic(serverNames(cfg.Servers), 4093)
+	maglev, err := control.NewMaglevStatic(serverNames(faultServers), 4093)
 	if err != nil {
 		return nil, err
 	}
 	ctrl := control.NewController(maglev, ctrlCfg)
 
-	sched := faults.Outage{Start: cfg.OutageAt, End: cfg.OutageEnd, Blackhole: !cfg.Refuse}
-	servers := make([]server.Config, cfg.Servers)
+	// A blackhole (silent drop) rather than a refusal: it is the harder
+	// case, visible only through missing in-band samples and client
+	// timeouts.
+	sched := faults.Outage{Start: outageAt, End: outageEnd, Blackhole: true}
+	servers := make([]server.Config, faultServers)
 	for i := range servers {
 		servers[i] = server.Config{
 			Name:    fmt.Sprintf("server-%d", i),
@@ -148,11 +126,11 @@ func runOutageLeg(cfg OutageConfig, passive bool) (*outageLeg, error) {
 		Seed:            cfg.Seed,
 		Policy:          ctrl,
 		Servers:         servers,
-		ControlInterval: cfg.ControlInterval,
+		ControlInterval: faultControlInterval,
 		Workload: tcpsim.RequestConfig{
-			Connections:     cfg.Connections,
-			RequestsPerConn: cfg.RequestsPerConn,
-			RequestTimeout:  cfg.RequestTimeout,
+			Connections:     faultConnections,
+			RequestsPerConn: faultRequestsPerConn,
+			RequestTimeout:  faultRequestTimeout,
 			ReopenDelay:     500 * time.Microsecond,
 			ThinkTime:       50 * time.Microsecond,
 			ThinkJitter:     50 * time.Microsecond,
@@ -198,32 +176,32 @@ func runOutageLeg(cfg OutageConfig, passive bool) (*outageLeg, error) {
 
 	// Recovery-time observer: sampled at the control interval, so the
 	// delays below are accurate to one tick.
-	cluster.Sim.Every(cfg.ControlInterval, cfg.ControlInterval, func() bool {
+	cluster.Sim.Every(faultControlInterval, faultControlInterval, func() bool {
 		now := cluster.Sim.Now()
-		if leg.ejectDelay < 0 && now >= cfg.OutageAt && ctrl.Ejected(0) {
-			leg.ejectDelay = now - cfg.OutageAt
+		if leg.ejectDelay < 0 && now >= outageAt && ctrl.Ejected(0) {
+			leg.ejectDelay = now - outageAt
 		}
-		if leg.ejectDelay >= 0 && leg.readmitDelay < 0 && now >= cfg.OutageEnd &&
+		if leg.ejectDelay >= 0 && leg.readmitDelay < 0 && now >= outageEnd &&
 			ctrl.HealthState(0) == control.Healthy {
-			leg.readmitDelay = now - cfg.OutageEnd
+			leg.readmitDelay = now - outageEnd
 		}
 		return now < cfg.Duration
 	})
 
-	window := stats.NewWindowedHistogram(10, cfg.WindowSample)
+	window := stats.NewWindowedHistogram(10, windowSample)
 	preHist := stats.NewDefaultHistogram()
 	postHist := stats.NewDefaultHistogram()
-	postFrom := cfg.Duration - (cfg.Duration-cfg.OutageEnd)/2
+	postFrom := cfg.Duration - (cfg.Duration-outageEnd)/2
 	cluster.Client.OnResponse = func(now time.Duration, op netsim.Op, lat time.Duration) {
 		window.Record(now, lat)
-		if now >= cfg.OutageAt/2 && now < cfg.OutageAt {
+		if now >= outageAt/2 && now < outageAt {
 			preHist.Record(lat)
 		}
 		if now >= postFrom {
 			postHist.Record(lat)
 		}
 	}
-	cluster.Sim.Every(cfg.WindowSample, cfg.WindowSample, func() bool {
+	cluster.Sim.Every(windowSample, windowSample, func() bool {
 		now := cluster.Sim.Now()
 		if window.Count(now) > 0 {
 			leg.p95.AddDuration(now, window.Quantile(now, 0.95))
@@ -244,7 +222,7 @@ func runOutageLeg(cfg OutageConfig, passive bool) (*outageLeg, error) {
 }
 
 // Outage compares failure detection modes on a step outage: server 0 of the
-// pool blackholes (or refuses) every connection during the middle third of
+// pool blackholes every connection during the middle third of
 // the run. The passive leg ejects on the in-band signal alone — the sample
 // stream going silent — within a few control ticks, re-admits through
 // half-open trials and a slow-start ramp, and sheds only the connections

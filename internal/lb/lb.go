@@ -37,14 +37,11 @@ type Config struct {
 	// SweepInterval is how often idle state is swept. Defaults to 1 s.
 	SweepInterval time.Duration
 	// ControlInterval drives the control tick when Policy is a
-	// control.Ticker (i.e. a Controller wrapping the real policy): the LB
-	// calls Tick on the simulation clock at this period, merging batched
-	// latency samples into the policy and republishing the routing
-	// snapshot. Ignored for plain policies. Defaults to 2 ms.
+	// *control.Controller wrapping the real policy: the LB calls Tick on
+	// the simulation clock at this period, merging batched latency samples
+	// into the policy and republishing the routing snapshot. Ignored for
+	// plain policies. Defaults to 2 ms.
 	ControlInterval time.Duration
-	// EstimateOnly disables routing (all packets dropped) but keeps
-	// measurement — used by experiments that tap an existing path.
-	EstimateOnly bool
 	// Congestion enables the transport-distress tracker: every
 	// client→server packet is rendered as the TCP segment it models
 	// (sequence edge, ACK number, advertised window) and run through a
@@ -99,27 +96,16 @@ type LB struct {
 	stats     Stats
 	lastSweep time.Duration
 
-	// ticker is non-nil when the policy batches control work behind ticks
-	// (a control.Controller); the LB then drives it from the packet path on
-	// the simulation clock instead of a wall-clock goroutine.
-	ticker   control.Ticker
+	// ctrl is non-nil when the policy is a *control.Controller. The LB
+	// then drives its tick from the packet path on the simulation clock
+	// instead of a wall-clock goroutine, routes new flows through Route so
+	// passive failure detection steers the sim dataplane exactly as it
+	// steers the proxy, and feeds it congestion reports.
+	ctrl     *control.Controller
 	lastTick time.Duration
 
-	// router is non-nil when the policy can route around ejected or
-	// admission-limited backends (a control.Controller with health state);
-	// new flows then go through Route instead of Pick so passive failure
-	// detection steers the sim dataplane exactly as it steers the proxy.
-	router interface {
-		Route(packet.FlowKey, time.Duration) (int, bool)
-	}
-
-	// cong is the transport-distress tracker (Config.Congestion); congFeed
-	// is non-nil when the policy accepts congestion reports (a
-	// control.Controller).
-	cong     *packet.CongestionTracker
-	congFeed interface {
-		ObserveCongestion(hash uint64, b int, retrans, dupAcks, zeroWins int)
-	}
+	// cong is the transport-distress tracker (Config.Congestion).
+	cong *packet.CongestionTracker
 
 	// OnSample, when set, observes every estimator sample with the
 	// backend it was attributed to.
@@ -142,7 +128,7 @@ func New(sim *netsim.Sim, cfg Config, uplinks []*netsim.Link) (*LB, error) {
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("lb: policy required")
 	}
-	if !cfg.EstimateOnly && len(uplinks) != cfg.Policy.NumBackends() {
+	if len(uplinks) != cfg.Policy.NumBackends() {
 		return nil, fmt.Errorf("lb: %d uplinks for %d backends", len(uplinks), cfg.Policy.NumBackends())
 	}
 	if cfg.ConnIdleTimeout <= 0 {
@@ -179,14 +165,8 @@ func New(sim *netsim.Sim, cfg Config, uplinks []*netsim.Link) (*LB, error) {
 	if cfg.Congestion {
 		l.cong = packet.NewCongestionTracker(packet.CongestionTrackerConfig{})
 		l.stats.CongPerBack = make([]uint64, n)
-		l.congFeed, _ = cfg.Policy.(interface {
-			ObserveCongestion(hash uint64, b int, retrans, dupAcks, zeroWins int)
-		})
 	}
-	l.ticker, _ = cfg.Policy.(control.Ticker)
-	l.router, _ = cfg.Policy.(interface {
-		Route(packet.FlowKey, time.Duration) (int, bool)
-	})
+	l.ctrl, _ = cfg.Policy.(*control.Controller)
 	// Policies that consult live occupancy (weighted least-connections,
 	// possibly wrapped in a Controller) read the connection table's truth
 	// instead of shadow-counting charged flows: the table also sees
@@ -275,9 +255,9 @@ func (l *LB) HandlePacket(p *netsim.Packet) {
 	// before this packet's measurement, so the pick below sees state at
 	// most one ControlInterval old, matching the live proxy's staleness
 	// bound.
-	if l.ticker != nil && now-l.lastTick >= l.cfg.ControlInterval {
+	if l.ctrl != nil && now-l.lastTick >= l.cfg.ControlInterval {
 		l.lastTick = now
-		l.ticker.Tick(now)
+		l.ctrl.Tick(now)
 	}
 
 	// Measurement first: every packet's timestamp feeds the estimator,
@@ -290,9 +270,9 @@ func (l *LB) HandlePacket(p *netsim.Packet) {
 	if entry == nil {
 		var b int
 		charged := true
-		if l.router != nil {
+		if l.ctrl != nil {
 			var fellBack bool
-			b, fellBack = l.router.Route(p.Flow, now)
+			b, fellBack = l.ctrl.Route(p.Flow, now)
 			if fellBack {
 				l.stats.Fallbacks++
 				charged = false
@@ -335,11 +315,6 @@ func (l *LB) HandlePacket(p *netsim.Packet) {
 		l.closeFlow(p.Flow, entry, now)
 		// The close itself is still forwarded so the server could clean
 		// up; harmless for the simulated server, faithful to a real FIN.
-	}
-
-	if l.cfg.EstimateOnly {
-		l.sim.ReleasePacket(p)
-		return
 	}
 
 	if l.cfg.L7 && p.Kind == netsim.KindRequest && p.Key != 0 {
@@ -426,8 +401,8 @@ func (l *LB) observeCongestion(p *netsim.Packet, b int, now time.Duration) {
 		l.stats.ZeroWins++
 	}
 	l.stats.CongPerBack[b] += uint64(ev.Count())
-	if l.congFeed != nil {
-		l.congFeed.ObserveCongestion(p.Flow.Hash(), b, retrans, dupAcks, zeroWins)
+	if l.ctrl != nil {
+		l.ctrl.ObserveCongestion(p.Flow.Hash(), b, retrans, dupAcks, zeroWins)
 	}
 }
 

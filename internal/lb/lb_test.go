@@ -173,22 +173,6 @@ func TestLBFeedsEstimatorToPolicy(t *testing.T) {
 	}
 }
 
-func TestLBEstimateOnly(t *testing.T) {
-	sim := netsim.NewSim(1)
-	l, err := New(sim, Config{Policy: control.NewRoundRobin(1), EstimateOnly: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Schedule(0, func() { l.HandlePacket(req(1, 0)) })
-	sim.Run()
-	if l.Stats().Packets != 1 {
-		t.Error("packet not counted")
-	}
-	if l.Stats().PerBackend[0] != 0 {
-		t.Error("estimate-only forwarded a packet")
-	}
-}
-
 func TestLBValidation(t *testing.T) {
 	sim := netsim.NewSim(1)
 	if _, err := New(sim, Config{}, nil); err == nil {

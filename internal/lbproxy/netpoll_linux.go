@@ -85,7 +85,11 @@ import (
 //
 // Syscalls: every call the loop makes on these fds goes through rawsys, as a
 // raw nonblocking syscall that never enters the scheduler; EINTR is retried
-// where a call can see it. TestEventLoopSyscallsStayRaw keeps it that way.
+// where a call can see it. The pooled path (PoolIdle > 0) is the known
+// exception until the dial pool moves onto raw fds: checkout,
+// recycleServer, fdConn and poolSweep still reach the socket through the
+// pool's net.Conn or an os.File. TestEventLoopSyscallsStayRaw keeps it that
+// way and names those four.
 
 const (
 	// npPumpBudget bounds chunks moved per pump invocation so one hot
@@ -191,7 +195,7 @@ func (p *Proxy) initDataplane() error {
 		p.backends = append(p.backends, rawsys.NewSockaddr(ta.AddrPort(), zoneID(ta.Zone)))
 	}
 	for i := 0; i < p.cfg.Acceptors; i++ {
-		pol, err := netpoll.New(netpoll.Config{})
+		pol, err := netpoll.New()
 		if err != nil {
 			for _, s := range p.np {
 				_ = s.pol.Close()

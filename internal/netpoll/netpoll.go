@@ -19,10 +19,7 @@
 // dispatch free of locks.
 package netpoll
 
-import (
-	"errors"
-	"time"
-)
+import "errors"
 
 // ErrUnsupported is returned by New when this kernel has no epoll support.
 var ErrUnsupported = errors.New("netpoll: not supported on this platform")
@@ -46,10 +43,4 @@ type Stats struct {
 	Wakeups    uint64 // epoll_wait returns (incl. timer and posted-task wakes)
 	TimerFires uint64 // timing-wheel callbacks run
 	Registered int64  // fds currently registered
-}
-
-// Config tunes a Poller. The zero value is ready to use.
-type Config struct {
-	// Tick is the timing-wheel granularity. Zero means 1ms.
-	Tick time.Duration
 }

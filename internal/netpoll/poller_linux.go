@@ -65,10 +65,10 @@ type Poller struct {
 	registered atomic.Int64
 }
 
-// New creates a poller and starts its loop goroutine. Returns ErrUnsupported
-// when epoll is unavailable (a kernel reporting ENOSYS latches that
-// process-wide).
-func New(cfg Config) (*Poller, error) {
+// New creates a poller, whose timing wheel ticks every millisecond, and
+// starts its loop goroutine. Returns ErrUnsupported when epoll is
+// unavailable (a kernel reporting ENOSYS latches that process-wide).
+func New() (*Poller, error) {
 	if epollBroken.Load() {
 		return nil, ErrUnsupported
 	}
@@ -106,7 +106,7 @@ func New(cfg Config) (*Poller, error) {
 		wakeR: pfds[0],
 		wakeW: pfds[1],
 		start: time.Now(),
-		wheel: NewWheel(cfg.Tick),
+		wheel: NewWheel(time.Millisecond),
 		done:  make(chan struct{}),
 	}
 	// The wake pipe is level-triggered: the loop fully drains it every wake.

@@ -11,7 +11,7 @@ import (
 
 func newTestPoller(t *testing.T) *Poller {
 	t.Helper()
-	p, err := New(Config{})
+	p, err := New()
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -96,7 +96,7 @@ func TestPollerPostAndTimers(t *testing.T) {
 }
 
 func TestPollerCloseRunsPostedTasks(t *testing.T) {
-	p, err := New(Config{})
+	p, err := New()
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

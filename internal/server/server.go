@@ -30,8 +30,6 @@ type Config struct {
 	// duration — one schedule drives this simulated server and the live
 	// chaos wrappers alike.
 	ConnFaults faults.ConnSchedule
-	// ResponseSize is the wire size of generated responses in bytes.
-	ResponseSize int
 	// CacheSize, when positive, models a hot-key cache of that many keys:
 	// requests carrying a Key present in the LRU cache take HitService
 	// instead of Service (the miss path), letting experiments quantify
@@ -68,6 +66,9 @@ type Stats struct {
 	Service    *stats.Histogram // processing time actually applied
 	QueueWait  *stats.Histogram // time spent waiting for a worker
 }
+
+// responseSize is the wire size of generated responses in bytes.
+const responseSize = 128
 
 // Server is a simulated request-processing node. It consumes KindRequest
 // packets and emits KindResponse packets through the output function wired
@@ -136,9 +137,6 @@ func New(sim *netsim.Sim, cfg Config) *Server {
 	}
 	if cfg.ConnFaults == nil {
 		cfg.ConnFaults = faults.NoConnFaults
-	}
-	if cfg.ResponseSize <= 0 {
-		cfg.ResponseSize = 128
 	}
 	if cfg.Dependency != nil && cfg.DependencyFraction <= 0 {
 		cfg.DependencyFraction = 1
@@ -274,7 +272,7 @@ func (s *Server) finish(p *netsim.Packet) {
 		Op:        p.Op,
 		Seq:       p.Seq,
 		Key:       p.Key,
-		Size:      s.cfg.ResponseSize,
+		Size:      responseSize,
 		SentAt:    s.sim.Now(),
 		ReqSentAt: p.SentAt,
 	})

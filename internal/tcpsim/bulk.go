@@ -37,10 +37,6 @@ type BulkConfig struct {
 	// MaxSegments ends the flow after this many segments (0 = unbounded),
 	// modelling short-lived transfers.
 	MaxSegments uint64
-	// TriggerDelay is the client-side processing time between receiving
-	// an ACK and transmitting the segment it released — the paper's
-	// T_trigger term.
-	TriggerDelay time.Duration
 	// Pacing, when positive, enforces a minimum spacing between segment
 	// transmissions (a timing violation for the estimator: it stretches
 	// batches and blurs inter-batch gaps).
@@ -51,9 +47,8 @@ type BulkConfig struct {
 	// window would allow more (another timing violation).
 	AppLimitedOn  time.Duration
 	AppLimitedOff time.Duration
-	// HiccupProb, when positive, adds a random client stall of
-	// [HiccupMin, HiccupMax) to the trigger delay with this probability
-	// per ACK — the scheduling/GC hiccups (§2.2) that give real traces
+	// HiccupProb, when positive, stalls the client for a random
+	// [HiccupMin, HiccupMax) with this probability per ACK — the scheduling/GC hiccups (§2.2) that give real traces
 	// their occasional long pauses.
 	HiccupProb float64
 	HiccupMin  time.Duration
@@ -237,18 +232,12 @@ func (b *BulkSender) HandlePacket(p *netsim.Packet) {
 				b.stallUntil = until
 			}
 		}
-		if b.cfg.TriggerDelay > 0 {
-			b.sim.After(b.cfg.TriggerDelay, b.pump)
-		} else {
-			b.pump()
-		}
+		b.pump()
 	}
 }
 
 // AckSinkConfig parameterizes the receiving half of a bulk flow.
 type AckSinkConfig struct {
-	// AckSize is the wire size of an ACK in bytes.
-	AckSize int
 	// DelayedAckCount, when > 1, ACKs only every Nth segment
 	// (the classic delayed-ACK timing violation)...
 	DelayedAckCount int
@@ -256,6 +245,9 @@ type AckSinkConfig struct {
 	// bounding the violation like a real stack's 40 ms timer.
 	DelayedAckTimeout time.Duration
 }
+
+// ackSize is the wire size of an ACK in bytes.
+const ackSize = 64
 
 // AckSink is the server half of a bulk flow: it acknowledges received data
 // segments through its output, which the topology wires directly to the
@@ -275,9 +267,6 @@ type AckSink struct {
 
 // NewAckSink creates the receiver; out carries ACKs back to the client.
 func NewAckSink(sim *netsim.Sim, cfg AckSinkConfig, out func(*netsim.Packet)) *AckSink {
-	if cfg.AckSize <= 0 {
-		cfg.AckSize = 64
-	}
 	if cfg.DelayedAckCount < 1 {
 		cfg.DelayedAckCount = 1
 	}
@@ -325,7 +314,7 @@ func (a *AckSink) sendAck(flow packet.FlowKey) {
 		Flow:   flow, // ACKs carry the client-side flow key; direction is implied by the path
 		Kind:   netsim.KindAck,
 		Seq:    a.highestSeq,
-		Size:   a.cfg.AckSize,
+		Size:   ackSize,
 		SentAt: a.sim.Now(),
 	})
 }

@@ -91,23 +91,6 @@ func TestBulkFlowBatchStructure(t *testing.T) {
 	}
 }
 
-func TestBulkTriggerDelayShiftsRTT(t *testing.T) {
-	sim := netsim.NewSim(1)
-	cfg := BulkConfig{Flow: bulkFlow(), Window: 1, SegSize: 1000, TriggerDelay: 50 * time.Microsecond}
-	sender, _, taps := wireBulk(sim, cfg, AckSinkConfig{})
-	sim.Schedule(0, sender.Start)
-	sim.RunUntil(10 * time.Millisecond)
-
-	// Window 1: the tap sees one packet per RTT + trigger delay.
-	for i := 2; i < len(*taps); i++ {
-		gap := (*taps)[i] - (*taps)[i-1]
-		want := 450 * time.Microsecond // RTT 400µs + trigger 50µs
-		if gap != want {
-			t.Fatalf("gap %d = %v, want %v", i, gap, want)
-		}
-	}
-}
-
 func TestBulkPacingStretchesBatches(t *testing.T) {
 	sim := netsim.NewSim(1)
 	cfg := BulkConfig{Flow: bulkFlow(), Window: 4, SegSize: 1000, Pacing: 80 * time.Microsecond}

@@ -17,12 +17,8 @@ import (
 // latencies and gets opportunities to apply fresh routing decisions.
 type RequestConfig struct {
 	// ClientIP is the client's address; source ports are allocated from
-	// FirstPort upward as connections open.
-	ClientIP  netip.Addr
-	FirstPort uint16
-	// VIP and VPort form the service address requests are sent to.
-	VIP   netip.Addr
-	VPort uint16
+	// firstPort upward as connections open.
+	ClientIP netip.Addr
 
 	// Connections is the number of concurrently open connections.
 	Connections int
@@ -45,8 +41,6 @@ type RequestConfig struct {
 	// GetFraction is the probability a request is a GET (the paper uses
 	// a 50-50 GET/SET mix).
 	GetFraction float64
-	// ReqSize is the request wire size in bytes.
-	ReqSize int
 	// Keys, when positive, draws an application key id in [1, Keys] for
 	// every request and stamps it on the packet (layer-7 routing input).
 	// KeyZipfS > 1 skews popularity; otherwise keys are uniform.
@@ -65,9 +59,6 @@ type RequestConfig struct {
 	// is causally triggered by the handshake completing, which SYN-based
 	// estimators measure. Off by default.
 	EmitOpen bool
-	// OpenDelay adds client processing time between the SYN-ACK arrival
-	// and the first request (the handshake's T_trigger).
-	OpenDelay time.Duration
 
 	// The transport-distress knobs below model what a real TCP stack leaks
 	// under congestion. All default to off (zero), leaving legacy workloads
@@ -76,15 +67,12 @@ type RequestConfig struct {
 	// RetransmitTimeout, when positive, models the sender's RTO: a request
 	// unanswered after this long is re-sent on the same connection with
 	// the same sequence number (the Seq-regression signal a congestion
-	// tracker on the path detects), up to RetransmitMax times with the
+	// tracker on the path detects), up to retransmitMax times with the
 	// delay doubling each attempt. Retransmits are transport re-sends: they
 	// do not count as new requests (Sent/Outstanding are untouched), only
 	// as Retransmits. Should be set well below RequestTimeout and well
 	// above the healthy round trip.
 	RetransmitTimeout time.Duration
-	// RetransmitMax caps retransmits per request (default 2 when
-	// RetransmitTimeout > 0).
-	RetransmitMax int
 	// DupAckAge, when positive, models the receiver's out-of-order
 	// signalling: a response arriving while an older request on the same
 	// connection has been outstanding for at least DupAckAge emits a
@@ -93,18 +81,31 @@ type RequestConfig struct {
 	DupAckAge time.Duration
 	// ZeroWindowBurst, when positive, models receive-buffer pressure:
 	// every run of this many responses arriving back-to-back (within
-	// ZeroWindowGap of each other, across all connections) emits a
+	// zeroWindowGap of each other, across all connections) emits a
 	// zero-window advertisement on the connection that overflowed.
 	ZeroWindowBurst int
-	// ZeroWindowGap is the inter-arrival gap that keeps a burst alive
-	// (default 20µs when ZeroWindowBurst > 0).
-	ZeroWindowGap time.Duration
 	// Hot, when non-nil, skews the workload toward a hot subset of
 	// connections during a window (zipfian hot-key traffic concentrating
 	// on the shard that owns the hot keys): hot connections' think time is
 	// divided by Factor during [Start, End).
 	Hot *HotWindow
 }
+
+// The client's fixed wire shape: requests of reqSize bytes go to the
+// service address reqVIP:reqVPort from source ports counted up from
+// firstPort.
+const (
+	reqSize   = 128
+	reqVPort  = 11211
+	firstPort = 40000
+	// retransmitMax caps RTO re-sends per request.
+	retransmitMax = 2
+	// zeroWindowGap is the response inter-arrival gap that keeps a
+	// zero-window burst alive.
+	zeroWindowGap = 20 * time.Microsecond
+)
+
+var reqVIP = netip.MustParseAddr("10.1.0.1")
 
 // HotWindow describes a hot-key skew window: connections whose flow hash
 // lands in the bottom Fraction of the hash space think Factor× faster
@@ -171,7 +172,7 @@ type RequestClient struct {
 	free []*reqTimer
 
 	// Zero-window burst tracking (ZeroWindowBurst): responses arriving
-	// within ZeroWindowGap of the previous one grow the burst.
+	// within zeroWindowGap of the previous one grow the burst.
 	lastRespAt time.Duration
 	burstLen   int
 
@@ -224,26 +225,14 @@ func NewRequestClient(sim *netsim.Sim, cfg RequestConfig, out func(*netsim.Packe
 	if cfg.Pipeline <= 0 {
 		cfg.Pipeline = 1
 	}
-	if cfg.ReqSize <= 0 {
-		cfg.ReqSize = 128
-	}
 	if !cfg.ClientIP.IsValid() {
 		cfg.ClientIP = netip.MustParseAddr("10.0.0.100")
-	}
-	if !cfg.VIP.IsValid() {
-		cfg.VIP = netip.MustParseAddr("10.1.0.1")
-	}
-	if cfg.VPort == 0 {
-		cfg.VPort = 11211
-	}
-	if cfg.FirstPort == 0 {
-		cfg.FirstPort = 40000
 	}
 	c := &RequestClient{
 		sim:      sim,
 		cfg:      cfg,
 		out:      out,
-		nextPort: cfg.FirstPort,
+		nextPort: firstPort,
 		stats: RequestStats{
 			GetLatency: stats.NewDefaultHistogram(),
 			SetLatency: stats.NewDefaultHistogram(),
@@ -255,12 +244,6 @@ func NewRequestClient(sim *netsim.Sim, cfg RequestConfig, out func(*netsim.Packe
 	c.onReopen = c.openConn
 	if cfg.Keys > 1 && cfg.KeyZipfS > 1 {
 		c.zipf = rand.NewZipf(sim.Rand(), cfg.KeyZipfS, 1, uint64(cfg.Keys-1))
-	}
-	if c.cfg.RetransmitTimeout > 0 && c.cfg.RetransmitMax <= 0 {
-		c.cfg.RetransmitMax = 2
-	}
-	if c.cfg.ZeroWindowBurst > 0 && c.cfg.ZeroWindowGap <= 0 {
-		c.cfg.ZeroWindowGap = 20 * time.Microsecond
 	}
 	c.lastRespAt = -time.Hour // no burst before the first response
 	return c
@@ -291,7 +274,7 @@ func (c *RequestClient) openConn() {
 	}
 	cn := &conn{
 		flow: packet.NewFlowKey(
-			c.cfg.ClientIP, c.cfg.VIP, port, c.cfg.VPort, packet.ProtoTCP),
+			c.cfg.ClientIP, reqVIP, port, reqVPort, packet.ProtoTCP),
 		pending: make([]pending, 0, c.cfg.Pipeline),
 	}
 	c.conns = append(c.conns, cn)
@@ -355,7 +338,7 @@ func (c *RequestClient) sendRequest(cn *conn) {
 		Op:     op,
 		Seq:    seq,
 		Key:    key,
-		Size:   c.cfg.ReqSize,
+		Size:   reqSize,
 		SentAt: now,
 	}))
 	if c.cfg.RequestTimeout > 0 {
@@ -471,7 +454,7 @@ func (c *RequestClient) retransmit(cn *conn, seq uint64) {
 		Op:     p.op,
 		Seq:    seq,
 		Key:    p.key,
-		Size:   c.cfg.ReqSize,
+		Size:   reqSize,
 		SentAt: c.sim.Now(),
 	}))
 }
@@ -522,8 +505,8 @@ func (c *RequestClient) fire(t *reqTimer) {
 	case timerRTO:
 		// If the response has not arrived, the same request (same sequence
 		// number) is re-sent and the timer re-arms at double the delay, up
-		// to RetransmitMax attempts.
-		if c.stopped || int(t.attempt) > c.cfg.RetransmitMax || !cn.outstanding(seq) {
+		// to retransmitMax attempts.
+		if c.stopped || int(t.attempt) > retransmitMax || !cn.outstanding(seq) {
 			c.recycle(t)
 			return
 		}
@@ -558,11 +541,7 @@ func (c *RequestClient) handle(p *netsim.Packet) {
 		if cn == nil || cn.sent > 0 {
 			return
 		}
-		if c.cfg.OpenDelay > 0 {
-			c.sim.After(c.cfg.OpenDelay, func() { c.fill(cn) })
-		} else {
-			c.fill(cn)
-		}
+		c.fill(cn)
 		return
 	}
 	if p.Kind == netsim.KindClose {
@@ -586,7 +565,7 @@ func (c *RequestClient) handle(p *netsim.Packet) {
 		// Receive-buffer pressure: responses landing back-to-back (incast
 		// flush, post-stall drain) grow a burst; overflowing the burst
 		// threshold advertises a zero window on the overflowing flow.
-		if now-c.lastRespAt <= c.cfg.ZeroWindowGap {
+		if now-c.lastRespAt <= zeroWindowGap {
 			c.burstLen++
 		} else {
 			c.burstLen = 1

@@ -43,17 +43,19 @@ type PathConfig struct {
 	Bulk tcpsim.BulkConfig
 	// Sink configures the receiver (delayed ACKs etc.).
 	Sink tcpsim.AckSinkConfig
-	// CrossUtilization, in [0,1), adds Poisson cross-traffic consuming
-	// this fraction of the client→tap link, so the measured flow's
-	// packets suffer realistic queueing jitter. Requires LinkRate > 0.
+	// CrossUtilization, in [0,1), adds Poisson cross-traffic of
+	// crossPacketSize-byte packets consuming this fraction of the
+	// client→tap link, so the measured flow's packets suffer realistic
+	// queueing jitter. Requires LinkRate > 0.
 	CrossUtilization float64
-	// CrossPacketSize is the cross-traffic packet size (default 1500).
-	CrossPacketSize int
 	// CrossUntil bounds cross-traffic generation (required when
 	// CrossUtilization > 0, since the source would otherwise keep the
 	// event loop alive forever).
 	CrossUntil time.Duration
 }
+
+// crossPacketSize is the cross-traffic packet size in bytes.
+const crossPacketSize = 1500
 
 // Path is an assembled single-flow testbed.
 type Path struct {
@@ -100,16 +102,13 @@ func NewPath(cfg PathConfig) *Path {
 	sender = tcpsim.NewBulkSender(sim, cfg.Bulk, toTap.Send)
 
 	if cfg.CrossUtilization > 0 && cfg.LinkRate > 0 && cfg.CrossUntil > 0 {
-		if cfg.CrossPacketSize <= 0 {
-			cfg.CrossPacketSize = 1500
-		}
 		// Poisson arrivals at rate = util × LinkRate / size. Cross packets
 		// share the link's transmission queue with the measured flow but
 		// carry a foreign flow key and a Kind the sink ignores.
 		crossFlow := packet.NewFlowKey(
 			netip.MustParseAddr("10.9.9.9"), netip.MustParseAddr("10.1.0.1"),
 			1, 2, packet.ProtoTCP)
-		meanGap := float64(cfg.CrossPacketSize) / (cfg.CrossUtilization * cfg.LinkRate)
+		meanGap := float64(crossPacketSize) / (cfg.CrossUtilization * cfg.LinkRate)
 		var next func()
 		next = func() {
 			if sim.Now() >= cfg.CrossUntil {
@@ -117,7 +116,7 @@ func NewPath(cfg PathConfig) *Path {
 			}
 			toTap.Send(&netsim.Packet{
 				Flow: crossFlow, Kind: netsim.KindRequest,
-				Size: cfg.CrossPacketSize, SentAt: sim.Now(),
+				Size: crossPacketSize, SentAt: sim.Now(),
 			})
 			gap := time.Duration(sim.Rand().ExpFloat64() * meanGap * float64(time.Second))
 			sim.After(gap, next)
@@ -160,9 +159,6 @@ type ClusterConfig struct {
 	FlowTable core.FlowTableConfig
 	// Observer overrides the LB's measurement source (see lb.Config).
 	Observer core.Observer
-	// LB tuning (optional).
-	ConnIdleTimeout time.Duration
-	SweepInterval   time.Duration
 	// ControlInterval drives the Controller tick when Policy is a
 	// control.Controller (see lb.Config.ControlInterval).
 	ControlInterval time.Duration
@@ -254,8 +250,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		Policy:          cfg.Policy,
 		FlowTable:       cfg.FlowTable,
 		Observer:        cfg.Observer,
-		ConnIdleTimeout: cfg.ConnIdleTimeout,
-		SweepInterval:   cfg.SweepInterval,
 		ControlInterval: cfg.ControlInterval,
 		L7:              cfg.L7,
 		Congestion:      cfg.Congestion,
