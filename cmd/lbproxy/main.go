@@ -203,7 +203,7 @@ func policySpecFlags(fs *flag.FlagSet) func(backends []string) control.PolicySpe
 		alpha      = fs.Float64("alpha", 0.10, "latency-aware: traffic fraction shifted per control action")
 		minWeight  = fs.Float64("min-weight", 0.02, "weight floor per backend for weighted policies")
 		cooldown   = fs.Duration("cooldown", 5*time.Millisecond, "latency-aware: minimum time between shifts (proportional, knapsack: solve period)")
-		hysteresis = fs.Float64("hysteresis", 1.3, "latency-aware: worst/best ratio required to shift")
+		hysteresis = fs.Float64("hysteresis", control.DefaultHysteresisRatio, "latency-aware: worst/best ratio required to shift (1 disables)")
 		halfLife   = fs.Duration("half-life", 20*time.Millisecond, "per-server latency EWMA half-life")
 		seed       = fs.Int64("seed", 1, "random seed for randomized policies and detector jitter")
 	)

@@ -82,8 +82,10 @@ func (c *Controller) SetDetectorConfig(cfg DetectorConfig) bool {
 			return false
 		}
 		c.det = nil
+		c.dirty = true // the next snapshot stops counting routes
 	case c.det == nil:
 		c.det = newDetector(cfg, len(c.admit))
+		c.dirty = true // the next snapshot counts routes into the new detector
 		if c.medScratch == nil {
 			c.medScratch = make([]time.Duration, 0, len(c.admit))
 			c.medScratch2 = make([]time.Duration, 0, len(c.admit))

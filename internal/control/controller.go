@@ -210,7 +210,9 @@ func (c *Controller) Route(key packet.FlowKey, now time.Duration) (backend int, 
 // hash must equal key.Hash().
 func (c *Controller) RouteHashed(hash uint64, key packet.FlowKey, now time.Duration) (backend int, fellBack bool) {
 	if s := c.snap.Load(); s != nil {
-		return s.RouteHash(hash)
+		backend, fellBack = s.RouteHash(hash)
+		countRoute(s.routed, backend)
+		return backend, fellBack
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -218,21 +220,19 @@ func (c *Controller) RouteHashed(hash uint64, key packet.FlowKey, now time.Durat
 	if b < 0 || b >= len(c.admit) {
 		return -1, false
 	}
-	if admits(c.admit[b], hash) {
-		return b, false
+	if !admits(c.admit[b], hash) {
+		c.policy.FlowClosed(b, now) // undo the pick's occupancy accounting
+		if cand := nextAdmitted(c.admit, b); cand >= 0 {
+			b, fellBack = cand, true
+		} else if c.admit[b] == 0 {
+			return -1, false // nothing admits the flow
+		}
+		// Otherwise the partial pick is the only admitted backend: keep it.
 	}
-	orig := b
-	c.policy.FlowClosed(orig, now) // undo the pick's occupancy accounting
-	if c.healthy == 0 {
-		return -1, false
+	if c.det != nil {
+		countRoute(c.det.routed, b)
 	}
-	if cand := nextAdmitted(c.admit, orig); cand >= 0 {
-		return cand, true
-	}
-	if c.admit[orig] > 0 { // only admitted backend is the partial pick
-		return orig, false
-	}
-	return -1, false
+	return b, fellBack
 }
 
 // FailoverTarget returns an alternative backend for a connection whose
@@ -242,11 +242,17 @@ func (c *Controller) RouteHashed(hash uint64, key packet.FlowKey, now time.Durat
 // exists. Lock-free on the snapshot path.
 func (c *Controller) FailoverTarget(skip int) int {
 	if s := c.snap.Load(); s != nil {
-		return s.NextHealthy(skip)
+		b := s.NextHealthy(skip)
+		countRoute(s.routed, b)
+		return b
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return nextAdmitted(c.admit, skip)
+	b := nextAdmitted(c.admit, skip)
+	if c.det != nil {
+		countRoute(c.det.routed, b)
+	}
+	return b
 }
 
 // ObserveLatency implements Policy: the sample is folded into a shard
@@ -316,7 +322,6 @@ func (c *Controller) reportFailure(b int, now time.Duration) {
 	}
 	c.mu.Lock()
 	c.lastNow = now
-	c.det.sawDials = true
 	if b >= 0 && b < len(c.det.st) {
 		h := &c.det.st[b]
 		switch h.state {
@@ -349,17 +354,16 @@ func (c *Controller) reportFailure(b int, now time.Duration) {
 // ReportDialSuccess feeds the passive detector one successful connection
 // establishment against backend b: it clears the consecutive-failure
 // streak and, during a half-open trial, counts toward the success
-// threshold that promotes the backend into slow-start recovery. No-op when
-// the detector is disabled.
+// threshold that promotes the backend into slow-start recovery. It is not
+// starvation evidence: Route already counted the flow. No-op when the
+// detector is disabled.
 func (c *Controller) ReportDialSuccess(b int) {
 	if c.det == nil {
 		return
 	}
 	c.mu.Lock()
-	c.det.sawDials = true
 	if b >= 0 && b < len(c.det.st) {
 		h := &c.det.st[b]
-		h.dialsSinceSample++
 		switch h.state {
 		case Healthy, SlowStart:
 			h.consecFails = 0
@@ -518,6 +522,14 @@ func (c *Controller) detectorTickLocked(now time.Duration) {
 	for b := range c.det.st {
 		h := &c.det.st[b]
 		m := &c.lastMerge[b]
+		// Any merged sample clears the routed evidence, in every state;
+		// flows routed since the last tick survive it, because they have
+		// not had time to answer.
+		if n := c.det.routed[b].Swap(0); m.Count > 0 {
+			h.routedSinceSample = n
+		} else {
+			h.routedSinceSample += n
+		}
 		switch h.state {
 		case Ejected:
 			if !c.manual[b] && now >= h.reopenAt {
@@ -594,24 +606,12 @@ func (c *Controller) detectorTickLocked(now time.Duration) {
 			}
 			if m.Count == 0 {
 				// Starvation: flows route there, nothing comes back. Silence
-				// is only evidence when routing actually sent the backend
-				// traffic. Where dial outcomes are reported (the live
-				// proxy), that means a connection was established since the
-				// backend last produced a sample — routed-but-silent; a
-				// backend a weighted policy pushed down to its floor gets no
-				// dials, so its silence never counts. Connection-granular
-				// routing makes anything weaker unsound at low concurrency:
-				// a minority-share backend can hold zero of eight live
-				// connections for many ticks while perfectly healthy.
-				// Without dial reports (the simulator), fall back to the
-				// sample-share expectation: the backend's share of this
-				// tick's pool must have been worth at least one sample.
-				// Below either bar the count freezes rather than resets.
-				routed := h.dialsSinceSample > 0
-				if !c.det.sawDials {
-					routed = c.expectedShareLocked(b)*float64(pool) >= 1
-				}
-				if h.everSampled && routed {
+				// is evidence only when Route sent the backend a flow since
+				// its last sample — routed-but-silent. A backend a weighted
+				// policy pushed down to its floor, or one that holds no flow
+				// at low concurrency, is routed nothing, so its silence
+				// freezes the count rather than resetting it.
+				if h.everSampled && h.routedSinceSample > 0 {
 					if h.silentTicks++; h.silentTicks >= c.det.cfg.StarvationTicks {
 						ticks := h.silentTicks
 						if c.det.eject(b, now, c.othersRoutableLocked(b)) {
@@ -623,7 +623,6 @@ func (c *Controller) detectorTickLocked(now time.Duration) {
 				continue
 			}
 			h.silentTicks = 0
-			h.dialsSinceSample = 0
 			if outlier(m.Mean, median, c.det.cfg.OutlierFactor) {
 				if h.outlierTicks++; h.outlierTicks >= c.det.cfg.OutlierTicks {
 					ticks := h.outlierTicks
@@ -694,28 +693,6 @@ func outlier(v, median time.Duration, factor float64) bool {
 	return median > 0 && float64(v) > factor*float64(median)
 }
 
-// expectedShareLocked estimates backend b's share of the pool's samples:
-// its published routing weight when the policy exposes one, an equal split
-// otherwise. Reads the last published snapshot (one tick stale at most)
-// rather than Weighted.Weights, which copies — the detector tick must stay
-// allocation-free.
-func (c *Controller) expectedShareLocked(b int) float64 {
-	n := len(c.det.st)
-	if s := c.snap.Load(); s != nil && len(s.weights) == n {
-		var sum float64
-		for _, v := range s.weights {
-			sum += v
-		}
-		if sum > 0 {
-			return s.weights[b] / sum
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return 1 / float64(n)
-}
-
 // othersMedianLocked returns the median of this tick's per-backend mean
 // latencies excluding backend b, or 0 when no other backend merged samples.
 // Only recovery states (half-open, slow-start) consult it, so the O(n)
@@ -772,6 +749,9 @@ func (c *Controller) republishLocked() {
 	}
 	if c.congSeen {
 		s.cong = append([]uint64(nil), c.congTotal...)
+	}
+	if c.det != nil {
+		s.routed = c.det.routed
 	}
 	c.dirty = false
 	c.snap.Store(s)

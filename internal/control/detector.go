@@ -2,6 +2,7 @@ package control
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"time"
 )
 
@@ -71,10 +72,11 @@ type DetectorConfig struct {
 	OutlierTicks  int
 	// StarvationTicks ejects a backend that produced zero samples for this
 	// many consecutive ticks while the rest of the pool produced at least
-	// MinPoolSamples per tick — the blackhole signature: flows are routed
-	// there but nothing ever comes back through the estimator. Only
-	// backends that have produced samples before are eligible, so an
-	// idle-from-birth backend is never starved out. Default 25.
+	// MinPoolSamples per tick and Route sent it a flow since its last
+	// sample — the blackhole signature: flows are routed there but nothing
+	// ever comes back through the estimator. Only backends that have
+	// produced samples before are eligible, so an idle-from-birth backend
+	// is never starved out. Default 25.
 	StarvationTicks int
 	// MinPoolSamples gates the tick-granularity detectors: outlier and
 	// starvation judgments require at least this many pool-wide samples in
@@ -200,39 +202,49 @@ const admitFull = 1 << 16
 
 // backendHealth is one backend's detector state, guarded by Controller.mu.
 type backendHealth struct {
-	state            HealthState
-	consecFails      int           // consecutive reported connection failures
-	successes        int           // successes while half-open
-	outlierTicks     int           // consecutive latency-outlier ticks
-	silentTicks      int           // consecutive sampleless ticks (pool active)
-	dialsSinceSample int           // successful dials since the last merged sample
-	everSampled      bool          // starvation eligibility
-	backoff          time.Duration // current re-probe backoff
-	reopenAt         time.Duration // when the ejected backend turns half-open
-	trialTicks       int           // ticks spent in half-open
-	rampTick         int           // ticks spent in slow-start
-	congTicks        int           // consecutive congestion-hot ticks
-	calmTicks        int           // consecutive calm ticks while latched
-	congested        bool          // congestion weight-down latch (Healthy only)
-	ejections        uint64        // cumulative passive ejections
-	congEjections    uint64        // ejections driven by the congestion detector
+	state             HealthState
+	consecFails       int           // consecutive reported connection failures
+	successes         int           // successes while half-open
+	outlierTicks      int           // consecutive latency-outlier ticks
+	silentTicks       int           // consecutive sampleless ticks (pool active)
+	routedSinceSample uint32        // flows routed here since the last merged sample
+	everSampled       bool          // starvation eligibility
+	backoff           time.Duration // current re-probe backoff
+	reopenAt          time.Duration // when the ejected backend turns half-open
+	trialTicks        int           // ticks spent in half-open
+	rampTick          int           // ticks spent in slow-start
+	congTicks         int           // consecutive congestion-hot ticks
+	calmTicks         int           // consecutive calm ticks while latched
+	congested         bool          // congestion weight-down latch (Healthy only)
+	ejections         uint64        // cumulative passive ejections
+	congEjections     uint64        // ejections driven by the congestion detector
 }
 
 // detector is the passive failure-detection plane of a Controller. All
 // methods are called with Controller.mu held.
 type detector struct {
-	cfg      DetectorConfig
-	rng      *rand.Rand
-	st       []backendHealth
-	sawDials bool // a caller reports dial outcomes (live proxy, not sim)
+	cfg DetectorConfig
+	rng *rand.Rand
+	st  []backendHealth
+	// routed counts the flows Route and FailoverTarget sent each backend
+	// since the last tick, lock-free via the snapshots that share it.
+	routed []atomic.Uint32
 }
 
 func newDetector(cfg DetectorConfig, backends int) *detector {
 	cfg.applyDefaults()
 	return &detector{
-		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
-		st:  make([]backendHealth, backends),
+		cfg:    cfg,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		st:     make([]backendHealth, backends),
+		routed: make([]atomic.Uint32, backends),
+	}
+}
+
+// countRoute records one new flow sent to backend b; a no-op on nil routed.
+func countRoute(routed []atomic.Uint32, b int) {
+	if b >= 0 && b < len(routed) {
+		routed[b].Add(1)
 	}
 }
 
@@ -283,29 +295,20 @@ func (d *detector) eject(b int, now time.Duration, othersRoutable bool) bool {
 	if h.state == Ejected {
 		return false
 	}
-	if h.backoff == 0 {
-		h.backoff = d.cfg.BackoffInitial
+	backoff := h.backoff
+	if backoff == 0 {
+		backoff = d.cfg.BackoffInitial
 	}
-	h.state = Ejected
-	h.reopenAt = now + d.jittered(h.backoff)
-	h.consecFails = 0
-	h.successes = 0
-	h.outlierTicks = 0
-	h.silentTicks = 0
-	h.congTicks = 0
-	h.calmTicks = 0
-	h.congested = false
-	h.ejections++
+	// Every streak, latch and piece of evidence starts over.
+	*h = backendHealth{state: Ejected, backoff: backoff, reopenAt: now + d.jittered(backoff),
+		everSampled: h.everSampled, ejections: h.ejections + 1, congEjections: h.congEjections}
 	return true
 }
 
 // reEject is eject after a failed recovery attempt: the backoff doubles.
 func (d *detector) reEject(b int, now time.Duration) {
 	h := &d.st[b]
-	h.backoff *= 2
-	if h.backoff > d.cfg.BackoffMax {
-		h.backoff = d.cfg.BackoffMax
-	}
+	h.backoff = min(2*h.backoff, d.cfg.BackoffMax)
 	h.state = Healthy // let eject() see a transition
 	d.eject(b, now, true)
 }
@@ -320,20 +323,12 @@ func (d *detector) recoverTo(b int) {
 	h.consecFails = 0
 }
 
-// heal returns b to full health and resets the backoff ladder.
+// heal returns b to full health and resets the backoff ladder. Only the
+// lifetime counters and routes not yet answered carry over.
 func (d *detector) heal(b int) {
 	h := &d.st[b]
-	h.state = Healthy
-	h.backoff = 0
-	h.rampTick = 0
-	h.trialTicks = 0
-	h.outlierTicks = 0
-	h.silentTicks = 0
-	h.consecFails = 0
-	h.successes = 0
-	h.congTicks = 0
-	h.calmTicks = 0
-	h.congested = false
+	*h = backendHealth{everSampled: h.everSampled, routedSinceSample: h.routedSinceSample,
+		ejections: h.ejections, congEjections: h.congEjections}
 }
 
 func (d *detector) jittered(base time.Duration) time.Duration {

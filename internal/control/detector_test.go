@@ -1,8 +1,12 @@
 package control
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"inbandlb/internal/core"
 )
 
 // detCtrl builds a controller over a 4-backend static Maglev policy with
@@ -186,6 +190,18 @@ func feed(c *Controller, b int, count int, lat, now time.Duration) {
 	}
 }
 
+// routeOnto routes one new flow through c that lands on backend b — the
+// evidence that makes b's later silence count.
+func routeOnto(t *testing.T, c *Controller, b int, now time.Duration) {
+	t.Helper()
+	for i := 0; i < 1<<16; i++ {
+		if got, _ := c.Route(testKey(i), now); got == b {
+			return
+		}
+	}
+	t.Fatalf("no flow key routes to backend %d", b)
+}
+
 func TestDetectorLatencyOutlierEjects(t *testing.T) {
 	cfg := DetectorConfig{
 		OutlierFactor:  4,
@@ -242,7 +258,8 @@ func TestDetectorStarvationEjects(t *testing.T) {
 		feed(c, b, 4, time.Millisecond, time.Millisecond)
 	}
 	c.Tick(time.Millisecond)
-	// ...then goes silent while the pool stays busy.
+	// ...then is routed a flow and goes silent while the pool stays busy.
+	routeOnto(t, c, 1, time.Millisecond)
 	for tick := 0; tick < 4; tick++ {
 		now := time.Duration(tick+2) * time.Millisecond
 		for _, b := range []int{0, 2, 3} {
@@ -273,8 +290,8 @@ func TestDetectorStarvationRequiresPriorSamples(t *testing.T) {
 	}
 }
 
-// flooredWeights wraps the static Maglev policy with a fixed weight vector
-// so the snapshot publishes routing shares the detector can read.
+// flooredWeights wraps the static Maglev policy with a fixed weight vector,
+// so the snapshot publishes one backend at its weight floor.
 type flooredWeights struct {
 	*MaglevStatic
 	w []float64
@@ -314,15 +331,14 @@ func TestDetectorStarvationSparesWeightFlooredBackend(t *testing.T) {
 	}
 }
 
-func TestDetectorStarvationNeedsDialCorroboration(t *testing.T) {
-	// Once dial outcomes are reported (live-proxy mode), silence alone is
-	// not starvation: connection-granular routing lets a healthy minority
-	// backend hold zero live connections for many ticks. Backend 1 must
-	// survive unlimited silence with no dials, then be ejected once a dial
-	// lands (routed) and the silence continues (but-silent).
+func TestDetectorStarvationNeedsRoutedCorroboration(t *testing.T) {
+	// Silence alone is not starvation: connection-granular routing lets a
+	// healthy minority backend hold zero live connections for many ticks.
+	// Backend 1 must survive unlimited silence while nothing is routed to
+	// it, then be ejected once Route sends it a flow and the silence
+	// continues (routed-but-silent).
 	cfg := DetectorConfig{StarvationTicks: 3, MinPoolSamples: 8}
 	c := detCtrl(t, cfg)
-	c.ReportDialSuccess(0) // detector now expects dial corroboration
 
 	for b := 0; b < 4; b++ {
 		feed(c, b, 4, time.Millisecond, time.Millisecond)
@@ -336,12 +352,12 @@ func TestDetectorStarvationNeedsDialCorroboration(t *testing.T) {
 		c.Tick(now)
 	}
 	if c.Ejected(1) {
-		t.Fatal("silent backend ejected without a corroborating dial")
+		t.Fatal("silent backend ejected without a routed flow")
 	}
 
-	// A connection establishes against backend 1 but no samples follow:
-	// routed-but-silent, the accept-then-hang signature.
-	c.ReportDialSuccess(1)
+	// A flow is routed to backend 1 but no samples follow: routed-but-
+	// silent, the accept-then-hang signature.
+	routeOnto(t, c, 1, 22*time.Millisecond)
 	for tick := 20; tick < 24; tick++ {
 		now := time.Duration(tick+2) * time.Millisecond
 		for _, b := range []int{0, 2, 3} {
@@ -351,6 +367,75 @@ func TestDetectorStarvationNeedsDialCorroboration(t *testing.T) {
 	}
 	if !c.Ejected(1) {
 		t.Fatal("routed-but-silent backend not ejected")
+	}
+}
+
+// TestDetectorFailoverIsRoutedEvidence: a connection failed over onto a
+// backend is a flow routed there, on the snapshot path and on the mutex
+// path alike, so the backend's silence after it counts.
+func TestDetectorFailoverIsRoutedEvidence(t *testing.T) {
+	maglev, err := NewMaglevStatic([]string{"s0", "s1", "s2", "s3"}, 1031)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range []Policy{maglev, NewWeightedLeastConn(4, core.ServerLatencyConfig{})} {
+		c := NewController(pol, ControllerConfig{Shards: 1, Detector: DetectorConfig{
+			Enabled: true, Seed: 1, StarvationTicks: 3, MinPoolSamples: 8,
+		}})
+		for b := 0; b < 4; b++ {
+			feed(c, b, 4, time.Millisecond, time.Millisecond)
+		}
+		c.Tick(time.Millisecond)
+		if got := c.FailoverTarget(0); got != 1 {
+			t.Fatalf("%s: FailoverTarget(0) = %d, want 1", pol.Name(), got)
+		}
+		for tick := 0; tick < 4; tick++ {
+			now := time.Duration(tick+2) * time.Millisecond
+			for _, b := range []int{0, 2, 3} {
+				feed(c, b, 4, time.Millisecond, now)
+			}
+			c.Tick(now)
+		}
+		if !c.Ejected(1) {
+			t.Errorf("%s: backend silent after a failover onto it was not ejected", pol.Name())
+		}
+	}
+}
+
+// TestDetectorRecoveredBackendNotStarvedOnOldRoutes: flows routed during
+// slow-start that answered are not evidence after the ramp. A recovered
+// backend that then sees no new flow must not be starved out on routes
+// from before its samples came back.
+func TestDetectorRecoveredBackendNotStarvedOnOldRoutes(t *testing.T) {
+	cfg := DetectorConfig{StarvationTicks: 3, MinPoolSamples: 8, SlowStartTicks: 4}
+	c := detCtrl(t, cfg)
+	busy := func(now time.Duration, backends ...int) {
+		for _, b := range backends {
+			feed(c, b, 4, time.Millisecond, now)
+		}
+		c.Tick(now)
+	}
+	busy(time.Millisecond, 0, 1, 2, 3) // everyone is starvation-eligible
+	c.SetEjected(1, true)
+	c.SetEjected(1, false) // probe recovery: slow-start
+	if st := c.HealthState(1); st != SlowStart {
+		t.Fatalf("state = %v, want slow-start", st)
+	}
+	now := 2 * time.Millisecond
+	routeOnto(t, c, 1, now)
+	busy(now, 0, 2, 3) // the flow has not answered yet
+	for ; c.HealthState(1) == SlowStart; now += time.Millisecond {
+		busy(now, 0, 1, 2, 3) // it answers through the ramp
+	}
+	if st := c.HealthState(1); st != Healthy {
+		t.Fatalf("state after ramp = %v, want healthy", st)
+	}
+	for tick := 0; tick < 20; tick++ {
+		busy(now, 0, 2, 3) // no new flow lands on 1: quiet, not silent
+		now += time.Millisecond
+	}
+	if c.Ejected(1) {
+		t.Fatal("recovered backend starved out on flows routed before its samples returned")
 	}
 }
 
@@ -489,5 +574,71 @@ func TestDetectorJitterSpreadsReopens(t *testing.T) {
 		if r < 900*time.Millisecond || r > 1100*time.Millisecond {
 			t.Errorf("reopen %v outside +/-10%% of 1s", r)
 		}
+	}
+}
+
+// TestDetectorCountsRoutesConcurrently: routes taken on several goroutines
+// while ticks drain the counters are all counted, on the snapshot path and
+// on the mutex path, and toggling the detector while flows route is
+// race-free.
+func TestDetectorCountsRoutesConcurrently(t *testing.T) {
+	maglev, err := NewMaglevStatic([]string{"s0", "s1", "s2", "s3"}, 1031)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range []Policy{maglev, NewWeightedLeastConn(4, core.ServerLatencyConfig{})} {
+		c := NewController(pol, ControllerConfig{Shards: 1, Detector: DetectorConfig{Enabled: true, Seed: 1}})
+		const workers, perWorker = 4, 2000
+		var wg sync.WaitGroup
+		var routed atomic.Int64
+		stop := make(chan struct{})
+		ticked := make(chan struct{})
+		go func() {
+			defer close(ticked)
+			for now := time.Duration(1); ; now++ {
+				select {
+				case <-stop:
+					return
+				default:
+					c.Tick(now)
+				}
+			}
+		}()
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWorker; i++ {
+					if b, _ := c.Route(testKey(w*perWorker+i), 0); b >= 0 {
+						routed.Add(1)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(stop)
+		<-ticked
+		c.Tick(time.Hour) // drain what the last ticks missed
+		var counted int64
+		c.mu.Lock()
+		for b := range c.det.st {
+			counted += int64(c.det.st[b].routedSinceSample)
+		}
+		c.mu.Unlock()
+		if counted != routed.Load() {
+			t.Errorf("%s: detector counted %d routes, %d were taken", pol.Name(), counted, routed.Load())
+		}
+
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < 200; i++ {
+				c.SetDetectorConfig(DetectorConfig{Enabled: i%2 == 0, Seed: 1})
+			}
+		}()
+		for i := 0; i < perWorker; i++ {
+			c.Route(testKey(i), 0)
+		}
+		<-done
 	}
 }

@@ -137,6 +137,11 @@ func (p *P2C) FlowClosed(b int, _ time.Duration) {
 	}
 }
 
+// DefaultHysteresisRatio is the shipped latency-aware deadband: lbproxy's
+// -hysteresis default, and BuildPolicy's for a zero PolicySpec value. A
+// ratio of 1 disables hysteresis.
+const DefaultHysteresisRatio = 1.3
+
 // LatencyAwareConfig parameterizes the paper's feedback controller.
 type LatencyAwareConfig struct {
 	// Backends names the pool (Maglev permutations key off names).
@@ -158,7 +163,8 @@ type LatencyAwareConfig struct {
 	Cooldown time.Duration
 	// HysteresisRatio suppresses shifts unless the worst server's EWMA
 	// exceeds the best's by this factor. 1.0 (default ≤1) disables
-	// hysteresis, matching the paper's simple strategy.
+	// hysteresis, matching the paper's simple strategy. Callers that build
+	// the policy by name get DefaultHysteresisRatio instead.
 	HysteresisRatio float64
 	// SignalQuantile, when in (0,1), drives control decisions from the
 	// per-server windowed q-quantile instead of the EWMA: the controller

@@ -28,7 +28,8 @@ type PolicySpec struct {
 	// period for knapsack/proportional).
 	Interval time.Duration
 	// HysteresisRatio is the latency-aware policy's worst/best EWMA ratio
-	// required to shift (≤ 1 disables it).
+	// required to shift. Zero selects DefaultHysteresisRatio; 1 disables
+	// it.
 	HysteresisRatio float64
 	// Seed supplies determinism for randomized policies (P2C).
 	Seed int64
@@ -79,9 +80,12 @@ func PolicyNames() []string {
 
 func init() {
 	RegisterPolicy("latency-aware", func(s PolicySpec) (Policy, error) {
-		alpha := s.Alpha
+		alpha, hysteresis := s.Alpha, s.HysteresisRatio
 		if alpha == 0 {
 			alpha = 0.10
+		}
+		if hysteresis == 0 {
+			hysteresis = DefaultHysteresisRatio
 		}
 		return NewLatencyAware(LatencyAwareConfig{
 			Backends:        s.Backends,
@@ -89,7 +93,7 @@ func init() {
 			Alpha:           alpha,
 			MinWeight:       s.MinWeight,
 			Cooldown:        s.Interval,
-			HysteresisRatio: s.HysteresisRatio,
+			HysteresisRatio: hysteresis,
 			Latency:         s.Latency,
 		})
 	})

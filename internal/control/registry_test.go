@@ -103,3 +103,31 @@ func TestRegistryDeterministicSeeds(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistryLatencyAwareHysteresisDefault: a latency-aware policy built
+// with no HysteresisRatio gets DefaultHysteresisRatio, the deadband lbproxy
+// ships, so a 1.2× gap does not shift weight; a ratio of 1 disables the
+// deadband and the same gap does.
+func TestRegistryLatencyAwareHysteresisDefault(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		ratio  float64
+		shifts bool
+	}{{0, false}, {1, true}} {
+		spec := testSpec(2)
+		spec.HysteresisRatio = tc.ratio
+		pol, err := BuildPolicy("latency-aware", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		la := pol.(*LatencyAware)
+		la.ObserveLatency(0, 0, ms) // the only measured backend gives up α
+		before := la.Weights()
+		la.ObserveLatency(1, 10*ms, 12*ms/10)
+		after := la.Weights()
+		if shifted := after[1] < before[1]; shifted != tc.shifts {
+			t.Errorf("HysteresisRatio %v: weights %v -> %v after a 1.2x gap, shifted=%v, want %v",
+				tc.ratio, before, after, shifted, tc.shifts)
+		}
+	}
+}

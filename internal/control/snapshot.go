@@ -1,6 +1,8 @@
 package control
 
 import (
+	"sync/atomic"
+
 	"inbandlb/internal/maglev"
 	"inbandlb/internal/packet"
 )
@@ -27,9 +29,10 @@ type Snapshot struct {
 	table   *maglev.Table
 	weights []float64
 	admit   []uint32
-	cong    []uint64 // cumulative congestion events; nil until any observed
-	healthy int      // backends with admit > 0
-	full    bool     // every backend at admitFull: Route degenerates to Pick
+	cong    []uint64        // cumulative congestion events; nil until any observed
+	routed  []atomic.Uint32 // the detector's route counters, shared; nil when it is off
+	healthy int             // backends with admit > 0
+	full    bool            // every backend at admitFull: Route degenerates to Pick
 }
 
 // Generation returns the publication counter; it increases by one with

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"inbandlb/internal/control"
 	"inbandlb/internal/netsim"
 	"inbandlb/internal/testbed"
 )
@@ -226,6 +227,105 @@ func TestDSTPolicyMatrix(t *testing.T) {
 	}
 }
 
+// raceEnabled is set under the race detector (race_test.go), which slows
+// every simulated run about tenfold.
+var raceEnabled bool
+
+// TestDSTFaultFreeNoEjections: with the fault schedule removed, no policy
+// ever ejects a backend. Silence counts as evidence only when Route sent
+// the backend a flow, so a minority-share backend that is merely quiet
+// stays in, at the sweep's full width.
+func TestDSTFaultFreeNoEjections(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping fault-free sweep in -short mode")
+	}
+	if raceEnabled {
+		// Each run is single-threaded and TestDSTSweep race-checks the
+		// sweep's workers; 240 runs under -race would take minutes. CI
+		// runs this test without -race in its own step.
+		t.Skip("skipping fault-free sweep under the race detector")
+	}
+	for _, policy := range []string{"latency-aware", "knapsack", "p2c", "wlc"} {
+		t.Run(policy, func(t *testing.T) {
+			sweep(*sweepFlag, *baseFlag, func(seed int64) seedRun {
+				sc := Generate(seed)
+				sc.Policy = policy
+				sc.Faults = nil
+				rep, err := Run(sc)
+				if err != nil {
+					return seedRun{fatal: fmt.Sprintf("seed %d: %v", seed, err)}
+				}
+				r := seedRun{rep: rep}
+				if rep.Stats.Ejections != 0 || rep.Failed() {
+					r.errors = append(r.errors, fmt.Sprintf("seed %d: %d ejections, %d violations %v on a fault-free run",
+						seed, rep.Stats.Ejections, rep.Total, rep.Violations))
+				}
+				return r
+			}, func(r seedRun) { report(t, r) })
+		})
+	}
+}
+
+// TestDSTPrecisionOracle gives the precision oracle teeth: on a fault-free
+// seed a hair-trigger detector (one silent tick starves a routed backend,
+// one tick above the pool median is an outlier) ejects healthy backends,
+// and the oracle must blame nothing on a fault that is not there.
+func TestDSTPrecisionOracle(t *testing.T) {
+	sc := Generate(1)
+	sc.Faults = nil
+	hairTrigger := func(c *control.DetectorConfig) {
+		c.StarvationTicks, c.OutlierFactor, c.OutlierTicks = 1, 1.01, 1
+	}
+	for _, tc := range []struct {
+		name string
+		tune func(*control.DetectorConfig)
+	}{{"real", nil}, {"hair-trigger", hairTrigger}} {
+		rep, err := RunOpts(sc, RunOptions{detector: tc.tune})
+		if err != nil {
+			t.Fatal(err)
+		}
+		caught := oracleFired(rep, "precision")
+		if caught != (tc.tune != nil) {
+			t.Errorf("%s: precision oracle fired=%v (ejections %d, violations %v)",
+				tc.name, caught, rep.Stats.Ejections, rep.Violations)
+		}
+	}
+}
+
+// recallSeed has a blackhole that keeps being routed new flows while the
+// rest of the pool streams samples.
+const recallSeed = 8
+
+// TestDSTRecallOracle gives the recall oracle teeth: the real detector
+// starves the blackholed backend out in time, and a detector that never
+// starves anyone out leaves it Healthy past the bound.
+func TestDSTRecallOracle(t *testing.T) {
+	sc := Generate(recallSeed)
+	neverStarve := func(c *control.DetectorConfig) { c.StarvationTicks = 1 << 30 }
+	for _, tc := range []struct {
+		name string
+		tune func(*control.DetectorConfig)
+	}{{"real", nil}, {"never-starve", neverStarve}} {
+		rep, err := RunOpts(sc, RunOptions{detector: tc.tune})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if caught := oracleFired(rep, "recall"); caught != (tc.tune != nil) {
+			t.Errorf("%s: recall oracle fired=%v (violations %v)", tc.name, caught, rep.Violations)
+		}
+	}
+}
+
+// oracleFired reports whether rep recorded a violation of the named oracle.
+func oracleFired(rep *Report, oracle string) bool {
+	for _, v := range rep.Violations {
+		if v.Oracle == oracle {
+			return true
+		}
+	}
+	return false
+}
+
 // TestDSTDeterminism pins the replay contract: the same seed must yield
 // byte-identical trace digests and identical counters, run to run.
 func TestDSTDeterminism(t *testing.T) {
@@ -251,19 +351,22 @@ func TestDSTDeterminism(t *testing.T) {
 
 // goldenDigests pins the report digest of the benchmark's sim_dst
 // population — Generate seeds 1…12, every third GenerateCongestion — from
-// one commit to the next. The values were taken at PR 14 with one
-// aggregator shard. A change to netsim, tcpsim, server, lb or control that
-// moves one of them reordered or changed a simulated event; only a change
-// that means to alter simulated behaviour may edit this table.
+// one commit to the next, with one aggregator shard. A change to netsim,
+// tcpsim, server, lb or control that moves one of them reordered or
+// changed a simulated event; only a change that means to alter simulated
+// behaviour may edit this table. Last re-pinned when the detector's only
+// starvation evidence became the flows Route counts and the registry began
+// applying the shipped hysteresis default: ejections (and weight shifts)
+// changed the traces.
 var goldenDigests = [...]uint64{
-	0xfc575e030905bccf, 0x0c97bd2a1b46822d, 0x7ea25d4debe9ef04, 0x666b07d90f00e72a,
-	0x4bf9cc39c399040f, 0xed4cc87a5da35c79, 0x81dff626bac807f9, 0xbb36100afa79371a,
-	0x6cb2df19f841e1dc, 0x19a869cea75f6b54, 0x80fd296a60eed081, 0x77f6358d64c39af9,
+	0x36b703503c3d26e1, 0xae897af5ea15782f, 0x7ea25d4debe9ef04, 0x6c3b33784f4a5732,
+	0x05ba1eb187d04b37, 0xa058d6a50e466db3, 0xc57cd6769ca5427e, 0xa0a585f2c085b7c0,
+	0x8048512dda295880, 0x3dc673336e252f0a, 0xe19b98cc36230fc0, 0x2d14b412c706da52,
 }
 
 // TestDSTGoldenDigests is the order-preservation oracle for the simulator:
 // TestDSTDeterminism compares two runs of one binary, this compares every
-// binary with PR 14's. CI runs it under GOMAXPROCS=1 and 4, so it also
+// binary with the pinned table. CI runs it under GOMAXPROCS=1 and 4, so it also
 // holds the digest independent of the host's core count.
 func TestDSTGoldenDigests(t *testing.T) {
 	for i, want := range goldenDigests {

@@ -9,6 +9,7 @@ import (
 	"inbandlb/internal/auditlog"
 	"inbandlb/internal/control"
 	"inbandlb/internal/faults"
+	"inbandlb/internal/lb"
 	"inbandlb/internal/server"
 	"inbandlb/internal/tcpsim"
 	"inbandlb/internal/testbed"
@@ -73,6 +74,19 @@ const maxRecordedViolations = 64
 // (the first sample needs two packets, and backoff can eat the rest).
 const livenessEvidence = 4
 
+// precisionGrace is how long after a fault window closes a latency-outlier
+// or starvation ejection may still be blamed on that fault: flows it
+// stranded time out, re-route and leave timeout-sized samples behind for
+// up to a request timeout plus a backoff cycle.
+const precisionGrace = time.Second
+
+// recallSlack is the k in the recall oracle's StarvationTicks + k bound.
+// The oracle reads LB counters once per CheckInterval, not once per
+// control tick, so it can date a backend's first routed-but-silent tick up
+// to one check interval early and misses a tick whose pool fell below
+// MinPoolSamples; k covers both.
+const recallSlack = 10
+
 // RunOptions carries the optional hooks a scenario run accepts.
 type RunOptions struct {
 	// Mutate wraps the built policy (deliberately broken variants for the
@@ -86,6 +100,10 @@ type RunOptions struct {
 	// wire, when set, runs on the assembled cluster before the run: the
 	// package's tests use it to break an ownership rule on purpose.
 	wire func(*testbed.Cluster)
+	// detector, when set, edits the detector tuning the controller runs
+	// with; the oracles keep judging against the scenario's own tuning.
+	// The package's tests use it to break the detector on purpose.
+	detector func(*control.DetectorConfig)
 }
 
 // Run executes the scenario with the real controller and returns its
@@ -132,13 +150,33 @@ func RunOpts(sc Scenario, opts RunOptions) (*Report, error) {
 	if mutate != nil {
 		pol = mutate(pol)
 	}
+	h := &harness{
+		sc:          sc,
+		det:         detectorConfig(sc),
+		next:        opts.Audit,
+		report:      &Report{Scenario: sc},
+		digest:      fnv.New64a(),
+		samples:     make([][]time.Duration, sc.Backends),
+		lastState:   make([]control.HealthState, sc.Backends),
+		lastChange:  make([]time.Duration, sc.Backends),
+		prevNew:     make([]uint64, sc.Backends),
+		prevSamp:    make([]uint64, sc.Backends),
+		silentSince: make([]time.Duration, sc.Backends),
+	}
+	for i := range h.silentSince {
+		h.silentSince[i] = -1
+	}
+	det := h.det
+	if opts.detector != nil {
+		opts.detector(&det)
+	}
 	// Shards is pinned: left at zero it follows GOMAXPROCS, and the merge
 	// grouping (hence the digest) would differ from host to host.
 	ctrl := control.NewController(pol, control.ControllerConfig{
 		Shards:   1,
 		Interval: sc.ControlInterval,
-		Detector: detectorConfig(sc),
-		Audit:    opts.Audit,
+		Detector: det,
+		Audit:    h,
 	})
 
 	servers := make([]server.Config, sc.Backends)
@@ -229,20 +267,9 @@ func RunOpts(sc Scenario, opts RunOptions) (*Report, error) {
 		opts.wire(cluster)
 	}
 
-	_, hasTable := pol.(control.TableSource)
-	_, weighted := pol.(control.Weighted)
-	h := &harness{
-		sc:         sc,
-		ctrl:       ctrl,
-		cluster:    cluster,
-		hasTable:   hasTable,
-		weighted:   weighted,
-		report:     &Report{Scenario: sc},
-		digest:     fnv.New64a(),
-		samples:    make([][]time.Duration, sc.Backends),
-		lastState:  make([]control.HealthState, sc.Backends),
-		lastChange: make([]time.Duration, sc.Backends),
-	}
+	_, h.hasTable = pol.(control.TableSource)
+	_, h.weighted = pol.(control.Weighted)
+	h.ctrl, h.cluster = ctrl, cluster
 
 	// In-band samples feed the estimator-bounds oracle, but only samples
 	// taken on clean stretches and only under Pipeline==1 (with pipelined
@@ -286,10 +313,7 @@ func detectorConfig(sc Scenario) control.DetectorConfig {
 		OutlierFactor:    8,
 		OutlierTicks:     10,
 		MinPoolSamples:   4,
-		// Starvation patience scales with the pool: with B backends and a
-		// couple dozen closed-loop connections, a healthy minority-share
-		// backend can legitimately hold zero flows for tens of
-		// milliseconds, and the sim has no dial reports to disambiguate.
+		// Starvation patience scales with the pool size.
 		StarvationTicks:  8 + 4*sc.Backends,
 		BackoffInitial:   100 * time.Millisecond,
 		BackoffMax:       300 * time.Millisecond,
@@ -333,9 +357,13 @@ func stackSched(cur faults.Schedule, add faults.Schedule) faults.Schedule {
 	return faults.Stack{cur, add}
 }
 
-// harness carries oracle state across ticks for one run.
+// harness carries oracle state across ticks for one run. It is also the
+// controller's audit sink, so the precision oracle sees every ejection as
+// it is decided.
 type harness struct {
 	sc      Scenario
+	det     control.DetectorConfig // the scenario's tuning, as the oracles judge it
+	next    auditlog.Sink          // the caller's audit sink, if any
 	ctrl    *control.Controller
 	cluster *testbed.Cluster
 	// hasTable and weighted gate the snapshot and weight oracles: only
@@ -362,6 +390,82 @@ type harness struct {
 	// each check tick, so "stuck" means no transition across many ticks.
 	lastState  []control.HealthState
 	lastChange []time.Duration
+
+	// Recall oracle: the LB counters at the previous check, and when each
+	// backend's current blackholed, routed-but-silent streak began (-1:
+	// none).
+	prevCheck   time.Duration
+	prevSamples uint64
+	prevNew     []uint64
+	prevSamp    []uint64
+	silentSince []time.Duration
+}
+
+// Note implements auditlog.Sink. It runs the precision oracle on every
+// Healthy → Ejected decision and forwards each record to the caller's sink.
+func (h *harness) Note(rec *auditlog.Record) {
+	if rec.Kind == auditlog.KindTransition && rec.From == uint8(control.Healthy) &&
+		rec.To == uint8(control.Ejected) {
+		h.checkEjection(rec)
+	}
+	if h.next != nil {
+		h.next.Note(rec)
+	}
+}
+
+// checkEjection is the precision oracle: a latency-outlier or starvation
+// ejection needs a fault on that backend whose window, extended by
+// precisionGrace, covers the decision. Herds and hot keys act on the whole
+// pool, so they are on every backend. Only a latency step justifies an
+// outlier ejection; it never silences a backend. Congestion-cause
+// ejections are out of scope (ROADMAP 16: some have no fault to blame).
+func (h *harness) checkEjection(rec *auditlog.Record) {
+	if rec.Cause != auditlog.CauseOutlier && rec.Cause != auditlog.CauseStarvation {
+		return
+	}
+	b := int(rec.Backend)
+	for _, f := range h.sc.Faults {
+		onB := f.Server == b || f.Kind == FaultHerd || f.Kind == FaultHotKey
+		if onB && rec.At >= f.Start && rec.At <= f.End+precisionGrace &&
+			(f.Kind != FaultLatencyStep || rec.Cause == auditlog.CauseOutlier) {
+			return
+		}
+	}
+	h.violate("precision", "backend %d ejected for %v at %v with no fault on it to blame",
+		b, rec.Cause, rec.At)
+}
+
+// checkRecall is the recall oracle, run every check tick: a blackholed
+// backend that is routed a new flow while the pool is active must leave
+// Healthy within StarvationTicks + recallSlack control ticks of that
+// routed-but-silent tick. The clock starts at the check interval in which
+// the Healthy, sampled-before backend was routed a flow and produced no
+// sample; it stops at the backend's next sample, at the end of the
+// blackhole, and at any interval in which the pool merged fewer than
+// MinPoolSamples per control tick on average.
+func (h *harness) checkRecall(now time.Duration, ls *lb.Stats) {
+	ticks := int64(h.sc.CheckInterval / h.sc.ControlInterval)
+	active := ls.Samples-h.prevSamples >= uint64(h.det.MinPoolSamples*ticks)
+	deadline := time.Duration(h.det.StarvationTicks+recallSlack) * h.sc.ControlInterval
+	for b, since := range h.silentSince {
+		silent := ls.SampPerBack[b] == h.prevSamp[b] && ls.SampPerBack[b] > 0
+		switch {
+		case !active || !silent || !h.sc.blackholedOver(b, h.prevCheck, now) ||
+			h.ctrl.HealthState(b) != control.Healthy:
+			since = -1
+		case since < 0 && ls.NewPerBack[b] > h.prevNew[b]:
+			since = h.prevCheck
+		}
+		if since >= 0 && now-since > deadline {
+			h.violate("recall", "blackholed backend %d routed-but-silent since %v, still healthy (bound %v)",
+				b, since, deadline)
+			since = -1
+		}
+		h.silentSince[b] = since
+	}
+	h.prevCheck, h.prevSamples = now, ls.Samples
+	copy(h.prevNew, ls.NewPerBack)
+	copy(h.prevSamp, ls.SampPerBack)
 }
 
 func (h *harness) violate(oracle, format string, args ...any) {
@@ -478,6 +582,8 @@ func (h *harness) checkTick() {
 	if admitted == 0 {
 		h.violate("snapshot-admission", "every backend ejected: the pool went unroutable")
 	}
+
+	h.checkRecall(now, &ls)
 
 	// Post-fault baselines for the starvation and liveness oracles.
 	if !h.baselined && now >= h.sc.CleanFrom {

@@ -463,11 +463,11 @@ func (sc *Scenario) cleanAt(t time.Duration) bool {
 	return t >= sc.CleanFrom
 }
 
-// connFaultedAt reports whether backend b is under a connection fault
-// (refuse/blackhole/flaky/reset) at t.
-func (sc *Scenario) connFaultedAt(b int, t time.Duration) bool {
+// blackholedOver reports whether a blackhole on backend b covers all of
+// [from, to].
+func (sc *Scenario) blackholedOver(b int, from, to time.Duration) bool {
 	for _, f := range sc.Faults {
-		if f.Kind != FaultLatencyStep && f.Server == b && t >= f.Start && t < f.End {
+		if f.Kind == FaultOutageBlackhole && f.Server == b && from >= f.Start && to <= f.End {
 			return true
 		}
 	}

@@ -10,13 +10,13 @@ import (
 func TestWheelFiresAtExactTick(t *testing.T) {
 	w := NewWheel(time.Millisecond)
 	cases := []time.Duration{
-		time.Millisecond,             // one tick
-		500 * time.Microsecond,       // sub-tick rounds up
-		63 * time.Millisecond,        // last level-0 slot
-		64 * time.Millisecond,        // first level-1 slot
-		100 * time.Millisecond,       // level 1
-		5 * time.Second,              // level 2
-		300 * time.Second,            // level 3
+		time.Millisecond,       // one tick
+		500 * time.Microsecond, // sub-tick rounds up
+		63 * time.Millisecond,  // last level-0 slot
+		64 * time.Millisecond,  // first level-1 slot
+		100 * time.Millisecond, // level 1
+		5 * time.Second,        // level 2
+		300 * time.Second,      // level 3
 	}
 	for _, d := range cases {
 		fired := false
