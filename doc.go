@@ -8,7 +8,8 @@
 // The implementation is layered (see DESIGN.md for the full inventory):
 //
 //   - internal/core — the paper's Algorithms 1 and 2 (FixedTimeout and
-//     EnsembleTimeout), per-flow estimator tables, and per-server latency
+//     EnsembleTimeout), the per-connection estimator lifetime both
+//     dataplanes share (FlowEstimator), and per-server latency
 //     aggregation.
 //   - internal/control — routing policies: the latency-aware α-shift
 //     controller plus baselines (round robin, random, least connections,

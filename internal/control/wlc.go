@@ -20,9 +20,9 @@ type OccupancyBinder interface {
 
 // WeightedLeastConn routes each new flow to the backend with the lowest
 // latency-weighted occupancy: cost_b = (occ_b + 1) · latency_b, where
-// occ_b is the live connection count (the LB's flow table when bound via
-// BindOccupancy, internal counters otherwise) and latency_b is the in-band
-// EWMA. Unmeasured or stale backends are costed at the pool's median fresh
+// occ_b is the live connection count (the LB's connection table when
+// bound via BindOccupancy, internal counters otherwise) and latency_b is the
+// in-band EWMA. Unmeasured or stale backends are costed at the pool's median fresh
 // latency so they keep receiving flows (exploration) without dominating.
 // Ties break toward the lowest index for determinism.
 type WeightedLeastConn struct {

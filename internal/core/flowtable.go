@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"time"
 
 	"inbandlb/internal/packet"
@@ -139,7 +138,7 @@ func (t *FlowTable) evictOldest() bool {
 	var oldestEntry *flowEntry
 	for k, e := range t.flows {
 		if oldestEntry == nil || e.lastSeen < oldestEntry.lastSeen ||
-			e.lastSeen == oldestEntry.lastSeen && flowKeyLess(k, oldestKey) {
+			e.lastSeen == oldestEntry.lastSeen && k.Less(oldestKey) {
 			oldestEntry, oldestKey = e, k
 		}
 	}
@@ -149,23 +148,4 @@ func (t *FlowTable) evictOldest() bool {
 	t.drop(oldestKey, oldestEntry)
 	t.evictions++
 	return true
-}
-
-// flowKeyLess orders flow keys field by field. Eviction breaks ties on
-// lastSeen with it, so which flow goes does not depend on map iteration
-// order and a simulation replays from its seed.
-func flowKeyLess(a, b packet.FlowKey) bool {
-	if a.SrcIP != b.SrcIP {
-		return bytes.Compare(a.SrcIP[:], b.SrcIP[:]) < 0
-	}
-	if a.DstIP != b.DstIP {
-		return bytes.Compare(a.DstIP[:], b.DstIP[:]) < 0
-	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
-	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
-	}
-	return a.Proto < b.Proto
 }

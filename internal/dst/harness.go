@@ -514,10 +514,11 @@ func (h *harness) checkTick() {
 		h.violate("conservation-packets", "Packets=%d != sum(PerBackend)=%d + NoBackend=%d",
 			ls.Packets, perBackend, ls.NoBackend)
 	}
-	// Conservation: every tracked flow is still open, closed, or swept.
-	if ls.NewFlows != ls.Closed+ls.Swept+connCount {
-		h.violate("conservation-flows", "NewFlows=%d != Closed=%d + Swept=%d + open=%d",
-			ls.NewFlows, ls.Closed, ls.Swept, connCount)
+	// Conservation: every tracked flow is still open, closed, swept, or
+	// evicted.
+	if ls.NewFlows != ls.Closed+ls.Swept+ls.Evicted+connCount {
+		h.violate("conservation-flows", "NewFlows=%d != Closed=%d + Swept=%d + Evicted=%d + open=%d",
+			ls.NewFlows, ls.Closed, ls.Swept, ls.Evicted, connCount)
 	}
 	// Conservation: every request the client sent is answered, abandoned,
 	// or still outstanding — at every instant, not just at drain.
@@ -528,8 +529,8 @@ func (h *harness) checkTick() {
 	// Conservation: the LB never detects more transport distress than the
 	// client emitted. Each detection consumes at least one emitted signal
 	// (a dup-ACK run needs four identical ACKs, a zero-window stall at
-	// least one advertisement); detections may undercount — tracker cap,
-	// state released at close — but can never invent events.
+	// least one advertisement); detections may undercount — state
+	// released at close — but can never invent events.
 	if ls.Retrans > cs.Retransmits || ls.DupAcks > cs.DupAcks || ls.ZeroWins > cs.ZeroWindows {
 		h.violate("conservation-congestion",
 			"LB observed retrans=%d dupAcks=%d zeroWins=%d exceeding client-emitted %d/%d/%d",

@@ -182,8 +182,9 @@ type Scenario struct {
 
 	// Congestion enables the transport-distress channel end to end: the
 	// workload emits retransmissions / dup-ACKs / zero-windows under
-	// pressure, the LB runs its CongestionTracker, and the detector's
-	// congestion early-ejection is armed. GenerateCongestion sets it.
+	// pressure, the LB tracks each connection's congestion state, and the
+	// detector's congestion early-ejection is armed. GenerateCongestion
+	// sets it.
 	Congestion bool
 
 	// CheckInterval is the oracle cadence.
@@ -268,8 +269,8 @@ func Generate(seed int64) Scenario {
 // the same rng draw order, so the two generators agree on everything but
 // the fault schedule), plus transport-distress emission knobs and a fault
 // schedule drawn exclusively from the six congestion kinds. The scenario
-// arms the whole distress channel: client emission, the LB's
-// CongestionTracker, and the detector's congestion early-ejection.
+// arms the whole distress channel: client emission, the LB's per-connection
+// congestion state, and the detector's congestion early-ejection.
 func GenerateCongestion(seed int64) Scenario {
 	rng := rand.New(rand.NewSource(seed))
 	us := usFn(rng)

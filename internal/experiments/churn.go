@@ -5,20 +5,19 @@ import (
 	"time"
 
 	"inbandlb/internal/control"
-	"inbandlb/internal/core"
 	"inbandlb/internal/server"
 	"inbandlb/internal/tcpsim"
 	"inbandlb/internal/testbed"
 )
 
-// AblationChurn (ABL-CHURN) stresses the LB's per-flow estimator table: a
-// fixed population of concurrent connections against a sweep of MaxFlows
-// capacities. When the table is smaller than the live flow set, every
-// packet of an untracked flow evicts someone else's estimator state — the
-// evicted flow's next packet is a "first packet" again and yields no
-// sample. Undersized tables therefore collapse the measurement, which is
-// why real deployments must size flow state for the live connection count
-// (or fall back to the SharedLadder design).
+// AblationChurn (ABL-CHURN) stresses the LB's connection table, which holds
+// each flow's estimator: a fixed population of concurrent connections
+// against a sweep of MaxConns capacities. When the table is smaller than the
+// live flow set, every packet of an untracked flow evicts someone else's
+// entry, estimator and all — the evicted flow's next packet is a "first
+// packet" again and yields no sample. Undersized tables therefore collapse
+// the measurement, which is why real deployments must size flow state for
+// the live connection count (or fall back to the SharedLadder design).
 func AblationChurn(seed int64, duration time.Duration) *Result {
 	res := newResult("abl-churn")
 	res.Header = []string{"max_flows", "live_conns", "samples", "samples_per_response_pct", "evictions"}
@@ -39,7 +38,7 @@ func AblationChurn(seed int64, duration time.Duration) *Result {
 				{Workers: 16, Service: server.Deterministic(150 * time.Microsecond)},
 				{Workers: 16, Service: server.Deterministic(150 * time.Microsecond)},
 			},
-			FlowTable: core.FlowTableConfig{MaxFlows: maxFlows},
+			MaxConns: maxFlows,
 			Workload: tcpsim.RequestConfig{
 				Connections: conns, Pipeline: 1,
 				// Keep per-flow gaps (~750–950µs) strictly inside one
@@ -62,9 +61,9 @@ func AblationChurn(seed int64, duration time.Duration) *Result {
 		}
 		res.addRow(fmt.Sprintf("%d", maxFlows), fmt.Sprintf("%d", conns),
 			fmt.Sprintf("%d", st.Samples), fmt.Sprintf("%.1f", perResp),
-			fmt.Sprintf("%d", cluster.LB.FlowTable().Evictions()))
+			fmt.Sprintf("%d", st.Evicted))
 		res.Metrics[fmt.Sprintf("samples_per_resp_pct_m%d", maxFlows)] = perResp
-		res.Metrics[fmt.Sprintf("evictions_m%d", maxFlows)] = float64(cluster.LB.FlowTable().Evictions())
+		res.Metrics[fmt.Sprintf("evictions_m%d", maxFlows)] = float64(st.Evicted)
 	}
 	res.addNote("a flow table smaller than the live connection set thrashes: every admission evicts live estimator state and samples collapse")
 	return res

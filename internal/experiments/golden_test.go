@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -62,6 +63,38 @@ func TestGoldenDeterminismAcrossQueueRewrite(t *testing.T) {
 			if got := res.Metrics[k]; math.Abs(got-v) > 1e-9 {
 				t.Errorf("fig3 seed %d: %s = %v, golden recording %v", seed, k, got, v)
 			}
+		}
+	}
+}
+
+// TestAblationChurnAndHandshakeGoldens pins the abl-churn and abl-handshake
+// rows of results/lbsim_all.txt (seed 42, default durations). Both
+// experiments run every packet through the LB's per-flow state: the churn
+// sweep caps that state below the live connection set, and the handshake
+// leg swaps the ensemble estimator for the one-sample SYN stamp. A change
+// to how the LB keeps per-flow state that moves either table is a change
+// in simulated behavior, not a refactor.
+func TestAblationChurnAndHandshakeGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second simulations")
+	}
+	for _, tc := range []struct {
+		res  *Result
+		want [][]string
+	}{
+		{AblationChurn(42, 0), [][]string{
+			{"8", "64", "0", "0.0", "150642"},
+			{"32", "64", "1", "0.0", "150617"},
+			{"64", "64", "150586", "100.0", "0"},
+			{"256", "64", "150586", "100.0", "0"},
+		}},
+		{AblationHandshake(42, 0), [][]string{
+			{"ensemble", "72901", "0.440", "1.444"},
+			{"handshake", "728", "0.432", "pre-drained"},
+		}},
+	} {
+		if !reflect.DeepEqual(tc.res.Rows, tc.want) {
+			t.Errorf("%s rows:\n got %q\nwant %q", tc.res.Name, tc.res.Rows, tc.want)
 		}
 	}
 }

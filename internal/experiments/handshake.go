@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"inbandlb/internal/control"
-	"inbandlb/internal/core"
 	"inbandlb/internal/faults"
 	"inbandlb/internal/netsim"
 	"inbandlb/internal/server"
@@ -63,10 +62,6 @@ func runHandshakeLeg(seed int64, duration, injectAt time.Duration, mode string) 
 	if err != nil {
 		return 0, 0, 0, false, err
 	}
-	var observer core.Observer
-	if mode == "handshake" {
-		observer = core.NewHandshakeTable(core.FlowTableConfig{})
-	}
 	reaction := time.Duration(-1)
 	la.OnShift = func(now time.Duration, worst int, weights []float64) {
 		if reaction < 0 && now >= injectAt && worst == 0 {
@@ -75,9 +70,9 @@ func runHandshakeLeg(seed int64, duration, injectAt time.Duration, mode string) 
 	}
 	preDrained := false
 	cluster, err := testbed.NewCluster(testbed.ClusterConfig{
-		Seed:     seed,
-		Policy:   la,
-		Observer: observer,
+		Seed:      seed,
+		Policy:    la,
+		Handshake: mode == "handshake",
 		Servers: []server.Config{
 			{Name: names[0], Workers: 8, Service: server.LogNormal{Median: 150 * time.Microsecond, Sigma: 0.25}},
 			{Name: names[1], Workers: 8, Service: server.LogNormal{Median: 150 * time.Microsecond, Sigma: 0.25}},

@@ -3,7 +3,9 @@
 // connection-to-server affinity through a connection table, asks the
 // configured routing policy for a backend on each new flow, and feeds every
 // packet's arrival timestamp into the in-band latency estimator so the
-// policy can adapt.
+// policy can adapt. The connection table is the only per-flow state: each
+// entry owns its flow's route, estimator and congestion state, so a packet
+// costs one lookup and a flow leaves with one delete.
 //
 // The structural guarantee matching the paper's DSR assumption: the LB has
 // transmit links toward servers but no receive path from them — response
@@ -24,13 +26,16 @@ import (
 type Config struct {
 	// Policy routes new flows and consumes latency samples.
 	Policy control.Policy
-	// FlowTable configures the per-flow estimators (used when Observer is
-	// nil).
-	FlowTable core.FlowTableConfig
-	// Observer overrides the measurement source. Nil builds the paper's
-	// per-flow EnsembleTimeout table from FlowTable; pass a
-	// core.HandshakeTable for SYN-based estimation, or a custom Observer.
-	Observer core.Observer
+	// MaxConns caps the connection table. When it is full, admitting a new
+	// flow evicts the longest-idle one (the smallest key among equally idle
+	// ones), route, estimator and congestion state together; the evicted
+	// flow's next packet is a new flow's first. Defaults to 65536.
+	MaxConns int
+	// Handshake swaps each flow's ensemble estimator for the paper's
+	// "simple instantiation": the gap between the flow's first packet (the
+	// SYN) and its second is its one latency sample. It needs no timeout
+	// tuning but yields one sample per connection.
+	Handshake bool
 	// ConnIdleTimeout evicts connection-table entries idle this long
 	// during sweeps. Defaults to 30 s.
 	ConnIdleTimeout time.Duration
@@ -42,10 +47,10 @@ type Config struct {
 	// into the policy and republishing the routing snapshot. Ignored for
 	// plain policies. Defaults to 2 ms.
 	ControlInterval time.Duration
-	// Congestion enables the transport-distress tracker: every
-	// client→server packet is rendered as the TCP segment it models
-	// (sequence edge, ACK number, advertised window) and run through a
-	// packet.CongestionTracker, so retransmissions, dup-ACK runs, and
+	// Congestion enables transport-distress tracking: every client→server
+	// packet is rendered as the TCP segment it models (sequence edge, ACK
+	// number, advertised window) and run through its connection entry's
+	// packet.FlowCongestion, so retransmissions, dup-ACK runs, and
 	// zero-window stalls are detected from the very stream the LB already
 	// sees — no server cooperation, no probes. Detected events are counted
 	// per backend and, when the policy is a control.Controller, fed to its
@@ -72,6 +77,7 @@ type Stats struct {
 	NewFlows    uint64 // connection-table inserts
 	Closed      uint64 // flows removed by KindClose
 	Swept       uint64 // flows removed by idle sweeps
+	Evicted     uint64 // flows removed to admit a new one into a full table
 	Samples     uint64 // estimator samples produced
 	NoBackend   uint64 // packets dropped for lack of a backend
 	Fallbacks   uint64 // new flows rerouted off an ejected/partial backend
@@ -88,7 +94,6 @@ type Stats struct {
 type LB struct {
 	sim       *netsim.Sim
 	cfg       Config
-	flows     core.Observer
 	conns     map[packet.FlowKey]*connEntry
 	free      []*connEntry // recycled entries of closed and swept flows
 	open      []int        // live per-backend connection-table occupancy
@@ -104,14 +109,13 @@ type LB struct {
 	ctrl     *control.Controller
 	lastTick time.Duration
 
-	// cong is the transport-distress tracker (Config.Congestion).
-	cong *packet.CongestionTracker
-
 	// OnSample, when set, observes every estimator sample with the
 	// backend it was attributed to.
 	OnSample func(now time.Duration, backend int, sample time.Duration)
 }
 
+// connEntry is everything the LB keeps for one flow, from its first
+// routed packet until it closes, idles out or is evicted.
 type connEntry struct {
 	backend  int // where the flow's packets go; open counts it here
 	lastSeen time.Duration
@@ -120,6 +124,17 @@ type connEntry struct {
 	// so FlowClosed must not decrement them (mirrors the live proxy); an L7
 	// re-dispatch moves backend, not charged.
 	charged int
+	// hash is the flow key's hash as Route computed it (Controller
+	// policies only); congestion reports reuse it.
+	hash uint64
+
+	est  core.FlowEstimator    // the flow's ensemble estimator
+	cong packet.FlowCongestion // Config.Congestion
+
+	// Config.Handshake: the first packet's arrival, and how many packets
+	// the stamp has seen (1, then 2 once the sample is taken).
+	synAt   time.Duration
+	synPkts uint8
 }
 
 // New creates a load balancer forwarding to uplinks (one per backend, in
@@ -140,19 +155,13 @@ func New(sim *netsim.Sim, cfg Config, uplinks []*netsim.Link) (*LB, error) {
 	if cfg.ControlInterval <= 0 {
 		cfg.ControlInterval = 2 * time.Millisecond
 	}
-	obs := cfg.Observer
-	if obs == nil {
-		ft, err := core.NewFlowTable(cfg.FlowTable)
-		if err != nil {
-			return nil, err
-		}
-		obs = ft
+	if cfg.MaxConns <= 0 {
+		cfg.MaxConns = 65536
 	}
 	n := cfg.Policy.NumBackends()
 	l := &LB{
 		sim:    sim,
 		cfg:    cfg,
-		flows:  obs,
 		conns:  make(map[packet.FlowKey]*connEntry),
 		open:   make([]int, n),
 		uplink: uplinks,
@@ -163,7 +172,6 @@ func New(sim *netsim.Sim, cfg Config, uplinks []*netsim.Link) (*LB, error) {
 		},
 	}
 	if cfg.Congestion {
-		l.cong = packet.NewCongestionTracker(packet.CongestionTrackerConfig{})
 		l.stats.CongPerBack = make([]uint64, n)
 	}
 	l.ctrl, _ = cfg.Policy.(*control.Controller)
@@ -193,24 +201,14 @@ func (l *LB) Stats() Stats {
 func (l *LB) ConnCount() int { return len(l.conns) }
 
 // OpenConns returns the number of connection-table entries currently
-// pinned to backend b — the sharded flow table's live occupancy, which
-// occupancy-driven policies bind as their load signal.
+// pinned to backend b — the live occupancy that occupancy-driven policies
+// bind as their load signal.
 func (l *LB) OpenConns(b int) int {
 	if b < 0 || b >= len(l.open) {
 		return 0
 	}
 	return l.open[b]
 }
-
-// FlowTable exposes the default per-flow estimator table for
-// instrumentation; it returns nil when a custom Observer is installed.
-func (l *LB) FlowTable() *core.FlowTable {
-	ft, _ := l.flows.(*core.FlowTable)
-	return ft
-}
-
-// Observer exposes the measurement source.
-func (l *LB) Observer() core.Observer { return l.flows }
 
 // Backend returns the backend pinned for a flow, or -1.
 func (l *LB) Backend(key packet.FlowKey) int {
@@ -260,44 +258,20 @@ func (l *LB) HandlePacket(p *netsim.Packet) {
 		l.ctrl.Tick(now)
 	}
 
-	// Measurement first: every packet's timestamp feeds the estimator,
-	// exactly as Algorithm 2 is "executed at the LB upon receiving each
-	// packet".
-	sample, haveSample := l.flows.Observe(p.Flow, now)
-
 	// Connection affinity: existing flows stick to their backend.
 	entry := l.conns[p.Flow]
 	if entry == nil {
-		var b int
-		charged := true
-		if l.ctrl != nil {
-			var fellBack bool
-			b, fellBack = l.ctrl.Route(p.Flow, now)
-			if fellBack {
-				l.stats.Fallbacks++
-				charged = false
-			}
-		} else {
-			b = l.cfg.Policy.Pick(p.Flow, now)
-		}
-		if b < 0 || b >= l.cfg.Policy.NumBackends() {
+		if entry = l.admit(p.Flow, now); entry == nil {
 			l.stats.NoBackend++
 			l.sim.ReleasePacket(p)
 			return
 		}
-		entry = l.newEntry()
-		entry.backend, entry.charged = b, -1
-		if charged {
-			entry.charged = b
-		}
-		l.conns[p.Flow] = entry
-		l.stats.NewFlows++
-		l.stats.NewPerBack[b]++
-		l.open[b]++
 	}
-	entry.lastSeen = now
 
-	if haveSample {
+	// Measurement: every packet's timestamp feeds the flow's estimator,
+	// exactly as Algorithm 2 is "executed at the LB upon receiving each
+	// packet".
+	if sample, ok := l.measure(entry, now); ok {
 		l.stats.Samples++
 		l.stats.SampPerBack[entry.backend]++
 		l.cfg.Policy.ObserveLatency(entry.backend, now, sample)
@@ -305,9 +279,10 @@ func (l *LB) HandlePacket(p *netsim.Packet) {
 			l.OnSample(now, entry.backend, sample)
 		}
 	}
+	entry.lastSeen = now
 
-	if l.cong != nil {
-		l.observeCongestion(p, entry.backend, now)
+	if l.cfg.Congestion {
+		l.observeCongestion(p, entry, now)
 	}
 
 	target := entry.backend
@@ -343,19 +318,19 @@ func (l *LB) HandlePacket(p *netsim.Packet) {
 const simMSS = 1460
 
 // observeCongestion renders p as the TCP segment it models and runs it
-// through the congestion tracker, attributing detected distress to the
+// through the flow's congestion state, attributing detected distress to the
 // flow's pinned backend. The rendering is the inverse of what a real LB's
 // parser does: the sim carries application-level Seq/kind, so the transport
 // view is synthesized; the live proxy parses real headers into the same TCP
-// struct. Either way the tracker sees only client→server fields — the DSR
-// constraint holds.
-func (l *LB) observeCongestion(p *netsim.Packet, b int, now time.Duration) {
+// struct. Either way the state machine sees only client→server fields — the
+// DSR constraint holds.
+func (l *LB) observeCongestion(p *netsim.Packet, e *connEntry, now time.Duration) {
 	var t packet.TCP
 	payload := 0
 	switch p.Kind {
 	case netsim.KindOpen:
 		// SYN with a per-flow-constant ISN: a reconnect storm re-SYNs the
-		// same 4-tuple, which the tracker sees as handshake retransmission.
+		// same 4-tuple, which reads as handshake retransmission.
 		t = packet.TCP{Flags: packet.FlagSYN, Window: 65535}
 	case netsim.KindRequest, netsim.KindData:
 		t = packet.TCP{
@@ -383,7 +358,7 @@ func (l *LB) observeCongestion(p *netsim.Packet, b int, now time.Duration) {
 	default:
 		return
 	}
-	ev := l.cong.Observe(p.Flow, &t, payload, now)
+	ev := e.cong.Observe(&t, payload)
 	if ev == 0 {
 		return
 	}
@@ -400,9 +375,9 @@ func (l *LB) observeCongestion(p *netsim.Packet, b int, now time.Duration) {
 		zeroWins = 1
 		l.stats.ZeroWins++
 	}
-	l.stats.CongPerBack[b] += uint64(ev.Count())
+	l.stats.CongPerBack[e.backend] += uint64(ev.Count())
 	if l.ctrl != nil {
-		l.ctrl.ObserveCongestion(p.Flow.Hash(), b, retrans, dupAcks, zeroWins)
+		l.ctrl.ObserveCongestion(e.hash, e.backend, retrans, dupAcks, zeroWins)
 	}
 }
 
@@ -418,11 +393,70 @@ func keyFlow(key uint64) packet.FlowKey {
 	}
 }
 
-// newEntry takes a recycled connection entry or allocates one.
+// admit routes a new flow and enters it in the connection table, evicting
+// the longest-idle flow first when the table is full. It returns nil, and
+// keeps no state for the flow, when no backend takes it: an unroutable
+// packet neither evicts a live flow nor occupies a slot.
+func (l *LB) admit(key packet.FlowKey, now time.Duration) *connEntry {
+	var b int
+	var hash uint64
+	charged := true
+	if l.ctrl != nil {
+		var fellBack bool
+		hash = key.Hash()
+		b, fellBack = l.ctrl.RouteHashed(hash, key, now)
+		if fellBack {
+			l.stats.Fallbacks++
+			charged = false
+		}
+	} else {
+		b = l.cfg.Policy.Pick(key, now)
+	}
+	if b < 0 || b >= len(l.open) {
+		return nil
+	}
+	if len(l.conns) >= l.cfg.MaxConns {
+		l.evictOldest(now)
+	}
+	e := l.newEntry()
+	e.backend, e.charged, e.hash = b, -1, hash
+	if charged {
+		e.charged = b
+	}
+	l.conns[key] = e
+	l.stats.NewFlows++
+	l.stats.NewPerBack[b]++
+	l.open[b]++
+	return e
+}
+
+// measure runs the flow's in-band measurement on a packet arrived at now,
+// before the entry's lastSeen moves to now.
+func (l *LB) measure(e *connEntry, now time.Duration) (time.Duration, bool) {
+	if !l.cfg.Handshake {
+		return e.est.Observe(now)
+	}
+	// The SYN stamp follows the ensemble's lifetime rule: a packet after
+	// more than core.EstimatorIdleReset of silence stamps afresh.
+	if e.synPkts == 0 || now-e.lastSeen > core.EstimatorIdleReset {
+		e.synAt, e.synPkts = now, 1
+		return 0, false
+	}
+	if e.synPkts > 1 {
+		return 0, false
+	}
+	e.synPkts = 2
+	return now - e.synAt, true
+}
+
+// newEntry takes a recycled connection entry, its estimator reset, or
+// allocates one.
 func (l *LB) newEntry() *connEntry {
 	if n := len(l.free); n > 0 {
 		e := l.free[n-1]
 		l.free = l.free[:n-1]
+		*e = connEntry{est: e.est}
+		e.est.Reset()
 		return e
 	}
 	return new(connEntry)
@@ -441,11 +475,28 @@ func (l *LB) dropFlow(key packet.FlowKey, e *connEntry, now time.Duration) {
 
 func (l *LB) closeFlow(key packet.FlowKey, e *connEntry, now time.Duration) {
 	l.dropFlow(key, e, now)
-	l.flows.Forget(key)
 	l.stats.Closed++
 }
 
-// sweep evicts idle connections and estimator flows.
+// evictOldest drops the longest-idle flow, the smallest key among equally
+// idle ones, so which flow goes does not depend on map iteration order and
+// a simulation replays from its seed.
+func (l *LB) evictOldest(now time.Duration) {
+	var oldestKey packet.FlowKey
+	var oldest *connEntry
+	for k, e := range l.conns {
+		if oldest == nil || e.lastSeen < oldest.lastSeen ||
+			e.lastSeen == oldest.lastSeen && k.Less(oldestKey) {
+			oldest, oldestKey = e, k
+		}
+	}
+	if oldest != nil {
+		l.dropFlow(oldestKey, oldest, now)
+		l.stats.Evicted++
+	}
+}
+
+// sweep evicts idle connections, and their per-flow state with them.
 func (l *LB) sweep() {
 	now := l.sim.Now()
 	cutoff := now - l.cfg.ConnIdleTimeout
@@ -454,9 +505,5 @@ func (l *LB) sweep() {
 			l.dropFlow(k, e, now)
 			l.stats.Swept++
 		}
-	}
-	l.flows.Sweep(now)
-	if l.cong != nil {
-		l.cong.Sweep(now)
 	}
 }

@@ -2,6 +2,7 @@ package lb
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -180,12 +181,6 @@ func TestLBValidation(t *testing.T) {
 	}
 	if _, err := New(sim, Config{Policy: control.NewRoundRobin(2)}, nil); err == nil {
 		t.Error("uplink/backend mismatch accepted")
-	}
-	if _, err := New(sim, Config{
-		Policy:    control.NewRoundRobin(1),
-		FlowTable: core.FlowTableConfig{Ensemble: core.EnsembleConfig{Timeouts: []time.Duration{2, 1}}},
-	}, []*netsim.Link{netsim.NewLink(sim, "x", 0, 0, &sink{})}); err == nil {
-		t.Error("bad flow table config accepted")
 	}
 }
 
@@ -393,5 +388,186 @@ func TestLBTicksController(t *testing.T) {
 	}
 	if la.Updates() == 0 {
 		t.Fatal("latency-aware policy never rebuilt despite merged samples")
+	}
+}
+
+// newModeLB builds an LB over round-robin with the given mode settings and
+// records every latency sample it produces.
+func newModeLB(t *testing.T, sim *netsim.Sim, cfg Config) (*LB, *[]time.Duration) {
+	t.Helper()
+	if cfg.Policy == nil {
+		cfg.Policy = control.NewRoundRobin(2)
+	}
+	links := make([]*netsim.Link, cfg.Policy.NumBackends())
+	for i := range links {
+		links[i] = netsim.NewLink(sim, "up", 0, 0, &sink{})
+	}
+	l, err := New(sim, cfg, links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := new([]time.Duration)
+	l.OnSample = func(_ time.Duration, _ int, s time.Duration) { *samples = append(*samples, s) }
+	return l, samples
+}
+
+// send schedules one packet of flow n at the given instant.
+func send(sim *netsim.Sim, l *LB, at time.Duration, n int, kind netsim.Kind) {
+	sim.Schedule(at, func() { l.HandlePacket(&netsim.Packet{Flow: flowK(n), Kind: kind, Size: 64}) })
+}
+
+func TestLBHandshakeOneSamplePerFlow(t *testing.T) {
+	sim := netsim.NewSim(1)
+	l, samples := newModeLB(t, sim, Config{Handshake: true})
+	send(sim, l, time.Millisecond, 1, netsim.KindOpen)
+	send(sim, l, 1500*time.Microsecond, 1, netsim.KindRequest)
+	for i := 0; i < 10; i++ {
+		send(sim, l, 2*time.Millisecond+time.Duration(i)*time.Millisecond, 1, netsim.KindRequest)
+	}
+	sim.Run()
+	if len(*samples) != 1 || (*samples)[0] != 500*time.Microsecond {
+		t.Errorf("samples = %v, want the one SYN-to-request gap 500µs", *samples)
+	}
+	if l.ConnCount() != 1 {
+		t.Errorf("conn count = %d", l.ConnCount())
+	}
+}
+
+func TestLBHandshakeIndependentFlows(t *testing.T) {
+	sim := netsim.NewSim(1)
+	l, samples := newModeLB(t, sim, Config{Handshake: true})
+	send(sim, l, 0, 1, netsim.KindOpen)
+	send(sim, l, time.Millisecond, 2, netsim.KindOpen)
+	send(sim, l, 2*time.Millisecond, 1, netsim.KindRequest)
+	send(sim, l, 4*time.Millisecond, 2, netsim.KindRequest)
+	sim.Run()
+	want := []time.Duration{2 * time.Millisecond, 3 * time.Millisecond}
+	if !slices.Equal(*samples, want) {
+		t.Errorf("samples = %v, want %v", *samples, want)
+	}
+}
+
+// TestLBHandshakeCloseAndResample: a closed connection's entry goes with its
+// stamp, so a reopened connection on the same 5-tuple measures again.
+func TestLBHandshakeCloseAndResample(t *testing.T) {
+	sim := netsim.NewSim(1)
+	l, samples := newModeLB(t, sim, Config{Handshake: true})
+	send(sim, l, 0, 3, netsim.KindOpen)
+	send(sim, l, time.Millisecond, 3, netsim.KindRequest)
+	send(sim, l, 2*time.Millisecond, 3, netsim.KindClose)
+	send(sim, l, 10*time.Millisecond, 3, netsim.KindOpen)
+	send(sim, l, 11*time.Millisecond, 3, netsim.KindRequest)
+	sim.Run()
+	want := []time.Duration{time.Millisecond, time.Millisecond}
+	if !slices.Equal(*samples, want) {
+		t.Errorf("samples = %v, want %v", *samples, want)
+	}
+}
+
+// TestLBHandshakeIdleAndEviction: a full table evicts the longest-idle
+// flow, an idle sweep takes the rest, and a flow silent longer than
+// core.EstimatorIdleReset stamps afresh rather than sampling the silence.
+func TestLBHandshakeIdleAndEviction(t *testing.T) {
+	sim := netsim.NewSim(1)
+	l, _ := newModeLB(t, sim, Config{Handshake: true, MaxConns: 2, ConnIdleTimeout: time.Second})
+	send(sim, l, 0, 1, netsim.KindOpen)
+	send(sim, l, time.Millisecond, 2, netsim.KindOpen)
+	send(sim, l, 2*time.Millisecond, 3, netsim.KindOpen) // evicts flow 1 (oldest)
+	sim.Run()
+	if l.ConnCount() != 2 || l.Stats().Evicted != 1 || l.Backend(flowK(1)) != -1 {
+		t.Fatalf("conns = %d, evicted = %d, flow 1 pinned to %d; want 2, 1, -1",
+			l.ConnCount(), l.Stats().Evicted, l.Backend(flowK(1)))
+	}
+	send(sim, l, 5*time.Second, 4, netsim.KindOpen) // sweeps flows 2 and 3
+	sim.Run()
+	if st := l.Stats(); st.Swept != 2 || l.ConnCount() != 1 {
+		t.Errorf("swept = %d, conns = %d; want 2, 1", st.Swept, l.ConnCount())
+	}
+	if st := l.Stats(); st.NewFlows != st.Closed+st.Swept+st.Evicted+uint64(l.ConnCount()) {
+		t.Errorf("flow conservation: %+v with %d open", st, l.ConnCount())
+	}
+
+	sim = netsim.NewSim(1)
+	l, samples := newModeLB(t, sim, Config{Handshake: true})
+	send(sim, l, 0, 1, netsim.KindOpen)
+	quiet := core.EstimatorIdleReset + time.Second
+	send(sim, l, quiet, 1, netsim.KindOpen)
+	send(sim, l, quiet+time.Millisecond, 1, netsim.KindRequest)
+	sim.Run()
+	if !slices.Equal(*samples, []time.Duration{time.Millisecond}) {
+		t.Errorf("samples = %v, want only the fresh stamp's 1ms", *samples)
+	}
+}
+
+// TestLBEvictionTieBreak: among flows idle equally long the smallest key
+// goes, whatever order the map iterates in.
+func TestLBEvictionTieBreak(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		sim := netsim.NewSim(1)
+		l, _ := newModeLB(t, sim, Config{MaxConns: 4})
+		for _, n := range []int{3, 1, 2, 0} {
+			send(sim, l, time.Millisecond, n, netsim.KindRequest)
+		}
+		send(sim, l, 2*time.Millisecond, 9, netsim.KindRequest)
+		sim.Run()
+		for n := 0; n < 4; n++ {
+			if pinned := l.Backend(flowK(n)) >= 0; pinned != (n != 0) {
+				t.Fatalf("run %d: flow %d pinned=%v, want only flow 0 evicted", run, n, pinned)
+			}
+		}
+	}
+}
+
+// TestLBUnroutableLeavesNoState: a packet no backend takes leaves nothing
+// behind — no connection entry, no estimator — so it can neither occupy the
+// table nor evict a live flow, and once a backend is admitted again the
+// flow's next packet is its first.
+func TestLBUnroutableLeavesNoState(t *testing.T) {
+	sim := netsim.NewSim(1)
+	ctrl := control.NewController(control.NewRoundRobin(2), control.ControllerConfig{})
+	defer ctrl.Close()
+	ctrl.SetEjected(0, true)
+	ctrl.SetEjected(1, true)
+	l, samples := newModeLB(t, sim, Config{Policy: ctrl, MaxConns: 4})
+	const n = 20
+	for f := 0; f < n; f++ {
+		// A batch of three packets per flow: an estimator fed these would
+		// sample the gap to the flow's next packet.
+		for i := 0; i < 3; i++ {
+			send(sim, l, time.Duration(f*10+i)*time.Microsecond, f, netsim.KindRequest)
+		}
+	}
+	sim.Run()
+	if st := l.Stats(); st.NoBackend != 3*n || l.ConnCount() != 0 || st.NewFlows != 0 || st.Evicted != 0 {
+		t.Fatalf("NoBackend = %d, conns = %d, new = %d, evicted = %d; want %d, 0, 0, 0",
+			st.NoBackend, l.ConnCount(), st.NewFlows, st.Evicted, 3*n)
+	}
+
+	ctrl.SetEjected(0, false)
+	send(sim, l, time.Millisecond, 0, netsim.KindRequest)
+	sim.Run()
+	if l.ConnCount() != 1 || l.Backend(flowK(0)) != 0 {
+		t.Fatalf("after recovery: conns = %d, flow 0 on %d; want 1, 0", l.ConnCount(), l.Backend(flowK(0)))
+	}
+	if len(*samples) != 0 {
+		t.Errorf("the first routed packet sampled %v: its estimator saw the unroutable ones", *samples)
+	}
+}
+
+// TestLBReusedEntryStartsFresh: a closed flow's entry is recycled for the
+// next new flow, whose first packet must not sample the gap since the old
+// flow's last one.
+func TestLBReusedEntryStartsFresh(t *testing.T) {
+	sim := netsim.NewSim(1)
+	l, samples := newModeLB(t, sim, Config{})
+	send(sim, l, 0, 1, netsim.KindRequest)
+	send(sim, l, 10*time.Microsecond, 1, netsim.KindClose)
+	send(sim, l, time.Millisecond, 2, netsim.KindRequest)
+	sim.Run()
+	if len(*samples) != 0 {
+		t.Errorf("samples = %v; flow 2's first packet sampled flow 1's estimator", *samples)
+	}
+	if l.Stats().Closed != 1 || l.ConnCount() != 1 {
+		t.Errorf("closed = %d, conns = %d; want 1, 1", l.Stats().Closed, l.ConnCount())
 	}
 }

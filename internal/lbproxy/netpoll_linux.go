@@ -12,6 +12,7 @@ import (
 	"syscall"
 	"time"
 
+	"inbandlb/internal/core"
 	"inbandlb/internal/lbproxy/dialpool"
 	"inbandlb/internal/netpoll"
 	"inbandlb/internal/netpoll/rawsys"
@@ -142,7 +143,7 @@ type npRelay struct {
 	shard    *npShard
 	cfd, sfd int // client and backend sockets; sfd is -1 between connect attempts
 	backend  int
-	est      flowEstimator // created by the first request chunk
+	est      core.FlowEstimator // created by the first request chunk
 
 	connecting bool // sfd is registered and its connect has not settled
 	failover   bool // this connect is the one-shot failover attempt

@@ -48,7 +48,7 @@
 //   - All Stats counters are atomics; Stats() returns a deep copy built
 //     from them, never aliasing mutable state.
 //   - Nothing sweeps estimators: one whose connection sat silent longer
-//     than estimatorIdleReset starts its ladder over at the next chunk,
+//     than core.EstimatorIdleReset starts its ladder over at the next chunk,
 //     exactly as a fresh flow would.
 package lbproxy
 
@@ -167,10 +167,6 @@ const (
 	// backend connection per tick, far below the distress timescales the
 	// detector integrates over.
 	congSampleInterval = 25 * time.Millisecond
-	// estimatorIdleReset is how long a connection's request direction may
-	// stay silent before its estimator starts over at the next chunk: a gap
-	// that long says nothing about the backend's service time.
-	estimatorIdleReset = 10 * time.Second
 )
 
 // Stats are cumulative proxy counters. Every accepted connection ends in
@@ -518,39 +514,29 @@ func (p *Proxy) reportRelayErr(backend int, err error) {
 	p.ctrl.ReportRelayError(backend, p.now())
 }
 
-// flowEstimator is one connection's in-band estimator: created at its first
-// request chunk, dropped at teardown, and written only by the goroutine that
-// relays the connection's requests (its shard's loop on Linux).
-type flowEstimator struct {
-	est  *core.EnsembleTimeout // nil until the first request chunk
-	last time.Duration         // arrival of the previous request chunk
-}
-
 // observe feeds one request-direction chunk, arrived at now, into the
 // connection's estimator and, when a latency sample pops out, into the
 // controller's aggregator stripe. The first chunk creates the estimator; a
-// chunk after more than estimatorIdleReset of silence starts its ladder over,
-// as a fresh flow's would. A spliced chunk fires it once, like a chunk read
-// into the buffer: the estimator sees the same arrival timestamps whether or
-// not the payload ever enters userspace.
-func (p *Proxy) observe(f *flowEstimator, stripe uint64, backend int, now time.Duration) {
-	if f.est == nil {
-		f.est = core.MustEnsemble(core.EnsembleConfig{})
+// chunk after more than core.EstimatorIdleReset of silence starts its ladder
+// over, as a fresh flow's would. A spliced chunk fires it once, like a chunk
+// read into the buffer: the estimator sees the same arrival timestamps
+// whether or not the payload ever enters userspace. The estimator is written
+// only by the goroutine that relays the connection's requests (its shard's
+// loop on Linux).
+func (p *Proxy) observe(f *core.FlowEstimator, stripe uint64, backend int, now time.Duration) {
+	if !f.Live() {
 		p.estimators.Add(1)
-	} else if now-f.last > estimatorIdleReset {
-		f.est.Reset()
 	}
-	f.last = now
-	if sample, ok := f.est.Observe(now); ok {
+	if sample, ok := f.Observe(now); ok {
 		p.samples.Add(1)
 		p.ctrl.ObserveSharded(stripe, backend, now, sample)
 	}
 }
 
-// forget drops a closing connection's estimator, if it ever made one.
-func (p *Proxy) forget(f *flowEstimator) {
-	if f.est != nil {
-		f.est = nil
+// forget ends a closing connection's estimator, if it ever made one.
+func (p *Proxy) forget(f *core.FlowEstimator) {
+	if f.Live() {
+		f.Reset()
 		p.estimators.Add(-1)
 	}
 }

@@ -96,18 +96,20 @@ func TestProxyValidation(t *testing.T) {
 
 // TestEstimatorIdleReset drives a connection's observe step on synthetic
 // timestamps, reading each sample back from the controller's next tick. The
-// first request chunk creates the estimator and teardown drops it. A chunk
-// after a silence shorter than estimatorIdleReset yields the gap since the
-// previous batch head. A chunk after a longer silence yields no sample and
-// starts the ladder over, so the estimator then tracks a fresh one chunk for
-// chunk.
+// first request chunk creates the estimator and teardown ends it, each
+// moving the tracked-flows gauge. A chunk after a silence shorter than
+// core.EstimatorIdleReset yields the gap since the previous batch head. A
+// chunk after a longer silence yields no sample and starts the ladder over,
+// so the estimator then tracks a fresh one chunk for chunk. (The ladder's
+// own state across the reset is pinned next to the type, by core's
+// TestFlowEstimatorIdleReset.)
 func TestEstimatorIdleReset(t *testing.T) {
 	p, err := New(Config{Backends: []string{"127.0.0.1:1"}, Policy: control.NewRoundRobin(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	var f flowEstimator
+	var f core.FlowEstimator
 	observe := func(now time.Duration) (time.Duration, bool) {
 		p.observe(&f, 0, 0, now)
 		p.ctrl.Tick(now)
@@ -129,36 +131,33 @@ func TestEstimatorIdleReset(t *testing.T) {
 	}
 
 	t0 := time.Hour
-	if sample, ok := observe(t0); ok || f.est == nil || p.estimators.Load() != 1 {
-		t.Fatalf("first chunk: sample %v ok=%v est=%v estimators=%d, want an estimator and no sample",
-			sample, ok, f.est, p.estimators.Load())
+	if sample, ok := observe(t0); ok || !f.Live() || p.estimators.Load() != 1 {
+		t.Fatalf("first chunk: sample %v ok=%v live=%v estimators=%d, want an estimator and no sample",
+			sample, ok, f.Live(), p.estimators.Load())
 	}
-	quiet := estimatorIdleReset - time.Second
+	quiet := core.EstimatorIdleReset - time.Second
 	if sample, ok := observe(t0 + quiet); !ok || sample != quiet {
 		t.Errorf("chunk after %v of silence: sample %v ok=%v, want the batch-head gap %v", quiet, sample, ok, quiet)
 	}
 	t1 := t0 + quiet
 	batches(observe, t1+time.Millisecond)
-	if f.est.CurrentIndex() == 0 {
-		t.Fatal("setup: the cliff never left rung 0")
-	}
 
-	t2 := t1 + 2*estimatorIdleReset
+	t2 := t1 + 2*core.EstimatorIdleReset
 	if sample, ok := observe(t2); ok {
-		t.Errorf("chunk after %v of silence yielded sample %v, want none", 2*estimatorIdleReset, sample)
-	}
-	if f.est.CurrentIndex() != 0 || f.est.Epochs() != 0 {
-		t.Errorf("after the idle reset: rung %d, %d epochs, want the ladder restarted", f.est.CurrentIndex(), f.est.Epochs())
+		t.Errorf("chunk after %v of silence yielded sample %v, want none", 2*core.EstimatorIdleReset, sample)
 	}
 	fresh := core.MustEnsemble(core.EnsembleConfig{})
 	fresh.Observe(t2)
 	if got, want := batches(observe, t2+time.Millisecond), batches(fresh.Observe, t2+time.Millisecond); !slices.Equal(got, want) {
 		t.Errorf("reset estimator's samples %v, a fresh one's %v", got, want)
 	}
+	if p.estimators.Load() != 1 {
+		t.Errorf("estimators = %d across the idle reset, want the one connection", p.estimators.Load())
+	}
 
 	p.forget(&f)
-	if f.est != nil || p.estimators.Load() != 0 {
-		t.Errorf("after forget: est=%v estimators=%d", f.est, p.estimators.Load())
+	if f.Live() || p.estimators.Load() != 0 {
+		t.Errorf("after forget: live=%v estimators=%d", f.Live(), p.estimators.Load())
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"inbandlb/internal/core"
 )
 
 // Off Linux there is no event loop. One goroutine accepts; each connection
@@ -156,7 +158,7 @@ func (p *Proxy) relay(client net.Conn) {
 	// a half-close and the other direction finishes on its own; any other
 	// end closes both sockets so the other direction unblocks too.
 	// Backend-side failures go to the passive detector.
-	var est flowEstimator
+	var est core.FlowEstimator
 	copyDir := func(dst, src net.Conn, request bool) {
 		buf := make([]byte, relayBufferSize)
 		for {

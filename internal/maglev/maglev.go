@@ -76,6 +76,8 @@ type Builder struct {
 	// Scratch reused across Build calls.
 	quota    []int
 	next     []int
+	active   []int
+	rems     []quotaRem
 	backends []Backend
 
 	lastWeights []float64
@@ -105,6 +107,8 @@ func NewBuilder(size int, names []string) (*Builder, error) {
 		perms:       make([][]int32, len(names)),
 		quota:       make([]int, len(names)),
 		next:        make([]int, len(names)),
+		active:      make([]int, 0, len(names)),
+		rems:        make([]quotaRem, 0, len(names)),
 		backends:    make([]Backend, len(names)),
 		lastWeights: make([]float64, len(names)),
 	}
@@ -162,8 +166,8 @@ func (b *Builder) Build(weights []float64) (*Table, error) {
 		backends: append([]Backend(nil), b.backends...),
 		counts:   make([]int, len(b.names)),
 	}
-	assignQuotas(b.quota, t.backends, totalWeight, b.size)
-	t.populate(b.perms, b.quota, b.next)
+	b.rems = assignQuotas(b.quota, b.rems, t.backends, totalWeight, b.size)
+	b.active = t.populate(b.perms, b.quota, b.next, b.active)
 
 	copy(b.lastWeights, weights)
 	b.lastTable = t
@@ -208,23 +212,32 @@ func New(size int, backends []Backend) (*Table, error) {
 
 // populate fills the table using the weighted Maglev population loop: each
 // round, every backend with remaining quota claims its next unclaimed
-// preferred slot. Quotas follow weights via a largest-remainder allocation,
-// so slot counts match weight shares to within one slot. next is scratch
-// for the per-backend permutation cursors.
-func (t *Table) populate(perms [][]int32, quota []int, next []int) {
-	n := len(t.backends)
+// preferred slot, in index order. Quotas follow weights via a
+// largest-remainder allocation, so slot counts match weight shares to within
+// one slot. A round visits only the backends that still have quota, so a
+// skewed weight vector costs rounds of the few heavy backends, not rounds of
+// the whole pool. next is scratch for the per-backend permutation cursors and
+// active for the visiting list; populate returns active for reuse.
+func (t *Table) populate(perms [][]int32, quota, next, active []int) []int {
 	for i := range next {
 		next[i] = 0
 	}
 	for i := range t.entries {
 		t.entries[i] = -1
 	}
+	active = active[:0]
+	for i, q := range quota {
+		if q > 0 {
+			active = append(active, i)
+		}
+	}
 	filled := 0
-	for filled < t.size {
-		progress := false
-		for i := 0; i < n && filled < t.size; i++ {
-			if quota[i] == 0 {
-				continue
+	for len(active) > 0 && filled < t.size {
+		// Compact in place: kept never runs ahead of the index being read.
+		kept := active[:0]
+		for _, i := range active {
+			if filled == t.size {
+				break
 			}
 			// Walk backend i's permutation to its next free slot. The
 			// permutation covers every slot, and quota remaining implies
@@ -242,27 +255,30 @@ func (t *Table) populate(perms [][]int32, quota []int, next []int) {
 			t.counts[i]++
 			quota[i]--
 			filled++
-			progress = true
+			if quota[i] > 0 {
+				kept = append(kept, i)
+			}
 		}
-		if !progress {
-			// All quotas exhausted (rounding left slots unassigned, which
-			// assignQuotas prevents) — defensive break.
-			break
-		}
+		active = kept
 	}
+	return active
+}
+
+// quotaRem is one positive-weight backend's fractional share left over
+// after integer truncation.
+type quotaRem struct {
+	idx  int
+	frac float64
 }
 
 // assignQuotas distributes size slots among backends proportionally to
 // weight using largest remainders, guaranteeing the quotas sum to size and
 // that zero-weight backends get zero slots. The leftover after integer
 // truncation is strictly less than the number of positive-weight backends,
-// so one remainder round always suffices.
-func assignQuotas(quota []int, backends []Backend, totalWeight float64, size int) {
-	type rem struct {
-		idx  int
-		frac float64
-	}
-	rems := make([]rem, 0, len(backends))
+// so one remainder round always suffices. rems is scratch; assignQuotas
+// returns it for reuse.
+func assignQuotas(quota []int, rems []quotaRem, backends []Backend, totalWeight float64, size int) []quotaRem {
+	rems = rems[:0]
 	assigned := 0
 	for i, b := range backends {
 		exact := float64(size) * b.Weight / totalWeight
@@ -270,7 +286,7 @@ func assignQuotas(quota []int, backends []Backend, totalWeight float64, size int
 		quota[i] = q
 		assigned += q
 		if b.Weight > 0 {
-			rems = append(rems, rem{i, exact - float64(q)})
+			rems = append(rems, quotaRem{i, exact - float64(q)})
 		}
 	}
 	for assigned < size {
@@ -289,12 +305,13 @@ func assignQuotas(quota []int, backends []Backend, totalWeight float64, size int
 					break
 				}
 			}
-			return
+			return rems
 		}
 		quota[rems[best].idx]++
 		rems[best].frac = -1
 		assigned++
 	}
+	return rems
 }
 
 func equalWeights(a, b []float64) bool {

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
@@ -37,6 +38,25 @@ func (k FlowKey) Reverse() FlowKey {
 		DstPort: k.SrcPort,
 		Proto:   k.Proto,
 	}
+}
+
+// Less orders flow keys field by field. Flow tables that evict the longest
+// idle flow break ties with it, so which flow goes does not depend on map
+// iteration order and a simulation replays from its seed.
+func (k FlowKey) Less(o FlowKey) bool {
+	if k.SrcIP != o.SrcIP {
+		return bytes.Compare(k.SrcIP[:], o.SrcIP[:]) < 0
+	}
+	if k.DstIP != o.DstIP {
+		return bytes.Compare(k.DstIP[:], o.DstIP[:]) < 0
+	}
+	if k.SrcPort != o.SrcPort {
+		return k.SrcPort < o.SrcPort
+	}
+	if k.DstPort != o.DstPort {
+		return k.DstPort < o.DstPort
+	}
+	return k.Proto < o.Proto
 }
 
 // String renders "proto src:port->dst:port".

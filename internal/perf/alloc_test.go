@@ -221,36 +221,57 @@ func TestFlowTableObserveZeroAlloc(t *testing.T) {
 }
 
 // TestLBPacketPathZeroAlloc covers the simulated dataplane end to end:
-// estimator, connection table, policy pick, and forward onto a link, with
-// the event loop drained every iteration. This is BenchmarkLBPacketPath's
-// loop body as a hard zero-alloc invariant.
+// connection-table lookup, the entry's estimator, policy pick, and forward
+// onto a link, with the event loop drained every iteration. This is
+// BenchmarkLBPacketPath's loop body as a hard zero-alloc invariant. The
+// second leg runs the same loop with congestion tracking on behind a
+// Controller: every revisit of a packet re-sends its sequence edge, so the
+// entry's congestion state reports a retransmission into the controller's
+// aggregator each time, and control ticks fire on the packet path.
 func TestLBPacketPathZeroAlloc(t *testing.T) {
-	sim := netsim.NewSim(1)
-	pol := control.NewRoundRobin(4)
-	links := make([]*netsim.Link, 4)
-	for i := range links {
-		links[i] = netsim.NewLink(sim, "up", 0, 0, netsim.HandlerFunc(func(*netsim.Packet) {}))
-	}
-	balancer, err := lb.New(sim, lb.Config{Policy: pol}, links)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := benchKeys()
-	pkts := make([]*netsim.Packet, len(keys))
-	for i := range pkts {
-		pkts[i] = &netsim.Packet{Flow: keys[i], Kind: netsim.KindRequest, Size: 128}
-	}
-	i := 0
-	body := func() {
-		balancer.HandlePacket(pkts[i%len(pkts)])
-		i++
-		sim.RunUntil(sim.Now() + time.Microsecond)
-	}
-	assertZeroAllocs(t, "LB packet path", func() {
-		for j := 0; j < 4*len(keys); j++ {
-			body()
+	for _, leg := range []struct {
+		name       string
+		congestion bool
+	}{{"LB packet path", false}, {"LB packet path, congestion behind a Controller", true}} {
+		sim := netsim.NewSim(1)
+		var pol control.Policy = control.NewRoundRobin(4)
+		if leg.congestion {
+			ctrl := control.NewController(pol, control.ControllerConfig{})
+			defer ctrl.Close()
+			pol = ctrl
 		}
-	}, body)
+		links := make([]*netsim.Link, 4)
+		for i := range links {
+			links[i] = netsim.NewLink(sim, "up", 0, 0, netsim.HandlerFunc(func(*netsim.Packet) {}))
+		}
+		balancer, err := lb.New(sim, lb.Config{
+			Policy: pol, Congestion: leg.congestion, ControlInterval: 100 * time.Microsecond,
+		}, links)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := benchKeys()
+		pkts := make([]*netsim.Packet, len(keys))
+		for i := range pkts {
+			pkts[i] = &netsim.Packet{Flow: keys[i], Kind: netsim.KindRequest, Seq: uint64(i), Size: 128}
+		}
+		i := 0
+		body := func() {
+			balancer.HandlePacket(pkts[i%len(pkts)])
+			i++
+			sim.RunUntil(sim.Now() + time.Microsecond)
+		}
+		assertZeroAllocs(t, leg.name, func() {
+			for j := 0; j < 4*len(keys); j++ {
+				body()
+			}
+		}, body)
+		// Congestion events reach the controller's totals only through a
+		// tick's merge, so a nonzero count shows both ran.
+		if ctrl, ok := pol.(*control.Controller); ok && ctrl.CongestionEvents(0) == 0 {
+			t.Errorf("%s: no congestion event merged; the congestion path or the tick went unexercised", leg.name)
+		}
+	}
 }
 
 // TestProxyMeasurementPathZeroAlloc covers the estimator half of what the

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"inbandlb/internal/control"
-	"inbandlb/internal/core"
 	"inbandlb/internal/faults"
 	"inbandlb/internal/lb"
 	"inbandlb/internal/netsim"
@@ -155,10 +154,11 @@ type ClusterConfig struct {
 	// the LB→server links (indexed by server). This is where the paper's
 	// 1 ms inflation is applied.
 	ServerPathSchedules []faults.Schedule
-	// FlowTable configures the LB's estimators.
-	FlowTable core.FlowTableConfig
-	// Observer overrides the LB's measurement source (see lb.Config).
-	Observer core.Observer
+	// MaxConns caps the LB's connection table (lb.Config.MaxConns).
+	MaxConns int
+	// Handshake measures each connection once, SYN to first request,
+	// instead of running the ensemble estimator (lb.Config.Handshake).
+	Handshake bool
 	// ControlInterval drives the Controller tick when Policy is a
 	// control.Controller (see lb.Config.ControlInterval).
 	ControlInterval time.Duration
@@ -248,8 +248,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 
 	balancer, err := lb.New(sim, lb.Config{
 		Policy:          cfg.Policy,
-		FlowTable:       cfg.FlowTable,
-		Observer:        cfg.Observer,
+		MaxConns:        cfg.MaxConns,
+		Handshake:       cfg.Handshake,
 		ControlInterval: cfg.ControlInterval,
 		L7:              cfg.L7,
 		Congestion:      cfg.Congestion,
