@@ -15,8 +15,9 @@
 // (seeds *seed..*seed+24) through the invariant oracles and prints minimized
 // repro lines for any violation; see internal/dst and DESIGN.md §10. The
 // arena experiment races every registered routing policy through the same
-// DST seed set, outage, and Fig-3 legs and scores a leaderboard; see
-// internal/arena and DESIGN.md §11.
+// DST seed set and the outage and Fig-3 experiments' own clusters and
+// scores a leaderboard; see internal/experiments/arena.go and DESIGN.md
+// §11.
 package main
 
 import (

@@ -33,7 +33,8 @@ type Fig3Config struct {
 // server's share at 0.02 so it keeps probing it. The memtier-like load is
 // 8 connections × 100 requests at pipeline depth 1, memtier's default: a
 // closed loop per connection, whose inter-request gap is exactly the
-// response latency the estimator measures.
+// response latency the estimator measures. A request unanswered after
+// 250 ms counts as a timeout rather than stalling its connection.
 const (
 	fig3Servers         = 2
 	fig3InjectExtra     = time.Millisecond
@@ -43,6 +44,7 @@ const (
 	fig3Connections     = 8
 	fig3Pipeline        = 1
 	fig3RequestsPerConn = 100
+	fig3RequestTimeout  = 250 * time.Millisecond
 )
 
 func (c *Fig3Config) applyDefaults() {
@@ -82,49 +84,14 @@ func serverNames(n int) []string {
 	return names
 }
 
-func runFig3Leg(cfg Fig3Config, policyName string) (*fig3Run, error) {
-	var pol control.Policy
-	var la *control.LatencyAware
-	var prop *control.Proportional
-	switch policyName {
-	case "maglev":
-		m, err := control.NewMaglevStatic(serverNames(fig3Servers), 4093)
-		if err != nil {
-			return nil, err
-		}
-		pol = m
-	case "latency-aware":
-		l, err := control.NewLatencyAware(control.LatencyAwareConfig{
-			Backends:        serverNames(fig3Servers),
-			Alpha:           cfg.Alpha,
-			TableSize:       4093,
-			MinWeight:       fig3MinWeight,
-			Cooldown:        fig3Cooldown,
-			HysteresisRatio: fig3Hysteresis,
-		})
-		if err != nil {
-			return nil, err
-		}
-		la = l
-		pol = l
-	case "proportional":
-		pr, err := control.NewProportional(control.ProportionalConfig{
-			Backends:  serverNames(fig3Servers),
-			TableSize: 4093,
-			MinWeight: fig3MinWeight,
-			Interval:  fig3Cooldown,
-		})
-		if err != nil {
-			return nil, err
-		}
-		prop = pr
-		pol = pr
-	default:
-		return nil, fmt.Errorf("experiments: unknown policy %q", policyName)
-	}
-
+// fig3Cluster builds the Fig. 3 scenario around pol: fig3InjectExtra of
+// one-way delay lands on the LB→server-0 path at injectAt, and every
+// request gives up after fig3RequestTimeout. The Fig. 3 experiment and its
+// ablations race their controllers through it, and the arena every
+// contender.
+func fig3Cluster(seed int64, injectAt time.Duration, pol control.Policy) (*testbed.Cluster, error) {
 	schedules := make([]faults.Schedule, fig3Servers)
-	schedules[0] = faults.Step{Start: cfg.InjectAt, Extra: fig3InjectExtra}
+	schedules[0] = faults.Step{Start: injectAt, Extra: fig3InjectExtra}
 	for i := 1; i < fig3Servers; i++ {
 		schedules[i] = faults.None
 	}
@@ -144,8 +111,8 @@ func runFig3Leg(cfg Fig3Config, policyName string) (*fig3Run, error) {
 		}
 	}
 
-	cluster, err := testbed.NewCluster(testbed.ClusterConfig{
-		Seed:                cfg.Seed,
+	return testbed.NewCluster(testbed.ClusterConfig{
+		Seed:                seed,
 		Policy:              pol,
 		Servers:             servers,
 		ServerPathSchedules: schedules,
@@ -153,12 +120,28 @@ func runFig3Leg(cfg Fig3Config, policyName string) (*fig3Run, error) {
 			Connections:     fig3Connections,
 			Pipeline:        fig3Pipeline,
 			RequestsPerConn: fig3RequestsPerConn,
+			RequestTimeout:  fig3RequestTimeout,
 			ReopenDelay:     500 * time.Microsecond,
 			ThinkTime:       50 * time.Microsecond,
 			ThinkJitter:     50 * time.Microsecond,
 			GetFraction:     0.5,
 		},
 	})
+}
+
+func runFig3Leg(cfg Fig3Config, policyName string) (*fig3Run, error) {
+	pol, err := control.BuildPolicy(policyName, control.PolicySpec{
+		Backends:        serverNames(fig3Servers),
+		TableSize:       4093,
+		Alpha:           cfg.Alpha,
+		MinWeight:       fig3MinWeight,
+		Interval:        fig3Cooldown,
+		HysteresisRatio: fig3Hysteresis,
+	})
+	if err != nil {
+		return nil, err
+	}
+	cluster, err := fig3Cluster(cfg.Seed, cfg.InjectAt, pol)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +151,7 @@ func runFig3Leg(cfg Fig3Config, policyName string) (*fig3Run, error) {
 		reaction: -1,
 	}
 	steadyFrom := cfg.Duration - (cfg.Duration-cfg.InjectAt)/4
-	if la != nil {
+	if la, ok := pol.(*control.LatencyAware); ok {
 		la.OnShift = func(now time.Duration, worst int, weights []float64) {
 			run.shifts++
 			if now >= steadyFrom {
@@ -179,7 +162,7 @@ func runFig3Leg(cfg Fig3Config, policyName string) (*fig3Run, error) {
 			}
 		}
 	}
-	if prop != nil {
+	if prop, ok := pol.(*control.Proportional); ok {
 		var prevW0 float64 = 1.0 / fig3Servers
 		prop.OnUpdate = func(now time.Duration, weights []float64) {
 			run.shifts++

@@ -71,7 +71,7 @@ type outageLeg struct {
 // simDetector tunes the passive detector for simulator timescales: ticks
 // are 2 ms and the workload is a handful of closed-loop connections, so
 // starvation shows up within a few ticks and backoffs are sub-second.
-func simDetector(cfg OutageConfig) control.DetectorConfig {
+func simDetector(seed int64) control.DetectorConfig {
 	return control.DetectorConfig{
 		Enabled:          true,
 		FailureThreshold: 3,
@@ -87,31 +87,27 @@ func simDetector(cfg OutageConfig) control.DetectorConfig {
 		HalfOpenTicks:    100,
 		SlowStartInitial: 0.25,
 		SlowStartTicks:   25,
-		Seed:             cfg.Seed,
+		Seed:             seed,
 	}
 }
 
-func runOutageLeg(cfg OutageConfig, passive bool) (*outageLeg, error) {
-	name := "probe-only"
-	// The outage window is the middle third of the run, mirroring the
-	// mid-run step of Fig. 3.
-	outageAt, outageEnd := cfg.Duration/3, 2*cfg.Duration/3
+// outageCluster builds the OUTAGE scenario around pol: server 0 of the
+// fault pool blackholes every connection during the middle third of the
+// run, mirroring the mid-run step of Fig. 3. A blackhole (silent drop)
+// rather than a refusal is the harder case, visible only through missing
+// in-band samples and client timeouts. pol is wrapped in a controller
+// ticking every faultControlInterval, with simDetector armed when
+// detector is set. The outage experiment races static Maglev through it
+// and the arena every contender.
+func outageCluster(seed int64, duration time.Duration, pol control.Policy, detector bool) (*testbed.Cluster, *control.Controller, faults.Outage, error) {
 	// Shards: 1 — single-goroutine sim: results must not follow GOMAXPROCS.
 	ctrlCfg := control.ControllerConfig{Shards: 1, Interval: faultControlInterval}
-	if passive {
-		name = "passive"
-		ctrlCfg.Detector = simDetector(cfg)
+	if detector {
+		ctrlCfg.Detector = simDetector(seed)
 	}
-	maglev, err := control.NewMaglevStatic(serverNames(faultServers), 4093)
-	if err != nil {
-		return nil, err
-	}
-	ctrl := control.NewController(maglev, ctrlCfg)
+	ctrl := control.NewController(pol, ctrlCfg)
 
-	// A blackhole (silent drop) rather than a refusal: it is the harder
-	// case, visible only through missing in-band samples and client
-	// timeouts.
-	sched := faults.Outage{Start: outageAt, End: outageEnd, Blackhole: true}
+	sched := faults.Outage{Start: duration / 3, End: 2 * duration / 3, Blackhole: true}
 	servers := make([]server.Config, faultServers)
 	for i := range servers {
 		servers[i] = server.Config{
@@ -123,7 +119,7 @@ func runOutageLeg(cfg OutageConfig, passive bool) (*outageLeg, error) {
 	servers[0].ConnFaults = sched
 
 	cluster, err := testbed.NewCluster(testbed.ClusterConfig{
-		Seed:            cfg.Seed,
+		Seed:            seed,
 		Policy:          ctrl,
 		Servers:         servers,
 		ControlInterval: faultControlInterval,
@@ -137,9 +133,23 @@ func runOutageLeg(cfg OutageConfig, passive bool) (*outageLeg, error) {
 			GetFraction:     0.5,
 		},
 	})
+	return cluster, ctrl, sched, err
+}
+
+func runOutageLeg(cfg OutageConfig, passive bool) (*outageLeg, error) {
+	name := "probe-only"
+	if passive {
+		name = "passive"
+	}
+	maglev, err := control.NewMaglevStatic(serverNames(faultServers), 4093)
 	if err != nil {
 		return nil, err
 	}
+	cluster, ctrl, sched, err := outageCluster(cfg.Seed, cfg.Duration, maglev, passive)
+	if err != nil {
+		return nil, err
+	}
+	outageAt, outageEnd := sched.Start, sched.End
 
 	leg := &outageLeg{
 		p95:          stats.NewSeries("p95 " + name),

@@ -17,7 +17,6 @@ import (
 // benchmarks must cover. A change that adds one edits this table in the
 // same diff, where review sees it; a change that removes one lowers it.
 var knobs = map[string]int{
-	"internal/arena.Config":                   8,
 	"internal/auditlog.LogConfig":             3,
 	"internal/control.ControllerConfig":       5,
 	"internal/control.DetectorConfig":         20,
@@ -50,7 +49,7 @@ var knobs = map[string]int{
 }
 
 // knobTotal is the sum of the knobs table.
-const knobTotal = 208
+const knobTotal = 200
 
 // TestConfigKnobRatchet: the exported Config fields in the tree are
 // exactly the knobs table.
