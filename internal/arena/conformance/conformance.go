@@ -184,7 +184,7 @@ func (d *driver) checkWeights() {
 		sum += v
 		d.fold(math.Float64bits(v))
 	}
-	if sum < 0.99 || sum > 1.01 {
+	if math.Abs(sum-1) > 1e-9 {
 		if d.weightErr == "" {
 			d.weightErr = fmt.Sprintf("step %d: weights sum to %v", d.seq, sum)
 		}

@@ -30,9 +30,10 @@ func registrySubject(name string) Subject {
 }
 
 // TestConformance certifies every arena contender — the paper's α-shift
-// plus the three challengers — against the full contract.
+// plus the three challengers — and the proportional controller against
+// the full contract.
 func TestConformance(t *testing.T) {
-	for _, name := range []string{"latency-aware", "knapsack", "p2c", "wlc"} {
+	for _, name := range []string{"latency-aware", "proportional", "knapsack", "p2c", "wlc"} {
 		t.Run(name, func(t *testing.T) {
 			for _, v := range Check(registrySubject(name)) {
 				t.Errorf("%s", v)

@@ -1,40 +1,20 @@
 package control
 
-import (
-	"fmt"
-	"time"
+import "time"
 
-	"inbandlb/internal/core"
-	"inbandlb/internal/maglev"
-	"inbandlb/internal/packet"
-)
-
-// KnapsackConfig parameterizes the KnapsackLB-inspired greedy weight solver.
-type KnapsackConfig struct {
-	// Backends names the pool.
-	Backends []string
-	// TableSize is the Maglev table size (prime). Defaults to 4093.
-	TableSize int
-	// MinWeight floors each backend's share so the solver keeps probing a
-	// drained server and can observe its recovery. Defaults to 0.05.
-	MinWeight float64
-	// Interval is the solve period. Defaults to 5 ms.
-	Interval time.Duration
-	// Beta in (0,1] smooths each solve toward its target allocation:
-	// w += Beta·(target−w). 1 jumps straight to the target. Defaults to 0.5.
-	Beta float64
-	// Decay in (0,1) is the per-sample forgetting factor of the
+const (
+	// knapQuanta is how many equal increments the greedy fill distributes
+	// the above-floor weight mass in; more quanta give a finer allocation
+	// at linear solve cost.
+	knapQuanta = 64
+	// knapBeta smooths each solve toward its target allocation:
+	// w += knapBeta·(target−w).
+	knapBeta = 0.5
+	// knapDecay is the per-sample forgetting factor of the
 	// latency-vs-load regression, so stale operating points fade as the
-	// allocation moves. Defaults to 0.98.
-	Decay float64
-	// Latency configures per-server freshness tracking.
-	Latency core.ServerLatencyConfig
-}
-
-// knapQuanta is how many equal increments the greedy fill distributes the
-// above-floor weight mass in; more quanta give a finer allocation at
-// linear solve cost.
-const knapQuanta = 64
+	// allocation moves.
+	knapDecay = 0.98
+)
 
 // knapCurve holds one backend's exponentially-decayed least-squares fit of
 // latency (y, nanoseconds) against the weight the backend held when each
@@ -99,103 +79,43 @@ func (k *knapCurve) fit(x0 float64) (a, c float64, ok bool) {
 // realized as a weighted Maglev table rebuild, so the dataplane consumes it
 // exactly like the α-shift controller's output.
 type KnapsackGreedy struct {
-	cfg     KnapsackConfig
-	weights []float64
-	curves  []knapCurve
-	builder *maglev.Builder
-	table   *maglev.Table
-	lat     *core.ServerLatency
+	weightTable
+	curves   []knapCurve
+	interval time.Duration
 
 	lastSolve time.Duration
 	started   bool
-	updates   uint64
-
-	// OnUpdate, when set, observes every table rebuild.
-	OnUpdate func(now time.Duration, weights []float64)
 }
 
-// NewKnapsackGreedy builds the solver.
-func NewKnapsackGreedy(cfg KnapsackConfig) (*KnapsackGreedy, error) {
-	if len(cfg.Backends) < 2 {
-		return nil, fmt.Errorf("control: knapsack needs >= 2 backends, have %d", len(cfg.Backends))
+// NewKnapsackGreedy builds the solver from spec: MinWeight defaults to
+// 0.05, so the solver keeps probing a drained server and can observe its
+// recovery, and Interval (the solve period) to 5 ms.
+func NewKnapsackGreedy(spec PolicySpec) (*KnapsackGreedy, error) {
+	minWeight, interval := spec.MinWeight, spec.Interval
+	if minWeight == 0 {
+		minWeight = 0.05
 	}
-	if cfg.TableSize == 0 {
-		cfg.TableSize = 4093
+	if interval <= 0 {
+		interval = 5 * time.Millisecond
 	}
-	if cfg.MinWeight == 0 {
-		cfg.MinWeight = 0.05
-	}
-	if cfg.MinWeight < 0 || cfg.MinWeight*float64(len(cfg.Backends)) >= 1 {
-		return nil, fmt.Errorf("control: min weight %v infeasible for %d backends", cfg.MinWeight, len(cfg.Backends))
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 5 * time.Millisecond
-	}
-	if cfg.Beta == 0 {
-		cfg.Beta = 0.5
-	}
-	if cfg.Beta < 0 || cfg.Beta > 1 {
-		return nil, fmt.Errorf("control: beta %v outside (0,1]", cfg.Beta)
-	}
-	if cfg.Decay == 0 {
-		cfg.Decay = 0.98
-	}
-	if cfg.Decay <= 0 || cfg.Decay >= 1 {
-		return nil, fmt.Errorf("control: decay %v outside (0,1)", cfg.Decay)
-	}
-	n := len(cfg.Backends)
-	builder, err := maglev.NewBuilder(cfg.TableSize, cfg.Backends)
+	wt, err := newWeightTable("knapsack", spec.Backends, spec.TableSize, minWeight, spec.Latency)
 	if err != nil {
 		return nil, err
 	}
-	k := &KnapsackGreedy{
-		cfg:     cfg,
-		weights: make([]float64, n),
-		curves:  make([]knapCurve, n),
-		builder: builder,
-		lat:     core.NewServerLatency(n, cfg.Latency),
-	}
-	for i := range k.weights {
-		k.weights[i] = 1.0 / float64(n)
-	}
-	if err := k.rebuild(); err != nil {
-		return nil, err
-	}
-	return k, nil
+	return &KnapsackGreedy{
+		weightTable: wt,
+		curves:      make([]knapCurve, len(spec.Backends)),
+		interval:    interval,
+	}, nil
 }
-
-// Name implements Policy.
-func (k *KnapsackGreedy) Name() string { return "knapsack" }
-
-// NumBackends implements Policy.
-func (k *KnapsackGreedy) NumBackends() int { return len(k.weights) }
-
-// Pick implements Policy.
-func (k *KnapsackGreedy) Pick(key packet.FlowKey, _ time.Duration) int {
-	return k.table.Lookup(key.Hash())
-}
-
-// Weights returns a copy of the weight vector.
-func (k *KnapsackGreedy) Weights() []float64 {
-	return append([]float64(nil), k.weights...)
-}
-
-// Updates returns the number of table builds, including the initial one.
-func (k *KnapsackGreedy) Updates() uint64 { return k.updates }
-
-// Latency exposes the per-server aggregation.
-func (k *KnapsackGreedy) Latency() *core.ServerLatency { return k.lat }
-
-// FlowClosed implements Policy (affinity is the conntrack's job).
-func (k *KnapsackGreedy) FlowClosed(int, time.Duration) {}
 
 // ObserveLatency implements Policy: fold the sample into the backend's
 // latency-vs-load curve at its current operating point, then re-solve once
-// per Interval.
+// per interval.
 func (k *KnapsackGreedy) ObserveLatency(b int, now, sample time.Duration) {
 	k.lat.Observe(b, now, sample)
-	k.curves[b].observe(k.weights[b], float64(sample), k.cfg.Decay)
-	if k.started && now-k.lastSolve < k.cfg.Interval {
+	k.curves[b].observe(k.weights[b], float64(sample), knapDecay)
+	if k.started && now-k.lastSolve < k.interval {
 		return
 	}
 	k.solve(now)
@@ -252,9 +172,9 @@ func (k *KnapsackGreedy) solve(now time.Duration) {
 	// integrates the linear curve exactly). Ties break to the lowest index.
 	target := make([]float64, n)
 	for i := range target {
-		target[i] = k.cfg.MinWeight
+		target[i] = k.minWeight
 	}
-	remain := 1 - float64(n)*k.cfg.MinWeight
+	remain := 1 - float64(n)*k.minWeight
 	dq := remain / knapQuanta
 	for q := 0; q < knapQuanta; q++ {
 		best, bestCost := 0, 0.0
@@ -271,9 +191,9 @@ func (k *KnapsackGreedy) solve(now time.Duration) {
 	// the published vector always sums to 1 with every share ≥ MinWeight.
 	changed := false
 	for i := range k.weights {
-		next := k.weights[i] + k.cfg.Beta*(target[i]-k.weights[i])
-		if next < k.cfg.MinWeight {
-			next = k.cfg.MinWeight
+		next := k.weights[i] + knapBeta*(target[i]-k.weights[i])
+		if next < k.minWeight {
+			next = k.minWeight
 		}
 		if abs64(next-k.weights[i]) > 1e-6 {
 			changed = true
@@ -283,26 +203,8 @@ func (k *KnapsackGreedy) solve(now time.Duration) {
 	if !changed {
 		return
 	}
-	var excess float64
-	for _, w := range k.weights {
-		excess += w - k.cfg.MinWeight
-	}
-	free := 1 - float64(n)*k.cfg.MinWeight
-	if excess > 0 {
-		scale := free / excess
-		for i := range k.weights {
-			k.weights[i] = k.cfg.MinWeight + (k.weights[i]-k.cfg.MinWeight)*scale
-		}
-	} else {
-		for i := range k.weights {
-			k.weights[i] = 1.0 / float64(n)
-		}
-	}
-	if err := k.rebuild(); err == nil {
-		if k.OnUpdate != nil {
-			k.OnUpdate(now, k.Weights())
-		}
-	}
+	k.project()
+	k.rebuild(now)
 }
 
 func abs64(v float64) float64 {
@@ -311,17 +213,3 @@ func abs64(v float64) float64 {
 	}
 	return v
 }
-
-func (k *KnapsackGreedy) rebuild() error {
-	t, err := k.builder.Build(k.weights)
-	if err != nil {
-		return err
-	}
-	k.table = t
-	k.updates++
-	return nil
-}
-
-// Table implements TableSource: the current (immutable) routing table, for
-// snapshot publication by a Controller.
-func (k *KnapsackGreedy) Table() *maglev.Table { return k.table }

@@ -11,7 +11,7 @@ func newTestKnapsack(t *testing.T, n int) *KnapsackGreedy {
 	for i := range names {
 		names[i] = string(rune('a' + i))
 	}
-	k, err := NewKnapsackGreedy(KnapsackConfig{
+	k, err := NewKnapsackGreedy(PolicySpec{
 		Backends:  names,
 		TableSize: 211,
 		MinWeight: 0.05,
@@ -52,22 +52,20 @@ func feedKnapsack(k *KnapsackGreedy, start time.Duration, steps int, lat func(b 
 }
 
 func TestKnapsackValidation(t *testing.T) {
-	base := KnapsackConfig{Backends: []string{"a", "b", "c"}, TableSize: 211}
+	base := PolicySpec{Backends: []string{"a", "b", "c"}, TableSize: 211}
 	cases := []struct {
 		name   string
-		mutate func(*KnapsackConfig)
+		mutate func(*PolicySpec)
 	}{
-		{"one backend", func(c *KnapsackConfig) { c.Backends = c.Backends[:1] }},
-		{"infeasible floor", func(c *KnapsackConfig) { c.MinWeight = 0.5 }},
-		{"negative floor", func(c *KnapsackConfig) { c.MinWeight = -0.1 }},
-		{"beta above 1", func(c *KnapsackConfig) { c.Beta = 1.5 }},
-		{"decay at 1", func(c *KnapsackConfig) { c.Decay = 1 }},
+		{"one backend", func(s *PolicySpec) { s.Backends = s.Backends[:1] }},
+		{"infeasible floor", func(s *PolicySpec) { s.MinWeight = 0.5 }},
+		{"negative floor", func(s *PolicySpec) { s.MinWeight = -0.1 }},
 	}
 	for _, tc := range cases {
-		cfg := base
-		cfg.Backends = append([]string(nil), base.Backends...)
-		tc.mutate(&cfg)
-		if _, err := NewKnapsackGreedy(cfg); err == nil {
+		spec := base
+		spec.Backends = append([]string(nil), base.Backends...)
+		tc.mutate(&spec)
+		if _, err := NewKnapsackGreedy(spec); err == nil {
 			t.Errorf("%s: config accepted", tc.name)
 		}
 	}

@@ -64,7 +64,7 @@ func TestLatencyAwareInitialState(t *testing.T) {
 	}
 	// Equal weights: shares near 1/4.
 	for i := 0; i < 4; i++ {
-		if s := la.Share(i); math.Abs(s-0.25) > 0.02 {
+		if s := la.Table().Share(i); math.Abs(s-0.25) > 0.02 {
 			t.Errorf("share[%d] = %v", i, s)
 		}
 	}
@@ -72,9 +72,16 @@ func TestLatencyAwareInitialState(t *testing.T) {
 
 func TestLatencyAwareShiftsFromWorst(t *testing.T) {
 	la := newLA(t, LatencyAwareConfig{})
+	// An α-shift lowers exactly one weight: the worst server's.
 	var shifts []int
-	la.OnShift = func(now time.Duration, worst int, weights []float64) {
-		shifts = append(shifts, worst)
+	prev := la.Weights()
+	la.OnUpdate = func(now time.Duration, weights []float64) {
+		for i := range weights {
+			if weights[i] < prev[i] {
+				shifts = append(shifts, i)
+			}
+		}
+		prev = weights
 	}
 	now := time.Duration(0)
 	// Server 1 is consistently slow. The controller shifts on every new
@@ -121,7 +128,7 @@ func TestLatencyAwareMinWeightFloor(t *testing.T) {
 		t.Errorf("weight did not reach the floor: %v", w)
 	}
 	// Maglev share tracks the weight.
-	if s := la.Share(1); s > 0.08 {
+	if s := la.Table().Share(1); s > 0.08 {
 		t.Errorf("slow server still owns %.3f of slots", s)
 	}
 }
@@ -129,7 +136,7 @@ func TestLatencyAwareMinWeightFloor(t *testing.T) {
 func TestLatencyAwareCooldown(t *testing.T) {
 	la := newLA(t, LatencyAwareConfig{Cooldown: 10 * time.Millisecond})
 	shifts := 0
-	la.OnShift = func(time.Duration, int, []float64) { shifts++ }
+	la.OnUpdate = func(time.Duration, []float64) { shifts++ }
 	now := time.Duration(0)
 	for i := 0; i < 50; i++ {
 		now += time.Millisecond
@@ -145,7 +152,7 @@ func TestLatencyAwareCooldown(t *testing.T) {
 func TestLatencyAwareHysteresis(t *testing.T) {
 	la := newLA(t, LatencyAwareConfig{HysteresisRatio: 1.5})
 	shifts := 0
-	la.OnShift = func(time.Duration, int, []float64) { shifts++ }
+	la.OnUpdate = func(time.Duration, []float64) { shifts++ }
 	now := time.Duration(0)
 	// Near-equal servers: apart from the very first sample (when only one
 	// server is measurable and the comparison cannot apply), no shift
@@ -224,12 +231,17 @@ func TestLatencyAwareManyBackends(t *testing.T) {
 
 func TestLatencyAwareUpdateTimestamps(t *testing.T) {
 	la := newLA(t, LatencyAwareConfig{})
+	var stamps []time.Duration
+	la.OnUpdate = func(now time.Duration, _ []float64) { stamps = append(stamps, now) }
 	la.ObserveLatency(1, 5*time.Millisecond, time.Millisecond)
 	la.ObserveLatency(0, 6*time.Millisecond, 100*time.Microsecond)
-	if la.LastShift() == 0 && la.Updates() <= 1 {
-		t.Error("no shift recorded")
+	if len(stamps) == 0 {
+		t.Fatal("no shift recorded")
 	}
-	if la.LastShift() > 6*time.Millisecond {
-		t.Errorf("LastShift = %v in the future", la.LastShift())
+	if uint64(len(stamps)) != la.Updates()-1 {
+		t.Errorf("OnUpdate fired %d times, Updates() = %d", len(stamps), la.Updates())
+	}
+	if last := stamps[len(stamps)-1]; last > 6*time.Millisecond {
+		t.Errorf("last shift at %v, in the future", last)
 	}
 }

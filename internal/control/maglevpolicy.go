@@ -182,89 +182,30 @@ type LatencyAwareConfig struct {
 // on the new slots — exactly the Cilium/Maglev behaviour the paper
 // instruments.
 type LatencyAware struct {
-	cfg     LatencyAwareConfig
-	weights []float64
-	builder *maglev.Builder
-	table   *maglev.Table
-	lat     *core.ServerLatency
+	weightTable
+	cfg LatencyAwareConfig
 
-	lastShift  time.Duration
-	shifted    bool
-	updates    uint64
-	rebuildErr error
-
-	// OnShift, when set, observes every table update with the new weight
-	// vector; experiments use it to timestamp controller reactions.
-	OnShift func(now time.Duration, worst int, weights []float64)
+	lastShift time.Duration
+	shifted   bool
 }
 
 // NewLatencyAware builds the controller.
 func NewLatencyAware(cfg LatencyAwareConfig) (*LatencyAware, error) {
-	if len(cfg.Backends) < 2 {
-		return nil, fmt.Errorf("control: latency-aware needs >= 2 backends, have %d", len(cfg.Backends))
-	}
-	if cfg.TableSize == 0 {
-		cfg.TableSize = 4093
-	}
 	if cfg.Alpha <= 0 || cfg.Alpha >= 1 {
 		return nil, fmt.Errorf("control: alpha %v outside (0,1)", cfg.Alpha)
 	}
 	if cfg.MinWeight == 0 {
 		cfg.MinWeight = 0.05
 	}
-	if cfg.MinWeight < 0 || cfg.MinWeight*float64(len(cfg.Backends)) >= 1 {
-		return nil, fmt.Errorf("control: min weight %v infeasible for %d backends", cfg.MinWeight, len(cfg.Backends))
-	}
 	if q := cfg.SignalQuantile; q > 0 && q < 1 && cfg.Latency.WindowSlices <= 0 {
 		cfg.Latency.WindowSlices = 8 // the quantile signal reads the windows
 	}
-	n := len(cfg.Backends)
-	weights := make([]float64, n)
-	for i := range weights {
-		weights[i] = 1.0 / float64(n)
-	}
-	builder, err := maglev.NewBuilder(cfg.TableSize, cfg.Backends)
+	wt, err := newWeightTable("latency-aware", cfg.Backends, cfg.TableSize, cfg.MinWeight, cfg.Latency)
 	if err != nil {
 		return nil, err
 	}
-	la := &LatencyAware{
-		cfg:     cfg,
-		weights: weights,
-		builder: builder,
-		lat:     core.NewServerLatency(n, cfg.Latency),
-	}
-	if err := la.rebuild(); err != nil {
-		return nil, err
-	}
-	return la, nil
+	return &LatencyAware{weightTable: wt, cfg: cfg}, nil
 }
-
-// Name implements Policy.
-func (la *LatencyAware) Name() string { return "latency-aware" }
-
-// NumBackends implements Policy.
-func (la *LatencyAware) NumBackends() int { return len(la.weights) }
-
-// Pick implements Policy.
-func (la *LatencyAware) Pick(key packet.FlowKey, _ time.Duration) int {
-	return la.table.Lookup(key.Hash())
-}
-
-// Weights returns a copy of the current weight vector.
-func (la *LatencyAware) Weights() []float64 {
-	return append([]float64(nil), la.weights...)
-}
-
-// Updates returns the number of table builds performed, including the
-// initial build (so a freshly constructed controller reports 1).
-func (la *LatencyAware) Updates() uint64 { return la.updates }
-
-// LastShift returns the time of the most recent shift (zero if none yet;
-// check Updates to distinguish).
-func (la *LatencyAware) LastShift() time.Duration { return la.lastShift }
-
-// Latency exposes the per-server aggregation for instrumentation.
-func (la *LatencyAware) Latency() *core.ServerLatency { return la.lat }
 
 // ObserveLatency implements Policy: fold in the sample, then run the
 // paper's control step.
@@ -272,9 +213,6 @@ func (la *LatencyAware) ObserveLatency(b int, now, sample time.Duration) {
 	la.lat.Observe(b, now, sample)
 	la.maybeShift(now)
 }
-
-// FlowClosed implements Policy (ignored — affinity is the conntrack's job).
-func (la *LatencyAware) FlowClosed(int, time.Duration) {}
 
 func (la *LatencyAware) maybeShift(now time.Duration) {
 	if la.shifted && now-la.lastShift < la.cfg.Cooldown {
@@ -311,16 +249,14 @@ func (la *LatencyAware) maybeShift(now time.Duration) {
 	}
 	la.lastShift = now
 	la.shifted = true
-	if la.OnShift != nil {
-		la.OnShift(now, worst, la.Weights())
-	}
+	la.rebuild(now)
 }
 
 // shiftFrom moves α of total weight from the worst backend equally to the
 // others, respecting the MinWeight floor. It reports whether any weight
 // actually moved.
 func (la *LatencyAware) shiftFrom(worst int) bool {
-	avail := la.weights[worst] - la.cfg.MinWeight
+	avail := la.weights[worst] - la.minWeight
 	if avail <= 0 {
 		return false
 	}
@@ -328,46 +264,12 @@ func (la *LatencyAware) shiftFrom(worst int) bool {
 	if move > avail {
 		move = avail
 	}
-	n := len(la.weights)
 	la.weights[worst] -= move
-	share := move / float64(n-1)
+	share := move / float64(len(la.weights)-1)
 	for i := range la.weights {
 		if i != worst {
 			la.weights[i] += share
 		}
 	}
-	if err := la.rebuild(); err != nil {
-		// Roll back so state stays consistent; record for diagnostics.
-		la.weights[worst] += move
-		for i := range la.weights {
-			if i != worst {
-				la.weights[i] -= share
-			}
-		}
-		la.rebuildErr = err
-		return false
-	}
 	return true
 }
-
-func (la *LatencyAware) rebuild() error {
-	// The builder reuses cached per-backend permutations, so each shift
-	// pays only for the population walk (and nothing at all when the
-	// weights round-trip back to a previously built vector).
-	t, err := la.builder.Build(la.weights)
-	if err != nil {
-		return err
-	}
-	la.table = t
-	la.updates++
-	return nil
-}
-
-// Table implements TableSource: the current (immutable) routing table, for
-// snapshot publication by a Controller.
-func (la *LatencyAware) Table() *maglev.Table { return la.table }
-
-// Share returns the fraction of Maglev slots currently owned by backend i —
-// the live hash-table state the paper instruments to show millisecond
-// reactions.
-func (la *LatencyAware) Share(i int) float64 { return la.table.Share(i) }

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-func newProp(t *testing.T, cfg ProportionalConfig) *Proportional {
+func newProp(t *testing.T, cfg PolicySpec) *Proportional {
 	t.Helper()
 	if cfg.Backends == nil {
 		cfg.Backends = []string{"s0", "s1"}
@@ -23,13 +23,11 @@ func newProp(t *testing.T, cfg ProportionalConfig) *Proportional {
 }
 
 func TestProportionalValidation(t *testing.T) {
-	base := ProportionalConfig{Backends: []string{"a", "b"}}
-	cases := []func(ProportionalConfig) ProportionalConfig{
-		func(c ProportionalConfig) ProportionalConfig { c.Backends = []string{"a"}; return c },
-		func(c ProportionalConfig) ProportionalConfig { c.Gain = -1; return c },
-		func(c ProportionalConfig) ProportionalConfig { c.Gain = 10; return c },
-		func(c ProportionalConfig) ProportionalConfig { c.MinWeight = 0.6; return c },
-		func(c ProportionalConfig) ProportionalConfig { c.TableSize = 10; return c },
+	base := PolicySpec{Backends: []string{"a", "b"}}
+	cases := []func(PolicySpec) PolicySpec{
+		func(c PolicySpec) PolicySpec { c.Backends = []string{"a"}; return c },
+		func(c PolicySpec) PolicySpec { c.MinWeight = 0.6; return c },
+		func(c PolicySpec) PolicySpec { c.TableSize = 10; return c },
 	}
 	for i, mut := range cases {
 		if _, err := NewProportional(mut(base)); err == nil {
@@ -39,7 +37,7 @@ func TestProportionalValidation(t *testing.T) {
 }
 
 func TestProportionalDrainsSlowServer(t *testing.T) {
-	p := newProp(t, ProportionalConfig{Interval: time.Millisecond})
+	p := newProp(t, PolicySpec{Interval: time.Millisecond})
 	now := time.Duration(0)
 	for i := 0; i < 200; i++ {
 		now += time.Millisecond
@@ -61,7 +59,7 @@ func TestProportionalDrainsSlowServer(t *testing.T) {
 func TestProportionalStableOnEqualServers(t *testing.T) {
 	// The key advantage over the α-shift: near-equal servers produce
 	// near-zero weight movement, not ±α ping-pong.
-	p := newProp(t, ProportionalConfig{Interval: time.Millisecond})
+	p := newProp(t, PolicySpec{Interval: time.Millisecond})
 	now := time.Duration(0)
 	for i := 0; i < 200; i++ {
 		now += time.Millisecond
@@ -75,7 +73,7 @@ func TestProportionalStableOnEqualServers(t *testing.T) {
 }
 
 func TestProportionalRecovers(t *testing.T) {
-	p := newProp(t, ProportionalConfig{Interval: time.Millisecond})
+	p := newProp(t, PolicySpec{Interval: time.Millisecond})
 	now := time.Duration(0)
 	for i := 0; i < 200; i++ {
 		now += time.Millisecond
@@ -95,7 +93,7 @@ func TestProportionalRecovers(t *testing.T) {
 }
 
 func TestProportionalIntervalThrottles(t *testing.T) {
-	p := newProp(t, ProportionalConfig{Interval: 100 * time.Millisecond})
+	p := newProp(t, PolicySpec{Interval: 100 * time.Millisecond})
 	now := time.Duration(0)
 	for i := 0; i < 100; i++ {
 		now += time.Millisecond
@@ -110,7 +108,7 @@ func TestProportionalIntervalThrottles(t *testing.T) {
 }
 
 func TestProportionalSingleFreshServer(t *testing.T) {
-	p := newProp(t, ProportionalConfig{Interval: time.Millisecond})
+	p := newProp(t, PolicySpec{Interval: time.Millisecond})
 	now := time.Millisecond
 	// Only server 0 measured: its deviation from the (single-server) mean
 	// is zero, so nothing should move.
@@ -122,7 +120,7 @@ func TestProportionalSingleFreshServer(t *testing.T) {
 }
 
 func TestProportionalMetadata(t *testing.T) {
-	p := newProp(t, ProportionalConfig{})
+	p := newProp(t, PolicySpec{})
 	if p.Name() != "proportional" || p.NumBackends() != 2 {
 		t.Error("metadata wrong")
 	}

@@ -97,24 +97,8 @@ func init() {
 			Latency:         s.Latency,
 		})
 	})
-	RegisterPolicy("proportional", func(s PolicySpec) (Policy, error) {
-		return NewProportional(ProportionalConfig{
-			Backends:  s.Backends,
-			TableSize: s.TableSize,
-			MinWeight: s.MinWeight,
-			Interval:  s.Interval,
-			Latency:   s.Latency,
-		})
-	})
-	RegisterPolicy("knapsack", func(s PolicySpec) (Policy, error) {
-		return NewKnapsackGreedy(KnapsackConfig{
-			Backends:  s.Backends,
-			TableSize: s.TableSize,
-			MinWeight: s.MinWeight,
-			Interval:  s.Interval,
-			Latency:   s.Latency,
-		})
-	})
+	RegisterPolicy("proportional", func(s PolicySpec) (Policy, error) { return NewProportional(s) })
+	RegisterPolicy("knapsack", func(s PolicySpec) (Policy, error) { return NewKnapsackGreedy(s) })
 	RegisterPolicy("maglev", func(s PolicySpec) (Policy, error) {
 		size := s.TableSize
 		if size == 0 {

@@ -214,7 +214,7 @@ func TestDSTPolicyMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping policy matrix in -short mode")
 	}
-	for _, policy := range []string{"latency-aware", "knapsack", "p2c", "wlc"} {
+	for _, policy := range []string{"latency-aware", "proportional", "knapsack", "p2c", "wlc"} {
 		policy := policy
 		t.Run(policy, func(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
@@ -245,7 +245,7 @@ func TestDSTFaultFreeNoEjections(t *testing.T) {
 		// runs this test without -race in its own step.
 		t.Skip("skipping fault-free sweep under the race detector")
 	}
-	for _, policy := range []string{"latency-aware", "knapsack", "p2c", "wlc"} {
+	for _, policy := range []string{"latency-aware", "proportional", "knapsack", "p2c", "wlc"} {
 		t.Run(policy, func(t *testing.T) {
 			sweep(*sweepFlag, *baseFlag, func(seed int64) seedRun {
 				sc := Generate(seed)

@@ -110,7 +110,7 @@ func runDependencyLeg(seed int64, duration, injectAt time.Duration,
 		return 0, 0, 0, err
 	}
 	if la != nil {
-		la.OnShift = func(now time.Duration, worst int, weights []float64) {
+		la.OnUpdate = func(now time.Duration, _ []float64) {
 			if now >= injectAt {
 				shifts++
 			}

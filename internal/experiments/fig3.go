@@ -151,29 +151,26 @@ func runFig3Leg(cfg Fig3Config, policyName string) (*fig3Run, error) {
 		reaction: -1,
 	}
 	steadyFrom := cfg.Duration - (cfg.Duration-cfg.InjectAt)/4
-	if la, ok := pol.(*control.LatencyAware); ok {
-		la.OnShift = func(now time.Duration, worst int, weights []float64) {
-			run.shifts++
-			if now >= steadyFrom {
-				run.shiftsSteady++
-			}
-			if run.reaction < 0 && now >= cfg.InjectAt && worst == 0 {
-				run.reaction = now - cfg.InjectAt
-			}
+	// A reaction is the first update after injection that takes weight off
+	// the degraded server 0.
+	prevW0 := 1.0 / fig3Servers
+	onUpdate := func(now time.Duration, weights []float64) {
+		run.shifts++
+		if now >= steadyFrom {
+			run.shiftsSteady++
 		}
+		if run.reaction < 0 && now >= cfg.InjectAt && weights[0] < prevW0 {
+			run.reaction = now - cfg.InjectAt
+		}
+		prevW0 = weights[0]
 	}
-	if prop, ok := pol.(*control.Proportional); ok {
-		var prevW0 float64 = 1.0 / fig3Servers
-		prop.OnUpdate = func(now time.Duration, weights []float64) {
-			run.shifts++
-			if now >= steadyFrom {
-				run.shiftsSteady++
-			}
-			if run.reaction < 0 && now >= cfg.InjectAt && weights[0] < prevW0 {
-				run.reaction = now - cfg.InjectAt
-			}
-			prevW0 = weights[0]
-		}
+	switch p := pol.(type) {
+	case *control.LatencyAware:
+		p.OnUpdate = onUpdate
+	case *control.Proportional:
+		p.OnUpdate = onUpdate
+	case *control.KnapsackGreedy:
+		p.OnUpdate = onUpdate
 	}
 
 	// Sliding-window p95 of GET latency, sampled periodically like the

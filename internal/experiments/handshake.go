@@ -63,10 +63,12 @@ func runHandshakeLeg(seed int64, duration, injectAt time.Duration, mode string) 
 		return 0, 0, 0, false, err
 	}
 	reaction := time.Duration(-1)
-	la.OnShift = func(now time.Duration, worst int, weights []float64) {
-		if reaction < 0 && now >= injectAt && worst == 0 {
+	prevW0 := la.Weights()[0]
+	la.OnUpdate = func(now time.Duration, weights []float64) {
+		if reaction < 0 && now >= injectAt && weights[0] < prevW0 {
 			reaction = now - injectAt
 		}
+		prevW0 = weights[0]
 	}
 	preDrained := false
 	cluster, err := testbed.NewCluster(testbed.ClusterConfig{

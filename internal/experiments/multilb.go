@@ -82,7 +82,7 @@ func runMultiLB(seed int64, duration time.Duration, k int) (time.Duration, uint6
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		pol.OnShift = func(now time.Duration, worst int, weights []float64) { totalShifts++ }
+		pol.OnUpdate = func(time.Duration, []float64) { totalShifts++ }
 
 		uplinks := make([]*netsim.Link, 2)
 		for s := range uplinks {

@@ -20,10 +20,8 @@ var knobs = map[string]int{
 	"internal/auditlog.LogConfig":             3,
 	"internal/control.ControllerConfig":       5,
 	"internal/control.DetectorConfig":         20,
-	"internal/control.KnapsackConfig":         7,
 	"internal/control.LatencyAwareConfig":     8,
 	"internal/control.PolicySpec":             8,
-	"internal/control.ProportionalConfig":     6,
 	"internal/core.EnsembleConfig":            2,
 	"internal/core.FlowTableConfig":           3,
 	"internal/core.ServerLatencyConfig":       3,
@@ -49,7 +47,7 @@ var knobs = map[string]int{
 }
 
 // knobTotal is the sum of the knobs table.
-const knobTotal = 200
+const knobTotal = 187
 
 // TestConfigKnobRatchet: the exported Config fields in the tree are
 // exactly the knobs table.
