@@ -27,11 +27,9 @@ func (c *Controller) auditNoteLocked(rec auditlog.Record) {
 }
 
 // auditTransition records one detector state change with its evidence.
-// Caller holds c.mu and has verified the transition actually happened
-// (ejections can be vetoed when they would empty the pool).
-func (c *Controller) auditTransition(b int, from, to HealthState, cause auditlog.Cause,
-	fails int, mean, median time.Duration, retrans, dupAcks, zeroWins int64,
-) {
+// Caller holds c.mu: move for every state change, and the congestion
+// latch and clear, which stay Healthy.
+func (c *Controller) auditTransition(b int, from, to HealthState, cause auditlog.Cause, ev evidence) {
 	if c.audit == nil {
 		return
 	}
@@ -42,10 +40,10 @@ func (c *Controller) auditTransition(b int, from, to HealthState, cause auditlog
 		To:      uint8(to),
 		Backend: int32(b),
 		Healthy: int32(c.healthy),
-		Fails:   int32(fails),
-		Mean:    mean,
-		Median:  median,
-		Retrans: retrans, DupAcks: dupAcks, ZeroWins: zeroWins,
+		Fails:   int32(ev.fails),
+		Mean:    ev.mean,
+		Median:  ev.median,
+		Retrans: ev.retrans, DupAcks: ev.dupAcks, ZeroWins: ev.zeroWins,
 	})
 }
 

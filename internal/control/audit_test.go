@@ -86,7 +86,7 @@ func TestAuditEjectionLifecycle(t *testing.T) {
 	c.ReportDialSuccess(1)
 	c.Tick(210 * time.Millisecond)
 	c.Tick(220 * time.Millisecond)
-	if st := c.HealthState(1); st != Healthy {
+	if st := c.Health(1).State; st != Healthy {
 		t.Fatalf("state after recovery = %v", st)
 	}
 	recs = col.Snapshot()
@@ -120,7 +120,7 @@ func TestAuditVetoedEjectionNotRecorded(t *testing.T) {
 	// transition logged.
 	before := len(col.Snapshot())
 	c.ReportDialError(3, 0)
-	if c.Ejected(3) {
+	if c.Health(3).Ejected() {
 		t.Fatal("last backend was ejected")
 	}
 	for _, r := range col.Snapshot()[before:] {
@@ -216,7 +216,7 @@ func TestAuditConfigReloadPreservesDetectorState(t *testing.T) {
 	c, col := auditCtrl(t, DetectorConfig{FailureThreshold: 1})
 	defer c.Close()
 	c.ReportDialError(2, 0)
-	if !c.Ejected(2) {
+	if !c.Health(2).Ejected() {
 		t.Fatal("setup: backend 2 not ejected")
 	}
 
@@ -232,7 +232,7 @@ func TestAuditConfigReloadPreservesDetectorState(t *testing.T) {
 		t.Fatalf("threshold after reload = %d", got.FailureThreshold)
 	}
 	// Reload must not reset in-flight state: 2 stays ejected.
-	if !c.Ejected(2) {
+	if !c.Health(2).Ejected() {
 		t.Fatal("reload reset detector state")
 	}
 	if find(col.Snapshot(), auditlog.KindConfigReload, -1) == nil {
@@ -246,7 +246,7 @@ func TestAuditConfigReloadPreservesDetectorState(t *testing.T) {
 	if _, ok := c.DetectorConfigView(); ok {
 		t.Fatal("detector still reported enabled")
 	}
-	if c.Ejected(2) {
+	if c.Health(2).Ejected() {
 		t.Fatal("ejection survived detector disable")
 	}
 	// Disabling twice is a no-op.
@@ -258,7 +258,7 @@ func TestAuditConfigReloadPreservesDetectorState(t *testing.T) {
 		t.Fatal("re-enable rejected")
 	}
 	c.ReportDialError(0, 0)
-	if !c.Ejected(0) {
+	if !c.Health(0).Ejected() {
 		t.Fatal("re-enabled detector not ejecting")
 	}
 }

@@ -33,15 +33,15 @@ func TestCongestionWeightDownThenEject(t *testing.T) {
 
 		switch tick {
 		case 1:
-			if c.Congested(3) {
+			if c.Health(3).Congested {
 				t.Fatal("latched after a single hot tick")
 			}
 		case 2:
 			// CongestionTicks hot ticks: weight-down latch, still Healthy.
-			if !c.Congested(3) {
+			if !c.Health(3).Congested {
 				t.Fatal("not latched after CongestionTicks hot ticks")
 			}
-			if st := c.HealthState(3); st != Healthy {
+			if st := c.Health(3).State; st != Healthy {
 				t.Fatalf("state = %v, want healthy under weight-down", st)
 			}
 			if a := c.Snapshot().Admission(3); a != 0.5 {
@@ -49,17 +49,17 @@ func TestCongestionWeightDownThenEject(t *testing.T) {
 			}
 		case 4:
 			// 2×CongestionTicks hot ticks: ejected outright.
-			if st := c.HealthState(3); st != Ejected {
+			if st := c.Health(3).State; st != Ejected {
 				t.Fatalf("state = %v, want ejected at 2x threshold", st)
 			}
 		}
 	}
-	if c.Ejections(3) != 1 || c.CongestionEjections(3) != 1 {
+	if c.Health(3).Ejections != 1 || c.Health(3).CongestionEjections != 1 {
 		t.Fatalf("ejections = %d (cong %d), want 1/1",
-			c.Ejections(3), c.CongestionEjections(3))
+			c.Health(3).Ejections, c.Health(3).CongestionEjections)
 	}
 	for b := 0; b < 3; b++ {
-		if c.Ejected(b) || c.Congested(b) {
+		if c.Health(b).Ejected() || c.Health(b).Congested {
 			t.Fatalf("calm backend %d judged congested", b)
 		}
 	}
@@ -82,12 +82,12 @@ func TestCongestionEjectsBeforeLatencyMoves(t *testing.T) {
 		congest(c, 3, 10, 0, 0)
 		c.Tick(now)
 	}
-	if !c.Ejected(3) {
+	if !c.Health(3).Ejected() {
 		t.Fatal("congested backend not ejected")
 	}
-	if c.CongestionEjections(3) != 1 {
+	if c.Health(3).CongestionEjections != 1 {
 		t.Fatalf("CongestionEjections = %d, want 1 (latency never moved)",
-			c.CongestionEjections(3))
+			c.Health(3).CongestionEjections)
 	}
 }
 
@@ -108,7 +108,7 @@ func TestCongestionPoolWideNeverEjects(t *testing.T) {
 		c.Tick(now)
 	}
 	for b := 0; b < 4; b++ {
-		if c.Ejected(b) || c.Congested(b) {
+		if c.Health(b).Ejected() || c.Health(b).Congested {
 			t.Fatalf("backend %d judged under pool-wide congestion", b)
 		}
 		if a := c.Snapshot().Admission(b); a != 1 {
@@ -131,9 +131,9 @@ func TestCongestionCalmClearsLatch(t *testing.T) {
 		congest(c, 3, 8, 0, 0)
 		c.Tick(now)
 	}
-	if !c.Congested(3) || c.HealthState(3) != Healthy {
+	if !c.Health(3).Congested || c.Health(3).State != Healthy {
 		t.Fatalf("want latched+healthy, got congested=%v state=%v",
-			c.Congested(3), c.HealthState(3))
+			c.Health(3).Congested, c.Health(3).State)
 	}
 	// CongestionClear calm ticks release the latch and restore admission.
 	for tick := 4; tick <= 6; tick++ {
@@ -141,13 +141,13 @@ func TestCongestionCalmClearsLatch(t *testing.T) {
 		feedAllEqual(c, now)
 		c.Tick(now)
 	}
-	if c.Congested(3) {
+	if c.Health(3).Congested {
 		t.Fatal("latch not released after calm ticks")
 	}
 	if a := c.Snapshot().Admission(3); a != 1 {
 		t.Fatalf("post-calm admission = %.3f, want 1", a)
 	}
-	if c.Ejections(3) != 0 {
+	if c.Health(3).Ejections != 0 {
 		t.Fatal("latch-and-release must not count as an ejection")
 	}
 }
@@ -163,7 +163,7 @@ func TestCongestionCountersAndSnapshot(t *testing.T) {
 	c.ObserveCongestion(1, 1, 0, 0, 0)  // all-zero: dropped
 	c.Tick(time.Millisecond)
 
-	if got := c.CongestionEvents(1); got != 4 {
+	if got := c.Health(1).CongestionEvents; got != 4 {
 		t.Fatalf("CongestionEvents(1) = %d, want 4", got)
 	}
 	ts := c.LastTick()[1]
@@ -175,11 +175,11 @@ func TestCongestionCountersAndSnapshot(t *testing.T) {
 	if ts := c.LastTick()[1]; ts.Retrans != 0 {
 		t.Fatalf("TickStat.Retrans = %d after quiet tick, want 0", ts.Retrans)
 	}
-	if got := c.CongestionEvents(1); got != 4 {
+	if got := c.Health(1).CongestionEvents; got != 4 {
 		t.Fatalf("cumulative CongestionEvents(1) = %d, want 4", got)
 	}
 	// Counting alone must not act: the congestion path is disabled.
-	if c.Congested(1) || c.Ejected(1) {
+	if c.Health(1).Congested || c.Health(1).Ejected() {
 		t.Fatal("disabled congestion path acted on events")
 	}
 	// The next republished snapshot carries the cumulative counters.
@@ -219,10 +219,10 @@ func TestDetectorInterplay(t *testing.T) {
 		HalfOpen:  {SlowStart, Ejected},
 		SlowStart: {Healthy, Ejected},
 	}
-	prev := c.HealthState(3)
+	prev := c.Health(3).State
 	checkTransition := func(now time.Duration) {
 		t.Helper()
-		st := c.HealthState(3)
+		st := c.Health(3).State
 		if st == prev {
 			return
 		}
@@ -253,13 +253,13 @@ func TestDetectorInterplay(t *testing.T) {
 		congest(c, 3, 12, 4, 2)
 		tick(now)
 	}
-	if st := c.HealthState(3); st != Ejected {
+	if st := c.Health(3).State; st != Ejected {
 		t.Fatalf("state after assault = %v, want ejected", st)
 	}
-	if c.Ejections(3) != 1 {
-		t.Fatalf("Ejections = %d, want exactly 1 despite three signals", c.Ejections(3))
+	if c.Health(3).Ejections != 1 {
+		t.Fatalf("Ejections = %d, want exactly 1 despite three signals", c.Health(3).Ejections)
 	}
-	if c.CongestionEjections(3) != 1 {
+	if c.Health(3).CongestionEjections != 1 {
 		t.Fatal("the earlier (congestion) detector should have claimed it")
 	}
 
@@ -272,8 +272,8 @@ func TestDetectorInterplay(t *testing.T) {
 		}
 		tick(now)
 	}
-	if c.Ejections(3) != 1 {
-		t.Fatalf("silence double-ejected: Ejections = %d", c.Ejections(3))
+	if c.Health(3).Ejections != 1 {
+		t.Fatalf("silence double-ejected: Ejections = %d", c.Health(3).Ejections)
 	}
 
 	// Phase B — backoff expires (ejected at 4ms + 10ms): half-open trial.
@@ -281,7 +281,7 @@ func TestDetectorInterplay(t *testing.T) {
 		feed(c, b, 4, time.Millisecond, 20*time.Millisecond)
 	}
 	tick(20 * time.Millisecond)
-	if st := c.HealthState(3); st != HalfOpen {
+	if st := c.Health(3).State; st != HalfOpen {
 		t.Fatalf("state after backoff = %v, want half-open", st)
 	}
 
@@ -292,11 +292,11 @@ func TestDetectorInterplay(t *testing.T) {
 	}
 	feed(c, 3, 4, 50*time.Millisecond, 21*time.Millisecond)
 	tick(21 * time.Millisecond)
-	if st := c.HealthState(3); st != Ejected {
+	if st := c.Health(3).State; st != Ejected {
 		t.Fatalf("state after bad trial = %v, want re-ejected", st)
 	}
-	if c.Ejections(3) != 2 {
-		t.Fatalf("Ejections = %d, want 2 (assault + failed trial)", c.Ejections(3))
+	if c.Health(3).Ejections != 2 {
+		t.Fatalf("Ejections = %d, want 2 (assault + failed trial)", c.Health(3).Ejections)
 	}
 
 	// Phase D — recovery: backoff doubled to 20ms (re-ejected at 21ms), so
@@ -306,7 +306,7 @@ func TestDetectorInterplay(t *testing.T) {
 		feed(c, b, 4, time.Millisecond, 50*time.Millisecond)
 	}
 	tick(50 * time.Millisecond)
-	if st := c.HealthState(3); st != HalfOpen {
+	if st := c.Health(3).State; st != HalfOpen {
 		t.Fatalf("state before good trial = %v, want half-open", st)
 	}
 	for i := 0; i <= 4; i++ {
@@ -314,17 +314,17 @@ func TestDetectorInterplay(t *testing.T) {
 		feedAllEqual(c, now)
 		tick(now)
 	}
-	if st := c.HealthState(3); st != Healthy {
+	if st := c.Health(3).State; st != Healthy {
 		t.Fatalf("final state = %v, want healthy", st)
 	}
 	if a := c.Snapshot().Admission(3); a != 1 {
 		t.Fatalf("final admission = %.3f, want 1", a)
 	}
-	if c.Congested(3) {
+	if c.Health(3).Congested {
 		t.Fatal("latch survived recovery")
 	}
 	for b := 0; b < 3; b++ {
-		if c.Ejections(b) != 0 || c.HealthState(b) != Healthy {
+		if c.Health(b).Ejections != 0 || c.Health(b).State != Healthy {
 			t.Fatalf("bystander backend %d was judged", b)
 		}
 	}

@@ -62,13 +62,15 @@ type ControllerConfig struct {
 //     timestamp), then republishes the snapshot if the policy replaced
 //     its table. Routing therefore lags policy state by at most one
 //     control interval — the staleness bound DESIGN.md documents.
-//   - Health is two stacked layers. SetEjected is the manual/probe layer:
-//     a boolean veto, as before. The optional passive detector layer
-//     (ControllerConfig.Detector) consumes in-band signals — reported
+//   - Health is two stacked layers, and the Controller is its one home.
+//     The manual layer is a boolean veto, set by SetEjected or by the
+//     active prober's streaks (ReportProbe). The optional passive detector
+//     layer (ControllerConfig.Detector) consumes in-band signals — reported
 //     dial/relay failures between ticks, per-backend latency aggregates
 //     at each tick — and drives the healthy → ejected → half-open →
-//     slow-start state machine, expressed to the data plane purely as
-//     per-backend admission fractions in the published Snapshot.
+//     slow-start state machine through one transition function (move),
+//     expressed to the data plane purely as per-backend admission
+//     fractions in the published Snapshot. Health reads it all back.
 //
 // Controller implements Policy, so it drops in anywhere a Policy does. The
 // wrapped policy never sees concurrent calls, exactly as the Policy
@@ -87,6 +89,7 @@ type Controller struct {
 	congTotal   []uint64     // cumulative congestion events per backend
 	congSeen    bool         // any congestion event ever merged
 	manual      []bool       // SetEjected layer (probe / operator vetoes)
+	probeStreak []int        // per backend: >0 consecutive probe successes, <0 failures
 	det         *detector    // passive layer; nil when disabled
 	medScratch  []time.Duration
 	medScratch2 []time.Duration // others-median rebuilds for recovery states
@@ -138,18 +141,19 @@ func NewController(policy Policy, cfg ControllerConfig) *Controller {
 	}
 	n := policy.NumBackends()
 	c := &Controller{
-		policy:    policy,
-		cfg:       cfg,
-		agg:       newAggregator(cfg.Shards, n),
-		scratch:   make([]sampleCell, n),
-		lastMerge: make([]TickStat, n),
-		congTotal: make([]uint64, n),
-		manual:    make([]bool, n),
-		admit:     make([]uint32, n),
-		healthy:   n,
-		start:     time.Now(),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		policy:      policy,
+		cfg:         cfg,
+		agg:         newAggregator(cfg.Shards, n),
+		scratch:     make([]sampleCell, n),
+		lastMerge:   make([]TickStat, n),
+		congTotal:   make([]uint64, n),
+		manual:      make([]bool, n),
+		probeStreak: make([]int, n),
+		admit:       make([]uint32, n),
+		healthy:     n,
+		start:       time.Now(),
+		stop:        make(chan struct{}),
+		done:        make(chan struct{}),
 	}
 	for i := range c.admit {
 		c.admit[i] = admitFull
@@ -326,22 +330,12 @@ func (c *Controller) reportFailure(b int, now time.Duration) {
 		h := &c.det.st[b]
 		switch h.state {
 		case Healthy, SlowStart:
-			h.consecFails++
-			if h.consecFails >= c.det.cfg.FailureThreshold {
-				prev, fails := h.state, h.consecFails
-				if h.state == SlowStart {
-					c.det.reEject(b, now)
-				} else {
-					c.det.eject(b, now, c.othersRoutableLocked(b))
-				}
-				if h.state != prev { // ejection can be vetoed (last routable backend)
-					c.auditTransition(b, prev, h.state, auditlog.CauseFailures, fails, 0, 0, 0, 0, 0)
-				}
+			if h.consecFails++; h.consecFails >= c.det.cfg.FailureThreshold {
+				c.move(b, Ejected, auditlog.CauseFailures, now, evidence{fails: h.consecFails})
 			}
 		case HalfOpen:
 			// A failed trial: one strike re-ejects with doubled backoff.
-			c.det.reEject(b, now)
-			c.auditTransition(b, HalfOpen, Ejected, auditlog.CauseTrialFailed, 1, 0, 0, 0, 0, 0)
+			c.move(b, Ejected, auditlog.CauseTrialFailed, now, evidence{fails: 1})
 		}
 		c.refreshAdmitLocked()
 		if c.dirty {
@@ -370,8 +364,7 @@ func (c *Controller) ReportDialSuccess(b int) {
 		case HalfOpen:
 			h.successes++
 			if h.successes >= c.det.cfg.SuccessThreshold {
-				c.det.recoverTo(b)
-				c.auditTransition(b, HalfOpen, SlowStart, auditlog.CauseTrialSuccess, 0, 0, 0, 0, 0, 0)
+				c.move(b, SlowStart, auditlog.CauseTrialSuccess, c.lastNow, evidence{})
 				c.refreshAdmitLocked()
 				if c.dirty {
 					c.republishLocked()
@@ -533,10 +526,7 @@ func (c *Controller) detectorTickLocked(now time.Duration) {
 		switch h.state {
 		case Ejected:
 			if !c.manual[b] && now >= h.reopenAt {
-				h.state = HalfOpen
-				h.trialTicks = 0
-				h.successes = 0
-				c.auditTransition(b, Ejected, HalfOpen, auditlog.CauseBackoffExpired, 0, 0, 0, 0, 0, 0)
+				c.move(b, HalfOpen, auditlog.CauseBackoffExpired, now, evidence{})
 			}
 		case HalfOpen:
 			// Judge the trial against the rest of the pool, never against
@@ -551,9 +541,8 @@ func (c *Controller) detectorTickLocked(now time.Duration) {
 					// back, the signature of clients giving up on a
 					// still-dead backend. In-band proof the trial failed;
 					// no need to wait out the window.
-					c.det.reEject(b, now)
-					c.auditTransition(b, HalfOpen, Ejected, auditlog.CauseTrialFailed,
-						0, m.Min, om, m.Retrans, m.DupAcks, m.ZeroWins)
+					c.move(b, Ejected, auditlog.CauseTrialFailed, now, evidence{mean: m.Min, median: om,
+						retrans: m.Retrans, dupAcks: m.DupAcks, zeroWins: m.ZeroWins})
 					continue
 				}
 				// In-band evidence the trial worked: samples flowed, and
@@ -561,14 +550,11 @@ func (c *Controller) detectorTickLocked(now time.Duration) {
 				h.successes++
 			}
 			if h.successes >= c.det.cfg.SuccessThreshold {
-				c.det.recoverTo(b)
-				c.auditTransition(b, HalfOpen, SlowStart, auditlog.CauseTrialSuccess,
-					0, m.Mean, median, 0, 0, 0)
+				c.move(b, SlowStart, auditlog.CauseTrialSuccess, now, evidence{mean: m.Mean, median: median})
 			} else if h.trialTicks++; h.trialTicks >= c.det.cfg.HalfOpenTicks {
 				// No successful trial in time — whether trials failed or
 				// never arrived, the backend goes back to the bench.
-				c.det.reEject(b, now)
-				c.auditTransition(b, HalfOpen, Ejected, auditlog.CauseTrialTimeout, 0, 0, 0, 0, 0, 0)
+				c.move(b, Ejected, auditlog.CauseTrialTimeout, now, evidence{})
 			}
 		case SlowStart:
 			if om := c.othersMedianLocked(b); m.Count > 0 && om > 0 &&
@@ -576,17 +562,14 @@ func (c *Controller) detectorTickLocked(now time.Duration) {
 				// The ramp's own traffic is uniformly slow: pause the ramp,
 				// and send the backend back to the bench if it persists.
 				if h.outlierTicks++; h.outlierTicks >= c.det.cfg.OutlierTicks {
-					ticks := h.outlierTicks
-					c.det.reEject(b, now)
-					c.auditTransition(b, SlowStart, Ejected, auditlog.CauseRampOutlier,
-						ticks, m.Min, c.othersMedianLocked(b), m.Retrans, m.DupAcks, m.ZeroWins)
+					c.move(b, Ejected, auditlog.CauseRampOutlier, now, evidence{fails: h.outlierTicks,
+						mean: m.Min, median: om, retrans: m.Retrans, dupAcks: m.DupAcks, zeroWins: m.ZeroWins})
 				}
 				continue
 			}
 			h.outlierTicks = 0
 			if h.rampTick++; h.rampTick >= c.det.cfg.SlowStartTicks {
-				c.det.heal(b)
-				c.auditTransition(b, SlowStart, Healthy, auditlog.CauseRampDone, 0, m.Mean, median, 0, 0, 0)
+				c.move(b, Healthy, auditlog.CauseRampDone, now, evidence{mean: m.Mean, median: median})
 			}
 		case Healthy:
 			if c.det.congestionEnabled() {
@@ -613,11 +596,7 @@ func (c *Controller) detectorTickLocked(now time.Duration) {
 				// freezes the count rather than resetting it.
 				if h.everSampled && h.routedSinceSample > 0 {
 					if h.silentTicks++; h.silentTicks >= c.det.cfg.StarvationTicks {
-						ticks := h.silentTicks
-						if c.det.eject(b, now, c.othersRoutableLocked(b)) {
-							c.auditTransition(b, Healthy, Ejected, auditlog.CauseStarvation,
-								ticks, 0, median, 0, 0, 0)
-						}
+						c.move(b, Ejected, auditlog.CauseStarvation, now, evidence{fails: h.silentTicks, median: median})
 					}
 				}
 				continue
@@ -625,11 +604,7 @@ func (c *Controller) detectorTickLocked(now time.Duration) {
 			h.silentTicks = 0
 			if outlier(m.Mean, median, c.det.cfg.OutlierFactor) {
 				if h.outlierTicks++; h.outlierTicks >= c.det.cfg.OutlierTicks {
-					ticks := h.outlierTicks
-					if c.det.eject(b, now, c.othersRoutableLocked(b)) {
-						c.auditTransition(b, Healthy, Ejected, auditlog.CauseOutlier,
-							ticks, m.Mean, median, 0, 0, 0)
-					}
+					c.move(b, Ejected, auditlog.CauseOutlier, now, evidence{fails: h.outlierTicks, mean: m.Mean, median: median})
 				}
 			} else {
 				h.outlierTicks = 0
@@ -663,16 +638,12 @@ func (c *Controller) congestionCheckLocked(b int, totalEv int64, now time.Durati
 		h.congTicks++
 		if h.congTicks >= cfg.CongestionTicks && !h.congested {
 			h.congested = true
-			c.auditTransition(b, Healthy, Healthy, auditlog.CauseCongestionLatch,
-				h.congTicks, 0, 0, m.Retrans, m.DupAcks, m.ZeroWins)
+			c.auditTransition(b, Healthy, Healthy, auditlog.CauseCongestionLatch, evidence{fails: h.congTicks,
+				retrans: m.Retrans, dupAcks: m.DupAcks, zeroWins: m.ZeroWins})
 		}
 		if h.congTicks >= 2*cfg.CongestionTicks {
-			ticks := h.congTicks
-			if c.det.eject(b, now, c.othersRoutableLocked(b)) {
-				h.congEjections++
-				c.auditTransition(b, Healthy, Ejected, auditlog.CauseCongestion,
-					ticks, 0, 0, m.Retrans, m.DupAcks, m.ZeroWins)
-			}
+			c.move(b, Ejected, auditlog.CauseCongestion, now, evidence{fails: h.congTicks,
+				retrans: m.Retrans, dupAcks: m.DupAcks, zeroWins: m.ZeroWins})
 		}
 	case h.congested:
 		if h.calmTicks++; h.calmTicks >= cfg.CongestionClear {
@@ -680,7 +651,7 @@ func (c *Controller) congestionCheckLocked(b int, totalEv int64, now time.Durati
 			h.congTicks = 0
 			h.calmTicks = 0
 			c.auditTransition(b, Healthy, Healthy, auditlog.CauseCongestionClear,
-				0, 0, 0, m.Retrans, m.DupAcks, m.ZeroWins)
+				evidence{retrans: m.Retrans, dupAcks: m.DupAcks, zeroWins: m.ZeroWins})
 		}
 	default:
 		h.congTicks = 0
@@ -775,45 +746,107 @@ func (c *Controller) republishLocked() {
 // instantaneous and full, as before. No-op when the state is unchanged.
 func (c *Controller) SetEjected(i int, down bool) {
 	c.mu.Lock()
-	if i >= 0 && i < len(c.manual) && c.manual[i] != down {
-		c.manual[i] = down
-		to := Healthy
-		if down {
-			to = Ejected
-		}
-		c.auditNoteLocked(auditlog.Record{Kind: auditlog.KindManual, Cause: auditlog.CauseManual,
-			To: uint8(to), Backend: int32(i), Healthy: int32(c.healthy)})
-		if !down && c.det != nil && c.det.st[i].state == Healthy {
-			// Probe-driven recovery: ramp back in instead of slamming the
-			// backend with its full share on the first snapshot.
-			c.det.recoverTo(i)
-			c.auditTransition(i, Healthy, SlowStart, auditlog.CauseManual, 0, 0, 0, 0, 0, 0)
-		}
-		c.refreshAdmitLocked()
-		c.republishLocked()
-	}
+	c.setManualLocked(i, down)
 	c.mu.Unlock()
 }
 
-// Ejected reports whether backend i currently admits no traffic (manually
-// vetoed or passively ejected).
-func (c *Controller) Ejected(i int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.admit[i] == 0
+// setManualLocked is SetEjected with c.mu held.
+func (c *Controller) setManualLocked(i int, down bool) {
+	if i < 0 || i >= len(c.manual) || c.manual[i] == down {
+		return
+	}
+	c.manual[i] = down
+	to := Healthy
+	if down {
+		to = Ejected
+	}
+	c.auditNoteLocked(auditlog.Record{Kind: auditlog.KindManual, Cause: auditlog.CauseManual,
+		To: uint8(to), Backend: int32(i), Healthy: int32(c.healthy)})
+	if !down && c.det != nil && c.det.st[i].state == Healthy {
+		// Probe-driven recovery: ramp back in instead of slamming the
+		// backend with its full share on the first snapshot.
+		c.move(i, SlowStart, auditlog.CauseManual, c.lastNow, evidence{})
+	}
+	c.refreshAdmitLocked()
+	c.republishLocked()
 }
 
-// Admission returns backend i's combined admission fraction in [0, 1] —
-// the manual-veto ∧ passive-detector view the next published snapshot will
-// carry. Unlike Snapshot().Admission it is defined for non-TableSource
-// policies too, which never publish snapshots.
-func (c *Controller) Admission(i int) float64 {
+// The active prober's de-flapping: probeFailThreshold consecutive failed
+// probes set a backend's manual veto and probeRecoverThreshold consecutive
+// successes lift it, so one lost SYN does not flap routing.
+const (
+	probeFailThreshold    = 3
+	probeRecoverThreshold = 2
+)
+
+// ReportProbe feeds one active health-probe result for backend i (ok: the
+// probe connected) into the backend's probe streak, and sets or lifts the
+// manual veto, as SetEjected does, once the streak reaches its threshold.
+// The live proxy reports each probe dial; the simulator reports the fault
+// schedule's verdict.
+func (c *Controller) ReportProbe(i int, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if i < 0 || i >= len(c.probeStreak) {
+		return
+	}
+	s := &c.probeStreak[i]
+	if ok {
+		if *s = max(*s, 0) + 1; *s >= probeRecoverThreshold {
+			c.setManualLocked(i, false)
+		}
+	} else if *s = min(*s, 0) - 1; -*s >= probeFailThreshold {
+		c.setManualLocked(i, true)
+	}
+}
+
+// BackendHealth is one backend's health as the Controller sees it.
+type BackendHealth struct {
+	// State is the passive-detector state. A manual veto reads Ejected
+	// whatever the detector says; with the detector disabled an unvetoed
+	// backend is Healthy.
+	State HealthState
+	// Admission is the combined admission fraction in [0, 1] — the
+	// manual-veto ∧ passive-detector view the next published snapshot will
+	// carry. Unlike Snapshot().Admission it is defined for
+	// non-TableSource policies too, which never publish snapshots.
+	Admission float64
+	// Ejections counts the backend's passive ejections, and
+	// CongestionEjections those of them the transport-distress detector
+	// drove (both 0 with the detector disabled).
+	Ejections, CongestionEjections uint64
+	// Congested reports the congestion weight-down latch.
+	Congested bool
+	// CongestionEvents is the cumulative merged congestion-event count
+	// (retransmissions + dup-ACK runs + zero-window stalls), counted
+	// whether or not the detector acts on them.
+	CongestionEvents uint64
+}
+
+// Ejected reports whether the backend admits no traffic (manually vetoed or
+// passively ejected).
+func (h BackendHealth) Ejected() bool { return h.Admission == 0 }
+
+// Health returns backend i's health, read under one lock acquisition. An
+// out-of-range i reads as the zero BackendHealth, which admits nothing.
+func (c *Controller) Health(i int) BackendHealth {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if i < 0 || i >= len(c.admit) {
-		return 0
+		return BackendHealth{}
 	}
-	return float64(c.admit[i]) / float64(admitFull)
+	h := BackendHealth{
+		Admission:        float64(c.admit[i]) / float64(admitFull),
+		CongestionEvents: c.congTotal[i],
+	}
+	if c.det != nil {
+		d := &c.det.st[i]
+		h.State, h.Ejections, h.CongestionEjections, h.Congested = d.state, d.ejections, d.congEjections, d.congested
+	}
+	if c.manual[i] {
+		h.State = Ejected
+	}
+	return h
 }
 
 // BindOccupancy forwards a live occupancy source to the wrapped policy when
@@ -828,67 +861,9 @@ func (c *Controller) BindOccupancy(fn func(b int) int) {
 	}
 }
 
-// HealthState returns backend i's passive-detector state. A manual veto
-// reports Ejected regardless of detector state; with the detector disabled
-// an unvetoed backend is always Healthy.
-func (c *Controller) HealthState(i int) HealthState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.manual[i] {
-		return Ejected
-	}
-	if c.det == nil {
-		return Healthy
-	}
-	return c.det.st[i].state
-}
-
-// Ejections returns backend i's cumulative passive-ejection count (0 when
-// the detector is disabled).
-func (c *Controller) Ejections(i int) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.det == nil {
-		return 0
-	}
-	return c.det.st[i].ejections
-}
-
-// CongestionEjections returns how many of backend i's passive ejections were
-// driven by the transport-distress detector rather than latency or failure
-// evidence (0 when the detector or its congestion path is disabled).
-func (c *Controller) CongestionEjections(i int) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.det == nil {
-		return 0
-	}
-	return c.det.st[i].congEjections
-}
-
-// Congested reports whether backend i currently has the congestion
-// weight-down latch set (always false when the congestion path is disabled).
-func (c *Controller) Congested(i int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.det == nil || i < 0 || i >= len(c.det.st) {
-		return false
-	}
-	return c.det.st[i].congested
-}
-
-// CongestionEvents returns backend i's cumulative merged congestion-event
-// count (retransmissions + dup-ACK runs + zero-window stalls). Counted
-// whether or not the detector acts on them, so instrumentation can compare
-// observed distress against injected faults.
-func (c *Controller) CongestionEvents(i int) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if i < 0 || i >= len(c.congTotal) {
-		return 0
-	}
-	return c.congTotal[i]
-}
+// Interval returns the control tick period (ControllerConfig.Interval,
+// defaults applied): Start ticks at it, and so does the simulator's LB.
+func (c *Controller) Interval() time.Duration { return c.cfg.Interval }
 
 // Snapshot returns the currently published routing snapshot, or nil when
 // the wrapped policy is not a TableSource.

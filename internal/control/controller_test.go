@@ -288,6 +288,45 @@ func TestControllerRouteEjection(t *testing.T) {
 	}
 }
 
+// TestControllerReportProbe pins the active prober's de-flapping: the veto
+// is set after probeFailThreshold consecutive failures and lifted after
+// probeRecoverThreshold consecutive successes, and a result of the other
+// kind restarts either streak.
+func TestControllerReportProbe(t *testing.T) {
+	m, err := NewMaglevStatic([]string{"a", "b", "c"}, 53)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewController(m, ControllerConfig{})
+	defer c.Close()
+	probe := func(ok bool, wantEjected bool, step string) {
+		t.Helper()
+		c.ReportProbe(1, ok)
+		if got := c.Health(1).Ejected(); got != wantEjected {
+			t.Fatalf("%s: ejected = %v, want %v", step, got, wantEjected)
+		}
+	}
+	probe(false, false, "1st failure")
+	probe(false, false, "2nd failure")
+	probe(true, false, "success resets the failure streak")
+	probe(false, false, "1st failure after reset")
+	probe(false, false, "2nd failure after reset")
+	probe(false, true, "3rd consecutive failure sets the veto")
+	if c.Health(0).Ejected() || c.Health(2).Ejected() {
+		t.Fatal("backend 1's probe streak ejected another backend")
+	}
+	probe(false, true, "further failure keeps the veto")
+	probe(true, true, "1st success")
+	probe(false, true, "failure resets the success streak")
+	probe(true, true, "1st success after reset")
+	probe(true, false, "2nd consecutive success lifts the veto")
+	if s := c.Snapshot(); s.Ejected(1) {
+		t.Fatal("lifted veto not republished")
+	}
+	c.ReportProbe(-1, false) // out of range: ignored
+	c.ReportProbe(3, false)
+}
+
 // TestControllerRouteMutexPathUndo: stateful policies (no snapshot) route
 // under the mutex; when the pick lands on an ejected backend its occupancy
 // accounting must be undone so per-backend counters do not leak.

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"time"
+
+	"inbandlb/internal/auditlog"
 )
 
 // HealthState is one backend's position in the failure-detection state
@@ -200,8 +202,9 @@ func (c *DetectorConfig) applyDefaults() {
 // over the low-entropy-mixed whole word) against admit.
 const admitFull = 1 << 16
 
-// backendHealth is one backend's detector state, guarded by Controller.mu.
-type backendHealth struct {
+// detectorState is one backend's detector state, guarded by Controller.mu.
+// Only Controller.move changes its state or resets it.
+type detectorState struct {
 	state             HealthState
 	consecFails       int           // consecutive reported connection failures
 	successes         int           // successes while half-open
@@ -225,7 +228,7 @@ type backendHealth struct {
 type detector struct {
 	cfg DetectorConfig
 	rng *rand.Rand
-	st  []backendHealth
+	st  []detectorState
 	// routed counts the flows Route and FailoverTarget sent each backend
 	// since the last tick, lock-free via the snapshots that share it.
 	routed []atomic.Uint32
@@ -236,7 +239,7 @@ func newDetector(cfg DetectorConfig, backends int) *detector {
 	return &detector{
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		st:     make([]backendHealth, backends),
+		st:     make([]detectorState, backends),
 		routed: make([]atomic.Uint32, backends),
 	}
 }
@@ -284,51 +287,53 @@ func fracToAdmit(f float64) uint32 {
 	return a
 }
 
-// eject moves b to Ejected at now, arming the jittered re-probe timer.
-// Returns false when ejection is vetoed because it would empty the pool
-// (the caller's admit view must keep at least one routable backend).
-func (d *detector) eject(b int, now time.Duration, othersRoutable bool) bool {
-	if !othersRoutable {
-		return false
-	}
-	h := &d.st[b]
-	if h.state == Ejected {
-		return false
-	}
-	backoff := h.backoff
-	if backoff == 0 {
-		backoff = d.cfg.BackoffInitial
-	}
-	// Every streak, latch and piece of evidence starts over.
-	*h = backendHealth{state: Ejected, backoff: backoff, reopenAt: now + d.jittered(backoff),
-		everSampled: h.everSampled, ejections: h.ejections + 1, congEjections: h.congEjections}
-	return true
+// evidence is what a detector transition is audited with.
+type evidence struct {
+	fails                      int           // streak that tripped the transition
+	mean, median               time.Duration // the backend's tick statistic and its yardstick
+	retrans, dupAcks, zeroWins int64         // this tick's congestion events
 }
 
-// reEject is eject after a failed recovery attempt: the backoff doubles.
-func (d *detector) reEject(b int, now time.Duration) {
+// move is the detector's one transition function: the only code that
+// changes a backend's state. It vetoes an ejection from Healthy that would
+// leave no routable backend, doubles the backoff — capped at BackoffMax —
+// when a recovery attempt (HalfOpen, SlowStart) fails, applies the resets
+// the new state needs, and audits the change with its cause and evidence.
+// Caller holds c.mu; the detector is enabled.
+func (c *Controller) move(b int, to HealthState, cause auditlog.Cause, now time.Duration, ev evidence) {
+	d := c.det
 	h := &d.st[b]
-	h.backoff = min(2*h.backoff, d.cfg.BackoffMax)
-	h.state = Healthy // let eject() see a transition
-	d.eject(b, now, true)
-}
-
-// recoverTo promotes b into slow-start (a successful trial).
-func (d *detector) recoverTo(b int) {
-	h := &d.st[b]
-	h.state = SlowStart
-	h.rampTick = 0
-	h.trialTicks = 0
-	h.successes = 0
-	h.consecFails = 0
-}
-
-// heal returns b to full health and resets the backoff ladder. Only the
-// lifetime counters and routes not yet answered carry over.
-func (d *detector) heal(b int) {
-	h := &d.st[b]
-	*h = backendHealth{everSampled: h.everSampled, routedSinceSample: h.routedSinceSample,
-		ejections: h.ejections, congEjections: h.congEjections}
+	from := h.state
+	switch to {
+	case Ejected:
+		if from == Healthy && !c.othersRoutableLocked(b) {
+			return
+		}
+		backoff := h.backoff
+		if from == HalfOpen || from == SlowStart {
+			backoff = min(2*backoff, d.cfg.BackoffMax)
+		}
+		if backoff == 0 {
+			backoff = d.cfg.BackoffInitial
+		}
+		congEjections := h.congEjections
+		if cause == auditlog.CauseCongestion {
+			congEjections++
+		}
+		// Every streak, latch and piece of evidence starts over.
+		*h = detectorState{state: Ejected, backoff: backoff, reopenAt: now + d.jittered(backoff),
+			everSampled: h.everSampled, ejections: h.ejections + 1, congEjections: congEjections}
+	case HalfOpen:
+		h.state, h.trialTicks, h.successes = HalfOpen, 0, 0
+	case SlowStart:
+		h.state, h.rampTick, h.trialTicks, h.successes, h.consecFails = SlowStart, 0, 0, 0, 0
+	case Healthy:
+		// Full health resets the backoff ladder. Only the lifetime counters
+		// and routes not yet answered carry over.
+		*h = detectorState{everSampled: h.everSampled, routedSinceSample: h.routedSinceSample,
+			ejections: h.ejections, congEjections: h.congEjections}
+	}
+	c.auditTransition(b, from, to, cause, ev)
 }
 
 func (d *detector) jittered(base time.Duration) time.Duration {

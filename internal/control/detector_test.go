@@ -30,25 +30,25 @@ func TestDetectorConsecutiveDialErrorsEject(t *testing.T) {
 
 	c.ReportDialError(1, 0)
 	c.ReportDialError(1, 0)
-	if c.Ejected(1) {
+	if c.Health(1).Ejected() {
 		t.Fatal("ejected below threshold")
 	}
 	// A success clears the streak.
 	c.ReportDialSuccess(1)
 	c.ReportDialError(1, 0)
 	c.ReportDialError(1, 0)
-	if c.Ejected(1) {
+	if c.Health(1).Ejected() {
 		t.Fatal("ejected despite intervening success")
 	}
 	c.ReportDialError(1, 0)
-	if !c.Ejected(1) || c.HealthState(1) != Ejected {
-		t.Fatalf("not ejected at threshold: state=%v", c.HealthState(1))
+	if !c.Health(1).Ejected() || c.Health(1).State != Ejected {
+		t.Fatalf("not ejected at threshold: state=%v", c.Health(1).State)
 	}
 	if c.Generation() <= gen0 {
 		t.Error("ejection did not republish the snapshot")
 	}
-	if c.Ejections(1) != 1 {
-		t.Errorf("Ejections(1) = %d, want 1", c.Ejections(1))
+	if c.Health(1).Ejections != 1 {
+		t.Errorf("Ejections(1) = %d, want 1", c.Health(1).Ejections)
 	}
 
 	// Routing avoids the ejected backend; accounting identity on snapshot.
@@ -78,19 +78,19 @@ func TestDetectorBackoffHalfOpenSlowStartRecovery(t *testing.T) {
 	c.det.cfg.BackoffJitter = 0
 
 	c.ReportDialError(2, 10*time.Millisecond)
-	if st := c.HealthState(2); st != Ejected {
+	if st := c.Health(2).State; st != Ejected {
 		t.Fatalf("state = %v, want ejected", st)
 	}
 
 	// Before the backoff expires the backend stays ejected.
 	c.Tick(50 * time.Millisecond)
-	if st := c.HealthState(2); st != Ejected {
+	if st := c.Health(2).State; st != Ejected {
 		t.Fatalf("state after early tick = %v, want ejected", st)
 	}
 
 	// Backoff expiry opens the trial window with a sliver of admission.
 	c.Tick(111 * time.Millisecond)
-	if st := c.HealthState(2); st != HalfOpen {
+	if st := c.Health(2).State; st != HalfOpen {
 		t.Fatalf("state after backoff = %v, want half-open", st)
 	}
 	if a := c.Snapshot().Admission(2); a <= 0 || a > 0.1 {
@@ -100,7 +100,7 @@ func TestDetectorBackoffHalfOpenSlowStartRecovery(t *testing.T) {
 	// Two dial successes promote to slow-start.
 	c.ReportDialSuccess(2)
 	c.ReportDialSuccess(2)
-	if st := c.HealthState(2); st != SlowStart {
+	if st := c.Health(2).State; st != SlowStart {
 		t.Fatalf("state after successes = %v, want slow-start", st)
 	}
 	prev := c.Snapshot().Admission(2)
@@ -117,7 +117,7 @@ func TestDetectorBackoffHalfOpenSlowStartRecovery(t *testing.T) {
 		}
 		prev = a
 	}
-	if st := c.HealthState(2); st != Healthy {
+	if st := c.Health(2).State; st != Healthy {
 		t.Fatalf("state after ramp = %v, want healthy", st)
 	}
 	if a := c.Snapshot().Admission(2); a != 1 {
@@ -144,11 +144,11 @@ func TestDetectorHalfOpenFailureDoublesBackoff(t *testing.T) {
 		backoffs = append(backoffs, reopen-now)
 		now = reopen
 		c.Tick(now) // Ejected -> HalfOpen
-		if st := c.HealthState(0); st != HalfOpen {
+		if st := c.Health(0).State; st != HalfOpen {
 			t.Fatalf("trial %d: state = %v, want half-open", trial, st)
 		}
 		c.ReportDialError(0, now) // trial fails -> re-eject, doubled
-		if st := c.HealthState(0); st != Ejected {
+		if st := c.Health(0).State; st != Ejected {
 			t.Fatalf("trial %d: state = %v, want ejected", trial, st)
 		}
 	}
@@ -171,14 +171,14 @@ func TestDetectorHalfOpenTimeoutReEjects(t *testing.T) {
 
 	c.ReportDialError(3, 0)
 	c.Tick(20 * time.Millisecond)
-	if st := c.HealthState(3); st != HalfOpen {
+	if st := c.Health(3).State; st != HalfOpen {
 		t.Fatalf("state = %v, want half-open", st)
 	}
 	// No trial traffic ever succeeds: after HalfOpenTicks it re-ejects.
 	for i := 0; i < 3; i++ {
 		c.Tick(time.Duration(21+i) * time.Millisecond)
 	}
-	if st := c.HealthState(3); st != Ejected {
+	if st := c.Health(3).State; st != Ejected {
 		t.Fatalf("state after silent trial = %v, want ejected", st)
 	}
 }
@@ -218,11 +218,11 @@ func TestDetectorLatencyOutlierEjects(t *testing.T) {
 		feed(c, 3, 4, 50*time.Millisecond, now) // 50x the pool median
 		c.Tick(now)
 	}
-	if !c.Ejected(3) {
+	if !c.Health(3).Ejected() {
 		t.Fatal("latency outlier not ejected after OutlierTicks")
 	}
 	for b := 0; b < 3; b++ {
-		if c.Ejected(b) {
+		if c.Health(b).Ejected() {
 			t.Fatalf("healthy backend %d ejected", b)
 		}
 	}
@@ -244,7 +244,7 @@ func TestDetectorOutlierStreakResets(t *testing.T) {
 		feed(c, 3, 4, lat, now)
 		c.Tick(now)
 	}
-	if c.Ejected(3) {
+	if c.Health(3).Ejected() {
 		t.Fatal("intermittent outlier ejected despite streak resets")
 	}
 }
@@ -267,7 +267,7 @@ func TestDetectorStarvationEjects(t *testing.T) {
 		}
 		c.Tick(now)
 	}
-	if !c.Ejected(1) {
+	if !c.Health(1).Ejected() {
 		t.Fatal("starved backend not ejected")
 	}
 }
@@ -285,7 +285,7 @@ func TestDetectorStarvationRequiresPriorSamples(t *testing.T) {
 		}
 		c.Tick(now)
 	}
-	if c.Ejected(1) {
+	if c.Health(1).Ejected() {
 		t.Fatal("never-sampled backend ejected by starvation detector")
 	}
 }
@@ -326,7 +326,7 @@ func TestDetectorStarvationSparesWeightFlooredBackend(t *testing.T) {
 		}
 		c.Tick(now)
 	}
-	if c.Ejected(1) {
+	if c.Health(1).Ejected() {
 		t.Fatal("weight-floored backend ejected by starvation detector")
 	}
 }
@@ -351,7 +351,7 @@ func TestDetectorStarvationNeedsRoutedCorroboration(t *testing.T) {
 		}
 		c.Tick(now)
 	}
-	if c.Ejected(1) {
+	if c.Health(1).Ejected() {
 		t.Fatal("silent backend ejected without a routed flow")
 	}
 
@@ -365,7 +365,7 @@ func TestDetectorStarvationNeedsRoutedCorroboration(t *testing.T) {
 		}
 		c.Tick(now)
 	}
-	if !c.Ejected(1) {
+	if !c.Health(1).Ejected() {
 		t.Fatal("routed-but-silent backend not ejected")
 	}
 }
@@ -396,7 +396,7 @@ func TestDetectorFailoverIsRoutedEvidence(t *testing.T) {
 			}
 			c.Tick(now)
 		}
-		if !c.Ejected(1) {
+		if !c.Health(1).Ejected() {
 			t.Errorf("%s: backend silent after a failover onto it was not ejected", pol.Name())
 		}
 	}
@@ -418,23 +418,23 @@ func TestDetectorRecoveredBackendNotStarvedOnOldRoutes(t *testing.T) {
 	busy(time.Millisecond, 0, 1, 2, 3) // everyone is starvation-eligible
 	c.SetEjected(1, true)
 	c.SetEjected(1, false) // probe recovery: slow-start
-	if st := c.HealthState(1); st != SlowStart {
+	if st := c.Health(1).State; st != SlowStart {
 		t.Fatalf("state = %v, want slow-start", st)
 	}
 	now := 2 * time.Millisecond
 	routeOnto(t, c, 1, now)
 	busy(now, 0, 2, 3) // the flow has not answered yet
-	for ; c.HealthState(1) == SlowStart; now += time.Millisecond {
+	for ; c.Health(1).State == SlowStart; now += time.Millisecond {
 		busy(now, 0, 1, 2, 3) // it answers through the ramp
 	}
-	if st := c.HealthState(1); st != Healthy {
+	if st := c.Health(1).State; st != Healthy {
 		t.Fatalf("state after ramp = %v, want healthy", st)
 	}
 	for tick := 0; tick < 20; tick++ {
 		busy(now, 0, 2, 3) // no new flow lands on 1: quiet, not silent
 		now += time.Millisecond
 	}
-	if c.Ejected(1) {
+	if c.Health(1).Ejected() {
 		t.Fatal("recovered backend starved out on flows routed before its samples returned")
 	}
 }
@@ -453,7 +453,7 @@ func TestDetectorIdlePoolJudgesNoOne(t *testing.T) {
 		c.Tick(time.Duration(tick+2) * time.Millisecond)
 	}
 	for b := 0; b < 4; b++ {
-		if c.Ejected(b) {
+		if c.Health(b).Ejected() {
 			t.Fatalf("backend %d ejected on an idle pool", b)
 		}
 	}
@@ -463,7 +463,7 @@ func TestDetectorNeverEjectsLastBackend(t *testing.T) {
 	c := detCtrl(t, DetectorConfig{FailureThreshold: 1})
 	for b := 0; b < 3; b++ {
 		c.ReportDialError(b, 0)
-		if !c.Ejected(b) {
+		if !c.Health(b).Ejected() {
 			t.Fatalf("backend %d not ejected", b)
 		}
 	}
@@ -471,7 +471,7 @@ func TestDetectorNeverEjectsLastBackend(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.ReportDialError(3, 0)
 	}
-	if c.Ejected(3) {
+	if c.Health(3).Ejected() {
 		t.Fatal("last admitted backend was ejected")
 	}
 	if s := c.Snapshot(); s.NextHealthy(3) != -1 {
@@ -493,7 +493,7 @@ func TestDetectorHalfOpenTrialGetsTraffic(t *testing.T) {
 	c.det.cfg.BackoffJitter = 0
 	c.ReportDialError(0, 0)
 	c.Tick(2 * time.Millisecond)
-	if st := c.HealthState(0); st != HalfOpen {
+	if st := c.Health(0).State; st != HalfOpen {
 		t.Fatalf("state = %v, want half-open", st)
 	}
 	s := c.Snapshot()
@@ -521,11 +521,11 @@ func TestDetectorHalfOpenTrialGetsTraffic(t *testing.T) {
 func TestSetEjectedWithDetectorRecoversViaSlowStart(t *testing.T) {
 	c := detCtrl(t, DetectorConfig{SlowStartTicks: 8, SlowStartInitial: 0.25})
 	c.SetEjected(2, true)
-	if !c.Ejected(2) {
+	if !c.Health(2).Ejected() {
 		t.Fatal("manual eject ignored")
 	}
 	c.SetEjected(2, false)
-	if st := c.HealthState(2); st != SlowStart {
+	if st := c.Health(2).State; st != SlowStart {
 		t.Fatalf("state after probe recovery = %v, want slow-start", st)
 	}
 	if a := c.Snapshot().Admission(2); a >= 1 {
@@ -540,11 +540,11 @@ func TestSetEjectedWithoutDetectorIsInstant(t *testing.T) {
 	}
 	c := NewController(p, ControllerConfig{Shards: 1})
 	c.SetEjected(2, true)
-	if !c.Ejected(2) {
+	if !c.Health(2).Ejected() {
 		t.Fatal("eject ignored")
 	}
 	c.SetEjected(2, false)
-	if c.Ejected(2) {
+	if c.Health(2).Ejected() {
 		t.Fatal("readmit ignored")
 	}
 	if a := c.Snapshot().Admission(2); a != 1 {

@@ -157,6 +157,7 @@ func RunOpts(sc Scenario, opts RunOptions) (*Report, error) {
 		report:      &Report{Scenario: sc},
 		digest:      fnv.New64a(),
 		samples:     make([][]time.Duration, sc.Backends),
+		health:      make([]control.BackendHealth, sc.Backends),
 		lastState:   make([]control.HealthState, sc.Backends),
 		lastChange:  make([]time.Duration, sc.Backends),
 		prevNew:     make([]uint64, sc.Backends),
@@ -233,7 +234,6 @@ func RunOpts(sc Scenario, opts RunOptions) (*Report, error) {
 		ServerToClient:      sc.ServerToClient,
 		LinkRate:            sc.LinkRate,
 		ServerPathSchedules: scheds,
-		ControlInterval:     sc.ControlInterval,
 		Congestion:          sc.Congestion,
 	})
 	if err != nil {
@@ -386,6 +386,9 @@ type harness struct {
 	baseNew   []uint64 // NewPerBack at CleanFrom
 	baseResp  uint64   // client responses at CleanFrom
 
+	// health is each backend's health as of the current check tick, read
+	// once per backend for every check that tick.
+	health []control.BackendHealth
 	// Health-state transition tracking for the liveness oracle: sampled
 	// each check tick, so "stuck" means no transition across many ticks.
 	lastState  []control.HealthState
@@ -451,7 +454,7 @@ func (h *harness) checkRecall(now time.Duration, ls *lb.Stats) {
 		silent := ls.SampPerBack[b] == h.prevSamp[b] && ls.SampPerBack[b] > 0
 		switch {
 		case !active || !silent || !h.sc.blackholedOver(b, h.prevCheck, now) ||
-			h.ctrl.HealthState(b) != control.Healthy:
+			h.health[b].State != control.Healthy:
 			since = -1
 		case since < 0 && ls.NewPerBack[b] > h.prevNew[b]:
 			since = h.prevCheck
@@ -565,14 +568,15 @@ func (h *harness) checkTick() {
 					h.violate("snapshot-weights", "weight[%d]=%v outside [MinWeight=%v, 1]", i, w, h.sc.MinWeight)
 				}
 			}
-			if len(weights) > 0 && (wsum < 0.99 || wsum > 1.01) {
+			if len(weights) > 0 && math.Abs(wsum-1) > 1e-9 {
 				h.violate("snapshot-weights", "weights not normalized: sum=%v", wsum)
 			}
 		}
 	}
 	admitted := 0
-	for i := 0; i < h.sc.Backends; i++ {
-		a := h.ctrl.Admission(i)
+	for i := range h.health {
+		h.health[i] = h.ctrl.Health(i)
+		a := h.health[i].Admission
 		if a < 0 || a > 1 {
 			h.violate("snapshot-admission", "admission[%d]=%v outside [0,1]", i, a)
 		}
@@ -600,16 +604,15 @@ func (h *harness) checkTick() {
 		cs.Stale, cs.Abandoned, outstanding, h.ctrl.Generation(),
 		ls.Retrans, ls.DupAcks, ls.ZeroWins,
 		cs.Retransmits, cs.DupAcks, cs.ZeroWindows)
-	for i := 0; i < h.sc.Backends; i++ {
-		st := h.ctrl.HealthState(i)
-		if st != h.lastState[i] {
-			h.lastState[i] = st
+	for i, bh := range h.health {
+		if bh.State != h.lastState[i] {
+			h.lastState[i] = bh.State
 			h.lastChange[i] = now
 		}
 		h.fold(ls.PerBackend[i], ls.NewPerBack[i], ls.SampPerBack[i],
-			uint64(st), math.Float64bits(h.ctrl.Admission(i)))
+			uint64(bh.State), math.Float64bits(bh.Admission))
 		if ls.CongPerBack != nil {
-			h.fold(ls.CongPerBack[i], h.ctrl.CongestionEjections(i))
+			h.fold(ls.CongPerBack[i], bh.CongestionEjections)
 		}
 	}
 	for _, w := range weights {
@@ -695,12 +698,13 @@ func (h *harness) checkFinal() {
 	const stuckThreshold = 800 * time.Millisecond
 	var congEj uint64
 	for i := 0; i < h.sc.Backends; i++ {
-		st := h.ctrl.HealthState(i)
-		h.report.Stats.Ejections += h.ctrl.Ejections(i)
+		bh := h.ctrl.Health(i)
+		st := bh.State
+		h.report.Stats.Ejections += bh.Ejections
 		// Attribution: a congestion ejection must point at a backend the LB
 		// actually attributed distress events to — the detector can never
 		// claim congestion it was never fed.
-		if ce := h.ctrl.CongestionEjections(i); ce > 0 {
+		if ce := bh.CongestionEjections; ce > 0 {
 			congEj += ce
 			if len(ls.CongPerBack) <= i || ls.CongPerBack[i] == 0 {
 				h.violate("congestion-attribution",

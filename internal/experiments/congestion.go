@@ -111,10 +111,9 @@ func runCongestionLeg(cfg CongestionConfig, signals bool) (*congestionLeg, error
 	}
 
 	cluster, err := testbed.NewCluster(testbed.ClusterConfig{
-		Seed:            cfg.Seed,
-		Policy:          ctrl,
-		Servers:         servers,
-		ControlInterval: faultControlInterval,
+		Seed:    cfg.Seed,
+		Policy:  ctrl,
+		Servers: servers,
 		// Both legs run the tracker so the dataplane is identical; the legs
 		// differ only in whether the detector acts on what it reports.
 		Congestion: true,
@@ -155,7 +154,7 @@ func runCongestionLeg(cfg CongestionConfig, signals bool) (*congestionLeg, error
 	// latency-outlier ejection on the baseline).
 	cluster.Sim.Every(faultControlInterval, faultControlInterval, func() bool {
 		now := cluster.Sim.Now()
-		if leg.reactDelay < 0 && now >= collapseAt && ctrl.Admission(0) < 1 {
+		if leg.reactDelay < 0 && now >= collapseAt && ctrl.Health(0).Admission < 1 {
 			leg.reactDelay = now - collapseAt
 		}
 		return now < cfg.Duration
@@ -213,7 +212,7 @@ func runCongestionLeg(cfg CongestionConfig, signals bool) (*congestionLeg, error
 	leg.responses = cs.Responses
 	leg.fallbacks = ls.Fallbacks
 	leg.congObserved = ls.Retrans + ls.DupAcks + ls.ZeroWins
-	leg.congEjections = ctrl.CongestionEjections(0)
+	leg.congEjections = ctrl.Health(0).CongestionEjections
 	return leg, nil
 }
 

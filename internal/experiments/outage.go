@@ -119,10 +119,9 @@ func outageCluster(seed int64, duration time.Duration, pol control.Policy, detec
 	servers[0].ConnFaults = sched
 
 	cluster, err := testbed.NewCluster(testbed.ClusterConfig{
-		Seed:            seed,
-		Policy:          ctrl,
-		Servers:         servers,
-		ControlInterval: faultControlInterval,
+		Seed:    seed,
+		Policy:  ctrl,
+		Servers: servers,
 		Workload: tcpsim.RequestConfig{
 			Connections:     faultConnections,
 			RequestsPerConn: faultRequestsPerConn,
@@ -159,27 +158,14 @@ func runOutageLeg(cfg OutageConfig, passive bool) (*outageLeg, error) {
 
 	// The probe-only leg models an out-of-band health checker: every
 	// ProbeInterval it "connects" to server 0 (consults the fault schedule
-	// the way a real TCP probe would experience it) and flips SetEjected on
-	// 3 consecutive failures / 2 consecutive successes — the de-flapped
-	// active checker, with zero in-band signal.
+	// the way a real TCP probe would experience it) and reports the result
+	// to the controller's prober (ReportProbe), the same de-flapped active
+	// checker the live proxy runs, with zero in-band signal.
 	if !passive {
 		const probeID = ^uint64(0)
-		fails, oks := 0, 0
 		cluster.Sim.Every(cfg.ProbeInterval, cfg.ProbeInterval, func() bool {
 			now := cluster.Sim.Now()
-			if sched.ConnFaultAt(now, probeID).Kind != faults.ConnNone {
-				fails++
-				oks = 0
-				if fails >= 3 && !ctrl.Ejected(0) {
-					ctrl.SetEjected(0, true)
-				}
-			} else {
-				oks++
-				fails = 0
-				if oks >= 2 && ctrl.Ejected(0) {
-					ctrl.SetEjected(0, false)
-				}
-			}
+			ctrl.ReportProbe(0, sched.ConnFaultAt(now, probeID).Kind == faults.ConnNone)
 			return now < cfg.Duration
 		})
 	}
@@ -187,12 +173,11 @@ func runOutageLeg(cfg OutageConfig, passive bool) (*outageLeg, error) {
 	// Recovery-time observer: sampled at the control interval, so the
 	// delays below are accurate to one tick.
 	cluster.Sim.Every(faultControlInterval, faultControlInterval, func() bool {
-		now := cluster.Sim.Now()
-		if leg.ejectDelay < 0 && now >= outageAt && ctrl.Ejected(0) {
+		now, h := cluster.Sim.Now(), ctrl.Health(0)
+		if leg.ejectDelay < 0 && now >= outageAt && h.Ejected() {
 			leg.ejectDelay = now - outageAt
 		}
-		if leg.ejectDelay >= 0 && leg.readmitDelay < 0 && now >= outageEnd &&
-			ctrl.HealthState(0) == control.Healthy {
+		if leg.ejectDelay >= 0 && leg.readmitDelay < 0 && now >= outageEnd && h.State == control.Healthy {
 			leg.readmitDelay = now - outageEnd
 		}
 		return now < cfg.Duration

@@ -6,7 +6,6 @@ package faults
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -170,42 +169,4 @@ func (s Stack) DelayAt(t time.Duration) time.Duration {
 		total += sched.DelayAt(t)
 	}
 	return total
-}
-
-// Steps builds a piecewise-constant schedule from (time, delay) breakpoints.
-// The delay in force at time t is the value of the latest breakpoint at or
-// before t (zero before the first).
-type Steps struct {
-	points []StepPoint
-}
-
-// StepPoint is one breakpoint of a Steps schedule.
-type StepPoint struct {
-	At    time.Duration
-	Extra time.Duration
-}
-
-// NewSteps constructs a Steps schedule; breakpoints are sorted by time.
-func NewSteps(points ...StepPoint) *Steps {
-	ps := append([]StepPoint(nil), points...)
-	sort.Slice(ps, func(i, j int) bool { return ps[i].At < ps[j].At })
-	return &Steps{points: ps}
-}
-
-// DelayAt implements Schedule.
-func (s *Steps) DelayAt(t time.Duration) time.Duration {
-	// Binary search for the last breakpoint at or before t.
-	lo, hi := 0, len(s.points)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.points[mid].At <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return 0
-	}
-	return s.points[lo-1].Extra
 }

@@ -3,7 +3,6 @@ package faults
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -205,72 +204,6 @@ func TestStack(t *testing.T) {
 	}
 	if got := s.DelayAt(time.Second); got != 3*time.Millisecond {
 		t.Errorf("t=1s: %v, want 3ms (sum)", got)
-	}
-}
-
-func TestSteps(t *testing.T) {
-	s := NewSteps(
-		StepPoint{At: 2 * time.Second, Extra: 200 * time.Microsecond},
-		StepPoint{At: time.Second, Extra: 100 * time.Microsecond}, // out of order on purpose
-		StepPoint{At: 3 * time.Second, Extra: 0},
-	)
-	cases := []struct {
-		at   time.Duration
-		want time.Duration
-	}{
-		{0, 0},
-		{time.Second, 100 * time.Microsecond},
-		{1500 * time.Millisecond, 100 * time.Microsecond},
-		{2 * time.Second, 200 * time.Microsecond},
-		{5 * time.Second, 0},
-	}
-	for _, c := range cases {
-		if got := s.DelayAt(c.at); got != c.want {
-			t.Errorf("Steps.DelayAt(%v) = %v, want %v", c.at, got, c.want)
-		}
-	}
-}
-
-func TestStepsEmpty(t *testing.T) {
-	s := NewSteps()
-	if s.DelayAt(time.Hour) != 0 {
-		t.Error("empty Steps should be 0 everywhere")
-	}
-}
-
-// Property: Steps is piecewise constant and agrees with a linear scan.
-func TestStepsAgreesWithLinearScan(t *testing.T) {
-	f := func(raw []uint32, probe uint32) bool {
-		pts := make([]StepPoint, 0, len(raw))
-		for i, r := range raw {
-			// Unique At values: duplicate breakpoints would make the
-			// winner among equals ordering-dependent.
-			pts = append(pts, StepPoint{
-				At:    time.Duration(r%1000)*time.Second + time.Duration(i)*time.Millisecond,
-				Extra: time.Duration(i) * time.Microsecond,
-			})
-		}
-		s := NewSteps(pts...)
-		at := time.Duration(probe%2000) * time.Millisecond
-		// Linear scan over the sorted points.
-		sorted := append([]StepPoint(nil), pts...)
-		for i := 0; i < len(sorted); i++ {
-			for j := i + 1; j < len(sorted); j++ {
-				if sorted[j].At < sorted[i].At {
-					sorted[i], sorted[j] = sorted[j], sorted[i]
-				}
-			}
-		}
-		var want time.Duration
-		for _, p := range sorted {
-			if p.At <= at {
-				want = p.Extra
-			}
-		}
-		return s.DelayAt(at) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -22,6 +22,13 @@ import (
 	"inbandlb/internal/packet"
 )
 
+// Connection-table housekeeping: every sweepInterval, entries idle for
+// connIdleTimeout are evicted.
+const (
+	sweepInterval   = time.Second
+	connIdleTimeout = 30 * time.Second
+)
+
 // Config parameterizes the dataplane.
 type Config struct {
 	// Policy routes new flows and consumes latency samples.
@@ -36,17 +43,6 @@ type Config struct {
 	// SYN) and its second is its one latency sample. It needs no timeout
 	// tuning but yields one sample per connection.
 	Handshake bool
-	// ConnIdleTimeout evicts connection-table entries idle this long
-	// during sweeps. Defaults to 30 s.
-	ConnIdleTimeout time.Duration
-	// SweepInterval is how often idle state is swept. Defaults to 1 s.
-	SweepInterval time.Duration
-	// ControlInterval drives the control tick when Policy is a
-	// *control.Controller wrapping the real policy: the LB calls Tick on
-	// the simulation clock at this period, merging batched latency samples
-	// into the policy and republishing the routing snapshot. Ignored for
-	// plain policies. Defaults to 2 ms.
-	ControlInterval time.Duration
 	// Congestion enables transport-distress tracking: every client→server
 	// packet is rendered as the TCP segment it models (sequence edge, ACK
 	// number, advertised window) and run through its connection entry's
@@ -146,15 +142,6 @@ func New(sim *netsim.Sim, cfg Config, uplinks []*netsim.Link) (*LB, error) {
 	if len(uplinks) != cfg.Policy.NumBackends() {
 		return nil, fmt.Errorf("lb: %d uplinks for %d backends", len(uplinks), cfg.Policy.NumBackends())
 	}
-	if cfg.ConnIdleTimeout <= 0 {
-		cfg.ConnIdleTimeout = 30 * time.Second
-	}
-	if cfg.SweepInterval <= 0 {
-		cfg.SweepInterval = time.Second
-	}
-	if cfg.ControlInterval <= 0 {
-		cfg.ControlInterval = 2 * time.Millisecond
-	}
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 65536
 	}
@@ -244,16 +231,16 @@ func (l *LB) HandlePacket(p *netsim.Packet) {
 	// Opportunistic housekeeping: sweeping on the packet path (rather than
 	// with a timer) keeps the event queue free of perpetual events, so
 	// simulations terminate when traffic does.
-	if now-l.lastSweep >= l.cfg.SweepInterval {
+	if now-l.lastSweep >= sweepInterval {
 		l.lastSweep = now
 		l.sweep()
 	}
 	// Control tick: when the policy is a Controller, merge its batched
-	// samples and republish the routing snapshot on the simulation clock —
-	// before this packet's measurement, so the pick below sees state at
-	// most one ControlInterval old, matching the live proxy's staleness
-	// bound.
-	if l.ctrl != nil && now-l.lastTick >= l.cfg.ControlInterval {
+	// samples and republish the routing snapshot on the simulation clock,
+	// at the Controller's own Interval — before this packet's measurement,
+	// so the pick below sees state at most one interval old, matching the
+	// live proxy's staleness bound.
+	if l.ctrl != nil && now-l.lastTick >= l.ctrl.Interval() {
 		l.lastTick = now
 		l.ctrl.Tick(now)
 	}
@@ -499,7 +486,7 @@ func (l *LB) evictOldest(now time.Duration) {
 // sweep evicts idle connections, and their per-flow state with them.
 func (l *LB) sweep() {
 	now := l.sim.Now()
-	cutoff := now - l.cfg.ConnIdleTimeout
+	cutoff := now - connIdleTimeout
 	for k, e := range l.conns {
 		if e.lastSeen < cutoff {
 			l.dropFlow(k, e, now)

@@ -105,19 +105,16 @@ func TestLBIdleSweep(t *testing.T) {
 		sinks[i] = &sink{}
 		links[i] = netsim.NewLink(sim, "up", 0, 0, sinks[i])
 	}
-	l, err := New(sim, Config{
-		Policy:          pol,
-		ConnIdleTimeout: 100 * time.Millisecond,
-		SweepInterval:   50 * time.Millisecond,
-	}, links)
+	l, err := New(sim, Config{Policy: pol}, links)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim.Schedule(0, func() { l.HandlePacket(req(1, 0)) })
 	// Sweeping is piggy-backed on the packet path; later traffic from a
 	// different flow triggers it.
-	sim.Schedule(time.Second, func() { l.HandlePacket(req(2, 0)) })
-	sim.RunUntil(2 * time.Second)
+	late := connIdleTimeout + sweepInterval
+	sim.Schedule(late, func() { l.HandlePacket(req(2, 0)) })
+	sim.RunUntil(late + time.Second)
 	if l.ConnCount() != 1 {
 		t.Errorf("conn count = %d, want 1 (idle flow swept, fresh flow kept)", l.ConnCount())
 	}
@@ -306,7 +303,7 @@ func TestLBControllerMatchesDirectPolicy(t *testing.T) {
 		var p control.Policy = pol
 		var ctrl *control.Controller
 		if wrap {
-			ctrl = control.NewController(pol, control.ControllerConfig{Shards: 2})
+			ctrl = control.NewController(pol, control.ControllerConfig{Shards: 2, Interval: time.Millisecond})
 			defer ctrl.Close()
 			p = ctrl
 		}
@@ -316,7 +313,7 @@ func TestLBControllerMatchesDirectPolicy(t *testing.T) {
 			sinks[i] = &sink{}
 			links[i] = netsim.NewLink(sim, "up", 10*time.Microsecond, 0, sinks[i])
 		}
-		l, err := New(sim, Config{Policy: p, ControlInterval: time.Millisecond}, links)
+		l, err := New(sim, Config{Policy: p}, links)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +354,7 @@ func TestLBTicksController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := control.NewController(la, control.ControllerConfig{Shards: 1})
+	ctrl := control.NewController(la, control.ControllerConfig{Shards: 1, Interval: time.Millisecond})
 	defer ctrl.Close()
 	sinks := make([]*sink, 2)
 	links := make([]*netsim.Link, 2)
@@ -365,7 +362,7 @@ func TestLBTicksController(t *testing.T) {
 		sinks[i] = &sink{}
 		links[i] = netsim.NewLink(sim, "up", 0, 0, sinks[i])
 	}
-	l, err := New(sim, Config{Policy: ctrl, ControlInterval: time.Millisecond}, links)
+	l, err := New(sim, Config{Policy: ctrl}, links)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +466,7 @@ func TestLBHandshakeCloseAndResample(t *testing.T) {
 // core.EstimatorIdleReset stamps afresh rather than sampling the silence.
 func TestLBHandshakeIdleAndEviction(t *testing.T) {
 	sim := netsim.NewSim(1)
-	l, _ := newModeLB(t, sim, Config{Handshake: true, MaxConns: 2, ConnIdleTimeout: time.Second})
+	l, _ := newModeLB(t, sim, Config{Handshake: true, MaxConns: 2})
 	send(sim, l, 0, 1, netsim.KindOpen)
 	send(sim, l, time.Millisecond, 2, netsim.KindOpen)
 	send(sim, l, 2*time.Millisecond, 3, netsim.KindOpen) // evicts flow 1 (oldest)
@@ -478,7 +475,7 @@ func TestLBHandshakeIdleAndEviction(t *testing.T) {
 		t.Fatalf("conns = %d, evicted = %d, flow 1 pinned to %d; want 2, 1, -1",
 			l.ConnCount(), l.Stats().Evicted, l.Backend(flowK(1)))
 	}
-	send(sim, l, 5*time.Second, 4, netsim.KindOpen) // sweeps flows 2 and 3
+	send(sim, l, connIdleTimeout+sweepInterval, 4, netsim.KindOpen) // sweeps flows 2 and 3
 	sim.Run()
 	if st := l.Stats(); st.Swept != 2 || l.ConnCount() != 1 {
 		t.Errorf("swept = %d, conns = %d; want 2, 1", st.Swept, l.ConnCount())

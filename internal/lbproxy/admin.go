@@ -167,14 +167,17 @@ func (p *Proxy) writeMetrics(w io.Writer) {
 		m.sample("lbproxy_backend_health_state",
 			backendLabels(i, p.cfg.Backends[i])+`,state="`+h+`"`, 1)
 	}
+	health := make([]control.BackendHealth, len(st.PerBackend))
+	for i := range health {
+		health[i] = p.ctrl.Health(i)
+	}
 	m.family("lbproxy_backend_admission", "Admitted fraction of the backend's hash range (0-1).", "gauge")
-	for i := range st.PerBackend {
-		m.sample("lbproxy_backend_admission", backendLabels(i, p.cfg.Backends[i]), p.ctrl.Admission(i))
+	for i, h := range health {
+		m.sample("lbproxy_backend_admission", backendLabels(i, p.cfg.Backends[i]), h.Admission)
 	}
 	m.family("lbproxy_backend_ejections_total", "Passive-detector ejections per backend.", "counter")
-	for i := range st.PerBackend {
-		m.sample("lbproxy_backend_ejections_total", backendLabels(i, p.cfg.Backends[i]),
-			float64(p.ctrl.Ejections(i)))
+	for i, h := range health {
+		m.sample("lbproxy_backend_ejections_total", backendLabels(i, p.cfg.Backends[i]), float64(h.Ejections))
 	}
 	if snap := p.ctrl.Snapshot(); snap != nil && snap.Weights() != nil {
 		m.family("lbproxy_backend_weight", "Published routing weight per backend.", "gauge")

@@ -288,7 +288,7 @@ func TestLoopConnectTimeout(t *testing.T) {
 		t.Errorf("connectTimeouts=%d failovers=%d dialErrors=%d perBackend=%v, want 1, 1, 0, [0 1]",
 			st.ConnectTimeouts, st.Failovers, st.DialErrors, st.PerBackend)
 	}
-	if n := p.ctrl.Ejections(0); n != 1 {
+	if n := p.ctrl.Health(0).Ejections; n != 1 {
 		t.Errorf("detector ejections = %d, want 1: the timed-out connect was not reported", n)
 	}
 	waitFDs(t, base)

@@ -372,6 +372,16 @@ func estimateVsClient(t *testing.T, payload int) (latMs, clientMs float64, st St
 	if st.Samples == 0 {
 		t.Fatal("the run produced no estimator samples")
 	}
+	// Enough to tell, on a failure, whether a slow wake inflated the
+	// estimator's EWMA or the client's own median.
+	var wakeups uint64
+	for _, s := range st.Netpoll {
+		wakeups += s.Wakeups
+	}
+	pct := func(p float64) float64 { return sorted[int(p*float64(len(sorted)-1))].Seconds() * 1e3 }
+	t.Logf("payload %dB: client RTT p10=%.2fms p50=%.2fms p90=%.2fms max=%.2fms; samples=%d delivered=%d; backend %d EWMA=%.2fms; netpoll wakeups=%d",
+		payload, pct(0.1), clientMs, pct(0.9), pct(1), st.Samples, st.SamplesDelivered,
+		serving, snap.LatenciesMs[serving], wakeups)
 	return snap.LatenciesMs[serving], clientMs, st
 }
 

@@ -159,10 +159,6 @@ const (
 	relayBufferSize = 32 << 10
 	// healthTimeout bounds each probe dial, or HealthInterval does if shorter.
 	healthTimeout = time.Second
-	// healthFailThreshold consecutive probe failures eject a backend;
-	// healthRecoverThreshold consecutive successes readmit it.
-	healthFailThreshold    = 3
-	healthRecoverThreshold = 2
 	// congSampleInterval is the TCP_INFO polling cadence: one getsockopt per
 	// backend connection per tick, far below the distress timescales the
 	// detector integrates over.
@@ -257,7 +253,6 @@ type Proxy struct {
 	fallbacks       atomic.Uint64
 	failovers       atomic.Uint64
 	perBackend      []atomic.Uint64
-	down            []atomic.Bool // probe layer's own view (streak bookkeeping)
 	stop            chan struct{}
 
 	// Relay syscall and pool accounting; see Stats.RelayReads et al.
@@ -295,7 +290,6 @@ func New(cfg Config) (*Proxy, error) {
 		cfg:        cfg,
 		start:      time.Now(),
 		perBackend: make([]atomic.Uint64, len(cfg.Backends)),
-		down:       make([]atomic.Bool, len(cfg.Backends)),
 		stop:       make(chan struct{}),
 	}
 	if err := p.initDataplane(); err != nil {
@@ -351,10 +345,10 @@ func (p *Proxy) Stats() Stats {
 	}
 	for i := range p.perBackend {
 		st.PerBackend[i] = p.perBackend[i].Load()
-		// Down reflects what routing sees — manual probe vetoes AND
-		// passive ejections — not just the probe loop's own bookkeeping.
-		st.Down[i] = p.ctrl.Ejected(i)
-		st.Health[i] = p.ctrl.HealthState(i).String()
+		// Down reflects what routing sees: probe vetoes AND passive ejections.
+		h := p.ctrl.Health(i)
+		st.Down[i] = h.Ejected()
+		st.Health[i] = h.State.String()
 	}
 	return st
 }
@@ -542,16 +536,13 @@ func (p *Proxy) forget(f *core.FlowEstimator) {
 }
 
 // probeLoop actively dials each backend roughly every HealthInterval
-// (jittered ±10% so many proxies' probes do not synchronize) and flips its
-// ejection bit only after healthFailThreshold consecutive failures or
-// healthRecoverThreshold consecutive successes — one lost SYN no longer
-// flaps routing. State changes go to the controller, which republishes the
-// routing snapshot immediately — ejections take effect on the next
-// accepted connection, not the next control tick.
+// (jittered ±10% so many proxies' probes do not synchronize) and reports
+// each result to the controller, whose probe streaks set or lift the
+// backend's veto (Controller.ReportProbe) and republish the routing
+// snapshot immediately — ejections take effect on the next accepted
+// connection, not the next control tick.
 func (p *Proxy) probeLoop() {
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	fails := make([]int, len(p.cfg.Backends))
-	oks := make([]int, len(p.cfg.Backends))
 	timeout := min(healthTimeout, p.cfg.HealthInterval)
 	timer := time.NewTimer(p.jitteredProbePeriod(rng))
 	defer timer.Stop()
@@ -564,20 +555,10 @@ func (p *Proxy) probeLoop() {
 		timer.Reset(p.jitteredProbePeriod(rng))
 		for i, addr := range p.cfg.Backends {
 			conn, err := net.DialTimeout("tcp", addr, timeout)
-			if err != nil {
-				oks[i] = 0
-				if fails[i]++; fails[i] >= healthFailThreshold && !p.down[i].Load() {
-					p.down[i].Store(true)
-					p.ctrl.SetEjected(i, true)
-				}
-				continue
+			if err == nil {
+				_ = conn.Close()
 			}
-			_ = conn.Close()
-			fails[i] = 0
-			if oks[i]++; oks[i] >= healthRecoverThreshold && p.down[i].Load() {
-				p.down[i].Store(false)
-				p.ctrl.SetEjected(i, false)
-			}
+			p.ctrl.ReportProbe(i, err == nil)
 		}
 	}
 }

@@ -607,7 +607,7 @@ func TestProxyPassiveOutageEjection(t *testing.T) {
 	t.Cleanup(func() { _ = a.Close() })
 	deadline = time.Now().Add(8 * time.Second)
 	for time.Now().Before(deadline) {
-		if !proxy.Stats().Down[0] && proxy.ctrl.HealthState(0) == control.Healthy {
+		if !proxy.Stats().Down[0] && proxy.ctrl.Health(0).State == control.Healthy {
 			break
 		}
 		_ = doSet() // keep trial traffic flowing
@@ -616,7 +616,7 @@ func TestProxyPassiveOutageEjection(t *testing.T) {
 	if proxy.Stats().Down[0] {
 		t.Fatal("backend never re-admitted after outage end")
 	}
-	if hs := proxy.ctrl.HealthState(0); hs != control.Healthy {
+	if hs := proxy.ctrl.Health(0).State; hs != control.Healthy {
 		t.Fatalf("health state after recovery = %v, want healthy", hs)
 	}
 	// And it takes traffic again.

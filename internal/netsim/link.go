@@ -191,20 +191,3 @@ func (l *Link) Send(p *Packet) {
 	}
 	l.sim.Schedule(arrival, l.newDelivery(p).fn)
 }
-
-// Pipe is a convenience bundle of two opposite links between two handlers,
-// modeling a full-duplex path.
-type Pipe struct {
-	// AtoB carries traffic from the first endpoint to the second.
-	AtoB *Link
-	// BtoA carries traffic from the second endpoint to the first.
-	BtoA *Link
-}
-
-// NewPipe creates symmetric links (same delay and rate both ways).
-func NewPipe(sim *Sim, name string, delay time.Duration, rate float64, a, b Handler) *Pipe {
-	return &Pipe{
-		AtoB: NewLink(sim, name+":a->b", delay, rate, b),
-		BtoA: NewLink(sim, name+":b->a", delay, rate, a),
-	}
-}

@@ -162,27 +162,6 @@ func TestNewLinkValidation(t *testing.T) {
 	}
 }
 
-func TestPipe(t *testing.T) {
-	s := NewSim(1)
-	a := &collector{sim: s}
-	b := &collector{sim: s}
-	p := NewPipe(s, "ab", time.Millisecond, 0, a, b)
-	s.Schedule(0, func() {
-		p.AtoB.Send(&Packet{Seq: 1})
-		p.BtoA.Send(&Packet{Seq: 2})
-	})
-	s.Run()
-	if len(b.packets) != 1 || b.packets[0].Seq != 1 {
-		t.Error("AtoB did not reach b")
-	}
-	if len(a.packets) != 1 || a.packets[0].Seq != 2 {
-		t.Error("BtoA did not reach a")
-	}
-	if p.AtoB.Name() != "ab:a->b" {
-		t.Errorf("name = %q", p.AtoB.Name())
-	}
-}
-
 func TestKindAndOpStrings(t *testing.T) {
 	kinds := map[Kind]string{
 		KindData: "data", KindAck: "ack", KindRequest: "request",

@@ -236,7 +236,7 @@ func TestLBPacketPathZeroAlloc(t *testing.T) {
 		sim := netsim.NewSim(1)
 		var pol control.Policy = control.NewRoundRobin(4)
 		if leg.congestion {
-			ctrl := control.NewController(pol, control.ControllerConfig{})
+			ctrl := control.NewController(pol, control.ControllerConfig{Interval: 100 * time.Microsecond})
 			defer ctrl.Close()
 			pol = ctrl
 		}
@@ -244,9 +244,7 @@ func TestLBPacketPathZeroAlloc(t *testing.T) {
 		for i := range links {
 			links[i] = netsim.NewLink(sim, "up", 0, 0, netsim.HandlerFunc(func(*netsim.Packet) {}))
 		}
-		balancer, err := lb.New(sim, lb.Config{
-			Policy: pol, Congestion: leg.congestion, ControlInterval: 100 * time.Microsecond,
-		}, links)
+		balancer, err := lb.New(sim, lb.Config{Policy: pol, Congestion: leg.congestion}, links)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +266,7 @@ func TestLBPacketPathZeroAlloc(t *testing.T) {
 		}, body)
 		// Congestion events reach the controller's totals only through a
 		// tick's merge, so a nonzero count shows both ran.
-		if ctrl, ok := pol.(*control.Controller); ok && ctrl.CongestionEvents(0) == 0 {
+		if ctrl, ok := pol.(*control.Controller); ok && ctrl.Health(0).CongestionEvents == 0 {
 			t.Errorf("%s: no congestion event merged; the congestion path or the tick went unexercised", leg.name)
 		}
 	}
@@ -358,7 +356,7 @@ func TestSnapshotRoutePartialAdmissionZeroAlloc(t *testing.T) {
 	ctrl.ReportDialError(1, 0)
 	ctrl.Tick(10 * time.Millisecond) // backoff expired → half-open
 	ctrl.ReportDialSuccess(1)        // trial success → slow-start
-	if st := ctrl.HealthState(1); st != control.SlowStart {
+	if st := ctrl.Health(1).State; st != control.SlowStart {
 		t.Fatalf("setup: state = %v, want slow-start", st)
 	}
 	keys := benchKeys()

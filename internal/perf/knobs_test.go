@@ -32,7 +32,7 @@ var knobs = map[string]int{
 	"internal/experiments.Fig3Config":         4,
 	"internal/experiments.Options":            6,
 	"internal/experiments.OutageConfig":       3,
-	"internal/lb.Config":                      8,
+	"internal/lb.Config":                      5,
 	"internal/lbproxy.Config":                 14,
 	"internal/lbproxy/dialpool.Config":        5,
 	"internal/packet.CongestionTrackerConfig": 2,
@@ -41,13 +41,13 @@ var knobs = map[string]int{
 	"internal/tcpsim.AckSinkConfig":           2,
 	"internal/tcpsim.BulkConfig":              10,
 	"internal/tcpsim.RequestConfig":           16,
-	"internal/testbed.ClusterConfig":          16,
+	"internal/testbed.ClusterConfig":          15,
 	"internal/testbed.PathConfig":             10,
 	"internal/workload.Config":                12,
 }
 
 // knobTotal is the sum of the knobs table.
-const knobTotal = 187
+const knobTotal = 183
 
 // TestConfigKnobRatchet: the exported Config fields in the tree are
 // exactly the knobs table.

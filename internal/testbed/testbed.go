@@ -159,9 +159,6 @@ type ClusterConfig struct {
 	// Handshake measures each connection once, SYN to first request,
 	// instead of running the ensemble estimator (lb.Config.Handshake).
 	Handshake bool
-	// ControlInterval drives the Controller tick when Policy is a
-	// control.Controller (see lb.Config.ControlInterval).
-	ControlInterval time.Duration
 	// L7 enables key-based request routing at the LB (cache affinity).
 	L7 bool
 	// Congestion enables the LB's transport-distress tracker (lb.Config).
@@ -247,12 +244,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 
 	balancer, err := lb.New(sim, lb.Config{
-		Policy:          cfg.Policy,
-		MaxConns:        cfg.MaxConns,
-		Handshake:       cfg.Handshake,
-		ControlInterval: cfg.ControlInterval,
-		L7:              cfg.L7,
-		Congestion:      cfg.Congestion,
+		Policy:     cfg.Policy,
+		MaxConns:   cfg.MaxConns,
+		Handshake:  cfg.Handshake,
+		L7:         cfg.L7,
+		Congestion: cfg.Congestion,
 	}, c.ServerLinks)
 	if err != nil {
 		return nil, err
