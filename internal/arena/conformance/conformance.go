@@ -1,7 +1,8 @@
 // Package conformance is the reusable contract every control.Policy must
 // honor before the arena will race it. The checks are black-box: they
 // drive the policy through scripted closed-loop workloads (honest Pick →
-// ObserveLatency → FlowClosed sequences on a synthetic clock) and assert
+// ObserveLatency sequences on a synthetic clock, with the driver's own
+// per-backend open-flow count bound as occupancy) and assert
 // behavioral invariants — normalized weights, same-seed determinism,
 // bounded reaction to outliers, no starvation of healthy backends, and
 // safe behavior on degenerate pools. A policy that passes here can still
@@ -51,7 +52,7 @@ func Check(s Subject) []Violation {
 		{"outlier-bounded", checkOutlierBounded},
 		{"no-starvation", checkNoStarvation},
 		{"adapts-away", checkAdaptsAway},
-		{"occupancy-closes", checkOccupancyCloses},
+		{"occupancy-follows", checkOccupancyFollows},
 		{"small-pools", checkSmallPools},
 	}
 	for _, c := range checks {
@@ -83,15 +84,17 @@ type openFlow struct{ backend int }
 // driver replays an honest closed loop against a bare policy: every step
 // opens one flow at the picked backend, feeds back a latency sample for
 // that backend (the in-band signal a real LB would surface), and closes
-// the oldest flow once maxOpen are in flight. The synthetic clock advances
-// stepDur per step, so long scripts cross the latency tracker's staleness
-// horizon and re-exploration is observable.
+// the oldest flow once maxOpen are in flight. Like a dataplane, it binds
+// its per-backend open-flow count as the policy's occupancy. The synthetic
+// clock advances stepDur per step, so long scripts cross the latency
+// tracker's staleness horizon and re-exploration is observable.
 type driver struct {
 	pol    control.Policy
 	n      int
 	now    time.Duration
 	seq    int
 	open   []openFlow
+	occ    []int // open flows per backend: the bound occupancy
 	counts []int
 	digest uint64
 
@@ -100,7 +103,11 @@ type driver struct {
 }
 
 func newDriver(pol control.Policy, n int) *driver {
-	return &driver{pol: pol, n: n, counts: make([]int, n), digest: 14695981039346656037}
+	d := &driver{pol: pol, n: n, occ: make([]int, n), counts: make([]int, n), digest: 14695981039346656037}
+	if ob, ok := pol.(control.OccupancyBinder); ok {
+		ob.BindOccupancy(func(b int) int { return d.occ[b] })
+	}
+	return d
 }
 
 func (d *driver) fold(v uint64) {
@@ -149,21 +156,14 @@ func (d *driver) run(steps int, slow map[int]int, since int, tail []int) {
 		d.fold(uint64(b))
 		d.pol.ObserveLatency(b, d.now, d.latency(b, slow))
 		d.open = append(d.open, openFlow{backend: b})
+		d.occ[b]++
 		if len(d.open) > maxOpen {
-			d.pol.FlowClosed(d.open[0].backend, d.now)
+			d.occ[d.open[0].backend]--
 			d.open = d.open[1:]
 		}
 		d.checkWeights()
 		d.seq++
 	}
-}
-
-// closeAll drains every in-flight flow.
-func (d *driver) closeAll() {
-	for _, f := range d.open {
-		d.pol.FlowClosed(f.backend, d.now)
-	}
-	d.open = d.open[:0]
 }
 
 // checkWeights validates and digests the weight vector of Weighted
@@ -341,29 +341,33 @@ func checkAdaptsAway(s Subject) []Violation {
 	return nil
 }
 
-// checkOccupancyCloses: policies that track live occupancy (they expose
-// Active) must return to zero once every flow closes — a leak here means
-// the policy routes on fossil load forever.
-func checkOccupancyCloses(s Subject) []Violation {
+// checkOccupancyFollows: policies that consult occupancy (they implement
+// control.OccupancyBinder) must route on the count the dataplane binds, not
+// on one of their own. The driver shows backend 0 holding 1000 open flows
+// and the rest holding only what the check opens there, with no latency
+// signal to outweigh it; every new flow must stay off backend 0.
+func checkOccupancyFollows(s Subject) []Violation {
 	pol, err := build(s, poolSize, 5)
 	if err != nil {
-		return []Violation{{"occupancy-closes", fmt.Sprintf("Build(%d): %v", poolSize, err)}}
+		return []Violation{{"occupancy-follows", fmt.Sprintf("Build(%d): %v", poolSize, err)}}
 	}
-	occ, ok := pol.(interface{ Active(int) int })
-	if !ok {
-		return nil // no live-occupancy state to leak
+	if _, ok := pol.(control.OccupancyBinder); !ok {
+		return nil // routes on no occupancy
 	}
 	d := newDriver(pol, poolSize)
-	d.run(300, nil, 0, nil)
-	d.closeAll()
-	var out []Violation
-	for i := 0; i < poolSize; i++ {
-		if a := occ.Active(i); a != 0 {
-			out = append(out, Violation{"occupancy-closes",
-				fmt.Sprintf("backend %d still shows %d active flows after all closed", i, a)})
+	d.occ[0] = 1000
+	for i := 0; i < 300; i++ {
+		d.now += stepDur
+		b := pol.Pick(keyAt(i), d.now)
+		if b == 0 {
+			return []Violation{{"occupancy-follows",
+				fmt.Sprintf("pick %d went to backend 0, bound at %d open flows against %v", i, d.occ[0], d.occ[1:])}}
+		}
+		if b > 0 && b < poolSize {
+			d.occ[b]++ // held open
 		}
 	}
-	return out
+	return nil
 }
 
 // checkSmallPools: empty pools must be rejected with an error (never a
@@ -381,7 +385,6 @@ func checkSmallPools(s Subject) []Violation {
 	}
 	d := newDriver(pol, 1)
 	d.run(50, nil, 0, nil)
-	d.closeAll()
 	if d.pickErr != "" {
 		out = append(out, Violation{"small-pools", d.pickErr})
 	}

@@ -17,8 +17,7 @@ import (
 
 // doubleSampleP2C is the canonical power-of-two-choices bug: both "random"
 // candidates come from the same draw, so the latency comparison degenerates
-// to identity and the policy is uniform random with extra steps. It also
-// skips the real Pick's occupancy accounting, as a careless override would.
+// to identity and the policy is uniform random with extra steps.
 type doubleSampleP2C struct {
 	*control.P2C
 	rng *rand.Rand
@@ -29,14 +28,14 @@ func (d *doubleSampleP2C) Pick(_ packet.FlowKey, _ time.Duration) int {
 	return b // second sample == first: the comparison never happens
 }
 
-// staleWLC is weighted-least-connections reading stale occupancy: flow
-// closes never decrement, so the policy balances against counts that only
-// ever grow and its live-load signal decays into a historical total.
+// staleWLC is weighted-least-connections that ignores the occupancy the
+// dataplane binds, as a policy keeping a count of its own instead would:
+// its picks balance against a load signal that is not the dataplane's.
 type staleWLC struct {
 	*control.WeightedLeastConn
 }
 
-func (s *staleWLC) FlowClosed(int, time.Duration) {}
+func (s *staleWLC) BindOccupancy(func(int) int) {}
 
 func mutantSubject(name string, build func(n int, seed int64) (control.Policy, error)) Subject {
 	return Subject{Name: name, Build: build}
@@ -73,7 +72,7 @@ func TestMutantWLCStaleOccupancy(t *testing.T) {
 		return &staleWLC{control.NewWeightedLeastConn(n, core.ServerLatencyConfig{})}, nil
 	})
 	vs := Check(sub)
-	if !hasCheck(vs, "occupancy-closes") {
-		t.Errorf("kit missed the stale-occupancy mutant: leaked counts must fail occupancy-closes; got %v", vs)
+	if !hasCheck(vs, "occupancy-follows") {
+		t.Errorf("kit missed the stale-occupancy mutant: an ignored binding must fail occupancy-follows; got %v", vs)
 	}
 }

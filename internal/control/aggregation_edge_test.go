@@ -19,7 +19,6 @@ type recorderPolicy struct {
 func (p *recorderPolicy) Name() string                           { return "recorder" }
 func (p *recorderPolicy) NumBackends() int                       { return p.n }
 func (p *recorderPolicy) Pick(packet.FlowKey, time.Duration) int { return 0 }
-func (p *recorderPolicy) FlowClosed(int, time.Duration)          {}
 func (p *recorderPolicy) ObserveLatency(b int, now, s time.Duration) {
 	p.backs = append(p.backs, b)
 	p.nows = append(p.nows, now)

@@ -53,12 +53,10 @@ func TestAuditEjectionLifecycle(t *testing.T) {
 	cfg := DetectorConfig{
 		FailureThreshold: 3,
 		BackoffInitial:   100 * time.Millisecond,
-		SuccessThreshold: 1,
 		SlowStartTicks:   2,
 	}
 	c, col := auditCtrl(t, cfg)
 	defer c.Close()
-	c.det.cfg.BackoffJitter = 0
 
 	for i := 0; i < 3; i++ {
 		c.ReportDialError(1, 10*time.Millisecond)
@@ -270,7 +268,6 @@ func TestAuditDeterministicAcrossRuns(t *testing.T) {
 		cfg := DetectorConfig{
 			FailureThreshold: 2,
 			BackoffInitial:   50 * time.Millisecond,
-			SuccessThreshold: 1,
 			SlowStartTicks:   3,
 		}
 		c, col := auditCtrl(t, cfg)

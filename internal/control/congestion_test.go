@@ -121,7 +121,6 @@ func TestCongestionCalmClearsLatch(t *testing.T) {
 	c := detCtrl(t, DetectorConfig{
 		CongestionPerTick: 5,
 		CongestionTicks:   2,
-		CongestionClear:   3,
 		MinPoolSamples:    8,
 	})
 	// Three hot ticks: latched (at 2) but below the 2×2 ejection bar.
@@ -135,8 +134,12 @@ func TestCongestionCalmClearsLatch(t *testing.T) {
 		t.Fatalf("want latched+healthy, got congested=%v state=%v",
 			c.Health(3).Congested, c.Health(3).State)
 	}
-	// CongestionClear calm ticks release the latch and restore admission.
-	for tick := 4; tick <= 6; tick++ {
+	// 2×CongestionTicks calm ticks release the latch and restore admission;
+	// one fewer does not.
+	for tick := 4; tick <= 7; tick++ {
+		if tick == 7 && !c.Health(3).Congested {
+			t.Fatal("latch released after 3 calm ticks, want 4")
+		}
 		now := time.Duration(tick) * time.Millisecond
 		feedAllEqual(c, now)
 		c.Tick(now)
@@ -208,10 +211,8 @@ func TestDetectorInterplay(t *testing.T) {
 		StarvationTicks:   3,
 		MinPoolSamples:    8,
 		BackoffInitial:    10 * time.Millisecond,
-		SuccessThreshold:  1,
 		SlowStartTicks:    3,
 	})
-	c.det.cfg.BackoffJitter = 0 // exact reopen times
 
 	legal := map[HealthState][]HealthState{
 		Healthy:   {Ejected},

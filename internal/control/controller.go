@@ -74,9 +74,10 @@ type ControllerConfig struct {
 //
 // Controller implements Policy, so it drops in anywhere a Policy does. The
 // wrapped policy never sees concurrent calls, exactly as the Policy
-// contract promises. FlowClosed and non-snapshot Picks are applied
-// synchronously under the internal mutex (they are per-connection, not
-// per-packet).
+// contract promises. Non-snapshot Picks are applied synchronously under the
+// internal mutex (they are per-connection, not per-packet); a flow's end
+// is the dataplane's business alone, since occupancy is its own open-flow
+// count (BindOccupancy).
 type Controller struct {
 	policy Policy
 	src    TableSource // nil when the policy keeps no immutable table
@@ -202,10 +203,7 @@ func (c *Controller) Pick(key packet.FlowKey, now time.Duration) int {
 // Route picks an admitted backend for a new flow, applying health state.
 // On the snapshot path this is lock-free. On the mutex path (stateful
 // policies) a pick that lands on a non-admitting backend is re-pointed to
-// the next admitted index and the original pick's occupancy accounting is
-// undone via FlowClosed, so per-backend counters do not leak. The fallback
-// target is never charged. Returns -1 when the whole pool is ejected (any
-// charged pick is undone first).
+// the next admitted index. Returns -1 when the whole pool is ejected.
 func (c *Controller) Route(key packet.FlowKey, now time.Duration) (backend int, fellBack bool) {
 	return c.RouteHashed(key.Hash(), key, now)
 }
@@ -225,7 +223,6 @@ func (c *Controller) RouteHashed(hash uint64, key packet.FlowKey, now time.Durat
 		return -1, false
 	}
 	if !admits(c.admit[b], hash) {
-		c.policy.FlowClosed(b, now) // undo the pick's occupancy accounting
 		if cand := nextAdmitted(c.admit, b); cand >= 0 {
 			b, fellBack = cand, true
 		} else if c.admit[b] == 0 {
@@ -241,9 +238,8 @@ func (c *Controller) RouteHashed(hash uint64, key packet.FlowKey, now time.Durat
 
 // FailoverTarget returns an alternative backend for a connection whose
 // dial to skip just failed: the next admitted backend, preferring fully
-// admitted ones. It never consults or charges the policy — the caller owns
-// occupancy accounting for the retry. Returns -1 when no alternative
-// exists. Lock-free on the snapshot path.
+// admitted ones. It never consults the policy. Returns -1 when no
+// alternative exists. Lock-free on the snapshot path.
 func (c *Controller) FailoverTarget(skip int) int {
 	if s := c.snap.Load(); s != nil {
 		b := s.NextHealthy(skip)
@@ -295,13 +291,6 @@ func (c *Controller) ObserveCongestion(hash uint64, b int, retrans, dupAcks, zer
 	c.agg.observeCongestion(hash, b, int64(retrans), int64(dupAcks), int64(zeroWins))
 }
 
-// FlowClosed implements Policy, serialized with ticks.
-func (c *Controller) FlowClosed(b int, now time.Duration) {
-	c.mu.Lock()
-	c.policy.FlowClosed(b, now)
-	c.mu.Unlock()
-}
-
 // ReportDialError feeds the passive detector one connection-establishment
 // failure against backend b at time now. Consecutive failures (with no
 // intervening success) past the configured threshold eject the backend; a
@@ -347,10 +336,9 @@ func (c *Controller) reportFailure(b int, now time.Duration) {
 
 // ReportDialSuccess feeds the passive detector one successful connection
 // establishment against backend b: it clears the consecutive-failure
-// streak and, during a half-open trial, counts toward the success
-// threshold that promotes the backend into slow-start recovery. It is not
-// starvation evidence: Route already counted the flow. No-op when the
-// detector is disabled.
+// streak and, during a half-open trial, promotes the backend into
+// slow-start recovery. It is not starvation evidence: Route already counted
+// the flow. No-op when the detector is disabled.
 func (c *Controller) ReportDialSuccess(b int) {
 	if c.det == nil {
 		return
@@ -362,13 +350,10 @@ func (c *Controller) ReportDialSuccess(b int) {
 		case Healthy, SlowStart:
 			h.consecFails = 0
 		case HalfOpen:
-			h.successes++
-			if h.successes >= c.det.cfg.SuccessThreshold {
-				c.move(b, SlowStart, auditlog.CauseTrialSuccess, c.lastNow, evidence{})
-				c.refreshAdmitLocked()
-				if c.dirty {
-					c.republishLocked()
-				}
+			c.move(b, SlowStart, auditlog.CauseTrialSuccess, c.lastNow, evidence{})
+			c.refreshAdmitLocked()
+			if c.dirty {
+				c.republishLocked()
 			}
 		}
 	}
@@ -534,6 +519,7 @@ func (c *Controller) detectorTickLocked(now time.Duration) {
 			// suspect the only backend merged this tick, the whole-pool
 			// median IS the suspect's mean and any garbage looks in-family.
 			// With no cross-pool evidence the tick proves nothing either way.
+			trialOK := false
 			if om := c.othersMedianLocked(b); m.Count > 0 && om > 0 {
 				if outlier(m.Min, om, c.det.cfg.OutlierFactor) {
 					// Every trial sample was far out of family — e.g. only
@@ -547,9 +533,9 @@ func (c *Controller) detectorTickLocked(now time.Duration) {
 				}
 				// In-band evidence the trial worked: samples flowed, and
 				// at least one was in family with the pool.
-				h.successes++
+				trialOK = true
 			}
-			if h.successes >= c.det.cfg.SuccessThreshold {
+			if trialOK {
 				c.move(b, SlowStart, auditlog.CauseTrialSuccess, now, evidence{mean: m.Mean, median: median})
 			} else if h.trialTicks++; h.trialTicks >= c.det.cfg.HalfOpenTicks {
 				// No successful trial in time — whether trials failed or
@@ -616,9 +602,9 @@ func (c *Controller) detectorTickLocked(now time.Duration) {
 
 // congestionCheckLocked runs the transport-distress detector for one Healthy
 // backend: a tick with at least CongestionPerTick events that are also
-// concentrated on this backend (CongestionFactor × the others' mean) is a
+// concentrated on this backend (congestionFactor × the others' mean) is a
 // hot tick. CongestionTicks consecutive hot ticks latch the weight-down;
-// twice that many eject. Calm ticks release the latch after CongestionClear.
+// twice that many eject, and twice that many calm ticks release the latch.
 // Pool-wide distress — everyone hot at once, the incast/collapsed-uplink
 // signature — fails the concentration test and judges no one. Caller holds
 // c.mu; b's state is Healthy.
@@ -631,7 +617,7 @@ func (c *Controller) congestionCheckLocked(b int, totalEv int64, now time.Durati
 	if n := len(c.det.st); n > 1 {
 		othersMean = float64(totalEv-ev) / float64(n-1)
 	}
-	hot := ev >= cfg.CongestionPerTick && float64(ev) >= cfg.CongestionFactor*othersMean
+	hot := ev >= cfg.CongestionPerTick && float64(ev) >= congestionFactor*othersMean
 	switch {
 	case hot:
 		h.calmTicks = 0
@@ -646,7 +632,7 @@ func (c *Controller) congestionCheckLocked(b int, totalEv int64, now time.Durati
 				retrans: m.Retrans, dupAcks: m.DupAcks, zeroWins: m.ZeroWins})
 		}
 	case h.congested:
-		if h.calmTicks++; h.calmTicks >= cfg.CongestionClear {
+		if h.calmTicks++; h.calmTicks >= 2*cfg.CongestionTicks {
 			h.congested = false
 			h.congTicks = 0
 			h.calmTicks = 0
@@ -849,10 +835,12 @@ func (c *Controller) Health(i int) BackendHealth {
 	return h
 }
 
-// BindOccupancy forwards a live occupancy source to the wrapped policy when
-// it consults one (see OccupancyBinder); no-op otherwise. The binding is
-// installed under the serialization lock, so in-flight picks never observe
-// a half-installed source.
+// BindOccupancy forwards the dataplane's open-flow count to the wrapped
+// policy when it consults one (see OccupancyBinder); no-op otherwise.
+// lbproxy.New binds through it, and lb.New reaches it through
+// OccupancyBinder when its policy is a Controller. The binding is installed
+// under the serialization lock, so in-flight picks never observe a
+// half-installed source.
 func (c *Controller) BindOccupancy(fn func(b int) int) {
 	if ob, ok := c.policy.(OccupancyBinder); ok {
 		c.mu.Lock()

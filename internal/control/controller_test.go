@@ -19,7 +19,6 @@ type reentrancyPolicy struct {
 
 	picks    atomic.Uint64
 	observed atomic.Uint64
-	closedN  atomic.Uint64
 }
 
 func (p *reentrancyPolicy) enter() {
@@ -45,11 +44,6 @@ func (p *reentrancyPolicy) ObserveLatency(int, time.Duration, time.Duration) {
 	p.enter()
 	defer p.exit()
 	p.observed.Add(1)
-}
-func (p *reentrancyPolicy) FlowClosed(int, time.Duration) {
-	p.enter()
-	defer p.exit()
-	p.closedN.Add(1)
 }
 
 func ctrlKey(rng *rand.Rand) packet.FlowKey {
@@ -166,7 +160,7 @@ func TestControllerSnapshotPickMatchesPolicy(t *testing.T) {
 }
 
 // TestControllerSerializesPolicy: the wrapped policy must never see two
-// concurrent calls, even with parallel pickers/observers/closers and a
+// concurrent calls, even with parallel pickers/routers/observers and a
 // concurrent ticker.
 func TestControllerSerializesPolicy(t *testing.T) {
 	pol := &reentrancyPolicy{n: 4}
@@ -183,7 +177,7 @@ func TestControllerSerializesPolicy(t *testing.T) {
 				case 1:
 					c.ObserveSharded(uint64(w*1000+i), w%4, time.Duration(i), time.Millisecond)
 				case 2:
-					c.FlowClosed(w%4, time.Duration(i))
+					c.Route(packet.FlowKey{SrcPort: uint16(w)}, time.Duration(i))
 				case 3:
 					c.Tick(time.Duration(i))
 				}
@@ -327,37 +321,35 @@ func TestControllerReportProbe(t *testing.T) {
 	c.ReportProbe(3, false)
 }
 
-// TestControllerRouteMutexPathUndo: stateful policies (no snapshot) route
-// under the mutex; when the pick lands on an ejected backend its occupancy
-// accounting must be undone so per-backend counters do not leak.
-func TestControllerRouteMutexPathUndo(t *testing.T) {
+// TestControllerRouteMutexPathFallback: stateful policies (no snapshot)
+// route under the mutex, reading the occupancy bound through the
+// Controller; a pick that lands on an ejected backend falls back to the
+// next admitted one, and a wholly ejected pool routes nowhere.
+func TestControllerRouteMutexPathFallback(t *testing.T) {
 	lc := NewLeastConn(3)
 	c := NewController(lc, ControllerConfig{})
 	defer c.Close()
 	if c.Snapshot() != nil {
 		t.Fatal("stateful policy unexpectedly published a snapshot")
 	}
+	open := []int{0, 0, 0}
+	c.BindOccupancy(func(b int) int { return open[b] })
+
+	open[0], open[1] = 4, 4
+	if b, fb := c.Route(packet.FlowKey{}, 0); b != 2 || fb {
+		t.Fatalf("route = (%d,%v) with counts %v, want (2,false)", b, fb, open)
+	}
+	c.SetEjected(2, true)
+	// LeastConn picks the emptiest backend, 2; Route must fall back to the
+	// next admitted index, 0.
+	if b, fb := c.Route(packet.FlowKey{}, 0); b != 0 || !fb {
+		t.Fatalf("route = (%d,%v), want (0,true)", b, fb)
+	}
 
 	c.SetEjected(0, true)
-	// LeastConn with all-zero occupancy picks index 0 (lowest index wins);
-	// Route must fall back to 1 and undo backend 0's increment.
-	b, fb := c.Route(packet.FlowKey{}, 0)
-	if b != 1 || !fb {
-		t.Fatalf("route = (%d,%v), want (1,true)", b, fb)
-	}
-	if lc.Active(0) != 0 {
-		t.Errorf("ejected backend's occupancy leaked: active[0] = %d", lc.Active(0))
-	}
-
 	c.SetEjected(1, true)
-	c.SetEjected(2, true)
 	if b, fb := c.Route(packet.FlowKey{}, 0); b != -1 || fb {
 		t.Fatalf("all-ejected mutex route = (%d,%v), want (-1,false)", b, fb)
-	}
-	for i := 0; i < 3; i++ {
-		if lc.Active(i) != 0 {
-			t.Errorf("active[%d] = %d after all-ejected routes, want 0", i, lc.Active(i))
-		}
 	}
 }
 

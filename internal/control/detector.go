@@ -85,29 +85,23 @@ type DetectorConfig struct {
 	// the tick, so an idle system never ejects anyone. Default 8.
 	MinPoolSamples int64
 	// BackoffInitial is the first ejection's re-probe delay; every failed
-	// half-open trial doubles it up to BackoffMax. BackoffJitter spreads
-	// re-probe times by ±jitter fraction so many LBs (or many backends)
-	// do not re-probe in lockstep. Defaults 500ms, 8s, 0.1.
+	// half-open trial doubles it up to BackoffMax. Defaults 500ms and 8s.
 	BackoffInitial time.Duration
 	BackoffMax     time.Duration
-	BackoffJitter  float64
 	// HalfOpenFraction is the share of the backend's hash range admitted
 	// while half-open — the trial traffic. Default 1/16.
 	HalfOpenFraction float64
 	// HalfOpenTicks bounds a trial: if no success arrives within this many
 	// ticks of entering half-open, the backend re-ejects with doubled
 	// backoff (covers both "trials failed silently" and "no trial traffic
-	// landed"). Default 150.
+	// landed"). The first success — a reported dial success, or a tick
+	// that merged in-family samples from it — promotes it to slow-start.
+	// Default 150.
 	HalfOpenTicks int
-	// SuccessThreshold promotes a half-open backend to slow-start after
-	// this many successes (reported dial successes, or ticks that merged
-	// samples from it). Default 1.
-	SuccessThreshold int
-	// SlowStartInitial and SlowStartTicks shape recovery: admission starts
-	// at SlowStartInitial of the full share and ramps linearly to full
-	// over SlowStartTicks control ticks. Defaults 0.25 and 50.
-	SlowStartInitial float64
-	SlowStartTicks   int
+	// SlowStartTicks shapes recovery: admission starts at slowStartInitial
+	// of the full share and ramps linearly to full over this many control
+	// ticks. Default 50.
+	SlowStartTicks int
 	// CongestionPerTick enables the transport-distress detector: a tick in
 	// which a backend accumulates at least this many congestion events
 	// (retransmissions + dup-ACK runs + zero-window stalls, reported via
@@ -120,25 +114,24 @@ type DetectorConfig struct {
 	// queue buildup ever moves client-visible latency.
 	CongestionPerTick int64
 	// CongestionTicks is how many consecutive congested ticks latch the
-	// weight-down (admission cut to CongestionAdmit); twice that many eject
-	// the backend outright. Default 4.
+	// weight-down (admission cut to congestionAdmit); twice that many eject
+	// the backend outright, and twice that many consecutive calm ticks
+	// (events below CongestionPerTick) release the latch. A hot tick's
+	// distress must also be *concentrated*: at least congestionFactor times
+	// the mean of the other backends' counts, so pool-wide congestion (an
+	// incast wave hitting everyone, a collapsed shared uplink) never ejects
+	// anyone — there is nowhere better to shift the load. Default 4.
 	CongestionTicks int
-	// CongestionFactor requires the distress to be *concentrated*: the
-	// backend's per-tick event count must be at least this factor times the
-	// mean of the other backends' counts. Pool-wide congestion (an incast
-	// wave hitting everyone, a collapsed shared uplink) therefore never
-	// ejects anyone — there is nowhere better to shift the load. Default 4.
-	CongestionFactor float64
-	// CongestionAdmit is the admission fraction applied while the
-	// weight-down latch is set. Default 0.5.
-	CongestionAdmit float64
-	// CongestionClear is how many consecutive calm ticks (events below
-	// CongestionPerTick) release the weight-down latch. Default
-	// 2×CongestionTicks.
-	CongestionClear int
 	// Seed feeds the backoff-jitter RNG so simulations are deterministic.
 	Seed int64
 }
+
+// Detector constants that no deployment tunes.
+const (
+	slowStartInitial = 0.25 // admission fraction a slow-start ramp begins at
+	congestionFactor = 4    // a hot tick's events over the others' mean: distress must be concentrated
+	congestionAdmit  = 0.5  // admission fraction while the congestion weight-down latch is set
+)
 
 func (c *DetectorConfig) applyDefaults() {
 	if c.FailureThreshold <= 0 {
@@ -162,37 +155,17 @@ func (c *DetectorConfig) applyDefaults() {
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 8 * time.Second
 	}
-	if c.BackoffJitter < 0 || c.BackoffJitter >= 1 {
-		c.BackoffJitter = 0.1
-	}
 	if c.HalfOpenFraction <= 0 || c.HalfOpenFraction > 1 {
 		c.HalfOpenFraction = 1.0 / 16
 	}
 	if c.HalfOpenTicks <= 0 {
 		c.HalfOpenTicks = 150
 	}
-	if c.SuccessThreshold <= 0 {
-		c.SuccessThreshold = 1
-	}
-	if c.SlowStartInitial <= 0 || c.SlowStartInitial > 1 {
-		c.SlowStartInitial = 0.25
-	}
 	if c.SlowStartTicks <= 0 {
 		c.SlowStartTicks = 50
 	}
-	if c.CongestionPerTick > 0 {
-		if c.CongestionTicks <= 0 {
-			c.CongestionTicks = 4
-		}
-		if c.CongestionFactor <= 1 {
-			c.CongestionFactor = 4
-		}
-		if c.CongestionAdmit <= 0 || c.CongestionAdmit > 1 {
-			c.CongestionAdmit = 0.5
-		}
-		if c.CongestionClear <= 0 {
-			c.CongestionClear = 2 * c.CongestionTicks
-		}
+	if c.CongestionPerTick > 0 && c.CongestionTicks <= 0 {
+		c.CongestionTicks = 4
 	}
 }
 
@@ -207,7 +180,6 @@ const admitFull = 1 << 16
 type detectorState struct {
 	state             HealthState
 	consecFails       int           // consecutive reported connection failures
-	successes         int           // successes while half-open
 	outlierTicks      int           // consecutive latency-outlier ticks
 	silentTicks       int           // consecutive sampleless ticks (pool active)
 	routedSinceSample uint32        // flows routed here since the last merged sample
@@ -227,8 +199,12 @@ type detectorState struct {
 // methods are called with Controller.mu held.
 type detector struct {
 	cfg DetectorConfig
-	rng *rand.Rand
-	st  []detectorState
+	// jitter spreads re-probe times by ± this fraction of the backoff,
+	// drawn from rng (seeded by DetectorConfig.Seed). It is 0 — exact
+	// reopen times — as every deployment has run it; tests set it.
+	jitter float64
+	rng    *rand.Rand
+	st     []detectorState
 	// routed counts the flows Route and FailoverTarget sent each backend
 	// since the last tick, lock-free via the snapshots that share it.
 	routed []atomic.Uint32
@@ -260,15 +236,14 @@ func (d *detector) admit(b int) uint32 {
 	case HalfOpen:
 		return fracToAdmit(d.cfg.HalfOpenFraction)
 	case SlowStart:
-		lo := d.cfg.SlowStartInitial
-		frac := lo + (1-lo)*float64(h.rampTick)/float64(d.cfg.SlowStartTicks)
+		frac := slowStartInitial + (1-slowStartInitial)*float64(h.rampTick)/float64(d.cfg.SlowStartTicks)
 		return fracToAdmit(frac)
 	}
 	if h.congested {
 		// Congestion weight-down: still healthy, still routable, but shed a
 		// slice of the hash range so the distressed backend drains instead
 		// of accumulating a deeper retransmit queue.
-		return fracToAdmit(d.cfg.CongestionAdmit)
+		return fracToAdmit(congestionAdmit)
 	}
 	return admitFull
 }
@@ -324,9 +299,9 @@ func (c *Controller) move(b int, to HealthState, cause auditlog.Cause, now time.
 		*h = detectorState{state: Ejected, backoff: backoff, reopenAt: now + d.jittered(backoff),
 			everSampled: h.everSampled, ejections: h.ejections + 1, congEjections: congEjections}
 	case HalfOpen:
-		h.state, h.trialTicks, h.successes = HalfOpen, 0, 0
+		h.state, h.trialTicks = HalfOpen, 0
 	case SlowStart:
-		h.state, h.rampTick, h.trialTicks, h.successes, h.consecFails = SlowStart, 0, 0, 0, 0
+		h.state, h.rampTick, h.trialTicks, h.consecFails = SlowStart, 0, 0, 0
 	case Healthy:
 		// Full health resets the backoff ladder. Only the lifetime counters
 		// and routes not yet answered carry over.
@@ -337,9 +312,9 @@ func (c *Controller) move(b int, to HealthState, cause auditlog.Cause, now time.
 }
 
 func (d *detector) jittered(base time.Duration) time.Duration {
-	if d.cfg.BackoffJitter == 0 {
+	if d.jitter == 0 {
 		return base
 	}
 	span := 2*d.rng.Float64() - 1 // [-1, 1)
-	return base + time.Duration(span*d.cfg.BackoffJitter*float64(base))
+	return base + time.Duration(span*d.jitter*float64(base))
 }

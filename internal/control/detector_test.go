@@ -67,15 +67,9 @@ func TestDetectorBackoffHalfOpenSlowStartRecovery(t *testing.T) {
 	cfg := DetectorConfig{
 		FailureThreshold: 1,
 		BackoffInitial:   100 * time.Millisecond,
-		BackoffJitter:    -1, // clamps to default; override below
-		SuccessThreshold: 2,
 		SlowStartTicks:   4,
-		SlowStartInitial: 0.25,
 	}
 	c := detCtrl(t, cfg)
-	// Zero jitter keeps reopen time exact. (BackoffJitter 0 means jitter
-	// disabled only when set after defaulting; use the detector directly.)
-	c.det.cfg.BackoffJitter = 0
 
 	c.ReportDialError(2, 10*time.Millisecond)
 	if st := c.Health(2).State; st != Ejected {
@@ -97,11 +91,10 @@ func TestDetectorBackoffHalfOpenSlowStartRecovery(t *testing.T) {
 		t.Fatalf("half-open admission = %.3f, want small nonzero", a)
 	}
 
-	// Two dial successes promote to slow-start.
-	c.ReportDialSuccess(2)
+	// One dial success promotes to slow-start.
 	c.ReportDialSuccess(2)
 	if st := c.Health(2).State; st != SlowStart {
-		t.Fatalf("state after successes = %v, want slow-start", st)
+		t.Fatalf("state after a success = %v, want slow-start", st)
 	}
 	prev := c.Snapshot().Admission(2)
 	if prev < 0.2 || prev > 0.3 {
@@ -132,7 +125,6 @@ func TestDetectorHalfOpenFailureDoublesBackoff(t *testing.T) {
 		BackoffMax:       350 * time.Millisecond,
 	}
 	c := detCtrl(t, cfg)
-	c.det.cfg.BackoffJitter = 0
 
 	c.ReportDialError(0, 0)
 	backoffs := []time.Duration{}
@@ -167,7 +159,6 @@ func TestDetectorHalfOpenTimeoutReEjects(t *testing.T) {
 		HalfOpenTicks:    3,
 	}
 	c := detCtrl(t, cfg)
-	c.det.cfg.BackoffJitter = 0
 
 	c.ReportDialError(3, 0)
 	c.Tick(20 * time.Millisecond)
@@ -490,7 +481,6 @@ func TestDetectorHalfOpenTrialGetsTraffic(t *testing.T) {
 		HalfOpenTicks:    1 << 20, // no timeout during this test
 	}
 	c := detCtrl(t, cfg)
-	c.det.cfg.BackoffJitter = 0
 	c.ReportDialError(0, 0)
 	c.Tick(2 * time.Millisecond)
 	if st := c.Health(0).State; st != HalfOpen {
@@ -519,7 +509,7 @@ func TestDetectorHalfOpenTrialGetsTraffic(t *testing.T) {
 }
 
 func TestSetEjectedWithDetectorRecoversViaSlowStart(t *testing.T) {
-	c := detCtrl(t, DetectorConfig{SlowStartTicks: 8, SlowStartInitial: 0.25})
+	c := detCtrl(t, DetectorConfig{SlowStartTicks: 8})
 	c.SetEjected(2, true)
 	if !c.Health(2).Ejected() {
 		t.Fatal("manual eject ignored")
@@ -556,10 +546,10 @@ func TestDetectorJitterSpreadsReopens(t *testing.T) {
 	cfg := DetectorConfig{
 		FailureThreshold: 1,
 		BackoffInitial:   time.Second,
-		BackoffJitter:    0.1,
 		Seed:             7,
 	}
 	c := detCtrl(t, cfg)
+	c.det.jitter = 0.1
 	reopens := map[time.Duration]bool{}
 	for b := 0; b < 3; b++ { // leave one backend routable
 		c.ReportDialError(b, 0)

@@ -43,21 +43,18 @@ func (m *MaglevStatic) Pick(key packet.FlowKey, _ time.Duration) int {
 // ObserveLatency implements Policy (ignored — that is the point of the baseline).
 func (m *MaglevStatic) ObserveLatency(int, time.Duration, time.Duration) {}
 
-// FlowClosed implements Policy (ignored).
-func (m *MaglevStatic) FlowClosed(int, time.Duration) {}
-
 // Table implements TableSource: the routing state is the (immutable) table
 // itself, so a Controller can serve picks from snapshots.
 func (m *MaglevStatic) Table() *maglev.Table { return m.table }
 
 // P2C is power-of-two-choices guided by the in-band latency signal: sample
 // two distinct backends uniformly and route to the one with the lower EWMA
-// latency (falling back to fewer active flows, then the lower index, when
-// latencies are unknown).
+// latency (falling back to fewer open flows, as its bound occupancy reports
+// them, then the lower index, when latencies are unknown).
 type P2C struct {
-	rng    *rand.Rand
-	lat    *core.ServerLatency
-	active []int
+	rng *rand.Rand
+	lat *core.ServerLatency
+	occ occupancy
 }
 
 // NewP2C creates the policy over n backends.
@@ -65,24 +62,22 @@ func NewP2C(n int, rng *rand.Rand, latencyCfg core.ServerLatencyConfig) *P2C {
 	if n <= 0 {
 		panic("control: need at least one backend")
 	}
-	return &P2C{
-		rng:    rng,
-		lat:    core.NewServerLatency(n, latencyCfg),
-		active: make([]int, n),
-	}
+	return &P2C{rng: rng, lat: core.NewServerLatency(n, latencyCfg)}
 }
 
 // Name implements Policy.
 func (p *P2C) Name() string { return "p2c" }
 
 // NumBackends implements Policy.
-func (p *P2C) NumBackends() int { return len(p.active) }
+func (p *P2C) NumBackends() int { return p.lat.NumServers() }
+
+// BindOccupancy implements OccupancyBinder.
+func (p *P2C) BindOccupancy(fn func(b int) int) { p.occ = fn }
 
 // Pick implements Policy.
 func (p *P2C) Pick(_ packet.FlowKey, now time.Duration) int {
-	n := len(p.active)
+	n := p.lat.NumServers()
 	if n == 1 {
-		p.active[0]++
 		return 0
 	}
 	a := p.rng.Intn(n)
@@ -90,9 +85,7 @@ func (p *P2C) Pick(_ packet.FlowKey, now time.Duration) int {
 	if b >= a {
 		b++
 	}
-	choice := p.better(a, b, now)
-	p.active[choice]++
-	return choice
+	return p.better(a, b, now)
 }
 
 func (p *P2C) better(a, b int, now time.Duration) int {
@@ -113,8 +106,8 @@ func (p *P2C) better(a, b int, now time.Duration) int {
 	case !af && bf:
 		return a
 	}
-	if p.active[a] != p.active[b] {
-		if p.active[a] < p.active[b] {
+	if oa, ob := p.occ.of(a), p.occ.of(b); oa != ob {
+		if oa < ob {
 			return a
 		}
 		return b
@@ -128,13 +121,6 @@ func (p *P2C) better(a, b int, now time.Duration) int {
 // ObserveLatency implements Policy.
 func (p *P2C) ObserveLatency(b int, now, sample time.Duration) {
 	p.lat.Observe(b, now, sample)
-}
-
-// FlowClosed implements Policy.
-func (p *P2C) FlowClosed(b int, _ time.Duration) {
-	if b >= 0 && b < len(p.active) && p.active[b] > 0 {
-		p.active[b]--
-	}
 }
 
 // DefaultHysteresisRatio is the shipped latency-aware deadband: lbproxy's

@@ -35,9 +35,29 @@ type Policy interface {
 	// ObserveLatency feeds a latency sample attributed to backend b.
 	// Policies that do not adapt ignore it.
 	ObserveLatency(b int, now, sample time.Duration)
-	// FlowClosed reports that a flow assigned to backend b ended.
-	// Policies that do not track occupancy ignore it.
-	FlowClosed(b int, now time.Duration)
+}
+
+// OccupancyBinder is implemented by policies whose picks consult live
+// per-backend occupancy: LeastConn, P2C and WeightedLeastConn. They keep no
+// count of their own; the dataplane that holds the flows binds its
+// per-backend open-flow count (lb.LB.OpenConns in the simulator, lbproxy's
+// per-backend atomic counts on live sockets), and until it does every
+// backend reads as empty. Wrappers (Controller) forward the binding to the wrapped
+// policy. The supplied function is called from Pick, i.e. under whatever
+// serialization the Policy contract already guarantees; it must be cheap
+// and must not call back into the policy.
+type OccupancyBinder interface {
+	BindOccupancy(func(b int) int)
+}
+
+// occupancy is a bound open-flow count; the unbound (nil) value reads 0.
+type occupancy func(b int) int
+
+func (o occupancy) of(b int) int {
+	if o == nil {
+		return 0
+	}
+	return o(b)
 }
 
 // RoundRobin cycles through backends for successive new flows.
@@ -70,9 +90,6 @@ func (r *RoundRobin) Pick(packet.FlowKey, time.Duration) int {
 // ObserveLatency implements Policy (ignored).
 func (r *RoundRobin) ObserveLatency(int, time.Duration, time.Duration) {}
 
-// FlowClosed implements Policy (ignored).
-func (r *RoundRobin) FlowClosed(int, time.Duration) {}
-
 // Random picks a uniformly random backend per new flow.
 type Random struct {
 	n   int
@@ -99,13 +116,11 @@ func (r *Random) Pick(packet.FlowKey, time.Duration) int { return r.rng.Intn(r.n
 // ObserveLatency implements Policy (ignored).
 func (r *Random) ObserveLatency(int, time.Duration, time.Duration) {}
 
-// FlowClosed implements Policy (ignored).
-func (r *Random) FlowClosed(int, time.Duration) {}
-
-// LeastConn picks the backend with the fewest active flows, breaking ties
-// toward the lowest index.
+// LeastConn picks the backend with the fewest open flows, as its bound
+// occupancy reports them, breaking ties toward the lowest index.
 type LeastConn struct {
-	active []int
+	n   int
+	occ occupancy
 }
 
 // NewLeastConn creates a least-connections policy over n backends.
@@ -113,36 +128,28 @@ func NewLeastConn(n int) *LeastConn {
 	if n <= 0 {
 		panic("control: need at least one backend")
 	}
-	return &LeastConn{active: make([]int, n)}
+	return &LeastConn{n: n}
 }
 
 // Name implements Policy.
 func (l *LeastConn) Name() string { return "leastconn" }
 
 // NumBackends implements Policy.
-func (l *LeastConn) NumBackends() int { return len(l.active) }
+func (l *LeastConn) NumBackends() int { return l.n }
+
+// BindOccupancy implements OccupancyBinder.
+func (l *LeastConn) BindOccupancy(fn func(b int) int) { l.occ = fn }
 
 // Pick implements Policy.
 func (l *LeastConn) Pick(packet.FlowKey, time.Duration) int {
-	best := 0
-	for i := 1; i < len(l.active); i++ {
-		if l.active[i] < l.active[best] {
-			best = i
+	best, bestOcc := 0, l.occ.of(0)
+	for i := 1; i < l.n; i++ {
+		if o := l.occ.of(i); o < bestOcc {
+			best, bestOcc = i, o
 		}
 	}
-	l.active[best]++
 	return best
 }
 
 // ObserveLatency implements Policy (ignored).
 func (l *LeastConn) ObserveLatency(int, time.Duration, time.Duration) {}
-
-// FlowClosed implements Policy.
-func (l *LeastConn) FlowClosed(b int, _ time.Duration) {
-	if b >= 0 && b < len(l.active) && l.active[b] > 0 {
-		l.active[b]--
-	}
-}
-
-// Active returns the tracked active-flow count for backend b.
-func (l *LeastConn) Active(b int) int { return l.active[b] }

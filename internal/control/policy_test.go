@@ -9,6 +9,23 @@ import (
 	"inbandlb/internal/packet"
 )
 
+// openFlows is a test dataplane's per-backend open-flow count, bound as
+// the occupancy of the policy under test: pick opens a flow at the picked
+// backend, and decrementing an entry closes one.
+type openFlows []int
+
+func bindOpen(p OccupancyBinder, n int) openFlows {
+	o := make(openFlows, n)
+	p.BindOccupancy(func(b int) int { return o[b] })
+	return o
+}
+
+func (o openFlows) pick(p Policy, k packet.FlowKey, now time.Duration) int {
+	b := p.Pick(k, now)
+	o[b]++
+	return b
+}
+
 func key(n int) packet.FlowKey {
 	return packet.NewFlowKey(
 		netip.MustParseAddr("10.0.0.9"), netip.MustParseAddr("10.1.0.1"),
@@ -27,7 +44,6 @@ func TestRoundRobin(t *testing.T) {
 		}
 	}
 	rr.ObserveLatency(0, 0, time.Second) // no-ops must not panic
-	rr.FlowClosed(0, 0)
 }
 
 func TestRoundRobinValidation(t *testing.T) {
@@ -52,35 +68,39 @@ func TestRandomUniform(t *testing.T) {
 		}
 	}
 	r.ObserveLatency(0, 0, 0)
-	r.FlowClosed(0, 0)
 	if r.Name() != "random" || r.NumBackends() != 4 {
 		t.Error("metadata wrong")
 	}
 }
 
+// TestLeastConn: picks follow the bound open-flow count, and an unbound
+// policy reads every backend as empty.
 func TestLeastConn(t *testing.T) {
 	lc := NewLeastConn(3)
-	a := lc.Pick(key(0), 0) // 0
-	b := lc.Pick(key(1), 0) // 1
-	c := lc.Pick(key(2), 0) // 2
+	if lc.Name() != "leastconn" || lc.NumBackends() != 3 {
+		t.Fatalf("metadata wrong: %q %d", lc.Name(), lc.NumBackends())
+	}
+	for i := 0; i < 3; i++ {
+		if got := lc.Pick(key(i), 0); got != 0 {
+			t.Fatalf("unbound pick %d = %d, want 0 (every backend empty)", i, got)
+		}
+	}
+	open := bindOpen(lc, 3)
+	a := open.pick(lc, key(0), 0) // 0
+	b := open.pick(lc, key(1), 0) // 1
+	c := open.pick(lc, key(2), 0) // 2
 	if a != 0 || b != 1 || c != 2 {
 		t.Fatalf("initial spread = %d,%d,%d", a, b, c)
 	}
-	lc.FlowClosed(1, 0)
-	if got := lc.Pick(key(3), 0); got != 1 {
+	open[1]-- // a flow on 1 closes
+	if got := open.pick(lc, key(3), 0); got != 1 {
 		t.Errorf("after closing on 1, pick = %d, want 1", got)
 	}
-	if lc.Active(1) != 1 {
-		t.Errorf("active(1) = %d", lc.Active(1))
+	open[2] += 5
+	open[0] += 5
+	if got := lc.Pick(key(4), 0); got != 1 {
+		t.Errorf("with counts %v, pick = %d, want 1", open, got)
 	}
-	// Underflow guard.
-	lc.FlowClosed(2, 0)
-	lc.FlowClosed(2, 0)
-	lc.FlowClosed(2, 0)
-	if lc.Active(2) != 0 {
-		t.Errorf("active(2) = %d, want 0 (no underflow)", lc.Active(2))
-	}
-	lc.FlowClosed(-1, 0) // out of range ignored
 	lc.ObserveLatency(0, 0, 0)
 }
 
@@ -107,7 +127,6 @@ func TestMaglevStaticAffinityAndBalance(t *testing.T) {
 		}
 	}
 	m.ObserveLatency(0, 0, time.Hour) // ignored by design
-	m.FlowClosed(0, 0)
 }
 
 func TestP2CPrefersFasterBackend(t *testing.T) {
@@ -120,9 +139,7 @@ func TestP2CPrefersFasterBackend(t *testing.T) {
 	}
 	counts := make([]int, 2)
 	for i := 0; i < 1000; i++ {
-		b := p.Pick(key(i), now)
-		counts[b]++
-		p.FlowClosed(b, now)
+		counts[p.Pick(key(i), now)]++
 	}
 	// With 2 backends, both are always the two choices, so the faster one
 	// must win every pick.
@@ -133,11 +150,18 @@ func TestP2CPrefersFasterBackend(t *testing.T) {
 
 func TestP2CFallsBackToOccupancy(t *testing.T) {
 	p := NewP2C(2, rand.New(rand.NewSource(5)), coreLatencyCfg())
+	open := bindOpen(p, 2)
 	// No latency data: occupancy decides; first pick goes to 0, second to 1.
-	a := p.Pick(key(0), 0)
-	b := p.Pick(key(1), 0)
+	a := open.pick(p, key(0), 0)
+	b := open.pick(p, key(1), 0)
 	if a == b {
 		t.Errorf("with no data picks were %d,%d; expected spread", a, b)
+	}
+	open[0] += 10
+	for i := 2; i < 10; i++ {
+		if got := open.pick(p, key(i), 0); got != 1 {
+			t.Fatalf("pick %d = %d with counts %v, want the emptier 1", i, got, open)
+		}
 	}
 	if p.Name() != "p2c" || p.NumBackends() != 2 {
 		t.Error("metadata wrong")

@@ -124,7 +124,6 @@ func TestProportionalMetadata(t *testing.T) {
 	if p.Name() != "proportional" || p.NumBackends() != 2 {
 		t.Error("metadata wrong")
 	}
-	p.FlowClosed(0, 0) // no-op
 	if b := p.Pick(key(1), 0); b < 0 || b > 1 {
 		t.Errorf("pick = %d", b)
 	}

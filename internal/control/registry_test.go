@@ -46,7 +46,6 @@ func TestRegistryBuildsEveryPolicy(t *testing.T) {
 			t.Errorf("%s: pick %d outside pool", name, b)
 		}
 		pol.ObserveLatency(b, time.Millisecond, 200*time.Microsecond)
-		pol.FlowClosed(b, 2*time.Millisecond)
 	}
 }
 

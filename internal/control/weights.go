@@ -76,9 +76,6 @@ func (wt *weightTable) Pick(key packet.FlowKey, _ time.Duration) int {
 	return wt.table.Lookup(key.Hash())
 }
 
-// FlowClosed implements Policy (ignored — affinity is the conntrack's job).
-func (wt *weightTable) FlowClosed(int, time.Duration) {}
-
 // Weights returns a copy of the current weight vector.
 func (wt *weightTable) Weights() []float64 {
 	return append([]float64(nil), wt.weights...)

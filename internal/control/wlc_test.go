@@ -22,9 +22,10 @@ func testKey(i int) packet.FlowKey {
 // reduces to occupancy, so picks rotate round-robin-fairly.
 func TestWLCLeastConnWithoutSignal(t *testing.T) {
 	w := NewWeightedLeastConn(3, testLatencyCfg())
+	open := bindOpen(w, 3)
 	counts := make([]int, 3)
 	for i := 0; i < 9; i++ {
-		counts[w.Pick(testKey(i), 0)]++
+		counts[open.pick(w, testKey(i), 0)]++
 	}
 	for i, c := range counts {
 		if c != 3 {
@@ -33,8 +34,9 @@ func TestWLCLeastConnWithoutSignal(t *testing.T) {
 	}
 }
 
-// TestWLCAvoidsSlowBackend: equal occupancy, one 5x-slower backend — the
-// latency weighting must push picks elsewhere.
+// TestWLCAvoidsSlowBackend: equal occupancy (unbound, so every backend
+// reads as empty), one 5x-slower backend — the latency weighting must push
+// picks elsewhere.
 func TestWLCAvoidsSlowBackend(t *testing.T) {
 	w := NewWeightedLeastConn(3, testLatencyCfg())
 	now := time.Millisecond
@@ -46,9 +48,7 @@ func TestWLCAvoidsSlowBackend(t *testing.T) {
 	}
 	counts := make([]int, 3)
 	for i := 0; i < 30; i++ {
-		b := w.Pick(testKey(i), now)
-		counts[b]++
-		w.FlowClosed(b, now) // hold occupancy flat: isolate the latency term
+		counts[w.Pick(testKey(i), now)]++
 	}
 	if counts[0] != 0 {
 		t.Errorf("5x-slower backend still picked %d of 30 times at equal occupancy", counts[0])
@@ -66,9 +66,10 @@ func TestWLCOccupancyCounterbalancesLatency(t *testing.T) {
 		w.ObserveLatency(0, now, time.Millisecond)
 		w.ObserveLatency(1, now, 200*time.Microsecond)
 	}
+	open := bindOpen(w, 2)
 	counts := make([]int, 2)
 	for i := 0; i < 40; i++ {
-		counts[w.Pick(testKey(i), now)]++
+		counts[open.pick(w, testKey(i), now)]++
 	}
 	if counts[0] == 0 {
 		t.Error("slow backend never picked: occupancy term is dead")
@@ -78,9 +79,10 @@ func TestWLCOccupancyCounterbalancesLatency(t *testing.T) {
 	}
 }
 
-// TestWLCBindOccupancy: once bound, picks cost against the external
-// source (the LB's live flow table in production) while the internal
-// charged-flow counters keep running for unbind safety.
+// TestWLCBindOccupancy: picks cost against the bound source (the LB's
+// connection table in production) and nothing else: the policy keeps no
+// count of its own, so its picks alone never move it, and unbinding
+// reads every backend as empty.
 func TestWLCBindOccupancy(t *testing.T) {
 	w := NewWeightedLeastConn(2, testLatencyCfg())
 	external := []int{100, 0} // backend 0 looks saturated externally
@@ -90,27 +92,14 @@ func TestWLCBindOccupancy(t *testing.T) {
 			t.Fatalf("pick %d chose saturated backend %d", i, b)
 		}
 	}
-	if w.Active(1) != 10 {
-		t.Errorf("internal counter = %d, want 10 (still tracked while bound)", w.Active(1))
+	external[0], external[1] = 0, 100
+	if b := w.Pick(testKey(10), 0); b != 0 {
+		t.Fatalf("pick chose %d after the source moved its load to 1", b)
 	}
-	if w.Occupancy(0) != 100 || w.Occupancy(1) != 0 {
-		t.Errorf("Occupancy = %d,%d, want the external 100,0", w.Occupancy(0), w.Occupancy(1))
-	}
-	w.BindOccupancy(nil) // unbind: fall back to internal counters
-	if w.Occupancy(1) != 10 {
-		t.Errorf("unbound Occupancy = %d, want internal 10", w.Occupancy(1))
-	}
-}
-
-// TestWLCFlowClosedBounds: out-of-range and over-closed backends must not
-// panic or drive counters negative.
-func TestWLCFlowClosedBounds(t *testing.T) {
-	w := NewWeightedLeastConn(2, testLatencyCfg())
-	w.FlowClosed(-1, 0)
-	w.FlowClosed(5, 0)
-	w.FlowClosed(0, 0) // never picked: counter at 0 stays 0
-	if w.Active(0) != 0 {
-		t.Errorf("Active(0) = %d after spurious closes, want 0", w.Active(0))
+	w.BindOccupancy(nil) // unbound: every backend empty, the tie goes to 0
+	external[0] = 1000
+	if b := w.Pick(testKey(11), 0); b != 0 {
+		t.Errorf("unbound pick = %d, want 0", b)
 	}
 }
 

@@ -319,7 +319,6 @@ func detectorConfig(sc Scenario) control.DetectorConfig {
 		BackoffMax:       300 * time.Millisecond,
 		HalfOpenFraction: 0.5,
 		HalfOpenTicks:    250,
-		SlowStartInitial: 0.25,
 		SlowStartTicks:   20,
 		Seed:             sc.Seed,
 	}

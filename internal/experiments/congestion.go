@@ -73,7 +73,6 @@ func congestionDetector(cfg CongestionConfig, signals bool) control.DetectorConf
 		BackoffMax:       time.Second,
 		HalfOpenFraction: 1.0 / 16,
 		HalfOpenTicks:    100,
-		SlowStartInitial: 0.25,
 		SlowStartTicks:   25,
 		Seed:             cfg.Seed,
 	}

@@ -85,7 +85,6 @@ func simDetector(seed int64) control.DetectorConfig {
 		// trial instead of a steady stream.
 		HalfOpenFraction: 1.0 / 16,
 		HalfOpenTicks:    100,
-		SlowStartInitial: 0.25,
 		SlowStartTicks:   25,
 		Seed:             seed,
 	}

@@ -59,11 +59,11 @@ type Config struct {
 	// non-request packets of the flow still follow the flow's pinned
 	// backend. Latency samples are attributed to the flow's most recent
 	// backend — an approximation, since a flow's requests may now span
-	// servers. A request's pick is not a connection: its occupancy
-	// accounting is undone at once (FlowClosed), and the flow's own charge
-	// is released against the backend that took it. L7 suits stateless
-	// consistent-hash policies (MaglevStatic, LatencyAware, Proportional);
-	// RoundRobin, LeastConn and P2C would spread keys, not pin them.
+	// servers. A request's pick opens no flow: the connection table, whose
+	// per-backend count is the occupancy policies read, follows the flow to
+	// its latest backend. L7 suits stateless consistent-hash policies
+	// (MaglevStatic, LatencyAware, Proportional); RoundRobin, LeastConn and
+	// P2C would spread keys, not pin them.
 	L7 bool
 }
 
@@ -92,7 +92,7 @@ type LB struct {
 	cfg       Config
 	conns     map[packet.FlowKey]*connEntry
 	free      []*connEntry // recycled entries of closed and swept flows
-	open      []int        // live per-backend connection-table occupancy
+	open      []int        // per-backend connection-table occupancy: the policy's bound count
 	uplink    []*netsim.Link
 	stats     Stats
 	lastSweep time.Duration
@@ -115,11 +115,6 @@ type LB struct {
 type connEntry struct {
 	backend  int // where the flow's packets go; open counts it here
 	lastSeen time.Duration
-	// charged is the backend whose policy occupancy was incremented for
-	// this flow, or -1. Fallback targets chosen by Route are never charged,
-	// so FlowClosed must not decrement them (mirrors the live proxy); an L7
-	// re-dispatch moves backend, not charged.
-	charged int
 	// hash is the flow key's hash as Route computed it (Controller
 	// policies only); congestion reports reuse it.
 	hash uint64
@@ -162,10 +157,10 @@ func New(sim *netsim.Sim, cfg Config, uplinks []*netsim.Link) (*LB, error) {
 		l.stats.CongPerBack = make([]uint64, n)
 	}
 	l.ctrl, _ = cfg.Policy.(*control.Controller)
-	// Policies that consult live occupancy (weighted least-connections,
-	// possibly wrapped in a Controller) read the connection table's truth
-	// instead of shadow-counting charged flows: the table also sees
-	// uncharged fallback flows, idle sweeps, and L7 retargets.
+	// Policies that consult occupancy (least-connections, p2c, wlc,
+	// possibly wrapped in a Controller) read the connection table's
+	// per-backend count: it sees every flow, fallback ones included, until
+	// it closes, idles out or is evicted.
 	if ob, ok := cfg.Policy.(control.OccupancyBinder); ok {
 		ob.BindOccupancy(l.OpenConns)
 	}
@@ -274,16 +269,13 @@ func (l *LB) HandlePacket(p *netsim.Packet) {
 
 	target := entry.backend
 	if p.Kind == netsim.KindClose {
-		l.closeFlow(p.Flow, entry, now)
+		l.closeFlow(p.Flow, entry)
 		// The close itself is still forwarded so the server could clean
 		// up; harmless for the simulated server, faithful to a real FIN.
 	}
 
 	if l.cfg.L7 && p.Kind == netsim.KindRequest && p.Key != 0 {
 		if b := l.cfg.Policy.Pick(keyFlow(p.Key), now); b >= 0 && b < l.cfg.Policy.NumBackends() {
-			// A request is not a connection: undo the pick's occupancy
-			// accounting, as Controller.Route does for a fallback.
-			l.cfg.Policy.FlowClosed(b, now)
 			target = b
 			// Track the latest dispatch so samples and the connection
 			// table follow the flow's current server.
@@ -387,14 +379,12 @@ func keyFlow(key uint64) packet.FlowKey {
 func (l *LB) admit(key packet.FlowKey, now time.Duration) *connEntry {
 	var b int
 	var hash uint64
-	charged := true
 	if l.ctrl != nil {
 		var fellBack bool
 		hash = key.Hash()
 		b, fellBack = l.ctrl.RouteHashed(hash, key, now)
 		if fellBack {
 			l.stats.Fallbacks++
-			charged = false
 		}
 	} else {
 		b = l.cfg.Policy.Pick(key, now)
@@ -403,13 +393,10 @@ func (l *LB) admit(key packet.FlowKey, now time.Duration) *connEntry {
 		return nil
 	}
 	if len(l.conns) >= l.cfg.MaxConns {
-		l.evictOldest(now)
+		l.evictOldest()
 	}
 	e := l.newEntry()
-	e.backend, e.charged, e.hash = b, -1, hash
-	if charged {
-		e.charged = b
-	}
+	e.backend, e.hash = b, hash
 	l.conns[key] = e
 	l.stats.NewFlows++
 	l.stats.NewPerBack[b]++
@@ -449,26 +436,23 @@ func (l *LB) newEntry() *connEntry {
 	return new(connEntry)
 }
 
-// dropFlow removes a flow from the connection table, releases its policy
-// charge, and recycles its entry.
-func (l *LB) dropFlow(key packet.FlowKey, e *connEntry, now time.Duration) {
+// dropFlow removes a flow from the connection table and its backend's open
+// count, and recycles its entry.
+func (l *LB) dropFlow(key packet.FlowKey, e *connEntry) {
 	delete(l.conns, key)
 	l.open[e.backend]--
-	if e.charged >= 0 {
-		l.cfg.Policy.FlowClosed(e.charged, now)
-	}
 	l.free = append(l.free, e)
 }
 
-func (l *LB) closeFlow(key packet.FlowKey, e *connEntry, now time.Duration) {
-	l.dropFlow(key, e, now)
+func (l *LB) closeFlow(key packet.FlowKey, e *connEntry) {
+	l.dropFlow(key, e)
 	l.stats.Closed++
 }
 
 // evictOldest drops the longest-idle flow, the smallest key among equally
 // idle ones, so which flow goes does not depend on map iteration order and
 // a simulation replays from its seed.
-func (l *LB) evictOldest(now time.Duration) {
+func (l *LB) evictOldest() {
 	var oldestKey packet.FlowKey
 	var oldest *connEntry
 	for k, e := range l.conns {
@@ -478,7 +462,7 @@ func (l *LB) evictOldest(now time.Duration) {
 		}
 	}
 	if oldest != nil {
-		l.dropFlow(oldestKey, oldest, now)
+		l.dropFlow(oldestKey, oldest)
 		l.stats.Evicted++
 	}
 }
@@ -489,7 +473,7 @@ func (l *LB) sweep() {
 	cutoff := now - connIdleTimeout
 	for k, e := range l.conns {
 		if e.lastSeen < cutoff {
-			l.dropFlow(k, e, now)
+			l.dropFlow(k, e)
 			l.stats.Swept++
 		}
 	}

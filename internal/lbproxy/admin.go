@@ -302,17 +302,11 @@ type detectorConfigJSON struct {
 	MinPoolSamples    int64   `json:"min_pool_samples"`
 	BackoffInitialMs  float64 `json:"backoff_initial_ms"`
 	BackoffMaxMs      float64 `json:"backoff_max_ms"`
-	BackoffJitter     float64 `json:"backoff_jitter"`
 	HalfOpenFraction  float64 `json:"half_open_fraction"`
 	HalfOpenTicks     int     `json:"half_open_ticks"`
-	SuccessThreshold  int     `json:"success_threshold"`
-	SlowStartInitial  float64 `json:"slow_start_initial"`
 	SlowStartTicks    int     `json:"slow_start_ticks"`
 	CongestionPerTick int64   `json:"congestion_per_tick"`
 	CongestionTicks   int     `json:"congestion_ticks"`
-	CongestionFactor  float64 `json:"congestion_factor"`
-	CongestionAdmit   float64 `json:"congestion_admit"`
-	CongestionClear   int     `json:"congestion_clear"`
 }
 
 func toConfigJSON(cfg control.DetectorConfig, enabled bool) detectorConfigJSON {
@@ -325,17 +319,11 @@ func toConfigJSON(cfg control.DetectorConfig, enabled bool) detectorConfigJSON {
 		MinPoolSamples:    cfg.MinPoolSamples,
 		BackoffInitialMs:  float64(cfg.BackoffInitial) / 1e6,
 		BackoffMaxMs:      float64(cfg.BackoffMax) / 1e6,
-		BackoffJitter:     cfg.BackoffJitter,
 		HalfOpenFraction:  cfg.HalfOpenFraction,
 		HalfOpenTicks:     cfg.HalfOpenTicks,
-		SuccessThreshold:  cfg.SuccessThreshold,
-		SlowStartInitial:  cfg.SlowStartInitial,
 		SlowStartTicks:    cfg.SlowStartTicks,
 		CongestionPerTick: cfg.CongestionPerTick,
 		CongestionTicks:   cfg.CongestionTicks,
-		CongestionFactor:  cfg.CongestionFactor,
-		CongestionAdmit:   cfg.CongestionAdmit,
-		CongestionClear:   cfg.CongestionClear,
 	}
 }
 
@@ -349,17 +337,11 @@ func (j detectorConfigJSON) toConfig(seed int64) control.DetectorConfig {
 		MinPoolSamples:    j.MinPoolSamples,
 		BackoffInitial:    time.Duration(j.BackoffInitialMs * 1e6),
 		BackoffMax:        time.Duration(j.BackoffMaxMs * 1e6),
-		BackoffJitter:     j.BackoffJitter,
 		HalfOpenFraction:  j.HalfOpenFraction,
 		HalfOpenTicks:     j.HalfOpenTicks,
-		SuccessThreshold:  j.SuccessThreshold,
-		SlowStartInitial:  j.SlowStartInitial,
 		SlowStartTicks:    j.SlowStartTicks,
 		CongestionPerTick: j.CongestionPerTick,
 		CongestionTicks:   j.CongestionTicks,
-		CongestionFactor:  j.CongestionFactor,
-		CongestionAdmit:   j.CongestionAdmit,
-		CongestionClear:   j.CongestionClear,
 		Seed:              seed,
 	}
 }

@@ -85,7 +85,7 @@ func TestSampleTCPInfo(t *testing.T) {
 
 // TestCongChargeDelta pins the sampler's delta accounting: the first
 // sample primes the baseline (a pooled conn's prior history is never
-// charged), later samples forward only the growth, and a flat counter
+// counted), later samples forward only the growth, and a flat counter
 // forwards nothing.
 func TestCongChargeDelta(t *testing.T) {
 	p, err := New(Config{
@@ -107,7 +107,7 @@ func TestCongChargeDelta(t *testing.T) {
 		t.Errorf("congSamples = %d, want 3", got)
 	}
 	if got := p.congRetrans.Load(); got != 5 {
-		t.Errorf("congRetrans = %d, want 5 (12-7, baseline never charged)", got)
+		t.Errorf("congRetrans = %d, want 5 (12-7, baseline never counted)", got)
 	}
 	st := p.Stats()
 	if st.CongSamples != 3 || st.CongRetrans != 5 {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"inbandlb/internal/control"
+	"inbandlb/internal/memcache"
 	"inbandlb/internal/netpoll/rawsys"
 	"inbandlb/internal/packet"
 	"inbandlb/internal/testbed"
@@ -869,5 +870,48 @@ func TestIPv6FlowKeys(t *testing.T) {
 		if ip, port := addrPort4(netip.MustParseAddrPort(addr)); ip != want || port != 40001 {
 			t.Errorf("%s: key %v:%d, want %v:40001", addr, ip, port, want)
 		}
+	}
+}
+
+// TestLoopNeverWaitsOnController: with a table policy a loop's steady
+// state — accept, route, relay, teardown — takes no Controller lock, so a
+// control tick or a /status read holding it cannot stall the shard. The
+// lock is held for the whole run, and the counters are read from their
+// atomics: Stats calls Health, which takes it.
+func TestLoopNeverWaitsOnController(t *testing.T) {
+	_, addrA := startBackend(t)
+	_, addrB := startBackend(t)
+	pol, err := control.NewMaglevStatic([]string{"a", "b"}, 1021)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy, paddr := startProxy(t, pol, addrA, addrB)
+
+	held, release := make(chan struct{}), make(chan struct{})
+	go proxy.ctrl.Do(func(control.Policy) {
+		close(held)
+		<-release
+	})
+	<-held
+	defer close(release)
+
+	const conns = 8
+	for i := 0; i < conns; i++ {
+		c, err := memcache.Dial(paddr, time.Second)
+		if err != nil {
+			t.Fatalf("conn %d: %v", i, err)
+		}
+		_ = c.SetDeadline(time.Now().Add(time.Second))
+		if err := c.Set("k", []byte("v")); err != nil {
+			t.Fatalf("conn %d: %v", i, err)
+		}
+		_ = c.Close()
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) && (proxy.accepted.Load() < conns || proxy.active.Load() != 0) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if a, n := proxy.accepted.Load(), proxy.active.Load(); a != conns || n != 0 {
+		t.Fatalf("accepted %d, active %d with the Controller lock held, want %d and 0", a, n, conns)
 	}
 }

@@ -30,7 +30,7 @@ import (
 //	(accept4)    routed; the dial pool has a socket     unproven     PoolHits
 //	(accept4)    routed; no pooled socket               connecting
 //	connecting   EPOLLOUT with SO_ERROR 0               established  PerBackend (Failovers on the failover)
-//	connecting   refused, DialTimeout (wheel), EMFILE   connecting   dialFailed: detector, debit undone, the one failover
+//	connecting   refused, DialTimeout (wheel), EMFILE   connecting   dialFailed: detector, the one failover, open count moved
 //	connecting   the failover fails too, or no target   closed       DialErrors
 //	unproven     first request chunk written            established  PerBackend
 //	unproven     first request write fails              connecting   PoolFirstWriteFails; same backend, then the failover
@@ -147,7 +147,6 @@ type npRelay struct {
 
 	connecting bool // sfd is registered and its connect has not settled
 	failover   bool // this connect is the one-shot failover attempt
-	charged    bool // policy holds an open-flow debit for backend
 	counted    bool // backend connected: committed to PerBackend/Active
 	clientOn   bool // cfd is registered
 	finalized  bool
@@ -423,13 +422,13 @@ func (s *npShard) admit(cfd int, peer netip.AddrPort) {
 			key.DstIP, key.DstPort = addrPort4(local)
 		}
 	}
-	backend, charged := p.route(key)
+	backend := p.route(key)
 	if backend < 0 {
 		s.pol.CloseFD(cfd)
 		return
 	}
 	p.relays.Add(1)
-	rel := &npRelay{p: p, shard: s, cfd: cfd, sfd: -1, backend: backend, charged: charged}
+	rel := &npRelay{p: p, shard: s, cfd: cfd, sfd: -1, backend: backend}
 	rel.req = npDir{rel: rel, observe: true, splice: true}
 	rel.resp = npDir{rel: rel, splice: true}
 	s.live[rel] = struct{}{}
@@ -554,7 +553,7 @@ func (rel *npRelay) onConnect(ev netpoll.Event) {
 // the connection ends (in DialErrors — finalize counts what never connected).
 func (rel *npRelay) connectFailed() {
 	rel.dropServer()
-	alt := rel.p.dialFailed(rel.backend, rel.failover, &rel.charged)
+	alt := rel.p.dialFailed(rel.backend, rel.failover)
 	if alt < 0 {
 		rel.finalize()
 		return
@@ -1068,8 +1067,9 @@ func (d *npDir) onTimeout() {
 
 // finalize is the single teardown point: idempotent, loop-only. It releases
 // what a blocked write left with the relay, settles the accounting identity
-// (exactly one of PerBackend/DialErrors for every admitted connection;
-// FlowClosed only while charged), drops the estimator, and closes both fds.
+// (exactly one of PerBackend/DialErrors for every admitted connection),
+// releases the connection's open count, drops the estimator, and closes
+// both fds.
 func (rel *npRelay) finalize() {
 	if rel.finalized {
 		return
@@ -1084,10 +1084,7 @@ func (rel *npRelay) finalize() {
 		d.releasePipe()
 	}
 	p.forget(&rel.est)
-	if rel.charged {
-		p.ctrl.FlowClosed(rel.backend, p.now())
-		rel.charged = false
-	}
+	p.openFlows[rel.backend].Add(-1)
 	if rel.unproven {
 		// Ended before its first byte (idle bound, reset, shutdown): the
 		// pooled socket was never found wanting, so this is a relayed

@@ -33,8 +33,17 @@
 //     pointer: for table-based policies (maglev, latency-aware,
 //     proportional) a new connection's pick — including health-eject
 //     fallback — is a pure read, no mutex, no channel, zero allocations.
-//     Stateful policies (roundrobin, leastconn, p2c) fall back to a mutex
-//     around the policy.
+//     Stateful policies (roundrobin, leastconn, p2c, wlc) fall back to a
+//     mutex around the policy.
+//   - Occupancy is the dataplane's own count: an atomic open-flow count per
+//     backend, raised when route admits a connection, moved by a failover
+//     and released at teardown. New binds it into the policy through
+//     Controller.BindOccupancy, so leastconn, p2c and wlc read it under
+//     the Controller's mutex when they pick. Closing a connection touches
+//     only that atomic, so with a table policy and the passive detector
+//     off a loop's steady state takes no Controller lock at all. With
+//     several acceptors, two shards' picks can read the same count before
+//     either raises it.
 //   - Packet-rate latency samples are folded into the Controller's
 //     per-shard, cache-line-padded accumulators — each event-loop shard
 //     writes its own stripe — and merged into the policy once per control
@@ -43,8 +52,7 @@
 //     most one control interval.
 //   - control.Policy implementations stay single-threaded (their
 //     documented contract): the Controller serializes every policy call.
-//     Connection-rate calls (FlowClosed, stateful Picks) are applied
-//     synchronously under its mutex.
+//     Stateful Picks are applied synchronously under its mutex.
 //   - All Stats counters are atomics; Stats() returns a deep copy built
 //     from them, never aliasing mutable state.
 //   - Nothing sweeps estimators: one whose connection sat silent longer
@@ -253,6 +261,7 @@ type Proxy struct {
 	fallbacks       atomic.Uint64
 	failovers       atomic.Uint64
 	perBackend      []atomic.Uint64
+	openFlows       []atomic.Int64 // per backend: connections routed there and not yet torn down
 	stop            chan struct{}
 
 	// Relay syscall and pool accounting; see Stats.RelayReads et al.
@@ -290,6 +299,7 @@ func New(cfg Config) (*Proxy, error) {
 		cfg:        cfg,
 		start:      time.Now(),
 		perBackend: make([]atomic.Uint64, len(cfg.Backends)),
+		openFlows:  make([]atomic.Int64, len(cfg.Backends)),
 		stop:       make(chan struct{}),
 	}
 	if err := p.initDataplane(); err != nil {
@@ -305,6 +315,7 @@ func New(cfg Config) (*Proxy, error) {
 		Detector: cfg.Detector,
 		Audit:    cfg.Audit,
 	})
+	p.ctrl.BindOccupancy(func(b int) int { return int(p.openFlows[b].Load()) })
 	return p, nil
 }
 
@@ -458,44 +469,42 @@ func addrPort4(ap netip.AddrPort) (ip [4]byte, port uint16) {
 	return ip, ap.Port()
 }
 
-// route picks the backend for a new flow. Health ejection is applied inline:
-// for table-based policies it is a pure snapshot read; for stateful ones the
-// controller undoes the original pick's occupancy accounting before falling
-// back, so nothing leaks when the pick lands on an ejected backend. Returns
-// -1, having counted the connection as Dropped, when the whole pool is
-// ejected (or the policy misbehaved). charged reports whether the policy
-// holds an open-flow debit for backend: fallback and failover targets are
-// never charged, so the end-of-connection FlowClosed must be skipped for
-// them or occupancy goes negative.
-func (p *Proxy) route(key packet.FlowKey) (backend int, charged bool) {
+// route picks the backend for a new flow and counts the flow open there
+// until its teardown releases it (p.openFlows). Health ejection is applied
+// inline: for table-based policies it is a pure snapshot read. Returns -1,
+// having counted the connection as Dropped and opened nothing, when the
+// whole pool is ejected (or the policy misbehaved).
+func (p *Proxy) route(key packet.FlowKey) int {
 	backend, fellBack := p.ctrl.Route(key, p.now())
 	if backend < 0 || backend >= len(p.cfg.Backends) {
 		p.dropped.Add(1)
-		return -1, false
+		return -1
 	}
 	if fellBack {
 		p.fallbacks.Add(1)
 	}
-	return backend, !fellBack
+	p.openFlows[backend].Add(1)
+	return backend
 }
 
 // dialFailed is the accounting of one failed attempt to reach backend — a
 // refused or timed-out connect, or a pooled connection dying on first write.
 // The failure goes to the passive detector; if it was the connection's routed
-// attempt, the policy's open-flow debit is undone and the one-shot failover
-// target returned. -1 means the connection is terminally unreachable: the
-// failover attempt itself failed, or there is no target (the caller counts a
-// DialError).
-func (p *Proxy) dialFailed(backend int, wasFailover bool, charged *bool) (alt int) {
+// attempt, the one-shot failover target is returned and the connection's
+// open count moves there. -1 means the connection is terminally unreachable:
+// the failover attempt itself failed, or there is no target (the caller
+// counts a DialError). The count then stays at backend for the teardown to
+// release.
+func (p *Proxy) dialFailed(backend int, wasFailover bool) (alt int) {
 	p.ctrl.ReportDialError(backend, p.now())
 	if wasFailover {
 		return -1
 	}
-	if *charged {
-		p.ctrl.FlowClosed(backend, p.now())
-		*charged = false
+	if alt = p.ctrl.FailoverTarget(backend); alt >= 0 {
+		p.openFlows[backend].Add(-1)
+		p.openFlows[alt].Add(1)
 	}
-	return p.ctrl.FailoverTarget(backend)
+	return alt
 }
 
 // reportRelayErr forwards an abnormal server-side relay failure to the

@@ -11,7 +11,6 @@ import (
 	"inbandlb/internal/control"
 	"inbandlb/internal/core"
 	"inbandlb/internal/memcache"
-	"inbandlb/internal/packet"
 )
 
 // startBackend runs a memcached server on an ephemeral port.
@@ -404,40 +403,37 @@ func TestProxyHealthEjection(t *testing.T) {
 	}
 }
 
-// flowCountPolicy tracks live flows per backend; Pick charges a flow and
-// FlowClosed discharges it, so leaks show up as a nonzero live count.
-type flowCountPolicy struct {
-	n    int
-	next int
-	live []int64
-}
-
-func newFlowCountPolicy(n int) *flowCountPolicy {
-	return &flowCountPolicy{n: n, live: make([]int64, n)}
-}
-
-func (f *flowCountPolicy) Name() string                                     { return "flowcount" }
-func (f *flowCountPolicy) NumBackends() int                                 { return f.n }
-func (f *flowCountPolicy) ObserveLatency(int, time.Duration, time.Duration) {}
-func (f *flowCountPolicy) FlowClosed(b int, _ time.Duration)                { f.live[b]-- }
-func (f *flowCountPolicy) Pick(_ packet.FlowKey, _ time.Duration) int {
-	b := f.next % f.n
-	f.next++
-	f.live[b]++
-	return b
+// waitOpenFlowsZero waits until every backend's open-flow count, the
+// occupancy the proxy binds into its policy, is back to 0.
+func waitOpenFlowsZero(t *testing.T, p *Proxy) {
+	t.Helper()
+	counts := func() []int64 {
+		out := make([]int64, len(p.openFlows))
+		for b := range p.openFlows {
+			out[b] = p.openFlows[b].Load()
+		}
+		return out
+	}
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		c := counts()
+		if !slices.ContainsFunc(c, func(n int64) bool { return n != 0 }) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("open flows per backend = %v after every connection ended, want all 0", c)
+		}
+	}
 }
 
 // TestWholePoolEjectedUndoesPick ejects every backend through the
 // controller (the layer routing actually consults) and verifies that
 // dropped connections are counted in Stats.Dropped, satisfy the accounting
-// identity, and undo their pick in the policy: without the FlowClosed(orig)
-// on the drop path, each dropped connection would leak one live flow in the
-// policy's per-backend accounting forever.
+// identity, and leave no open flow counted against any backend: a dropped
+// connection that did would skew every occupancy policy's picks forever.
 func TestWholePoolEjectedUndoesPick(t *testing.T) {
 	_, addrA := startBackend(t)
 	_, addrB := startBackend(t)
-	pol := newFlowCountPolicy(2)
-	proxy, paddr := startProxy(t, pol, addrA, addrB)
+	proxy, paddr := startProxy(t, control.NewLeastConn(2), addrA, addrB)
 
 	// Eject the whole pool (the prober is off in this config).
 	proxy.ctrl.SetEjected(0, true)
@@ -474,13 +470,67 @@ func TestWholePoolEjectedUndoesPick(t *testing.T) {
 		t.Errorf("identity violated: accepted=%d routed=%d dialErrors=%d dropped=%d",
 			st.Accepted, routed, st.DialErrors, st.Dropped)
 	}
-	proxy.ctrl.Do(func(control.Policy) {
-		for b, n := range pol.live {
-			if n != 0 {
-				t.Errorf("backend %d: %d live flows leaked in policy accounting", b, n)
+	waitOpenFlowsZero(t, proxy)
+}
+
+// TestProxyBindsOpenFlows: New binds the proxy's per-backend open-flow
+// count into the policy, so least-connections spreads held connections
+// evenly and sends the next one to the backend where a connection closed.
+// Unbound, leastconn would read every backend as empty and send every
+// connection to backend 0.
+func TestProxyBindsOpenFlows(t *testing.T) {
+	_, addrA := startBackend(t)
+	_, addrB := startBackend(t)
+	proxy, paddr := startProxy(t, control.NewLeastConn(2), addrA, addrB)
+
+	// open relays one exchange on a new connection and reports the backend
+	// it was counted on.
+	open := func(i int) (*memcache.Client, int) {
+		t.Helper()
+		before := proxy.Stats().PerBackend
+		c, err := memcache.Dial(paddr, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = c.SetDeadline(time.Now().Add(2 * time.Second))
+		if err := c.Set("k", []byte("v")); err != nil {
+			t.Fatalf("conn %d: %v", i, err)
+		}
+		after := proxy.Stats().PerBackend
+		for b := range after {
+			if after[b] > before[b] {
+				return c, b
 			}
 		}
-	})
+		t.Fatalf("conn %d: counted on no backend (PerBackend %v)", i, after)
+		return nil, -1
+	}
+	var held [4]*memcache.Client
+	var on [4]int
+	for i := range held {
+		held[i], on[i] = open(i)
+	}
+	if got := proxy.Stats().PerBackend; !slices.Equal(got, []uint64{2, 2}) {
+		t.Fatalf("PerBackend = %v with 4 connections held under leastconn, want [2 2]", got)
+	}
+	first0 := slices.Index(on[:], 0)
+	_ = held[first0].Close()
+	for deadline := time.Now().Add(2 * time.Second); proxy.openFlows[0].Load() != 1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("backend 0 open flows = %d after one of its 2 closed, want 1", proxy.openFlows[0].Load())
+		}
+	}
+	next, b := open(4)
+	if b != 0 {
+		t.Errorf("next connection went to backend %d, want 0 where a connection closed", b)
+	}
+	_ = next.Close()
+	for i, c := range held {
+		if i != first0 {
+			_ = c.Close()
+		}
+	}
+	waitOpenFlowsZero(t, proxy)
 }
 
 // TestProxyDialFailover kills one of two backends without ejecting it: the
@@ -531,6 +581,9 @@ func TestProxyDialFailover(t *testing.T) {
 	if st.Accepted != routed+st.DialErrors+st.Dropped {
 		t.Errorf("identity violated: %+v", st)
 	}
+	// Each failover moved its connection's open count to the live backend,
+	// and teardown released it there.
+	waitOpenFlowsZero(t, proxy)
 }
 
 // TestProxyPassiveOutageEjection is the acceptance scenario: active probes

@@ -122,10 +122,11 @@ func (p *Proxy) relay(client net.Conn) {
 	defer p.relays.Done()
 	defer p.retire(client)
 	key := flowKeyFor(client)
-	backend, charged := p.route(key)
+	backend := p.route(key)
 	if backend < 0 {
 		return // Dropped
 	}
+	defer func() { p.openFlows[backend].Add(-1) }()
 	var server net.Conn
 	for failover := false; server == nil; failover = true {
 		p.connecting.Add(1)
@@ -142,10 +143,12 @@ func (p *Proxy) relay(client net.Conn) {
 		if errors.As(err, &ne) && ne.Timeout() {
 			p.connectTimeouts.Add(1)
 		}
-		if backend = p.dialFailed(backend, failover, &charged); backend < 0 {
+		alt := p.dialFailed(backend, failover)
+		if alt < 0 {
 			p.dialErrors.Add(1)
 			return
 		}
+		backend = alt
 	}
 	p.track(server)
 	p.ctrl.ReportDialSuccess(backend)
@@ -203,8 +206,5 @@ func (p *Proxy) relay(client net.Conn) {
 
 	p.retire(server)
 	p.forget(&est)
-	if charged {
-		p.ctrl.FlowClosed(backend, p.now())
-	}
 	p.active.Add(-1)
 }

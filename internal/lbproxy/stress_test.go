@@ -17,7 +17,7 @@ import (
 )
 
 // chaosSeed parameterizes every random choice in the chaos flapping stress
-// test — the Flaky schedules and the detector's backoff jitter — so a -race
+// test — the Flaky schedules — so a -race
 // failure seen in CI reproduces locally from the seed the test logs. The
 // default keeps the schedule the test has always run (7, 9, 11).
 var chaosSeed = flag.Int64("chaos.seed", 7, "base seed for TestProxyChaosFlappingStress fault schedules")
@@ -304,7 +304,7 @@ func TestProxyChaosFlappingStress(t *testing.T) {
 			BackoffInitial:   20 * time.Millisecond,
 			BackoffMax:       80 * time.Millisecond,
 			SlowStartTicks:   10,
-			Seed:             seed, // jittered backoff follows the test seed
+			Seed:             seed,
 		},
 		IdleTimeout:  150 * time.Millisecond,
 		DrainTimeout: 500 * time.Millisecond,
@@ -557,7 +557,7 @@ func TestControllerConcurrentStress(t *testing.T) {
 		}
 	}()
 
-	// Readers + observers + closers.
+	// Readers + observers + failover lookups.
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -587,7 +587,10 @@ func TestControllerConcurrentStress(t *testing.T) {
 				case 2:
 					ctrl.ObserveSharded(uint64(w)<<32|uint64(i), i%n, now, time.Millisecond)
 				case 3:
-					ctrl.FlowClosed(i%n, now)
+					if b := ctrl.FailoverTarget(i % n); b >= n {
+						t.Errorf("failover target out of range: %d", b)
+						return
+					}
 				}
 			}
 		}(w)

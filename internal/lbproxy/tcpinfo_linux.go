@@ -80,7 +80,7 @@ type congEntry struct {
 	backend int
 	// lastRetrans is the cumulative tcpi_total_retrans at the previous
 	// visit; primed flips after the first successful sample so a pooled
-	// connection's history before this relay is never charged.
+	// connection's history before this relay is never counted.
 	lastRetrans uint32
 	primed      bool
 }

@@ -346,7 +346,6 @@ func TestSnapshotRoutePartialAdmissionZeroAlloc(t *testing.T) {
 			Enabled:          true,
 			FailureThreshold: 1,
 			BackoffInitial:   time.Millisecond,
-			BackoffJitter:    0.1,
 			SlowStartTicks:   1 << 30, // park backend 1 mid-ramp for the test
 		},
 	})

@@ -19,7 +19,7 @@ import (
 var knobs = map[string]int{
 	"internal/auditlog.LogConfig":             3,
 	"internal/control.ControllerConfig":       5,
-	"internal/control.DetectorConfig":         20,
+	"internal/control.DetectorConfig":         14,
 	"internal/control.LatencyAwareConfig":     8,
 	"internal/control.PolicySpec":             8,
 	"internal/core.EnsembleConfig":            2,
@@ -47,7 +47,7 @@ var knobs = map[string]int{
 }
 
 // knobTotal is the sum of the knobs table.
-const knobTotal = 183
+const knobTotal = 177
 
 // TestConfigKnobRatchet: the exported Config fields in the tree are
 // exactly the knobs table.
