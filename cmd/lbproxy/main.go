@@ -109,7 +109,6 @@ func main() {
 			BackoffInitial:   *backoff,
 			BackoffMax:       *backoffMax,
 			SlowStartTicks:   *slowStart,
-			Seed:             spec.Seed,
 			// The congestion channel arms only when sampling feeds it;
 			// otherwise zero keeps the legacy detector bit-for-bit.
 			CongestionPerTick: congestionPerTick(*congSignals, *congPerTick),
@@ -205,7 +204,7 @@ func policySpecFlags(fs *flag.FlagSet) func(backends []string) control.PolicySpe
 		cooldown   = fs.Duration("cooldown", 5*time.Millisecond, "latency-aware: minimum time between shifts (proportional, knapsack: solve period)")
 		hysteresis = fs.Float64("hysteresis", control.DefaultHysteresisRatio, "latency-aware: worst/best ratio required to shift (1 disables)")
 		halfLife   = fs.Duration("half-life", 20*time.Millisecond, "per-server latency EWMA half-life")
-		seed       = fs.Int64("seed", 1, "random seed for randomized policies and detector jitter")
+		seed       = fs.Int64("seed", 1, "random seed for randomized policies")
 	)
 	return func(backends []string) control.PolicySpec {
 		return control.PolicySpec{

@@ -13,7 +13,9 @@ import (
 // sample reproduces per-sample policy behavior exactly). Congestion signals
 // (retransmissions, dup-ACK runs, zero-window stalls) ride the same cells:
 // they are counted per backend on the same stripe the flow's latency samples
-// use, so the transport-distress path adds no new synchronization.
+// use, so the transport-distress path adds no new synchronization. So do
+// connection outcomes (ObserveConn): successes, failures, and the failure
+// run since the cell's newest success, which the tick's detector judges.
 type sampleCell struct {
 	count    int64
 	sum      time.Duration
@@ -22,6 +24,8 @@ type sampleCell struct {
 	retrans  int64
 	dupAcks  int64
 	zeroWins int64
+
+	oks, fails, failRun int64
 }
 
 func (c *sampleCell) add(now, sample time.Duration) {
@@ -103,10 +107,25 @@ func (a *aggregator) observeCongestion(hash uint64, b int, retrans, dupAcks, zer
 	s.mu.Unlock()
 }
 
+// observeConn folds one connection outcome for backend b into the shard
+// selected by hash: a success ends the cell's failure run, a failure extends
+// it.
+func (a *aggregator) observeConn(hash uint64, b int, ok bool) {
+	s := &a.shards[hash&a.mask]
+	s.mu.Lock()
+	if c := &s.cells[b]; ok {
+		c.oks, c.failRun = c.oks+1, 0
+	} else {
+		c.fails, c.failRun = c.fails+1, c.failRun+1
+	}
+	s.mu.Unlock()
+}
+
 // drainShard copies shard i's cells into out (len >= backends) and resets
 // them, holding the shard mutex only for the copy. It returns the number of
-// samples plus congestion events drained — nonzero whenever the shard holds
-// anything the tick must merge, including congestion-only cells.
+// samples, congestion events and connection outcomes drained — nonzero
+// whenever the shard holds anything the tick must merge, including cells
+// with no latency sample.
 func (a *aggregator) drainShard(i int, out []sampleCell) int64 {
 	s := &a.shards[i]
 	var n int64
@@ -114,7 +133,7 @@ func (a *aggregator) drainShard(i int, out []sampleCell) int64 {
 	copy(out, s.cells)
 	for j := range s.cells {
 		c := &s.cells[j]
-		n += c.count + c.retrans + c.dupAcks + c.zeroWins
+		n += c.count + c.retrans + c.dupAcks + c.zeroWins + c.oks + c.fails
 		s.cells[j] = sampleCell{}
 	}
 	s.mu.Unlock()

@@ -10,7 +10,7 @@ import (
 // publishes, weight changes, detector transitions, manual flips, config
 // reloads — is mirrored into the configured auditlog.Sink. Emission
 // happens strictly off the data plane's hot path: all call sites already
-// hold c.mu (tick merges, failure reports, SetEjected), and the sink
+// hold c.mu (ticks, probe reports, SetEjected, reloads), and the sink
 // contract makes Note a few stores into a preallocated slot. The scratch
 // record c.arec lives on the controller so emitting allocates nothing.
 
@@ -63,9 +63,8 @@ func equalWeights(a, b []float64) bool {
 
 // SetDetectorConfig replaces the passive detector's tuning at runtime —
 // the admin endpoint's live reload. With the detector currently enabled,
-// thresholds are swapped in place: per-backend state machines and the
-// backoff-jitter RNG stream continue uninterrupted, so a reload never
-// resets an in-flight recovery. Enabling from scratch builds a fresh
+// thresholds are swapped in place: per-backend state machines continue
+// uninterrupted, so a reload never resets an in-flight recovery. Enabling from scratch builds a fresh
 // detector; disabling drops it (backends return to manual-veto-only
 // health, full admission). Returns false when the call was a no-op
 // (disabling an already-disabled detector). Any admission change

@@ -12,9 +12,6 @@ import (
 func auditCtrl(t *testing.T, det DetectorConfig) (*Controller, *auditlog.Collector) {
 	t.Helper()
 	det.Enabled = true
-	if det.Seed == 0 {
-		det.Seed = 1
-	}
 	p, err := NewMaglevStatic([]string{"s0", "s1", "s2", "s3"}, 1031)
 	if err != nil {
 		t.Fatal(err)
@@ -58,9 +55,8 @@ func TestAuditEjectionLifecycle(t *testing.T) {
 	c, col := auditCtrl(t, cfg)
 	defer c.Close()
 
-	for i := 0; i < 3; i++ {
-		c.ReportDialError(1, 10*time.Millisecond)
-	}
+	fail(c, 1, 3)
+	c.Tick(10 * time.Millisecond)
 	recs := col.Snapshot()
 	tr := find(recs, auditlog.KindTransition, 1)
 	if tr == nil {
@@ -81,9 +77,10 @@ func TestAuditEjectionLifecycle(t *testing.T) {
 
 	// Backoff expiry → half-open, dial success → slow-start, ramp → healthy.
 	c.Tick(200 * time.Millisecond)
-	c.ReportDialSuccess(1)
+	c.ObserveConn(0, 1, true)
 	c.Tick(210 * time.Millisecond)
 	c.Tick(220 * time.Millisecond)
+	c.Tick(230 * time.Millisecond)
 	if st := c.Health(1).State; st != Healthy {
 		t.Fatalf("state after recovery = %v", st)
 	}
@@ -108,20 +105,26 @@ func TestAuditEjectionLifecycle(t *testing.T) {
 	}
 }
 
+// TestAuditVetoedEjectionNotRecorded: every backend refuses before one
+// tick. The tick ejects them in order, and each veto must see the ejections
+// made earlier in the same tick: the fourth, by then the last routable
+// backend, stays in, and no transition is logged for it.
 func TestAuditVetoedEjectionNotRecorded(t *testing.T) {
 	c, col := auditCtrl(t, DetectorConfig{FailureThreshold: 1})
 	defer c.Close()
-	for b := 0; b < 3; b++ {
-		c.ReportDialError(b, 0)
+	for b := 0; b < 4; b++ {
+		fail(c, b, 1)
 	}
-	// Backend 3 is the last routable one: ejection must be vetoed and no
-	// transition logged.
-	before := len(col.Snapshot())
-	c.ReportDialError(3, 0)
+	c.Tick(time.Millisecond)
+	for b := 0; b < 3; b++ {
+		if st := c.Health(b).State; st != Ejected {
+			t.Errorf("backend %d: state %v, want ejected", b, st)
+		}
+	}
 	if c.Health(3).Ejected() {
 		t.Fatal("last backend was ejected")
 	}
-	for _, r := range col.Snapshot()[before:] {
+	for _, r := range col.Snapshot() {
 		if r.Kind == auditlog.KindTransition && r.Backend == 3 {
 			t.Fatalf("vetoed ejection was recorded: %+v", r)
 		}
@@ -213,7 +216,8 @@ func TestAuditWeightsRecordedOnChange(t *testing.T) {
 func TestAuditConfigReloadPreservesDetectorState(t *testing.T) {
 	c, col := auditCtrl(t, DetectorConfig{FailureThreshold: 1})
 	defer c.Close()
-	c.ReportDialError(2, 0)
+	fail(c, 2, 1)
+	c.Tick(0)
 	if !c.Health(2).Ejected() {
 		t.Fatal("setup: backend 2 not ejected")
 	}
@@ -252,10 +256,11 @@ func TestAuditConfigReloadPreservesDetectorState(t *testing.T) {
 		t.Fatal("double disable reported a change")
 	}
 	// Re-enabling from scratch works.
-	if !c.SetDetectorConfig(DetectorConfig{Enabled: true, FailureThreshold: 1, Seed: 1}) {
+	if !c.SetDetectorConfig(DetectorConfig{Enabled: true, FailureThreshold: 1}) {
 		t.Fatal("re-enable rejected")
 	}
-	c.ReportDialError(0, 0)
+	fail(c, 0, 1)
+	c.Tick(time.Millisecond)
 	if !c.Health(0).Ejected() {
 		t.Fatal("re-enabled detector not ejecting")
 	}
@@ -272,12 +277,12 @@ func TestAuditDeterministicAcrossRuns(t *testing.T) {
 		}
 		c, col := auditCtrl(t, cfg)
 		defer c.Close()
-		c.ReportDialError(1, time.Millisecond)
-		c.ReportDialError(1, 2*time.Millisecond)
+		fail(c, 1, 2)
+		c.Tick(2 * time.Millisecond)
 		for i := 0; i < 40; i++ {
 			c.Tick(time.Duration(10+i*5) * time.Millisecond)
 		}
-		c.ReportDialSuccess(1)
+		c.ObserveConn(0, 1, true)
 		for i := 0; i < 10; i++ {
 			c.Tick(time.Duration(300+i*5) * time.Millisecond)
 		}

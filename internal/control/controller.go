@@ -65,12 +65,13 @@ type ControllerConfig struct {
 //   - Health is two stacked layers, and the Controller is its one home.
 //     The manual layer is a boolean veto, set by SetEjected or by the
 //     active prober's streaks (ReportProbe). The optional passive detector
-//     layer (ControllerConfig.Detector) consumes in-band signals — reported
-//     dial/relay failures between ticks, per-backend latency aggregates
-//     at each tick — and drives the healthy → ejected → half-open →
-//     slow-start state machine through one transition function (move),
-//     expressed to the data plane purely as per-backend admission
-//     fractions in the published Snapshot. Health reads it all back.
+//     layer (ControllerConfig.Detector) judges in-band signals at each
+//     tick — connection outcomes (ObserveConn), congestion counts and
+//     per-backend latency aggregates, all drained from the same stripes —
+//     and drives the healthy → ejected → half-open → slow-start state
+//     machine through one transition function (move), expressed to the
+//     data plane purely as per-backend admission fractions in the
+//     published Snapshot. Health reads it all back.
 //
 // Controller implements Policy, so it drops in anywhere a Policy does. The
 // wrapped policy never sees concurrent calls, exactly as the Policy
@@ -127,6 +128,8 @@ type TickStat struct {
 	Retrans  int64         // retransmissions observed this tick
 	DupAcks  int64         // dup-ACK runs observed this tick
 	ZeroWins int64         // zero-window stalls observed this tick
+
+	oks, fails, failRun int64 // connection outcomes (ObserveConn), for the detector
 }
 
 // NewController wraps policy. The returned controller has an up-to-date
@@ -291,81 +294,29 @@ func (c *Controller) ObserveCongestion(hash uint64, b int, retrans, dupAcks, zer
 	c.agg.observeCongestion(hash, b, int64(retrans), int64(dupAcks), int64(zeroWins))
 }
 
-// ReportDialError feeds the passive detector one connection-establishment
-// failure against backend b at time now. Consecutive failures (with no
-// intervening success) past the configured threshold eject the backend; a
-// failure during a half-open trial or slow-start ramp re-ejects it with
-// doubled backoff. No-op when the detector is disabled. Any resulting
-// health transition republishes the snapshot immediately.
-func (c *Controller) ReportDialError(b int, now time.Duration) {
-	c.reportFailure(b, now)
-}
-
-// ReportRelayError feeds the passive detector one mid-stream connection
-// failure (relay reset) against backend b. Same thresholds and transitions
-// as ReportDialError — a reset stream and a refused dial are the same
-// in-band evidence.
-func (c *Controller) ReportRelayError(b int, now time.Duration) {
-	c.reportFailure(b, now)
-}
-
-func (c *Controller) reportFailure(b int, now time.Duration) {
-	if c.det == nil {
+// ObserveConn folds one connection outcome for backend b into the
+// aggregation stripe selected by hash — the same stripe discipline as
+// ObserveSharded. ok is a completed dial; !ok is a refused or timed-out
+// dial, or a stream the backend broke. The next Tick hands the outcomes to
+// the passive detector, which ejects a backend at FailureThreshold
+// consecutive failures and settles a half-open trial on them; with the
+// detector off they are dropped. Never blocks on the control plane, never
+// allocates.
+func (c *Controller) ObserveConn(hash uint64, b int, ok bool) {
+	if b < 0 || b >= len(c.lastMerge) {
 		return
 	}
-	c.mu.Lock()
-	c.lastNow = now
-	if b >= 0 && b < len(c.det.st) {
-		h := &c.det.st[b]
-		switch h.state {
-		case Healthy, SlowStart:
-			if h.consecFails++; h.consecFails >= c.det.cfg.FailureThreshold {
-				c.move(b, Ejected, auditlog.CauseFailures, now, evidence{fails: h.consecFails})
-			}
-		case HalfOpen:
-			// A failed trial: one strike re-ejects with doubled backoff.
-			c.move(b, Ejected, auditlog.CauseTrialFailed, now, evidence{fails: 1})
-		}
-		c.refreshAdmitLocked()
-		if c.dirty {
-			c.republishLocked()
-		}
-	}
-	c.mu.Unlock()
+	c.agg.observeConn(hash, b, ok)
 }
 
-// ReportDialSuccess feeds the passive detector one successful connection
-// establishment against backend b: it clears the consecutive-failure
-// streak and, during a half-open trial, promotes the backend into
-// slow-start recovery. It is not starvation evidence: Route already counted
-// the flow. No-op when the detector is disabled.
-func (c *Controller) ReportDialSuccess(b int) {
-	if c.det == nil {
-		return
-	}
-	c.mu.Lock()
-	if b >= 0 && b < len(c.det.st) {
-		h := &c.det.st[b]
-		switch h.state {
-		case Healthy, SlowStart:
-			h.consecFails = 0
-		case HalfOpen:
-			c.move(b, SlowStart, auditlog.CauseTrialSuccess, c.lastNow, evidence{})
-			c.refreshAdmitLocked()
-			if c.dirty {
-				c.republishLocked()
-			}
-		}
-	}
-	c.mu.Unlock()
-}
-
-// othersRoutableLocked reports whether any backend besides b currently
-// admits traffic — the guard that keeps the passive detector from ejecting
-// the last routable backend.
+// othersRoutableLocked reports whether any backend besides b admits
+// traffic — the guard that keeps the passive detector from ejecting the
+// last routable backend. It reads the manual and detector layers
+// themselves, not c.admit, which a tick refreshes only after its last
+// transition: two ejections in one tick must each see the other.
 func (c *Controller) othersRoutableLocked(b int) bool {
-	for i, a := range c.admit {
-		if i != b && a > 0 {
+	for i := range c.manual {
+		if i != b && !c.manual[i] && c.det.admit(i) > 0 {
 			return true
 		}
 	}
@@ -406,7 +357,7 @@ func (c *Controller) refreshAdmitLocked() {
 }
 
 // Tick runs one control interval: drain every aggregator shard into the
-// policy, run the passive detector's tick-granularity checks (latency
+// policy, run the passive detector's checks (connection outcomes, latency
 // outlier, sample starvation, timer-driven state advances), then republish
 // the routing snapshot if the policy replaced its table or health state
 // changed. Safe to call concurrently with the data plane; single-threaded
@@ -425,11 +376,17 @@ func (c *Controller) Tick(now time.Duration) {
 		}
 		for b := range c.scratch {
 			cell := &c.scratch[b]
+			m := &c.lastMerge[b]
+			// Connection outcomes merge before the count gate too. Stripes
+			// keep no order between them, so the merged failure run is the
+			// sum of each stripe's run: exact with one stripe.
+			m.oks += cell.oks
+			m.fails += cell.fails
+			m.failRun += cell.failRun
 			if ev := cell.retrans + cell.dupAcks + cell.zeroWins; ev != 0 {
 				// Congestion merges before the count gate: a backend whose
 				// tick produced only distress events (retransmits with no
 				// completed responses — the worst case) must still be seen.
-				m := &c.lastMerge[b]
 				m.Retrans += cell.retrans
 				m.DupAcks += cell.dupAcks
 				m.ZeroWins += cell.zeroWins
@@ -442,7 +399,6 @@ func (c *Controller) Tick(now time.Duration) {
 			mean := cell.sum / time.Duration(cell.count)
 			c.policy.ObserveLatency(b, cell.last, mean)
 			applied += cell.count
-			m := &c.lastMerge[b]
 			if m.Count == 0 || cell.min < m.Min {
 				m.Min = cell.min
 			}
@@ -467,11 +423,12 @@ func (c *Controller) Tick(now time.Duration) {
 	}
 }
 
-// detectorTickLocked runs the tick-granularity half of passive detection:
-// latency-outlier and sample-starvation checks against this tick's merged
-// aggregates, plus the timer- and counter-driven state advances (backoff
-// expiry → half-open, trial success → slow-start, ramp completion →
-// healthy). Allocation-free: the median scratch is preallocated.
+// detectorTickLocked runs passive detection against this tick's merged
+// aggregates: connection outcomes first, then latency-outlier and
+// sample-starvation checks, plus the timer- and counter-driven state
+// advances (backoff expiry → half-open, trial success → slow-start, ramp
+// completion → healthy). Allocation-free: the median scratch is
+// preallocated.
 func (c *Controller) detectorTickLocked(now time.Duration) {
 	// Pool-wide view of this tick: total samples, total congestion events,
 	// and median backend mean.
@@ -507,6 +464,9 @@ func (c *Controller) detectorTickLocked(now time.Duration) {
 			h.routedSinceSample = n
 		} else {
 			h.routedSinceSample += n
+		}
+		if c.connVerdictLocked(b, now) {
+			continue // the outcomes moved it; the latency checks wait a tick
 		}
 		switch h.state {
 		case Ejected:
@@ -598,6 +558,35 @@ func (c *Controller) detectorTickLocked(now time.Duration) {
 		}
 	}
 	c.refreshAdmitLocked()
+}
+
+// connVerdictLocked judges backend b's connection outcomes from this tick
+// and reports whether they moved it. Healthy and SlowStart keep a streak of
+// consecutive failures: it restarts at the failures after the tick's newest
+// success, or grows by them when nothing succeeded, and ejects at
+// FailureThreshold. A half-open trial re-ejects on any failure and
+// otherwise promotes on any success. An ejected backend's outcomes are
+// dropped. Caller holds c.mu.
+func (c *Controller) connVerdictLocked(b int, now time.Duration) bool {
+	h := &c.det.st[b]
+	m := &c.lastMerge[b]
+	from := h.state
+	switch {
+	case m.oks+m.fails == 0:
+	case from == Healthy || from == SlowStart:
+		if m.oks > 0 {
+			h.consecFails = 0
+		}
+		if h.consecFails += int(m.failRun); h.consecFails >= c.det.cfg.FailureThreshold {
+			c.move(b, Ejected, auditlog.CauseFailures, now, evidence{fails: h.consecFails})
+		}
+	case from == HalfOpen && m.fails > 0:
+		// A failed trial: one strike re-ejects with doubled backoff.
+		c.move(b, Ejected, auditlog.CauseTrialFailed, now, evidence{fails: int(m.fails)})
+	case from == HalfOpen:
+		c.move(b, SlowStart, auditlog.CauseTrialSuccess, now, evidence{})
+	}
+	return h.state != from
 }
 
 // congestionCheckLocked runs the transport-distress detector for one Healthy

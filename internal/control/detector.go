@@ -1,7 +1,6 @@
 package control
 
 import (
-	"math/rand"
 	"sync/atomic"
 	"time"
 
@@ -53,19 +52,20 @@ func (s HealthState) String() string {
 
 // DetectorConfig parameterizes passive, in-band failure detection inside a
 // Controller. The signals are the ones the data plane already produces —
-// dial errors and relay resets reported by the proxy, and per-backend
-// latency aggregates merged each control tick — so detection reacts at
-// connection/tick granularity instead of probe granularity. Active probes
-// (the proxy's HealthInterval) remain available as a slow backstop via
-// SetEjected.
+// connection outcomes (ObserveConn), congestion counts and per-backend
+// latency aggregates, all merged from the sample stripes each control
+// tick — so detection reacts at tick granularity instead of probe
+// granularity. Active probes (the proxy's HealthInterval) remain available
+// as a slow backstop via ReportProbe.
 type DetectorConfig struct {
 	// Enabled turns passive detection on. Off (the zero value) preserves
 	// the legacy behavior exactly: SetEjected flips are instantaneous and
 	// no admission ramping ever happens.
 	Enabled bool
 	// FailureThreshold ejects a backend after this many consecutive
-	// connection failures (dial errors, relay resets) with no intervening
-	// success. Default 3.
+	// connection failures (refused or timed-out dials, broken streams) with
+	// no intervening success, judged at the tick that merges the one that
+	// reaches it. Default 3.
 	FailureThreshold int
 	// OutlierFactor and OutlierTicks drive the latency-outlier detector: a
 	// backend whose per-tick mean exceeds OutlierFactor × the pool median
@@ -94,9 +94,9 @@ type DetectorConfig struct {
 	// HalfOpenTicks bounds a trial: if no success arrives within this many
 	// ticks of entering half-open, the backend re-ejects with doubled
 	// backoff (covers both "trials failed silently" and "no trial traffic
-	// landed"). The first success — a reported dial success, or a tick
-	// that merged in-family samples from it — promotes it to slow-start.
-	// Default 150.
+	// landed"). The first success — a completed dial (ObserveConn), or a
+	// tick that merged in-family samples from it — promotes it to
+	// slow-start. Default 150.
 	HalfOpenTicks int
 	// SlowStartTicks shapes recovery: admission starts at slowStartInitial
 	// of the full share and ramps linearly to full over this many control
@@ -122,8 +122,6 @@ type DetectorConfig struct {
 	// incast wave hitting everyone, a collapsed shared uplink) never ejects
 	// anyone — there is nowhere better to shift the load. Default 4.
 	CongestionTicks int
-	// Seed feeds the backoff-jitter RNG so simulations are deterministic.
-	Seed int64
 }
 
 // Detector constants that no deployment tunes.
@@ -179,7 +177,7 @@ const admitFull = 1 << 16
 // Only Controller.move changes its state or resets it.
 type detectorState struct {
 	state             HealthState
-	consecFails       int           // consecutive reported connection failures
+	consecFails       int           // consecutive connection failures (ObserveConn)
 	outlierTicks      int           // consecutive latency-outlier ticks
 	silentTicks       int           // consecutive sampleless ticks (pool active)
 	routedSinceSample uint32        // flows routed here since the last merged sample
@@ -199,12 +197,7 @@ type detectorState struct {
 // methods are called with Controller.mu held.
 type detector struct {
 	cfg DetectorConfig
-	// jitter spreads re-probe times by ± this fraction of the backoff,
-	// drawn from rng (seeded by DetectorConfig.Seed). It is 0 — exact
-	// reopen times — as every deployment has run it; tests set it.
-	jitter float64
-	rng    *rand.Rand
-	st     []detectorState
+	st  []detectorState
 	// routed counts the flows Route and FailoverTarget sent each backend
 	// since the last tick, lock-free via the snapshots that share it.
 	routed []atomic.Uint32
@@ -214,7 +207,6 @@ func newDetector(cfg DetectorConfig, backends int) *detector {
 	cfg.applyDefaults()
 	return &detector{
 		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		st:     make([]detectorState, backends),
 		routed: make([]atomic.Uint32, backends),
 	}
@@ -296,7 +288,7 @@ func (c *Controller) move(b int, to HealthState, cause auditlog.Cause, now time.
 			congEjections++
 		}
 		// Every streak, latch and piece of evidence starts over.
-		*h = detectorState{state: Ejected, backoff: backoff, reopenAt: now + d.jittered(backoff),
+		*h = detectorState{state: Ejected, backoff: backoff, reopenAt: now + backoff,
 			everSampled: h.everSampled, ejections: h.ejections + 1, congEjections: congEjections}
 	case HalfOpen:
 		h.state, h.trialTicks = HalfOpen, 0
@@ -309,12 +301,4 @@ func (c *Controller) move(b int, to HealthState, cause auditlog.Cause, now time.
 			ejections: h.ejections, congEjections: h.congEjections}
 	}
 	c.auditTransition(b, from, to, cause, ev)
-}
-
-func (d *detector) jittered(base time.Duration) time.Duration {
-	if d.jitter == 0 {
-		return base
-	}
-	span := 2*d.rng.Float64() - 1 // [-1, 1)
-	return base + time.Duration(span*d.jitter*float64(base))
 }

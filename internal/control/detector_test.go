@@ -14,9 +14,6 @@ import (
 func detCtrl(t *testing.T, det DetectorConfig) *Controller {
 	t.Helper()
 	det.Enabled = true
-	if det.Seed == 0 {
-		det.Seed = 1
-	}
 	p, err := NewMaglevStatic([]string{"s0", "s1", "s2", "s3"}, 1031)
 	if err != nil {
 		t.Fatal(err)
@@ -24,23 +21,31 @@ func detCtrl(t *testing.T, det DetectorConfig) *Controller {
 	return NewController(p, ControllerConfig{Shards: 1, Detector: det})
 }
 
+// fail reports n failed connections to backend b.
+func fail(c *Controller, b, n int) {
+	for i := 0; i < n; i++ {
+		c.ObserveConn(0, b, false)
+	}
+}
+
 func TestDetectorConsecutiveDialErrorsEject(t *testing.T) {
 	c := detCtrl(t, DetectorConfig{FailureThreshold: 3})
 	gen0 := c.Generation()
 
-	c.ReportDialError(1, 0)
-	c.ReportDialError(1, 0)
+	fail(c, 1, 2)
+	c.Tick(time.Millisecond)
 	if c.Health(1).Ejected() {
 		t.Fatal("ejected below threshold")
 	}
 	// A success clears the streak.
-	c.ReportDialSuccess(1)
-	c.ReportDialError(1, 0)
-	c.ReportDialError(1, 0)
+	c.ObserveConn(0, 1, true)
+	fail(c, 1, 2)
+	c.Tick(2 * time.Millisecond)
 	if c.Health(1).Ejected() {
 		t.Fatal("ejected despite intervening success")
 	}
-	c.ReportDialError(1, 0)
+	fail(c, 1, 1)
+	c.Tick(3 * time.Millisecond)
 	if !c.Health(1).Ejected() || c.Health(1).State != Ejected {
 		t.Fatalf("not ejected at threshold: state=%v", c.Health(1).State)
 	}
@@ -71,7 +76,8 @@ func TestDetectorBackoffHalfOpenSlowStartRecovery(t *testing.T) {
 	}
 	c := detCtrl(t, cfg)
 
-	c.ReportDialError(2, 10*time.Millisecond)
+	fail(c, 2, 1)
+	c.Tick(10 * time.Millisecond)
 	if st := c.Health(2).State; st != Ejected {
 		t.Fatalf("state = %v, want ejected", st)
 	}
@@ -91,8 +97,9 @@ func TestDetectorBackoffHalfOpenSlowStartRecovery(t *testing.T) {
 		t.Fatalf("half-open admission = %.3f, want small nonzero", a)
 	}
 
-	// One dial success promotes to slow-start.
-	c.ReportDialSuccess(2)
+	// One dial success promotes to slow-start at the next tick.
+	c.ObserveConn(0, 2, true)
+	c.Tick(112 * time.Millisecond)
 	if st := c.Health(2).State; st != SlowStart {
 		t.Fatalf("state after a success = %v, want slow-start", st)
 	}
@@ -126,7 +133,8 @@ func TestDetectorHalfOpenFailureDoublesBackoff(t *testing.T) {
 	}
 	c := detCtrl(t, cfg)
 
-	c.ReportDialError(0, 0)
+	fail(c, 0, 1)
+	c.Tick(0)
 	backoffs := []time.Duration{}
 	now := time.Duration(0)
 	for trial := 0; trial < 3; trial++ {
@@ -139,7 +147,8 @@ func TestDetectorHalfOpenFailureDoublesBackoff(t *testing.T) {
 		if st := c.Health(0).State; st != HalfOpen {
 			t.Fatalf("trial %d: state = %v, want half-open", trial, st)
 		}
-		c.ReportDialError(0, now) // trial fails -> re-eject, doubled
+		fail(c, 0, 1) // trial fails -> re-eject, doubled
+		c.Tick(now)
 		if st := c.Health(0).State; st != Ejected {
 			t.Fatalf("trial %d: state = %v, want ejected", trial, st)
 		}
@@ -160,7 +169,8 @@ func TestDetectorHalfOpenTimeoutReEjects(t *testing.T) {
 	}
 	c := detCtrl(t, cfg)
 
-	c.ReportDialError(3, 0)
+	fail(c, 3, 1)
+	c.Tick(0)
 	c.Tick(20 * time.Millisecond)
 	if st := c.Health(3).State; st != HalfOpen {
 		t.Fatalf("state = %v, want half-open", st)
@@ -301,7 +311,7 @@ func TestDetectorStarvationSparesWeightFlooredBackend(t *testing.T) {
 	}
 	pol := &flooredWeights{MaglevStatic: p, w: []float64{1, 0.02, 1, 1}}
 	c := NewController(pol, ControllerConfig{Shards: 1, Detector: DetectorConfig{
-		Enabled: true, Seed: 1, StarvationTicks: 2, MinPoolSamples: 8,
+		Enabled: true, StarvationTicks: 2, MinPoolSamples: 8,
 	}})
 
 	// Prime everSampled, then backend 1 goes silent while the pool stays
@@ -371,7 +381,7 @@ func TestDetectorFailoverIsRoutedEvidence(t *testing.T) {
 	}
 	for _, pol := range []Policy{maglev, NewWeightedLeastConn(4, core.ServerLatencyConfig{})} {
 		c := NewController(pol, ControllerConfig{Shards: 1, Detector: DetectorConfig{
-			Enabled: true, Seed: 1, StarvationTicks: 3, MinPoolSamples: 8,
+			Enabled: true, StarvationTicks: 3, MinPoolSamples: 8,
 		}})
 		for b := 0; b < 4; b++ {
 			feed(c, b, 4, time.Millisecond, time.Millisecond)
@@ -453,14 +463,16 @@ func TestDetectorIdlePoolJudgesNoOne(t *testing.T) {
 func TestDetectorNeverEjectsLastBackend(t *testing.T) {
 	c := detCtrl(t, DetectorConfig{FailureThreshold: 1})
 	for b := 0; b < 3; b++ {
-		c.ReportDialError(b, 0)
+		fail(c, b, 1)
+		c.Tick(0)
 		if !c.Health(b).Ejected() {
 			t.Fatalf("backend %d not ejected", b)
 		}
 	}
 	// The last routable backend resists any volume of failure reports.
 	for i := 0; i < 10; i++ {
-		c.ReportDialError(3, 0)
+		fail(c, 3, 1)
+		c.Tick(0)
 	}
 	if c.Health(3).Ejected() {
 		t.Fatal("last admitted backend was ejected")
@@ -481,7 +493,8 @@ func TestDetectorHalfOpenTrialGetsTraffic(t *testing.T) {
 		HalfOpenTicks:    1 << 20, // no timeout during this test
 	}
 	c := detCtrl(t, cfg)
-	c.ReportDialError(0, 0)
+	fail(c, 0, 1)
+	c.Tick(0)
 	c.Tick(2 * time.Millisecond)
 	if st := c.Health(0).State; st != HalfOpen {
 		t.Fatalf("state = %v, want half-open", st)
@@ -542,31 +555,6 @@ func TestSetEjectedWithoutDetectorIsInstant(t *testing.T) {
 	}
 }
 
-func TestDetectorJitterSpreadsReopens(t *testing.T) {
-	cfg := DetectorConfig{
-		FailureThreshold: 1,
-		BackoffInitial:   time.Second,
-		Seed:             7,
-	}
-	c := detCtrl(t, cfg)
-	c.det.jitter = 0.1
-	reopens := map[time.Duration]bool{}
-	for b := 0; b < 3; b++ { // leave one backend routable
-		c.ReportDialError(b, 0)
-		c.mu.Lock()
-		reopens[c.det.st[b].reopenAt] = true
-		c.mu.Unlock()
-	}
-	if len(reopens) < 2 {
-		t.Error("jitter did not spread reopen times")
-	}
-	for r := range reopens {
-		if r < 900*time.Millisecond || r > 1100*time.Millisecond {
-			t.Errorf("reopen %v outside +/-10%% of 1s", r)
-		}
-	}
-}
-
 // TestDetectorCountsRoutesConcurrently: routes taken on several goroutines
 // while ticks drain the counters are all counted, on the snapshot path and
 // on the mutex path, and toggling the detector while flows route is
@@ -577,7 +565,7 @@ func TestDetectorCountsRoutesConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pol := range []Policy{maglev, NewWeightedLeastConn(4, core.ServerLatencyConfig{})} {
-		c := NewController(pol, ControllerConfig{Shards: 1, Detector: DetectorConfig{Enabled: true, Seed: 1}})
+		c := NewController(pol, ControllerConfig{Shards: 1, Detector: DetectorConfig{Enabled: true}})
 		const workers, perWorker = 4, 2000
 		var wg sync.WaitGroup
 		var routed atomic.Int64
@@ -623,7 +611,7 @@ func TestDetectorCountsRoutesConcurrently(t *testing.T) {
 		go func() {
 			defer close(done)
 			for i := 0; i < 200; i++ {
-				c.SetDetectorConfig(DetectorConfig{Enabled: i%2 == 0, Seed: 1})
+				c.SetDetectorConfig(DetectorConfig{Enabled: i%2 == 0})
 			}
 		}()
 		for i := 0; i < perWorker; i++ {

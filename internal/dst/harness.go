@@ -320,7 +320,6 @@ func detectorConfig(sc Scenario) control.DetectorConfig {
 		HalfOpenFraction: 0.5,
 		HalfOpenTicks:    250,
 		SlowStartTicks:   20,
-		Seed:             sc.Seed,
 	}
 	if sc.Congestion {
 		// Congestion channel: at 2 ms ticks a backend must show

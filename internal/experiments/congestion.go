@@ -59,7 +59,7 @@ type congestionLeg struct {
 
 // congestionDetector arms the latency-outlier path for both legs; only the
 // signal leg additionally arms the transport-distress channel.
-func congestionDetector(cfg CongestionConfig, signals bool) control.DetectorConfig {
+func congestionDetector(signals bool) control.DetectorConfig {
 	d := control.DetectorConfig{
 		Enabled:          true,
 		FailureThreshold: 3,
@@ -74,7 +74,6 @@ func congestionDetector(cfg CongestionConfig, signals bool) control.DetectorConf
 		HalfOpenFraction: 1.0 / 16,
 		HalfOpenTicks:    100,
 		SlowStartTicks:   25,
-		Seed:             cfg.Seed,
 	}
 	if signals {
 		d.CongestionPerTick = 1
@@ -97,7 +96,7 @@ func runCongestionLeg(cfg CongestionConfig, signals bool) (*congestionLeg, error
 	ctrl := control.NewController(maglev, control.ControllerConfig{
 		Shards:   1, // single-goroutine sim: results must not follow GOMAXPROCS
 		Interval: faultControlInterval,
-		Detector: congestionDetector(cfg, signals),
+		Detector: congestionDetector(signals),
 	})
 
 	servers := make([]server.Config, faultServers)

@@ -71,7 +71,7 @@ type outageLeg struct {
 // simDetector tunes the passive detector for simulator timescales: ticks
 // are 2 ms and the workload is a handful of closed-loop connections, so
 // starvation shows up within a few ticks and backoffs are sub-second.
-func simDetector(seed int64) control.DetectorConfig {
+func simDetector() control.DetectorConfig {
 	return control.DetectorConfig{
 		Enabled:          true,
 		FailureThreshold: 3,
@@ -86,7 +86,6 @@ func simDetector(seed int64) control.DetectorConfig {
 		HalfOpenFraction: 1.0 / 16,
 		HalfOpenTicks:    100,
 		SlowStartTicks:   25,
-		Seed:             seed,
 	}
 }
 
@@ -102,7 +101,7 @@ func outageCluster(seed int64, duration time.Duration, pol control.Policy, detec
 	// Shards: 1 — single-goroutine sim: results must not follow GOMAXPROCS.
 	ctrlCfg := control.ControllerConfig{Shards: 1, Interval: faultControlInterval}
 	if detector {
-		ctrlCfg.Detector = simDetector(seed)
+		ctrlCfg.Detector = simDetector()
 	}
 	ctrl := control.NewController(pol, ctrlCfg)
 

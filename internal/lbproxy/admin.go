@@ -107,7 +107,7 @@ func formatMetricValue(v float64) string {
 }
 
 func (p *Proxy) writeMetrics(w io.Writer) {
-	st := p.Stats()
+	st, health := p.stats()
 	m := metricWriter{w}
 
 	m.family("lbproxy_uptime_seconds", "Seconds since the proxy started.", "gauge")
@@ -166,10 +166,6 @@ func (p *Proxy) writeMetrics(w io.Writer) {
 	for i, h := range st.Health {
 		m.sample("lbproxy_backend_health_state",
 			backendLabels(i, p.cfg.Backends[i])+`,state="`+h+`"`, 1)
-	}
-	health := make([]control.BackendHealth, len(st.PerBackend))
-	for i := range health {
-		health[i] = p.ctrl.Health(i)
 	}
 	m.family("lbproxy_backend_admission", "Admitted fraction of the backend's hash range (0-1).", "gauge")
 	for i, h := range health {
@@ -327,7 +323,7 @@ func toConfigJSON(cfg control.DetectorConfig, enabled bool) detectorConfigJSON {
 	}
 }
 
-func (j detectorConfigJSON) toConfig(seed int64) control.DetectorConfig {
+func (j detectorConfigJSON) toConfig() control.DetectorConfig {
 	return control.DetectorConfig{
 		Enabled:           j.Enabled,
 		FailureThreshold:  j.FailureThreshold,
@@ -342,7 +338,6 @@ func (j detectorConfigJSON) toConfig(seed int64) control.DetectorConfig {
 		SlowStartTicks:    j.SlowStartTicks,
 		CongestionPerTick: j.CongestionPerTick,
 		CongestionTicks:   j.CongestionTicks,
-		Seed:              seed,
 	}
 }
 
@@ -359,7 +354,7 @@ func (p *Proxy) handleConfig(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "bad config: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		p.ctrl.SetDetectorConfig(body.toConfig(cur.Seed))
+		p.ctrl.SetDetectorConfig(body.toConfig())
 	default:
 		http.Error(w, "GET or POST", http.StatusMethodNotAllowed)
 		return

@@ -289,6 +289,10 @@ func TestLoopConnectTimeout(t *testing.T) {
 		t.Errorf("connectTimeouts=%d failovers=%d dialErrors=%d perBackend=%v, want 1, 1, 0, [0 1]",
 			st.ConnectTimeouts, st.Failovers, st.DialErrors, st.PerBackend)
 	}
+	// The failure lands in the sample stripes; the next tick ejects.
+	for deadline := time.Now().Add(2 * time.Second); p.ctrl.Health(0).Ejections == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if n := p.ctrl.Health(0).Ejections; n != 1 {
 		t.Errorf("detector ejections = %d, want 1: the timed-out connect was not reported", n)
 	}
@@ -875,43 +879,54 @@ func TestIPv6FlowKeys(t *testing.T) {
 
 // TestLoopNeverWaitsOnController: with a table policy a loop's steady
 // state — accept, route, relay, teardown — takes no Controller lock, so a
-// control tick or a /status read holding it cannot stall the shard. The
-// lock is held for the whole run, and the counters are read from their
-// atomics: Stats calls Health, which takes it.
+// control tick or a /status read holding it cannot stall the shard. With
+// the passive detector on, each completed dial is reported too, into the
+// shard's sample stripe. The lock is held for the whole run, and the
+// counters are read from their atomics: Stats calls Health, which takes it.
 func TestLoopNeverWaitsOnController(t *testing.T) {
-	_, addrA := startBackend(t)
-	_, addrB := startBackend(t)
-	pol, err := control.NewMaglevStatic([]string{"a", "b"}, 1021)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy, paddr := startProxy(t, pol, addrA, addrB)
+	for _, tc := range []struct {
+		name     string
+		detector control.DetectorConfig
+	}{
+		{"detector-off", control.DetectorConfig{}},
+		{"detector-on", control.DetectorConfig{Enabled: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, addrA := startBackend(t)
+			_, addrB := startBackend(t)
+			pol, err := control.NewMaglevStatic([]string{"a", "b"}, 1021)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proxy, paddr := startProxyCfg(t, Config{Backends: []string{addrA, addrB}, Policy: pol, Detector: tc.detector})
 
-	held, release := make(chan struct{}), make(chan struct{})
-	go proxy.ctrl.Do(func(control.Policy) {
-		close(held)
-		<-release
-	})
-	<-held
-	defer close(release)
+			held, release := make(chan struct{}), make(chan struct{})
+			go proxy.ctrl.Do(func(control.Policy) {
+				close(held)
+				<-release
+			})
+			<-held
+			defer close(release)
 
-	const conns = 8
-	for i := 0; i < conns; i++ {
-		c, err := memcache.Dial(paddr, time.Second)
-		if err != nil {
-			t.Fatalf("conn %d: %v", i, err)
-		}
-		_ = c.SetDeadline(time.Now().Add(time.Second))
-		if err := c.Set("k", []byte("v")); err != nil {
-			t.Fatalf("conn %d: %v", i, err)
-		}
-		_ = c.Close()
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && (proxy.accepted.Load() < conns || proxy.active.Load() != 0) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if a, n := proxy.accepted.Load(), proxy.active.Load(); a != conns || n != 0 {
-		t.Fatalf("accepted %d, active %d with the Controller lock held, want %d and 0", a, n, conns)
+			const conns = 8
+			for i := 0; i < conns; i++ {
+				c, err := memcache.Dial(paddr, time.Second)
+				if err != nil {
+					t.Fatalf("conn %d: %v", i, err)
+				}
+				_ = c.SetDeadline(time.Now().Add(time.Second))
+				if err := c.Set("k", []byte("v")); err != nil {
+					t.Fatalf("conn %d: %v", i, err)
+				}
+				_ = c.Close()
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for time.Now().Before(deadline) && (proxy.accepted.Load() < conns || proxy.active.Load() != 0) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if a, n := proxy.accepted.Load(), proxy.active.Load(); a != conns || n != 0 {
+				t.Fatalf("accepted %d, active %d with the Controller lock held, want %d and 0", a, n, conns)
+			}
+		})
 	}
 }

@@ -553,7 +553,7 @@ func (rel *npRelay) onConnect(ev netpoll.Event) {
 // the connection ends (in DialErrors — finalize counts what never connected).
 func (rel *npRelay) connectFailed() {
 	rel.dropServer()
-	alt := rel.p.dialFailed(rel.backend, rel.failover)
+	alt := rel.p.dialFailed(rel.backend, uint64(rel.shard.idx), rel.failover)
 	if alt < 0 {
 		rel.finalize()
 		return
@@ -620,10 +620,11 @@ func (rel *npRelay) established() {
 	}
 }
 
-// commit lands the connection in PerBackend and the live gauges.
+// commit lands the connection in PerBackend and the live gauges, and reports
+// the completed dial to the detector through the shard's sample stripe.
 func (rel *npRelay) commit() {
 	p := rel.p
-	p.ctrl.ReportDialSuccess(rel.backend)
+	p.ctrl.ObserveConn(uint64(rel.shard.idx), rel.backend, true)
 	p.perBackend[rel.backend].Add(1)
 	p.active.Add(1)
 	rel.counted = true
@@ -793,7 +794,7 @@ func (d *npDir) validateChunk(b []byte) bool {
 func (rel *npRelay) revalidate(chunk []byte, ts time.Duration) {
 	p := rel.p
 	p.poolFirstWriteFails.Add(1)
-	p.ctrl.ReportDialError(rel.backend, ts)
+	p.ctrl.ObserveConn(uint64(rel.shard.idx), rel.backend, false)
 	rel.born, rel.firstAt = time.Time{}, ts
 	rel.req.strand(chunk)
 	rel.dropServer()
@@ -985,7 +986,7 @@ func (d *npDir) srcEOF() {
 func (d *npDir) srcFailed(err error) {
 	rel := d.rel
 	if !d.observe {
-		rel.p.reportRelayErr(rel.backend, err)
+		rel.p.reportRelayErr(rel.backend, uint64(rel.shard.idx), err)
 	}
 	rel.finalize()
 }
@@ -996,7 +997,7 @@ func (d *npDir) srcFailed(err error) {
 func (d *npDir) dstFailed(err error) {
 	rel := d.rel
 	if d.observe {
-		rel.p.reportRelayErr(rel.backend, err)
+		rel.p.reportRelayErr(rel.backend, uint64(rel.shard.idx), err)
 	}
 	rel.finalize()
 }
@@ -1060,7 +1061,7 @@ func (d *npDir) onTimeout() {
 		return
 	case !d.observe:
 		// Backend went silent past the idle bound: detector evidence.
-		rel.p.reportRelayErr(rel.backend, os.ErrDeadlineExceeded)
+		rel.p.reportRelayErr(rel.backend, uint64(rel.shard.idx), os.ErrDeadlineExceeded)
 	}
 	rel.finalize()
 }

@@ -40,16 +40,16 @@
 //     and released at teardown. New binds it into the policy through
 //     Controller.BindOccupancy, so leastconn, p2c and wlc read it under
 //     the Controller's mutex when they pick. Closing a connection touches
-//     only that atomic, so with a table policy and the passive detector
-//     off a loop's steady state takes no Controller lock at all. With
-//     several acceptors, two shards' picks can read the same count before
-//     either raises it.
+//     only that atomic. With several acceptors, two shards' picks can read
+//     the same count before either raises it.
 //   - Packet-rate latency samples are folded into the Controller's
 //     per-shard, cache-line-padded accumulators — each event-loop shard
 //     writes its own stripe — and merged into the policy once per control
 //     tick (Config.ControlInterval). Aggregation is lossless — nothing is
 //     shed under load — so routing state lags the freshest sample by at
-//     most one control interval.
+//     most one control interval. Dial and relay outcomes take the same
+//     stripes (Controller.ObserveConn), so with a table policy a loop's
+//     steady state takes no Controller lock, detector on or off.
 //   - control.Policy implementations stay single-threaded (their
 //     documented contract): the Controller serializes every policy call.
 //     Stateful Picks are applied synchronously under its mutex.
@@ -323,6 +323,13 @@ func New(cfg Config) (*Proxy, error) {
 // assembled from atomics; it never aliases the proxy's mutable state, so
 // callers may read it while accepts, relays, and health probes proceed.
 func (p *Proxy) Stats() Stats {
+	st, _ := p.stats()
+	return st
+}
+
+// stats is Stats plus the per-backend health it was built from, read once
+// per backend, for /metrics to render without reading it again.
+func (p *Proxy) stats() (Stats, []control.BackendHealth) {
 	st := Stats{
 		Accepted:         p.accepted.Load(),
 		Active:           p.active.Load(),
@@ -354,14 +361,15 @@ func (p *Proxy) Stats() Stats {
 		st.PoolMisses = ps.Misses
 		st.PoolDead = ps.DeadOnCheckout
 	}
+	health := make([]control.BackendHealth, len(p.perBackend))
 	for i := range p.perBackend {
 		st.PerBackend[i] = p.perBackend[i].Load()
 		// Down reflects what routing sees: probe vetoes AND passive ejections.
-		h := p.ctrl.Health(i)
-		st.Down[i] = h.Ejected()
-		st.Health[i] = h.State.String()
+		health[i] = p.ctrl.Health(i)
+		st.Down[i] = health[i].Ejected()
+		st.Health[i] = health[i].State.String()
 	}
-	return st
+	return st, health
 }
 
 // Listen binds addr — Config.Acceptors listener shards on Linux (one
@@ -488,15 +496,15 @@ func (p *Proxy) route(key packet.FlowKey) int {
 }
 
 // dialFailed is the accounting of one failed attempt to reach backend — a
-// refused or timed-out connect, or a pooled connection dying on first write.
-// The failure goes to the passive detector; if it was the connection's routed
+// refused or timed-out connect. The failure goes to the passive detector
+// through the caller's sample stripe; if it was the connection's routed
 // attempt, the one-shot failover target is returned and the connection's
 // open count moves there. -1 means the connection is terminally unreachable:
 // the failover attempt itself failed, or there is no target (the caller
 // counts a DialError). The count then stays at backend for the teardown to
 // release.
-func (p *Proxy) dialFailed(backend int, wasFailover bool) (alt int) {
-	p.ctrl.ReportDialError(backend, p.now())
+func (p *Proxy) dialFailed(backend int, stripe uint64, wasFailover bool) (alt int) {
+	p.ctrl.ObserveConn(stripe, backend, false)
 	if wasFailover {
 		return -1
 	}
@@ -508,13 +516,13 @@ func (p *Proxy) dialFailed(backend int, wasFailover bool) (alt int) {
 }
 
 // reportRelayErr forwards an abnormal server-side relay failure to the
-// passive detector. Clean EOFs are normal teardown; net.ErrClosed means the
-// proxy itself tore the connection down.
-func (p *Proxy) reportRelayErr(backend int, err error) {
+// passive detector through the caller's sample stripe. Clean EOFs are normal
+// teardown; net.ErrClosed means the proxy itself tore the connection down.
+func (p *Proxy) reportRelayErr(backend int, stripe uint64, err error) {
 	if err == nil || errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || p.closed.Load() {
 		return
 	}
-	p.ctrl.ReportRelayError(backend, p.now())
+	p.ctrl.ObserveConn(stripe, backend, false)
 }
 
 // observe feeds one request-direction chunk, arrived at now, into the

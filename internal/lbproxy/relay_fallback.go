@@ -143,7 +143,7 @@ func (p *Proxy) relay(client net.Conn) {
 		if errors.As(err, &ne) && ne.Timeout() {
 			p.connectTimeouts.Add(1)
 		}
-		alt := p.dialFailed(backend, failover)
+		alt := p.dialFailed(backend, 0, failover)
 		if alt < 0 {
 			p.dialErrors.Add(1)
 			return
@@ -151,7 +151,7 @@ func (p *Proxy) relay(client net.Conn) {
 		backend = alt
 	}
 	p.track(server)
-	p.ctrl.ReportDialSuccess(backend)
+	p.ctrl.ObserveConn(0, backend, true)
 	p.perBackend[backend].Add(1)
 	p.active.Add(1)
 
@@ -177,7 +177,7 @@ func (p *Proxy) relay(client net.Conn) {
 				p.sysWrites.Add(1)
 				if _, werr := dst.Write(buf[:n]); werr != nil {
 					if request {
-						p.reportRelayErr(backend, werr)
+						p.reportRelayErr(backend, 0, werr)
 					}
 					break
 				}
@@ -188,7 +188,7 @@ func (p *Proxy) relay(client net.Conn) {
 			}
 			if err != nil {
 				if !request {
-					p.reportRelayErr(backend, err)
+					p.reportRelayErr(backend, 0, err)
 				}
 				break
 			}

@@ -304,7 +304,6 @@ func TestProxyChaosFlappingStress(t *testing.T) {
 			BackoffInitial:   20 * time.Millisecond,
 			BackoffMax:       80 * time.Millisecond,
 			SlowStartTicks:   10,
-			Seed:             seed,
 		},
 		IdleTimeout:  150 * time.Millisecond,
 		DrainTimeout: 500 * time.Millisecond,

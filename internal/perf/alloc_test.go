@@ -352,9 +352,11 @@ func TestSnapshotRoutePartialAdmissionZeroAlloc(t *testing.T) {
 	defer ctrl.Close()
 	// Drive backend 1 through eject → half-open → slow-start so its
 	// admission fraction is partial while the others are full.
-	ctrl.ReportDialError(1, 0)
+	ctrl.ObserveConn(0, 1, false)
+	ctrl.Tick(0)                     // a failure → ejected
 	ctrl.Tick(10 * time.Millisecond) // backoff expired → half-open
-	ctrl.ReportDialSuccess(1)        // trial success → slow-start
+	ctrl.ObserveConn(0, 1, true)
+	ctrl.Tick(11 * time.Millisecond) // trial success → slow-start
 	if st := ctrl.Health(1).State; st != control.SlowStart {
 		t.Fatalf("setup: state = %v, want slow-start", st)
 	}
@@ -372,14 +374,18 @@ func TestSnapshotRoutePartialAdmissionZeroAlloc(t *testing.T) {
 }
 
 // TestControllerObserveShardedZeroAlloc pins the per-sample half of the
-// controller's data plane: folding a latency observation into its shard
-// cell allocates nothing.
+// controller's data plane: folding a latency observation or a connection
+// outcome into its shard cell allocates nothing.
 func TestControllerObserveShardedZeroAlloc(t *testing.T) {
 	ctrl := control.NewController(control.NewRoundRobin(4), control.ControllerConfig{Shards: 4})
 	defer ctrl.Close()
 	i := 0
 	assertZeroAllocs(t, "Controller.ObserveSharded", nil, func() {
 		ctrl.ObserveSharded(uint64(i), i%4, time.Duration(i), time.Millisecond)
+		i++
+	})
+	assertZeroAllocs(t, "Controller.ObserveConn", nil, func() {
+		ctrl.ObserveConn(uint64(i), i%4, i%3 != 0)
 		i++
 	})
 }
