@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"inbandlb/internal/auditlog"
+	"inbandlb/internal/maglev"
 	"inbandlb/internal/packet"
 )
 
@@ -48,10 +49,13 @@ type ControllerConfig struct {
 // single-threaded Policy:
 //
 //   - The data plane routes via an immutable Snapshot loaded from an
-//     atomic.Pointer: Pick and Route are pure reads — no mutex, no
-//     channel, zero allocations — when the policy is a TableSource.
-//     Policies with per-pick state (RoundRobin, LeastConn, P2C) publish no
-//     snapshot and fall back to a mutex around the policy.
+//     atomic.Pointer, published for every policy. The Snapshot carries the
+//     admission view, so one rule (Snapshot.RouteHash's) admits a pick,
+//     falls it back and fails a dial over. Only the pick differs: a
+//     TableSource's Snapshot carries its table, so Pick and Route are pure
+//     reads — no mutex, no channel, zero allocations; a policy with
+//     per-pick state (RoundRobin, LeastConn, P2C, WLC) is asked under the
+//     mutex.
 //   - Latency samples are folded into per-shard, cache-line-padded
 //     accumulators (see aggregator) — shard-local work, never a global
 //     lock, never a channel send, and lossless: nothing is dropped under
@@ -75,13 +79,13 @@ type ControllerConfig struct {
 //
 // Controller implements Policy, so it drops in anywhere a Policy does. The
 // wrapped policy never sees concurrent calls, exactly as the Policy
-// contract promises. Non-snapshot Picks are applied synchronously under the
+// contract promises. Stateful Picks are applied synchronously under the
 // internal mutex (they are per-connection, not per-packet); a flow's end
 // is the dataplane's business alone, since occupancy is its own open-flow
 // count (BindOccupancy).
 type Controller struct {
 	policy Policy
-	src    TableSource // nil when the policy keeps no immutable table
+	src    TableSource // nil for a stateful policy: its Snapshots carry no table
 	cfg    ControllerConfig
 
 	mu          sync.Mutex // serializes every call into policy
@@ -132,10 +136,10 @@ type TickStat struct {
 	oks, fails, failRun int64 // connection outcomes (ObserveConn), for the detector
 }
 
-// NewController wraps policy. The returned controller has an up-to-date
-// snapshot published (when the policy is a TableSource) and is ready for
-// concurrent use; call Start to run the background tick loop, or drive
-// Tick directly from a single-threaded event loop.
+// NewController wraps policy. The returned controller has its first
+// snapshot published (generation 1) and is ready for concurrent use; call
+// Start to run the background tick loop, or drive Tick directly from a
+// single-threaded event loop.
 func NewController(policy Policy, cfg ControllerConfig) *Controller {
 	if policy == nil {
 		panic("control: controller needs a policy")
@@ -189,13 +193,19 @@ func (c *Controller) Name() string { return c.policy.Name() }
 // NumBackends implements Policy.
 func (c *Controller) NumBackends() int { return c.policy.NumBackends() }
 
-// Pick implements Policy. For TableSource policies it is a pure read on
-// the current snapshot — lock-free and allocation-free; otherwise the
-// policy is consulted under the mutex. Health ejection is Route's job, not
-// Pick's: Pick preserves the Policy contract exactly.
+// Pick implements Policy: the policy's own choice, health ignored — a
+// lookup in the snapshot's table for a TableSource (lock-free and
+// allocation-free), otherwise the policy's Pick under the mutex. Health
+// ejection is Route's job, not Pick's: Pick preserves the Policy contract
+// exactly.
 func (c *Controller) Pick(key packet.FlowKey, now time.Duration) int {
-	if s := c.snap.Load(); s != nil {
-		return s.table.Lookup(key.Hash())
+	return c.pick(c.snap.Load(), key.Hash(), key, now)
+}
+
+// pick is Pick against snapshot s, for a flow whose key hashes to hash.
+func (c *Controller) pick(s *Snapshot, hash uint64, key packet.FlowKey, now time.Duration) int {
+	if s.table != nil {
+		return s.table.Lookup(hash)
 	}
 	c.mu.Lock()
 	b := c.policy.Pick(key, now)
@@ -203,10 +213,11 @@ func (c *Controller) Pick(key packet.FlowKey, now time.Duration) int {
 	return b
 }
 
-// Route picks an admitted backend for a new flow, applying health state.
-// On the snapshot path this is lock-free. On the mutex path (stateful
-// policies) a pick that lands on a non-admitting backend is re-pointed to
-// the next admitted index. Returns -1 when the whole pool is ejected.
+// Route picks an admitted backend for a new flow: the policy's pick (see
+// Pick) passed through the current snapshot's admission rule, which
+// re-points a pick the backend does not admit to the next admitted index
+// and reports fellBack. Returns -1 when the whole pool is ejected.
+// Lock-free for a TableSource.
 func (c *Controller) Route(key packet.FlowKey, now time.Duration) (backend int, fellBack bool) {
 	return c.RouteHashed(key.Hash(), key, now)
 }
@@ -214,47 +225,20 @@ func (c *Controller) Route(key packet.FlowKey, now time.Duration) (backend int, 
 // RouteHashed is Route for callers that already computed key.Hash().
 // hash must equal key.Hash().
 func (c *Controller) RouteHashed(hash uint64, key packet.FlowKey, now time.Duration) (backend int, fellBack bool) {
-	if s := c.snap.Load(); s != nil {
-		backend, fellBack = s.RouteHash(hash)
-		countRoute(s.routed, backend)
-		return backend, fellBack
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b := c.policy.Pick(key, now)
-	if b < 0 || b >= len(c.admit) {
-		return -1, false
-	}
-	if !admits(c.admit[b], hash) {
-		if cand := nextAdmitted(c.admit, b); cand >= 0 {
-			b, fellBack = cand, true
-		} else if c.admit[b] == 0 {
-			return -1, false // nothing admits the flow
-		}
-		// Otherwise the partial pick is the only admitted backend: keep it.
-	}
-	if c.det != nil {
-		countRoute(c.det.routed, b)
-	}
-	return b, fellBack
+	s := c.snap.Load()
+	backend, fellBack = s.route(c.pick(s, hash, key, now), hash)
+	countRoute(s.routed, backend)
+	return backend, fellBack
 }
 
 // FailoverTarget returns an alternative backend for a connection whose
-// dial to skip just failed: the next admitted backend, preferring fully
-// admitted ones. It never consults the policy. Returns -1 when no
-// alternative exists. Lock-free on the snapshot path.
+// dial to skip just failed: the current snapshot's NextHealthy. It never
+// consults the policy and never takes the lock. Returns -1 when no
+// alternative exists.
 func (c *Controller) FailoverTarget(skip int) int {
-	if s := c.snap.Load(); s != nil {
-		b := s.NextHealthy(skip)
-		countRoute(s.routed, b)
-		return b
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b := nextAdmitted(c.admit, skip)
-	if c.det != nil {
-		countRoute(c.det.routed, b)
-	}
+	s := c.snap.Load()
+	b := s.NextHealthy(skip)
+	countRoute(s.routed, b)
 	return b
 }
 
@@ -661,14 +645,14 @@ func (c *Controller) othersMedianLocked(b int) time.Duration {
 	return med[len(med)/2]
 }
 
-// republishLocked publishes a fresh snapshot when the policy's table or
-// the health/admission state changed since the last publication. Caller
-// holds c.mu.
+// republishLocked publishes a fresh snapshot when there is none yet, or
+// when the policy's table or the health/admission state changed since the
+// last publication. Caller holds c.mu.
 func (c *Controller) republishLocked() {
-	if c.src == nil {
-		return
+	var t *maglev.Table
+	if c.src != nil {
+		t = c.src.Table()
 	}
-	t := c.src.Table()
 	cur := c.snap.Load()
 	if cur != nil && cur.table == t && !c.dirty {
 		return
@@ -782,9 +766,9 @@ type BackendHealth struct {
 	// backend is Healthy.
 	State HealthState
 	// Admission is the combined admission fraction in [0, 1] — the
-	// manual-veto ∧ passive-detector view the next published snapshot will
-	// carry. Unlike Snapshot().Admission it is defined for
-	// non-TableSource policies too, which never publish snapshots.
+	// manual-veto ∧ passive-detector view, which the current snapshot's
+	// Admission carries too: every change to it republishes under the same
+	// lock.
 	Admission float64
 	// Ejections counts the backend's passive ejections, and
 	// CongestionEjections those of them the transport-distress detector
@@ -842,18 +826,12 @@ func (c *Controller) BindOccupancy(fn func(b int) int) {
 // defaults applied): Start ticks at it, and so does the simulator's LB.
 func (c *Controller) Interval() time.Duration { return c.cfg.Interval }
 
-// Snapshot returns the currently published routing snapshot, or nil when
-// the wrapped policy is not a TableSource.
+// Snapshot returns the currently published routing snapshot; never nil.
 func (c *Controller) Snapshot() *Snapshot { return c.snap.Load() }
 
-// Generation returns the current snapshot's generation (0 before any
-// publication, i.e. for non-TableSource policies).
-func (c *Controller) Generation() uint64 {
-	if s := c.snap.Load(); s != nil {
-		return s.gen
-	}
-	return 0
-}
+// Generation returns the current snapshot's generation: the number of
+// publications, 1 from NewController on.
+func (c *Controller) Generation() uint64 { return c.snap.Load().gen }
 
 // LastTick returns a copy of the per-backend merge summary from the most
 // recent tick.

@@ -1,12 +1,15 @@
 package control
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"inbandlb/internal/core"
 	"inbandlb/internal/packet"
 )
 
@@ -136,11 +139,11 @@ func TestControllerSnapshotPickMatchesPolicy(t *testing.T) {
 			key := ctrlKey(rng)
 			now := time.Duration(round) * time.Second
 			snap := c.Snapshot()
-			if got, want := snap.Pick(key), la.Pick(key, now); got != want {
+			if got, want := snap.PickHash(key.Hash()), la.Pick(key, now); got != want {
 				t.Fatalf("round %d: snapshot pick %d != policy pick %d", round, got, want)
 			}
-			if got, want := snap.PickHash(key.Hash()), snap.Pick(key); got != want {
-				t.Fatalf("PickHash %d != Pick %d", got, want)
+			if got, want := c.Pick(key, now), snap.PickHash(key.Hash()); got != want {
+				t.Fatalf("Controller.Pick %d != PickHash %d", got, want)
 			}
 		}
 		// Shift weights and retick; the next snapshot must track the table.
@@ -321,36 +324,108 @@ func TestControllerReportProbe(t *testing.T) {
 	c.ReportProbe(3, false)
 }
 
-// TestControllerRouteMutexPathFallback: stateful policies (no snapshot)
-// route under the mutex, reading the occupancy bound through the
-// Controller; a pick that lands on an ejected backend falls back to the
-// next admitted one, and a wholly ejected pool routes nowhere.
-func TestControllerRouteMutexPathFallback(t *testing.T) {
-	lc := NewLeastConn(3)
-	c := NewController(lc, ControllerConfig{})
-	defer c.Close()
-	if c.Snapshot() != nil {
-		t.Fatal("stateful policy unexpectedly published a snapshot")
+// TestControllerStatefulRouting pins what the policies with per-pick state
+// route through a Controller in each admission state: the policy's pick
+// passes through the snapshot's admission rule, and FailoverTarget is the
+// snapshot's NextHealthy. The pinned answers are those of the Controller
+// before stateful policies shared the snapshot's rule. Each policy's
+// snapshot carries admission only (no weights), and every veto republishes
+// it.
+func TestControllerStatefulRouting(t *testing.T) {
+	policies := map[string]func(n int) Policy{
+		"roundrobin": func(n int) Policy { return NewRoundRobin(n) },
+		"leastconn":  func(n int) Policy { return NewLeastConn(n) },
+		"p2c":        func(n int) Policy { return NewP2C(n, rand.New(rand.NewSource(7)), core.ServerLatencyConfig{}) },
+		"wlc":        func(n int) Policy { return NewWeightedLeastConn(n, core.ServerLatencyConfig{}) },
 	}
-	open := []int{0, 0, 0}
+	veto := func(t *testing.T, c *Controller, b int) {
+		t.Helper()
+		gen := c.Generation()
+		c.SetEjected(b, true)
+		if c.Generation() <= gen {
+			t.Fatalf("SetEjected(%d) left generation at %d", b, gen)
+		}
+	}
+	states := map[string]func(t *testing.T, c *Controller){
+		"healthy": func(*testing.T, *Controller) {},
+		"vetoed":  func(t *testing.T, c *Controller) { veto(t, c, 2) },
+		"half-open": func(t *testing.T, c *Controller) {
+			c.ObserveConn(0, 1, false)
+			c.Tick(0)                     // one failure ejects backend 1
+			c.Tick(10 * time.Millisecond) // its backoff expired
+			if st := c.Health(1).State; st != HalfOpen {
+				t.Fatalf("backend 1 is %v, want half-open", st)
+			}
+		},
+		"all-vetoed": func(t *testing.T, c *Controller) {
+			for b := 0; b < 4; b++ {
+				veto(t, c, b)
+			}
+		},
+	}
+	for _, tc := range []struct{ policy, state, want string }{
+		{"roundrobin", "healthy", "0 1 2 3 0 1 2 3 | 1 2 3 0"},
+		{"roundrobin", "vetoed", "0 1 3* 3 0 1 3* 3 | 1 3 3 0"},
+		{"roundrobin", "half-open", "0 2* 2 3 0 2* 2 3 | 2 2 3 0"},
+		{"roundrobin", "all-vetoed", "-1 -1 -1 -1 -1 -1 -1 -1 | -1 -1 -1 -1"},
+		{"leastconn", "healthy", "0 1 2 2 3 0 1 1 | 1 2 3 0"},
+		{"leastconn", "vetoed", "0 1 3* 3* 3* 3* 1 3* | 1 3 3 0"},
+		{"leastconn", "half-open", "0 2* 2* 2* 2* 2* 2* 2* | 2 2 3 0"},
+		{"leastconn", "all-vetoed", "-1 -1 -1 -1 -1 -1 -1 -1 | -1 -1 -1 -1"},
+		{"p2c", "healthy", "0 1 3 2 0 2 3 2 | 1 2 3 0"},
+		{"p2c", "vetoed", "0 1 3 3* 0 3* 3* 3* | 1 3 3 0"},
+		{"p2c", "half-open", "0 2* 3 2 2* 0 3 2 | 2 2 3 0"},
+		{"p2c", "all-vetoed", "-1 -1 -1 -1 -1 -1 -1 -1 | -1 -1 -1 -1"},
+		{"wlc", "healthy", "0 1 2 2 3 0 1 1 | 1 2 3 0"},
+		{"wlc", "vetoed", "0 1 3* 3* 3* 3* 1 3* | 1 3 3 0"},
+		{"wlc", "half-open", "0 2* 2* 2* 2* 2* 2* 2* | 2 2 3 0"},
+		{"wlc", "all-vetoed", "-1 -1 -1 -1 -1 -1 -1 -1 | -1 -1 -1 -1"},
+	} {
+		t.Run(tc.policy+"/"+tc.state, func(t *testing.T) {
+			c := NewController(policies[tc.policy](4), ControllerConfig{Shards: 1,
+				Detector: DetectorConfig{Enabled: true, FailureThreshold: 1, BackoffInitial: time.Millisecond}})
+			defer c.Close()
+			if s := c.Snapshot(); s == nil || s.Weights() != nil || s.Generation() != 1 {
+				t.Fatalf("NewController's snapshot = %+v, want generation 1 with nil weights", s)
+			}
+			states[tc.state](t, c)
+			if got := statefulRoutes(c); got != tc.want {
+				t.Errorf("routes = %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// statefulRoutes drives c through a fixed occupancy script — eight Routes
+// of one key, each opening a flow on its backend and every third closing
+// one on backend i%4 — then asks FailoverTarget to skip each backend. It
+// renders Route's answers as backends ("*" marks fellBack), then "|" and
+// the failover targets.
+func statefulRoutes(c *Controller) string {
+	open := make([]int, c.NumBackends())
 	c.BindOccupancy(func(b int) int { return open[b] })
-
-	open[0], open[1] = 4, 4
-	if b, fb := c.Route(packet.FlowKey{}, 0); b != 2 || fb {
-		t.Fatalf("route = (%d,%v) with counts %v, want (2,false)", b, fb, open)
+	key := packet.FlowKey{SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{10, 0, 0, 2},
+		SrcPort: 40000, DstPort: 11211, Proto: 6}
+	var sb strings.Builder
+	for i := 0; i < 8; i++ {
+		b, fellBack := c.Route(key, time.Duration(i)*time.Millisecond)
+		fmt.Fprintf(&sb, "%d", b)
+		if fellBack {
+			sb.WriteByte('*')
+		}
+		sb.WriteByte(' ')
+		if b >= 0 {
+			open[b]++
+		}
+		if i%3 == 2 && open[i%4] > 0 {
+			open[i%4]--
+		}
 	}
-	c.SetEjected(2, true)
-	// LeastConn picks the emptiest backend, 2; Route must fall back to the
-	// next admitted index, 0.
-	if b, fb := c.Route(packet.FlowKey{}, 0); b != 0 || !fb {
-		t.Fatalf("route = (%d,%v), want (0,true)", b, fb)
+	sb.WriteByte('|')
+	for skip := range open {
+		fmt.Fprintf(&sb, " %d", c.FailoverTarget(skip))
 	}
-
-	c.SetEjected(0, true)
-	c.SetEjected(1, true)
-	if b, fb := c.Route(packet.FlowKey{}, 0); b != -1 || fb {
-		t.Fatalf("all-ejected mutex route = (%d,%v), want (-1,false)", b, fb)
-	}
+	return sb.String()
 }
 
 // TestControllerTickStats verifies the per-backend merge summary: counts,

@@ -556,9 +556,8 @@ func TestSetEjectedWithoutDetectorIsInstant(t *testing.T) {
 }
 
 // TestDetectorCountsRoutesConcurrently: routes taken on several goroutines
-// while ticks drain the counters are all counted, on the snapshot path and
-// on the mutex path, and toggling the detector while flows route is
-// race-free.
+// while ticks drain the counters are all counted, for a table policy and a
+// stateful one, and toggling the detector while flows route is race-free.
 func TestDetectorCountsRoutesConcurrently(t *testing.T) {
 	maglev, err := NewMaglevStatic([]string{"s0", "s1", "s2", "s3"}, 1031)
 	if err != nil {

@@ -46,6 +46,10 @@ func TestRegistryBuildsEveryPolicy(t *testing.T) {
 			t.Errorf("%s: pick %d outside pool", name, b)
 		}
 		pol.ObserveLatency(b, time.Millisecond, 200*time.Microsecond)
+		// Every policy routes through a published snapshot.
+		if c := NewController(pol, ControllerConfig{}); c.Snapshot() == nil || c.Generation() != 1 {
+			t.Errorf("%s: Controller published no initial snapshot", name)
+		}
 	}
 }
 

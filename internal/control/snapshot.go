@@ -4,14 +4,17 @@ import (
 	"sync/atomic"
 
 	"inbandlb/internal/maglev"
-	"inbandlb/internal/packet"
 )
 
-// Snapshot is an immutable routing view published by a Controller: the
-// policy's current Maglev table, weight vector, and per-backend admission
-// fractions, stamped with a generation counter. The data plane routes
-// against a Snapshot with pure reads — no mutex, no channel, no allocation
-// — while the control plane builds and publishes the next one. A Snapshot
+// Snapshot is an immutable routing view published by a Controller for
+// every policy: per-backend admission fractions and, for a TableSource, the
+// policy's current Maglev table and weight vector, stamped with a
+// generation counter. The data plane routes against a Snapshot with pure
+// reads — no mutex, no channel, no allocation — while the control plane
+// builds and publishes the next one. A Snapshot of a policy with per-pick
+// state carries no table: Controller.Route asks the policy for the pick and
+// the Snapshot admits it, so PickHash and RouteHash need a TableSource's
+// Snapshot. A Snapshot
 // is never mutated after publication; readers that loaded an old snapshot
 // keep a consistent (at most one control interval stale) view until their
 // next load.
@@ -26,7 +29,7 @@ import (
 type Snapshot struct {
 	gen     uint64
 	policy  string
-	table   *maglev.Table
+	table   *maglev.Table // nil when the policy is not a TableSource
 	weights []float64
 	admit   []uint32
 	cong    []uint64        // cumulative congestion events; nil until any observed
@@ -78,21 +81,22 @@ func (s *Snapshot) Admission(i int) float64 {
 // PickHash maps a flow hash to a backend index, ignoring health ejection.
 func (s *Snapshot) PickHash(hash uint64) int { return s.table.Lookup(hash) }
 
-// Pick maps a flow key to a backend index, ignoring health ejection.
-func (s *Snapshot) Pick(key packet.FlowKey) int { return s.table.Lookup(key.Hash()) }
-
-// Route maps a flow key to an admitted backend. When the table's pick does
-// not admit the flow it falls back deterministically — scanning upward with
-// wraparound, preferring fully-admitted backends, the same rule for every
-// LB replica so a flow remaps identically everywhere — and reports
-// fellBack. When every backend is ejected it returns -1.
-func (s *Snapshot) Route(key packet.FlowKey) (backend int, fellBack bool) {
-	return s.RouteHash(key.Hash())
+// RouteHash maps a flow hash to an admitted backend: the table's pick,
+// passed through the admission rule (see route).
+func (s *Snapshot) RouteHash(hash uint64) (backend int, fellBack bool) {
+	return s.route(s.table.Lookup(hash), hash)
 }
 
-// RouteHash is Route over a precomputed flow hash.
-func (s *Snapshot) RouteHash(hash uint64) (backend int, fellBack bool) {
-	b := s.table.Lookup(hash)
+// route is the one admission rule every Controller pick passes through.
+// When backend b does not admit the flow it falls back deterministically —
+// scanning upward with wraparound, preferring fully-admitted backends, the
+// same rule for every LB replica so a flow remaps identically everywhere —
+// and reports fellBack. When every backend is ejected, or b is not a
+// backend, it returns -1.
+func (s *Snapshot) route(b int, hash uint64) (backend int, fellBack bool) {
+	if b < 0 || b >= len(s.admit) {
+		return -1, false
+	}
 	if s.full || admits(s.admit[b], hash) {
 		return b, false
 	}
@@ -153,9 +157,11 @@ func nextAdmitted(admit []uint32, skip int) int {
 }
 
 // TableSource is implemented by policies whose routing state is an
-// immutable Maglev table (MaglevStatic, LatencyAware, Proportional). A
-// Controller wrapping a TableSource serves Pick from published Snapshots
-// instead of taking the policy mutex.
+// immutable Maglev table (MaglevStatic, LatencyAware, Proportional,
+// Knapsack). A Controller wrapping a TableSource publishes the table in its
+// Snapshots, so Pick and Route are lookups that never take the policy
+// mutex; for any other policy the Snapshot carries admission only and the
+// pick is the policy's, under the mutex.
 type TableSource interface {
 	// Table returns the current routing table. The returned table must be
 	// immutable; the policy replaces (never mutates) it on weight changes.

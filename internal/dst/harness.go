@@ -267,7 +267,6 @@ func RunOpts(sc Scenario, opts RunOptions) (*Report, error) {
 		opts.wire(cluster)
 	}
 
-	_, h.hasTable = pol.(control.TableSource)
 	_, h.weighted = pol.(control.Weighted)
 	h.ctrl, h.cluster = ctrl, cluster
 
@@ -364,10 +363,8 @@ type harness struct {
 	next    auditlog.Sink          // the caller's audit sink, if any
 	ctrl    *control.Controller
 	cluster *testbed.Cluster
-	// hasTable and weighted gate the snapshot and weight oracles: only
-	// TableSource policies publish snapshots, and only Weighted policies
-	// carry a weight vector to normalize.
-	hasTable bool
+	// weighted gates the weight oracle: only Weighted policies carry a
+	// weight vector to normalize.
 	weighted bool
 	report   *Report
 	digest   interface {
@@ -538,37 +535,33 @@ func (h *harness) checkTick() {
 			ls.Retrans, ls.DupAcks, ls.ZeroWins, cs.Retransmits, cs.DupAcks, cs.ZeroWindows)
 	}
 
-	// Snapshot sanity — only table-building policies publish snapshots;
-	// mutex-path policies (p2c, wlc) have no snapshot to check, but their
-	// admission state is still validated below via the controller.
+	// Snapshot sanity — every policy publishes one.
+	snap := h.ctrl.Snapshot()
+	if snap == nil {
+		h.violate("snapshot-sanity", "no published snapshot")
+		return
+	}
+	gen := snap.Generation()
+	if gen < h.lastGen {
+		h.violate("snapshot-generation", "generation went backwards: %d -> %d", h.lastGen, gen)
+	}
+	h.lastGen = gen
 	var weights []float64
-	if h.hasTable {
-		snap := h.ctrl.Snapshot()
-		if snap == nil {
-			h.violate("snapshot-sanity", "no published snapshot")
-			return
+	if h.weighted {
+		weights = snap.Weights()
+		if len(weights) != h.sc.Backends {
+			h.violate("snapshot-weights", "weight vector has %d entries for %d backends",
+				len(weights), h.sc.Backends)
 		}
-		gen := snap.Generation()
-		if gen < h.lastGen {
-			h.violate("snapshot-generation", "generation went backwards: %d -> %d", h.lastGen, gen)
+		var wsum float64
+		for i, w := range weights {
+			wsum += w
+			if math.IsNaN(w) || math.IsInf(w, 0) || w < h.sc.MinWeight*(1-1e-9) || w > 1+1e-9 {
+				h.violate("snapshot-weights", "weight[%d]=%v outside [MinWeight=%v, 1]", i, w, h.sc.MinWeight)
+			}
 		}
-		h.lastGen = gen
-		if h.weighted {
-			weights = snap.Weights()
-			if len(weights) != h.sc.Backends {
-				h.violate("snapshot-weights", "weight vector has %d entries for %d backends",
-					len(weights), h.sc.Backends)
-			}
-			var wsum float64
-			for i, w := range weights {
-				wsum += w
-				if math.IsNaN(w) || math.IsInf(w, 0) || w < h.sc.MinWeight*(1-1e-9) || w > 1+1e-9 {
-					h.violate("snapshot-weights", "weight[%d]=%v outside [MinWeight=%v, 1]", i, w, h.sc.MinWeight)
-				}
-			}
-			if len(weights) > 0 && math.Abs(wsum-1) > 1e-9 {
-				h.violate("snapshot-weights", "weights not normalized: sum=%v", wsum)
-			}
+		if len(weights) > 0 && math.Abs(wsum-1) > 1e-9 {
+			h.violate("snapshot-weights", "weights not normalized: sum=%v", wsum)
 		}
 	}
 	admitted := 0
@@ -718,7 +711,7 @@ func (h *harness) checkFinal() {
 		}
 		// Starvation: a backend the snapshot says should receive traffic
 		// must actually receive it once enough post-fault flows arrived.
-		if h.baselined && snap != nil {
+		if h.baselined {
 			expected := float64(tailNew) * weightOf(snap, i) * snap.Admission(i)
 			if expected >= 12 && tails[i] == 0 {
 				h.violate("starvation",

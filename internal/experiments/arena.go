@@ -434,14 +434,16 @@ func arenaOutage(policy string, seed int64, duration time.Duration) (arenaOutage
 	})
 
 	// Routing disruption: periodically audit how many pinned flows the
-	// current table would send elsewhere. Pick on a published snapshot is
-	// a pure read; stateful policies have no table, so the audit is
-	// skipped and their disruption is carried by fallbacks alone.
+	// current table would send elsewhere. Only a TableSource's Pick is a
+	// pure read of its published table; a stateful policy's Pick would
+	// advance its state (p2c draws from its rng), so for those the audit is
+	// skipped and disruption is carried by fallbacks alone.
+	_, hasTable := pol.(control.TableSource)
 	var movedSum float64
 	var movedSamples int
 	cluster.Sim.Every(500*time.Millisecond, 500*time.Millisecond, func() bool {
 		now := cluster.Sim.Now()
-		if ctrl.Snapshot() != nil {
+		if hasTable {
 			total, moved := cluster.LB.AffinityAudit(func(k packet.FlowKey) int {
 				return ctrl.Pick(k, now)
 			})

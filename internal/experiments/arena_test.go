@@ -78,7 +78,7 @@ func TestArenaTournament(t *testing.T) {
 		{"p2c",
 			arenaOutageLeg{P99Ms: 0.472, AdaptLagMs: 66.666667, Timeouts: 12, Responses: 139098, FallbacksPer1k: 84.37611726850197},
 			arenaFig3Leg{PreP99Ms: 0.88, PostP99Ms: 0.96, AdaptLagMs: 150, Responses: 53376},
-			"ffb17897ec6c9403"},
+			"faf1bc032af4a38e"},
 		{"latency-aware",
 			arenaOutageLeg{P99Ms: 0.472, AdaptLagMs: 66.666667, Timeouts: 4, Responses: 143780, FallbacksPer1k: 33.968804159445405, MovedFrac: 0.047991071428571425},
 			arenaFig3Leg{PreP99Ms: 0.88, PostP99Ms: 1.376, AdaptLagMs: 150, Responses: 52007},
@@ -86,7 +86,7 @@ func TestArenaTournament(t *testing.T) {
 		{"wlc",
 			arenaOutageLeg{P99Ms: 0.472, AdaptLagMs: 66.666667, Timeouts: 5, Responses: 143214, FallbacksPer1k: 108.52173913043478},
 			arenaFig3Leg{PreP99Ms: 0.88, PostP99Ms: 1.44, AdaptLagMs: 150, Responses: 49159},
-			"5a29d8961bb652d6"},
+			"e311b0562493410c"},
 		{"knapsack",
 			arenaOutageLeg{P99Ms: 0.472, AdaptLagMs: 66.666667, Timeouts: 5, Responses: 143192, FallbacksPer1k: 76.22694048033415, MovedFrac: 0.09263392857142858},
 			arenaFig3Leg{PreP99Ms: 0.88, PostP99Ms: 1.408, AdaptLagMs: 150, Responses: 51821},

@@ -53,9 +53,11 @@ type Config struct {
 	// congestion detector for early weight-down/ejection.
 	Congestion bool
 	// L7 routes requests by their application Key instead of the
-	// connection 4-tuple: every keyed request is dispatched by
-	// Policy.Pick over a key-derived pseudo flow, so the same key always
-	// reaches the same server (cache affinity). Unkeyed packets and
+	// connection 4-tuple: every keyed request is dispatched over a
+	// key-derived pseudo flow, so the same key always reaches the same
+	// server (cache affinity). The dispatch is Policy.Pick, or the
+	// Controller's Route when the policy is one, so a key whose backend is
+	// ejected falls back as a new flow would. Unkeyed packets and
 	// non-request packets of the flow still follow the flow's pinned
 	// backend. Latency samples are attributed to the flow's most recent
 	// backend — an approximation, since a flow's requests may now span
@@ -275,7 +277,7 @@ func (l *LB) HandlePacket(p *netsim.Packet) {
 	}
 
 	if l.cfg.L7 && p.Kind == netsim.KindRequest && p.Key != 0 {
-		if b := l.cfg.Policy.Pick(keyFlow(p.Key), now); b >= 0 && b < l.cfg.Policy.NumBackends() {
+		if b, _, _ := l.route(keyFlow(p.Key), now); b >= 0 && b < len(l.open) {
 			target = b
 			// Track the latest dispatch so samples and the connection
 			// table follow the flow's current server.
@@ -377,17 +379,9 @@ func keyFlow(key uint64) packet.FlowKey {
 // keeps no state for the flow, when no backend takes it: an unroutable
 // packet neither evicts a live flow nor occupies a slot.
 func (l *LB) admit(key packet.FlowKey, now time.Duration) *connEntry {
-	var b int
-	var hash uint64
-	if l.ctrl != nil {
-		var fellBack bool
-		hash = key.Hash()
-		b, fellBack = l.ctrl.RouteHashed(hash, key, now)
-		if fellBack {
-			l.stats.Fallbacks++
-		}
-	} else {
-		b = l.cfg.Policy.Pick(key, now)
+	b, hash, fellBack := l.route(key, now)
+	if fellBack {
+		l.stats.Fallbacks++
 	}
 	if b < 0 || b >= len(l.open) {
 		return nil
@@ -402,6 +396,18 @@ func (l *LB) admit(key packet.FlowKey, now time.Duration) *connEntry {
 	l.stats.NewPerBack[b]++
 	l.open[b]++
 	return e
+}
+
+// route picks key's backend: through the Controller's health-aware Route
+// when the policy is one, else the policy's own Pick. hash is key.Hash()
+// when a Controller routed it, else 0.
+func (l *LB) route(key packet.FlowKey, now time.Duration) (b int, hash uint64, fellBack bool) {
+	if l.ctrl == nil {
+		return l.cfg.Policy.Pick(key, now), 0, false
+	}
+	hash = key.Hash()
+	b, fellBack = l.ctrl.RouteHashed(hash, key, now)
+	return b, hash, fellBack
 }
 
 // measure runs the flow's in-band measurement on a packet arrived at now,

@@ -287,6 +287,62 @@ func TestLBL7KeylessFollowsFlow(t *testing.T) {
 	}
 }
 
+// TestLBL7ControllerHonoursEjection: with a Controller as the policy, a
+// keyed request whose key hashes to an ejected backend falls back like a
+// new flow would — no request and no flow lands on the ejected backend —
+// and only new flows count as fallbacks.
+func TestLBL7ControllerHonoursEjection(t *testing.T) {
+	sim := netsim.NewSim(1)
+	pol, err := control.NewMaglevStatic([]string{"s0", "s1", "s2"}, 1021)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := control.NewController(pol, control.ControllerConfig{})
+	ctrl.SetEjected(1, true)
+	sinks := make([]*sink, 3)
+	links := make([]*netsim.Link, 3)
+	for i := range links {
+		sinks[i] = &sink{}
+		links[i] = netsim.NewLink(sim, "up", 0, 0, sinks[i])
+	}
+	l, err := New(sim, Config{Policy: ctrl, L7: true}, links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []uint64 // keys the table maps to the ejected backend
+	for k := uint64(1); len(keys) < 20; k++ {
+		if pol.Pick(keyFlow(k), 0) == 1 {
+			keys = append(keys, k)
+		}
+	}
+	flows := 0 // flows that are not themselves routed to backend 1
+	for n := 0; flows < 4; n++ {
+		if pol.Pick(flowK(n), 0) == 1 {
+			continue
+		}
+		f := flowK(n)
+		flows++
+		sim.Schedule(0, func() {
+			for _, k := range keys {
+				l.HandlePacket(&netsim.Packet{Flow: f, Kind: netsim.KindRequest, Key: k, Size: 64})
+				if got := l.OpenConns(1); got != 0 {
+					t.Fatalf("key %d moved a flow onto ejected backend 1 (%d open)", k, got)
+				}
+			}
+		})
+	}
+	sim.Run()
+	if got := len(sinks[1].got); got != 0 {
+		t.Fatalf("ejected backend 1 received %d requests", got)
+	}
+	if got := len(sinks[0].got) + len(sinks[2].got); got != flows*len(keys) {
+		t.Fatalf("delivered %d requests, want %d", got, flows*len(keys))
+	}
+	if st := l.Stats(); st.Fallbacks != 0 || st.NewFlows != uint64(flows) {
+		t.Errorf("fallbacks = %d, new flows = %d; want 0 and %d", st.Fallbacks, st.NewFlows, flows)
+	}
+}
+
 // TestLBControllerMatchesDirectPolicy runs two identical simulations — one
 // with the policy driven directly, one wrapped in a control.Controller
 // (sample batching + snapshot routing, ticked from the packet path) — and

@@ -175,9 +175,9 @@ func (p *Proxy) writeMetrics(w io.Writer) {
 	for i, h := range health {
 		m.sample("lbproxy_backend_ejections_total", backendLabels(i, p.cfg.Backends[i]), float64(h.Ejections))
 	}
-	if snap := p.ctrl.Snapshot(); snap != nil && snap.Weights() != nil {
+	if w := p.ctrl.Snapshot().Weights(); w != nil {
 		m.family("lbproxy_backend_weight", "Published routing weight per backend.", "gauge")
-		for i, wv := range snap.Weights() {
+		for i, wv := range w {
 			m.sample("lbproxy_backend_weight", backendLabels(i, p.cfg.Backends[i]), wv)
 		}
 	}

@@ -30,11 +30,12 @@
 //     requests, so it sits in no map and takes no lock. Each flow's key is
 //     hashed exactly once, at accept, to route it.
 //   - Routing reads an immutable control.Snapshot through an atomic
-//     pointer: for table-based policies (maglev, latency-aware,
-//     proportional) a new connection's pick — including health-eject
-//     fallback — is a pure read, no mutex, no channel, zero allocations.
-//     Stateful policies (roundrobin, leastconn, p2c, wlc) fall back to a
-//     mutex around the policy.
+//     pointer, for every policy: the snapshot's admission view decides
+//     health-eject fallback and dial failover with pure reads, no mutex,
+//     no channel, zero allocations. For table-based policies (maglev,
+//     latency-aware, proportional, knapsack) the pick itself is a lookup in
+//     the snapshot's table; stateful policies (roundrobin, leastconn, p2c,
+//     wlc) make theirs under the Controller's mutex.
 //   - Occupancy is the dataplane's own count: an atomic open-flow count per
 //     backend, raised when route admits a connection, moved by a failover
 //     and released at teardown. New binds it into the policy through
@@ -51,8 +52,8 @@
 //     stripes (Controller.ObserveConn), so with a table policy a loop's
 //     steady state takes no Controller lock, detector on or off.
 //   - control.Policy implementations stay single-threaded (their
-//     documented contract): the Controller serializes every policy call.
-//     Stateful Picks are applied synchronously under its mutex.
+//     documented contract): the Controller serializes every policy call,
+//     stateful Picks included.
 //   - All Stats counters are atomics; Stats() returns a deep copy built
 //     from them, never aliasing mutable state.
 //   - Nothing sweeps estimators: one whose connection sat silent longer

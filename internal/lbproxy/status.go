@@ -20,9 +20,9 @@ type StatusSnapshot struct {
 	// Goroutines is a live runtime.NumGoroutine gauge. On Linux it stays
 	// O(shards) regardless of connection count.
 	Goroutines int `json:"goroutines"`
-	// SnapshotGeneration counts routing-snapshot publications (table
-	// rebuilds merged by control ticks plus health-eject flips); zero for
-	// stateful policies that route under the mutex instead of a snapshot.
+	// SnapshotGeneration counts routing-snapshot publications: 1 at
+	// start-up, then one per table rebuild merged by a control tick and per
+	// admission change, for every policy.
 	SnapshotGeneration uint64 `json:"snapshot_generation"`
 	// Weights is present for weight-based policies (latency-aware,
 	// proportional); nil otherwise.

@@ -577,11 +577,12 @@ func TestControllerConcurrentStress(t *testing.T) {
 						t.Errorf("route out of range: %d", b)
 						return
 					}
-					if s := ctrl.Snapshot(); b >= 0 && s != nil {
-						// A routed backend must be healthy in *some* recent
-						// snapshot; with the flipper racing we only check
-						// range and that -1 implies a fully ejected view.
-						_ = s
+					// Route loads its own snapshot, which the flipper may
+					// already have replaced; one loaded here is fixed.
+					s := ctrl.Snapshot()
+					if b, _ := s.RouteHash(key.Hash()); b >= 0 && s.Ejected(b) {
+						t.Errorf("snapshot %d routed to its ejected backend %d", s.Generation(), b)
+						return
 					}
 				case 2:
 					ctrl.ObserveSharded(uint64(w)<<32|uint64(i), i%n, now, time.Millisecond)

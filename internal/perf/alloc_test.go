@@ -297,11 +297,13 @@ func TestProxyMeasurementPathZeroAlloc(t *testing.T) {
 	}, body)
 }
 
-// TestSnapshotPickZeroAlloc covers the tentpole's data-plane guarantee: a
+// TestSnapshotPickZeroAlloc covers the data-plane routing guarantee: a
 // Controller wrapping a table-based policy serves Pick and Route as pure
 // snapshot reads — zero allocations, no mutex (a mutex would not show up
 // here, but the lock-free claim is exercised under -race by the lbproxy
-// stress tests; this gate pins the allocation half).
+// stress tests; this gate pins the allocation half). A stateful policy's
+// Route and FailoverTarget pass through the same snapshot admission rule,
+// allocation-free too.
 func TestSnapshotPickZeroAlloc(t *testing.T) {
 	la, err := control.NewLatencyAware(control.LatencyAwareConfig{
 		Backends: []string{"b0", "b1", "b2", "b3"}, Alpha: 0.1, TableSize: 1021,
@@ -325,6 +327,25 @@ func TestSnapshotPickZeroAlloc(t *testing.T) {
 	snap := ctrl.Snapshot()
 	assertZeroAllocs(t, "Snapshot.RouteHash", nil, func() {
 		snap.RouteHash(uint64(i))
+		i++
+	})
+
+	// A stateful policy takes the same admission rule: its pick (under the
+	// mutex) lands on the ejected backend and falls back.
+	lc := control.NewController(control.NewLeastConn(4), control.ControllerConfig{})
+	defer lc.Close()
+	open := []int{3, 0, 2, 5}
+	lc.BindOccupancy(func(b int) int { return open[b] })
+	lc.SetEjected(1, true)
+	if b, fellBack := lc.Route(keys[0], 0); b != 2 || !fellBack {
+		t.Fatalf("leastconn Route = (%d, %v), want (2, true)", b, fellBack)
+	}
+	assertZeroAllocs(t, "Controller.Route (leastconn)", nil, func() {
+		lc.Route(keys[i%len(keys)], 0)
+		i++
+	})
+	assertZeroAllocs(t, "Controller.FailoverTarget (leastconn)", nil, func() {
+		lc.FailoverTarget(i % 4)
 		i++
 	})
 }

@@ -89,8 +89,7 @@ func TestControllerTickAuditedZeroAllocWhenIdle(t *testing.T) {
 		close(w.release)
 		_ = l.Close()
 	})
-	// A table-based policy: stateful ones never publish a snapshot, so the
-	// initial-publish record below would never reach the (stalled) writer.
+	// The initial-publish record below reaches the (stalled) writer first.
 	mag, err := control.NewMaglevStatic([]string{"b0", "b1", "b2", "b3"}, 1031)
 	if err != nil {
 		t.Fatal(err)
